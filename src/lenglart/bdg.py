@@ -6,9 +6,17 @@ E[sup|M|^q]. Since <M,M> is non-decreasing the monotone constant
 (q/2)^(-q/2) applies, which for q = 1 gives sqrt(2), against the weaker
 2 and 2*sqrt(2) and the numerically known optimum ~1.2727.
 
-Grid maxima of |M| are biased low; every step is refined with an exact draw
-of the Brownian bridge maximum (inverse of the tail exp(-2(m-x0)(m-x1)/h)),
-and a step-halving check guards the residual bias.
+Fixed time: sup_{t<=T}|B_t| = sqrt(T) S with S = sup_{t<=1}|B_t|, whose
+law is known (Borodin & Salminen, Handbook of Brownian Motion -- Facts and
+Formulae; `oracles.sup_abs_bm_law`). The denominator is estimated from
+exact draws of S, one uniform per path pushed through the inverse CDF.
+Path simulation is the validation: one stepped pass at the configured step,
+refined with exact Brownian-bridge extremum draws (inverse of the tail
+exp(-2(m-x0)(m-x1)/h)), is compared against the quadrature value of
+E[sup|B|^q], and `bias_relative_change` is their relative difference.
+
+Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
+paths are the estimator, and a step-halving check guards their bias.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .montecarlo import (
     Estimate,
@@ -26,7 +35,7 @@ from .montecarlo import (
     RatioEstimate,
     sample_values,
 )
-from .oracles import ConstantKind, constant
+from .oracles import ConstantKind, constant, sup_abs_bm_law, sup_abs_bm_moment
 
 __all__ = [
     "BM_FIXED_TIME",
@@ -76,7 +85,55 @@ def _bridge_min(x0, x1, h, u):
     return 0.5 * (x0 + x1 - np.sqrt((x1 - x0) ** 2 - 2.0 * h * np.log(u)))
 
 
+# P[S < 1]: the quantile of a lower u lies on the theta-series side
+_CDF_AT_ONE = float(sup_abs_bm_law(1.0)[0])
+_NEWTON_MAX = 20
+
+
+def _sup_abs_quantile(u: np.ndarray) -> np.ndarray:
+    """Inverse of P[S < x] for S = sup_{t<=1}|B_t| at u in (0, 1).
+
+    Newton's method on log F below F(1) and on log(1 - F) above it, so both
+    tails are solved in relative terms, from the leading term of the series
+    on that side: (4/pi) exp(-pi^2/(8x^2)) = u, or 4 Phibar(x) = 1 - u.
+    The convergence is quadratic, so once every relative step is below 1e-8
+    the next one would be below double precision and the loop stops.
+    """
+    low = u < _CDF_AT_ONE
+    target = np.where(low, u, 1.0 - u)
+    log_target = np.log(target)
+    with np.errstate(divide="ignore"):  # the branch np.where does not pick
+        x = np.where(low, np.pi / np.sqrt(8.0 * np.log(4.0 / (np.pi * u))),
+                     -ndtri(0.25 * target))
+    sign = np.where(low, 1.0, -1.0)
+    for _ in range(_NEWTON_MAX):
+        cdf, sf, pdf = sup_abs_bm_law(x)
+        side = np.where(low, cdf, sf)
+        step = sign * (np.log(side) - log_target) * side / pdf
+        x -= step
+        if np.max(np.abs(step) / x) < 1e-8:
+            return x
+    raise ArithmeticError("Newton inversion of the sup|B| law did not converge")
+
+
+def _exact_fixed_time_sampler(spec: MartingaleSpec):
+    """(T^(q/2), sup_{t<=T}|B_t|^q) with the supremum drawn from its law."""
+    sqrt_T = math.sqrt(spec.T)
+    qv = spec.q
+    num_val = spec.T ** (qv / 2.0)
+
+    def sampler(rng: np.random.Generator, m: int):
+        # a uniform of exactly 0 (probability 2^-53) is read as 2^-53
+        u = np.maximum(rng.random(m), 2.0**-53)
+        return np.full(m, num_val), (sqrt_T * _sup_abs_quantile(u)) ** qv
+
+    return sampler
+
+
 def _fixed_time_sampler(spec: MartingaleSpec, step: float):
+    """Stepped fixed-time paths, the validation of the exact sampler. The
+    bridge maximum and minimum of a step are drawn independently, which is
+    not their joint law, so sup|B| = max(M, -m) carries a small bias."""
     n_steps = int(round(spec.T / step))
     h = spec.T / n_steps
     sqrt_h = math.sqrt(h)
@@ -162,9 +219,13 @@ class BdgResult:
     constant_gaps: dict
     bias_relative_change: float
     passed: bool
+    # fixed time only: quadrature value of E[sup|B|^q] and the z-score of
+    # the denominator estimate against it
+    denominator_oracle: float | None = None
+    denominator_z: float | None = None
 
     def to_json(self) -> dict:
-        return {
+        d = {
             "kind": self.spec.kind,
             "q": self.spec.q,
             "step": self.spec.step,
@@ -174,6 +235,10 @@ class BdgResult:
             "bias_relative_change": self.bias_relative_change,
             "pass": self.passed,
         }
+        if self.denominator_oracle is not None:
+            d["denominator_oracle"] = self.denominator_oracle
+            d["denominator_z"] = self.denominator_z
+        return d
 
 
 def bdg_ratio(
@@ -185,19 +250,32 @@ def bdg_ratio(
 ) -> BdgResult:
     """Estimate E[<M,M>^(q/2)] / E[sup|M|^q] and compare against the
     constant ladder. Passes iff the ratio clears the monotone constant at
-    3 combined half-widths and the step-halving bias check holds."""
+    3 combined half-widths and the bias check holds: at fixed time the
+    stepped pass against the oracle, at the hitting time the step-halving
+    change."""
     p = spec.q / 2.0
     method = EstimatorMethod("plain")  # sup|M|^q has light tails for q < 2
 
-    num_vals, den_vals = sample_values(_make_sampler(spec, spec.step), n_samples, seed, threads)
+    if spec.kind == BM_FIXED_TIME:
+        sampler = _exact_fixed_time_sampler(spec)
+    else:
+        sampler = _make_sampler(spec, spec.step)
+    num_vals, den_vals = sample_values(sampler, n_samples, seed, threads)
     num = estimate_from_values(num_vals, method)
     den = estimate_from_values(den_vals, method)
-    ratio = ratio_from_estimates(num, den)
 
-    # denominator bias control: halve the step, same seed and budget
-    _, den_fine_vals = sample_values(_make_sampler(spec, spec.step / 2.0), n_samples, seed, threads)
-    den_fine = estimate_from_values(den_fine_vals, method)
-    bias_rel = abs(den_fine.value - den.value) / den.value
+    # bias control, same seed and budget: at fixed time the stepped paths
+    # against the exact value, at the hitting time the step halved
+    oracle = z = None
+    if spec.kind == BM_FIXED_TIME:
+        oracle = sup_abs_bm_moment(spec.q, spec.T)
+        z = (den.value - oracle) / den.halfwidth if den.halfwidth > 0 else None
+        check_step, reference = spec.step, oracle
+    else:
+        check_step, reference = spec.step / 2.0, den.value
+    _, check_vals = sample_values(_make_sampler(spec, check_step), n_samples, seed, threads)
+    bias_rel = abs(estimate_from_values(check_vals, method).value - reference) / reference
+    ratio = ratio_from_estimates(num, den)
 
     ladder = {
         "lenglart": constant(ConstantKind.LENGLART, p),
@@ -220,4 +298,6 @@ def bdg_ratio(
         constant_gaps=gaps,
         bias_relative_change=bias_rel,
         passed=passed,
+        denominator_oracle=oracle,
+        denominator_z=z,
     )

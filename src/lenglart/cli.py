@@ -55,7 +55,6 @@ class ExperimentConfig:
     blocks: int = 31
     threads: int = 1
     output: str | None = None
-    fmt: str = "json"
     # identities
     law: str = "exp"
     point_value: float = 1.0
@@ -286,7 +285,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--blocks", type=int, default=None)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     sp.add_argument("--config", dest="config_file", default=None,
                     help="JSON file with default values for any flag")
 

@@ -9,13 +9,17 @@ from lenglart.bdg import (
     BM_FIXED_TIME,
     BM_HITTING,
     MartingaleSpec,
+    _CDF_AT_ONE,
     _bridge_max,
     _bridge_min,
+    _exact_fixed_time_sampler,
     _fixed_time_sampler,
     _hitting_sampler,
+    _sup_abs_quantile,
     bdg_ratio,
 )
 from lenglart.montecarlo import PLAIN, estimate_from_values, sample_values
+from lenglart.oracles import sup_abs_bm_law, sup_abs_bm_moment
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # E[sup_{[0,1]} |B|]... see below
 
@@ -81,6 +85,27 @@ class TestFixedTime:
         np.testing.assert_allclose(num, 2.0)  # T^{q/2} = 4^{1/2}
 
 
+class TestExactFixedTime:
+    def test_quantile_inverts_cdf(self):
+        u = np.concatenate([
+            rng_of(9).random(10**5),
+            2.0**-53 * np.arange(1, 200),          # near 0
+            1.0 - 2.0**-53 * np.arange(1, 200),    # near 1
+            [np.nextafter(_CDF_AT_ONE, 0.0), _CDF_AT_ONE, np.nextafter(_CDF_AT_ONE, 1.0)],
+        ])
+        u = np.maximum(u, 2.0**-53)
+        x = _sup_abs_quantile(u)
+        np.testing.assert_allclose(sup_abs_bm_law(x)[0], u, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_mean_matches_oracle(self, q):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=q, T=2.0)
+        num, den = sample_values(_exact_fixed_time_sampler(spec), 200_000, seed=10)
+        np.testing.assert_allclose(num, 2.0 ** (q / 2.0))
+        est = estimate_from_values(den, PLAIN)
+        assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
+
+
 class TestHitting:
     def test_symmetric_barriers_pin_the_sup(self):
         # exit from (-1, 1): sup|M| = 1 on every non-censored path
@@ -115,6 +140,27 @@ class TestBdgRatio:
         d = result.to_json()
         assert set(d) >= {"kind", "q", "step", "ratio", "reverse_ratio",
                           "constant_gaps", "bias_relative_change", "pass"}
+
+    def test_fixed_time_reports_oracle_and_z(self):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=5e-2, T=1.0)
+        d = bdg_ratio(spec, n_samples=5_000, seed=7).to_json()
+        den = d["ratio"]["denominator"]
+        assert d["denominator_oracle"] == pytest.approx(SQRT_HALF_PI, abs=1e-10)
+        assert d["denominator_z"] == pytest.approx(
+            (den["value"] - d["denominator_oracle"]) / den["halfwidth"])
+        assert abs(d["denominator_z"]) < 4.0
+
+    def test_bias_check_is_stepped_pass_against_oracle(self):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
+        result = bdg_ratio(spec, n_samples=5_000, seed=7)
+        _, stepped = sample_values(_fixed_time_sampler(spec, spec.step), 5_000, seed=7)
+        oracle = sup_abs_bm_moment(1.5, 1.0)
+        assert result.bias_relative_change == abs(stepped.mean() - oracle) / oracle
+
+    def test_hitting_reports_no_oracle(self):
+        spec = MartingaleSpec(kind=BM_HITTING, q=1.0, step=5e-2)
+        d = bdg_ratio(spec, n_samples=2_000, seed=7).to_json()
+        assert "denominator_oracle" not in d and "denominator_z" not in d
 
     def test_thread_invariance(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=2e-2, T=1.0)

@@ -49,6 +49,11 @@ class TestUsageErrors:
         code, _, err = run(["dump-paths"], capsys)
         assert code == EXIT_USAGE
 
+    def test_format_flag_is_gone(self, capsys):
+        # output is always JSON (dump-paths: CSV); there is no format switch
+        assert run(["identities", "--format", "csv"], capsys)[0] == EXIT_USAGE
+        assert not hasattr(ExperimentConfig("identities"), "fmt")
+
     def test_unreadable_config_file(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")

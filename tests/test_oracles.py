@@ -13,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import quad
+from scipy.special import ndtr
+
 from lenglart.oracles import (
     ConstantKind,
     ExpLaw,
@@ -20,12 +23,16 @@ from lenglart.oracles import (
     PointMassLaw,
     TruncatedParetoLaw,
     UniformLaw,
+    _reflection_series,
+    _theta_series,
     check_moment_identities,
     constant,
     full_extremal_sup_moment,
     gtilde_sup_moment,
     lambda_bound,
     moment_identity_law,
+    sup_abs_bm_law,
+    sup_abs_bm_moment,
     xtilde_sup_moment,
     y_sup_moment,
 )
@@ -152,6 +159,100 @@ class TestGtilde:
     @given(p=st.floats(0.1, 0.9), t=st.floats(0.1, 10.0))
     def test_monotone_in_t(self, p, t):
         assert gtilde_sup_moment(p, t + 0.5) >= gtilde_sup_moment(p, t)
+
+    @pytest.mark.parametrize("p", [0.01, 0.014])
+    def test_finite_for_large_horizon_over_p(self, p):
+        # t/p = 1000 and ~714: (p expm1(t/p))^p used to overflow here
+        value = gtilde_sup_moment(p, 10.0)
+        assert math.isfinite(value)
+        assert 0.0 < value <= p**p * 11.0 * (1.0 + 1e-12)
+
+    # values of the earlier (p expm1(x/p))^p e^-x form of the integrand
+    @pytest.mark.parametrize(("key", "value"), sorted({
+        (0.25, 10.0): 7.716344799301076,
+        (0.25, 40.0): 28.92954823489745,
+        (0.5, 10.0): 7.561196883235386,
+        (0.5, 40.0): 28.77440031919616,
+        (0.75, 10.0): 8.36672259924513,
+        (0.75, 40.0): 32.54454631001448,
+    }.items()))
+    def test_matches_expm1_form(self, key, value):
+        assert gtilde_sup_moment(*key) == pytest.approx(value, rel=1e-10)
+
+
+class TestSupAbsBmLaw:
+    """Law of S = sup_{t<=1}|B_t|: theta series below 1, reflection above."""
+
+    def test_series_agree_across_the_switch(self):
+        x = np.linspace(0.8, 1.5, 701)
+        cdf, pdf_theta = _theta_series(x)
+        sf, pdf_refl = _reflection_series(x)
+        np.testing.assert_allclose(cdf, 1.0 - sf, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(pdf_theta, pdf_refl, rtol=0.0, atol=1e-13)
+
+    def test_cdf_sf_pdf_consistent(self):
+        x = np.linspace(0.05, 6.0, 400)
+        cdf, sf, pdf = sup_abs_bm_law(x)
+        np.testing.assert_allclose(cdf + sf, 1.0, rtol=0.0, atol=1e-15)
+        h = 1e-6
+        slope = (sup_abs_bm_law(x + h)[0] - sup_abs_bm_law(x - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(slope, pdf, rtol=0.0, atol=1e-8)
+        assert np.all(np.diff(cdf) > 0.0)
+
+    def test_outside_support_and_tails(self):
+        cdf, sf, pdf = sup_abs_bm_law(np.array([-1.0, 0.0]))
+        assert list(cdf) == [0.0, 0.0] and list(sf) == [1.0, 1.0] and list(pdf) == [0.0, 0.0]
+        # far tail: 4 Phibar(x) up to Phibar(3x) / Phibar(x), below 1e-30 here
+        x = np.array([6.0, 8.0])
+        np.testing.assert_allclose(sup_abs_bm_law(x)[1], 4.0 * ndtr(-x), rtol=1e-14)
+        # near 0: the leading theta term, up to exp(-pi^2 / x^2) / 3
+        x = np.array([0.1, 0.2])
+        np.testing.assert_allclose(sup_abs_bm_law(x)[0],
+                                   4.0 / np.pi * np.exp(-np.pi**2 / (8.0 * x * x)), rtol=1e-14)
+
+    def test_exit_time_moments(self):
+        # S < x iff the exit time tau of (-1, 1) exceeds 1/x^2, so
+        # E[S^-2] = E[tau] = 1 and E[S^-4] = E[tau^2] = 5/3
+        def moment(power):
+            head, _ = quad(lambda x: power * x ** (-power - 1.0) * float(sup_abs_bm_law(x)[0]),
+                           0.0, 1.0, epsabs=1e-13, limit=200)
+            tail, _ = quad(lambda x: power * x ** (-power - 1.0) * float(sup_abs_bm_law(x)[0]),
+                           1.0, np.inf, epsabs=1e-13, limit=200)
+            return head + tail
+
+        assert moment(2.0) == pytest.approx(1.0, abs=1e-10)
+        assert moment(4.0) == pytest.approx(5.0 / 3.0, abs=1e-10)
+
+    def test_mean_is_sqrt_half_pi(self):
+        value = sup_abs_bm_moment(1.0, 1.0)
+        assert type(value) is float  # results are written to JSON
+        assert value == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
+
+    def test_second_moment_is_twice_catalan(self):
+        catalan = 0.915965594177219015054603514932
+        assert sup_abs_bm_moment(2.0) == pytest.approx(2.0 * catalan, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [0.01, 0.5, 1.5, 4.0])
+    def test_matches_adaptive_quadrature(self, q):
+        head, _ = quad(lambda x: q * x ** (q - 1.0) * float(sup_abs_bm_law(x)[0]),
+                       0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+        tail, _ = quad(lambda x: q * x ** (q - 1.0) * float(sup_abs_bm_law(x)[1]),
+                       1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert sup_abs_bm_moment(q) == pytest.approx(1.0 - head + tail, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("T", [0.25, 3.0])
+    def test_scales_as_T_to_half_q(self, q, T):
+        assert sup_abs_bm_moment(q, T) == pytest.approx(
+            T ** (q / 2.0) * sup_abs_bm_moment(q, 1.0), rel=1e-13)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sup_abs_bm_moment(0.0)
+        with pytest.raises(ValueError):
+            sup_abs_bm_moment(4.5)
+        with pytest.raises(ValueError):
+            sup_abs_bm_moment(1.0, T=0.0)
 
 
 class TestMomentIdentities:
