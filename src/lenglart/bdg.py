@@ -28,13 +28,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .montecarlo import (
-    Estimate,
-    EstimatorMethod,
-    estimate_from_values,
-    ratio_from_estimates,
+    PLAIN,
     RatioEstimate,
-    sample_values,
+    estimate_pair,
+    ratio_from_estimates,
 )
+# not called here; perfbench/tracing.py wraps these names in this module
+from .montecarlo import estimate_from_values, sample_values  # noqa: F401
 from .oracles import ConstantKind, constant, sup_abs_bm_law, sup_abs_bm_moment
 
 __all__ = [
@@ -254,15 +254,13 @@ def bdg_ratio(
     stepped pass against the oracle, at the hitting time the step-halving
     change."""
     p = spec.q / 2.0
-    method = EstimatorMethod("plain")  # sup|M|^q has light tails for q < 2
+    method = PLAIN  # sup|M|^q has light tails for q < 2
 
     if spec.kind == BM_FIXED_TIME:
         sampler = _exact_fixed_time_sampler(spec)
     else:
         sampler = _make_sampler(spec, spec.step)
-    num_vals, den_vals = sample_values(sampler, n_samples, seed, threads)
-    num = estimate_from_values(num_vals, method)
-    den = estimate_from_values(den_vals, method)
+    num, den = estimate_pair(sampler, n_samples, method, seed, threads)
 
     # bias control, same seed and budget: at fixed time the stepped paths
     # against the exact value, at the hitting time the step halved
@@ -273,8 +271,8 @@ def bdg_ratio(
         check_step, reference = spec.step, oracle
     else:
         check_step, reference = spec.step / 2.0, den.value
-    _, check_vals = sample_values(_make_sampler(spec, check_step), n_samples, seed, threads)
-    bias_rel = abs(estimate_from_values(check_vals, method).value - reference) / reference
+    _, check = estimate_pair(_make_sampler(spec, check_step), n_samples, method, seed, threads)
+    bias_rel = abs(check.value - reference) / reference
     ratio = ratio_from_estimates(num, den)
 
     ladder = {

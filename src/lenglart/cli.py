@@ -192,6 +192,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             lines = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         return _usage_error(f"cannot read suite file: {exc}")
+    # plain or mom applies to every check; auto keeps each check's default
+    method = cfg.resolved_method() if cfg.method != "auto" else None
     reports = []
     all_ok = True
     for entry in lines:
@@ -204,6 +206,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
                 kind=kind,
                 n_samples=int(entry.get("n_samples", 10**5)),
                 seed=int(entry.get("seed", cfg.seed)),
+                method=method,
                 threads=cfg.threads,
             )
         except (KeyError, ValueError) as exc:

@@ -99,11 +99,6 @@ def ramp(t: float, n: int) -> float:
     return t - n
 
 
-def _growth_integral(p: float, a: float, b: float) -> float:
-    """int_a^b exp(s/p) ds = p (exp(b/p) - exp(a/p))."""
-    return p * (math.exp(b / p) - math.exp(a / p))
-
-
 def compensator_value(p: float, t: float) -> float:
     """int_0^t exp(s/p) ds = p (exp(t/p) - 1), the closed-form compensator."""
     return p * math.expm1(t / p)

@@ -4,6 +4,15 @@ Sample streams are counter-based: the sample index range is cut into fixed
 chunks and chunk j of a run with seed s draws from Philox(key = s * 2^64 + j),
 so the result is bit-identical no matter how many workers process the chunks.
 
+Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
+plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
+(Chan, Golub & LeVeque 1979), and median of means keeps per-block partial
+sums. No value array of the whole run is assembled. `estimate_from_values`
+runs the same reduction over CHUNK-sized slices, so it gives bit for bit the
+estimate that `estimate` gives from the same draws. Against versions that
+reduced the concatenated values, estimates agree to about 1e-15 relative,
+not bit for bit.
+
 The supremum statistics of the extremal family have Pareto tails with index
 1/p, hence infinite variance for p >= 1/sqrt(2); the median-of-means
 estimator is the default in that regime.
@@ -144,68 +153,115 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
 
 
-def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
-    """Draw n_samples values (or tuples of parallel arrays) chunk by chunk.
-
-    The concatenation order is the chunk order, so the output is independent
-    of the worker count.
-    """
+def _map_chunks(work, n_samples: int, seed: int, threads: int = 1) -> list:
+    """Run work(rng, start, m) on every chunk of the sample index range, where
+    chunk j holds the m samples from index start = j * CHUNK on and draws
+    from chunk_rng(seed, j). The results come back in chunk order, so they do
+    not depend on the worker count."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    sizes = [CHUNK] * (n_samples // CHUNK)
-    if n_samples % CHUNK:
-        sizes.append(n_samples % CHUNK)
 
-    def run(job):
-        j, m = job
-        return sampler(chunk_rng(seed, j), m)
+    def run(start):
+        return work(chunk_rng(seed, start // CHUNK), start, min(CHUNK, n_samples - start))
 
-    jobs = list(enumerate(sizes))
+    starts = range(0, n_samples, CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
+            return list(pool.map(run, starts))
+    return [run(start) for start in starts]
+
+
+def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
+    """Draw n_samples values (or tuples of parallel arrays) chunk by chunk,
+    concatenated in chunk order."""
+    parts = _map_chunks(lambda rng, start, m: sampler(rng, m), n_samples, seed, threads)
     if isinstance(parts[0], tuple):
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     return np.concatenate(parts)
 
 
+def _check_budget(n: int, method: EstimatorMethod) -> None:
+    if n < method.blocks:
+        raise ValueError(f"{n} samples cannot fill {method.blocks} blocks")
+
+
+def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMethod):
+    """Partial statistics of the values at sample indices start, start+1, ...
+    of a run of n samples: (count, mean, sum of squared deviations) for the
+    plain mean, (first block index, block sums) for median of means."""
+    values = np.asarray(values, dtype=float)
+    if method.name == "plain":
+        mean = values.mean()
+        dev = values - mean
+        dev *= dev
+        return values.size, float(mean), float(dev.sum())
+    length = n // method.blocks
+    # samples past the last whole block are not used
+    stop = min(start + values.size, method.blocks * length)
+    first = start // length
+    if stop <= start:
+        return first, values[:0]
+    edges = np.arange(first * length, stop, length) - start
+    edges[0] = 0  # block `first` may have begun in an earlier chunk
+    return first, np.add.reduceat(values[: stop - start], edges)
+
+
+def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
+    """The estimate from the partial statistics of every chunk, merged in
+    chunk order."""
+    if method.name == "plain":
+        count, mean, m2 = parts[0]
+        for c, mu, q in parts[1:]:
+            total = count + c
+            delta = mu - mean
+            mean += delta * (c / total)
+            m2 += q + delta * delta * (count * c / total)
+            count = total
+        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+        return Estimate(value=mean, halfwidth=stderr, n_samples=n, method=method)
+    b = method.blocks
+    sums = np.zeros(b)
+    for first, block_sums in parts:
+        sums[first : first + block_sums.size] += block_sums
+    block_means = sums / (n // b)
+    value = float(np.median(block_means))
+    halfwidth = _MEDIAN_INFLATION * float(block_means.std(ddof=1)) / math.sqrt(b)
+    return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=method)
+
+
 def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimate:
+    """Estimate of the mean of given values, reduced over CHUNK-sized slices
+    exactly as `estimate` reduces the chunks it draws."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("empty sample set")
-    if method.name == "plain":
-        value = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return Estimate(value=value, halfwidth=stderr, n_samples=n, method=method)
-    b = method.blocks
-    m = n // b
-    if m < 1:
-        raise ValueError(f"{n} samples cannot fill {b} blocks")
-    block_means = values[: b * m].reshape(b, m).mean(axis=1)
-    value = float(np.median(block_means))
-    spread = float(block_means.std(ddof=1)) if b > 1 else 0.0
-    halfwidth = _MEDIAN_INFLATION * spread / math.sqrt(b)
-    return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=method)
+    _check_budget(n, method)
+    parts = [_reduce_chunk(values[s : s + CHUNK], s, n, method) for s in range(0, n, CHUNK)]
+    return _merge_chunks(parts, n, method)
 
 
 def estimate(sampler, n_samples: int, method: EstimatorMethod, seed: int,
              threads: int = 1) -> Estimate:
     """Estimate E[sampler] with the chosen method; deterministic in
     (seed, n_samples, method) regardless of thread count."""
-    if method.name == "median_of_means" and n_samples < method.blocks:
-        raise ValueError("n_samples must cover at least one sample per block")
-    values = sample_values(sampler, n_samples, seed, threads)
-    return estimate_from_values(values, method)
+    return estimate_pair(lambda rng, m: (sampler(rng, m),), n_samples, method,
+                         seed, threads)[0]
 
 
 def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
-                  seed: int, threads: int = 1) -> tuple[Estimate, Estimate]:
-    """Two estimates from one stream of draws (common random numbers)."""
-    num_vals, den_vals = sample_values(paired_sampler, n_samples, seed, threads)
-    return estimate_from_values(num_vals, method), estimate_from_values(den_vals, method)
+                  seed: int, threads: int = 1) -> tuple[Estimate, ...]:
+    """One estimate per component of a sampler that returns a tuple of
+    parallel arrays (a numerator and a denominator, say), all from one stream
+    of draws (common random numbers). Each chunk is reduced by the worker
+    that drew it."""
+    _check_budget(n_samples, method)
+
+    def work(rng, start, m):
+        return [_reduce_chunk(v, start, n_samples, method) for v in paired_sampler(rng, m)]
+
+    parts = _map_chunks(work, n_samples, seed, threads)
+    return tuple(_merge_chunks(column, n_samples, method) for column in zip(*parts))
 
 
 def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:

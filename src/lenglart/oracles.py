@@ -9,6 +9,7 @@ draw exact samples; the stepped Brownian paths there check it independently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -141,7 +142,9 @@ def full_extremal_sup_moment(p: float, n: int) -> float:
 #   reflection series, x >= 1: 1 - 4 sum_k (-1)^k Phibar((2k+1) x)
 # Both are alternating with terms of decreasing size, so the truncation
 # error is below the first term left out. Terms are added until that term is
-# below _SERIES_RTOL times the leading one over the whole argument array.
+# below _SERIES_RTOL times the leading one: over the whole argument array for
+# the theta series, element by element for the reflection series, whose
+# Phibar terms cost more than the theta series' exponentials.
 # ---------------------------------------------------------------------------
 
 _SERIES_RTOL = 1e-16
@@ -175,17 +178,24 @@ def _theta_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reflection_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P[S >= x], density) at x > 0 by the reflection series."""
-    sf = np.zeros_like(x)
-    pdf = np.zeros_like(x)
-    for k in range(_series_terms(0.5 * float(x.min()) ** 2)):
+    """(P[S >= x], density) at x > 0 by the reflection series. Term k is
+    evaluated only at the elements where the bound of `_series_terms` keeps
+    it: x^2 < 2 log((2k+1)/rtol) / ((2k+1)^2 - 1), a cut that falls with k
+    (about 3.08, 1.79 and 1.27 for k = 1, 2, 3)."""
+    sf = ndtr(-x)
+    pdf = np.exp(-0.5 * x * x)
+    for k in itertools.count(1):
         j = 2 * k + 1
-        tail = ndtr(-j * x)
-        dens = j * np.exp(-0.5 * (j * x) ** 2)
+        idx = np.flatnonzero(x * x < 2.0 * math.log(j / _SERIES_RTOL) / (j * j - 1))
+        if not idx.size:
+            break
+        xs = j * x.take(idx)
+        tail = ndtr(-xs)
+        dens = j * np.exp(-0.5 * xs * xs)
         if k % 2:
             tail, dens = -tail, -dens
-        sf += tail
-        pdf += dens
+        np.add.at(sf, idx, tail)
+        np.add.at(pdf, idx, dens)
     return 4.0 * sf, (4.0 / math.sqrt(2.0 * math.pi)) * pdf
 
 

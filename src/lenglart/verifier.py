@@ -21,13 +21,14 @@ from .extremal import (
 )
 from .core_paths import TimeGrid
 from .montecarlo import (
+    PLAIN,
     Estimate,
     EstimatorMethod,
     default_method,
-    estimate_from_values,
     estimate_pair,
-    sample_values,
 )
+# not called here; perfbench/tracing.py wraps these names in this module
+from .montecarlo import estimate_from_values, sample_values  # noqa: F401
 from .oracles import ConstantKind, constant
 
 __all__ = [
@@ -472,7 +473,7 @@ def check_pratelli(
     if not callable(F):
         raise ValueError("F must be callable (PowerF or PiecewiseLinearF)")
     if method is None:
-        method = EstimatorMethod("plain")
+        method = PLAIN
 
     pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
     rules = default_tau_battery(pilot_x, pilot_g)
@@ -488,11 +489,10 @@ def check_pratelli(
             per_rule.append(F(g[rows, tau]))
         return tuple(per_rule)
 
-    arrays = sample_values(paired, n_samples, seed)
+    estimates = estimate_pair(paired, n_samples, method, seed)
     worst: VerifierReport | None = None
     for i, rule in enumerate(rules):
-        lhs = estimate_from_values(arrays[2 * i], method)
-        rhs = estimate_from_values(arrays[2 * i + 1], method)
+        lhs, rhs = estimates[2 * i], estimates[2 * i + 1]
         report = VerifierReport(
             lhs=lhs,
             rhs_constant=1.0 + c,
@@ -580,22 +580,20 @@ def domination_audit(
         out = []
         for rule in rules:
             tau = stopping_indices(rule, x, g)
-            out.append(x[rows, tau])
-            out.append(g[rows, tau])
+            x_tau, g_tau = x[rows, tau], g[rows, tau]
+            out += (x_tau, g_tau, x_tau - g_tau)
         return tuple(out)
 
-    arrays = sample_values(paired, n_samples, seed)
+    estimates = estimate_pair(paired, n_samples, PLAIN, seed)
     entries = []
     for i, rule in enumerate(rules):
-        x_tau = arrays[2 * i]
-        g_tau = arrays[2 * i + 1]
-        diff_est = estimate_from_values(x_tau - g_tau, EstimatorMethod("plain"))
+        mean_x, mean_g, diff = estimates[3 * i : 3 * i + 3]
         entries.append(
             AuditEntry(
                 tau_label=rule.label(),
-                mean_x=float(x_tau.mean()),
-                mean_g=float(g_tau.mean()),
-                stderr=diff_est.halfwidth,
+                mean_x=mean_x.value,
+                mean_g=mean_g.value,
+                stderr=diff.halfwidth,
             )
         )
     return AuditReport(generator=gen.name, entries=tuple(entries))

@@ -136,6 +136,28 @@ class TestSubcommands:
         assert code == EXIT_PASS
         assert "1/1 checks passed" in out
 
+    def test_verify_honours_method(self, capsys, tmp_path):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(
+            json.dumps({
+                "generator": {"kind": "compensated_bernoulli", "jump": "bernoulli",
+                              "q": 0.3, "steps": 12},
+                "p": 0.3, "constant": "monotone", "n_samples": 30000, "seed": 1,
+            }) + "\n"
+        )
+        methods = []
+        for flags in ([], ["--method", "mom", "--blocks", "11"]):
+            out_file = tmp_path / "r.json"
+            code, _, _ = run(["verify", "--suite", str(suite), "--output",
+                              str(out_file)] + flags, capsys)
+            assert code == EXIT_PASS
+            check = load_json_output(out_file)["result"]["checks"][0]
+            assert check["lhs"]["method"] == check["rhs"]["method"]
+            methods.append(check["lhs"]["method"])
+        # auto: the default for p = 0.3 is the plain mean
+        assert methods == [{"name": "plain", "blocks": 1},
+                           {"name": "median_of_means", "blocks": 11}]
+
     def test_verify_bad_entry(self, capsys, tmp_path):
         suite = tmp_path / "suite.jsonl"
         suite.write_text(json.dumps({"generator": {"kind": "levy"}, "p": 0.5}) + "\n")
@@ -194,6 +216,34 @@ class TestDeterminism:
             del payload["config"]["output"]
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+
+    def test_thread_count_does_not_change_verify_or_bdg(self, capsys, tmp_path):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text("\n".join(json.dumps(entry) for entry in (
+            {"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
+             "constant": "lenglart", "n_samples": 3 * 2**15 + 17, "seed": 4},
+            {"generator": {"kind": "compensated_bernoulli", "jump": "exp",
+                           "steps": 6}, "p": 0.3, "constant": "monotone",
+             "n_samples": 2**15 + 1, "seed": 2},
+        )) + "\n")
+        commands = [
+            ["verify", "--suite", str(suite)],
+            ["bdg", "--kind", "fixed", "--q", "1.5", "--samples", str(2**15 + 5),
+             "--step", "0.05", "--seed", "3"],
+        ]
+        out_file = tmp_path / "r.json"
+        for argv in commands:
+            payloads = []
+            for threads in (1, 2):
+                out_file.unlink(missing_ok=True)
+                code, _, _ = run(argv + ["--threads", str(threads), "--output",
+                                         str(out_file)], capsys)
+                assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+                payload = load_json_output(out_file)
+                del payload["timestamp"]
+                del payload["config"]["threads"]
+                payloads.append(payload)
+            assert payloads[0] == payloads[1], argv[0]
 
     def test_rerun_identical(self, capsys, tmp_path):
         results = []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenglart.extremal import ExtremalParams, sharpness_sup_sampler
@@ -125,6 +125,40 @@ class TestEstimateFromValues:
         vals = sample_values(lambda rng, m: rng.random(m) ** 0.5, 400_000, seed=4)
         est = estimate_from_values(vals, PLAIN)
         assert abs(est.value - 2.0 / 3.0) < 4.0 * est.halfwidth
+
+
+class TestStreamedEqualsConcatenated:
+    """estimate/estimate_pair reduce every chunk in its worker; the result
+    must be bit for bit the estimate of the concatenated values."""
+
+    @staticmethod
+    def paired(rng, m):
+        u = rng.random(m)
+        return u, 1.0 / np.sqrt(u)  # the second has infinite variance
+
+    # 3 * CHUNK with 3 blocks puts the block edges on chunk edges; the other
+    # sizes put them inside chunks, and 31 blocks put several in one chunk
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 17])
+    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3), median_of_means(31)],
+                             ids=["plain", "mom3", "mom31"])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, n, method, seed):
+        if n < method.blocks:
+            for threads in (1, 2, 4):
+                with pytest.raises(ValueError, match="blocks"):
+                    estimate_pair(self.paired, n, method, seed, threads)
+                with pytest.raises(ValueError, match="blocks"):
+                    estimate(lambda rng, m: rng.random(m), n, method, seed, threads)
+            return
+        num_vals, den_vals = sample_values(self.paired, n, seed)
+        expected = (estimate_from_values(num_vals, method),
+                    estimate_from_values(den_vals, method))
+        for threads in (1, 2, 4):
+            assert estimate_pair(self.paired, n, method, seed, threads) == expected
+            single = estimate(lambda rng, m: self.paired(rng, m)[1], n, method,
+                              seed, threads)
+            assert single == expected[1]
 
 
 class TestRatio:

@@ -252,3 +252,52 @@ class TestDominationAudit:
         for entry in report.entries:
             assert entry.mean_g >= 0
             assert entry.diff == pytest.approx(entry.mean_x - entry.mean_g)
+
+
+class TestStreamedReportsMatchConcatenated:
+    """The audit and the Pratelli check reduce each chunk where it is drawn.
+    Their reports must match the values the earlier reduction of the
+    concatenated arrays gave at this seed, to 1e-12 relative (means and
+    standard errors; a difference of two means only to 1e-12 of the means,
+    as it cancels)."""
+
+    GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
+    N = 3 * 2**15 + 17
+    AUDIT = [  # (tau, mean_x, mean_g, stderr)
+        ("fixed[8]", 1.718408386274201, 1.7179590295267444, 0.008043920101822777),
+        ("fixed[20]", 11.188269646564644, 11.199963980531765, 0.07835165285777872),
+        ("fixed[40]", 148.13707017310622, 151.3055763167881, 3.395700709538639),
+        ("fixed[60]", 1930.6091104710413, 2078.6264445350166, 154.8887834560849),
+        ("fixed[80]", 17010.865421292856, 23308.439451112565, 6255.770991192705),
+        ("hit[x>=4.261]", 17010.865421292856, 23308.439451112565, 6255.770991192705),
+        ("hit[x>=110.3]", 17010.865421292856, 23308.439451112565, 6255.770991192705),
+        ("hit[x>=6868]", 17010.865421292856, 23308.439451112565, 6255.770991192705),
+        ("hit[g>=1.631]", 1.1182990492421359, 1.116634147309079, 0.005365083938920627),
+    ]
+
+    def test_domination_audit(self):
+        report = domination_audit(self.GEN, n_samples=self.N, seed=5)
+        assert len(report.entries) == len(self.AUDIT)
+        for entry, (tau, mean_x, mean_g, stderr) in zip(report.entries, self.AUDIT):
+            assert entry.tau_label == tau
+            assert entry.mean_x == pytest.approx(mean_x, rel=1e-12)
+            assert entry.mean_g == pytest.approx(mean_g, rel=1e-12)
+            assert entry.stderr == pytest.approx(stderr, rel=1e-12)
+            assert entry.diff == pytest.approx(mean_x - mean_g, abs=1e-12 * abs(mean_x))
+
+    @pytest.mark.parametrize("gen, n, seed, expected", [
+        (GEN, N, 5, ("extremal:pratelli:hit[g>=1.631]", 0.4992101649759746,
+                     0.0020120877514673012, 1.084567900762489, 0.0011077112927850026)),
+        (CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
+         40_000, 2, ("compensated_bernoulli:pratelli:fixed[1]", 0.29795,
+                     0.0022868156190742383, 0.7745966692414834, 0.0)),
+    ])
+    def test_check_pratelli(self, gen, n, seed, expected):
+        label, lhs, lhs_hw, rhs, rhs_hw = expected
+        report = check_pratelli(gen, PowerF(0.5), 0.5, n_samples=n, seed=seed)
+        assert report.label == label
+        assert report.lhs.value == pytest.approx(lhs, rel=1e-12)
+        assert report.lhs.halfwidth == pytest.approx(lhs_hw, rel=1e-12)
+        assert report.rhs.value == pytest.approx(rhs, rel=1e-12)
+        # a constant column: its half-width is 0 up to rounding of the mean
+        assert report.rhs.halfwidth == pytest.approx(rhs_hw, rel=1e-12, abs=1e-12 * rhs)
