@@ -508,15 +508,12 @@ def check_pratelli(
     return worst
 
 
-def optimal_pratelli_scaling(p: float, c_grid_step: float = 1e-4,
-                             c_max: float = 20.0) -> tuple[float, float]:
-    """Grid-minimize (1+c) c^-p, the constant obtained by feeding a scaled
-    compensator pair through the concave-function bound with F(x) = x^p.
-    Returns (c*, minimal constant)."""
-    cs = np.arange(c_grid_step, c_max, c_grid_step)
-    vals = (1.0 + cs) * cs ** (-p)
-    i = int(np.argmin(vals))
-    return float(cs[i]), float(vals[i])
+def optimal_pratelli_scaling(p: float) -> tuple[float, float]:
+    """Minimiser and minimum of (1+c) c^-p, the constant obtained by feeding
+    a scaled compensator pair through the concave-function bound with
+    F(x) = x^p: c* = p/(1-p), and the minimum is the Pratelli power
+    constant. Returns (c*, minimal constant)."""
+    return p / (1.0 - p), constant(ConstantKind.PRATELLI_POWER, p)
 
 
 @dataclass(frozen=True)

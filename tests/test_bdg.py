@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lenglart import bdg
 from lenglart.bdg import (
     BM_FIXED_TIME,
     BM_HITTING,
@@ -16,9 +17,11 @@ from lenglart.bdg import (
     _fixed_time_sampler,
     _hitting_sampler,
     _sup_abs_quantile,
+    _validation_samples,
     bdg_ratio,
 )
-from lenglart.montecarlo import PLAIN, estimate_from_values, sample_values
+from lenglart.cli import EXIT_STAT_FAIL, main
+from lenglart.montecarlo import PLAIN, estimate_from_values, estimate_pair, sample_values
 from lenglart.oracles import sup_abs_bm_law, sup_abs_bm_moment
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # E[sup_{[0,1]} |B|]... see below
@@ -106,6 +109,31 @@ class TestExactFixedTime:
         assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
 
 
+class TestControlVariate:
+    """The stepped validation value 2 T^(q/2) E|N|^q - min(M, L)^q."""
+
+    def test_relative_sd_bound(self):
+        # the validation budget is sized from a relative sd of 0.2
+        for q in np.arange(0.05, 2.0, 0.1):
+            spec = MartingaleSpec(kind=BM_FIXED_TIME, q=float(q), step=0.05)
+            _, value = _fixed_time_sampler(spec, spec.step)(rng_of(11), 10**5)
+            assert value.std() / value.mean() <= 0.2, q
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_mean_matches_oracle(self, q):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=q, step=0.05, T=2.0)
+        _, value = _fixed_time_sampler(spec, spec.step)(rng_of(12), 10**5)
+        est = estimate_from_values(value, PLAIN)
+        assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
+
+    def test_budget_ignores_samples(self):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.05)
+        small, large = (bdg_ratio(spec, n_samples=n, seed=13, threads=2).to_json()
+                        for n in (5_000, 10**6))
+        assert small["validation"]["n"] == large["validation"]["n"] == 14_400
+        assert _validation_samples(0.01) == 14_400
+
+
 class TestHitting:
     def test_symmetric_barriers_pin_the_sup(self):
         # exit from (-1, 1): sup|M| = 1 on every non-censored path
@@ -153,14 +181,39 @@ class TestBdgRatio:
     def test_bias_check_is_stepped_pass_against_oracle(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
         result = bdg_ratio(spec, n_samples=5_000, seed=7)
-        _, stepped = sample_values(_fixed_time_sampler(spec, spec.step), 5_000, seed=7)
+        n_check = _validation_samples(0.01)
+        _, stepped = estimate_pair(_fixed_time_sampler(spec, spec.step), n_check, PLAIN, seed=7)
         oracle = sup_abs_bm_moment(1.5, 1.0)
-        assert result.bias_relative_change == abs(stepped.mean() - oracle) / oracle
+        assert result.bias_relative_change == abs(stepped.value - oracle) / oracle
+
+    def test_validation_block(self):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
+        d = bdg_ratio(spec, n_samples=5_000, seed=7).to_json()
+        v, oracle = d["validation"], d["denominator_oracle"]
+        assert set(v) == {"n", "value", "halfwidth", "z"}
+        assert v["n"] == _validation_samples(0.01)
+        assert v["z"] == pytest.approx((v["value"] - oracle) / v["halfwidth"])
+        assert d["bias_relative_change"] == abs(v["value"] - oracle) / oracle
+        # standard error at most a sixth of the tolerance
+        assert v["halfwidth"] / oracle <= 0.01 / 6.0
+
+    def test_bias_check_can_fail(self, monkeypatch, capsys):
+        # an oracle 2 % off must fail the 1 % bias check
+        true_moment = bdg.sup_abs_bm_moment
+        monkeypatch.setattr(bdg, "sup_abs_bm_moment", lambda q, T: 1.02 * true_moment(q, T))
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=2e-3, T=1.0)
+        result = bdg_ratio(spec, n_samples=30_000, seed=6)
+        assert result.passed is False
+        assert result.bias_relative_change > 0.01
+        code = main(["bdg", "--kind", "fixed", "--q", "1.0", "--samples", "5000",
+                     "--step", "0.02", "--seed", "1"])
+        assert code == EXIT_STAT_FAIL
 
     def test_hitting_reports_no_oracle(self):
         spec = MartingaleSpec(kind=BM_HITTING, q=1.0, step=5e-2)
         d = bdg_ratio(spec, n_samples=2_000, seed=7).to_json()
         assert "denominator_oracle" not in d and "denominator_z" not in d
+        assert "validation" not in d
 
     def test_thread_invariance(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=2e-2, T=1.0)
