@@ -57,6 +57,7 @@ __all__ = [
     "MartingaleSpec",
     "BdgResult",
     "bdg_ratio",
+    "z_score",
 ]
 
 BM_FIXED_TIME = "bm_fixed_time"
@@ -280,12 +281,13 @@ class BdgResult:
                 "n": v.n_samples,
                 "value": v.value,
                 "halfwidth": v.halfwidth,
-                "z": _z_score(v, self.denominator_oracle),
+                "z": z_score(v, self.denominator_oracle),
             }
         return d
 
 
-def _z_score(est: Estimate, oracle: float) -> float | None:
+def z_score(est: Estimate, oracle: float) -> float | None:
+    """(estimate - oracle) / half-width, or None for a zero half-width."""
     return (est.value - oracle) / est.halfwidth if est.halfwidth > 0 else None
 
 
@@ -316,7 +318,7 @@ def bdg_ratio(
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
         oracle = sup_abs_bm_moment(spec.q, spec.T)
-        z = _z_score(den, oracle)
+        z = z_score(den, oracle)
         _, validation = estimate_pair(_make_sampler(spec, spec.step),
                                       _validation_samples(bias_tolerance), method, seed, threads)
         check, reference = validation, oracle

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio
+from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
 from .core_paths import TimeGrid
 from .extremal import ExtremalParams, discretize_pair, sample_exp_pair
 from .montecarlo import (
@@ -31,7 +31,15 @@ from .montecarlo import (
     ratio_experiment,
     PLAIN,
 )
-from .oracles import ConstantKind, check_moment_identities, constant, moment_identity_law
+from .oracles import (
+    ConstantKind,
+    check_moment_identities,
+    constant,
+    full_extremal_sup_moment,
+    gtilde_sup_moment,
+    moment_identity_law,
+    xtilde_sup_moment,
+)
 from .verifier import check_inequality, generator_from_config
 
 DEFAULT_SEED = 0
@@ -121,6 +129,17 @@ def _sandwich_verdict(ratio, c_target: float, lower_target: float) -> bool:
     return upper_ok and lower_ok
 
 
+def _oracle_diagnostics(ratio, numerator_oracle: float, denominator_oracle: float) -> dict:
+    """The exact moments behind a ratio and the z-score of each estimate
+    against its own, (value - oracle) / halfwidth."""
+    return {
+        "numerator_oracle": numerator_oracle,
+        "numerator_z": z_score(ratio.numerator, numerator_oracle),
+        "denominator_oracle": denominator_oracle,
+        "denominator_z": z_score(ratio.denominator, denominator_oracle),
+    }
+
+
 def _run_sharpness(cfg: ExperimentConfig) -> int:
     err = _validate_common(cfg)
     if err:
@@ -136,6 +155,8 @@ def _run_sharpness(cfg: ExperimentConfig) -> int:
         "constant": c_p,
         "finite_n_lower_bound": lower,
         "pass": ok,
+        **_oracle_diagnostics(ratio, full_extremal_sup_moment(cfg.p, cfg.n),
+                              gtilde_sup_moment(cfg.p, cfg.n)),
     }
     _emit(cfg, result,
           f"sharpness: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
@@ -158,6 +179,8 @@ def _run_monotone_sharpness(cfg: ExperimentConfig) -> int:
         "constant": c_mono,
         "finite_n_lower_bound": lower,
         "pass": ok,
+        **_oracle_diagnostics(ratio, xtilde_sup_moment(cfg.p, cfg.n),
+                              gtilde_sup_moment(cfg.p, cfg.n)),
     }
     _emit(cfg, result,
           f"monotone-sharpness: ratio={ratio.ratio:.5f}, constant={c_mono:.7f}, "
@@ -187,6 +210,8 @@ def _run_identities(cfg: ExperimentConfig) -> int:
 def _run_verify(cfg: ExperimentConfig) -> int:
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
+    if cfg.threads < 1:
+        return _usage_error("threads must be positive")
     try:
         with open(cfg.config_path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
@@ -226,6 +251,8 @@ def _run_bdg(cfg: ExperimentConfig) -> int:
         return _usage_error("q must lie in (0,2)")
     if cfg.n_samples < 1 or cfg.step <= 0:
         return _usage_error("samples must be positive and step positive")
+    if cfg.threads < 1:
+        return _usage_error("threads must be positive")
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
     spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, T=cfg.T,
                           a=cfg.a, b=cfg.b)

@@ -299,7 +299,7 @@ def discretize_pair(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sup-statistic samplers (log-space to survive small p)
+# Vectorized sup-statistic samplers (closed forms, computed in place)
 #
 # Z is drawn from the defensive mixture q = 1/2 U(0, n) + 1/2 (n + Exp(1))
 # instead of its own law Exp(1), and every value is multiplied by the
@@ -311,46 +311,88 @@ def discretize_pair(
 # The Brownian-tail factor U^-p has tail index 1/p, which biases the median
 # of means low once the intervals are tight; U is drawn from a defensive
 # mixture of the same kind, so that the weighted factor is bounded too.
+#
+# The weight e^-t cancels the e^t inside (p expm1(t/p))^p, so every weighted
+# value has a closed form with no exp(t/p) in it: w (sup G)^p =
+# 2 n^head (p (1 - e^(-t/p)))^p, the integrand of oracles.gtilde_sup_moment,
+# and w (sup X)^p = 2n head 2/(U^p + 1 - p). Neither can overflow at any p
+# in (0, 1). Each kernel evaluates its closed form in place, in the arrays
+# that Philox filled: a chunk allocates no full-size temporary (the discrete
+# kernel one, for its caps), because glibc returns a freed heap top to the
+# operating system and every chunk would page-fault it in again.
 # ---------------------------------------------------------------------------
 
+# elements per block of _combine_with_mask's scratch (64 KB)
+_BLOCK = 1 << 13
 
-def _log_expm1(y: np.ndarray) -> np.ndarray:
-    """log(exp(y) - 1) = y + log(1 - exp(-y)), stable for small and large y
-    and free of branches, whose mispredictions cost more than the math on
-    uniformly spread y."""
-    return np.log(-np.expm1(-y)) + y
+
+def _combine_with_mask(op, values: np.ndarray, mask: np.ndarray, off: float,
+                       on: float) -> None:
+    """values = op(values, on where mask else off), in place. The two-valued
+    operand off + (on - off) mask is built one small block at a time: a full
+    array of it would be a fresh temporary on every chunk, and a where= ufunc
+    branches on every element."""
+    scratch = np.empty(min(values.size, _BLOCK))
+    for i in range(0, values.size, _BLOCK):
+        block = values[i : i + _BLOCK]
+        operand = scratch[: block.size]
+        np.multiply(mask[i : i + _BLOCK], on - off, out=operand)
+        operand += off
+        op(block, operand, out=block)
 
 
 def _mixture_draws(rng: np.random.Generator, m: int, n: int):
-    """(t, head, u) for Z drawn from q, with t = min(Z, n). head marks the
-    U(0, n) component, on which Z = 2n v. Beyond n every statistic depends
-    on Z only through t = n, so Z is not inverted there. u is the uniform
-    behind the Brownian tail, drawn after v as in the Exp(1) layout."""
-    v = rng.random(m)
-    u = rng.random(m)
-    return np.minimum((2.0 * n) * v, n), v < 0.5, u
+    """(t, head) for Z drawn from q, with t = min(Z, n) in the array of the
+    uniforms v. head marks the U(0, n) component, on which Z = 2n v. Beyond n
+    every statistic depends on Z only through t = n, so Z is not inverted
+    there. A sampler that needs the uniform behind the Brownian tail draws it
+    next, as in the Exp(1) layout."""
+    t = rng.random(m)
+    head = t < 0.5
+    t *= 2.0 * n
+    np.minimum(t, n, out=t)
+    return t, head
 
 
 def _weighted_tail_factor(p: float, u: np.ndarray) -> np.ndarray:
-    """U^-p importance-weighted, with U drawn from the defensive mixture
-    1/2 U(0, 1) + 1/2 Beta(1-p, 1), whose second component has density
-    (1-p) x^-p. u below or above 1/2 picks the component and s = 2u mod 1
-    the draw: U = s, or U = s^(1/(1-p)). The weighted value
+    """U^-p importance-weighted, computed in place in u, with U drawn from the
+    defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-p, 1), whose second component
+    has density (1-p) x^-p. u below or above 1/2 picks the component and
+    s = 2u mod 1 the draw: U = s, or U = s^(1/(1-p)), so U^p = exp(e log s)
+    with e = p or p/(1-p). The weighted value
     U^-p / (1/2 + 1/2 (1-p) U^-p) = 2 / (U^p + 1 - p) lies in
     (2/(2-p), 2/(1-p)], and its mean is E[U^-p] = 1/(1-p) for uniform U."""
     second = u >= 0.5
-    u_pow_p = (2.0 * u - second) ** (p + (p / (1.0 - p) - p) * second)
-    return 2.0 / (u_pow_p + (1.0 - p))
-
-
-def _weighted_sup_g_pow_p(p: float, n: int, t_eff: np.ndarray, t: np.ndarray,
-                          head: np.ndarray) -> np.ndarray:
-    """w(Z) (p (exp(t_eff/p) - 1))^p computed in log space, with t = min(Z, n):
-    log w = log 2n - t below n and log 2 - n beyond it."""
+    u *= 2.0
+    u -= second
     with np.errstate(divide="ignore"):
-        log_val = (p * _log_expm1(t_eff / p) + (p * math.log(p) + math.log(2.0) - t)
-                   + math.log(n) * head)
-    return np.exp(log_val)
+        np.log(u, out=u)
+    _combine_with_mask(np.multiply, u, second, p, p / (1.0 - p))
+    np.exp(u, out=u)
+    u += 1.0 - p
+    np.divide(2.0, u, out=u)
+    return u
+
+
+def _weighted_sup_g_pow_p(p: float, n: int, t_eff: np.ndarray, head: np.ndarray,
+                          shift: np.ndarray | None = None) -> np.ndarray:
+    """w(Z) (p expm1(t_eff/p))^p, computed in place in t_eff, for t = min(Z, n)
+    and a compensator run up to t_eff >= t. It is the exp of
+    p log(p (1 - e^(-t_eff/p))) + log 2 + log n head + (t_eff - t), where
+    shift holds t_eff - t when it is not zero; every term is bounded, so no
+    p in (0, 1) overflows, and t_eff = 0 gives exactly 0."""
+    np.divide(t_eff, -p, out=t_eff)
+    np.expm1(t_eff, out=t_eff)
+    t_eff *= -p
+    with np.errstate(divide="ignore"):
+        np.log(t_eff, out=t_eff)
+    t_eff *= p
+    t_eff += math.log(2.0)
+    _combine_with_mask(np.add, t_eff, head, 0.0, math.log(n))
+    if shift is not None:
+        t_eff += shift
+    np.exp(t_eff, out=t_eff)
+    return t_eff
 
 
 def sharpness_sup_sampler(params: ExtremalParams):
@@ -360,26 +402,27 @@ def sharpness_sup_sampler(params: ExtremalParams):
     p, n = params.p, params.n
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, u = _mixture_draws(rng, m, n)
-        supg_p = _weighted_sup_g_pow_p(p, n, t, t, head)
+        t, head = _mixture_draws(rng, m, n)
         # w(z) (A(z)/U)^p = 2n e^-z exp(z) U^-p when the jump happened
-        supx_p = ((2.0 * n) * _weighted_tail_factor(p, u)) * head
-        return supx_p, supg_p
+        supx_p = _weighted_tail_factor(p, rng.random(m))
+        supx_p *= 2.0 * n
+        supx_p *= head
+        return supx_p, _weighted_sup_g_pow_p(p, n, t, head)
 
     return sampler
 
 
 def monotone_sup_sampler(params: ExtremalParams):
     """Paired importance-weighted sampler for the monotone pair (no Brownian
-    tail); only the mean of each side is the moment."""
+    tail); only the mean of each side is the moment. It draws only v: the
+    uniforms behind the tail would come after v and go unused."""
     p, n = params.p, params.n
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, _ = _mixture_draws(rng, m, n)  # u keeps the layout aligned
-        supg_p = _weighted_sup_g_pow_p(p, n, t, t, head)
+        t, head = _mixture_draws(rng, m, n)
         # w(z) A(z)^p = 2n e^-z exp(z)
-        supx_p = (2.0 * n) * head
-        return supx_p, supg_p
+        supx_p = head * (2.0 * n)
+        return supx_p, _weighted_sup_g_pow_p(p, n, t, head)
 
     return sampler
 
@@ -392,12 +435,18 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int):
     h = 2.0 ** (-level_N)
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, u = _mixture_draws(rng, m, n)
-        # g keeps accruing through the grid step that contains z
-        cap = np.minimum(np.ceil(t / h) * h, n)
-        supg_p = _weighted_sup_g_pow_p(p, n, cap, t, head)
-        supx_p = ((2.0 * n) * _weighted_tail_factor(p, u)) * head
-        return supx_p, supg_p
+        t, head = _mixture_draws(rng, m, n)
+        supx_p = _weighted_tail_factor(p, rng.random(m))
+        supx_p *= 2.0 * n
+        supx_p *= head
+        # g keeps accruing through the grid step that contains z; the cap is
+        # the one array this kernel adds, and t's array takes cap - t
+        cap = t / h
+        np.ceil(cap, out=cap)
+        cap *= h
+        np.minimum(cap, n, out=cap)
+        np.subtract(cap, t, out=t)
+        return supx_p, _weighted_sup_g_pow_p(p, n, cap, head, shift=t)
 
     return sampler
 

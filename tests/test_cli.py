@@ -13,6 +13,7 @@ from lenglart.cli import (
     main,
     resolve_config,
 )
+from lenglart.oracles import gtilde_sup_moment
 
 
 def run(argv, capsys):
@@ -39,6 +40,23 @@ class TestUsageErrors:
         code, _, err = run(["bdg", "--q", "2.5", "--samples", "10"], capsys)
         assert code == EXIT_USAGE
         assert "q must lie" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bdg_rejects_nonpositive_threads(self, capsys, threads):
+        code, _, err = run(["bdg", "--samples", "100", "--threads", threads], capsys)
+        assert code == EXIT_USAGE
+        assert "threads must be positive" in err
+
+    def test_verify_rejects_nonpositive_threads(self, capsys, tmp_path):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({
+            "generator": {"kind": "compensated_bernoulli", "jump": "bernoulli",
+                          "q": 0.3, "steps": 12},
+            "p": 0.5, "constant": "monotone", "n_samples": 1000, "seed": 1,
+        }) + "\n")
+        code, _, err = run(["verify", "--suite", str(suite), "--threads", "0"], capsys)
+        assert code == EXIT_USAGE
+        assert "threads must be positive" in err
 
     def test_verify_needs_suite(self, capsys):
         code, _, err = run(["verify"], capsys)
@@ -122,6 +140,24 @@ class TestSubcommands:
         assert payload["config"]["n"] == 10
         assert "ci_low" in payload["result"]["ratio"]
         assert payload["result"]["constant"] == pytest.approx(2.0 * 2.0**0.5)
+
+    @pytest.mark.parametrize("sub", ["sharpness", "monotone-sharpness"])
+    def test_sharpness_oracle_diagnostics(self, capsys, tmp_path, sub):
+        p, n = 0.5, 10
+        out_file = tmp_path / "r.json"
+        code, _, _ = run([sub, "--p", str(p), "--n", str(n), "--samples", "100000",
+                          "--seed", "0", "--output", str(out_file)], capsys)
+        assert code == EXIT_PASS
+        result = load_json_output(out_file)["result"]
+        assert {"ratio", "constant", "finite_n_lower_bound", "pass"} <= result.keys()
+        numerator = n / (1.0 - p) if sub == "sharpness" else n
+        assert result["numerator_oracle"] == pytest.approx(numerator, rel=1e-15)
+        assert result["denominator_oracle"] == pytest.approx(gtilde_sup_moment(p, n), rel=1e-15)
+        for side in ("numerator", "denominator"):
+            est = result["ratio"][side]
+            z = (est["value"] - result[f"{side}_oracle"]) / est["halfwidth"]
+            assert result[f"{side}_z"] == pytest.approx(z, rel=1e-12)
+            assert abs(result[f"{side}_z"]) < 4.0, (side, result[f"{side}_z"])
 
     def test_verify_suite(self, capsys, tmp_path):
         suite = tmp_path / "suite.jsonl"

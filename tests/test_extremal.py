@@ -300,3 +300,76 @@ class TestSupSamplers:
         x_p, g_p = sharpness_sup_sampler(params)(rng_of(1), 1000)
         assert np.all(np.isfinite(x_p)) and np.all(np.isfinite(g_p))
         assert np.all(x_p >= 0) and np.all(g_p >= 0)
+
+
+# The log-space formulas the sup samplers used before their closed forms,
+# kept as the reference: Z ~ q = 1/2 U(0, n) + 1/2 (n + Exp(1)) from v, the
+# tail uniform u drawn after v, and every value weighted by e^-z / q(z).
+def _reference_draws(rng, m, n):
+    v = rng.random(m)
+    u = rng.random(m)
+    return np.minimum((2.0 * n) * v, n), v < 0.5, u
+
+
+def _reference_tail_factor(p, u):
+    second = u >= 0.5
+    u_pow_p = (2.0 * u - second) ** (p + (p / (1.0 - p) - p) * second)
+    return 2.0 / (u_pow_p + (1.0 - p))
+
+
+def _reference_sup_g_pow_p(p, n, t_eff, t, head):
+    with np.errstate(divide="ignore"):
+        log_expm1 = np.log(-np.expm1(-t_eff / p)) + t_eff / p
+        log_val = (p * log_expm1 + (p * math.log(p) + math.log(2.0) - t)
+                   + math.log(n) * head)
+    return np.exp(log_val)
+
+
+def _reference_sampler(kind, p, n, level_N):
+    def sampler(rng, m):
+        t, head, u = _reference_draws(rng, m, n)
+        t_eff = t
+        if kind == "discrete":
+            h = 2.0 ** (-level_N)
+            t_eff = np.minimum(np.ceil(t / h) * h, n)
+        supx_p = (2.0 * n) * head
+        if kind != "monotone":
+            supx_p = supx_p * _reference_tail_factor(p, u)
+        return supx_p, _reference_sup_g_pow_p(p, n, t_eff, t, head)
+
+    return sampler
+
+
+def _kernel(kind, p, n, level_N):
+    params = ExtremalParams(p=p, n=n)
+    if kind == "sharpness":
+        return sharpness_sup_sampler(params)
+    if kind == "monotone":
+        return monotone_sup_sampler(params)
+    return discrete_sup_sampler(params, level_N)
+
+
+KERNELS = ("sharpness", "monotone", "discrete")
+FULL_RANGE_P = (0.001, 0.01, 0.25, 0.5, 0.75, 0.99, 0.999)
+
+
+class TestClosedFormKernels:
+    """The in-place closed forms against the log-space reference over the
+    whole range 0 < p < 1, not just the hypothesis range above."""
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    @pytest.mark.parametrize("p", FULL_RANGE_P)
+    def test_matches_log_space_reference(self, p, n):
+        for kind in KERNELS:
+            got = _kernel(kind, p, n, 4)(rng_of(21), 2**15)
+            ref = _reference_sampler(kind, p, n, 4)(rng_of(21), 2**15)
+            for side, new, old in zip("xg", got, ref):
+                np.testing.assert_array_equal(new == 0.0, old == 0.0, err_msg=f"{kind} {side}")
+                np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{kind} {side}")
+
+    @pytest.mark.parametrize("p", [0.001, 0.999])
+    def test_long_horizon_finite(self, p):
+        for kind in KERNELS:
+            for values in _kernel(kind, p, 1000, 4)(rng_of(22), 2**15):
+                assert np.all(np.isfinite(values)) and np.all(values >= 0.0), kind
