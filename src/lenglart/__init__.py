@@ -19,12 +19,10 @@ from .core_paths import (
 )
 from .extremal import (
     ExtremalParams,
-    ExtremalRealization,
     discretize_pair,
     hat_x,
     ramp,
     sample_exp_pair,
-    sample_full_extremal,
     sample_y,
 )
 from .montecarlo import (
@@ -62,12 +60,10 @@ __all__ = [
     "p_moment_of_sup",
     "running_sup",
     "ExtremalParams",
-    "ExtremalRealization",
     "discretize_pair",
     "hat_x",
     "ramp",
     "sample_exp_pair",
-    "sample_full_extremal",
     "sample_y",
     "PLAIN",
     "Estimate",

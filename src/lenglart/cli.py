@@ -25,7 +25,6 @@ from .extremal import ExtremalParams, discretize_pair, sample_exp_pair
 from .montecarlo import (
     EstimatorMethod,
     default_method,
-    discrete_ratio_experiment,
     median_of_means,
     monotone_ratio_experiment,
     ratio_experiment,

@@ -10,9 +10,9 @@ that law.
 
 The vectorized sup samplers that feed the moment estimates draw Z from a
 defensive mixture rather than from Exp(1) and return importance-weighted
-values: a single value is not a draw of (sup X)^p or (sup G)^p, only the
-mean of each side is the moment. The path-level samplers draw Z ~ Exp(1)
-and are unweighted.
+values: a single value is not a draw of (sup X)^r or (sup G)^r, only the
+mean of each side is the moment. The exponent r defaults to the family's p.
+The path-level samplers draw Z ~ Exp(1) and are unweighted.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ __all__ = [
     "EXACT_LAW",
     "PATH_SIM",
     "ExtremalParams",
-    "ExtremalRealization",
     "DiscretePair",
     "ramp",
     "sample_exp_pair",
     "sample_y",
     "sample_y_batch",
     "sample_y_path_batch",
-    "sample_full_extremal",
     "hat_x",
     "discretize_pair",
     "sharpness_sup_sampler",
@@ -64,27 +62,6 @@ class ExtremalParams:
             raise ValueError("horizon n must be a positive integer")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
-
-
-@dataclass(frozen=True)
-class ExtremalRealization:
-    """One draw of the full extremal pair, reduced to its sup statistics."""
-
-    z: float
-    x_tilde_n: float
-    sup_g: float
-    sup_x_full: float
-    tail_mode: str
-
-    def __post_init__(self) -> None:
-        if self.z <= 0:
-            raise ValueError("z must be positive")
-        if self.sup_x_full < self.x_tilde_n:
-            raise ValueError("tail supremum cannot undercut its starting level")
-        if self.x_tilde_n == 0 and self.sup_x_full != 0:
-            raise ValueError("no jump before the horizon means zero supremum")
-        if self.tail_mode not in (EXACT_LAW, PATH_SIM):
-            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 
 
 def ramp(t: float, n: int) -> float:
@@ -200,31 +177,6 @@ def sample_y_path_batch(
     return sups
 
 
-def sample_full_extremal(
-    params: ExtremalParams,
-    rng: np.random.Generator | None = None,
-    tail_mode: str = EXACT_LAW,
-) -> ExtremalRealization:
-    """One draw of (z, jump level, sup of compensator, overall sup)."""
-    if rng is None:
-        rng = _rng_of(params)
-    p, n = params.p, params.n
-    z = -math.log(rng.random())
-    x_tilde_n = math.exp(z / p) if z <= n else 0.0
-    sup_g = compensator_value(p, min(z, n))
-    if x_tilde_n > 0:
-        sup_x_full = sample_y(x_tilde_n, p, mode=tail_mode, rng=rng)
-    else:
-        sup_x_full = 0.0
-    return ExtremalRealization(
-        z=z,
-        x_tilde_n=x_tilde_n,
-        sup_g=sup_g,
-        sup_x_full=sup_x_full,
-        tail_mode=tail_mode,
-    )
-
-
 def hat_x(pair: PathPair, tau: StoppingIndex) -> PathPair:
     """Freeze the pair at a realized stopping index: the new x is a single
     jump to x[tau] at tau, the new g stops growing at tau."""
@@ -312,14 +264,19 @@ def discretize_pair(
 # of means low once the intervals are tight; U is drawn from a defensive
 # mixture of the same kind, so that the weighted factor is bounded too.
 #
-# The weight e^-t cancels the e^t inside (p expm1(t/p))^p, so every weighted
-# value has a closed form with no exp(t/p) in it: w (sup G)^p =
-# 2 n^head (p (1 - e^(-t/p)))^p, the integrand of oracles.gtilde_sup_moment,
-# and w (sup X)^p = 2n head 2/(U^p + 1 - p). Neither can overflow at any p
-# in (0, 1). Each kernel evaluates its closed form in place, in the arrays
-# that Philox filled: a chunk allocates no full-size temporary (the discrete
-# kernel one, for its caps), because glibc returns a freed heap top to the
-# operating system and every chunk would page-fault it in again.
+# A sampler returns the r-th powers of the sups, for an exponent r in (0, 1)
+# that defaults to the family's p. The weight e^-t cancels the e^(rt/p)
+# inside (p expm1(t/p))^r up to e^((r/p - 1) t), so every weighted value has
+# a closed form with no exp(t/p) in it: w (sup G)^r =
+# 2 n^head (p (1 - e^(-t/p)))^r e^((r/p - 1) t), at r = p the integrand of
+# oracles.gtilde_sup_moment, and w (sup X)^r = 2n head e^((r/p - 1) t)
+# 2/(U^r + 1 - r). At r = p the exponential is 1 and is not evaluated, and
+# neither side can overflow at any p in (0, 1); at r != p it grows with n as
+# the moment itself does. Each kernel evaluates its closed form in place, in
+# the arrays that Philox filled: at r = p a chunk allocates no full-size
+# temporary (the discrete kernel one, for its caps), because glibc returns
+# a freed heap top to the operating system and every chunk would page-fault
+# it in again.
 # ---------------------------------------------------------------------------
 
 # elements per block of _combine_with_mask's scratch (64 KB)
@@ -354,39 +311,66 @@ def _mixture_draws(rng: np.random.Generator, m: int, n: int):
     return t, head
 
 
-def _weighted_tail_factor(p: float, u: np.ndarray) -> np.ndarray:
-    """U^-p importance-weighted, computed in place in u, with U drawn from the
-    defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-p, 1), whose second component
-    has density (1-p) x^-p. u below or above 1/2 picks the component and
-    s = 2u mod 1 the draw: U = s, or U = s^(1/(1-p)), so U^p = exp(e log s)
-    with e = p or p/(1-p). The weighted value
-    U^-p / (1/2 + 1/2 (1-p) U^-p) = 2 / (U^p + 1 - p) lies in
-    (2/(2-p), 2/(1-p)], and its mean is E[U^-p] = 1/(1-p) for uniform U."""
+def _weighted_tail_factor(r: float, u: np.ndarray) -> np.ndarray:
+    """U^-r importance-weighted, computed in place in u, with U drawn from the
+    defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-r, 1), whose second component
+    has density (1-r) x^-r. u below or above 1/2 picks the component and
+    s = 2u mod 1 the draw: U = s, or U = s^(1/(1-r)), so U^r = exp(e log s)
+    with e = r or r/(1-r). The weighted value
+    U^-r / (1/2 + 1/2 (1-r) U^-r) = 2 / (U^r + 1 - r) lies in
+    (2/(2-r), 2/(1-r)], and its mean is E[U^-r] = 1/(1-r) for uniform U."""
     second = u >= 0.5
     u *= 2.0
     u -= second
     with np.errstate(divide="ignore"):
         np.log(u, out=u)
-    _combine_with_mask(np.multiply, u, second, p, p / (1.0 - p))
+    _combine_with_mask(np.multiply, u, second, r, r / (1.0 - r))
     np.exp(u, out=u)
-    u += 1.0 - p
+    u += 1.0 - r
     np.divide(2.0, u, out=u)
     return u
 
 
-def _weighted_sup_g_pow_p(p: float, n: int, t_eff: np.ndarray, head: np.ndarray,
-                          shift: np.ndarray | None = None) -> np.ndarray:
-    """w(Z) (p expm1(t_eff/p))^p, computed in place in t_eff, for t = min(Z, n)
+def _exponent(params: ExtremalParams, r: float | None) -> float:
+    if r is None:
+        return params.p
+    if not (0.0 < r < 1.0):
+        raise ValueError("exponent r must lie in (0,1)")
+    return r
+
+
+def _excess_growth(p: float, r: float, t: np.ndarray) -> np.ndarray | None:
+    """(r/p - 1) t, the log of what the weight leaves of e^(rt/p); None at
+    r = p, where it is 0."""
+    return None if r == p else (r / p - 1.0) * t
+
+
+def _weighted_sup_x_pow(n: int, r: float, head: np.ndarray,
+                        growth: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """w(Z) (A(Z)/U)^r = 2n head e^growth 2/(U^r + 1 - r), computed in place
+    in u: the jump happened iff Z came from the U(0, n) component."""
+    supx = _weighted_tail_factor(r, u)
+    supx *= 2.0 * n
+    supx *= head
+    if growth is not None:
+        supx *= np.exp(growth)
+    return supx
+
+
+def _weighted_sup_g_pow(p: float, r: float, n: int, t_eff: np.ndarray,
+                        head: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """w(Z) (p expm1(t_eff/p))^r, computed in place in t_eff, for t = min(Z, n)
     and a compensator run up to t_eff >= t. It is the exp of
-    p log(p (1 - e^(-t_eff/p))) + log 2 + log n head + (t_eff - t), where
-    shift holds t_eff - t when it is not zero; every term is bounded, so no
-    p in (0, 1) overflows, and t_eff = 0 gives exactly 0."""
+    r log(p (1 - e^(-t_eff/p))) + log 2 + log n head + ((r/p) t_eff - t),
+    where shift holds (r/p) t_eff - t when it is not zero; at r = p every
+    term is bounded, so no p in (0, 1) overflows, and t_eff = 0 gives
+    exactly 0."""
     np.divide(t_eff, -p, out=t_eff)
     np.expm1(t_eff, out=t_eff)
     t_eff *= -p
     with np.errstate(divide="ignore"):
         np.log(t_eff, out=t_eff)
-    t_eff *= p
+    t_eff *= r
     t_eff += math.log(2.0)
     _combine_with_mask(np.add, t_eff, head, 0.0, math.log(n))
     if shift is not None:
@@ -395,58 +379,61 @@ def _weighted_sup_g_pow_p(p: float, n: int, t_eff: np.ndarray, head: np.ndarray,
     return t_eff
 
 
-def sharpness_sup_sampler(params: ExtremalParams):
-    """Paired sampler (rng, m) -> importance-weighted ((sup X)^p, (sup G)^p)
+def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
+    """Paired sampler (rng, m) -> importance-weighted ((sup X)^r, (sup G)^r)
     for the full extremal family, tail by exact law, common z draws for both
-    sides. Only the mean of each side is the moment."""
+    sides; r defaults to p. Only the mean of each side is the moment."""
     p, n = params.p, params.n
+    r = _exponent(params, r)
 
     def sampler(rng: np.random.Generator, m: int):
         t, head = _mixture_draws(rng, m, n)
-        # w(z) (A(z)/U)^p = 2n e^-z exp(z) U^-p when the jump happened
-        supx_p = _weighted_tail_factor(p, rng.random(m))
-        supx_p *= 2.0 * n
-        supx_p *= head
-        return supx_p, _weighted_sup_g_pow_p(p, n, t, head)
+        growth = _excess_growth(p, r, t)
+        supx = _weighted_sup_x_pow(n, r, head, growth, rng.random(m))
+        return supx, _weighted_sup_g_pow(p, r, n, t, head, shift=growth)
 
     return sampler
 
 
 def monotone_sup_sampler(params: ExtremalParams):
-    """Paired importance-weighted sampler for the monotone pair (no Brownian
-    tail); only the mean of each side is the moment. It draws only v: the
-    uniforms behind the tail would come after v and go unused."""
+    """Paired importance-weighted sampler of ((sup X)^p, (sup G)^p) for the
+    monotone pair (no Brownian tail); only the mean of each side is the
+    moment. It draws only v: the uniforms behind the tail would come after
+    v and go unused."""
     p, n = params.p, params.n
 
     def sampler(rng: np.random.Generator, m: int):
         t, head = _mixture_draws(rng, m, n)
         # w(z) A(z)^p = 2n e^-z exp(z)
         supx_p = head * (2.0 * n)
-        return supx_p, _weighted_sup_g_pow_p(p, n, t, head)
+        return supx_p, _weighted_sup_g_pow(p, p, n, t, head)
 
     return sampler
 
 
-def discrete_sup_sampler(params: ExtremalParams, level_N: int):
-    """Paired importance-weighted sampler for the dyadic discretization;
-    same draws and weights as the continuous sampler so discretization
-    effects isolate cleanly. Only the mean of each side is the moment."""
+def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None = None):
+    """Paired importance-weighted sampler of ((sup X)^r, (sup G)^r) for the
+    dyadic discretization, r defaulting to p; same draws and weights as the
+    continuous sampler so discretization effects isolate cleanly. Only the
+    mean of each side is the moment."""
     p, n = params.p, params.n
+    r = _exponent(params, r)
     h = 2.0 ** (-level_N)
 
     def sampler(rng: np.random.Generator, m: int):
         t, head = _mixture_draws(rng, m, n)
-        supx_p = _weighted_tail_factor(p, rng.random(m))
-        supx_p *= 2.0 * n
-        supx_p *= head
+        supx = _weighted_sup_x_pow(n, r, head, _excess_growth(p, r, t), rng.random(m))
         # g keeps accruing through the grid step that contains z; the cap is
-        # the one array this kernel adds, and t's array takes cap - t
+        # the one array this kernel adds, and t's array takes the shift
+        # (r/p) cap - t
         cap = t / h
         np.ceil(cap, out=cap)
         cap *= h
         np.minimum(cap, n, out=cap)
         np.subtract(cap, t, out=t)
-        return supx_p, _weighted_sup_g_pow_p(p, n, cap, head, shift=t)
+        if r != p:
+            t += (r / p - 1.0) * cap
+        return supx, _weighted_sup_g_pow(p, r, n, cap, head, shift=t)
 
     return sampler
 

@@ -17,7 +17,9 @@ import numpy as np
 from .extremal import (
     ExtremalParams,
     discrete_path_batch,
+    discrete_sup_sampler,
     exp_pair_path_batch,
+    sharpness_sup_sampler,
 )
 from .core_paths import TimeGrid
 from .montecarlo import (
@@ -139,8 +141,11 @@ class _Generator:
     exact_compensator = False
     name = "generator"
 
-    def sup_sampler(self):
-        """(rng, m) -> (sup_x, sup_g) arrays."""
+    def sup_sampler(self, r: float):
+        """(rng, m) -> two arrays whose means are E[(sup X)^r] and
+        E[(sup G)^r]. Unit-weight generators return the r-th powers of the
+        sups, and r = 1 the sups themselves; the extremal ones return
+        importance-weighted values, of which only the mean is the moment."""
         raise NotImplementedError
 
     def path_batch(self, rng: np.random.Generator, size: int):
@@ -161,18 +166,8 @@ class ExtremalGenerator(_Generator):
     exact_compensator = True
     name = "extremal"
 
-    def sup_sampler(self):
-        p, n = self.params.p, self.params.n
-
-        def sampler(rng, m):
-            z = -np.log(rng.random(m))
-            u = rng.random(m)
-            jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
-            sup_x = np.where(jump > 0, jump / u, 0.0)
-            sup_g = p * np.expm1(np.minimum(z, n) / p)
-            return sup_x, sup_g
-
-        return sampler
+    def sup_sampler(self, r):
+        return sharpness_sup_sampler(self.params, r)
 
     def path_batch(self, rng, size):
         grid = TimeGrid(step=1.0 / self.grid_points_per_unit, horizon=self.params.n)
@@ -190,20 +185,8 @@ class DiscreteExtremalGenerator(_Generator):
     exact_compensator = False  # g dominates the compensator from above
     name = "discrete_extremal"
 
-    def sup_sampler(self):
-        p, n = self.params.p, self.params.n
-        h = 2.0 ** (-self.level_N)
-
-        def sampler(rng, m):
-            z = -np.log(rng.random(m))
-            u = rng.random(m)
-            jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
-            sup_x = np.where(jump > 0, jump / u, 0.0)
-            cap = np.minimum(np.ceil(z / h) * h, n)
-            sup_g = p * np.expm1(cap / p)
-            return sup_x, sup_g
-
-        return sampler
+    def sup_sampler(self, r):
+        return discrete_sup_sampler(self.params, self.level_N, r)
 
     def path_batch(self, rng, size):
         return discrete_path_batch(self.params, self.level_N, rng, size)
@@ -226,7 +209,7 @@ class CompensatedBernoulliGenerator(_Generator):
         if self.steps < 1:
             raise ValueError("need at least one step")
 
-    def sup_sampler(self):
+    def sup_sampler(self, r=1.0):
         jump, k = self.jump, self.steps
         sup_g = k * jump.mean
 
@@ -237,7 +220,7 @@ class CompensatedBernoulliGenerator(_Generator):
                 sup_x = rng.standard_gamma(k, m)
             else:
                 sup_x = np.full(m, k * jump.c)
-            return sup_x, np.full(m, sup_g)
+            return sup_x**r, np.full(m, sup_g) ** r
 
         return sampler
 
@@ -261,12 +244,12 @@ class HatXGenerator(_Generator):
     exact_compensator = False  # freezing can only lose x-mass
     name = "hatx_of"
 
-    def sup_sampler(self):
+    def sup_sampler(self, r=1.0):
         def sampler(rng, m):
             x, g = self.inner.path_batch(rng, m)
             tau = stopping_indices(self.rule, x, g)
             rows = np.arange(m)
-            return x[rows, tau], g[rows, tau]
+            return x[rows, tau] ** r, g[rows, tau] ** r
 
         return sampler
 
@@ -366,18 +349,13 @@ def check_inequality(
             f"{gen.name} does not produce non-decreasing X; the monotone "
             "constant does not apply"
         )
+    rhs_constant = constant(kind, p)  # rejects p outside (0, 1) before any draw
     if method is None:
         method = default_method(p)
-    base = gen.sup_sampler()
-
-    def powered(rng, m):
-        sup_x, sup_g = base(rng, m)
-        return sup_x**p, sup_g**p
-
-    lhs, rhs = estimate_pair(powered, n_samples, method, seed, threads)
+    lhs, rhs = estimate_pair(gen.sup_sampler(p), n_samples, method, seed, threads)
     return VerifierReport(
         lhs=lhs,
-        rhs_constant=constant(kind, p),
+        rhs_constant=rhs_constant,
         rhs=rhs,
         constant_kind=kind,
         label=f"{gen.name}:{kind.value}:p={p}",

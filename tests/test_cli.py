@@ -13,7 +13,7 @@ from lenglart.cli import (
     main,
     resolve_config,
 )
-from lenglart.oracles import gtilde_sup_moment
+from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment
 
 
 def run(argv, capsys):
@@ -193,6 +193,35 @@ class TestSubcommands:
         # auto: the default for p = 0.3 is the plain mean
         assert methods == [{"name": "plain", "blocks": 1},
                            {"name": "median_of_means", "blocks": 11}]
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    def test_verify_extremal_pair_meets_oracle(self, capsys, tmp_path, p):
+        # the extremal checks run on the importance-weighted samplers, so the
+        # lhs estimates E[(sup X)^p] = n/(1-p) within its own interval
+        n = 40
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({
+            "generator": {"kind": "extremal", "p": p, "n": n}, "p": p,
+            "constant": "lenglart", "n_samples": 10**5, "seed": 3,
+        }) + "\n")
+        out_file = tmp_path / "r.json"
+        code, _, _ = run(["verify", "--suite", str(suite), "--output", str(out_file)],
+                         capsys)
+        assert code == EXIT_PASS
+        lhs = load_json_output(out_file)["result"]["checks"][0]["lhs"]
+        exact = full_extremal_sup_moment(p, n)
+        assert abs(lhs["value"] - exact) < 3.0 * lhs["halfwidth"], (lhs, exact)
+
+    def test_verify_extremal_pair_small_p(self, capsys, tmp_path):
+        # exp(z/p) overflows at p = 0.01; the weighted closed forms do not
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({
+            "generator": {"kind": "extremal", "p": 0.01, "n": 10}, "p": 0.01,
+            "constant": "lenglart", "n_samples": 10**5, "seed": 3,
+        }) + "\n")
+        code, out, _ = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_PASS
+        assert "1/1 checks passed" in out
 
     def test_verify_bad_entry(self, capsys, tmp_path):
         suite = tmp_path / "suite.jsonl"

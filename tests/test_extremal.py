@@ -10,11 +10,9 @@ from scipy.integrate import quad
 
 from lenglart.core_paths import StoppingIndex, TimeGrid, INFINITE_INDEX
 from lenglart.extremal import (
-    EXACT_LAW,
     PATH_SIM,
     DiscretePair,
     ExtremalParams,
-    ExtremalRealization,
     compensator_value,
     discrete_path_batch,
     discrete_sup_sampler,
@@ -24,7 +22,6 @@ from lenglart.extremal import (
     monotone_sup_sampler,
     ramp,
     sample_exp_pair,
-    sample_full_extremal,
     sample_y,
     sample_y_batch,
     sample_y_path_batch,
@@ -161,29 +158,6 @@ class TestYLaw:
         sups = sample_y_path_batch(1.0, 3000, rng_of(5), step=1e-3, horizon=50.0)
         med = float(np.median(sups))
         assert 1.75 < med < 2.15
-
-
-class TestFullExtremal:
-    def test_realization_invariants(self):
-        for seed in range(20):
-            r = sample_full_extremal(ExtremalParams(p=0.5, n=5, seed=seed))
-            assert r.sup_x_full >= r.x_tilde_n
-            assert r.sup_g <= compensator_value(0.5, 5.0) + 1e-9
-            assert r.tail_mode == EXACT_LAW
-
-    def test_realization_validation(self):
-        with pytest.raises(ValueError):
-            ExtremalRealization(z=0.0, x_tilde_n=1.0, sup_g=1.0, sup_x_full=1.0,
-                                tail_mode=EXACT_LAW)
-        with pytest.raises(ValueError):
-            ExtremalRealization(z=1.0, x_tilde_n=2.0, sup_g=1.0, sup_x_full=1.0,
-                                tail_mode=EXACT_LAW)
-        with pytest.raises(ValueError):
-            ExtremalRealization(z=1.0, x_tilde_n=0.0, sup_g=1.0, sup_x_full=3.0,
-                                tail_mode=EXACT_LAW)
-        with pytest.raises(ValueError):
-            ExtremalRealization(z=1.0, x_tilde_n=1.0, sup_g=1.0, sup_x_full=1.0,
-                                tail_mode="magic")
 
 
 class TestHatX:

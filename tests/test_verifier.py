@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import binom
 
+from lenglart import verifier
 from lenglart.extremal import ExtremalParams
-from lenglart.montecarlo import PLAIN, estimate
+from lenglart.montecarlo import PLAIN, default_method, estimate, estimate_pair
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
@@ -19,6 +21,7 @@ from lenglart.verifier import (
     JumpLaw,
     PiecewiseLinearF,
     PowerF,
+    VerifierReport,
     check_inequality,
     check_pratelli,
     domination_audit,
@@ -127,12 +130,45 @@ class TestGenerators:
         assert np.all(np.diff(x, axis=1) >= 0)
         np.testing.assert_allclose(g[0], np.arange(7.0))
 
-    def test_extremal_generator_sups(self):
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+    def test_extremal_generator_weighted_bounds(self, p):
+        # the weighted values are bounded: 2n times the tail factor
+        # 2/(U^p + 1 - p) on x, 2n (p (1 - e^(-t/p)))^p on g
+        n = 5
+        gen = ExtremalGenerator(ExtremalParams(p=p, n=n))
+        x_p, g_p = gen.sup_sampler(p)(rng_of(1), 10_000)
+        for vals in (x_p, g_p):
+            assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
+        assert x_p.max() <= 4.0 * n / (1.0 - p) * (1 + 1e-12)
+        assert g_p.max() <= 2.0 * n * p**p * (1 + 1e-12)
+
+    @pytest.mark.parametrize(("p", "n", "r"), [(0.5, 10, 0.25), (0.5, 10, 0.75),
+                                               (0.25, 10, 0.5)])
+    def test_extremal_exponent_differs_from_p(self, p, n, r):
+        # E[(sup X)^r] = E[e^(rZ/p); Z < n] E[U^-r]; E[(sup G)^r] by quadrature
+        a = r / p - 1.0
+        x_exact = math.expm1(a * n) / (a * (1.0 - r))
+        head, _ = quad(lambda z: (p * math.expm1(z / p)) ** r * math.exp(-z), 0.0, n)
+        g_exact = head + math.exp(-n) * (p * math.expm1(n / p)) ** r
+        x_r, g_r = ExtremalGenerator(ExtremalParams(p=p, n=n)).sup_sampler(r)(
+            rng_of(4), 10**6)
+        for vals, exact in ((x_r, x_exact), (g_r, g_exact)):
+            se = vals.std() / math.sqrt(vals.size)
+            assert abs(vals.mean() - exact) < 4.0 * se, (vals.mean(), exact, se)
+
+    def test_discrete_exponent_matches_continuous_x(self):
+        # the x side does not see the grid; the g side runs on to the cap
+        params = ExtremalParams(p=0.5, n=10)
+        cont = ExtremalGenerator(params).sup_sampler(0.75)(rng_of(5), 4096)
+        disc = DiscreteExtremalGenerator(params, level_N=3).sup_sampler(0.75)(rng_of(5), 4096)
+        np.testing.assert_array_equal(disc[0], cont[0])
+        assert np.all(disc[1] >= cont[1] * (1 - 1e-12))
+
+    def test_exponent_out_of_range(self):
         gen = ExtremalGenerator(ExtremalParams(p=0.5, n=5))
-        sup_x, sup_g = gen.sup_sampler()(rng_of(1), 10_000)
-        assert np.all(sup_x >= 0) and np.all(sup_g >= 0)
-        # sup G never exceeds the full-horizon compensator
-        assert sup_g.max() <= 0.5 * math.expm1(10.0) + 1e-9
+        for r in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="exponent"):
+                gen.sup_sampler(r)
 
     def test_hatx_generator_is_monotone(self):
         inner = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
@@ -179,10 +215,32 @@ class TestCheckInequality:
                                   n_samples=60_000, seed=5)
         assert report.passed, report.to_json()
 
+    def test_monotone_constant_fails_on_full_extremal_pair(self):
+        # the full pair's ratio n/(1-p) / E[(sup G)^p] = 1.4306 at p = 0.12,
+        # n = 40 exceeds the monotone constant p^-p = 1.2897 by 10.9 %, so a
+        # check against it must FAIL; check_inequality refuses the monotone
+        # constant here, so the report is built directly
+        p = 0.12
+        gen = ExtremalGenerator(ExtremalParams(p=p, n=40))
+        lhs, rhs = estimate_pair(gen.sup_sampler(p), 10**5, default_method(p), 0)
+        report = VerifierReport(lhs=lhs, rhs_constant=constant(ConstantKind.MONOTONE, p),
+                                rhs=rhs, constant_kind=ConstantKind.MONOTONE)
+        assert not report.passed, report.to_json()
+        assert report.ratio > constant(ConstantKind.MONOTONE, p)
+
     def test_monotone_rejected_for_non_monotone_x(self):
         gen = ExtremalGenerator(ExtremalParams(p=0.5, n=5))
         with pytest.raises(ValueError, match="non-decreasing"):
             check_inequality(gen, p=0.5, kind=ConstantKind.MONOTONE)
+
+    def test_exponent_rejected_before_sampling(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the exponent was checked")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=5)
+        with pytest.raises(ValueError, match="p must lie"):
+            check_inequality(gen, p=1.5, kind=ConstantKind.LENGLART)
 
     def test_report_fields(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=5)
