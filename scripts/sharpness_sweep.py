@@ -29,8 +29,8 @@ def main() -> None:
         c_full = constant(ConstantKind.LENGLART, p)
         c_mono = constant(ConstantKind.MONOTONE, p)
         for n in args.n:
-            params = ExtremalParams(p=p, n=n, seed=args.seed)
-            full = ratio_experiment(params, args.samples)
+            full = ratio_experiment(ExtremalParams(p=p, n=n), args.samples,
+                                    seed=args.seed)
             mono = monotone_ratio_experiment(p, n, args.samples, seed=args.seed)
             lower = c_full * n / (n + 1)
             print(f"{p:>5.2f} {n:>4d} {full.ratio:>11.4f} {c_full:>8.4f} "

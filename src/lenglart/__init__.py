@@ -7,23 +7,11 @@ heavy-tail-aware Monte Carlo, and cross-checks every estimate against
 closed-form or quadrature oracles.
 """
 
-from .core_paths import (
-    INFINITE_INDEX,
-    PathPair,
-    StoppingIndex,
-    SupSample,
-    TimeGrid,
-    evaluate_at_stopping,
-    p_moment_of_sup,
-    running_sup,
-)
 from .extremal import (
     ExtremalParams,
-    discretize_pair,
-    hat_x,
-    ramp,
-    sample_exp_pair,
-    sample_y,
+    TimeGrid,
+    discrete_path_batch,
+    exp_pair_path_batch,
 )
 from .montecarlo import (
     PLAIN,
@@ -51,20 +39,10 @@ from .oracles import (
 )
 
 __all__ = [
-    "INFINITE_INDEX",
-    "PathPair",
-    "StoppingIndex",
-    "SupSample",
-    "TimeGrid",
-    "evaluate_at_stopping",
-    "p_moment_of_sup",
-    "running_sup",
     "ExtremalParams",
-    "discretize_pair",
-    "hat_x",
-    "ramp",
-    "sample_exp_pair",
-    "sample_y",
+    "TimeGrid",
+    "discrete_path_batch",
+    "exp_pair_path_batch",
     "PLAIN",
     "Estimate",
     "EstimatorMethod",

@@ -20,8 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
-from .core_paths import TimeGrid
-from .extremal import ExtremalParams, discretize_pair, sample_exp_pair
+from .extremal import ExtremalParams, TimeGrid, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     EstimatorMethod,
     default_method,
@@ -143,7 +142,7 @@ def _run_sharpness(cfg: ExperimentConfig) -> int:
     err = _validate_common(cfg)
     if err:
         return _usage_error(err)
-    params = ExtremalParams(p=cfg.p, n=cfg.n, seed=cfg.seed)
+    params = ExtremalParams(p=cfg.p, n=cfg.n)
     ratio = ratio_experiment(params, cfg.n_samples, cfg.resolved_method(),
                              cfg.seed, cfg.threads)
     c_p = constant(ConstantKind.LENGLART, cfg.p)
@@ -270,22 +269,24 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
         return _usage_error(err)
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
-    params = ExtremalParams(p=cfg.p, n=cfg.n, seed=cfg.seed)
+    params = ExtremalParams(p=cfg.p, n=cfg.n)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     if cfg.dump_kind == "exp":
         points = min(MAX_DUMP_POINTS - 1, 64 * cfg.n)
         grid = TimeGrid(step=cfg.n / points, horizon=cfg.n)
-        pair = sample_exp_pair(params, grid, rng)
-        rows = list(pair.to_csv_rows())
+        t = grid.times()
+        x, g = exp_pair_path_batch(params, grid, rng, 1)
     elif cfg.dump_kind == "discrete":
-        dp = discretize_pair(params, cfg.level_N, rng)
-        rows = [(k * dp.step, float(x), float(g))
-                for k, (x, g) in enumerate(zip(dp.x, dp.g))]
+        points = cfg.n * 2**cfg.level_N
+        if points + 1 > MAX_DUMP_POINTS:
+            return _usage_error(
+                f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
+        t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
+        x, g = discrete_path_batch(params, cfg.level_N, rng, 1)
     else:
         return _usage_error("dump kind must be 'exp' or 'discrete'")
-    if len(rows) > MAX_DUMP_POINTS:
-        return _usage_error(
-            f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
+    # tolist: csv writes numpy scalars by their repr
+    rows = list(zip(t.tolist(), x[0].tolist(), g[0].tolist()))
     with open(cfg.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "g"])

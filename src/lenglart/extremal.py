@@ -1,41 +1,38 @@
 """Samplers for the extremal process families.
 
 The basic object is the exponential pair: a single jump of height
-A(Z) = exp(Z/p) at an Exp(1) time Z, compensated by the running integral of
-A. Appending an independent Brownian excursion after the horizon multiplies
-the supremum moment by 1/(1-p); the supremum of that excursion started at
-level x has the exact Pareto tail P[sup >= y] = x/y, so it is sampled as
-x/U rather than by path simulation. Path simulation exists only to validate
-that law.
+A(Z) = exp(Z/p) at an Exp(1) time Z, compensated by the running integral
+p expm1(t/p) of A up to Z. Appending an independent Brownian excursion
+after the horizon multiplies the supremum moment by 1/(1-p); the supremum
+of that excursion started at level x has the exact Pareto tail
+P[sup >= y] = x/y, so it is sampled as x/U rather than by path simulation.
+Path simulation (sample_y_path_batch) exists only to validate that law.
 
 The vectorized sup samplers that feed the moment estimates draw Z from a
 defensive mixture rather than from Exp(1) and return importance-weighted
 values: a single value is not a draw of (sup X)^r or (sup G)^r, only the
 mean of each side is the moment. The exponent r defaults to the family's p.
-The path-level samplers draw Z ~ Exp(1) and are unweighted.
+They work in log space and are finite at every 0 < p < 1.
+
+The path batches (exp_pair_path_batch, discrete_path_batch) are the one
+path representation: (size, n_points) arrays of x and g, one row per
+realization, with Z ~ Exp(1) and no weights. They hold exp(Z/p) itself, so
+they refuse horizons with n/p beyond ln(DBL_MAX), where it is not a
+float64.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_paths import PathPair, StoppingIndex, TimeGrid
-
 __all__ = [
-    "EXACT_LAW",
-    "PATH_SIM",
+    "TimeGrid",
     "ExtremalParams",
-    "DiscretePair",
-    "ramp",
-    "sample_exp_pair",
-    "sample_y",
-    "sample_y_batch",
     "sample_y_path_batch",
-    "hat_x",
-    "discretize_pair",
     "sharpness_sup_sampler",
     "monotone_sup_sampler",
     "discrete_sup_sampler",
@@ -43,102 +40,40 @@ __all__ = [
     "discrete_path_batch",
 ]
 
-EXACT_LAW = "exact_law"
-PATH_SIM = "path_sim"
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform grid t_k = k * step, k = 0 .. floor(horizon/step)."""
+
+    step: float
+    horizon: float
+
+    def __post_init__(self) -> None:
+        if not (self.step > 0):
+            raise ValueError("step must be positive")
+        if self.horizon < self.step:
+            raise ValueError("horizon must be at least one step")
+
+    @property
+    def n_points(self) -> int:
+        return int(math.floor(self.horizon / self.step + 1e-12)) + 1
+
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_points) * self.step
 
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """p-exponent, integer horizon and seed of one extremal family member."""
+    """p-exponent and integer horizon of one extremal family member."""
 
     p: float
     n: int
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p < 1.0):
             raise ValueError("p must lie in (0,1)")
         if self.n < 1:
             raise ValueError("horizon n must be a positive integer")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative 64-bit integer")
-
-
-def ramp(t: float, n: int) -> float:
-    """Continuous non-decreasing interpolation: 0 up to n, 1 from n+1 on,
-    linear in between."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t <= n:
-        return 0.0
-    if t >= n + 1:
-        return 1.0
-    return t - n
-
-
-def compensator_value(p: float, t: float) -> float:
-    """int_0^t exp(s/p) ds = p (exp(t/p) - 1), the closed-form compensator."""
-    return p * math.expm1(t / p)
-
-
-def _rng_of(params: ExtremalParams) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=params.seed))
-
-
-def sample_exp_pair(
-    params: ExtremalParams,
-    grid: TimeGrid,
-    rng: np.random.Generator | None = None,
-) -> PathPair:
-    """One realization of the exponential jump process and its compensator
-    on the given grid. The jump lands on the first grid point >= z."""
-    if abs(grid.horizon - params.n) > 1e-12:
-        raise ValueError("grid horizon must equal the params horizon n")
-    k = grid.horizon / grid.step
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError("grid step must divide the horizon")
-    if rng is None:
-        rng = _rng_of(params)
-    z = -math.log(rng.random())
-    t = grid.times()
-    p = params.p
-    jump = math.exp(z / p) if z <= params.n else 0.0
-    x = np.where(t >= z, jump, 0.0)
-    g = p * np.expm1(np.minimum(t, z) / p)
-    return PathPair(x=x, g=g, grid=grid, g_predictable_shift=True)
-
-
-def sample_y(
-    x: float,
-    p: float,
-    mode: str = EXACT_LAW,
-    rng: np.random.Generator | None = None,
-    step: float = 1e-4,
-    horizon: float = 100.0,
-) -> float:
-    """Supremum of a Brownian path started at x and absorbed at 0.
-
-    exact_law draws from the Pareto tail P[Y >= y] = x/y (y >= x) as x/U.
-    path_sim simulates on an Euler grid with absorption; it is validation
-    only and biased low by discretization and by the finite horizon.
-    """
-    if x < 0:
-        raise ValueError("starting level must be non-negative")
-    if x == 0:
-        return 0.0
-    if rng is None:
-        rng = np.random.default_rng()
-    if mode == EXACT_LAW:
-        return x / rng.random()
-    if mode == PATH_SIM:
-        return float(sample_y_path_batch(x, 1, rng, step=step, horizon=horizon)[0])
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def sample_y_batch(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized exact-law draws; zero entries stay zero."""
-    u = rng.random(x.shape)
-    return np.where(x > 0, x / u, 0.0)
 
 
 def sample_y_path_batch(
@@ -175,79 +110,6 @@ def sample_y_path_batch(
         pos[alive] = paths[:, -1]
         alive = alive[~was_hit]
     return sups
-
-
-def hat_x(pair: PathPair, tau: StoppingIndex) -> PathPair:
-    """Freeze the pair at a realized stopping index: the new x is a single
-    jump to x[tau] at tau, the new g stops growing at tau."""
-    if tau.is_infinite:
-        raise ValueError("hat construction needs a realized (finite) stopping index")
-    k = int(tau.k)
-    if k > pair.last_index:
-        raise ValueError("stopping index beyond the grid")
-    x_new = np.zeros_like(pair.x)
-    x_new[k:] = pair.x[k]
-    g_new = np.array(pair.g)
-    g_new[k:] = pair.g[k]
-    out = PathPair(x=x_new, g=g_new, grid=pair.grid, g_predictable_shift=pair.g_predictable_shift)
-    assert np.all(np.diff(out.x) >= 0)
-    return out
-
-
-@dataclass(frozen=True)
-class DiscretePair:
-    """Dyadic discretization of the extremal pair on k = 0 .. n 2^N, with
-    the Brownian-tail supremum folded into sup_x_full at the last index."""
-
-    x: np.ndarray
-    g: np.ndarray
-    step: float
-    z: float
-    sup_x_full: float
-
-    @property
-    def sup_g(self) -> float:
-        return float(self.g[-1])
-
-    @property
-    def sup_x(self) -> float:
-        return max(float(self.x.max()), self.sup_x_full)
-
-
-def discretize_pair(
-    params: ExtremalParams,
-    level_N: int,
-    rng: np.random.Generator | None = None,
-    tail_mode: str = EXACT_LAW,
-) -> DiscretePair:
-    """Sample the dyadic discretization at step 2^-N.
-
-    x is the continuous path sampled on the grid. g accrues, one step ahead,
-    the full growth integral of the coming step for as long as the jump has
-    not yet happened: the increment over ((k-1)h, kh] is gated on z > (k-1)h,
-    which is measurable one step ahead, keeps g non-decreasing and keeps
-    g_k >= g(continuous at kh), so the discrete pair still satisfies the
-    domination hypothesis.
-    """
-    if level_N < 0:
-        raise ValueError("level_N must be non-negative")
-    if rng is None:
-        rng = _rng_of(params)
-    p, n = params.p, params.n
-    h = 2.0 ** (-level_N)
-    k_count = n * 2**level_N
-    z = -math.log(rng.random())
-    t = np.arange(k_count + 1) * h
-    jump = math.exp(z / p) if z <= n else 0.0
-    x = np.where(t >= z, jump, 0.0)
-    gated = z > t[:-1]  # jump still pending at the start of step k
-    increments = np.where(gated, p * (np.exp(t[1:] / p) - np.exp(t[:-1] / p)), 0.0)
-    g = np.concatenate([[0.0], np.cumsum(increments)])
-    if jump > 0:
-        sup_x_full = sample_y(jump, p, mode=tail_mode, rng=rng)
-    else:
-        sup_x_full = 0.0
-    return DiscretePair(x=x, g=g, step=h, z=z, sup_x_full=sup_x_full)
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +300,30 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     return sampler
 
 
+# largest t with exp(t) a finite float64, ~709.78
+_MAX_EXP_ARG = math.log(sys.float_info.max)
+
+
+def _check_path_range(params: ExtremalParams) -> None:
+    """Refuse n/p beyond ln(DBL_MAX): a path row holds exp(Z/p) and
+    p expm1(t/p) up to t = n, which are not float64 there."""
+    if params.n / params.p > _MAX_EXP_ARG:
+        raise ValueError(
+            f"path values exp(n/p) overflow at n/p = {params.n / params.p:.6g} > "
+            f"ln(DBL_MAX) = {_MAX_EXP_ARG:.2f}; lower n or raise p")
+
+
 def exp_pair_path_batch(
     params: ExtremalParams,
     grid: TimeGrid,
     rng: np.random.Generator,
     size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of exponential-pair paths (size x n_points arrays)."""
+    """Batch of exponential-pair paths (size x n_points arrays): x jumps to
+    exp(z/p) at the first grid point >= z if z <= n, g = p expm1(min(t, z)/p)."""
     if abs(grid.horizon - params.n) > 1e-12:
         raise ValueError("grid horizon must equal the params horizon n")
+    _check_path_range(params)
     p = params.p
     z = -np.log(rng.random(size))[:, None]
     t = grid.times()[None, :]
@@ -462,7 +339,19 @@ def discrete_path_batch(
     rng: np.random.Generator,
     size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of dyadic discrete pairs (size x (n 2^N + 1) arrays)."""
+    """Batch of dyadic discrete pairs (size x (n 2^N + 1) arrays) at step
+    h = 2^-N.
+
+    x is the continuous path sampled on the grid. g accrues, one step ahead,
+    the full growth integral of the coming step for as long as the jump has
+    not yet happened: the increment over ((k-1)h, kh] is gated on z > (k-1)h,
+    which is measurable one step ahead, keeps g non-decreasing and keeps
+    g_k >= g(continuous at kh), so the discrete pair still satisfies the
+    domination hypothesis.
+    """
+    if level_N < 0:
+        raise ValueError("level_N must be non-negative")
+    _check_path_range(params)
     p, n = params.p, params.n
     h = 2.0 ** (-level_N)
     k_count = n * 2**level_N

@@ -284,11 +284,10 @@ def _resolve_method(method, p):
 
 def ratio_experiment(params: ExtremalParams, n_samples: int = 10**6,
                      method: EstimatorMethod | None = None,
-                     seed: int | None = None, threads: int = 1) -> RatioEstimate:
+                     seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the full extremal pair (Brownian tail by exact law),
     targeting p^-p/(1-p) as n grows."""
     method = _resolve_method(method, params.p)
-    seed = params.seed if seed is None else seed
     num, den = estimate_pair(sharpness_sup_sampler(params), n_samples, method,
                              seed, threads)
     return ratio_from_estimates(num, den)
@@ -298,7 +297,7 @@ def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
                               method: EstimatorMethod | None = None,
                               seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the monotone pair (no tail), targeting p^-p."""
-    params = ExtremalParams(p=p, n=n, seed=seed)
+    params = ExtremalParams(p=p, n=n)
     method = _resolve_method(method, p)
     num, den = estimate_pair(monotone_sup_sampler(params), n_samples, method,
                              seed, threads)
@@ -308,12 +307,11 @@ def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
 def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
                               n_samples: int = 10**6,
                               method: EstimatorMethod | None = None,
-                              seed: int | None = None,
+                              seed: int = 0,
                               threads: int = 1) -> RatioEstimate:
     """Moment ratio of the dyadic discretization; shares the draw layout of
     ratio_experiment so the discretization effect isolates cleanly."""
     method = _resolve_method(method, params.p)
-    seed = params.seed if seed is None else seed
     num, den = estimate_pair(discrete_sup_sampler(params, level_N), n_samples,
                              method, seed, threads)
     return ratio_from_estimates(num, den)

@@ -16,12 +16,12 @@ import numpy as np
 
 from .extremal import (
     ExtremalParams,
+    TimeGrid,
     discrete_path_batch,
     discrete_sup_sampler,
     exp_pair_path_batch,
     sharpness_sup_sampler,
 )
-from .core_paths import TimeGrid
 from .montecarlo import (
     PLAIN,
     Estimate,

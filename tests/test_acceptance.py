@@ -69,8 +69,8 @@ def test_criterion_02_monotone_sharpness():
 
 
 def test_criterion_03_lenglart_sharpness():
-    params = ExtremalParams(p=0.5, n=40, seed=SEED)
-    r = ratio_experiment(params, n_samples=10**6, method=MOM)
+    params = ExtremalParams(p=0.5, n=40)
+    r = ratio_experiment(params, n_samples=10**6, method=MOM, seed=SEED)
     c = 2.0 * math.sqrt(2.0)
     lo = c * 40.0 / 41.0 - 0.10
     hi = c + 0.10
@@ -113,12 +113,12 @@ def test_criterion_06_lambda_bound_minimizer():
 
 
 def test_criterion_07_discretization():
-    params = ExtremalParams(p=0.5, n=10, seed=SEED)
-    cont = ratio_experiment(params, n_samples=10**6, method=MOM)
+    params = ExtremalParams(p=0.5, n=10)
+    cont = ratio_experiment(params, n_samples=10**6, method=MOM, seed=SEED)
     ratios = {}
     for level in (2, 4, 6):
         ratios[level] = discrete_ratio_experiment(
-            params, level, n_samples=10**6, method=MOM
+            params, level, n_samples=10**6, method=MOM, seed=SEED
         )
     rel_gap = abs(ratios[6].ratio - cont.ratio) / cont.ratio
     close_ok = rel_gap <= 0.02

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lenglart import cli
 from lenglart.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -254,7 +255,43 @@ class TestSubcommands:
         g_vals = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(g_vals, g_vals[1:]))
 
-    def test_dump_paths_point_cap(self, capsys, tmp_path):
+    def test_dump_paths_exp_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "paths.csv"
+        code, out, _ = run(
+            ["dump-paths", "--kind", "exp", "--p", "0.5", "--n", "4", "--seed", "2",
+             "--output", str(out_file)],
+            capsys,
+        )
+        assert code == EXIT_PASS
+        lines = out_file.read_text().strip().splitlines()
+        assert lines[0] == "t,x,g"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 64 * 4 + 1 and f"wrote {len(rows)} points" in out
+        t, x, g = zip(*rows)
+        assert t[0] == 0.0 and t[-1] == pytest.approx(4.0)
+        assert all(b >= a for a, b in zip(g, g[1:]))
+        # one jump at most, from 0 to a level it keeps
+        assert len(set(x)) <= 2 and all(b >= a for a, b in zip(x, x[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "exp", "--seed", "1"],
+        ["--kind", "exp", "--seed", "0"],
+        ["--kind", "discrete", "--level-N", "2", "--seed", "0"],
+    ])
+    def test_dump_paths_refuses_overflow(self, capsys, tmp_path, argv):
+        # n/p = 4000: exp(n/p) is no float64, so no path is written
+        out_file = tmp_path / "paths.csv"
+        code, _, err = run(["dump-paths", "--p", "0.001", "--n", "4", "--output",
+                            str(out_file)] + argv, capsys)
+        assert code == EXIT_USAGE
+        assert "DBL_MAX" in err
+        assert not out_file.exists()
+
+    def test_dump_paths_point_cap(self, capsys, tmp_path, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a path before checking the point cap")
+
+        monkeypatch.setattr(cli, "discrete_path_batch", no_draws)
         out_file = tmp_path / "paths.csv"
         code, _, err = run(
             ["dump-paths", "--kind", "discrete", "--p", "0.5", "--n", "40",

@@ -1,4 +1,5 @@
-"""Extremal-family samplers: exponential pair, Brownian tail, discretization."""
+"""Extremal-family samplers: time grid, path batches, Brownian tail,
+importance-weighted sup samplers."""
 
 import math
 
@@ -8,34 +9,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lenglart.core_paths import StoppingIndex, TimeGrid, INFINITE_INDEX
 from lenglart.extremal import (
-    PATH_SIM,
-    DiscretePair,
     ExtremalParams,
-    compensator_value,
+    TimeGrid,
     discrete_path_batch,
     discrete_sup_sampler,
-    discretize_pair,
     exp_pair_path_batch,
-    hat_x,
     monotone_sup_sampler,
-    ramp,
-    sample_exp_pair,
-    sample_y,
-    sample_y_batch,
     sample_y_path_batch,
     sharpness_sup_sampler,
 )
+from lenglart.verifier import ExtremalGenerator, FixedIndexRule, HatXGenerator
 
 
 def rng_of(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def compensator(p, t):
+    """int_0^t exp(s/p) ds in closed form."""
+    return p * np.expm1(np.asarray(t) / p)
+
+
+class TestTimeGrid:
+    def test_point_count_and_times(self):
+        grid = TimeGrid(step=0.5, horizon=2.0)
+        assert grid.n_points == 5
+        np.testing.assert_allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    @given(
+        step=st.floats(1e-3, 1.0),
+        mult=st.integers(1, 500),
+    )
+    def test_grid_invariants(self, step, mult):
+        grid = TimeGrid(step=step, horizon=step * mult)
+        assert grid.n_points >= 2
+        t = grid.times()
+        assert t[0] == 0.0
+        assert np.all(np.diff(t) > 0)
+
+    def test_rejects_degenerate(self):
+        with pytest.raises(ValueError):
+            TimeGrid(step=0.0, horizon=1.0)
+        with pytest.raises(ValueError):
+            TimeGrid(step=1.0, horizon=0.5)
+
+
 class TestParams:
     def test_valid(self):
-        params = ExtremalParams(p=0.5, n=10, seed=3)
+        params = ExtremalParams(p=0.5, n=10)
         assert params.p == 0.5
 
     @pytest.mark.parametrize(
@@ -44,7 +66,6 @@ class TestParams:
             {"p": 0.0, "n": 10},
             {"p": 1.0, "n": 10},
             {"p": 0.5, "n": 0},
-            {"p": 0.5, "n": 10, "seed": -1},
         ],
     )
     def test_invalid(self, kwargs):
@@ -52,71 +73,59 @@ class TestParams:
             ExtremalParams(**kwargs)
 
 
-class TestRamp:
-    def test_shape(self):
-        assert ramp(3.0, 5) == 0.0
-        assert ramp(5.0, 5) == 0.0
-        assert ramp(5.5, 5) == 0.5
-        assert ramp(6.0, 5) == 1.0
-        assert ramp(100.0, 5) == 1.0
-
-    @given(t=st.floats(0, 100), n=st.integers(1, 50))
-    def test_range_and_monotone(self, t, n):
-        v = ramp(t, n)
-        assert 0.0 <= v <= 1.0
-        assert ramp(t + 0.25, n) >= v
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ramp(-1.0, 5)
-
-
 class TestCompensatorValue:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
     def test_matches_quadrature(self, p, t):
-        ref, _ = quad(lambda s: math.exp(s / p), 0.0, t)
-        assert compensator_value(p, t) == pytest.approx(ref, rel=1e-10)
+        # while the jump is pending, g of the path batch is int_0^t exp(s/p) ds
+        grid = TimeGrid(step=0.1, horizon=4.0)
+        k = int(round(t / grid.step))
+        t_k = grid.times()[k]
+        ref, _ = quad(lambda s: math.exp(s / p), 0.0, t_k)
+        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=4), grid, rng_of(0), 2000)
+        pending = x[:, k] == 0.0
+        assert pending.any()
+        np.testing.assert_allclose(g[pending, k], ref, rtol=1e-10)
 
 
 class TestExpPair:
     def test_structure(self):
-        params = ExtremalParams(p=0.5, n=5, seed=1)
+        # at most one jump per row, to exp(z/p) at the first grid point >= z;
+        # x is flat before and after it, and g is frozen at p expm1(z/p) from
+        # the jump on
+        p = 0.5
         grid = TimeGrid(step=0.125, horizon=5.0)
-        pair = sample_exp_pair(params, grid)
         t = grid.times()
-        jumps = np.flatnonzero(np.diff(pair.x) != 0)
-        # at most one jump, and x is a flat-then-flat single step path
-        assert jumps.size <= 1
-        assert np.all(np.diff(pair.g) >= 0)
-        if jumps.size == 1:
+        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=5), grid, rng_of(1), 500)
+        assert np.all(np.diff(g, axis=1) >= 0)
+        jumped = 0
+        for xr, gr in zip(x, g):
+            jumps = np.flatnonzero(np.diff(xr) != 0)
+            assert jumps.size <= 1
+            if jumps.size == 0:
+                continue
+            jumped += 1
             k = jumps[0] + 1
-            level = pair.x[k]
-            assert np.all(pair.x[k:] == level)
-            assert np.all(pair.x[:k] == 0.0)
-            # jump level is exp(z/p) with z in the step before the jump point
-            z = 0.5 * math.log(level)
+            assert np.all(xr[:k] == 0.0)
+            assert np.all(xr[k:] == xr[k])
+            z = p * math.log(xr[k])
             assert t[k - 1] < z <= t[k]
-            # compensator freezes at z
-            assert pair.g[-1] == pytest.approx(compensator_value(0.5, z), rel=1e-12)
+            np.testing.assert_allclose(gr[k:], compensator(p, z), rtol=1e-12)
+            np.testing.assert_allclose(gr[:k], compensator(p, t[:k]), rtol=1e-12)
+        assert 0 < jumped < len(x)
 
     def test_no_jump_case(self):
-        params = ExtremalParams(p=0.5, n=1, seed=0)
-        grid = TimeGrid(step=0.25, horizon=1.0)
-        for seed in range(30):
-            pair = sample_exp_pair(
-                ExtremalParams(p=0.5, n=1, seed=seed), grid
-            )
-            if pair.x.max() == 0.0:
-                # no jump before the horizon: compensator saturates at t = n
-                assert pair.g[-1] == pytest.approx(compensator_value(0.5, 1.0), rel=1e-12)
-                return
-        pytest.fail("never sampled the no-jump branch (P = 1/e per draw)")
+        # no jump before the horizon (P = 1/e per row): g saturates at t = n
+        x, g = exp_pair_path_batch(ExtremalParams(p=0.5, n=1), TimeGrid(step=0.25, horizon=1.0),
+                                   rng_of(0), 64)
+        no_jump = x.max(axis=1) == 0.0
+        assert no_jump.any()
+        np.testing.assert_allclose(g[no_jump, -1], compensator(0.5, 1.0), rtol=1e-12)
 
     def test_grid_must_match_horizon(self):
         params = ExtremalParams(p=0.5, n=5)
         with pytest.raises(ValueError, match="horizon"):
-            sample_exp_pair(params, TimeGrid(step=0.5, horizon=4.0))
+            exp_pair_path_batch(params, TimeGrid(step=0.5, horizon=4.0), rng_of(0), 1)
 
     def test_mean_sup_x_pow_p(self):
         # E[(sup X)^p] = n for the jump process without tail
@@ -127,29 +136,31 @@ class TestExpPair:
         assert abs(vals.mean() - 5.0) < 4.0 * stderr
 
 
+class TestPathRange:
+    """Path rows hold exp(z/p) itself, which is a float64 only up to
+    n/p = ln(DBL_MAX) ~ 709.78; the sup samplers work in log space and have
+    no such bound (TestClosedFormKernels.test_long_horizon_finite)."""
+
+    @pytest.mark.parametrize(("p", "n"), [(0.001, 4), (0.01, 10)])
+    def test_refused_beyond_bound(self, p, n):
+        params = ExtremalParams(p=p, n=n)
+        with pytest.raises(ValueError, match="DBL_MAX"):
+            exp_pair_path_batch(params, TimeGrid(step=0.25, horizon=n), rng_of(0), 1)
+        with pytest.raises(ValueError, match="DBL_MAX"):
+            discrete_path_batch(params, 2, rng_of(0), 1)
+
+    def test_finite_below_bound(self):
+        # n/p = 700: exp(700) ~ 1e304
+        params = ExtremalParams(p=0.01, n=7)
+        for x, g in (exp_pair_path_batch(params, TimeGrid(step=0.25, horizon=7), rng_of(0), 256),
+                     discrete_path_batch(params, 2, rng_of(0), 256)):
+            assert np.all(np.isfinite(x)) and np.all(np.isfinite(g))
+            assert np.all(np.diff(g, axis=1) >= 0)
+
+
 class TestYLaw:
-    def test_exact_tail(self):
-        rng = rng_of(9)
-        draws = np.array([sample_y(1.0, 0.5, rng=rng) for _ in range(50_000)])
-        emp = (draws >= 4.0).mean()
-        se = math.sqrt(0.25 * 0.75 / draws.size)
-        assert abs(emp - 0.25) < 4.0 * se
-        assert draws.min() >= 1.0
-
-    def test_batch_zeros_stay_zero(self):
-        x = np.array([0.0, 1.0, 0.0, 2.0])
-        out = sample_y_batch(x, rng_of(2))
-        assert out[0] == 0.0 and out[2] == 0.0
-        assert out[1] >= 1.0 and out[3] >= 2.0
-
     def test_zero_start(self):
-        assert sample_y(0.0, 0.5) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            sample_y(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            sample_y(1.0, 0.5, mode="magic")
+        np.testing.assert_array_equal(sample_y_path_batch(0.0, 5, rng_of(0)), np.zeros(5))
 
     @pytest.mark.slow
     def test_path_sim_matches_exact_median(self):
@@ -162,56 +173,51 @@ class TestYLaw:
 
 class TestHatX:
     def test_freeze(self):
-        params = ExtremalParams(p=0.5, n=5, seed=1)
-        grid = TimeGrid(step=0.125, horizon=5.0)
-        pair = sample_exp_pair(params, grid)
-        frozen = hat_x(pair, StoppingIndex(k=10))
-        assert np.all(np.diff(frozen.x) >= 0)
-        assert np.all(frozen.x[:10] == 0.0)
-        assert np.all(frozen.x[10:] == pair.x[10])
-        assert np.all(frozen.g[10:] == pair.g[10])
-        np.testing.assert_array_equal(frozen.g[:10], pair.g[:10])
-
-    def test_infinite_rejected(self):
-        params = ExtremalParams(p=0.5, n=5, seed=1)
-        pair = sample_exp_pair(params, TimeGrid(step=0.5, horizon=5.0))
-        with pytest.raises(ValueError, match="finite"):
-            hat_x(pair, StoppingIndex(k=INFINITE_INDEX))
+        # x is 0 before tau and x[tau] from tau on; g is unchanged before
+        # tau and frozen at g[tau] after
+        inner = ExtremalGenerator(ExtremalParams(p=0.5, n=5))
+        x, g = inner.path_batch(rng_of(1), 64)
+        frozen_x, frozen_g = HatXGenerator(inner, FixedIndexRule(k=10)).path_batch(rng_of(1), 64)
+        assert np.all(np.diff(frozen_x, axis=1) >= 0)
+        assert np.all(frozen_x[:, :10] == 0.0)
+        np.testing.assert_array_equal(frozen_x[:, 10:], np.broadcast_to(x[:, 10:11], (64, 31)))
+        np.testing.assert_array_equal(frozen_g[:, :10], g[:, :10])
+        np.testing.assert_array_equal(frozen_g[:, 10:], np.broadcast_to(g[:, 10:11], (64, 31)))
 
 
 class TestDiscretization:
     def test_pair_invariants(self):
-        params = ExtremalParams(p=0.5, n=5, seed=3)
-        for seed in range(25):
-            dp = discretize_pair(ExtremalParams(p=0.5, n=5, seed=seed), level_N=3)
-            assert isinstance(dp, DiscretePair)
-            assert np.all(np.diff(dp.g) >= 0)
-            assert dp.step == 0.125
-            # discrete g dominates the continuous compensator on the grid
-            t = np.arange(dp.g.size) * dp.step
-            cont = 0.5 * np.expm1(np.minimum(t, dp.z) / 0.5)
-            assert np.all(dp.g >= cont - 1e-9)
-            assert dp.sup_x >= dp.x.max()
+        # same z stream as the exponential pair on the same grid: x agrees,
+        # and the discrete g dominates the continuous compensator
+        params = ExtremalParams(p=0.5, n=5)
+        for seed in range(5):
+            x, g = discrete_path_batch(params, 3, rng_of(seed), 200)
+            x_c, g_c = exp_pair_path_batch(params, TimeGrid(step=0.125, horizon=5.0),
+                                           rng_of(seed), 200)
+            np.testing.assert_array_equal(x, x_c)
+            assert np.all(np.diff(g, axis=1) >= 0)
+            assert np.all(g >= g_c * (1 - 1e-12))
 
     def test_g_terminal_value(self):
         # g accrues the full step integral through the step containing z
         p, n, level = 0.5, 5, 2
         h = 2.0**-level
-        for seed in range(15):
-            dp = discretize_pair(ExtremalParams(p=p, n=n, seed=seed), level)
-            cap = min(math.ceil(dp.z / h - 1e-12) * h, float(n))
-            assert dp.sup_g == pytest.approx(compensator_value(p, cap), rel=1e-10)
+        for seed in range(3):
+            _, g = discrete_path_batch(ExtremalParams(p=p, n=n), level, rng_of(seed), 100)
+            z = -np.log(rng_of(seed).random(100))  # the batch draws z first
+            cap = np.minimum(np.ceil(z / h - 1e-12) * h, float(n))
+            np.testing.assert_allclose(g[:, -1], compensator(p, cap), rtol=1e-10)
 
     def test_batch_matches_single(self):
-        params = ExtremalParams(p=0.5, n=3, seed=0)
+        params = ExtremalParams(p=0.5, n=3)
         x, g = discrete_path_batch(params, 2, rng_of(7), 100)
         assert x.shape == (100, 13) and g.shape == (100, 13)
         assert np.all(np.diff(g, axis=1) >= -1e-12)
         assert np.all(g >= 0) and np.all(x >= 0)
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            discretize_pair(ExtremalParams(p=0.5, n=5), level_N=-1)
+        with pytest.raises(ValueError, match="level_N"):
+            discrete_path_batch(ExtremalParams(p=0.5, n=5), -1, rng_of(0), 1)
 
 
 class TestSupSamplers:

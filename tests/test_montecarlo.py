@@ -224,12 +224,6 @@ class TestExperiments:
         assert r.ratio == pytest.approx(TRUE_MONOTONE_RATIO_N10, rel=0.05)
 
     def test_lenglart_ratio_near_truth(self):
-        params = ExtremalParams(p=0.5, n=10, seed=0)
-        r = ratio_experiment(params, n_samples=300_000)
+        params = ExtremalParams(p=0.5, n=10)
+        r = ratio_experiment(params, n_samples=300_000, seed=0)
         assert r.ratio == pytest.approx(TRUE_LENGLART_RATIO_N10, rel=0.08)
-
-    def test_ratio_experiment_uses_params_seed(self):
-        params = ExtremalParams(p=0.5, n=5, seed=42)
-        r1 = ratio_experiment(params, n_samples=40_000)
-        r2 = ratio_experiment(params, n_samples=40_000, seed=42)
-        assert r1 == r2

@@ -1,6 +1,7 @@
 """Generators, stopping rules, inequality checks and enumeration oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,6 +36,25 @@ from lenglart.verifier import (
 
 def rng_of(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+@dataclass(frozen=True)
+class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
+    """The compensated walk with its compensator scaled on the paths: below
+    scale 1, E[X_tau] = E[G_tau] / scale > E[G_tau], so the domination
+    hypothesis fails and a checker run on the paths must say so."""
+
+    scale: float = 1.0
+
+    def path_batch(self, rng, size):
+        x, g = super().path_batch(rng, size)
+        return x, self.scale * g
+
+
+# unscaled, each checker passes with a wide margin (audit: max z 0.05;
+# Pratelli: margin +246 combined half-widths); scaled, it must fail (audit:
+# an excess of 64 stderr at g x 0.8; Pratelli: margin -192 at g x 0.1)
+FALSIFIED_WALK = dict(jump=JumpLaw("bernoulli", q=0.3), steps=12)
 
 
 class TestJumpLaw:
@@ -271,6 +291,12 @@ class TestPratelli:
         report = check_pratelli(gen, F, c=0.5, n_samples=40_000, seed=2)
         assert report.passed, report.to_json()
 
+    @pytest.mark.parametrize(("scale", "passed"), [(1.0, True), (0.1, False)])
+    def test_fails_when_domination_fails(self, scale, passed):
+        gen = ScaledCompensatorGenerator(**FALSIFIED_WALK, scale=scale)
+        report = check_pratelli(gen, PowerF(0.5), c=1.0, n_samples=20_000, seed=0)
+        assert report.passed is passed, report.to_json()
+
     def test_requires_exact_compensator(self):
         gen = DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=2)
         with pytest.raises(ValueError, match="domination"):
@@ -303,6 +329,21 @@ class TestDominationAudit:
     def test_no_flags(self, cfg):
         report = domination_audit(generator_from_config(cfg), n_samples=40_000, seed=6)
         assert report.passed, report.to_json()
+
+    @pytest.mark.parametrize(("scale", "passed"), [(1.0, True), (0.8, False)])
+    def test_flags_when_domination_fails(self, scale, passed):
+        gen = ScaledCompensatorGenerator(**FALSIFIED_WALK, scale=scale)
+        report = domination_audit(gen, n_samples=20_000, seed=0)
+        assert report.passed is passed, report.to_json()
+
+    @pytest.mark.parametrize("check", [
+        lambda gen: domination_audit(gen, n_samples=1000),
+        lambda gen: check_pratelli(gen, PowerF(0.5), c=1.0, n_samples=1000),
+    ])
+    def test_refuses_overflowing_paths(self, check):
+        # n/p = 1000: the path rows would hold exp(1000), which is no float64
+        with pytest.raises(ValueError, match="DBL_MAX"):
+            check(ExtremalGenerator(ExtremalParams(p=0.01, n=10)))
 
     def test_entries_have_means(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=5)
