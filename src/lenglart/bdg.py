@@ -65,6 +65,10 @@ BM_HITTING = "bm_hitting"
 
 # numerically known optimal constant for q = 1, reported as a reference line
 OPTIMAL_BDG_Q1_REFERENCE = 1.2727
+# relative tolerance of the bias check
+_BIAS_TOLERANCE = 0.01
+# the hitting kind's paths still inside (a, b) at this time are censored
+_HITTING_HORIZON_CAP = 50.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ class MartingaleSpec:
     T: float = 1.0          # horizon (fixed-time kind)
     a: float = -1.0         # lower barrier (hitting kind)
     b: float = 1.0          # upper barrier (hitting kind)
-    horizon_cap: float = 50.0  # safety cap for the hitting kind
 
     def __post_init__(self) -> None:
         if self.kind not in (BM_FIXED_TIME, BM_HITTING):
@@ -185,13 +188,13 @@ def _hitting_sampler(spec: MartingaleSpec, step: float):
     sqrt_h = math.sqrt(h)
     qv = spec.q
     a, b = spec.a, spec.b
-    max_steps = int(math.ceil(spec.horizon_cap / h))
+    max_steps = int(math.ceil(_HITTING_HORIZON_CAP / h))
 
     def sampler(rng: np.random.Generator, m: int):
         pos = np.zeros(m)
         run_max = np.zeros(m)
         run_min = np.zeros(m)
-        exit_time = np.full(m, spec.horizon_cap)
+        exit_time = np.full(m, _HITTING_HORIZON_CAP)
         exit_level = np.zeros(m)
         alive = np.arange(m)
         for k in range(1, max_steps + 1):
@@ -240,11 +243,11 @@ _CV_RELATIVE_SD = 0.2
 _VALIDATION_SIGMAS = 6.0
 
 
-def _validation_samples(bias_tolerance: float) -> int:
+def _validation_samples(tolerance: float) -> int:
     """Paths of the fixed-time validation pass: ceil((6 * 0.2 / tolerance)^2),
     14400 at the 1 % tolerance. The square is rounded first so that float
     noise cannot add a path."""
-    return math.ceil(round((_VALIDATION_SIGMAS * _CV_RELATIVE_SD / bias_tolerance) ** 2, 6))
+    return math.ceil(round((_VALIDATION_SIGMAS * _CV_RELATIVE_SD / tolerance) ** 2, 6))
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,6 @@ def bdg_ratio(
     n_samples: int = 10**5,
     seed: int = 0,
     threads: int = 1,
-    bias_tolerance: float = 0.01,
 ) -> BdgResult:
     """Estimate E[<M,M>^(q/2)] / E[sup|M|^q] and compare against the
     constant ladder. Passes iff the ratio clears the monotone constant at
@@ -320,7 +322,7 @@ def bdg_ratio(
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
         _, validation = estimate_pair(_make_sampler(spec, spec.step),
-                                      _validation_samples(bias_tolerance), method, seed, threads)
+                                      _validation_samples(_BIAS_TOLERANCE), method, seed, threads)
         check, reference = validation, oracle
     else:
         _, check = estimate_pair(_make_sampler(spec, spec.step / 2.0), n_samples, method,
@@ -340,7 +342,7 @@ def bdg_ratio(
     ci_half = 0.5 * (ratio.ci_high - ratio.ci_low)
     passed = (
         ratio.ratio <= ladder["monotone"] + 3.0 * ci_half
-        and bias_rel < bias_tolerance
+        and bias_rel < _BIAS_TOLERANCE
     )
     reverse = den.value / num.value if num.value > 0 else math.inf
     return BdgResult(

@@ -88,18 +88,26 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _validate_common(cfg: ExperimentConfig) -> str | None:
+def _validate_common(cfg: ExperimentConfig) -> None:
+    """Raise ValueError on a bad setting of the extremal subcommands."""
     if not (0.0 < cfg.p < 1.0):
-        return "p must lie in (0,1)"
+        raise ValueError("p must lie in (0,1)")
     if cfg.n < 1:
-        return "n must be a positive integer"
+        raise ValueError("n must be a positive integer")
     if cfg.n_samples < 1:
-        return "samples must be positive"
+        raise ValueError("samples must be positive")
     if cfg.level_N < 0:
-        return "level-N must be non-negative"
-    if cfg.threads < 1:
-        return "threads must be positive"
-    return None
+        raise ValueError("level-N must be non-negative")
+    _check_draws(cfg.seed, cfg.threads)
+
+
+def _check_draws(seed: int, threads: int) -> None:
+    """Raise ValueError on a bad stream setting. A run's seed is the high
+    64-bit word of every Philox key it draws from."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must be a non-negative 64-bit integer")
+    if threads < 1:
+        raise ValueError("threads must be positive")
 
 
 def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
@@ -138,63 +146,42 @@ def _oracle_diagnostics(ratio, numerator_oracle: float, denominator_oracle: floa
     }
 
 
+# subcommand -> (experiment(p, n, samples, method, seed, threads), constant
+# kind, exact numerator moment); both share the denominator
+_SHARPNESS = {
+    "sharpness": (lambda p, n, *run: ratio_experiment(ExtremalParams(p=p, n=n), *run),
+                  ConstantKind.LENGLART, full_extremal_sup_moment),
+    "monotone-sharpness": (monotone_ratio_experiment, ConstantKind.MONOTONE,
+                           xtilde_sup_moment),
+}
+
+
 def _run_sharpness(cfg: ExperimentConfig) -> int:
-    err = _validate_common(cfg)
-    if err:
-        return _usage_error(err)
-    params = ExtremalParams(p=cfg.p, n=cfg.n)
-    ratio = ratio_experiment(params, cfg.n_samples, cfg.resolved_method(),
-                             cfg.seed, cfg.threads)
-    c_p = constant(ConstantKind.LENGLART, cfg.p)
-    lower = c_p * cfg.n / (cfg.n + 1)
-    ok = _sandwich_verdict(ratio, c_p, lower)
+    _validate_common(cfg)
+    experiment, kind, numerator_oracle = _SHARPNESS[cfg.subcommand]
+    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, cfg.resolved_method(),
+                       cfg.seed, cfg.threads)
+    c = constant(kind, cfg.p)
+    lower = c * cfg.n / (cfg.n + 1)
+    ok = _sandwich_verdict(ratio, c, lower)
     result = {
         "ratio": ratio.to_json(seed=cfg.seed),
-        "constant": c_p,
+        "constant": c,
         "finite_n_lower_bound": lower,
         "pass": ok,
-        **_oracle_diagnostics(ratio, full_extremal_sup_moment(cfg.p, cfg.n),
+        **_oracle_diagnostics(ratio, numerator_oracle(cfg.p, cfg.n),
                               gtilde_sup_moment(cfg.p, cfg.n)),
     }
     _emit(cfg, result,
-          f"sharpness: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
-          f"{ratio.ci_high:.5f}], constant={c_p:.7f}, lower bound={lower:.5f}, "
+          f"{cfg.subcommand}: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
+          f"{ratio.ci_high:.5f}], constant={c:.7f}, lower bound={lower:.5f}, "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_STAT_FAIL
 
 
-def _run_monotone_sharpness(cfg: ExperimentConfig) -> int:
-    err = _validate_common(cfg)
-    if err:
-        return _usage_error(err)
-    ratio = monotone_ratio_experiment(cfg.p, cfg.n, cfg.n_samples,
-                                      cfg.resolved_method(), cfg.seed, cfg.threads)
-    c_mono = constant(ConstantKind.MONOTONE, cfg.p)
-    lower = c_mono * cfg.n / (cfg.n + 1)
-    ok = _sandwich_verdict(ratio, c_mono, lower)
-    result = {
-        "ratio": ratio.to_json(seed=cfg.seed),
-        "constant": c_mono,
-        "finite_n_lower_bound": lower,
-        "pass": ok,
-        **_oracle_diagnostics(ratio, xtilde_sup_moment(cfg.p, cfg.n),
-                              gtilde_sup_moment(cfg.p, cfg.n)),
-    }
-    _emit(cfg, result,
-          f"monotone-sharpness: ratio={ratio.ratio:.5f}, constant={c_mono:.7f}, "
-          f"lower bound={lower:.5f}, {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_STAT_FAIL
-
-
 def _run_identities(cfg: ExperimentConfig) -> int:
-    err = _validate_common(cfg)
-    if err:
-        return _usage_error(err)
-    try:
-        law = moment_identity_law(cfg.law, cfg.point_value)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    report = check_moment_identities(law, cfg.p)
+    _validate_common(cfg)
+    report = check_moment_identities(moment_identity_law(cfg.law, cfg.point_value), cfg.p)
     ok = report.max_discrepancy < 1e-8
     result = {**report.to_json(), "pass": ok}
     _emit(cfg, result,
@@ -208,8 +195,7 @@ def _run_identities(cfg: ExperimentConfig) -> int:
 def _run_verify(cfg: ExperimentConfig) -> int:
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
-    if cfg.threads < 1:
-        return _usage_error("threads must be positive")
+    _check_draws(cfg.seed, cfg.threads)
     try:
         with open(cfg.config_path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
@@ -223,12 +209,14 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         try:
             gen = generator_from_config(entry["generator"])
             kind = ConstantKind(entry.get("constant", "lenglart"))
+            seed = int(entry.get("seed", cfg.seed))
+            _check_draws(seed, cfg.threads)
             report = check_inequality(
                 gen,
                 p=float(entry["p"]),
                 kind=kind,
                 n_samples=int(entry.get("n_samples", 10**5)),
-                seed=int(entry.get("seed", cfg.seed)),
+                seed=seed,
                 method=method,
                 threads=cfg.threads,
             )
@@ -249,8 +237,7 @@ def _run_bdg(cfg: ExperimentConfig) -> int:
         return _usage_error("q must lie in (0,2)")
     if cfg.n_samples < 1 or cfg.step <= 0:
         return _usage_error("samples must be positive and step positive")
-    if cfg.threads < 1:
-        return _usage_error("threads must be positive")
+    _check_draws(cfg.seed, cfg.threads)
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
     spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, T=cfg.T,
                           a=cfg.a, b=cfg.b)
@@ -264,9 +251,7 @@ def _run_bdg(cfg: ExperimentConfig) -> int:
 
 
 def _run_dump_paths(cfg: ExperimentConfig) -> int:
-    err = _validate_common(cfg)
-    if err:
-        return _usage_error(err)
+    _validate_common(cfg)
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
     params = ExtremalParams(p=cfg.p, n=cfg.n)
@@ -297,7 +282,7 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
 
 _RUNNERS = {
     "sharpness": _run_sharpness,
-    "monotone-sharpness": _run_monotone_sharpness,
+    "monotone-sharpness": _run_sharpness,
     "identities": _run_identities,
     "verify": _run_verify,
     "bdg": _run_bdg,

@@ -76,10 +76,6 @@ class EstimatorMethod:
     def to_json(self) -> dict:
         return {"name": self.name, "blocks": self.blocks}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "EstimatorMethod":
-        return cls(name=d["name"], blocks=int(d.get("blocks", 1)))
-
 
 PLAIN = EstimatorMethod("plain")
 
@@ -111,16 +107,13 @@ class Estimate:
         if not math.isfinite(self.halfwidth) or self.halfwidth < 0:
             raise ValueError("halfwidth must be finite and non-negative")
 
-    def to_json(self, seed: int | None = None) -> dict:
-        d = {
+    def to_json(self) -> dict:
+        return {
             "value": self.value,
             "halfwidth": self.halfwidth,
             "n": self.n_samples,
             "method": self.method.to_json(),
         }
-        if seed is not None:
-            d["seed"] = seed
-        return d
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ __all__ = [
     "domination_audit",
     "enumerate_jump_sup_moments",
     "enumerate_jump_stopping_means",
-    "optimal_pratelli_scaling",
 ]
 
 
@@ -102,20 +101,18 @@ class JumpLaw:
 @dataclass(frozen=True)
 class FixedIndexRule:
     k: int
-    name: str = ""
 
     def label(self) -> str:
-        return self.name or f"fixed[{self.k}]"
+        return f"fixed[{self.k}]"
 
 
 @dataclass(frozen=True)
 class HittingRule:
     side: str  # "x" or "g"
     level: float
-    name: str = ""
 
     def label(self) -> str:
-        return self.name or f"hit[{self.side}>={self.level:.4g}]"
+        return f"hit[{self.side}>={self.level:.4g}]"
 
 
 def stopping_indices(rule, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -131,9 +128,20 @@ def stopping_indices(rule, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(hit_mask.any(axis=1), idx, last)
 
 
+def _stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_tau, g_tau) per path under a stopping rule."""
+    tau = stopping_indices(rule, x, g)
+    rows = np.arange(x.shape[0])
+    return x[rows, tau], g[rows, tau]
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+
+# time points per unit of the extremal generator's path grid
+_GRID_POINTS_PER_UNIT = 8
 
 
 class _Generator:
@@ -160,7 +168,6 @@ class ExtremalGenerator(_Generator):
     where the compensator identity E[X_tau] = E[G_tau] holds."""
 
     params: ExtremalParams
-    grid_points_per_unit: int = 8
 
     monotone_x = False
     exact_compensator = True
@@ -170,7 +177,7 @@ class ExtremalGenerator(_Generator):
         return sharpness_sup_sampler(self.params, r)
 
     def path_batch(self, rng, size):
-        grid = TimeGrid(step=1.0 / self.grid_points_per_unit, horizon=self.params.n)
+        grid = TimeGrid(step=1.0 / _GRID_POINTS_PER_UNIT, horizon=self.params.n)
         return exp_pair_path_batch(self.params, grid, rng, size)
 
 
@@ -246,10 +253,8 @@ class HatXGenerator(_Generator):
 
     def sup_sampler(self, r=1.0):
         def sampler(rng, m):
-            x, g = self.inner.path_batch(rng, m)
-            tau = stopping_indices(self.rule, x, g)
-            rows = np.arange(m)
-            return x[rows, tau] ** r, g[rows, tau] ** r
+            x_tau, g_tau = _stopped(self.rule, *self.inner.path_batch(rng, m))
+            return x_tau**r, g_tau**r
 
         return sampler
 
@@ -400,11 +405,9 @@ class PiecewiseLinearF:
         arr = np.asarray(arr, dtype=float)
         out = np.zeros_like(arr)
         prev_break = 0.0
-        prev_val = 0.0
         for b, s in zip(self.breakpoints, self.slopes[:-1]):
             seg = np.clip(arr, prev_break, b) - prev_break
             out += s * seg
-            prev_val += s * (b - prev_break)
             prev_break = b
         out += self.slopes[-1] * np.maximum(arr - prev_break, 0.0)
         return out
@@ -428,13 +431,33 @@ def default_tau_battery(x: np.ndarray, g: np.ndarray) -> list:
     return rules
 
 
+def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
+                  g_divisor: float) -> list:
+    """Estimates of columns(x_tau, g_tau), a tuple of arrays, at every rule
+    of the stopping battery, all rules evaluated on the same paths. The
+    battery is built on a 2048-path pilot drawn from Philox(key=seed); on
+    the estimation paths g is divided by g_divisor before stopping, so a
+    hitting rule on g stops on the scaled g. Returns (rule, estimates)
+    pairs, one per rule."""
+    pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
+    rules = default_tau_battery(pilot_x, pilot_g)
+
+    def paired(rng, m):
+        x, g = gen.path_batch(rng, m)
+        g = g / g_divisor
+        return tuple(col for rule in rules for col in columns(*_stopped(rule, x, g)))
+
+    estimates = estimate_pair(paired, n_samples, PLAIN, seed)
+    k = len(estimates) // len(rules)
+    return [(rule, estimates[k * i : k * i + k]) for i, rule in enumerate(rules)]
+
+
 def check_pratelli(
     gen: _Generator,
     F,
     c: float,
     n_samples: int = 10**5,
     seed: int = 0,
-    method: EstimatorMethod | None = None,
 ) -> VerifierReport:
     """Certify E[F(Y_tau)] <= (1+c) E[F(G_tau)] over a stopping battery.
 
@@ -450,48 +473,14 @@ def check_pratelli(
         )
     if not callable(F):
         raise ValueError("F must be callable (PowerF or PiecewiseLinearF)")
-    if method is None:
-        method = PLAIN
-
-    pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
-    rules = default_tau_battery(pilot_x, pilot_g)
-
-    def paired(rng, m):
-        x, g = gen.path_batch(rng, m)
-        g = g / c
-        rows = np.arange(m)
-        per_rule = []
-        for rule in rules:
-            tau = stopping_indices(rule, x, g)
-            per_rule.append(F(x[rows, tau]))
-            per_rule.append(F(g[rows, tau]))
-        return tuple(per_rule)
-
-    estimates = estimate_pair(paired, n_samples, method, seed)
-    worst: VerifierReport | None = None
-    for i, rule in enumerate(rules):
-        lhs, rhs = estimates[2 * i], estimates[2 * i + 1]
-        report = VerifierReport(
-            lhs=lhs,
-            rhs_constant=1.0 + c,
-            rhs=rhs,
-            constant_kind=None,
-            label=f"{gen.name}:pratelli:{rule.label()}",
-        )
-        if worst is None or report.margin + 3 * report.combined_halfwidth < (
-            worst.margin + 3 * worst.combined_halfwidth
-        ):
-            worst = report
-    assert worst is not None
-    return worst
-
-
-def optimal_pratelli_scaling(p: float) -> tuple[float, float]:
-    """Minimiser and minimum of (1+c) c^-p, the constant obtained by feeding
-    a scaled compensator pair through the concave-function bound with
-    F(x) = x^p: c* = p/(1-p), and the minimum is the Pratelli power
-    constant. Returns (c*, minimal constant)."""
-    return p / (1.0 - p), constant(ConstantKind.PRATELLI_POWER, p)
+    battery = _battery_pass(gen, lambda x, g: (F(x), F(g)), n_samples, seed, g_divisor=c)
+    reports = [
+        VerifierReport(lhs=lhs, rhs_constant=1.0 + c, rhs=rhs, constant_kind=None,
+                       label=f"{gen.name}:pratelli:{rule.label()}")
+        for rule, (lhs, rhs) in battery
+    ]
+    # the first of equal keys binds
+    return min(reports, key=lambda r: r.margin + 3 * r.combined_halfwidth)
 
 
 @dataclass(frozen=True)
@@ -541,37 +530,17 @@ def domination_audit(
     gen: _Generator,
     n_samples: int = 10**5,
     seed: int = 0,
-    battery: list | None = None,
 ) -> AuditReport:
     """Estimate E[X_tau] - E[G_tau] over a stopping battery and flag any
     positive excess beyond 3 stderr. Report only; generators are expected
     to satisfy the domination hypothesis by construction."""
-    pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
-    rules = battery if battery is not None else default_tau_battery(pilot_x, pilot_g)
-
-    def paired(rng, m):
-        x, g = gen.path_batch(rng, m)
-        rows = np.arange(m)
-        out = []
-        for rule in rules:
-            tau = stopping_indices(rule, x, g)
-            x_tau, g_tau = x[rows, tau], g[rows, tau]
-            out += (x_tau, g_tau, x_tau - g_tau)
-        return tuple(out)
-
-    estimates = estimate_pair(paired, n_samples, PLAIN, seed)
-    entries = []
-    for i, rule in enumerate(rules):
-        mean_x, mean_g, diff = estimates[3 * i : 3 * i + 3]
-        entries.append(
-            AuditEntry(
-                tau_label=rule.label(),
-                mean_x=mean_x.value,
-                mean_g=mean_g.value,
-                stderr=diff.halfwidth,
-            )
-        )
-    return AuditReport(generator=gen.name, entries=tuple(entries))
+    battery = _battery_pass(gen, lambda x, g: (x, g, x - g), n_samples, seed, g_divisor=1.0)
+    entries = tuple(
+        AuditEntry(tau_label=rule.label(), mean_x=mean_x.value, mean_g=mean_g.value,
+                   stderr=diff.halfwidth)
+        for rule, (mean_x, mean_g, diff) in battery
+    )
+    return AuditReport(generator=gen.name, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +574,7 @@ def enumerate_jump_stopping_means(q: float, steps: int, rule) -> tuple[float, fl
         prob = q**k * (1 - q) ** (steps - k)
         path = np.concatenate([[0.0], np.cumsum(outcome)])
         g = np.arange(steps + 1) * q
-        tau = int(stopping_indices(rule, path[None, :], g[None, :])[0])
-        e_x += prob * path[tau]
-        e_g += prob * g[tau]
+        x_tau, g_tau = _stopped(rule, path[None, :], g[None, :])
+        e_x += prob * x_tau[0]
+        e_g += prob * g_tau[0]
     return e_x, e_g

@@ -1,6 +1,7 @@
 """CLI behavior: precedence, exit codes, output formats, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -28,6 +29,18 @@ def load_json_output(path):
         return json.load(fh)
 
 
+def write_suite(path, seed=1):
+    path.write_text(json.dumps({
+        "generator": {"kind": "compensated_bernoulli", "jump": "bernoulli",
+                      "q": 0.3, "steps": 12},
+        "p": 0.5, "constant": "monotone", "n_samples": 1000, "seed": seed,
+    }) + "\n")
+    return path
+
+
+SEED_ERROR = "seed must be a non-negative 64-bit integer"
+
+
 class TestUsageErrors:
     def test_p_out_of_range(self, capsys):
         code, _, err = run(["sharpness", "--p", "1.5", "--samples", "100"], capsys)
@@ -49,15 +62,37 @@ class TestUsageErrors:
         assert "threads must be positive" in err
 
     def test_verify_rejects_nonpositive_threads(self, capsys, tmp_path):
-        suite = tmp_path / "suite.jsonl"
-        suite.write_text(json.dumps({
-            "generator": {"kind": "compensated_bernoulli", "jump": "bernoulli",
-                          "q": 0.3, "steps": 12},
-            "p": 0.5, "constant": "monotone", "n_samples": 1000, "seed": 1,
-        }) + "\n")
+        suite = write_suite(tmp_path / "suite.jsonl")
         code, _, err = run(["verify", "--suite", str(suite), "--threads", "0"], capsys)
         assert code == EXIT_USAGE
         assert "threads must be positive" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("sub", ["sharpness", "bdg", "verify", "dump-paths"])
+    def test_seed_out_of_range(self, capsys, tmp_path, sub, seed):
+        out_file = tmp_path / "out"
+        argv = {
+            "sharpness": ["sharpness", "--samples", "100"],
+            "bdg": ["bdg", "--samples", "100"],
+            "verify": ["verify", "--suite", str(write_suite(tmp_path / "s.jsonl"))],
+            "dump-paths": ["dump-paths"],
+        }[sub]
+        code, _, err = run(argv + ["--seed", str(seed), "--output", str(out_file)], capsys)
+        assert code == EXIT_USAGE
+        assert SEED_ERROR in err
+        assert not out_file.exists()
+
+    def test_suite_entry_seed_out_of_range(self, capsys, tmp_path):
+        suite = write_suite(tmp_path / "s.jsonl", seed=-1)
+        code, _, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and SEED_ERROR in err
+
+    def test_env_seed_out_of_range(self, capsys, monkeypatch):
+        monkeypatch.setenv("LENGLART_SEED", "-5")
+        code, _, err = run(["sharpness", "--samples", "100"], capsys)
+        assert code == EXIT_USAGE
+        assert SEED_ERROR in err
 
     def test_verify_needs_suite(self, capsys):
         code, _, err = run(["verify"], capsys)
@@ -128,6 +163,15 @@ class TestSubcommands:
         assert payload["config"]["law"] == "uniform"
         assert payload["result"]["pass"] is True
         assert abs(payload["result"]["direct"] - 2.0 / 3.0) < 1e-8
+
+    def test_identities_pareto_high_p(self, capsys):
+        # the tail integral must see the survival's plateau of 1 on [0, 1],
+        # a short piece of [0, cap^p]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["identities", "--law", "pareto", "--p", "0.9"], capsys)
+        assert code == EXIT_PASS, out
+        assert err == ""
 
     def test_sharpness_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "r.json"

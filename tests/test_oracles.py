@@ -278,6 +278,12 @@ class TestMomentIdentities:
         report = check_moment_identities(TruncatedParetoLaw(alpha=2.0, cap=1e6), 0.5)
         assert report.max_discrepancy < 1e-8
 
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    @pytest.mark.parametrize("law", ["uniform", "exp", "point", "pareto"])
+    def test_identities_agree_over_p_grid(self, law, p):
+        report = check_moment_identities(moment_identity_law(law, 1.7), p)
+        assert report.max_discrepancy < 1e-8, report.to_json()
+
     @settings(max_examples=20, deadline=None)
     @given(
         p=st.floats(0.1, 0.9),
@@ -303,6 +309,9 @@ class TestMomentIdentities:
     def test_pareto_needs_finite_mean(self):
         with pytest.raises(ValueError, match="tail index"):
             TruncatedParetoLaw(alpha=1.0)
+        # the identity quadratures split at the support edges 1 < cap
+        with pytest.raises(ValueError, match="cap"):
+            TruncatedParetoLaw(cap=1.0)
 
 
 class TestLawSampling:

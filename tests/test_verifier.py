@@ -1,7 +1,7 @@
 """Generators, stopping rules, inequality checks and enumeration oracles."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from lenglart.verifier import (
     enumerate_jump_stopping_means,
     enumerate_jump_sup_moments,
     generator_from_config,
-    optimal_pratelli_scaling,
     stopping_indices,
 )
 
@@ -49,6 +48,17 @@ class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
     def path_batch(self, rng, size):
         x, g = super().path_batch(rng, size)
         return x, self.scale * g
+
+
+@dataclass(frozen=True)
+class CountingGenerator(CompensatedBernoulliGenerator):
+    """The compensated walk, recording the size of every path batch drawn."""
+
+    sizes: list = field(default_factory=list, compare=False)
+
+    def path_batch(self, rng, size):
+        self.sizes.append(size)
+        return super().path_batch(rng, size)
 
 
 # unscaled, each checker passes with a wide margin (audit: max z 0.05;
@@ -273,13 +283,6 @@ class TestCheckInequality:
 
 
 class TestPratelli:
-    def test_optimal_scaling_closed_form(self):
-        # argmin of (1+c) c^-p is c = p/(1-p), value = the power constant
-        for p in (0.3, 0.5, 0.7):
-            c_star, val = optimal_pratelli_scaling(p)
-            assert c_star == pytest.approx(p / (1.0 - p), abs=2e-4)
-            assert val == pytest.approx(constant(ConstantKind.PRATELLI_POWER, p), abs=1e-6)
-
     def test_power_f_passes(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
         report = check_pratelli(gen, PowerF(0.5), c=1.0, n_samples=40_000, seed=2)
@@ -373,6 +376,16 @@ class TestStreamedReportsMatchConcatenated:
         ("hit[x>=6868]", 17010.865421292856, 23308.439451112565, 6255.770991192705),
         ("hit[g>=1.631]", 1.1182990492421359, 1.116634147309079, 0.005365083938920627),
     ]
+
+    @pytest.mark.parametrize("check", [
+        lambda gen, n: domination_audit(gen, n_samples=n),
+        lambda gen, n: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=n),
+    ])
+    def test_one_path_batch_per_chunk(self, check):
+        # the pilot, then each chunk's paths serve every rule of the battery
+        gen = CountingGenerator(**FALSIFIED_WALK)
+        check(gen, self.N)
+        assert gen.sizes == [2048, 2**15, 2**15, 2**15, 17]
 
     def test_domination_audit(self):
         report = domination_audit(self.GEN, n_samples=self.N, seed=5)
