@@ -9,7 +9,6 @@ closed-form or quadrature oracles.
 
 from .extremal import (
     ExtremalParams,
-    TimeGrid,
     discrete_path_batch,
     exp_pair_path_batch,
 )
@@ -20,7 +19,6 @@ from .montecarlo import (
     RatioEstimate,
     default_method,
     discrete_ratio_experiment,
-    estimate,
     estimate_from_values,
     median_of_means,
     monotone_ratio_experiment,
@@ -40,7 +38,6 @@ from .oracles import (
 
 __all__ = [
     "ExtremalParams",
-    "TimeGrid",
     "discrete_path_batch",
     "exp_pair_path_batch",
     "PLAIN",
@@ -49,7 +46,6 @@ __all__ = [
     "RatioEstimate",
     "default_method",
     "discrete_ratio_experiment",
-    "estimate",
     "estimate_from_values",
     "median_of_means",
     "monotone_ratio_experiment",

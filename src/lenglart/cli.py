@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
-from .extremal import ExtremalParams, TimeGrid, discrete_path_batch, exp_pair_path_batch
+from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     EstimatorMethod,
     default_method,
@@ -254,22 +254,17 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
     _validate_common(cfg)
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
-    params = ExtremalParams(p=cfg.p, n=cfg.n)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    if cfg.dump_kind == "exp":
-        points = min(MAX_DUMP_POINTS - 1, 64 * cfg.n)
-        grid = TimeGrid(step=cfg.n / points, horizon=cfg.n)
-        t = grid.times()
-        x, g = exp_pair_path_batch(params, grid, rng, 1)
-    elif cfg.dump_kind == "discrete":
-        points = cfg.n * 2**cfg.level_N
-        if points + 1 > MAX_DUMP_POINTS:
-            return _usage_error(
-                f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
-        t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
-        x, g = discrete_path_batch(params, cfg.level_N, rng, 1)
-    else:
+    # looked up at call time, so that a patched module attribute is the one called
+    batches = {"exp": exp_pair_path_batch, "discrete": discrete_path_batch}
+    if cfg.dump_kind not in batches:
         return _usage_error("dump kind must be 'exp' or 'discrete'")
+    points = cfg.n * 2**cfg.level_N
+    if points + 1 > MAX_DUMP_POINTS:
+        return _usage_error(
+            f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
+    t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    x, g = batches[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N, rng, 1)
     # tolist: csv writes numpy scalars by their repr
     rows = list(zip(t.tolist(), x[0].tolist(), g[0].tolist()))
     with open(cfg.output, "w", newline="") as fh:

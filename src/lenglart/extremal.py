@@ -15,10 +15,11 @@ mean of each side is the moment. The exponent r defaults to the family's p.
 They work in log space and are finite at every 0 < p < 1.
 
 The path batches (exp_pair_path_batch, discrete_path_batch) are the one
-path representation: (size, n_points) arrays of x and g, one row per
-realization, with Z ~ Exp(1) and no weights. They hold exp(Z/p) itself, so
-they refuse horizons with n/p beyond ln(DBL_MAX), where it is not a
-float64.
+path representation: (size, n 2^N + 1) arrays of x and g on the dyadic grid
+of step 2^-N, one row per realization, with Z ~ Exp(1) and no weights. The
+two pairs share the jump path x and differ only in g. They hold exp(Z/p)
+itself, so they refuse horizons with n/p beyond ln(DBL_MAX), where it is not
+a float64.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TimeGrid",
     "ExtremalParams",
     "sample_y_path_batch",
     "sharpness_sup_sampler",
@@ -39,27 +39,6 @@ __all__ = [
     "exp_pair_path_batch",
     "discrete_path_batch",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid t_k = k * step, k = 0 .. floor(horizon/step)."""
-
-    step: float
-    horizon: float
-
-    def __post_init__(self) -> None:
-        if not (self.step > 0):
-            raise ValueError("step must be positive")
-        if self.horizon < self.step:
-            raise ValueError("horizon must be at least one step")
-
-    @property
-    def n_points(self) -> int:
-        return int(math.floor(self.horizon / self.step + 1e-12)) + 1
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_points) * self.step
 
 
 @dataclass(frozen=True)
@@ -76,23 +55,22 @@ class ExtremalParams:
             raise ValueError("horizon n must be a positive integer")
 
 
-def sample_y_path_batch(
-    x: float,
-    n_paths: int,
-    rng: np.random.Generator,
-    step: float = 1e-4,
-    horizon: float = 100.0,
-) -> np.ndarray:
-    """Running maxima of Euler paths from x absorbed at 0; grid absorption,
-    so the result is stochastically below the exact law."""
+_Y_STEP = 1e-3
+_Y_HORIZON = 50.0
+
+
+def sample_y_path_batch(x: float, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """Running maxima of Euler paths from x absorbed at 0, at step _Y_STEP up
+    to time _Y_HORIZON; grid absorption, so the result is stochastically below
+    the exact law."""
     if x <= 0:
         return np.zeros(n_paths)
     sups = np.full(n_paths, x)
     pos = np.full(n_paths, x)
     alive = np.arange(n_paths)
-    sqrt_h = math.sqrt(step)
-    block = max(1, int(round(1.0 / step)) // 10)  # ~0.1 time units per block
-    n_blocks = int(math.ceil(horizon / (block * step)))
+    sqrt_h = math.sqrt(_Y_STEP)
+    block = max(1, int(round(1.0 / _Y_STEP)) // 10)  # ~0.1 time units per block
+    n_blocks = int(math.ceil(_Y_HORIZON / (block * _Y_STEP)))
     for _ in range(n_blocks):
         if alive.size == 0:
             break
@@ -241,6 +219,11 @@ def _weighted_sup_g_pow(p: float, r: float, n: int, t_eff: np.ndarray,
     return t_eff
 
 
+def _check_level(level_N: int) -> None:
+    if level_N < 0:
+        raise ValueError("level_N must be non-negative")
+
+
 def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
     """Paired sampler (rng, m) -> importance-weighted ((sup X)^r, (sup G)^r)
     for the full extremal family, tail by exact law, common z draws for both
@@ -278,6 +261,7 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     dyadic discretization, r defaulting to p; same draws and weights as the
     continuous sampler so discretization effects isolate cleanly. Only the
     mean of each side is the moment."""
+    _check_level(level_N)
     p, n = params.p, params.n
     r = _exponent(params, r)
     h = 2.0 ** (-level_N)
@@ -313,24 +297,32 @@ def _check_path_range(params: ExtremalParams) -> None:
             f"ln(DBL_MAX) = {_MAX_EXP_ARG:.2f}; lower n or raise p")
 
 
+def _jump_paths(params: ExtremalParams, level_N: int, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, t, x) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
+    the Exp(1) jump times z as a (size, 1) column, and the jump paths x, which
+    jump to exp(z/p) at the first grid point >= z if z <= n."""
+    _check_level(level_N)
+    _check_path_range(params)
+    p, n = params.p, params.n
+    z = -np.log(rng.random(size))[:, None]
+    t = np.arange(n * 2**level_N + 1) * 2.0 ** (-level_N)
+    jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
+    x = np.where(t >= z, jump, 0.0)
+    return z, t, x
+
+
 def exp_pair_path_batch(
     params: ExtremalParams,
-    grid: TimeGrid,
+    level_N: int,
     rng: np.random.Generator,
     size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of exponential-pair paths (size x n_points arrays): x jumps to
-    exp(z/p) at the first grid point >= z if z <= n, g = p expm1(min(t, z)/p)."""
-    if abs(grid.horizon - params.n) > 1e-12:
-        raise ValueError("grid horizon must equal the params horizon n")
-    _check_path_range(params)
+    """Batch of exponential pairs (size x (n 2^N + 1) arrays) at step
+    h = 2^-N: the jump paths x and g = p expm1(min(t, z)/p)."""
+    z, t, x = _jump_paths(params, level_N, rng, size)
     p = params.p
-    z = -np.log(rng.random(size))[:, None]
-    t = grid.times()[None, :]
-    jump = np.where(z <= params.n, np.exp(np.minimum(z, params.n) / p), 0.0)
-    x = np.where(t >= z, jump, 0.0)
-    g = p * np.expm1(np.minimum(t, z) / p)
-    return x, g
+    return x, p * np.expm1(np.minimum(t, z) / p)
 
 
 def discrete_path_batch(
@@ -342,25 +334,17 @@ def discrete_path_batch(
     """Batch of dyadic discrete pairs (size x (n 2^N + 1) arrays) at step
     h = 2^-N.
 
-    x is the continuous path sampled on the grid. g accrues, one step ahead,
-    the full growth integral of the coming step for as long as the jump has
-    not yet happened: the increment over ((k-1)h, kh] is gated on z > (k-1)h,
-    which is measurable one step ahead, keeps g non-decreasing and keeps
+    x is the continuous path sampled on the grid, the same as in
+    exp_pair_path_batch. g accrues, one step ahead, the full growth integral
+    of the coming step for as long as the jump has not yet happened: the
+    increment over ((k-1)h, kh] is gated on z > (k-1)h, which is measurable
+    one step ahead, keeps g non-decreasing and keeps
     g_k >= g(continuous at kh), so the discrete pair still satisfies the
     domination hypothesis.
     """
-    if level_N < 0:
-        raise ValueError("level_N must be non-negative")
-    _check_path_range(params)
-    p, n = params.p, params.n
-    h = 2.0 ** (-level_N)
-    k_count = n * 2**level_N
-    z = -np.log(rng.random(size))[:, None]
-    t = np.arange(k_count + 1) * h
-    jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
-    x = np.where(t[None, :] >= z, jump, 0.0)
-    gated = z > t[None, :-1]
+    z, t, x = _jump_paths(params, level_N, rng, size)
+    p = params.p
     step_integrals = p * (np.exp(t[1:] / p) - np.exp(t[:-1] / p))
-    increments = np.where(gated, step_integrals[None, :], 0.0)
+    increments = np.where(z > t[:-1], step_integrals, 0.0)
     g = np.concatenate([np.zeros((size, 1)), np.cumsum(increments, axis=1)], axis=1)
     return x, g

@@ -9,13 +9,15 @@ plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
 (Chan, Golub & LeVeque 1979), and median of means keeps per-block partial
 sums. No value array of the whole run is assembled. `estimate_from_values`
 runs the same reduction over CHUNK-sized slices, so it gives bit for bit the
-estimate that `estimate` gives from the same draws. Against versions that
-reduced the concatenated values, estimates agree to about 1e-15 relative,
-not bit for bit.
+estimates that `estimate_pair` gives from the same draws. Against versions
+that reduced the concatenated values, estimates agree to about 1e-15
+relative, not bit for bit.
 
-The supremum statistics of the extremal family have Pareto tails with index
-1/p, hence infinite variance for p >= 1/sqrt(2); the median-of-means
-estimator is the default in that regime.
+The extremal sup samplers return importance-weighted values that are
+bounded at the family's own exponent (see extremal.py), so their variance is
+finite at every 0 < p < 1. The median of means stays the default for
+p >= 0.45 only until the samplers move to randomized quasi-Monte Carlo
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "RatioEstimate",
     "sample_values",
     "estimate_from_values",
-    "estimate",
     "estimate_pair",
     "ratio_from_estimates",
     "ratio_experiment",
@@ -85,9 +86,10 @@ def median_of_means(blocks: int = 31) -> EstimatorMethod:
 
 
 def default_method(p: float) -> EstimatorMethod:
-    """Median of means once the target's variance is no longer trusted;
-    the tail index 1/p of the extremal supremum makes the variance infinite
-    for p >= 1/sqrt(2), and 0.45 adds safety margin."""
+    """Median of means for p >= 0.45, the plain mean below. The rule dates
+    from unweighted samplers, whose values had tail index 1/p; the weighted
+    values are bounded, and the rule stays only until the samplers move to
+    randomized quasi-Monte Carlo (ROADMAP item 1)."""
     return median_of_means(31) if p >= 0.45 else PLAIN
 
 
@@ -181,13 +183,14 @@ def _check_budget(n: int, method: EstimatorMethod) -> None:
 def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMethod):
     """Partial statistics of the values at sample indices start, start+1, ...
     of a run of n samples: (count, mean, sum of squared deviations) for the
-    plain mean, (first block index, block sums) for median of means."""
+    plain mean, (first block index, block sums) for median of means. The
+    plain mean forms the deviations in the array of the values."""
     values = np.asarray(values, dtype=float)
     if method.name == "plain":
         mean = values.mean()
-        dev = values - mean
-        dev *= dev
-        return values.size, float(mean), float(dev.sum())
+        values -= mean
+        values *= values
+        return values.size, float(mean), float(values.sum())
     length = n // method.blocks
     # samples past the last whole block are not used
     stop = min(start + values.size, method.blocks * length)
@@ -224,8 +227,9 @@ def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
 
 def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimate:
     """Estimate of the mean of given values, reduced over CHUNK-sized slices
-    exactly as `estimate` reduces the chunks it draws."""
-    values = np.asarray(values, dtype=float)
+    exactly as `estimate_pair` reduces the chunks it draws. The values are
+    copied once, since the reduction writes into them."""
+    values = np.array(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("empty sample set")
@@ -234,20 +238,13 @@ def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimat
     return _merge_chunks(parts, n, method)
 
 
-def estimate(sampler, n_samples: int, method: EstimatorMethod, seed: int,
-             threads: int = 1) -> Estimate:
-    """Estimate E[sampler] with the chosen method; deterministic in
-    (seed, n_samples, method) regardless of thread count."""
-    return estimate_pair(lambda rng, m: (sampler(rng, m),), n_samples, method,
-                         seed, threads)[0]
-
-
 def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
                   seed: int, threads: int = 1) -> tuple[Estimate, ...]:
     """One estimate per component of a sampler that returns a tuple of
     parallel arrays (a numerator and a denominator, say), all from one stream
     of draws (common random numbers). Each chunk is reduced by the worker
-    that drew it."""
+    that drew it. The arrays a sampler returns belong to the reducer, which
+    writes into them, so they must be distinct and writable."""
     _check_budget(n_samples, method)
 
     def work(rng, start, m):

@@ -281,9 +281,6 @@ class _Law:
         The last one bounds the support (tail beyond is < 1e-14)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
 
 class UniformLaw(_Law):
     name = "uniform"
@@ -305,9 +302,6 @@ class UniformLaw(_Law):
     def edges(self):
         return (1.0,)
 
-    def sample(self, rng, size):
-        return rng.random(size)
-
 
 class ExpLaw(_Law):
     name = "exp"
@@ -325,9 +319,6 @@ class ExpLaw(_Law):
 
     def edges(self):
         return (60.0,)
-
-    def sample(self, rng, size):
-        return -np.log(rng.random(size))
 
 
 class PointMassLaw(_Law):
@@ -349,9 +340,6 @@ class PointMassLaw(_Law):
 
     def edges(self):
         return (self.c,)
-
-    def sample(self, rng, size):
-        return np.full(size, self.c)
 
 
 class TruncatedParetoLaw(_Law):
@@ -390,10 +378,6 @@ class TruncatedParetoLaw(_Law):
 
     def edges(self):
         return (1.0, self.cap)
-
-    def sample(self, rng, size):
-        draws = rng.random(size) ** (-1.0 / self.alpha)
-        return np.minimum(draws, self.cap)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .extremal import (
     ExtremalParams,
-    TimeGrid,
     discrete_path_batch,
     discrete_sup_sampler,
     exp_pair_path_batch,
@@ -111,6 +110,10 @@ class HittingRule:
     side: str  # "x" or "g"
     level: float
 
+    def __post_init__(self) -> None:
+        if self.side not in ("x", "g"):
+            raise ValueError(f"hitting rule side must be 'x' or 'g', not {self.side!r}")
+
     def label(self) -> str:
         return f"hit[{self.side}>={self.level:.4g}]"
 
@@ -140,8 +143,8 @@ def _stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-# time points per unit of the extremal generator's path grid
-_GRID_POINTS_PER_UNIT = 8
+# dyadic level of the extremal generator's path grid: step 1/8
+_GRID_LEVEL = 3
 
 
 class _Generator:
@@ -177,8 +180,7 @@ class ExtremalGenerator(_Generator):
         return sharpness_sup_sampler(self.params, r)
 
     def path_batch(self, rng, size):
-        grid = TimeGrid(step=1.0 / _GRID_POINTS_PER_UNIT, horizon=self.params.n)
-        return exp_pair_path_batch(self.params, grid, rng, size)
+        return exp_pair_path_batch(self.params, _GRID_LEVEL, rng, size)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "suite" in err
 
+    @pytest.mark.parametrize("generator", [
+        {"kind": "discrete_extremal", "p": 0.5, "n": 4, "level_N": -3},
+        {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.5, "n": 4},
+         "rule": {"side": "X", "level": 2.0}},
+    ], ids=["negative-level", "hitting-side"])
+    def test_malformed_suite_entry(self, capsys, tmp_path, generator):
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps({"generator": generator, "p": 0.5,
+                                     "n_samples": 1000, "seed": 1}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and "checks passed" not in out
+
     def test_dump_needs_output(self, capsys):
         code, _, err = run(["dump-paths"], capsys)
         assert code == EXIT_USAGE
@@ -300,22 +313,24 @@ class TestSubcommands:
         assert all(b >= a - 1e-12 for a, b in zip(g_vals, g_vals[1:]))
 
     def test_dump_paths_exp_csv(self, capsys, tmp_path):
+        # step 2^-level_N: 64 points per unit by default, 4 at --level-N 2
         out_file = tmp_path / "paths.csv"
-        code, out, _ = run(
-            ["dump-paths", "--kind", "exp", "--p", "0.5", "--n", "4", "--seed", "2",
-             "--output", str(out_file)],
-            capsys,
-        )
-        assert code == EXIT_PASS
-        lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "t,x,g"
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        assert len(rows) == 64 * 4 + 1 and f"wrote {len(rows)} points" in out
-        t, x, g = zip(*rows)
-        assert t[0] == 0.0 and t[-1] == pytest.approx(4.0)
-        assert all(b >= a for a, b in zip(g, g[1:]))
-        # one jump at most, from 0 to a level it keeps
-        assert len(set(x)) <= 2 and all(b >= a for a, b in zip(x, x[1:]))
+        for flags, per_unit in (([], 64), (["--level-N", "2"], 4)):
+            code, out, _ = run(
+                ["dump-paths", "--kind", "exp", "--p", "0.5", "--n", "4", "--seed", "2",
+                 "--output", str(out_file)] + flags,
+                capsys,
+            )
+            assert code == EXIT_PASS
+            lines = out_file.read_text().strip().splitlines()
+            assert lines[0] == "t,x,g"
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            assert len(rows) == per_unit * 4 + 1 and f"wrote {len(rows)} points" in out
+            t, x, g = zip(*rows)
+            assert t[0] == 0.0 and t[-1] == 4.0 and t[1] == 1.0 / per_unit
+            assert all(b >= a for a, b in zip(g, g[1:]))
+            # one jump at most, from 0 to a level it keeps
+            assert len(set(x)) <= 2 and all(b >= a for a, b in zip(x, x[1:]))
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "exp", "--seed", "1"],
@@ -332,18 +347,21 @@ class TestSubcommands:
         assert not out_file.exists()
 
     def test_dump_paths_point_cap(self, capsys, tmp_path, monkeypatch):
+        # both kinds refuse more than 10^4 points before any draw; the exp
+        # kind at n = 200 and the default level 6 has 12801
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a path before checking the point cap")
 
         monkeypatch.setattr(cli, "discrete_path_batch", no_draws)
+        monkeypatch.setattr(cli, "exp_pair_path_batch", no_draws)
         out_file = tmp_path / "paths.csv"
-        code, _, err = run(
-            ["dump-paths", "--kind", "discrete", "--p", "0.5", "--n", "40",
-             "--level-N", "10", "--output", str(out_file)],
-            capsys,
-        )
-        assert code == EXIT_USAGE
-        assert "10000" in err or "points" in err
+        for flags in (["--kind", "discrete", "--n", "40", "--level-N", "10"],
+                      ["--kind", "exp", "--n", "200"]):
+            code, _, err = run(
+                ["dump-paths", "--p", "0.5", "--output", str(out_file)] + flags, capsys)
+            assert code == EXIT_USAGE
+            assert "10000 points; lower n or level-N" in err
+            assert not out_file.exists()
 
 
 class TestDeterminism:

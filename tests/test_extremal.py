@@ -1,6 +1,7 @@
-"""Extremal-family samplers: time grid, path batches, Brownian tail,
+"""Extremal-family samplers: path batches, Brownian tail,
 importance-weighted sup samplers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.integrate import quad
 
 from lenglart.extremal import (
     ExtremalParams,
-    TimeGrid,
     discrete_path_batch,
     discrete_sup_sampler,
     exp_pair_path_batch,
@@ -29,30 +29,6 @@ def rng_of(seed: int) -> np.random.Generator:
 def compensator(p, t):
     """int_0^t exp(s/p) ds in closed form."""
     return p * np.expm1(np.asarray(t) / p)
-
-
-class TestTimeGrid:
-    def test_point_count_and_times(self):
-        grid = TimeGrid(step=0.5, horizon=2.0)
-        assert grid.n_points == 5
-        np.testing.assert_allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
-
-    @given(
-        step=st.floats(1e-3, 1.0),
-        mult=st.integers(1, 500),
-    )
-    def test_grid_invariants(self, step, mult):
-        grid = TimeGrid(step=step, horizon=step * mult)
-        assert grid.n_points >= 2
-        t = grid.times()
-        assert t[0] == 0.0
-        assert np.all(np.diff(t) > 0)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            TimeGrid(step=0.0, horizon=1.0)
-        with pytest.raises(ValueError):
-            TimeGrid(step=1.0, horizon=0.5)
 
 
 class TestParams:
@@ -77,12 +53,12 @@ class TestCompensatorValue:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
     def test_matches_quadrature(self, p, t):
-        # while the jump is pending, g of the path batch is int_0^t exp(s/p) ds
-        grid = TimeGrid(step=0.1, horizon=4.0)
-        k = int(round(t / grid.step))
-        t_k = grid.times()[k]
+        # while the jump is pending, g of the path batch is int_0^t_k exp(s/p) ds
+        # at the grid point t_k nearest t (step 1/8: t = 0.1 is read at 0.125)
+        k = int(round(t * 8))
+        t_k = k / 8
         ref, _ = quad(lambda s: math.exp(s / p), 0.0, t_k)
-        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=4), grid, rng_of(0), 2000)
+        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=4), 3, rng_of(0), 2000)
         pending = x[:, k] == 0.0
         assert pending.any()
         np.testing.assert_allclose(g[pending, k], ref, rtol=1e-10)
@@ -94,9 +70,8 @@ class TestExpPair:
         # x is flat before and after it, and g is frozen at p expm1(z/p) from
         # the jump on
         p = 0.5
-        grid = TimeGrid(step=0.125, horizon=5.0)
-        t = grid.times()
-        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=5), grid, rng_of(1), 500)
+        t = np.arange(41) / 8
+        x, g = exp_pair_path_batch(ExtremalParams(p=p, n=5), 3, rng_of(1), 500)
         assert np.all(np.diff(g, axis=1) >= 0)
         jumped = 0
         for xr, gr in zip(x, g):
@@ -116,21 +91,15 @@ class TestExpPair:
 
     def test_no_jump_case(self):
         # no jump before the horizon (P = 1/e per row): g saturates at t = n
-        x, g = exp_pair_path_batch(ExtremalParams(p=0.5, n=1), TimeGrid(step=0.25, horizon=1.0),
-                                   rng_of(0), 64)
+        x, g = exp_pair_path_batch(ExtremalParams(p=0.5, n=1), 2, rng_of(0), 64)
         no_jump = x.max(axis=1) == 0.0
         assert no_jump.any()
         np.testing.assert_allclose(g[no_jump, -1], compensator(0.5, 1.0), rtol=1e-12)
 
-    def test_grid_must_match_horizon(self):
-        params = ExtremalParams(p=0.5, n=5)
-        with pytest.raises(ValueError, match="horizon"):
-            exp_pair_path_batch(params, TimeGrid(step=0.5, horizon=4.0), rng_of(0), 1)
-
     def test_mean_sup_x_pow_p(self):
         # E[(sup X)^p] = n for the jump process without tail
         params = ExtremalParams(p=0.5, n=5)
-        x, _ = exp_pair_path_batch(params, TimeGrid(step=0.5, horizon=5.0), rng_of(4), 200_000)
+        x, _ = exp_pair_path_batch(params, 1, rng_of(4), 200_000)
         vals = x.max(axis=1) ** 0.5
         stderr = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - 5.0) < 4.0 * stderr
@@ -145,14 +114,14 @@ class TestPathRange:
     def test_refused_beyond_bound(self, p, n):
         params = ExtremalParams(p=p, n=n)
         with pytest.raises(ValueError, match="DBL_MAX"):
-            exp_pair_path_batch(params, TimeGrid(step=0.25, horizon=n), rng_of(0), 1)
+            exp_pair_path_batch(params, 2, rng_of(0), 1)
         with pytest.raises(ValueError, match="DBL_MAX"):
             discrete_path_batch(params, 2, rng_of(0), 1)
 
     def test_finite_below_bound(self):
         # n/p = 700: exp(700) ~ 1e304
         params = ExtremalParams(p=0.01, n=7)
-        for x, g in (exp_pair_path_batch(params, TimeGrid(step=0.25, horizon=7), rng_of(0), 256),
+        for x, g in (exp_pair_path_batch(params, 2, rng_of(0), 256),
                      discrete_path_batch(params, 2, rng_of(0), 256)):
             assert np.all(np.isfinite(x)) and np.all(np.isfinite(g))
             assert np.all(np.diff(g, axis=1) >= 0)
@@ -166,7 +135,7 @@ class TestYLaw:
     def test_path_sim_matches_exact_median(self):
         # median of Y_1 is 2 (P[Y >= y] = 1/y); Euler absorption biases low,
         # so allow a one-sided tolerance of the order sqrt(step)
-        sups = sample_y_path_batch(1.0, 3000, rng_of(5), step=1e-3, horizon=50.0)
+        sups = sample_y_path_batch(1.0, 3000, rng_of(5))
         med = float(np.median(sups))
         assert 1.75 < med < 2.15
 
@@ -187,16 +156,20 @@ class TestHatX:
 
 class TestDiscretization:
     def test_pair_invariants(self):
-        # same z stream as the exponential pair on the same grid: x agrees,
-        # and the discrete g dominates the continuous compensator
+        # same z stream as the exponential pair at every level: x agrees, the
+        # grid has n 2^N + 1 points, and the discrete g dominates the
+        # continuous compensator
         params = ExtremalParams(p=0.5, n=5)
-        for seed in range(5):
-            x, g = discrete_path_batch(params, 3, rng_of(seed), 200)
-            x_c, g_c = exp_pair_path_batch(params, TimeGrid(step=0.125, horizon=5.0),
-                                           rng_of(seed), 200)
+        for level, seed in itertools.product(range(5), range(5)):
+            x, g = discrete_path_batch(params, level, rng_of(seed), 200)
+            x_c, g_c = exp_pair_path_batch(params, level, rng_of(seed), 200)
+            assert x.shape == g_c.shape == (200, 5 * 2**level + 1)
             np.testing.assert_array_equal(x, x_c)
             assert np.all(np.diff(g, axis=1) >= 0)
             assert np.all(g >= g_c * (1 - 1e-12))
+        for batch in (discrete_path_batch, exp_pair_path_batch):
+            with pytest.raises(ValueError, match="level_N"):
+                batch(params, -1, rng_of(0), 1)
 
     def test_g_terminal_value(self):
         # g accrues the full step integral through the step containing z

@@ -15,7 +15,6 @@ from lenglart.montecarlo import (
     EstimatorMethod,
     chunk_rng,
     default_method,
-    estimate,
     estimate_from_values,
     estimate_pair,
     median_of_means,
@@ -98,6 +97,8 @@ class TestEstimateFromValues:
     def test_plain_matches_numpy(self):
         vals = np.arange(10.0)
         est = estimate_from_values(vals, PLAIN)
+        # the reduction writes into a copy, never into the caller's array
+        np.testing.assert_array_equal(vals, np.arange(10.0))
         assert est.value == pytest.approx(vals.mean())
         assert est.halfwidth == pytest.approx(vals.std(ddof=1) / math.sqrt(10))
 
@@ -123,8 +124,8 @@ class TestEstimateFromValues:
 
 
 class TestStreamedEqualsConcatenated:
-    """estimate/estimate_pair reduce every chunk in its worker; the result
-    must be bit for bit the estimate of the concatenated values."""
+    """estimate_pair reduces every chunk in its worker; the result must be
+    bit for bit the estimate of the concatenated values."""
 
     @staticmethod
     def paired(rng, m):
@@ -144,16 +145,16 @@ class TestStreamedEqualsConcatenated:
                 with pytest.raises(ValueError, match="blocks"):
                     estimate_pair(self.paired, n, method, seed, threads)
                 with pytest.raises(ValueError, match="blocks"):
-                    estimate(lambda rng, m: rng.random(m), n, method, seed, threads)
+                    estimate_pair(lambda rng, m: (rng.random(m),), n, method, seed, threads)
             return
         num_vals, den_vals = sample_values(self.paired, n, seed)
         expected = (estimate_from_values(num_vals, method),
                     estimate_from_values(den_vals, method))
         for threads in (1, 2, 4):
             assert estimate_pair(self.paired, n, method, seed, threads) == expected
-            single = estimate(lambda rng, m: self.paired(rng, m)[1], n, method,
-                              seed, threads)
-            assert single == expected[1]
+            single = estimate_pair(lambda rng, m: self.paired(rng, m)[1:], n, method,
+                                   seed, threads)
+            assert single == expected[1:]
 
 
 class TestRatio:
@@ -174,9 +175,9 @@ class TestRatio:
 
 class TestReproducibility:
     def test_estimate_same_seed_identical(self):
-        sampler = lambda rng, m: rng.random(m)
-        e1 = estimate(sampler, 50_000, PLAIN, seed=9)
-        e2 = estimate(sampler, 50_000, PLAIN, seed=9, threads=2)
+        sampler = lambda rng, m: (rng.random(m),)
+        e1 = estimate_pair(sampler, 50_000, PLAIN, seed=9)
+        e2 = estimate_pair(sampler, 50_000, PLAIN, seed=9, threads=2)
         assert e1 == e2
 
     def test_estimate_pair_shares_draws(self):

@@ -312,16 +312,3 @@ class TestMomentIdentities:
         # the identity quadratures split at the support edges 1 < cap
         with pytest.raises(ValueError, match="cap"):
             TruncatedParetoLaw(cap=1.0)
-
-
-class TestLawSampling:
-    @pytest.mark.parametrize("name", ["uniform", "exp", "point", "pareto"])
-    def test_empirical_sf_matches(self, name):
-        law = moment_identity_law(name, 1.0)
-        rng = np.random.Generator(np.random.Philox(key=11))
-        draws = law.sample(rng, 200_000)
-        for z in (0.25, 0.8, 1.5, 3.0):
-            target = law.sf(z)
-            emp = float((draws >= z).mean())
-            se = math.sqrt(max(target * (1 - target), 1e-12) / draws.size)
-            assert abs(emp - target) <= max(4.0 * se, 1e-3)

@@ -10,7 +10,7 @@ from scipy.stats import binom
 
 from lenglart import verifier
 from lenglart.extremal import ExtremalParams
-from lenglart.montecarlo import PLAIN, default_method, estimate, estimate_pair
+from lenglart.montecarlo import PLAIN, default_method, estimate_pair
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
@@ -148,7 +148,8 @@ class TestGenerators:
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
         e_x, e_g = enumerate_jump_sup_moments(0.3, 12, 0.5)
         base = gen.sup_sampler()
-        est = estimate(lambda rng, m: base(rng, m)[0] ** 0.5, 200_000, PLAIN, seed=3)
+        (est,) = estimate_pair(lambda rng, m: (base(rng, m)[0] ** 0.5,), 200_000, PLAIN,
+                               seed=3)
         assert abs(est.value - e_x) < 3.0 * est.halfwidth
         sup_x, sup_g = base(rng_of(0), 100)
         assert np.all(sup_g == 12 * 0.3)
