@@ -20,6 +20,15 @@ of step 2^-N, one row per realization, with Z ~ Exp(1) and no weights. The
 two pairs share the jump path x and differ only in g. They hold exp(Z/p)
 itself, so they refuse horizons with n/p beyond ln(DBL_MAX), where it is not
 a float64.
+
+A single-jump path is a closed form of its jump time, and so is its value
+at a stopping rule. exp_pair_stopped and discrete_stopped draw the same Z
+as the batches and return the stopped (x, g) values directly: a fixed
+index k reads (exp(Z/p) 1[t_k >= Z], g at t_k), a hitting rule on x stops
+at the first grid point at or after Z, and a hitting rule on g is a binary
+search on the grid row of g. The values equal those of stopping the
+batches element for element, at a cost of O(size) per rule and
+O(size log(n 2^N)) per draw instead of O(size n 2^N).
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ __all__ = [
     "discrete_sup_sampler",
     "exp_pair_path_batch",
     "discrete_path_batch",
+    "exp_pair_stopped",
+    "discrete_stopped",
 ]
 
 
@@ -297,19 +308,63 @@ def _check_path_range(params: ExtremalParams) -> None:
             f"ln(DBL_MAX) = {_MAX_EXP_ARG:.2f}; lower n or raise p")
 
 
-def _jump_paths(params: ExtremalParams, level_N: int, rng: np.random.Generator,
+def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,
                 size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, t, x) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
-    the Exp(1) jump times z as a (size, 1) column, and the jump paths x, which
-    jump to exp(z/p) at the first grid point >= z if z <= n."""
+    """(z, t, jump) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
+    the Exp(1) jump times z, the grid t, and the jump heights exp(z/p), 0 for
+    z > n."""
     _check_level(level_N)
     _check_path_range(params)
     p, n = params.p, params.n
-    z = -np.log(rng.random(size))[:, None]
+    z = -np.log(rng.random(size))
     t = np.arange(n * 2**level_N + 1) * 2.0 ** (-level_N)
     jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
-    x = np.where(t >= z, jump, 0.0)
-    return z, t, x
+    return z, t, jump
+
+
+def _jump_paths(params: ExtremalParams, level_N: int, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, t, x) for a batch on the dyadic grid: the jump times z as a
+    (size, 1) column, and the jump paths x, which jump to exp(z/p) at the
+    first grid point >= z if z <= n."""
+    z, t, jump = _jump_times(params, level_N, rng, size)
+    z = z[:, None]
+    return z, t, np.where(t >= z, jump[:, None], 0.0)
+
+
+def _step_integrals(p: float, t: np.ndarray) -> np.ndarray:
+    """p (e^(t_k/p) - e^(t_(k-1)/p)), the growth integral over each grid step."""
+    return p * (np.exp(t[1:] / p) - np.exp(t[:-1] / p))
+
+
+def _stopped_jumps(stops, t: np.ndarray, z: np.ndarray, jump: np.ndarray,
+                   g_row: np.ndarray, g_at) -> list:
+    """(x_tau, g_tau) per stop for the single-jump paths x_k = jump 1[t_k >= z]
+    and a g that equals the non-decreasing g_row up to some index and stays
+    constant, at most g_row, from there; g_at(k) is g at the index (array) k.
+    A stop is an int k, the fixed index k, or a pair (side, level), the first
+    index where x or g is >= level, else the last one. Equal, element for
+    element, to stopping the dense paths."""
+    last = t.size - 1
+    j = np.searchsorted(t, z)  # the first grid index with t_j >= z
+    values = []
+    for stop in stops:
+        if not isinstance(stop, tuple):
+            if not (0 <= stop <= last):
+                raise ValueError("fixed stopping index outside the grid")
+            tau = stop
+        elif stop[0] == "x":
+            # x is 0 before j and the jump from j on
+            level = stop[1]
+            tau = 0 if level <= 0 else np.where(jump >= level, j, last)
+        else:
+            # g <= g_row, so g cannot hit before the first index k where
+            # g_row does; if g misses there it is already constant
+            level = stop[1]
+            k = np.minimum(np.searchsorted(g_row, level), last)
+            tau = np.where(g_at(k) >= level, k, last)
+        values.append((np.where(tau >= j, jump, 0.0), g_at(tau)))
+    return values
 
 
 def exp_pair_path_batch(
@@ -343,8 +398,44 @@ def discrete_path_batch(
     domination hypothesis.
     """
     z, t, x = _jump_paths(params, level_N, rng, size)
-    p = params.p
-    step_integrals = p * (np.exp(t[1:] / p) - np.exp(t[:-1] / p))
-    increments = np.where(z > t[:-1], step_integrals, 0.0)
+    increments = np.where(z > t[:-1], _step_integrals(params.p, t), 0.0)
     g = np.concatenate([np.zeros((size, 1)), np.cumsum(increments, axis=1)], axis=1)
     return x, g
+
+
+def exp_pair_stopped(
+    params: ExtremalParams,
+    level_N: int,
+    stops,
+    rng: np.random.Generator,
+    size: int,
+    g_divisor: float = 1.0,
+) -> list:
+    """(x_tau, g_tau) per stop on the exponential pairs that
+    exp_pair_path_batch(params, level_N, rng, size) would build, from the same
+    draws and without building them; g is divided by g_divisor before
+    stopping. A stop is an int (a fixed grid index) or a pair (side, level)
+    with side "x" or "g" (a hitting rule, capped at the last index)."""
+    z, t, jump = _jump_times(params, level_N, rng, size)
+    p = params.p
+    g_row = p * np.expm1(t / p) / g_divisor
+    return _stopped_jumps(stops, t, z, jump, g_row,
+                          lambda k: p * np.expm1(np.minimum(t[k], z) / p) / g_divisor)
+
+
+def discrete_stopped(
+    params: ExtremalParams,
+    level_N: int,
+    stops,
+    rng: np.random.Generator,
+    size: int,
+    g_divisor: float = 1.0,
+) -> list:
+    """(x_tau, g_tau) per stop on the dyadic discrete pairs that
+    discrete_path_batch would build, as exp_pair_stopped. g_k is
+    levels[min(k, c)], the partial sums of the step integrals up to the
+    count c of grid points t_0 .. t_(last-1) below z."""
+    z, t, jump = _jump_times(params, level_N, rng, size)
+    levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))]) / g_divisor
+    c = np.searchsorted(t[:-1], z)
+    return _stopped_jumps(stops, t, z, jump, levels, lambda k: levels[np.minimum(k, c)])

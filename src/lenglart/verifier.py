@@ -17,8 +17,10 @@ import numpy as np
 from .extremal import (
     ExtremalParams,
     discrete_path_batch,
+    discrete_stopped,
     discrete_sup_sampler,
     exp_pair_path_batch,
+    exp_pair_stopped,
     sharpness_sup_sampler,
 )
 from .montecarlo import (
@@ -85,11 +87,14 @@ class JumpLaw:
         return self.c
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """i.i.d. jumps, computed in the array of the uniforms they come from."""
+        if self.kind == "const":
+            return np.full(shape, self.c)
+        u = rng.random(shape)
         if self.kind == "bernoulli":
-            return (rng.random(shape) < self.q).astype(float)
-        if self.kind == "exp":
-            return -np.log(rng.random(shape))
-        return np.full(shape, self.c)
+            return np.less(u, self.q, out=u)
+        np.log(u, out=u)
+        return np.negative(u, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +133,25 @@ def stopping_indices(rule, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     arr = x if rule.side == "x" else g
     hit_mask = arr >= rule.level
     idx = hit_mask.argmax(axis=1)
-    return np.where(hit_mask.any(axis=1), idx, last)
+    # argmax is 0 on a row without a hit, so the mask there tells them apart
+    return np.where(hit_mask[np.arange(idx.size), idx], idx, last)
+
+
+def _gather(tau: np.ndarray, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(x.shape[0])
+    return x[rows, tau], g[rows, tau]
 
 
 def _stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x_tau, g_tau) per path under a stopping rule."""
-    tau = stopping_indices(rule, x, g)
-    rows = np.arange(x.shape[0])
-    return x[rows, tau], g[rows, tau]
+    return _gather(stopping_indices(rule, x, g), x, g)
+
+
+def _stops(rules) -> list:
+    """The rules as extremal's stops: k for a fixed index, (side, level) for
+    a hitting rule."""
+    return [rule.k if isinstance(rule, FixedIndexRule) else (rule.side, rule.level)
+            for rule in rules]
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +176,19 @@ class _Generator:
         raise NotImplementedError
 
     def path_batch(self, rng: np.random.Generator, size: int):
-        """(x, g) arrays of shape (size, n_points)."""
+        """(x, g) arrays of shape (size, n_points); g may be a read-only view."""
         raise NotImplementedError(f"{self.name} has no path representation")
+
+    def stopped_batch(self, rules, rng: np.random.Generator, size: int,
+                      g_divisor: float = 1.0) -> list:
+        """(x_tau, g_tau) per rule on the size paths that path_batch(rng, size)
+        draws, with g divided by g_divisor before stopping, so that a hitting
+        rule on g stops on the scaled g. Here the paths are built and
+        stopped; the single-jump generators stop them in closed form."""
+        x, g = self.path_batch(rng, size)
+        if g_divisor != 1.0:
+            g = g / g_divisor
+        return [_stopped(rule, x, g) for rule in rules]
 
 
 @dataclass(frozen=True)
@@ -182,6 +209,9 @@ class ExtremalGenerator(_Generator):
     def path_batch(self, rng, size):
         return exp_pair_path_batch(self.params, _GRID_LEVEL, rng, size)
 
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        return exp_pair_stopped(self.params, _GRID_LEVEL, _stops(rules), rng, size, g_divisor)
+
 
 @dataclass(frozen=True)
 class DiscreteExtremalGenerator(_Generator):
@@ -199,6 +229,9 @@ class DiscreteExtremalGenerator(_Generator):
 
     def path_batch(self, rng, size):
         return discrete_path_batch(self.params, self.level_N, rng, size)
+
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        return discrete_stopped(self.params, self.level_N, _stops(rules), rng, size, g_divisor)
 
 
 @dataclass(frozen=True)
@@ -235,8 +268,11 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def path_batch(self, rng, size):
         jumps = self.jump.sample(rng, (size, self.steps))
-        x = np.concatenate([np.zeros((size, 1)), np.cumsum(jumps, axis=1)], axis=1)
-        g = np.tile(np.arange(self.steps + 1) * self.jump.mean, (size, 1))
+        np.cumsum(jumps, axis=1, out=jumps)
+        x = np.empty((size, self.steps + 1))
+        x[:, 0] = 0.0
+        x[:, 1:] = jumps
+        g = np.broadcast_to(np.arange(self.steps + 1) * self.jump.mean, x.shape)
         return x, g
 
 
@@ -255,7 +291,7 @@ class HatXGenerator(_Generator):
 
     def sup_sampler(self, r=1.0):
         def sampler(rng, m):
-            x_tau, g_tau = _stopped(self.rule, *self.inner.path_batch(rng, m))
+            [(x_tau, g_tau)] = self.inner.stopped_batch([self.rule], rng, m)
             return x_tau**r, g_tau**r
 
         return sampler
@@ -263,13 +299,9 @@ class HatXGenerator(_Generator):
     def path_batch(self, rng, size):
         x, g = self.inner.path_batch(rng, size)
         tau = stopping_indices(self.rule, x, g)
-        cols = np.arange(x.shape[1])[None, :]
-        rows = np.arange(size)
-        x_tau = x[rows, tau][:, None]
-        g_tau = g[rows, tau][:, None]
-        x_hat = np.where(cols >= tau[:, None], x_tau, 0.0)
-        g_hat = np.where(cols >= tau[:, None], g_tau, g)
-        return x_hat, g_hat
+        x_tau, g_tau = _gather(tau, x, g)
+        after = np.arange(x.shape[1]) >= tau[:, None]
+        return np.where(after, x_tau[:, None], 0.0), np.where(after, g_tau[:, None], g)
 
 
 def generator_from_config(cfg: dict) -> _Generator:
@@ -437,17 +469,17 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
                   g_divisor: float) -> list:
     """Estimates of columns(x_tau, g_tau), a tuple of arrays, at every rule
     of the stopping battery, all rules evaluated on the same paths. The
-    battery is built on a 2048-path pilot drawn from Philox(key=seed); on
-    the estimation paths g is divided by g_divisor before stopping, so a
-    hitting rule on g stops on the scaled g. Returns (rule, estimates)
-    pairs, one per rule."""
+    battery is built on a 2048-path pilot drawn from Philox(key=seed) as
+    dense paths; each estimation chunk is stopped by gen.stopped_batch, so g
+    is divided by g_divisor before stopping and a hitting rule on g stops on
+    the scaled g. The single-jump generators stop in closed form and build
+    no path matrix there. Returns (rule, estimates) pairs, one per rule."""
     pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
     rules = default_tau_battery(pilot_x, pilot_g)
 
     def paired(rng, m):
-        x, g = gen.path_batch(rng, m)
-        g = g / g_divisor
-        return tuple(col for rule in rules for col in columns(*_stopped(rule, x, g)))
+        stopped = gen.stopped_batch(rules, rng, m, g_divisor)
+        return tuple(col for x_tau, g_tau in stopped for col in columns(x_tau, g_tau))
 
     estimates = estimate_pair(paired, n_samples, PLAIN, seed)
     k = len(estimates) // len(rules)

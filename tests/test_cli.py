@@ -103,7 +103,13 @@ class TestUsageErrors:
         {"kind": "discrete_extremal", "p": 0.5, "n": 4, "level_N": -3},
         {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.5, "n": 4},
          "rule": {"side": "X", "level": 2.0}},
-    ], ids=["negative-level", "hitting-side"])
+        {"kind": "hatx_of", "inner": {"kind": "discrete_extremal", "p": 0.5, "n": 4,
+                                      "level_N": -1},
+         "rule": {"side": "x", "level": 2.0}},
+        {"kind": "hatx_of", "inner": {"kind": "discrete_extremal", "p": 0.01, "n": 10,
+                                      "level_N": 3},
+         "rule": {"side": "x", "level": 2.0}},
+    ], ids=["negative-level", "hitting-side", "hatx-negative-level", "hatx-overflow"])
     def test_malformed_suite_entry(self, capsys, tmp_path, generator):
         suite = tmp_path / "s.jsonl"
         suite.write_text(json.dumps({"generator": generator, "p": 0.5,

@@ -5,11 +5,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
 
 from lenglart import verifier
-from lenglart.extremal import ExtremalParams
+from lenglart.extremal import (
+    ExtremalParams,
+    discrete_path_batch,
+    discrete_stopped,
+    exp_pair_path_batch,
+    exp_pair_stopped,
+)
 from lenglart.montecarlo import PLAIN, default_method, estimate_pair
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
@@ -143,6 +151,106 @@ class TestEnumeration:
             enumerate_jump_sup_moments(0.3, 21, 0.5)
 
 
+class Uniforms:
+    """Stands in for a Generator whose random(size) returns given uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def uniforms_hitting(z_targets) -> list:
+    """Uniforms u with -log(u) exactly a target z, for the targets that have
+    one within 64 ulps of exp(-z)."""
+    found = []
+    for z in z_targets:
+        u = np.full(129, math.exp(-z))
+        u += np.arange(-64, 65) * np.spacing(u[0])
+        hit = u[-np.log(u) == z]
+        if hit.size:
+            found.append(hit[0])
+    return found
+
+
+# (dense batch, closed-form stopping) for both single-jump pairs
+JUMP_PAIRS = [(exp_pair_path_batch, exp_pair_stopped), (discrete_path_batch, discrete_stopped)]
+
+
+class TestClosedFormStopping:
+    """The jump generators stop their paths in closed form, without
+    building them. The stopped values must equal stopping the dense paths
+    built from the same draws, element for element."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), pair=st.sampled_from(JUMP_PAIRS), n=st.integers(1, 12),
+           level_N=st.integers(0, 4), divisor=st.sampled_from([1.0, 0.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_stopping(self, data, pair, n, level_N, divisor, seed):
+        dense, closed = pair
+        p = data.draw(st.floats(n / 700, 1.0, exclude_max=True), label="p")
+        params = ExtremalParams(p=p, n=n)
+        t = np.arange(n * 2**level_N + 1) * 2.0**-level_N
+        # Philox rows, rows jumping exactly on a grid point, rows with z > n
+        on_grid = data.draw(st.lists(st.sampled_from(list(t[1:])), max_size=6), label="on_grid")
+        u = np.concatenate([
+            rng_of(seed).random(data.draw(st.integers(1, 24), label="rows")),
+            uniforms_hitting(on_grid),
+            [0.5 * math.exp(-n), math.exp(-n - 1e-9), 1e-300],
+        ])
+        x, g = dense(params, level_N, Uniforms(u), u.size)
+        g = g / divisor
+        above = np.nextafter(max(x.max(), g.max()), np.inf)
+        specials = [0.0, -1.0, math.nan, above]
+        x_levels = specials + data.draw(
+            st.lists(st.sampled_from(list(x[:, -1])), max_size=4), label="x_levels")
+        # every value g takes on a row without a jump, and frozen values
+        g_values = list(g[-1]) + list(g[:, -1])
+        g_levels = specials + data.draw(
+            st.lists(st.sampled_from(g_values), max_size=8), label="g_levels")
+        rules = ([FixedIndexRule(k) for k in range(t.size)]
+                 + [HittingRule("x", level) for level in x_levels]
+                 + [HittingRule("g", level) for level in g_levels])
+        got = closed(params, level_N, verifier._stops(rules), Uniforms(u), u.size, divisor)
+        assert len(got) == len(rules)
+        for rule, (x_tau, g_tau) in zip(rules, got):
+            want_x, want_g = verifier._stopped(rule, x, g)
+            assert np.array_equal(x_tau, want_x), rule
+            assert np.array_equal(g_tau, want_g), rule
+
+    def test_uniforms_reach_the_grid(self):
+        # the grid points the property test aims at are mostly reachable
+        t = np.arange(1, 12 * 16 + 1) / 16.0
+        assert len(uniforms_hitting(t)) > 0.9 * t.size
+
+    @pytest.mark.parametrize("gen", [
+        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+        DiscreteExtremalGenerator(ExtremalParams(p=0.3, n=4), level_N=2),
+    ])
+    @pytest.mark.parametrize("divisor", [1.0, 0.5])
+    def test_generator_draws_what_path_batch_draws(self, gen, divisor):
+        rng_closed, rng_dense = rng_of(7), rng_of(7)
+        x, g = gen.path_batch(rng_of(1), 2048)
+        rules = verifier.default_tau_battery(x, g)
+        got = gen.stopped_batch(rules, rng_closed, 4096, divisor)
+        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, 4096, divisor)
+        for (x_tau, g_tau), (want_x, want_g) in zip(got, want, strict=True):
+            assert np.array_equal(x_tau, want_x) and np.array_equal(g_tau, want_g)
+        assert rng_closed.random() == rng_dense.random()
+
+    @pytest.mark.parametrize(("gen", "match"), [
+        (ExtremalGenerator(ExtremalParams(p=0.01, n=10)), "DBL_MAX"),
+        (DiscreteExtremalGenerator(ExtremalParams(p=0.01, n=10), level_N=3), "DBL_MAX"),
+        (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=-1), "level_N"),
+        (ExtremalGenerator(ExtremalParams(p=0.5, n=4)), "outside the grid"),
+    ])
+    def test_closed_form_refuses(self, gen, match):
+        with pytest.raises(ValueError, match=match):
+            gen.stopped_batch([FixedIndexRule(k=33)], rng_of(0), 16)
+
+
 class TestGenerators:
     def test_bernoulli_sup_sampler_matches_enumeration(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
@@ -153,6 +261,16 @@ class TestGenerators:
         assert abs(est.value - e_x) < 3.0 * est.halfwidth
         sup_x, sup_g = base(rng_of(0), 100)
         assert np.all(sup_g == 12 * 0.3)
+
+    @pytest.mark.parametrize("law", [JumpLaw("bernoulli", q=0.3), JumpLaw("exp"),
+                                     JumpLaw("const", c=2.0)])
+    def test_path_batch_sums_the_jumps(self, law):
+        # the walk is summed in place; it must equal the running sums of the
+        # same draws, with 0 prepended
+        x, _ = CompensatedBernoulliGenerator(jump=law, steps=12).path_batch(rng_of(4), 300)
+        jumps = law.sample(rng_of(4), (300, 12))
+        np.testing.assert_array_equal(
+            x, np.concatenate([np.zeros((300, 1)), np.cumsum(jumps, axis=1)], axis=1))
 
     def test_path_batch_shapes_and_monotonicity(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=6)
@@ -362,7 +480,8 @@ class TestStreamedReportsMatchConcatenated:
     Their reports must match the values the earlier reduction of the
     concatenated arrays gave at this seed, to 1e-12 relative (means and
     standard errors; a difference of two means only to 1e-12 of the means,
-    as it cancels)."""
+    as it cancels). check_inequality on hatx_of must match the values it
+    gave when it still stopped dense path batches."""
 
     GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
     N = 3 * 2**15 + 17
@@ -397,6 +516,16 @@ class TestStreamedReportsMatchConcatenated:
             assert entry.mean_g == pytest.approx(mean_g, rel=1e-12)
             assert entry.stderr == pytest.approx(stderr, rel=1e-12)
             assert entry.diff == pytest.approx(mean_x - mean_g, abs=1e-12 * abs(mean_x))
+
+    def test_check_inequality_on_hatx(self):
+        gen = HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4),
+                            HittingRule(side="x", level=3.0))
+        report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5)
+        assert report.label == "hatx_of:monotone:p=0.5"
+        for est, (value, halfwidth) in ((report.lhs, (5.0199315932363815, 0.0436460775049301)),
+                                        (report.rhs, (4.167803691636629, 0.03749391207344682))):
+            assert est.value == pytest.approx(value, rel=1e-12)
+            assert est.halfwidth == pytest.approx(halfwidth, rel=1e-12)
 
     @pytest.mark.parametrize("gen, n, seed, expected", [
         (GEN, N, 5, ("extremal:pratelli:hit[g>=1.631]", 0.4992101649759746,
