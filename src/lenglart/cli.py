@@ -1,5 +1,12 @@
 """Command-line entry point exposing the experiments as subcommands.
 
+Each subcommand takes exactly the settings its runner reads. _SETTINGS
+names them per subcommand, as ExperimentConfig fields, and _FLAGS gives
+each field one flag spec: option string, type, choices, and the range a
+run checks before it draws. The parser and the --config file both follow
+that table, so a flag or config key that the subcommand does not read, or a
+config value that its flag could not produce, is a usage error.
+
 Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error.
 Every JSON output embeds the fully resolved configuration for provenance;
 reruns with the same config and any thread count produce identical output
@@ -14,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -88,26 +96,77 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _validate_common(cfg: ExperimentConfig) -> None:
-    """Raise ValueError on a bad setting of the extremal subcommands."""
-    if not (0.0 < cfg.p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    if cfg.n < 1:
-        raise ValueError("n must be a positive integer")
-    if cfg.n_samples < 1:
-        raise ValueError("samples must be positive")
-    if cfg.level_N < 0:
-        raise ValueError("level-N must be non-negative")
-    _check_draws(cfg.seed, cfg.threads)
+@dataclass(frozen=True)
+class _Flag:
+    """The flag of one ExperimentConfig field: its option string, the type
+    of its value (int, float or str), its choices, and a (holds, message)
+    range that a run checks before it draws."""
+
+    option: str
+    type: type = str
+    choices: tuple[str, ...] | None = None
+    valid: tuple[Callable, str] | None = None
+    help: str | None = None
+
+    def check_type(self, key: str, value) -> None:
+        """Raise ValueError unless the flag could produce value: an int for
+        an int flag, an int or float for a float flag, a str for a str flag,
+        and one of the choices where there are any."""
+        types = (int, float) if self.type is float else (self.type,)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{key} must be {self.type.__name__}, not {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{key} must be one of {', '.join(self.choices)}, "
+                             f"not {value!r}")
+
+    def check_range(self, value) -> None:
+        if self.valid is not None and not self.valid[0](value):
+            raise ValueError(self.valid[1])
 
 
-def _check_draws(seed: int, threads: int) -> None:
-    """Raise ValueError on a bad stream setting. A run's seed is the high
-    64-bit word of every Philox key it draws from."""
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must be a non-negative 64-bit integer")
-    if threads < 1:
-        raise ValueError("threads must be positive")
+# ExperimentConfig field -> its flag. A run's seed is the high 64-bit word of
+# every Philox key it draws from.
+_FLAGS = {
+    "p": _Flag("--p", float, valid=(lambda v: 0.0 < v < 1.0, "p must lie in (0,1)")),
+    "n": _Flag("--n", int, valid=(lambda v: v >= 1, "n must be a positive integer")),
+    "level_N": _Flag("--level-N", int,
+                     valid=(lambda v: v >= 0, "level-N must be non-negative")),
+    "n_samples": _Flag("--samples", int,
+                       valid=(lambda v: v >= 1, "samples must be positive")),
+    "seed": _Flag("--seed", int, valid=(lambda v: 0 <= v < 2**64,
+                                        "seed must be a non-negative 64-bit integer")),
+    "method": _Flag("--method", choices=("auto", "plain", "mom")),
+    "blocks": _Flag("--blocks", int),
+    "threads": _Flag("--threads", int,
+                     valid=(lambda v: v >= 1, "threads must be positive")),
+    "output": _Flag("--output"),
+    "law": _Flag("--law", choices=("uniform", "exp", "point", "pareto")),
+    "point_value": _Flag("--point-value", float),
+    "kind": _Flag("--kind", choices=("fixed", "hitting")),
+    "T": _Flag("--T", float),
+    "a": _Flag("--a", float),
+    "b": _Flag("--b", float),
+    "q": _Flag("--q", float),
+    "step": _Flag("--step", float),
+    "config_path": _Flag("--suite", help="JSONL file: one check per line"),
+    "dump_kind": _Flag("--kind", choices=("exp", "discrete")),
+}
+
+_SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "method", "blocks", "threads",
+                       "output")
+
+# subcommand -> the ExperimentConfig fields its runner reads, which are its
+# flags and the keys its --config file may hold. identities draws nothing
+# and reads no thread count; it keeps --threads so that one argument list
+# with --threads runs every headline subcommand.
+_SETTINGS = {
+    "sharpness": _SHARPNESS_SETTINGS,
+    "monotone-sharpness": _SHARPNESS_SETTINGS,
+    "identities": ("p", "threads", "output", "law", "point_value"),
+    "verify": ("seed", "method", "blocks", "threads", "output", "config_path"),
+    "bdg": ("n_samples", "seed", "threads", "output", "kind", "T", "a", "b", "q", "step"),
+    "dump-paths": ("p", "n", "level_N", "seed", "output", "dump_kind"),
+}
 
 
 def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
@@ -157,7 +216,6 @@ _SHARPNESS = {
 
 
 def _run_sharpness(cfg: ExperimentConfig) -> int:
-    _validate_common(cfg)
     experiment, kind, numerator_oracle = _SHARPNESS[cfg.subcommand]
     ratio = experiment(cfg.p, cfg.n, cfg.n_samples, cfg.resolved_method(),
                        cfg.seed, cfg.threads)
@@ -180,7 +238,6 @@ def _run_sharpness(cfg: ExperimentConfig) -> int:
 
 
 def _run_identities(cfg: ExperimentConfig) -> int:
-    _validate_common(cfg)
     report = check_moment_identities(moment_identity_law(cfg.law, cfg.point_value), cfg.p)
     ok = report.max_discrepancy < 1e-8
     result = {**report.to_json(), "pass": ok}
@@ -195,12 +252,16 @@ def _run_identities(cfg: ExperimentConfig) -> int:
 def _run_verify(cfg: ExperimentConfig) -> int:
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
-    _check_draws(cfg.seed, cfg.threads)
     try:
         with open(cfg.config_path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         return _usage_error(f"cannot read suite file: {exc}")
+    if not lines:
+        return _usage_error("suite has no checks")
+    for entry in lines:
+        if not isinstance(entry, dict):
+            return _usage_error(f"bad suite entry {entry!r}: not a JSON object")
     # plain or mom applies to every check; auto keeps each check's default
     method = cfg.resolved_method() if cfg.method != "auto" else None
     reports = []
@@ -210,7 +271,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             gen = generator_from_config(entry["generator"])
             kind = ConstantKind(entry.get("constant", "lenglart"))
             seed = int(entry.get("seed", cfg.seed))
-            _check_draws(seed, cfg.threads)
+            _FLAGS["seed"].check_range(seed)
             report = check_inequality(
                 gen,
                 p=float(entry["p"]),
@@ -233,11 +294,6 @@ def _run_verify(cfg: ExperimentConfig) -> int:
 
 
 def _run_bdg(cfg: ExperimentConfig) -> int:
-    if not (0.0 < cfg.q < 2.0):
-        return _usage_error("q must lie in (0,2)")
-    if cfg.n_samples < 1 or cfg.step <= 0:
-        return _usage_error("samples must be positive and step positive")
-    _check_draws(cfg.seed, cfg.threads)
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
     spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, T=cfg.T,
                           a=cfg.a, b=cfg.b)
@@ -251,13 +307,10 @@ def _run_bdg(cfg: ExperimentConfig) -> int:
 
 
 def _run_dump_paths(cfg: ExperimentConfig) -> int:
-    _validate_common(cfg)
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
     # looked up at call time, so that a patched module attribute is the one called
     batches = {"exp": exp_pair_path_batch, "discrete": discrete_path_batch}
-    if cfg.dump_kind not in batches:
-        return _usage_error("dump kind must be 'exp' or 'discrete'")
     points = cfg.n * 2**cfg.level_N
     if points + 1 > MAX_DUMP_POINTS:
         return _usage_error(
@@ -285,20 +338,6 @@ _RUNNERS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--level-N", dest="level_N", type=int, default=None)
-    sp.add_argument("--samples", dest="n_samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--method", choices=("auto", "plain", "mom"), default=None)
-    sp.add_argument("--blocks", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--output", default=None)
-    sp.add_argument("--config", dest="config_file", default=None,
-                    help="JSON file with default values for any flag")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lenglart",
@@ -307,51 +346,44 @@ def build_parser() -> argparse.ArgumentParser:
         "constant ladder.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("sharpness", "monotone-sharpness"):
+    for name, fields in _SETTINGS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
-    sp = sub.add_parser("identities")
-    _add_common(sp)
-    sp.add_argument("--law", choices=("uniform", "exp", "point", "pareto"),
-                    default=None)
-    sp.add_argument("--point-value", dest="point_value", type=float, default=None)
-    sp = sub.add_parser("verify")
-    _add_common(sp)
-    sp.add_argument("--suite", dest="config_path", default=None,
-                    help="JSONL file: one check per line")
-    sp = sub.add_parser("bdg")
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("fixed", "hitting"), default=None)
-    sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp = sub.add_parser("dump-paths")
-    _add_common(sp)
-    sp.add_argument("--kind", dest="dump_kind", choices=("exp", "discrete"),
-                    default=None)
+        for field in fields:
+            flag = _FLAGS[field]
+            sp.add_argument(flag.option, dest=field, type=flag.type, choices=flag.choices,
+                            default=None, help=flag.help)
+        sp.add_argument("--config", dest="config_file", default=None,
+                        help="JSON object of this subcommand's settings, named as "
+                        "in the output's config block")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Precedence: explicit flag > LENGLART_SEED (seed only) > config file >
-    built-in default (the headline experiment settings)."""
+    built-in default (the headline experiment settings). The config file
+    must hold a JSON object whose keys are settings of the subcommand, each
+    with a value that its flag could produce; anything else raises
+    ValueError."""
+    fields = _SETTINGS[args.subcommand]
     cfg = ExperimentConfig(subcommand=args.subcommand)
-    file_values: dict = {}
-    if getattr(args, "config_file", None):
+    if args.config_file:
         with open(args.config_file) as fh:
             file_values = json.load(fh)
-    for key, value in file_values.items():
-        if hasattr(cfg, key):
+        if not isinstance(file_values, dict):
+            raise ValueError("the config file must hold a JSON object")
+        for key, value in file_values.items():
+            if key not in fields:
+                raise ValueError(f"{args.subcommand} has no setting {key!r}; it "
+                                 f"takes {', '.join(fields)}")
+            _FLAGS[key].check_type(key, value)
             setattr(cfg, key, value)
     env_seed = os.environ.get("LENGLART_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in fields:
         cfg.seed = int(env_seed)
-    for key, value in vars(args).items():
-        if key in ("subcommand", "config_file") or value is None:
-            continue
-        setattr(cfg, key, value)
+    for key in fields:
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -366,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage_error(f"bad config: {exc}")
     try:
+        for key in _SETTINGS[cfg.subcommand]:
+            _FLAGS[key].check_range(getattr(cfg, key))
         return _RUNNERS[cfg.subcommand](cfg)
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -22,13 +22,13 @@ itself, so they refuse horizons with n/p beyond ln(DBL_MAX), where it is not
 a float64.
 
 A single-jump path is a closed form of its jump time, and so is its value
-at a stopping rule. exp_pair_stopped and discrete_stopped draw the same Z
-as the batches and return the stopped (x, g) values directly: a fixed
-index k reads (exp(Z/p) 1[t_k >= Z], g at t_k), a hitting rule on x stops
-at the first grid point at or after Z, and a hitting rule on g is a binary
-search on the grid row of g. The values equal those of stopping the
-batches element for element, at a cost of O(size) per rule and
-O(size log(n 2^N)) per draw instead of O(size n 2^N).
+at a stopping rule (FixedIndexRule, HittingRule). exp_pair_stopped and
+discrete_stopped draw the same Z as the batches and return the stopped
+(x, g) values directly: a fixed index k reads (exp(Z/p) 1[t_k >= Z], g at
+t_k), a hitting rule on x stops at the first grid point at or after Z, and
+a hitting rule on g is a binary search on the grid row of g. The values
+equal those of stopping the batches element for element, at a cost of
+O(size) per rule and O(size log(n 2^N)) per draw instead of O(size n 2^N).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ import numpy as np
 
 __all__ = [
     "ExtremalParams",
+    "FixedIndexRule",
+    "HittingRule",
     "sample_y_path_batch",
     "sharpness_sup_sampler",
     "monotone_sup_sampler",
@@ -337,32 +339,58 @@ def _step_integrals(p: float, t: np.ndarray) -> np.ndarray:
     return p * (np.exp(t[1:] / p) - np.exp(t[:-1] / p))
 
 
-def _stopped_jumps(stops, t: np.ndarray, z: np.ndarray, jump: np.ndarray,
+@dataclass(frozen=True)
+class FixedIndexRule:
+    """Stop at grid index k."""
+
+    k: int
+
+    def label(self) -> str:
+        return f"fixed[{self.k}]"
+
+    def index(self, last: int) -> int:
+        """k, refused outside a grid whose last index is last."""
+        if not (0 <= self.k <= last):
+            raise ValueError("fixed stopping index outside the grid")
+        return self.k
+
+
+@dataclass(frozen=True)
+class HittingRule:
+    """Stop at the first index where x (side "x") or g (side "g") is >= level,
+    else at the last index."""
+
+    side: str
+    level: float
+
+    def __post_init__(self) -> None:
+        if self.side not in ("x", "g"):
+            raise ValueError(f"hitting rule side must be 'x' or 'g', not {self.side!r}")
+
+    def label(self) -> str:
+        return f"hit[{self.side}>={self.level:.4g}]"
+
+
+def _stopped_jumps(rules, t: np.ndarray, z: np.ndarray, jump: np.ndarray,
                    g_row: np.ndarray, g_at) -> list:
-    """(x_tau, g_tau) per stop for the single-jump paths x_k = jump 1[t_k >= z]
+    """(x_tau, g_tau) per rule for the single-jump paths x_k = jump 1[t_k >= z]
     and a g that equals the non-decreasing g_row up to some index and stays
     constant, at most g_row, from there; g_at(k) is g at the index (array) k.
-    A stop is an int k, the fixed index k, or a pair (side, level), the first
-    index where x or g is >= level, else the last one. Equal, element for
-    element, to stopping the dense paths."""
+    Equal, element for element, to stopping the dense paths."""
     last = t.size - 1
     j = np.searchsorted(t, z)  # the first grid index with t_j >= z
     values = []
-    for stop in stops:
-        if not isinstance(stop, tuple):
-            if not (0 <= stop <= last):
-                raise ValueError("fixed stopping index outside the grid")
-            tau = stop
-        elif stop[0] == "x":
+    for rule in rules:
+        if isinstance(rule, FixedIndexRule):
+            tau = rule.index(last)
+        elif rule.side == "x":
             # x is 0 before j and the jump from j on
-            level = stop[1]
-            tau = 0 if level <= 0 else np.where(jump >= level, j, last)
+            tau = 0 if rule.level <= 0 else np.where(jump >= rule.level, j, last)
         else:
             # g <= g_row, so g cannot hit before the first index k where
             # g_row does; if g misses there it is already constant
-            level = stop[1]
-            k = np.minimum(np.searchsorted(g_row, level), last)
-            tau = np.where(g_at(k) >= level, k, last)
+            k = np.minimum(np.searchsorted(g_row, rule.level), last)
+            tau = np.where(g_at(k) >= rule.level, k, last)
         values.append((np.where(tau >= j, jump, 0.0), g_at(tau)))
     return values
 
@@ -406,36 +434,35 @@ def discrete_path_batch(
 def exp_pair_stopped(
     params: ExtremalParams,
     level_N: int,
-    stops,
+    rules,
     rng: np.random.Generator,
     size: int,
     g_divisor: float = 1.0,
 ) -> list:
-    """(x_tau, g_tau) per stop on the exponential pairs that
-    exp_pair_path_batch(params, level_N, rng, size) would build, from the same
-    draws and without building them; g is divided by g_divisor before
-    stopping. A stop is an int (a fixed grid index) or a pair (side, level)
-    with side "x" or "g" (a hitting rule, capped at the last index)."""
+    """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on the
+    exponential pairs that exp_pair_path_batch(params, level_N, rng, size)
+    would build, from the same draws and without building them; g is
+    divided by g_divisor before stopping."""
     z, t, jump = _jump_times(params, level_N, rng, size)
     p = params.p
     g_row = p * np.expm1(t / p) / g_divisor
-    return _stopped_jumps(stops, t, z, jump, g_row,
+    return _stopped_jumps(rules, t, z, jump, g_row,
                           lambda k: p * np.expm1(np.minimum(t[k], z) / p) / g_divisor)
 
 
 def discrete_stopped(
     params: ExtremalParams,
     level_N: int,
-    stops,
+    rules,
     rng: np.random.Generator,
     size: int,
     g_divisor: float = 1.0,
 ) -> list:
-    """(x_tau, g_tau) per stop on the dyadic discrete pairs that
+    """(x_tau, g_tau) per rule on the dyadic discrete pairs that
     discrete_path_batch would build, as exp_pair_stopped. g_k is
     levels[min(k, c)], the partial sums of the step integrals up to the
     count c of grid points t_0 .. t_(last-1) below z."""
     z, t, jump = _jump_times(params, level_N, rng, size)
     levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))]) / g_divisor
     c = np.searchsorted(t[:-1], z)
-    return _stopped_jumps(stops, t, z, jump, levels, lambda k: levels[np.minimum(k, c)])
+    return _stopped_jumps(rules, t, z, jump, levels, lambda k: levels[np.minimum(k, c)])

@@ -16,6 +16,8 @@ import numpy as np
 
 from .extremal import (
     ExtremalParams,
+    FixedIndexRule,
+    HittingRule,
     discrete_path_batch,
     discrete_stopped,
     discrete_sup_sampler,
@@ -98,38 +100,15 @@ class JumpLaw:
 
 
 # ---------------------------------------------------------------------------
-# Stopping rules on path batches
+# Stopping rules (FixedIndexRule, HittingRule, from extremal) on path batches
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedIndexRule:
-    k: int
-
-    def label(self) -> str:
-        return f"fixed[{self.k}]"
-
-
-@dataclass(frozen=True)
-class HittingRule:
-    side: str  # "x" or "g"
-    level: float
-
-    def __post_init__(self) -> None:
-        if self.side not in ("x", "g"):
-            raise ValueError(f"hitting rule side must be 'x' or 'g', not {self.side!r}")
-
-    def label(self) -> str:
-        return f"hit[{self.side}>={self.level:.4g}]"
 
 
 def stopping_indices(rule, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-path stopping index; hitting rules cap at the final index."""
     last = x.shape[1] - 1
     if isinstance(rule, FixedIndexRule):
-        if not (0 <= rule.k <= last):
-            raise ValueError("fixed stopping index outside the grid")
-        return np.full(x.shape[0], rule.k)
+        return np.full(x.shape[0], rule.index(last))
     arr = x if rule.side == "x" else g
     hit_mask = arr >= rule.level
     idx = hit_mask.argmax(axis=1)
@@ -145,13 +124,6 @@ def _gather(tau: np.ndarray, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, 
 def _stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x_tau, g_tau) per path under a stopping rule."""
     return _gather(stopping_indices(rule, x, g), x, g)
-
-
-def _stops(rules) -> list:
-    """The rules as extremal's stops: k for a fixed index, (side, level) for
-    a hitting rule."""
-    return [rule.k if isinstance(rule, FixedIndexRule) else (rule.side, rule.level)
-            for rule in rules]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +182,7 @@ class ExtremalGenerator(_Generator):
         return exp_pair_path_batch(self.params, _GRID_LEVEL, rng, size)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return exp_pair_stopped(self.params, _GRID_LEVEL, _stops(rules), rng, size, g_divisor)
+        return exp_pair_stopped(self.params, _GRID_LEVEL, rules, rng, size, g_divisor)
 
 
 @dataclass(frozen=True)
@@ -231,7 +203,7 @@ class DiscreteExtremalGenerator(_Generator):
         return discrete_path_batch(self.params, self.level_N, rng, size)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return discrete_stopped(self.params, self.level_N, _stops(rules), rng, size, g_divisor)
+        return discrete_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
 
 
 @dataclass(frozen=True)
@@ -304,9 +276,15 @@ class HatXGenerator(_Generator):
         return np.where(after, x_tau[:, None], 0.0), np.where(after, g_tau[:, None], g)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
 def generator_from_config(cfg: dict) -> _Generator:
     """Build a generator from a JSON-style description."""
-    kind = cfg.get("kind")
+    kind = _object(cfg, "generator").get("kind")
     if kind == "extremal":
         return ExtremalGenerator(ExtremalParams(p=cfg["p"], n=int(cfg["n"])))
     if kind == "discrete_extremal":
@@ -322,7 +300,7 @@ def generator_from_config(cfg: dict) -> _Generator:
         return CompensatedBernoulliGenerator(jump=jump, steps=int(cfg["steps"]))
     if kind == "hatx_of":
         inner = generator_from_config(cfg["inner"])
-        rule_cfg = cfg["rule"]
+        rule_cfg = _object(cfg["rule"], "hatx_of rule")
         if "k" in rule_cfg:
             rule = FixedIndexRule(k=int(rule_cfg["k"]))
         else:

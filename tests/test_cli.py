@@ -1,5 +1,6 @@
 """CLI behavior: precedence, exit codes, output formats, determinism."""
 
+import argparse
 import json
 import warnings
 
@@ -109,7 +110,11 @@ class TestUsageErrors:
         {"kind": "hatx_of", "inner": {"kind": "discrete_extremal", "p": 0.01, "n": 10,
                                       "level_N": 3},
          "rule": {"side": "x", "level": 2.0}},
-    ], ids=["negative-level", "hitting-side", "hatx-negative-level", "hatx-overflow"])
+        5,
+        {"kind": "hatx_of", "inner": [1, 2], "rule": {"k": 1}},
+        {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.5, "n": 4}, "rule": 3},
+    ], ids=["negative-level", "hitting-side", "hatx-negative-level", "hatx-overflow",
+            "generator-not-object", "inner-not-object", "rule-not-object"])
     def test_malformed_suite_entry(self, capsys, tmp_path, generator):
         suite = tmp_path / "s.jsonl"
         suite.write_text(json.dumps({"generator": generator, "p": 0.5,
@@ -117,6 +122,23 @@ class TestUsageErrors:
         code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and "checks passed" not in out
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("", "suite has no checks"),
+        ("\n  \n\t\n", "suite has no checks"),
+        ("[1, 2]\n", "bad suite entry"),
+        ('"check"\n', "bad suite entry"),
+    ], ids=["empty", "blank", "list-line", "string-line"])
+    def test_suite_without_checks(self, capsys, tmp_path, text, message):
+        # a suite with no checks has no verdict to give, so it cannot pass
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(text)
+        out_file = tmp_path / "r.json"
+        code, out, err = run(["verify", "--suite", str(suite), "--output", str(out_file)],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert message in err and out == ""
+        assert not out_file.exists()
 
     def test_dump_needs_output(self, capsys):
         code, _, err = run(["dump-paths"], capsys)
@@ -132,6 +154,124 @@ class TestUsageErrors:
         bad.write_text("{not json")
         code, _, err = run(["identities", "--config", str(bad)], capsys)
         assert code == EXIT_USAGE
+
+
+# flag -> (ExperimentConfig field, a non-default argument, the value it sets);
+# --kind sets a different field in each subcommand that has it
+FLAG_VALUES = {
+    "--p": ("p", "0.3", 0.3),
+    "--n": ("n", "7", 7),
+    "--level-N": ("level_N", "2", 2),
+    "--samples": ("n_samples", "5000", 5000),
+    "--seed": ("seed", "9", 9),
+    "--method": ("method", "mom", "mom"),
+    "--blocks": ("blocks", "11", 11),
+    "--threads": ("threads", "2", 2),
+    "--output": ("output", "r.json", "r.json"),
+    "--law": ("law", "pareto", "pareto"),
+    "--point-value": ("point_value", "2.5", 2.5),
+    "--T": ("T", "2.0", 2.0),
+    "--a": ("a", "-2.0", -2.0),
+    "--b": ("b", "3.0", 3.0),
+    "--q": ("q", "1.5", 1.5),
+    "--step": ("step", "0.01", 0.01),
+    "--suite": ("config_path", "s.jsonl", "s.jsonl"),
+}
+KIND_VALUES = {"bdg": ("kind", "hitting", "hitting"),
+               "dump-paths": ("dump_kind", "discrete", "discrete")}
+
+SHARPNESS_FLAGS = ("--p", "--n", "--samples", "--seed", "--method", "--blocks",
+                   "--threads", "--output")
+# subcommand -> the flags it declares besides --config
+DECLARED = {
+    "sharpness": SHARPNESS_FLAGS,
+    "monotone-sharpness": SHARPNESS_FLAGS,
+    "identities": ("--p", "--threads", "--output", "--law", "--point-value"),
+    "verify": ("--seed", "--method", "--blocks", "--threads", "--output", "--suite"),
+    "bdg": ("--samples", "--seed", "--threads", "--output", "--kind", "--T", "--a",
+            "--b", "--q", "--step"),
+    "dump-paths": ("--p", "--n", "--level-N", "--seed", "--output", "--kind"),
+}
+# the flags each subcommand took without reading them
+REMOVED = {
+    "sharpness": ("--level-N",),
+    "monotone-sharpness": ("--level-N",),
+    "identities": ("--n", "--level-N", "--samples", "--seed", "--method", "--blocks"),
+    "verify": ("--p", "--n", "--level-N", "--samples"),
+    "bdg": ("--p", "--n", "--level-N", "--method", "--blocks"),
+    "dump-paths": ("--samples", "--method", "--blocks", "--threads"),
+}
+
+
+def flag_value(sub, flag):
+    return KIND_VALUES[sub] if flag == "--kind" else FLAG_VALUES[flag]
+
+
+class TestSettingsTable:
+    """Every flag a subcommand declares is read, every flag it does not read
+    is refused, and a --config file holds only the subcommand's settings."""
+
+    def test_declared_flags(self):
+        parser = build_parser()
+        [subparsers] = [a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {opt for action in sp._actions for opt in action.option_strings}
+                   - {"-h", "--help"} for name, sp in subparsers.choices.items()}
+        assert options == {sub: {*flags, "--config"} for sub, flags in DECLARED.items()}
+        assert sum(map(len, options.values())) == 49
+
+    @pytest.mark.parametrize(("sub", "flag"), [
+        (sub, flag) for sub, flags in DECLARED.items() for flag in flags])
+    def test_flag_sets_its_field(self, sub, flag):
+        field, arg, value = flag_value(sub, flag)
+        assert getattr(ExperimentConfig(sub), field) != value
+        cfg = resolve_config(build_parser().parse_args([sub, flag, arg]))
+        assert getattr(cfg, field) == value
+
+    @pytest.mark.parametrize(("sub", "flag"), [
+        (sub, flag) for sub, flags in REMOVED.items() for flag in flags])
+    def test_removed_flag_is_refused(self, capsys, sub, flag):
+        code, out, err = run([sub, flag, flag_value(sub, flag)[1]], capsys)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err and out == ""
+
+    @pytest.mark.parametrize(("sub", "values"), [
+        ("sharpness", {"level_N": 2}),
+        ("bdg", {"p": 0.5}),
+        ("identities", {"seed": 3}),
+        ("verify", {"n_samples": 1000}),
+        ("dump-paths", {"threads": 2}),
+        ("sharpness", {"subcommand": "identities"}),
+        ("sharpness", {"sample": 10}),
+        ("sharpness", [{"p": 0.3}]),
+        ("sharpness", 0.3),
+        ("sharpness", {"n": "10"}),
+        ("sharpness", {"n": True}),
+        ("sharpness", {"n": 10.0}),
+        ("sharpness", {"p": "0.3"}),
+        ("sharpness", {"output": None}),
+        ("bdg", {"kind": "Fixed"}),
+        ("dump-paths", {"dump_kind": "hitting"}),
+    ], ids=["other-sub-level_N", "other-sub-p", "other-sub-seed", "other-sub-samples",
+            "other-sub-threads", "subcommand", "unknown-key", "list", "number",
+            "str-int", "bool-int", "float-int", "str-float", "null-str", "bdg-kind",
+            "dump-kind"])
+    def test_bad_config_file(self, capsys, tmp_path, sub, values):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(values))
+        out_file = tmp_path / "r.json"
+        code, out, err = run([sub, "--config", str(cfg_file), "--output", str(out_file)],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert "error: bad config" in err and out == ""
+        assert not out_file.exists()
+
+    def test_config_file_takes_int_for_float(self, tmp_path):
+        # a float flag's value may be written as an integer, as --T 2 is
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"T": 2, "kind": "hitting", "a": -2}))
+        cfg = resolve_config(build_parser().parse_args(["bdg", "--config", str(cfg_file)]))
+        assert (cfg.T, cfg.kind, cfg.a) == (2, "hitting", -2)
 
 
 class TestPrecedence:

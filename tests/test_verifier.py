@@ -213,7 +213,7 @@ class TestClosedFormStopping:
         rules = ([FixedIndexRule(k) for k in range(t.size)]
                  + [HittingRule("x", level) for level in x_levels]
                  + [HittingRule("g", level) for level in g_levels])
-        got = closed(params, level_N, verifier._stops(rules), Uniforms(u), u.size, divisor)
+        got = closed(params, level_N, rules, Uniforms(u), u.size, divisor)
         assert len(got) == len(rules)
         for rule, (x_tau, g_tau) in zip(rules, got):
             want_x, want_g = verifier._stopped(rule, x, g)
