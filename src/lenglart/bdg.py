@@ -28,7 +28,9 @@ tolerance), whatever the sample budget: a standard error of at most a
 sixth of the tolerance.
 
 Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
-paths are the estimator, and a step-halving check guards their bias.
+paths are the estimator, and a step-halving check guards their bias. sup|M|
+is read from the running extrema, capped at the barriers. Both kinds step
+their paths through one bridge step, `_bridge_step`.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def _bridge_min(x0, x1, h, u):
     return 0.5 * (x0 + x1 - np.sqrt((x1 - x0) ** 2 - 2.0 * h * np.log(u)))
 
 
+def _bridge_step(rng: np.random.Generator, x0: np.ndarray, h: float, sqrt_h: float):
+    """One step of length h from x0: the end point and exact draws of the
+    bridge maximum and minimum, from a normal, then a uniform for each."""
+    x1 = x0 + rng.standard_normal(x0.size) * sqrt_h
+    u_max = rng.random(x0.size)
+    u_min = rng.random(x0.size)
+    return x1, _bridge_max(x0, x1, h, u_max), _bridge_min(x0, x1, h, u_min)
+
+
 # P[S < 1]: the quantile of a lower u lies on the theta-series side
 _CDF_AT_ONE = float(sup_abs_bm_law(1.0)[0])
 _NEWTON_MAX = 20
@@ -171,62 +182,41 @@ def _fixed_time_sampler(spec: MartingaleSpec, step: float):
         run_max = np.zeros(m)
         run_min = np.zeros(m)
         for _ in range(n_steps):
-            nxt = pos + rng.standard_normal(m) * sqrt_h
-            u_max = rng.random(m)
-            u_min = rng.random(m)
-            np.maximum(run_max, _bridge_max(pos, nxt, h, u_max), out=run_max)
-            np.minimum(run_min, _bridge_min(pos, nxt, h, u_min), out=run_min)
-            pos = nxt
-        low = np.minimum(run_max, -run_min)
-        return np.full(m, num_val), 2.0 * sup_mean - low**qv
+            pos, m_up, m_dn = _bridge_step(rng, pos, h, sqrt_h)
+            np.maximum(run_max, m_up, out=run_max)
+            np.minimum(run_min, m_dn, out=run_min)
+        return np.full(m, num_val), 2.0 * sup_mean - np.minimum(run_max, -run_min) ** qv
 
     return sampler
 
 
 def _hitting_sampler(spec: MartingaleSpec, step: float):
-    h = step
-    sqrt_h = math.sqrt(h)
+    sqrt_h = math.sqrt(step)
     qv = spec.q
     a, b = spec.a, spec.b
-    max_steps = int(math.ceil(_HITTING_HORIZON_CAP / h))
+    max_steps = int(math.ceil(_HITTING_HORIZON_CAP / step))
 
     def sampler(rng: np.random.Generator, m: int):
         pos = np.zeros(m)
         run_max = np.zeros(m)
         run_min = np.zeros(m)
         exit_time = np.full(m, _HITTING_HORIZON_CAP)
-        exit_level = np.zeros(m)
         alive = np.arange(m)
         for k in range(1, max_steps + 1):
             if alive.size == 0:
                 break
-            n_alive = alive.size
-            x0 = pos[alive]
-            x1 = x0 + rng.standard_normal(n_alive) * sqrt_h
-            u_max = rng.random(n_alive)
-            u_min = rng.random(n_alive)
-            m_up = _bridge_max(x0, x1, h, u_max)
-            m_dn = _bridge_min(x0, x1, h, u_min)
+            x1, m_up, m_dn = _bridge_step(rng, pos[alive], step, sqrt_h)
             # the exact bridge extremum draws double as crossing detectors:
             # P[m_up >= b] is exactly the bridge crossing probability
-            cross_up = m_up >= b
-            cross_down = m_dn <= a
+            exited = (m_up >= b) | (m_dn <= a)
             np.maximum.at(run_max, alive, np.minimum(m_up, b))
             np.minimum.at(run_min, alive, np.maximum(m_dn, a))
-            exited = cross_up | cross_down
-            if exited.any():
-                idx = alive[exited]
-                exit_time[idx] = k * h
-                # exit on the upper barrier wins ties; sup|M| is the barrier
-                exit_level[idx] = np.where(cross_up[exited], b, -a)
+            exit_time[alive[exited]] = k * step
             pos[alive] = x1
             alive = alive[~exited]
-        if alive.size:
-            # censored paths: fall back to the grid supremum seen so far
-            exit_level[alive] = np.maximum(run_max[alive], -run_min[alive])
-        num = exit_time ** (qv / 2.0)
-        den = np.maximum(exit_level, np.maximum(run_max, -run_min)) ** qv
-        return num, den
+        # capped at the barriers, the running extrema give sup|M| = b or -a
+        # on an exit, and the supremum seen so far on a censored path
+        return exit_time ** (qv / 2.0), np.maximum(run_max, -run_min) ** qv
 
     return sampler
 
@@ -306,29 +296,26 @@ def bdg_ratio(
     stepped pass against the oracle, at the hitting time the step-halving
     change."""
     p = spec.q / 2.0
-    method = PLAIN  # sup|M|^q has light tails for q < 2
 
-    if spec.kind == BM_FIXED_TIME:
-        sampler = _exact_fixed_time_sampler(spec)
-    else:
-        sampler = _make_sampler(spec, spec.step)
-    num, den = estimate_pair(sampler, n_samples, method, seed, threads)
+    def estimate(sampler, n=n_samples):
+        # the plain mean: sup|M|^q has light tails for q < 2
+        return estimate_pair(sampler, n, PLAIN, seed, threads)
 
     # bias control on the same seed: at fixed time the stepped paths against
     # the exact value, at a budget set by the tolerance; at the hitting time
     # the step halved, at the same budget
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
+        num, den = estimate(_exact_fixed_time_sampler(spec))
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
-        _, validation = estimate_pair(_make_sampler(spec, spec.step),
-                                      _validation_samples(_BIAS_TOLERANCE), method, seed, threads)
-        check, reference = validation, oracle
+        _, validation = estimate(_make_sampler(spec, spec.step),
+                                 _validation_samples(_BIAS_TOLERANCE))
+        bias_rel = abs(validation.value - oracle) / oracle
     else:
-        _, check = estimate_pair(_make_sampler(spec, spec.step / 2.0), n_samples, method,
-                                 seed, threads)
-        reference = den.value
-    bias_rel = abs(check.value - reference) / reference
+        num, den = estimate(_make_sampler(spec, spec.step))
+        _, check = estimate(_make_sampler(spec, spec.step / 2.0))
+        bias_rel = abs(check.value - den.value) / den.value
     ratio = ratio_from_estimates(num, den)
 
     ladder = {

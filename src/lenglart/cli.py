@@ -270,18 +270,15 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         try:
             gen = generator_from_config(entry["generator"])
             kind = ConstantKind(entry.get("constant", "lenglart"))
-            seed = int(entry.get("seed", cfg.seed))
-            _FLAGS["seed"].check_range(seed)
-            report = check_inequality(
-                gen,
-                p=float(entry["p"]),
-                kind=kind,
-                n_samples=int(entry.get("n_samples", 10**5)),
-                seed=seed,
-                method=method,
-                threads=cfg.threads,
-            )
-        except (KeyError, ValueError) as exc:
+            # the values follow the rules of the same keys in a --config file
+            settings = {"p": entry["p"], "n_samples": entry.get("n_samples", 10**5),
+                        "seed": entry.get("seed", cfg.seed)}
+            for key, value in settings.items():
+                _FLAGS[key].check_type(key, value)
+                _FLAGS[key].check_range(value)
+            report = check_inequality(gen, kind=kind, method=method, threads=cfg.threads,
+                                      **settings)
+        except (KeyError, TypeError, ValueError) as exc:
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         reports.append(report.to_json())
         all_ok = all_ok and report.passed

@@ -268,8 +268,12 @@ def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:
                          ci_low=min(ci_low, ratio), ci_high=max(ci_high, ratio))
 
 
-def _resolve_method(method, p):
-    return default_method(p) if method is None else method
+def _ratio(sampler, p: float, n_samples: int, method: EstimatorMethod | None,
+           seed: int, threads: int) -> RatioEstimate:
+    """Moment ratio of a paired sampler, by `default_method(p)` unless a
+    method is given."""
+    method = default_method(p) if method is None else method
+    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
 
 
 def ratio_experiment(params: ExtremalParams, n_samples: int = 10**6,
@@ -277,21 +281,15 @@ def ratio_experiment(params: ExtremalParams, n_samples: int = 10**6,
                      seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the full extremal pair (Brownian tail by exact law),
     targeting p^-p/(1-p) as n grows."""
-    method = _resolve_method(method, params.p)
-    num, den = estimate_pair(sharpness_sup_sampler(params), n_samples, method,
-                             seed, threads)
-    return ratio_from_estimates(num, den)
+    return _ratio(sharpness_sup_sampler(params), params.p, n_samples, method, seed, threads)
 
 
 def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
                               method: EstimatorMethod | None = None,
                               seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the monotone pair (no tail), targeting p^-p."""
-    params = ExtremalParams(p=p, n=n)
-    method = _resolve_method(method, p)
-    num, den = estimate_pair(monotone_sup_sampler(params), n_samples, method,
-                             seed, threads)
-    return ratio_from_estimates(num, den)
+    return _ratio(monotone_sup_sampler(ExtremalParams(p=p, n=n)), p, n_samples, method, seed,
+                  threads)
 
 
 def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
@@ -301,7 +299,5 @@ def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
                               threads: int = 1) -> RatioEstimate:
     """Moment ratio of the dyadic discretization; shares the draw layout of
     ratio_experiment so the discretization effect isolates cleanly."""
-    method = _resolve_method(method, params.p)
-    num, den = estimate_pair(discrete_sup_sampler(params, level_N), n_samples,
-                             method, seed, threads)
-    return ratio_from_estimates(num, den)
+    return _ratio(discrete_sup_sampler(params, level_N), params.p, n_samples, method, seed,
+                  threads)

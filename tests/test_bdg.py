@@ -21,7 +21,7 @@ from lenglart.bdg import (
     bdg_ratio,
 )
 from lenglart.cli import EXIT_STAT_FAIL, main
-from lenglart.montecarlo import PLAIN, estimate_from_values, estimate_pair, sample_values
+from lenglart.montecarlo import CHUNK, PLAIN, estimate_from_values, estimate_pair, sample_values
 from lenglart.oracles import sup_abs_bm_law, sup_abs_bm_moment
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # E[sup_{[0,1]} |B|]... see below
@@ -143,6 +143,20 @@ class TestHitting:
         # E[T] = |a| b = 1 for the exit time
         assert abs(float((num**2).mean()) - 1.0) < 0.05
 
+    def test_asymmetric_barriers_bound_the_sup(self):
+        # exit from (-0.5, 1.5): sup|M| <= 1.5 on every path, >= 0.5 on
+        # every exited one, and exactly 1.5 on the exits through b, whose
+        # probability is |a| / (b - a) = 0.25
+        a, b, q = -0.5, 1.5, 1.5
+        spec = MartingaleSpec(kind=BM_HITTING, q=q, step=1e-2, a=a, b=b)
+        num, den = _hitting_sampler(spec, spec.step)(rng_of(9), 4000)
+        sup = den ** (1.0 / q)
+        exited = num < bdg._HITTING_HORIZON_CAP ** (q / 2.0)
+        assert exited.mean() > 0.999
+        assert np.all(sup <= max(b, -a) * (1.0 + 1e-12))
+        assert np.all(sup[exited] >= min(b, -a) * (1.0 - 1e-12))
+        assert abs(float(np.mean(np.abs(sup - b) < 1e-9)) - 0.25) < 0.03
+
     def test_ratio_below_monotone_constant(self):
         spec = MartingaleSpec(kind=BM_HITTING, q=1.0, step=5e-3, a=-1.0, b=1.0)
         result = bdg_ratio(spec, n_samples=20_000, seed=5)
@@ -215,9 +229,13 @@ class TestBdgRatio:
         assert "denominator_oracle" not in d and "denominator_z" not in d
         assert "validation" not in d
 
-    def test_thread_invariance(self):
-        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=2e-2, T=1.0)
-        r1 = bdg_ratio(spec, n_samples=8_000, seed=8, threads=1)
-        r2 = bdg_ratio(spec, n_samples=8_000, seed=8, threads=4)
+    @pytest.mark.parametrize("spec", [
+        MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=2e-2, T=1.0),
+        MartingaleSpec(kind=BM_HITTING, q=1.0, step=5e-2, a=-0.5, b=1.5),
+    ], ids=["fixed", "hitting"])
+    def test_thread_invariance(self, spec):
+        # three chunks, so the threads split the work
+        r1 = bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=1)
+        r2 = bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=4)
         assert r1.ratio == r2.ratio
         assert r1.bias_relative_change == r2.bias_relative_change

@@ -113,8 +113,10 @@ class TestUsageErrors:
         5,
         {"kind": "hatx_of", "inner": [1, 2], "rule": {"k": 1}},
         {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.5, "n": 4}, "rule": 3},
+        {"kind": "extremal", "p": "0.5", "n": 4},
     ], ids=["negative-level", "hitting-side", "hatx-negative-level", "hatx-overflow",
-            "generator-not-object", "inner-not-object", "rule-not-object"])
+            "generator-not-object", "inner-not-object", "rule-not-object",
+            "generator-p-string"])
     def test_malformed_suite_entry(self, capsys, tmp_path, generator):
         suite = tmp_path / "s.jsonl"
         suite.write_text(json.dumps({"generator": generator, "p": 0.5,
@@ -122,6 +124,22 @@ class TestUsageErrors:
         code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and "checks passed" not in out
+
+    @pytest.mark.parametrize(("key", "value"), [
+        ("p", [1]), ("p", "0.5"), ("p", None),
+        ("n_samples", None), ("n_samples", True), ("n_samples", 1000.0),
+        ("seed", 2.9), ("seed", "1"), ("seed", False),
+    ])
+    def test_suite_value_of_wrong_type(self, capsys, tmp_path, key, value):
+        # p, n_samples and seed follow the --config rules: no cast, no bool;
+        # the plain mean takes any sample count, so only the type can fail
+        suite = write_suite(tmp_path / "s.jsonl")
+        entry = {**json.loads(suite.read_text()), key: value}
+        suite.write_text(json.dumps(entry) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite), "--method", "plain"], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and f"{key} must be" in err
+        assert "checks passed" not in out
 
     @pytest.mark.parametrize(("text", "message"), [
         ("", "suite has no checks"),
