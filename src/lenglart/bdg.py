@@ -30,7 +30,14 @@ sixth of the tolerance.
 Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
 paths are the estimator, and a step-halving check guards their bias. sup|M|
 is read from the running extrema, capped at the barriers. Both kinds step
-their paths through one bridge step, `_bridge_step`.
+their paths through one bridge step, `_bridge_step`, in buffers that the
+sampler allocates once per chunk.
+
+A run's two passes share one pool of workers (`estimate_passes`), the
+longer one handed out first: at fixed time the validation, one chunk of
+14400 paths, runs beside the exact-law chunks; at the hitting time the
+half-step pass goes before the step pass. Each pass draws the streams it
+would draw alone, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .montecarlo import (
     PLAIN,
     Estimate,
     RatioEstimate,
-    estimate_pair,
+    estimate_passes,
     ratio_from_estimates,
 )
 # not called here; perfbench/tracing.py wraps these names in this module
@@ -104,13 +111,31 @@ def _bridge_min(x0, x1, h, u):
     return 0.5 * (x0 + x1 - np.sqrt((x1 - x0) ** 2 - 2.0 * h * np.log(u)))
 
 
-def _bridge_step(rng: np.random.Generator, x0: np.ndarray, h: float, sqrt_h: float):
-    """One step of length h from x0: the end point and exact draws of the
-    bridge maximum and minimum, from a normal, then a uniform for each."""
-    x1 = x0 + rng.standard_normal(x0.size) * sqrt_h
-    u_max = rng.random(x0.size)
-    u_min = rng.random(x0.size)
-    return x1, _bridge_max(x0, x1, h, u_max), _bridge_min(x0, x1, h, u_min)
+def _bridge_step(rng: np.random.Generator, x0, x1, up, dn, work, h: float, sqrt_h: float):
+    """One step of length h from x0, written into buffers of x0's size that
+    the caller owns: the end point into x1, then a uniform into each of up
+    and dn, turned in place into exact draws of the bridge maximum and
+    minimum. The draws come in the order normal, uniform, uniform, and each
+    value is `_bridge_max` or `_bridge_min` to the last bit: the operations
+    are theirs, in their order. work is scratch."""
+    rng.standard_normal(out=x1)
+    x1 *= sqrt_h
+    x1 += x0
+    rng.random(out=up)
+    rng.random(out=dn)
+    for u in (up, dn):
+        np.log(u, out=u)
+        u *= 2.0 * h
+    np.subtract(x1, x0, out=work)
+    work *= work
+    for u in (up, dn):
+        np.subtract(work, u, out=u)
+        np.sqrt(u, out=u)
+    np.add(x0, x1, out=work)
+    up += work
+    np.subtract(work, dn, out=dn)
+    up *= 0.5
+    dn *= 0.5
 
 
 # P[S < 1]: the quantile of a lower u lies on the theta-series side
@@ -178,13 +203,14 @@ def _fixed_time_sampler(spec: MartingaleSpec, step: float):
     sup_mean = num_val * 2.0 ** (qv / 2.0) * math.gamma((qv + 1.0) / 2.0) / math.sqrt(math.pi)
 
     def sampler(rng: np.random.Generator, m: int):
-        pos = np.zeros(m)
+        pos, nxt, up, dn, work = np.zeros((5, m))
         run_max = np.zeros(m)
         run_min = np.zeros(m)
         for _ in range(n_steps):
-            pos, m_up, m_dn = _bridge_step(rng, pos, h, sqrt_h)
-            np.maximum(run_max, m_up, out=run_max)
-            np.minimum(run_min, m_dn, out=run_min)
+            _bridge_step(rng, pos, nxt, up, dn, work, h, sqrt_h)
+            pos, nxt = nxt, pos
+            np.maximum(run_max, up, out=run_max)
+            np.minimum(run_min, dn, out=run_min)
         return np.full(m, num_val), 2.0 * sup_mean - np.minimum(run_max, -run_min) ** qv
 
     return sampler
@@ -197,23 +223,27 @@ def _hitting_sampler(spec: MartingaleSpec, step: float):
     max_steps = int(math.ceil(_HITTING_HORIZON_CAP / step))
 
     def sampler(rng: np.random.Generator, m: int):
-        pos = np.zeros(m)
+        # rows: the alive paths' positions, then the step's end points,
+        # maxima, minima and scratch; the first `alive.size` columns are used
+        pos, x1, up, dn, work = np.zeros((5, m))
         run_max = np.zeros(m)
         run_min = np.zeros(m)
         exit_time = np.full(m, _HITTING_HORIZON_CAP)
         alive = np.arange(m)
         for k in range(1, max_steps + 1):
-            if alive.size == 0:
+            n = alive.size
+            if n == 0:
                 break
-            x1, m_up, m_dn = _bridge_step(rng, pos[alive], step, sqrt_h)
+            _bridge_step(rng, pos[:n], x1[:n], up[:n], dn[:n], work[:n], step, sqrt_h)
             # the exact bridge extremum draws double as crossing detectors:
-            # P[m_up >= b] is exactly the bridge crossing probability
-            exited = (m_up >= b) | (m_dn <= a)
-            np.maximum.at(run_max, alive, np.minimum(m_up, b))
-            np.minimum.at(run_min, alive, np.maximum(m_dn, a))
+            # P[up >= b] is exactly the bridge crossing probability
+            exited = (up[:n] >= b) | (dn[:n] <= a)
+            run_max[alive] = np.maximum(run_max[alive], np.minimum(up[:n], b))
+            run_min[alive] = np.minimum(run_min[alive], np.maximum(dn[:n], a))
             exit_time[alive[exited]] = k * step
-            pos[alive] = x1
-            alive = alive[~exited]
+            stay = ~exited
+            alive = alive[stay]
+            np.compress(stay, x1[:n], out=pos[:alive.size])
         # capped at the barriers, the running extrema give sup|M| = b or -a
         # on an exit, and the supremum seen so far on a censored path
         return exit_time ** (qv / 2.0), np.maximum(run_max, -run_min) ** qv
@@ -297,24 +327,25 @@ def bdg_ratio(
     change."""
     p = spec.q / 2.0
 
-    def estimate(sampler, n=n_samples):
-        # the plain mean: sup|M|^q has light tails for q < 2
-        return estimate_pair(sampler, n, PLAIN, seed, threads)
+    def estimate(*passes):
+        # one pool for every chunk of both passes; the plain mean, since
+        # sup|M|^q has light tails for q < 2
+        return estimate_passes(passes, PLAIN, seed, threads)
 
     # bias control on the same seed: at fixed time the stepped paths against
     # the exact value, at a budget set by the tolerance; at the hitting time
-    # the step halved, at the same budget
+    # the step halved, at the same budget. The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
-        num, den = estimate(_exact_fixed_time_sampler(spec))
+        (_, validation), (num, den) = estimate(
+            (_make_sampler(spec, spec.step), _validation_samples(_BIAS_TOLERANCE)),
+            (_exact_fixed_time_sampler(spec), n_samples))
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
-        _, validation = estimate(_make_sampler(spec, spec.step),
-                                 _validation_samples(_BIAS_TOLERANCE))
         bias_rel = abs(validation.value - oracle) / oracle
     else:
-        num, den = estimate(_make_sampler(spec, spec.step))
-        _, check = estimate(_make_sampler(spec, spec.step / 2.0))
+        (_, check), (num, den) = estimate((_make_sampler(spec, spec.step / 2.0), n_samples),
+                                          (_make_sampler(spec, spec.step), n_samples))
         bias_rel = abs(check.value - den.value) / den.value
     ratio = ratio_from_estimates(num, den)
 

@@ -46,7 +46,7 @@ from .oracles import (
     moment_identity_law,
     xtilde_sup_moment,
 )
-from .verifier import check_inequality, generator_from_config
+from .verifier import check_inequality, check_type, generator_from_config
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10**6
@@ -112,9 +112,7 @@ class _Flag:
         """Raise ValueError unless the flag could produce value: an int for
         an int flag, an int or float for a float flag, a str for a str flag,
         and one of the choices where there are any."""
-        types = (int, float) if self.type is float else (self.type,)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{key} must be {self.type.__name__}, not {value!r}")
+        check_type(key, value, self.type)
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"{key} must be one of {', '.join(self.choices)}, "
                              f"not {value!r}")

@@ -13,6 +13,12 @@ estimates that `estimate_pair` gives from the same draws. Against versions
 that reduced the concatenated values, estimates agree to about 1e-15
 relative, not bit for bit.
 
+`estimate_passes` runs several passes on one seed, each pass drawing the
+streams it would draw alone, with the chunks of all passes handed to one
+pool of workers in the order the passes are given; `estimate_pair` is its
+one-pass case. A long pass given first runs beside the short ones, as the
+BDG validation runs beside the exact-law chunks (bdg.py).
+
 The extremal sup samplers return importance-weighted values that are
 bounded at the family's own exponent (see extremal.py), so their variance is
 finite at every 0 < p < 1. The median of means stays the default for
@@ -22,6 +28,7 @@ p >= 0.45 only until the samplers move to randomized quasi-Monte Carlo
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +53,7 @@ __all__ = [
     "sample_values",
     "estimate_from_values",
     "estimate_pair",
+    "estimate_passes",
     "ratio_from_estimates",
     "ratio_experiment",
     "monotone_ratio_experiment",
@@ -148,28 +156,36 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
 
 
-def _map_chunks(work, n_samples: int, seed: int, threads: int = 1) -> list:
-    """Run work(rng, start, m) on every chunk of the sample index range, where
-    chunk j holds the m samples from index start = j * CHUNK on and draws
-    from chunk_rng(seed, j). The results come back in chunk order, so they do
-    not depend on the worker count."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
+    """Run work(rng, start, m) on every chunk of the sample index range of
+    each (work, n_samples) pass, where chunk j holds the m samples from index
+    start = j * CHUNK on and draws from chunk_rng(seed, j) in every pass.
+    The chunks of all passes go to one pool of workers, in the order the
+    passes are given, and come back as one list per pass in chunk order, so
+    they do not depend on the worker count."""
+    jobs = []
+    for work, n_samples in passes:
+        if n_samples < 1:
+            raise ValueError("n_samples must be positive")
+        jobs += [(work, start, min(CHUNK, n_samples - start))
+                 for start in range(0, n_samples, CHUNK)]
 
-    def run(start):
-        return work(chunk_rng(seed, start // CHUNK), start, min(CHUNK, n_samples - start))
+    def run(job):
+        work, start, m = job
+        return work(chunk_rng(seed, start // CHUNK), start, m)
 
-    starts = range(0, n_samples, CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, starts))
-    return [run(start) for start in starts]
+            results = pool.map(run, jobs)
+    else:
+        results = map(run, jobs)
+    return [list(itertools.islice(results, -(-n_samples // CHUNK))) for _, n_samples in passes]
 
 
 def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
     """Draw n_samples values (or tuples of parallel arrays) chunk by chunk,
     concatenated in chunk order."""
-    parts = _map_chunks(lambda rng, start, m: sampler(rng, m), n_samples, seed, threads)
+    (parts,) = _map_chunks([(lambda rng, start, m: sampler(rng, m), n_samples)], seed, threads)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     return np.concatenate(parts)
@@ -238,6 +254,27 @@ def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimat
     return _merge_chunks(parts, n, method)
 
 
+def estimate_passes(passes, method: EstimatorMethod, seed: int,
+                    threads: int = 1) -> list[tuple[Estimate, ...]]:
+    """`estimate_pair` of every (paired_sampler, n_samples) pass, all on one
+    seed, with the chunks of every pass run on one pool of workers in the
+    order the passes are given: a long pass given first overlaps the short
+    ones. Each pass is reduced and merged in its own chunk order, so it gets
+    exactly the estimates that `estimate_pair` alone would give it."""
+    for _, n_samples in passes:
+        _check_budget(n_samples, method)
+
+    def reducer(paired_sampler, n_samples):
+        def work(rng, start, m):
+            return [_reduce_chunk(v, start, n_samples, method) for v in paired_sampler(rng, m)]
+
+        return work
+
+    parts = _map_chunks([(reducer(sampler, n), n) for sampler, n in passes], seed, threads)
+    return [tuple(_merge_chunks(column, n_samples, method) for column in zip(*chunks))
+            for chunks, (_, n_samples) in zip(parts, passes)]
+
+
 def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
                   seed: int, threads: int = 1) -> tuple[Estimate, ...]:
     """One estimate per component of a sampler that returns a tuple of
@@ -245,13 +282,8 @@ def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
     of draws (common random numbers). Each chunk is reduced by the worker
     that drew it. The arrays a sampler returns belong to the reducer, which
     writes into them, so they must be distinct and writable."""
-    _check_budget(n_samples, method)
-
-    def work(rng, start, m):
-        return [_reduce_chunk(v, start, n_samples, method) for v in paired_sampler(rng, m)]
-
-    parts = _map_chunks(work, n_samples, seed, threads)
-    return tuple(_merge_chunks(column, n_samples, method) for column in zip(*parts))
+    (estimates,) = estimate_passes([(paired_sampler, n_samples)], method, seed, threads)
+    return estimates
 
 
 def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:

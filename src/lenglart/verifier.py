@@ -45,6 +45,7 @@ __all__ = [
     "DiscreteExtremalGenerator",
     "CompensatedBernoulliGenerator",
     "HatXGenerator",
+    "check_type",
     "generator_from_config",
     "VerifierReport",
     "AuditEntry",
@@ -282,29 +283,46 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def check_type(key: str, value, kind: type):
+    """value, if it follows the rule of a --config setting of type kind: an
+    int for int, an int or float for float, a str for str, and never a bool.
+    Raises ValueError otherwise; nothing is cast."""
+    types = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 def generator_from_config(cfg: dict) -> _Generator:
-    """Build a generator from a JSON-style description."""
+    """Build a generator from a JSON-style description. Its numbers follow
+    the --config rules (see check_type)."""
     kind = _object(cfg, "generator").get("kind")
+
+    def params():
+        return ExtremalParams(p=check_type("p", cfg["p"], float),
+                              n=check_type("n", cfg["n"], int))
+
     if kind == "extremal":
-        return ExtremalGenerator(ExtremalParams(p=cfg["p"], n=int(cfg["n"])))
+        return ExtremalGenerator(params())
     if kind == "discrete_extremal":
-        return DiscreteExtremalGenerator(
-            ExtremalParams(p=cfg["p"], n=int(cfg["n"])), level_N=int(cfg["level_N"])
-        )
+        return DiscreteExtremalGenerator(params(),
+                                         level_N=check_type("level_N", cfg["level_N"], int))
     if kind == "compensated_bernoulli":
         jump = JumpLaw(
             kind=cfg.get("jump", "bernoulli"),
-            q=cfg.get("q", 0.5),
-            c=cfg.get("c", 1.0),
+            q=check_type("q", cfg.get("q", 0.5), float),
+            c=check_type("c", cfg.get("c", 1.0), float),
         )
-        return CompensatedBernoulliGenerator(jump=jump, steps=int(cfg["steps"]))
+        return CompensatedBernoulliGenerator(jump=jump,
+                                             steps=check_type("steps", cfg["steps"], int))
     if kind == "hatx_of":
         inner = generator_from_config(cfg["inner"])
         rule_cfg = _object(cfg["rule"], "hatx_of rule")
         if "k" in rule_cfg:
-            rule = FixedIndexRule(k=int(rule_cfg["k"]))
+            rule = FixedIndexRule(k=check_type("k", rule_cfg["k"], int))
         else:
-            rule = HittingRule(side=rule_cfg["side"], level=float(rule_cfg["level"]))
+            rule = HittingRule(side=rule_cfg["side"],
+                               level=check_type("level", rule_cfg["level"], float))
         return HatXGenerator(inner=inner, rule=rule)
     raise ValueError(f"unknown generator kind {kind!r}")
 

@@ -13,6 +13,7 @@ from lenglart.bdg import (
     _CDF_AT_ONE,
     _bridge_max,
     _bridge_min,
+    _bridge_step,
     _exact_fixed_time_sampler,
     _fixed_time_sampler,
     _hitting_sampler,
@@ -62,6 +63,20 @@ class TestBridgeExtrema:
         m_dn = _bridge_min(x0, x1, 0.01, u)
         assert np.all(m_up >= np.maximum(x0, x1) - 1e-12)
         assert np.all(m_dn <= np.minimum(x0, x1) + 1e-12)
+
+    def test_step_is_the_closed_forms(self):
+        # the in-place step draws a normal, then a uniform for the maximum
+        # and one for the minimum, and matches the closed forms bit for bit
+        h = 0.01
+        x0 = rng_of(3).standard_normal(5_000)
+        x1, up, dn, work = np.full((4, x0.size), np.nan)
+        _bridge_step(rng_of(4), x0, x1, up, dn, work, h, math.sqrt(h))
+        rng = rng_of(4)
+        end = x0 + rng.standard_normal(x0.size) * math.sqrt(h)
+        u_max, u_min = rng.random(x0.size), rng.random(x0.size)
+        np.testing.assert_array_equal(x1, end)
+        np.testing.assert_array_equal(up, _bridge_max(x0, end, h, u_max))
+        np.testing.assert_array_equal(dn, _bridge_min(x0, end, h, u_min))
 
     def test_tail_law(self):
         # for a bridge from 0 to 0 over h, P[max >= m] = exp(-2 m^2 / h)
@@ -239,3 +254,33 @@ class TestBdgRatio:
         r2 = bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=4)
         assert r1.ratio == r2.ratio
         assert r1.bias_relative_change == r2.bias_relative_change
+
+
+class TestGolden:
+    """Values pinned from the implementation that ran the two passes one
+    after the other and allocated every bridge step's arrays. Scheduling and
+    buffer reuse must not move a bit of them, at any thread count."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fixed(self, threads):
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.02)
+        r = bdg_ratio(spec, n_samples=65_536, seed=3, threads=threads)
+        assert r.ratio.ratio == 0.7993944396124165
+        assert (r.ratio.numerator.value, r.ratio.numerator.halfwidth) == (1.0, 0.0)
+        assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
+            1.250946904865696, 0.0019838552813147476)
+        assert (r.validation.value, r.validation.halfwidth) == (
+            1.2537373606470328, 0.0018778496806411663)
+        assert r.bias_relative_change == 0.0003376833619954385
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_hitting(self, threads):
+        spec = MartingaleSpec(kind=BM_HITTING, q=1.5, step=0.01, a=-0.5, b=1.5)
+        r = bdg_ratio(spec, n_samples=40_000, seed=3, threads=threads)
+        assert r.ratio.ratio == 0.8718389010756112
+        assert (r.ratio.numerator.value, r.ratio.numerator.halfwidth) == (
+            0.7413625178031258, 0.0029105828223848123)
+        assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
+            0.8503434715845861, 0.003193026650544056)
+        assert r.validation is None
+        assert r.bias_relative_change == 0.0020020460554221416

@@ -141,6 +141,33 @@ class TestUsageErrors:
         assert "bad suite entry" in err and f"{key} must be" in err
         assert "checks passed" not in out
 
+    @pytest.mark.parametrize(("key", "generator"), [
+        ("n", {"kind": "extremal", "p": 0.5, "n": 10.7}),
+        ("n", {"kind": "extremal", "p": 0.5, "n": True}),
+        ("p", {"kind": "extremal", "p": True, "n": 4}),
+        ("level_N", {"kind": "discrete_extremal", "p": 0.5, "n": 4, "level_N": 3.0}),
+        ("steps", {"kind": "compensated_bernoulli", "q": 0.3, "steps": 12.5}),
+        ("q", {"kind": "compensated_bernoulli", "q": True, "steps": 12}),
+        ("c", {"kind": "compensated_bernoulli", "jump": "const", "c": "1", "steps": 12}),
+        ("k", {"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli", "steps": 12},
+               "rule": {"k": 6.5}}),
+        ("level", {"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli", "steps": 12},
+                   "rule": {"side": "x", "level": "2"}}),
+        ("level", {"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli", "steps": 12},
+                   "rule": {"side": "x", "level": False}}),
+    ], ids=["n-fraction", "n-bool", "p-bool", "level_N-float", "steps-fraction", "q-bool",
+            "c-string", "k-fraction", "level-string", "level-bool"])
+    def test_generator_value_of_wrong_type(self, capsys, tmp_path, key, generator):
+        # the generator's numbers follow the --config rules too: an int
+        # setting takes an int, a float setting an int or float, never a bool
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps({"generator": generator, "p": 0.5,
+                                     "n_samples": 1000, "seed": 1}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite), "--method", "plain"], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and f"{key} must be" in err
+        assert "checks passed" not in out
+
     @pytest.mark.parametrize(("text", "message"), [
         ("", "suite has no checks"),
         ("\n  \n\t\n", "suite has no checks"),

@@ -17,6 +17,7 @@ from lenglart.montecarlo import (
     default_method,
     estimate_from_values,
     estimate_pair,
+    estimate_passes,
     median_of_means,
     monotone_ratio_experiment,
     ratio_experiment,
@@ -155,6 +156,42 @@ class TestStreamedEqualsConcatenated:
             single = estimate_pair(lambda rng, m: self.paired(rng, m)[1:], n, method,
                                    seed, threads)
             assert single == expected[1:]
+
+
+class TestPassScheduler:
+    """estimate_passes runs the chunks of several passes on one pool of
+    workers; each pass must get exactly the estimates that estimate_pair
+    gives it alone, whatever the order of the passes and the worker count."""
+
+    @staticmethod
+    def paired(rng, m):
+        u = rng.random(m)
+        return u, 1.0 / np.sqrt(u)
+
+    @staticmethod
+    def squared_normal(rng, m):
+        return (rng.standard_normal(m) ** 2,)
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
+    def test_each_pass_as_if_alone(self, method, threads, order):
+        # one sample (the fewest that fill the blocks, for median of means),
+        # one partial chunk, and four chunks with a partial last one
+        smallest = 1 if method is PLAIN else method.blocks
+        passes = [(self.paired, smallest), (self.squared_normal, CHUNK - 100),
+                  (self.paired, 3 * CHUNK + 5)]
+        if order == "reversed":
+            passes.reverse()
+        expected = [estimate_pair(sampler, n, method, 11, threads) for sampler, n in passes]
+        assert estimate_passes(passes, method, 11, threads) == expected
+
+    def test_pass_that_cannot_fill_the_blocks(self):
+        def sampler(rng, m):
+            raise AssertionError("drew before checking the budgets")
+
+        with pytest.raises(ValueError, match="blocks"):
+            estimate_passes([(sampler, 3 * CHUNK), (sampler, 1)], median_of_means(3), 0, 2)
 
 
 class TestRatio:
