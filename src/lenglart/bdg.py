@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .montecarlo import (
     PLAIN,
@@ -138,8 +137,9 @@ def _bridge_step(rng: np.random.Generator, x0, x1, up, dn, work, h: float, sqrt_
     dn *= 0.5
 
 
-# P[S < 1]: the quantile of a lower u lies on the theta-series side
-_CDF_AT_ONE = float(sup_abs_bm_law(1.0)[0])
+# P[S < 1], the value of float(sup_abs_bm_law(1.0)[0]): the quantile of a
+# lower u lies on the theta-series side
+_CDF_AT_ONE = 0.3707774297995239
 _NEWTON_MAX = 20
 
 
@@ -152,6 +152,8 @@ def _sup_abs_quantile(u: np.ndarray) -> np.ndarray:
     The convergence is quadratic, so once every relative step is below 1e-8
     the next one would be below double precision and the loop stops.
     """
+    from scipy.special import ndtri
+
     low = u < _CDF_AT_ONE
     target = np.where(low, u, 1.0 - u)
     log_target = np.log(target)

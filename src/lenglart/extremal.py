@@ -6,7 +6,6 @@ p expm1(t/p) of A up to Z. Appending an independent Brownian excursion
 after the horizon multiplies the supremum moment by 1/(1-p); the supremum
 of that excursion started at level x has the exact Pareto tail
 P[sup >= y] = x/y, so it is sampled as x/U rather than by path simulation.
-Path simulation (sample_y_path_batch) exists only to validate that law.
 
 The vectorized sup samplers that feed the moment estimates draw Z from a
 defensive mixture rather than from Exp(1) and return importance-weighted
@@ -43,7 +42,6 @@ __all__ = [
     "ExtremalParams",
     "FixedIndexRule",
     "HittingRule",
-    "sample_y_path_batch",
     "sharpness_sup_sampler",
     "monotone_sup_sampler",
     "discrete_sup_sampler",
@@ -66,41 +64,6 @@ class ExtremalParams:
             raise ValueError("p must lie in (0,1)")
         if self.n < 1:
             raise ValueError("horizon n must be a positive integer")
-
-
-_Y_STEP = 1e-3
-_Y_HORIZON = 50.0
-
-
-def sample_y_path_batch(x: float, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Running maxima of Euler paths from x absorbed at 0, at step _Y_STEP up
-    to time _Y_HORIZON; grid absorption, so the result is stochastically below
-    the exact law."""
-    if x <= 0:
-        return np.zeros(n_paths)
-    sups = np.full(n_paths, x)
-    pos = np.full(n_paths, x)
-    alive = np.arange(n_paths)
-    sqrt_h = math.sqrt(_Y_STEP)
-    block = max(1, int(round(1.0 / _Y_STEP)) // 10)  # ~0.1 time units per block
-    n_blocks = int(math.ceil(_Y_HORIZON / (block * _Y_STEP)))
-    for _ in range(n_blocks):
-        if alive.size == 0:
-            break
-        incr = rng.standard_normal((alive.size, block)) * sqrt_h
-        paths = pos[alive, None] + np.cumsum(incr, axis=1)
-        hit = (paths <= 0.0).argmax(axis=1)
-        was_hit = paths[np.arange(alive.size), hit] <= 0.0
-        # maxima only count up to (and excluding) the absorption step
-        capped = np.where(
-            np.arange(block)[None, :] <= np.where(was_hit, hit, block)[:, None],
-            paths,
-            -np.inf,
-        )
-        np.maximum.at(sups, alive, capped.max(axis=1))
-        pos[alive] = paths[:, -1]
-        alive = alive[~was_hit]
-    return sups
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +92,10 @@ def sample_y_path_batch(x: float, n_paths: int, rng: np.random.Generator) -> np.
 # the arrays that Philox filled: at r = p a chunk allocates no full-size
 # temporary (the discrete kernel one, for its caps), because glibc returns
 # a freed heap top to the operating system and every chunk would page-fault
-# it in again.
+# it in again. For the same reason a chunk's two full-size arrays are the
+# halves of one allocation (`_mixture_draws`): glibc keeps a freed heap top
+# of up to twice the largest block it has unmapped, and two separate blocks
+# of m doubles leave more than twice one of them free when the chunk ends.
 # ---------------------------------------------------------------------------
 
 # elements per block of _combine_with_mask's scratch (64 KB)
@@ -151,17 +117,21 @@ def _combine_with_mask(op, values: np.ndarray, mask: np.ndarray, off: float,
         op(block, operand, out=block)
 
 
-def _mixture_draws(rng: np.random.Generator, m: int, n: int):
-    """(t, head) for Z drawn from q, with t = min(Z, n) in the array of the
-    uniforms v. head marks the U(0, n) component, on which Z = 2n v. Beyond n
-    every statistic depends on Z only through t = n, so Z is not inverted
-    there. A sampler that needs the uniform behind the Brownian tail draws it
-    next, as in the Exp(1) layout."""
-    t = rng.random(m)
+def _mixture_draws(rng: np.random.Generator, m: int, n: int, tail: bool):
+    """(t, head, rest) for Z drawn from q, with t = min(Z, n) in the array of
+    the uniforms v. head marks the U(0, n) component, on which Z = 2n v.
+    Beyond n every statistic depends on Z only through t = n, so Z is not
+    inverted there. t and rest are the two halves of one array of 2m
+    doubles. With tail, rest holds the uniforms behind the Brownian tail,
+    drawn next as in the Exp(1) layout; without, it is left for the caller
+    to fill."""
+    both = np.empty(2 * m)
+    t, rest = both[:m], both[m:]
+    rng.random(out=both if tail else t)
     head = t < 0.5
     t *= 2.0 * n
     np.minimum(t, n, out=t)
-    return t, head
+    return t, head, rest
 
 
 def _weighted_tail_factor(r: float, u: np.ndarray) -> np.ndarray:
@@ -245,9 +215,9 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
     r = _exponent(params, r)
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head = _mixture_draws(rng, m, n)
+        t, head, u = _mixture_draws(rng, m, n, tail=True)
         growth = _excess_growth(p, r, t)
-        supx = _weighted_sup_x_pow(n, r, head, growth, rng.random(m))
+        supx = _weighted_sup_x_pow(n, r, head, growth, u)
         return supx, _weighted_sup_g_pow(p, r, n, t, head, shift=growth)
 
     return sampler
@@ -261,9 +231,9 @@ def monotone_sup_sampler(params: ExtremalParams):
     p, n = params.p, params.n
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head = _mixture_draws(rng, m, n)
+        t, head, supx_p = _mixture_draws(rng, m, n, tail=False)
         # w(z) A(z)^p = 2n e^-z exp(z)
-        supx_p = head * (2.0 * n)
+        np.multiply(head, 2.0 * n, out=supx_p)
         return supx_p, _weighted_sup_g_pow(p, p, n, t, head)
 
     return sampler
@@ -280,8 +250,8 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     h = 2.0 ** (-level_N)
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head = _mixture_draws(rng, m, n)
-        supx = _weighted_sup_x_pow(n, r, head, _excess_growth(p, r, t), rng.random(m))
+        t, head, u = _mixture_draws(rng, m, n, tail=True)
+        supx = _weighted_sup_x_pow(n, r, head, _excess_growth(p, r, t), u)
         # g keeps accruing through the grid step that contains z; the cap is
         # the one array this kernel adds, and t's array takes the shift
         # (r/p) cap - t

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -609,6 +613,31 @@ class TestDeterminism:
             payload = load_json_output(out_file)
             results.append(payload["result"])
         assert results[0] == results[1]
+
+
+# the headline subcommands at their defaults, then dump-paths; prints the exit
+# codes and the scipy modules loaded
+HEADLINE_RUNS = """
+import contextlib, io, os, sys, tempfile
+from lenglart.cli import build_parser, main
+build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([sub]) for sub in ("sharpness", "monotone-sharpness")]
+    with tempfile.TemporaryDirectory() as tmp:
+        codes.append(main(["dump-paths", "--output", os.path.join(tmp, "paths.csv")]))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestImportCost:
+    def test_headline_runs_load_no_scipy(self):
+        # in a fresh interpreter: pytest's filterwarnings setting names a
+        # scipy warning class, so scipy is already loaded in this process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", HEADLINE_RUNS], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[0, 0, 0] []", done.stdout
 
 
 class TestExperimentConfig:

@@ -1,9 +1,10 @@
 """Oracle tests: closed-form constants, exact moments, quadrature identities.
 
-Golden values were produced by the quadrature oracle itself in a separate
-session and frozen here at 1e-9; they guard against regressions in the
-integration scheme, not against the formulas (those have independent checks
-below, e.g. the gamma-function cross-check for the Exp law).
+Golden values were produced by the earlier quadrature oracle and are frozen
+here at 1e-9; they guard against regressions in the integration scheme, not
+against the formulas (those have independent checks below, e.g. the
+gamma-function cross-check for the Exp law). The compensator moment is also
+checked against high-precision reference values at 1e-14.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from lenglart.bdg import _CDF_AT_ONE
 from lenglart.oracles import (
     ConstantKind,
     ExpLaw,
@@ -44,6 +46,48 @@ GOLDEN_GTILDE = {
     (0.5, 5.0): 4.025654951880698,
     (0.5, 10.0): 7.561196883233899,
     (0.5, 40.0): 28.7744003191906,
+}
+
+# the moment at 40 digits (mpmath), from the defining integral over x split at
+# p 2^k and, independently, from the w = 1 - e^(-x/p) form; the two agree to
+# 1e-40 in relative terms. Rounded to 20 significant digits.
+REFERENCE_GTILDE = {
+    (0.01, 1e-3): 0.93371545992047298672,
+    (0.01, 1.0): 1.9098292197764261495,
+    (0.01, 40.0): 39.154540074612428161,
+    (0.01, 4096.0): 3912.6044689775566373,
+    (0.01, 1e5): 95500.213438777349891,
+    (0.01, 1e7): 9549926.8150509932451,
+    (0.05, 1e-3): 0.70826655126164617893,
+    (0.05, 1.0): 1.7183668410342235200,
+    (0.05, 40.0): 35.293141555056165766,
+    (0.05, 4096.0): 3527.0697118045724754,
+    (0.05, 1e5): 86090.023408355265808,
+    (0.05, 1e7): 8608917.4507925296901,
+    (0.25, 1e-3): 0.17788130173278952038,
+    (0.25, 1.0): 1.3499357559345751297,
+    (0.25, 40.0): 28.929548234897504063,
+    (0.25, 4096.0): 2896.9546527275342630,
+    (0.25, 1e5): 70711.323395642188043,
+    (0.25, 1e7): 7071068.4571424626796,
+    (0.5, 1e-3): 0.031628047327879758404,
+    (0.5, 1.0): 1.1719972840394885767,
+    (0.5, 40.0): 28.774400319196174572,
+    (0.5, 4096.0): 2896.7995048118329335,
+    (0.5, 1e5): 70711.168247726486714,
+    (0.5, 1e7): 7071068.3019945469783,
+    (0.75, 1e-3): 0.0056238149171757543619,
+    (0.75, 1.0): 1.0697447291138896930,
+    (0.75, 40.0): 32.544546310014477622,
+    (0.75, 4096.0): 3301.3862789172289969,
+    (0.75, 1e5): 80593.052335120952187,
+    (0.75, 1e7): 8059274.7961249197049,
+    (0.99, 1e-3): 0.0010715219973508635436,
+    (0.99, 1.0): 1.0023762258899621020,
+    (0.99, 40.0): 39.620222648783257042,
+    (0.99, 4096.0): 4055.4638081352877693,
+    (0.99, 1e5): 99009.966575023287952,
+    (0.99, 1e7): 9900995.0494932665501,
 }
 
 
@@ -150,6 +194,10 @@ class TestGtilde:
         p, t = key
         assert gtilde_sup_moment(p, t) == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize(("key", "value"), sorted(REFERENCE_GTILDE.items()))
+    def test_matches_reference(self, key, value):
+        assert gtilde_sup_moment(*key) == pytest.approx(value, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 10.0])
     def test_upper_bound(self, p, t):
@@ -189,6 +237,10 @@ class TestSupAbsBmLaw:
         sf, pdf_refl = _reflection_series(x)
         np.testing.assert_allclose(cdf, 1.0 - sf, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(pdf_theta, pdf_refl, rtol=0.0, atol=1e-13)
+
+    def test_cdf_at_one_literal(self):
+        # bdg holds P[S < 1] as a literal so that importing it evaluates no series
+        assert _CDF_AT_ONE == float(sup_abs_bm_law(1.0)[0])
 
     def test_cdf_sf_pdf_consistent(self):
         x = np.linspace(0.05, 6.0, 400)
