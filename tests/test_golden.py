@@ -1,11 +1,12 @@
-"""Golden outputs: the stable JSON (timestamp and thread count removed) of
-fixed CLI invocations must equal, field for field, the corpus recorded in
-golden/cli.json, at one thread and at two.
+"""Golden outputs: the stable JSON of fixed CLI invocations and verifier API
+reports must equal, field for field, the corpus recorded in golden/, at one
+thread and at two where the call takes a thread count.
 
-Budgets of 3 * CHUNK + 5 samples cross chunk boundaries, so a change to any
-sampler, to the chunk streams or to the reductions shows here. A change
-that alters outputs on purpose re-records the corpus and says which entries
-changed and why:
+The stable JSON of a CLI run drops its timestamp and thread count, and for
+verify the path of the temporary suite file. Budgets of 3 * CHUNK + 5
+samples cross chunk boundaries, so a change to any sampler, to the chunk
+streams or to the reductions shows here. A change that alters outputs on
+purpose re-records the corpus and says which entries changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,30 +15,103 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from lenglart.cli import main
+from lenglart.extremal import ExtremalParams
 from lenglart.montecarlo import CHUNK
+from lenglart.verifier import (
+    CompensatedBernoulliGenerator,
+    ExtremalGenerator,
+    JumpLaw,
+    PowerF,
+    check_pratelli,
+    domination_audit,
+)
 
 CORPUS = Path(__file__).with_name("golden") / "cli.json"
+API_CORPUS = Path(__file__).with_name("golden") / "api.json"
 SAMPLES = 3 * CHUNK + 5
 INVOCATIONS = [f"{sub} --p {p} --n {n} --samples {SAMPLES} --seed 0"
                for sub in ("sharpness", "monotone-sharpness")
                for p in (0.25, 0.5, 0.75)
                for n in (10, 40)]
 
+# the verify suite entries of the benchmark's verify-suite workload, at
+# SAMPLES samples each; the corpus key is "verify <name>"
+SUITE = {
+    "extremal:p=0.25:n=10":
+        {"generator": {"kind": "extremal", "p": 0.25, "n": 10}, "p": 0.25,
+         "constant": "lenglart"},
+    "extremal:p=0.5:n=10":
+        {"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
+         "constant": "lenglart"},
+    "discrete_extremal:p=0.5:n=10:N=4":
+        {"generator": {"kind": "discrete_extremal", "p": 0.5, "n": 10, "level_N": 4},
+         "p": 0.5, "constant": "lenglart"},
+    "bernoulli:q=0.3:steps=12":
+        {"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "q": 0.3,
+                       "steps": 12}, "p": 0.5, "constant": "monotone"},
+    "exp-jumps:steps=20":
+        {"generator": {"kind": "compensated_bernoulli", "jump": "exp", "steps": 20},
+         "p": 0.5, "constant": "monotone"},
+    "extremal:p=0.01:n=10":
+        {"generator": {"kind": "extremal", "p": 0.01, "n": 10}, "p": 0.01,
+         "constant": "lenglart"},
+    "hatx_of:discrete_extremal:x>=3":
+        {"generator": {"kind": "hatx_of",
+                       "inner": {"kind": "discrete_extremal", "p": 0.5, "n": 5, "level_N": 4},
+                       "rule": {"side": "x", "level": 3.0}},
+         "p": 0.5, "constant": "monotone"},
+    "hatx_of:bernoulli:k=6":
+        {"generator": {"kind": "hatx_of",
+                       "inner": {"kind": "compensated_bernoulli", "jump": "bernoulli",
+                                 "q": 0.3, "steps": 12},
+                       "rule": {"k": 6}},
+         "p": 0.5, "constant": "monotone"},
+}
+
+API_GENERATORS = {
+    "extremal:p=0.5:n=10": ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+    "bernoulli:q=0.3:steps=12":
+        CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
+}
+API_CALLS = {
+    f"{call} {name}": partial(make, gen, n_samples=SAMPLES, seed=0)
+    for name, gen in API_GENERATORS.items()
+    for call, make in (("domination_audit", domination_audit),
+                       ("check_pratelli", partial(check_pratelli, F=PowerF(0.5), c=0.5)))
+}
+
 
 def stable_json(argv: str, threads: int) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv.split() + ["--threads", str(threads)])
-    # the JSON comes first, then a summary line
-    payload, _ = json.JSONDecoder().raw_decode(out.getvalue())
+    # the JSON comes after verify's per-check lines and before a summary line
+    text = out.getvalue()
+    payload, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
     del payload["timestamp"]
     del payload["config"]["threads"]
     return payload
+
+
+def stable_verify_json(name: str, threads: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        suite = Path(tmp) / "suite.jsonl"
+        suite.write_text(json.dumps({**SUITE[name], "n_samples": SAMPLES}) + "\n")
+        payload = stable_json(f"verify --suite {suite}", threads)
+    del payload["config"]["config_path"]
+    return payload
+
+
+def api_json(key: str) -> dict:
+    # through JSON text, as the corpus holds it
+    return json.loads(json.dumps(API_CALLS[key]().to_json()))
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +119,14 @@ def corpus():
     return json.loads(CORPUS.read_text())
 
 
-def test_corpus_holds_every_invocation(corpus):
-    assert sorted(corpus) == sorted(INVOCATIONS)
+@pytest.fixture(scope="module")
+def api_corpus():
+    return json.loads(API_CORPUS.read_text())
+
+
+def test_corpus_holds_every_invocation(corpus, api_corpus):
+    assert sorted(corpus) == sorted(INVOCATIONS + [f"verify {name}" for name in SUITE])
+    assert sorted(api_corpus) == sorted(API_CALLS)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -55,12 +135,30 @@ def test_output_matches_corpus(corpus, argv, threads):
     assert stable_json(argv, threads) == corpus[argv]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", SUITE)
+def test_verify_matches_corpus(corpus, name, threads):
+    assert stable_verify_json(name, threads) == corpus[f"verify {name}"]
+
+
+@pytest.mark.parametrize("key", API_CALLS)
+def test_api_report_matches_corpus(api_corpus, key):
+    assert api_json(key) == api_corpus[key]
+
+
+def _record(path: Path, records: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} entries to {path}")
+
+
 if __name__ == "__main__":
+    runs = {argv: partial(stable_json, argv) for argv in INVOCATIONS}
+    runs.update({f"verify {name}": partial(stable_verify_json, name) for name in SUITE})
     records = {}
-    for argv in INVOCATIONS:
-        records[argv] = stable_json(argv, 1)
-        if stable_json(argv, 2) != records[argv]:
-            sys.exit(f"{argv}: the output at two threads differs from one thread")
-    CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} entries to {CORPUS}")
+    for key, run in runs.items():
+        records[key] = run(1)
+        if run(2) != records[key]:
+            sys.exit(f"{key}: the output at two threads differs from one thread")
+    _record(CORPUS, records)
+    _record(API_CORPUS, {key: api_json(key) for key in API_CALLS})
