@@ -10,6 +10,7 @@ lhs <= constant * rhs + 3 * combined half-widths.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,16 @@ class JumpLaw:
             return 1.0
         return self.c
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """i.i.d. jumps, computed in the array of the uniforms they come from."""
+    def sample(self, rng: np.random.Generator, shape=None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """i.i.d. jumps of the given shape, or of the shape of out, a
+        C-contiguous array they are written into; computed in the array of
+        the uniforms they come from."""
+        u = np.empty(shape) if out is None else out
         if self.kind == "const":
-            return np.full(shape, self.c)
-        u = rng.random(shape)
+            u.fill(self.c)
+            return u
+        rng.random(out=u)
         if self.kind == "bernoulli":
             return np.less(u, self.q, out=u)
         np.log(u, out=u)
@@ -156,8 +162,9 @@ class _Generator:
                       g_divisor: float = 1.0) -> list:
         """(x_tau, g_tau) per rule on the size paths that path_batch(rng, size)
         draws, with g divided by g_divisor before stopping, so that a hitting
-        rule on g stops on the scaled g. Here the paths are built and
-        stopped; the single-jump generators stop them in closed form."""
+        rule on g stops on the scaled g. Each array is new and the caller's
+        to overwrite. Here the paths are built and stopped; the single-jump
+        generators and the walks stop them in closed form."""
         x, g = self.path_batch(rng, size)
         if g_divisor != 1.0:
             g = g / g_divisor
@@ -207,11 +214,134 @@ class DiscreteExtremalGenerator(_Generator):
         return discrete_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
 
 
+# numpy's binomial sampler inverts the cdf where min(q, 1 - q) * n is at most
+# this, and draws by rejection (BTPE) above it
+_INVERSION_LIMIT = 30.0
+# the doubles numpy's next_double returns are the multiples of this in [0, 1)
+_DOUBLE_GRID = 2.0**-53
+
+
+def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
+    """(T, flip) such that rng.binomial(n, q) is #{k : U > T[k]}, or n minus
+    that when flip, for the one double U = rng.random() that numpy's
+    inversion sampler reads for the draw; None where that sampler does not
+    read exactly one double per draw.
+
+    The sampler (random_binomial_inversion) runs, on p' = min(q, 1 - q):
+    X = 0, px = exp(n log1p(-p')); while U > px: X += 1, U -= px,
+    px = (n - X + 1) p' px / (X q'); it redraws U once X passes its bound.
+    Every step's test is monotone in U, so whether the loop stops at k or
+    below is U <= T[k], the largest double on the grid for which the same
+    loop, run here on Python floats (the same IEEE operations and libm
+    exp and log1p), stops there. T[k] is found by bisection from a bracket
+    around the float partial sums of px. None: for p' n above the
+    inversion limit, for p' = 0, and where the largest double below 1
+    runs past the bound, since a redraw is then possible."""
+    p = q if q <= 0.5 else 1.0 - q
+    if p == 0.0 or p * n > _INVERSION_LIMIT:
+        return None
+    r = 1.0 - p
+    px0 = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * r + 1)))
+
+    def stop(j: int) -> int:
+        """Where the loop stops for U = j * grid; bound + 1 for a redraw."""
+        u, x, px = j * _DOUBLE_GRID, 0, px0
+        while u > px:
+            x += 1
+            if x > bound:
+                break
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * r)
+        return x
+
+    top = 2**53 - 1
+    most = stop(top)
+    if most > bound:
+        return None
+    thresholds = []
+    lo_floor, total, px = 0, 0.0, px0
+    for k in range(most):  # at most bound < 86 entries
+        total += px
+        px = ((n - k) * p * px) / ((k + 1) * r)
+        guess = int(total / _DOUBLE_GRID)
+        width = 2 * k + 8  # grid steps of rounding the loop's subtractions may move T[k]
+        while True:
+            lo, hi = max(lo_floor, guess - width), min(top, guess + width)
+            if stop(lo) <= k < stop(hi):
+                break
+            width *= 2
+        while hi - lo > 1:  # stop(lo) <= k < stop(hi)
+            mid = (lo + hi) // 2
+            if stop(mid) <= k:
+                lo = mid
+            else:
+                hi = mid
+        thresholds.append(lo * _DOUBLE_GRID)
+        lo_floor = lo
+    return np.array(thresholds), q > 0.5
+
+
+def _binomial_sampler(n: int, q: float):
+    """(rng, m) -> rng.binomial(n, q, m) as floats, leaving rng in the state
+    rng.binomial leaves it. Where numpy inverts the cdf with one double per
+    draw, the draws come from rng.random(m) and a table of thresholds
+    (_binomial_thresholds), which is built here, once per sampler."""
+    table = _binomial_thresholds(n, q)
+    if table is None:
+        return lambda rng, m: rng.binomial(n, q, m).astype(float)
+    thresholds, flip = table
+
+    def sampler(rng, m):
+        u = rng.random(m)
+        count = np.zeros(m, np.uint8)  # fewer than 86 thresholds
+        above = np.empty(m, bool)
+        for t in thresholds:
+            count += np.greater(u, t, out=above).view(np.uint8)
+        np.copyto(u, count)
+        return np.subtract(n, u, out=u) if flip else u
+
+    return sampler
+
+
+def _power_of(value: float, r: float) -> float:
+    """value ** r as numpy's array power gives it in each element of
+    np.full(m, value) ** r, so that a column filled with it has those bits."""
+    return float((np.array([value]) ** r)[0])
+
+
+# the walks' stopped_batch draws its jump rows in blocks of about this many
+# cells (512 KB of doubles) into one buffer
+_WALK_BLOCK_CELLS = 1 << 16
+
+
+def _walk_stop_index(rule, g_row: np.ndarray) -> int | None:
+    """The index at which rule stops every walk whose g is g_row, or None
+    for a hitting rule on x that stops each walk where its x first reaches
+    the level (x starts at 0 and never decreases)."""
+    last = g_row.size - 1
+    if isinstance(rule, FixedIndexRule):
+        return rule.index(last)
+    if rule.side == "g":
+        hits = np.flatnonzero(g_row >= rule.level)
+        return int(hits[0]) if hits.size else last
+    if rule.level <= 0:
+        return 0
+    return last if math.isnan(rule.level) else None
+
+
 @dataclass(frozen=True)
 class CompensatedBernoulliGenerator(_Generator):
     """Random walk of non-negative i.i.d. jumps with its deterministic
     (hence predictable) compensator G_k = k E[J]; optional stopping makes
-    E[X_tau] = E[G_tau] exact for bounded tau."""
+    E[X_tau] = E[G_tau] exact for bounded tau.
+
+    sup X is the last value: Bernoulli walks draw it as rng.binomial would,
+    through a threshold table on rng.random where numpy inverts the cdf,
+    and exponential walks as a Gamma(steps) draw. stopped_batch stops the
+    walks path_batch draws without building x or g: it sums the jump
+    columns in cumsum's order up to the last index a rule needs."""
 
     jump: JumpLaw
     steps: int
@@ -226,16 +356,19 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def sup_sampler(self, r=1.0):
         jump, k = self.jump, self.steps
-        sup_g = k * jump.mean
+        sup_g = _power_of(k * jump.mean, r)  # also sup X for constant jumps
+        if jump.kind == "bernoulli":
+            draw = _binomial_sampler(k, jump.q)
+        elif jump.kind == "exp":
+            def draw(rng, m):
+                return rng.standard_gamma(k, m)
 
         def sampler(rng, m):
-            if jump.kind == "bernoulli":
-                sup_x = rng.binomial(k, jump.q, m).astype(float)
-            elif jump.kind == "exp":
-                sup_x = rng.standard_gamma(k, m)
-            else:
-                sup_x = np.full(m, k * jump.c)
-            return sup_x**r, np.full(m, sup_g) ** r
+            if jump.kind == "const":
+                return np.full(m, sup_g), np.full(m, sup_g)
+            sup_x = draw(rng, m)
+            sup_x **= r
+            return sup_x, np.full(m, sup_g)
 
         return sampler
 
@@ -247,6 +380,45 @@ class CompensatedBernoulliGenerator(_Generator):
         x[:, 1:] = jumps
         g = np.broadcast_to(np.arange(self.steps + 1) * self.jump.mean, x.shape)
         return x, g
+
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        last = self.steps
+        g_row = np.arange(last + 1) * self.jump.mean
+        if g_divisor != 1.0:
+            g_row = g_row / g_divisor
+        index = [_walk_stop_index(rule, g_row) for rule in rules]
+        hitting = [(i, rules[i].level) for i, k in enumerate(index) if k is None]
+        reach = last if hitting else max(index, default=0)
+        at = {}  # column -> the rules that stop every walk there
+        for i, k in enumerate(index):
+            if k is not None:
+                at.setdefault(k, []).append(i)
+        x_tau = [np.zeros(size) for _ in rules]
+        g_tau = [np.empty(size) if k is None else np.full(size, g_row[k]) for k in index]
+        block = max(1, min(size, _WALK_BLOCK_CELLS // last))
+        buf = np.empty((block, last))
+        x = np.empty(block)  # x at the current column
+        alive = np.empty((len(hitting), block), bool)  # not yet at the level
+        below = np.empty(block, bool)
+        for start in range(0, size, block):
+            rows = slice(start, min(start + block, size))
+            b = rows.stop - start
+            # the stream is read row-major, as by one (size, last) draw
+            jumps = self.jump.sample(rng, out=buf[:b])
+            xb, live = x[:b], alive[:, :b]
+            live.fill(True)
+            for k in range(1, reach + 1):
+                if k == 1:
+                    np.copyto(xb, jumps[:, 0])
+                else:
+                    xb += jumps[:, k - 1]
+                for i in at.get(k, ()):
+                    x_tau[i][rows] = xb
+                for h, (i, level) in enumerate(hitting):
+                    np.copyto(x_tau[i][rows], xb, where=live[h])
+                    np.copyto(g_tau[i][rows], g_row[k], where=live[h])
+                    live[h] &= np.less(xb, level, out=below[:b])
+        return list(zip(x_tau, g_tau))
 
 
 @dataclass(frozen=True)
@@ -265,7 +437,9 @@ class HatXGenerator(_Generator):
     def sup_sampler(self, r=1.0):
         def sampler(rng, m):
             [(x_tau, g_tau)] = self.inner.stopped_batch([self.rule], rng, m)
-            return x_tau**r, g_tau**r
+            x_tau **= r
+            g_tau **= r
+            return x_tau, g_tau
 
         return sampler
 
@@ -468,8 +642,10 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
     battery is built on a 2048-path pilot drawn from Philox(key=seed) as
     dense paths; each estimation chunk is stopped by gen.stopped_batch, so g
     is divided by g_divisor before stopping and a hitting rule on g stops on
-    the scaled g. The single-jump generators stop in closed form and build
-    no path matrix there. Returns (rule, estimates) pairs, one per rule."""
+    the scaled g. The single-jump generators and the walks stop in closed
+    form and build no path matrix there. columns may overwrite the stopped
+    arrays, which are the battery's own. Returns (rule, estimates) pairs,
+    one per rule."""
     pilot_x, pilot_g = gen.path_batch(np.random.Generator(np.random.Philox(key=seed)), 2048)
     rules = default_tau_battery(pilot_x, pilot_g)
 
@@ -503,7 +679,16 @@ def check_pratelli(
         )
     if not callable(F):
         raise ValueError("F must be callable (PowerF or PiecewiseLinearF)")
-    battery = _battery_pass(gen, lambda x, g: (F(x), F(g)), n_samples, seed, g_divisor=c)
+    if isinstance(F, PowerF):
+        def columns(x, g):
+            # in the stopped arrays; ** as in PowerF.__call__, so the bits match
+            x **= F.p
+            g **= F.p
+            return x, g
+    else:
+        def columns(x, g):
+            return F(x), F(g)
+    battery = _battery_pass(gen, columns, n_samples, seed, g_divisor=c)
     reports = [
         VerifierReport(lhs=lhs, rhs_constant=1.0 + c, rhs=rhs, constant_kind=None,
                        label=f"{gen.name}:pratelli:{rule.label()}")

@@ -49,7 +49,8 @@ def rng_of(seed: int) -> np.random.Generator:
 class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
     """The compensated walk with its compensator scaled on the paths: below
     scale 1, E[X_tau] = E[G_tau] / scale > E[G_tau], so the domination
-    hypothesis fails and a checker run on the paths must say so."""
+    hypothesis fails and a checker run on the paths must say so. The
+    checkers stop these paths, not the walk's closed form."""
 
     scale: float = 1.0
 
@@ -57,16 +58,24 @@ class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
         x, g = super().path_batch(rng, size)
         return x, self.scale * g
 
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        return verifier._Generator.stopped_batch(self, rules, rng, size, g_divisor)
+
 
 @dataclass(frozen=True)
 class CountingGenerator(CompensatedBernoulliGenerator):
-    """The compensated walk, recording the size of every path batch drawn."""
+    """The compensated walk, recording the size of every path batch drawn
+    and of every batch stopped (in closed form, without a path batch)."""
 
     sizes: list = field(default_factory=list, compare=False)
 
     def path_batch(self, rng, size):
         self.sizes.append(size)
         return super().path_batch(rng, size)
+
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        self.sizes.append(size)
+        return super().stopped_batch(rules, rng, size, g_divisor)
 
 
 # unscaled, each checker passes with a wide margin (audit: max z 0.05;
@@ -249,6 +258,97 @@ class TestClosedFormStopping:
     def test_closed_form_refuses(self, gen, match):
         with pytest.raises(ValueError, match=match):
             gen.stopped_batch([FixedIndexRule(k=33)], rng_of(0), 16)
+
+
+WALK_LAWS = [JumpLaw("bernoulli", q=0.3), JumpLaw("bernoulli", q=0.7),
+             JumpLaw("bernoulli", q=1.0), JumpLaw("exp"), JumpLaw("const", c=1.5)]
+
+
+def law_id(law: JumpLaw) -> str:
+    return {"bernoulli": f"bernoulli{law.q}", "const": f"const{law.c}"}.get(law.kind, law.kind)
+
+
+class TestWalkClosedForm:
+    """The walks stop without building their paths, and draw sup X through
+    a threshold table on rng.random. Both must give what the paths and
+    rng.binomial give from the same stream, element for element, and leave
+    the stream where those leave it."""
+
+    @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
+    @pytest.mark.parametrize("steps", [1, 5, 12, 20])
+    @pytest.mark.parametrize("divisor", [1.0, 0.5])
+    @pytest.mark.parametrize("block_cells", [verifier._WALK_BLOCK_CELLS, 1000])
+    def test_matches_dense_stopping(self, monkeypatch, law, steps, divisor, block_cells):
+        monkeypatch.setattr(verifier, "_WALK_BLOCK_CELLS", block_cells)
+        gen = CompensatedBernoulliGenerator(jump=law, steps=steps)
+        size = 2500
+        x, g = gen.path_batch(rng_of(9), size)
+        g_row = g[0] / divisor
+        # x at 0, at levels it reaches (on a row and between rows), never;
+        # g at each of its values, between two, never
+        x_levels = [0.0, -1.0, float(np.median(x[:, -1])), float(x[size // 2, steps // 2]),
+                    0.37 * steps * law.mean + 0.1, float(x.max()) + 1.0, math.inf, math.nan]
+        g_levels = [*g_row, 0.5 * (g_row[0] + g_row[-1]) + 1e-9, -1.0, g_row[-1] + 1.0,
+                    math.nan]
+        rules = ([FixedIndexRule(k) for k in sorted({0, 1, steps // 2, steps})]
+                 + [FixedIndexRule(steps // 2)]  # a duplicate gets its own arrays
+                 + [HittingRule("x", level) for level in x_levels]
+                 + [HittingRule("g", level) for level in g_levels])
+        rng_closed, rng_dense = rng_of(3), rng_of(3)
+        got = gen.stopped_batch(rules, rng_closed, size, divisor)
+        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, size, divisor)
+        for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
+            assert np.array_equal(x_tau, want_x), rule
+            assert np.array_equal(g_tau, want_g), rule
+        assert rng_closed.random() == rng_dense.random()
+        arrays = [a for pair in got for a in pair]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    def test_refuses_index_outside_the_walk(self):
+        gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=4)
+        with pytest.raises(ValueError, match="outside the grid"):
+            gen.stopped_batch([FixedIndexRule(k=5)], rng_of(0), 16)
+
+    # every steps at or below numpy's inversion limit, min(q, 1 - q) * steps <= 30
+    BINOMIAL_CASES = [(steps, q)
+                      for q in (0.05, 0.3, 0.5, 0.7, 0.95)
+                      for steps in (1, 2, 3, 5, 12, 20, 40, 60, 100, 200, 600)
+                      if min(q, 1 - q) * steps <= verifier._INVERSION_LIMIT]
+
+    @pytest.mark.parametrize(("steps", "q"), BINOMIAL_CASES + [(100, 0.5)])
+    def test_binomial_sampler_is_numpys(self, steps, q):
+        rng_table, rng_numpy = rng_of(steps), rng_of(steps)
+        got = verifier._binomial_sampler(steps, q)(rng_table, 50_000)
+        want = rng_numpy.binomial(steps, q, 50_000).astype(float)
+        assert np.array_equal(got, want)
+        assert rng_table.random() == rng_numpy.random()
+
+    def test_thresholds_where_numpy_inverts(self):
+        # the table serves the benchmark walk and most cases above; past the
+        # inversion limit, and at q = 1, numpy's own sampler is kept
+        assert verifier._binomial_thresholds(12, 0.3) is not None
+        tables = [verifier._binomial_thresholds(*case) for case in self.BINOMIAL_CASES]
+        assert sum(t is not None for t in tables) > 0.6 * len(tables)
+        assert verifier._binomial_thresholds(100, 0.5) is None
+        assert verifier._binomial_thresholds(12, 1.0) is None
+
+    @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
+    @pytest.mark.parametrize("r", [1.0, 0.5, 0.3])
+    def test_sup_sampler_is_the_last_value(self, law, r):
+        # what the sampler gave when it drew rng.binomial and raised full
+        # arrays to r
+        gen = CompensatedBernoulliGenerator(jump=law, steps=12)
+        sup_x, sup_g = gen.sup_sampler(r)(rng_of(5), 4000)
+        rng = rng_of(5)
+        if law.kind == "bernoulli":
+            want_x = rng.binomial(12, law.q, 4000).astype(float)
+        elif law.kind == "exp":
+            want_x = rng.standard_gamma(12, 4000)
+        else:
+            want_x = np.full(4000, 12 * law.c)
+        assert np.array_equal(sup_x, want_x**r)
+        assert np.array_equal(sup_g, np.full(4000, 12 * law.mean) ** r)
 
 
 class TestGenerators:
