@@ -305,12 +305,6 @@ def _binomial_sampler(n: int, q: float):
     return sampler
 
 
-def _power_of(value: float, r: float) -> float:
-    """value ** r as numpy's array power gives it in each element of
-    np.full(m, value) ** r, so that a column filled with it has those bits."""
-    return float((np.array([value]) ** r)[0])
-
-
 # the walks' stopped_batch draws its jump rows in blocks of about this many
 # cells (512 KB of doubles) into one buffer
 _WALK_BLOCK_CELLS = 1 << 16
@@ -356,16 +350,18 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def sup_sampler(self, r=1.0):
         jump, k = self.jump, self.steps
-        sup_g = _power_of(k * jump.mean, r)  # also sup X for constant jumps
+        # one pow, by the array power that np.full(m, k * mean) ** r runs on
+        # each element, so that the filled column has its bits
+        sup_g = float((np.array([k * jump.mean]) ** r)[0])
+        if jump.kind == "const":  # sup X = sup G = k c
+            return lambda rng, m: (np.full(m, sup_g), np.full(m, sup_g))
         if jump.kind == "bernoulli":
             draw = _binomial_sampler(k, jump.q)
-        elif jump.kind == "exp":
+        else:
             def draw(rng, m):
                 return rng.standard_gamma(k, m)
 
         def sampler(rng, m):
-            if jump.kind == "const":
-                return np.full(m, sup_g), np.full(m, sup_g)
             sup_x = draw(rng, m)
             sup_x **= r
             return sup_x, np.full(m, sup_g)
