@@ -3,9 +3,10 @@ reports must equal, field for field, the corpus recorded in golden/, at one
 thread and at two where the call takes a thread count.
 
 The stable JSON of a CLI run drops its timestamp and thread count, and for
-verify the path of the temporary suite file. Budgets of 3 * CHUNK + 5
-samples cross chunk boundaries, so a change to any sampler, to the chunk
-streams or to the reductions shows here. A change that alters outputs on
+verify the path of the temporary suite file; a dump-paths entry is the CSV
+text it writes. Budgets of 3 * CHUNK + 5 samples (CHUNK + 5 for the stepped
+BDG hitting runs) cross chunk boundaries, so a change to any sampler, to
+the chunk streams or to the reductions shows here. A change that alters outputs on
 purpose re-records the corpus and says which entries changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -40,6 +41,16 @@ INVOCATIONS = [f"{sub} --p {p} --n {n} --samples {SAMPLES} --seed 0"
                for sub in ("sharpness", "monotone-sharpness")
                for p in (0.25, 0.5, 0.75)
                for n in (10, 40)]
+# a stepped hitting pass costs about three times a fixed-time one, so the
+# hitting runs take one chunk and five paths
+INVOCATIONS += [f"bdg --kind fixed --q 1.0 --samples {SAMPLES} --step 0.02 --seed 0",
+                f"bdg --kind hitting --q 1.0 --samples {CHUNK + 5} --step 0.02 --seed 0",
+                f"bdg --kind hitting --q 1.0 --samples {CHUNK + 5} --step 0.02 --a -0.5 "
+                "--seed 0"]
+INVOCATIONS += [f"identities --law {law}" for law in ("uniform", "exp", "point", "pareto")]
+# dump-paths takes no thread count; its corpus entry is the CSV text
+DUMPS = [f"dump-paths --kind {kind} --p 0.5 --n 10 --level-N 4 --seed 0"
+         for kind in ("exp", "discrete")]
 
 # the verify suite entries of the benchmark's verify-suite workload, at
 # SAMPLES samples each; the corpus key is "verify <name>"
@@ -109,6 +120,14 @@ def stable_verify_json(name: str, threads: int) -> dict:
     return payload
 
 
+def dump_csv(argv: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "paths.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv.split() + ["--output", str(path)])
+        return path.read_text()
+
+
 def api_json(key: str) -> dict:
     # through JSON text, as the corpus holds it
     return json.loads(json.dumps(API_CALLS[key]().to_json()))
@@ -125,7 +144,7 @@ def api_corpus():
 
 
 def test_corpus_holds_every_invocation(corpus, api_corpus):
-    assert sorted(corpus) == sorted(INVOCATIONS + [f"verify {name}" for name in SUITE])
+    assert sorted(corpus) == sorted(INVOCATIONS + DUMPS + [f"verify {name}" for name in SUITE])
     assert sorted(api_corpus) == sorted(API_CALLS)
 
 
@@ -139,6 +158,11 @@ def test_output_matches_corpus(corpus, argv, threads):
 @pytest.mark.parametrize("name", SUITE)
 def test_verify_matches_corpus(corpus, name, threads):
     assert stable_verify_json(name, threads) == corpus[f"verify {name}"]
+
+
+@pytest.mark.parametrize("argv", DUMPS)
+def test_dump_matches_corpus(corpus, argv):
+    assert dump_csv(argv) == corpus[argv]
 
 
 @pytest.mark.parametrize("key", API_CALLS)
@@ -160,5 +184,6 @@ if __name__ == "__main__":
         records[key] = run(1)
         if run(2) != records[key]:
             sys.exit(f"{key}: the output at two threads differs from one thread")
+    records.update({argv: dump_csv(argv) for argv in DUMPS})
     _record(CORPUS, records)
     _record(API_CORPUS, {key: api_json(key) for key in API_CALLS})

@@ -310,11 +310,12 @@ class TestWalkClosedForm:
         with pytest.raises(ValueError, match="outside the grid"):
             gen.stopped_batch([FixedIndexRule(k=5)], rng_of(0), 16)
 
-    # every steps at or below numpy's inversion limit, min(q, 1 - q) * steps <= 30
+    # every case where numpy inverts the cdf, 0 < min(q, 1 - q) * steps <= 30
     BINOMIAL_CASES = [(steps, q)
-                      for q in (0.05, 0.3, 0.5, 0.7, 0.95)
-                      for steps in (1, 2, 3, 5, 12, 20, 40, 60, 100, 200, 600)
-                      if min(q, 1 - q) * steps <= verifier._INVERSION_LIMIT]
+                      for q in (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 1.0)
+                      for steps in (1, 2, 3, 5, 8, 12, 20, 30, 40, 60, 100, 200, 300, 600,
+                                    1000, 3000)
+                      if 0 < min(q, 1 - q) * steps <= verifier._INVERSION_LIMIT]
 
     @pytest.mark.parametrize(("steps", "q"), BINOMIAL_CASES + [(100, 0.5)])
     def test_binomial_sampler_is_numpys(self, steps, q):
@@ -332,6 +333,30 @@ class TestWalkClosedForm:
         assert sum(t is not None for t in tables) > 0.6 * len(tables)
         assert verifier._binomial_thresholds(100, 0.5) is None
         assert verifier._binomial_thresholds(12, 1.0) is None
+
+    def test_thresholds_are_the_loops_boundaries(self):
+        # numpy's inversion loop replayed on Python floats, one U at a time:
+        # each T[k] is the largest double on the grid at which it stops by k
+        def stop(n, p, u):
+            x, px = 0, math.exp(n * math.log1p(-p))
+            while u > px:
+                x += 1
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * (1.0 - p))
+            return x
+
+        grid = 2.0**-53
+        for steps, q in self.BINOMIAL_CASES:
+            table = verifier._binomial_thresholds(steps, q)
+            if table is None:
+                continue
+            thresholds, flip = table
+            assert flip == (q > 0.5)
+            p = min(q, 1 - q)
+            for k, t in enumerate(thresholds):
+                assert t % grid == 0.0
+                assert stop(steps, p, t) <= k < stop(steps, p, t + grid), (steps, q, k)
+            assert stop(steps, p, 1.0 - grid) == len(thresholds)
 
     @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
     @pytest.mark.parametrize("r", [1.0, 0.5, 0.3])
