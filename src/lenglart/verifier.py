@@ -230,57 +230,43 @@ def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
     The sampler (random_binomial_inversion) runs, on p' = min(q, 1 - q):
     X = 0, px = exp(n log1p(-p')); while U > px: X += 1, U -= px,
     px = (n - X + 1) p' px / (X q'); it redraws U once X passes its bound.
-    Every step's test is monotone in U, so whether the loop stops at k or
-    below is U <= T[k], the largest double on the grid for which the same
-    loop, run here on Python floats (the same IEEE operations and libm
-    exp and log1p), stops there. T[k] is found by bisection from a bracket
-    around the float partial sums of px. None: for p' n above the
-    inversion limit, for p' = 0, and where the largest double below 1
-    runs past the bound, since a redraw is then possible."""
+    Its px_i do not depend on U and are computed here by the same IEEE
+    operations (and libm exp and log1p) on Python floats. The remainders
+    u_0 = U, u_(i+1) = u_i - px_i only subtract, and a rounded difference
+    never decreases as its first operand grows, so each u_i is
+    non-decreasing in U. The loop stops at k or below iff u_j <= px_j for
+    some j <= k, and the largest U with u_j <= px_j comes exactly by
+    stepping back from v = px_j: u_(i+1) <= v iff u_i <= the largest double
+    w with w - px_i <= v, which lies within a few ulps of v + px_i and is
+    found by math.nextafter. T[k] is the larger of T[k - 1] and that U
+    floored to the grid of doubles rng.random returns. The table ends at
+    the first k where T[k] is the largest of them, below 1. None: for p' n
+    above the inversion limit, for p' = 0, and where that k passes the
+    bound, since a redraw is then possible."""
     p = q if q <= 0.5 else 1.0 - q
     if p == 0.0 or p * n > _INVERSION_LIMIT:
         return None
     r = 1.0 - p
-    px0 = math.exp(n * math.log1p(-p))
     mean = n * p
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * r + 1)))
-
-    def stop(j: int) -> int:
-        """Where the loop stops for U = j * grid; bound + 1 for a redraw."""
-        u, x, px = j * _DOUBLE_GRID, 0, px0
-        while u > px:
-            x += 1
-            if x > bound:
-                break
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * r)
-        return x
-
-    top = 2**53 - 1
-    most = stop(top)
-    if most > bound:
-        return None
-    thresholds = []
-    lo_floor, total, px = 0, 0.0, px0
-    for k in range(most):  # at most bound < 86 entries
-        total += px
-        px = ((n - k) * p * px) / ((k + 1) * r)
-        guess = int(total / _DOUBLE_GRID)
-        width = 2 * k + 8  # grid steps of rounding the loop's subtractions may move T[k]
-        while True:
-            lo, hi = max(lo_floor, guess - width), min(top, guess + width)
-            if stop(lo) <= k < stop(hi):
-                break
-            width *= 2
-        while hi - lo > 1:  # stop(lo) <= k < stop(hi)
-            mid = (lo + hi) // 2
-            if stop(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-        thresholds.append(lo * _DOUBLE_GRID)
-        lo_floor = lo
-    return np.array(thresholds), q > 0.5
+    top = 1.0 - _DOUBLE_GRID
+    px = [math.exp(n * math.log1p(-p))]
+    thresholds, t = [], 0.0
+    for k in range(bound + 1):  # bound < 86
+        v = px[k]
+        for c in reversed(px[:k]):
+            w = v + c
+            while w - c > v:
+                w = math.nextafter(w, -math.inf)
+            while math.nextafter(w, math.inf) - c <= v:
+                w = math.nextafter(w, math.inf)
+            v = w
+        t = max(t, math.floor(min(v, top) / _DOUBLE_GRID) * _DOUBLE_GRID)
+        if t == top:
+            return np.array(thresholds), q > 0.5
+        thresholds.append(t)
+        px.append(((n - k) * p * px[k]) / ((k + 1) * r))
+    return None
 
 
 def _binomial_sampler(n: int, q: float):
@@ -306,7 +292,7 @@ def _binomial_sampler(n: int, q: float):
 
 
 # the walks' stopped_batch draws its jump rows in blocks of about this many
-# cells (512 KB of doubles) into one buffer
+# cells (512 KB of doubles), into one buffer, and sums them into another
 _WALK_BLOCK_CELLS = 1 << 16
 
 
@@ -334,8 +320,11 @@ class CompensatedBernoulliGenerator(_Generator):
     sup X is the last value: Bernoulli walks draw it as rng.binomial would,
     through a threshold table on rng.random where numpy inverts the cdf,
     and exponential walks as a Gamma(steps) draw. stopped_batch stops the
-    walks path_batch draws without building x or g: it sums the jump
-    columns in cumsum's order up to the last index a rule needs."""
+    walks path_batch draws a block of rows at a time, without the path
+    matrices: it sums the jump columns in cumsum's order, up to the last
+    index a rule needs, into one row of x per index. A fixed index reads
+    its row; a hitting rule on x stops at its first passage, one index
+    after the count of values below the level, since x never decreases."""
 
     jump: JumpLaw
     steps: int
@@ -383,37 +372,29 @@ class CompensatedBernoulliGenerator(_Generator):
         if g_divisor != 1.0:
             g_row = g_row / g_divisor
         index = [_walk_stop_index(rule, g_row) for rule in rules]
-        hitting = [(i, rules[i].level) for i, k in enumerate(index) if k is None]
-        reach = last if hitting else max(index, default=0)
-        at = {}  # column -> the rules that stop every walk there
-        for i, k in enumerate(index):
-            if k is not None:
-                at.setdefault(k, []).append(i)
+        reach = last if None in index else max(index, default=0)
         x_tau = [np.zeros(size) for _ in rules]
         g_tau = [np.empty(size) if k is None else np.full(size, g_row[k]) for k in index]
         block = max(1, min(size, _WALK_BLOCK_CELLS // last))
-        buf = np.empty((block, last))
-        x = np.empty(block)  # x at the current column
-        alive = np.empty((len(hitting), block), bool)  # not yet at the level
-        below = np.empty(block, bool)
+        jump_buf = np.empty((block, last))
+        x_buf = np.empty((last, block))  # row k - 1 holds x_k, contiguous
         for start in range(0, size, block):
             rows = slice(start, min(start + block, size))
             b = rows.stop - start
             # the stream is read row-major, as by one (size, last) draw
-            jumps = self.jump.sample(rng, out=buf[:b])
-            xb, live = x[:b], alive[:, :b]
-            live.fill(True)
-            for k in range(1, reach + 1):
-                if k == 1:
-                    np.copyto(xb, jumps[:, 0])
-                else:
-                    xb += jumps[:, k - 1]
-                for i in at.get(k, ()):
-                    x_tau[i][rows] = xb
-                for h, (i, level) in enumerate(hitting):
-                    np.copyto(x_tau[i][rows], xb, where=live[h])
-                    np.copyto(g_tau[i][rows], g_row[k], where=live[h])
-                    live[h] &= np.less(xb, level, out=below[:b])
+            jumps = self.jump.sample(rng, out=jump_buf[:b])
+            x = x_buf[:, :b]
+            np.copyto(x[0], jumps[:, 0])
+            for k in range(1, reach):
+                np.add(x[k - 1], jumps[:, k], out=x[k])
+            for rule, k, xt, gt in zip(rules, index, x_tau, g_tau):
+                if k is None:  # reach is last; tau is tau_row + 1, at most last
+                    tau_row = np.count_nonzero(x < rule.level, axis=0)
+                    np.minimum(tau_row, last - 1, out=tau_row)
+                    xt[rows] = np.take_along_axis(x, tau_row[None], axis=0)[0]
+                    gt[rows] = g_row[tau_row + 1]
+                elif k > 0:
+                    xt[rows] = x[k - 1]
         return list(zip(x_tau, g_tau))
 
 
