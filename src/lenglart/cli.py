@@ -280,7 +280,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         reports.append(report.to_json())
         all_ok = all_ok and report.passed
-        print(f"verify: {report.label}: ratio={report.ratio:.5f} vs "
+        ratio = "n/a" if report.ratio is None else f"{report.ratio:.5f}"
+        print(f"verify: {report.label}: ratio={ratio} vs "
               f"constant={report.rhs_constant:.5f}, "
               f"{'PASS' if report.passed else 'FAIL'}")
     _emit(cfg, {"checks": reports, "pass": all_ok},
@@ -395,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for key in _SETTINGS[cfg.subcommand]:
             _FLAGS[key].check_range(getattr(cfg, key))
+        if cfg.method != "mom" and cfg.blocks != ExperimentConfig.blocks:
+            return _usage_error("--blocks applies only with --method mom")
         return _RUNNERS[cfg.subcommand](cfg)
     except ValueError as exc:
         return _usage_error(str(exc))

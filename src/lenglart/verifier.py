@@ -504,8 +504,10 @@ class VerifierReport:
         return self.margin >= -3.0 * self.combined_halfwidth
 
     @property
-    def ratio(self) -> float:
-        return self.lhs.value / self.rhs.value
+    def ratio(self) -> float | None:
+        """lhs over rhs; None where the rhs estimate is 0, as E[G_tau] is for
+        a walk frozen at index 0."""
+        return None if self.rhs.value == 0 else self.lhs.value / self.rhs.value
 
     def to_json(self) -> dict:
         return {

@@ -193,6 +193,39 @@ class TestUsageErrors:
         code, _, err = run(["dump-paths"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["sharpness", "--samples", "1000", "--blocks", "7"],
+        ["sharpness", "--samples", "1000", "--method", "plain", "--blocks", "7"],
+        ["verify", "--blocks", "11"],
+        ["sharpness", "--samples", "1000", "--config", '{"blocks": 7}'],
+    ], ids=["auto", "plain", "verify", "config"])
+    def test_blocks_need_mom(self, capsys, tmp_path, monkeypatch, argv):
+        # a block count that no estimator reads is refused before any draw
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(cli, "ratio_experiment", no_draw)
+        monkeypatch.setattr(cli, "check_inequality", no_draw)
+        if "--config" in argv:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(argv[-1])
+            argv = argv[:-1] + [str(cfg_file)]
+        if argv[0] == "verify":
+            argv = argv + ["--suite", str(write_suite(tmp_path / "s.jsonl"))]
+        out_file = tmp_path / "r.json"
+        code, out, err = run(argv + ["--output", str(out_file)], capsys)
+        assert code == EXIT_USAGE
+        assert "--blocks applies only with --method mom" in err and out == ""
+        assert not out_file.exists()
+
+    def test_blocks_with_mom_run(self, capsys, tmp_path):
+        out_file = tmp_path / "r.json"
+        code, _, _ = run(["sharpness", "--samples", "2000", "--method", "mom",
+                          "--blocks", "11", "--output", str(out_file)], capsys)
+        assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+        ratio = load_json_output(out_file)["result"]["ratio"]
+        assert ratio["numerator"]["method"] == {"name": "median_of_means", "blocks": 11}
+
     def test_format_flag_is_gone(self, capsys):
         # output is always JSON (dump-paths: CSV); there is no format switch
         assert run(["identities", "--format", "csv"], capsys)[0] == EXIT_USAGE
@@ -475,6 +508,26 @@ class TestSubcommands:
         code, out, _ = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_PASS
         assert "1/1 checks passed" in out
+
+    def test_verify_rhs_zero(self, capsys, tmp_path):
+        # a walk frozen at index 0 has E[G_tau] = 0: 0 <= c * 0 holds, and
+        # the ratio 0/0 has no value
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({
+            "generator": {"kind": "hatx_of",
+                          "inner": {"kind": "compensated_bernoulli", "jump": "bernoulli",
+                                    "q": 0.3, "steps": 12},
+                          "rule": {"k": 0}},
+            "p": 0.5, "constant": "monotone", "n_samples": 1000,
+        }) + "\n")
+        out_file = tmp_path / "r.json"
+        code, out, _ = run(["verify", "--suite", str(suite), "--output", str(out_file)],
+                           capsys)
+        assert code == EXIT_PASS
+        assert "ratio=n/a" in out and "1/1 checks passed" in out
+        [check] = load_json_output(out_file)["result"]["checks"]
+        assert check["ratio"] is None and check["pass"] is True
+        assert check["rhs"]["value"] == 0.0
 
     def test_verify_bad_entry(self, capsys, tmp_path):
         suite = tmp_path / "suite.jsonl"
