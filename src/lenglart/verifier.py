@@ -234,15 +234,15 @@ def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
     operations (and libm exp and log1p) on Python floats. The remainders
     u_0 = U, u_(i+1) = u_i - px_i only subtract, and a rounded difference
     never decreases as its first operand grows, so each u_i is
-    non-decreasing in U. The loop stops at k or below iff u_j <= px_j for
-    some j <= k, and the largest U with u_j <= px_j comes exactly by
-    stepping back from v = px_j: u_(i+1) <= v iff u_i <= the largest double
-    w with w - px_i <= v, which lies within a few ulps of v + px_i and is
-    found by math.nextafter. T[k] is the larger of T[k - 1] and that U
-    floored to the grid of doubles rng.random returns. The table ends at
-    the first k where T[k] is the largest of them, below 1. None: for p' n
-    above the inversion limit, for p' = 0, and where that k passes the
-    bound, since a redraw is then possible."""
+    non-decreasing in U. Where u_k <= px_k, u_(k+1) <= 0 <= px_(k+1), so the
+    loop stops at k or below iff u_k <= px_k. The largest such U comes
+    exactly by stepping back from v = px_k: u_(i+1) <= v iff u_i <= the
+    largest double w with w - px_i <= v, which lies within a few ulps of
+    v + px_i and is found by math.nextafter. T[k] is that U floored to the
+    grid of doubles rng.random returns, and the table ends at the first k
+    whose U reaches 1 - 2^-53, the largest of them. None: for p' n above
+    the inversion limit, for p' = 0, and where that k passes the bound,
+    since a redraw is then possible."""
     p = q if q <= 0.5 else 1.0 - q
     if p == 0.0 or p * n > _INVERSION_LIMIT:
         return None
@@ -251,7 +251,7 @@ def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * r + 1)))
     top = 1.0 - _DOUBLE_GRID
     px = [math.exp(n * math.log1p(-p))]
-    thresholds, t = [], 0.0
+    thresholds = []
     for k in range(bound + 1):  # bound < 86
         v = px[k]
         for c in reversed(px[:k]):
@@ -261,10 +261,9 @@ def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
             while math.nextafter(w, math.inf) - c <= v:
                 w = math.nextafter(w, math.inf)
             v = w
-        t = max(t, math.floor(min(v, top) / _DOUBLE_GRID) * _DOUBLE_GRID)
-        if t == top:
+        if v >= top:
             return np.array(thresholds), q > 0.5
-        thresholds.append(t)
+        thresholds.append(math.floor(v / _DOUBLE_GRID) * _DOUBLE_GRID)
         px.append(((n - k) * p * px[k]) / ((k + 1) * r))
     return None
 
