@@ -23,7 +23,7 @@ The extremal sup samplers return importance-weighted values that are
 bounded at the family's own exponent (see extremal.py), so their variance is
 finite at every 0 < p < 1. The median of means stays the default for
 p >= 0.45 only until the samplers move to randomized quasi-Monte Carlo
-(ROADMAP item 1).
+(ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def default_method(p: float) -> EstimatorMethod:
     """Median of means for p >= 0.45, the plain mean below. The rule dates
     from unweighted samplers, whose values had tail index 1/p; the weighted
     values are bounded, and the rule stays only until the samplers move to
-    randomized quasi-Monte Carlo (ROADMAP item 1)."""
+    randomized quasi-Monte Carlo (ROADMAP item 4)."""
     return median_of_means(31) if p >= 0.45 else PLAIN
 
 

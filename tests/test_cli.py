@@ -194,11 +194,11 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
-        ["sharpness", "--samples", "1000", "--blocks", "7"],
-        ["sharpness", "--samples", "1000", "--method", "plain", "--blocks", "7"],
-        ["verify", "--blocks", "11"],
-        ["sharpness", "--samples", "1000", "--config", '{"blocks": 7}'],
-    ], ids=["auto", "plain", "verify", "config"])
+        ["sharpness", "--blocks", "7"],
+        ["sharpness", "--method", "plain", "--blocks", "7"],
+        ["sharpness", "--config", "blocks.json"],
+        ["verify", "--suite", "s.jsonl", "--blocks", "11"],
+    ], ids=["auto", "plain", "config", "verify"])
     def test_blocks_need_mom(self, capsys, tmp_path, monkeypatch, argv):
         # a block count that no estimator reads is refused before any draw
         def no_draw(*args):
@@ -206,17 +206,13 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "ratio_experiment", no_draw)
         monkeypatch.setattr(cli, "check_inequality", no_draw)
-        if "--config" in argv:
-            cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(argv[-1])
-            argv = argv[:-1] + [str(cfg_file)]
-        if argv[0] == "verify":
-            argv = argv + ["--suite", str(write_suite(tmp_path / "s.jsonl"))]
-        out_file = tmp_path / "r.json"
-        code, out, err = run(argv + ["--output", str(out_file)], capsys)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocks.json").write_text(json.dumps({"blocks": 7}))
+        write_suite(tmp_path / "s.jsonl")
+        code, out, err = run(argv + ["--output", "r.json"], capsys)
         assert code == EXIT_USAGE
         assert "--blocks applies only with --method mom" in err and out == ""
-        assert not out_file.exists()
+        assert not (tmp_path / "r.json").exists()
 
     def test_blocks_with_mom_run(self, capsys, tmp_path):
         out_file = tmp_path / "r.json"

@@ -6,8 +6,9 @@ The stable JSON of a CLI run drops its timestamp and thread count, and for
 verify the path of the temporary suite file; a dump-paths entry is the CSV
 text it writes. Budgets of 3 * CHUNK + 5 samples (CHUNK + 5 for the stepped
 BDG hitting runs) cross chunk boundaries, so a change to any sampler, to
-the chunk streams or to the reductions shows here. A change that alters outputs on
-purpose re-records the corpus and says which entries changed and why:
+the chunk streams or to the reductions shows here. A change that alters
+outputs on purpose re-records the corpus and says which entries changed
+and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,8 +42,8 @@ INVOCATIONS = [f"{sub} --p {p} --n {n} --samples {SAMPLES} --seed 0"
                for sub in ("sharpness", "monotone-sharpness")
                for p in (0.25, 0.5, 0.75)
                for n in (10, 40)]
-# a stepped hitting pass costs about three times a fixed-time one, so the
-# hitting runs take one chunk and five paths
+# the stepped hitting runs take one chunk and five paths, which still crosses
+# a chunk boundary
 INVOCATIONS += [f"bdg --kind fixed --q 1.0 --samples {SAMPLES} --step 0.02 --seed 0",
                 f"bdg --kind hitting --q 1.0 --samples {CHUNK + 5} --step 0.02 --seed 0",
                 f"bdg --kind hitting --q 1.0 --samples {CHUNK + 5} --step 0.02 --a -0.5 "
@@ -144,7 +145,8 @@ def api_corpus():
 
 
 def test_corpus_holds_every_invocation(corpus, api_corpus):
-    assert sorted(corpus) == sorted(INVOCATIONS + DUMPS + [f"verify {name}" for name in SUITE])
+    keys = INVOCATIONS + DUMPS + [f"verify {name}" for name in SUITE]
+    assert sorted(corpus) == sorted(keys)
     assert sorted(api_corpus) == sorted(API_CALLS)
 
 
