@@ -93,10 +93,10 @@ class MartingaleSpec:
             raise ValueError(f"unknown martingale kind {self.kind!r}")
         if not (0.0 < self.q < 2.0):
             raise ValueError("q must lie in (0,2)")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.kind == BM_FIXED_TIME and self.T <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if self.kind == BM_FIXED_TIME and not 0.0 < self.T < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.kind == BM_HITTING and not (self.a < 0.0 < self.b):
             raise ValueError("barriers must satisfy a < 0 < b")
 

@@ -1,11 +1,12 @@
 """Command-line entry point exposing the experiments as subcommands.
 
-Each subcommand takes exactly the settings its runner reads. _SETTINGS
-names them per subcommand, as ExperimentConfig fields, and _FLAGS gives
-each field one flag spec: option string, type, choices, and the range a
-run checks before it draws. The parser and the --config file both follow
-that table, so a flag or config key that the subcommand does not read, or a
-config value that its flag could not produce, is a usage error.
+Each subcommand takes exactly the settings its runner reads. _SUBCOMMANDS
+gives each subcommand its runner and those settings, as ExperimentConfig
+fields, and _FLAGS gives each field one flag spec: option string, type,
+choices, and the range a run checks before it draws. The parser and the
+--config file both follow those tables, so a flag or config key that the
+subcommand does not read, or a config value that its flag could not
+produce, is a usage error.
 
 Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error.
 Every JSON output embeds the fully resolved configuration for provenance;
@@ -19,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -31,7 +31,7 @@ from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     EstimatorMethod,
-    default_method,
+    chunk_rng,
     median_of_means,
     monotone_ratio_experiment,
     ratio_experiment,
@@ -83,12 +83,14 @@ class ExperimentConfig:
     config_path: str | None = None
     dump_kind: str = "exp"
 
-    def resolved_method(self) -> EstimatorMethod:
+    def resolved_method(self) -> EstimatorMethod | None:
+        """The estimator of --method; None for auto, which the library
+        resolves from p."""
         if self.method == "plain":
             return PLAIN
         if self.method == "mom":
             return median_of_means(self.blocks)
-        return default_method(self.p)
+        return None
 
 
 def _usage_error(msg: str) -> int:
@@ -122,8 +124,8 @@ class _Flag:
             raise ValueError(self.valid[1])
 
 
-# ExperimentConfig field -> its flag. A run's seed is the high 64-bit word of
-# every Philox key it draws from.
+# ExperimentConfig field -> its flag. A seed is one 64-bit word of the
+# Philox keys that montecarlo.chunk_rng builds.
 _FLAGS = {
     "p": _Flag("--p", float, valid=(lambda v: 0.0 < v < 1.0, "p must lie in (0,1)")),
     "n": _Flag("--n", int, valid=(lambda v: v >= 1, "n must be a positive integer")),
@@ -149,23 +151,6 @@ _FLAGS = {
     "config_path": _Flag("--suite", help="JSONL file: one check per line"),
     "dump_kind": _Flag("--kind", choices=("exp", "discrete")),
 }
-
-_SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "method", "blocks", "threads",
-                       "output")
-
-# subcommand -> the ExperimentConfig fields its runner reads, which are its
-# flags and the keys its --config file may hold. identities draws nothing
-# and reads no thread count; it keeps --threads so that one argument list
-# with --threads runs every headline subcommand.
-_SETTINGS = {
-    "sharpness": _SHARPNESS_SETTINGS,
-    "monotone-sharpness": _SHARPNESS_SETTINGS,
-    "identities": ("p", "threads", "output", "law", "point_value"),
-    "verify": ("seed", "method", "blocks", "threads", "output", "config_path"),
-    "bdg": ("n_samples", "seed", "threads", "output", "kind", "T", "a", "b", "q", "step"),
-    "dump-paths": ("p", "n", "level_N", "seed", "output", "dump_kind"),
-}
-
 
 def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
     payload = {
@@ -260,8 +245,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     for entry in lines:
         if not isinstance(entry, dict):
             return _usage_error(f"bad suite entry {entry!r}: not a JSON object")
-    # plain or mom applies to every check; auto keeps each check's default
-    method = cfg.resolved_method() if cfg.method != "auto" else None
+    # plain or mom applies to every check; auto (None) keeps each check's default
+    method = cfg.resolved_method()
     reports = []
     all_ok = True
     for entry in lines:
@@ -312,7 +297,8 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
         return _usage_error(
             f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
     t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    # chunk `seed` of a seed-0 run; a domain of its own changes outputs (ROADMAP item 3)
+    rng = chunk_rng(0, cfg.seed)
     x, g = batches[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N, rng, 1)
     # tolist: csv writes numpy scalars by their repr
     rows = list(zip(t.tolist(), x[0].tolist(), g[0].tolist()))
@@ -324,13 +310,21 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
     return EXIT_PASS
 
 
-_RUNNERS = {
-    "sharpness": _run_sharpness,
-    "monotone-sharpness": _run_sharpness,
-    "identities": _run_identities,
-    "verify": _run_verify,
-    "bdg": _run_bdg,
-    "dump-paths": _run_dump_paths,
+_SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "method", "blocks", "threads",
+                       "output")
+
+# subcommand -> (runner, the ExperimentConfig fields it reads, which are its
+# flags and the keys its --config file may hold). identities draws nothing
+# and reads no thread count; it keeps --threads so that one argument list
+# with --threads runs every headline subcommand.
+_SUBCOMMANDS = {
+    "sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
+    "monotone-sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
+    "identities": (_run_identities, ("p", "threads", "output", "law", "point_value")),
+    "verify": (_run_verify, ("seed", "method", "blocks", "threads", "output", "config_path")),
+    "bdg": (_run_bdg, ("n_samples", "seed", "threads", "output", "kind", "T", "a", "b", "q",
+                       "step")),
+    "dump-paths": (_run_dump_paths, ("p", "n", "level_N", "seed", "output", "dump_kind")),
 }
 
 
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "constant ladder.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, fields in _SETTINGS.items():
+    for name, (_, fields) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         for field in fields:
             flag = _FLAGS[field]
@@ -355,12 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Precedence: explicit flag > LENGLART_SEED (seed only) > config file >
-    built-in default (the headline experiment settings). The config file
-    must hold a JSON object whose keys are settings of the subcommand, each
-    with a value that its flag could produce; anything else raises
-    ValueError."""
-    fields = _SETTINGS[args.subcommand]
+    """Precedence: explicit flag > config file > built-in default (the
+    headline experiment settings). The config file must hold a JSON object
+    whose keys are settings of the subcommand, each with a value that its
+    flag could produce; anything else raises ValueError."""
+    _, fields = _SUBCOMMANDS[args.subcommand]
     cfg = ExperimentConfig(subcommand=args.subcommand)
     if args.config_file:
         with open(args.config_file) as fh:
@@ -373,9 +366,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                                  f"takes {', '.join(fields)}")
             _FLAGS[key].check_type(key, value)
             setattr(cfg, key, value)
-    env_seed = os.environ.get("LENGLART_SEED")
-    if env_seed is not None and "seed" in fields:
-        cfg.seed = int(env_seed)
     for key in fields:
         value = getattr(args, key)
         if value is not None:
@@ -393,12 +383,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage_error(f"bad config: {exc}")
+    runner, fields = _SUBCOMMANDS[cfg.subcommand]
     try:
-        for key in _SETTINGS[cfg.subcommand]:
+        for key in fields:
             _FLAGS[key].check_range(getattr(cfg, key))
         if cfg.method != "mom" and cfg.blocks != ExperimentConfig.blocks:
             return _usage_error("--blocks applies only with --method mom")
-        return _RUNNERS[cfg.subcommand](cfg)
+        return runner(cfg)
     except ValueError as exc:
         return _usage_error(str(exc))
 

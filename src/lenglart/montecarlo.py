@@ -1,8 +1,9 @@
 """Seeded, reproducible, heavy-tail-aware Monte Carlo estimation.
 
 Sample streams are counter-based: the sample index range is cut into fixed
-chunks and chunk j of a run with seed s draws from Philox(key = s * 2^64 + j),
-so the result is bit-identical no matter how many workers process the chunks.
+chunks and chunk j of a run with seed s draws from chunk_rng(s, j), that is
+Philox(key = s * 2^64 + j), so the result is bit-identical no matter how many
+workers process the chunks. chunk_rng builds every stream the package draws.
 
 Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
 plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
@@ -163,6 +164,8 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
     The chunks of all passes go to one pool of workers, in the order the
     passes are given, and come back as one list per pass in chunk order, so
     they do not depend on the worker count."""
+    if threads < 1:
+        raise ValueError("threads must be positive")
     jobs = []
     for work, n_samples in passes:
         if n_samples < 1:

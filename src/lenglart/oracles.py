@@ -337,8 +337,8 @@ class PointMassLaw(_Law):
     name = "point"
 
     def __init__(self, c: float):
-        if c < 0:
-            raise ValueError("point mass must be non-negative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("point mass must be finite and non-negative")
         self.c = c
 
     def sf(self, z):

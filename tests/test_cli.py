@@ -93,11 +93,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and SEED_ERROR in err
 
-    def test_env_seed_out_of_range(self, capsys, monkeypatch):
-        monkeypatch.setenv("LENGLART_SEED", "-5")
-        code, _, err = run(["sharpness", "--samples", "100"], capsys)
+    @pytest.mark.parametrize("argv,message", [
+        (["bdg", "--T", "inf"], "horizon must be positive and finite"),
+        (["bdg", "--T", "nan"], "horizon must be positive and finite"),
+        (["bdg", "--step", "inf"], "step must be positive and finite"),
+        (["identities", "--law", "point", "--point-value", "nan"],
+         "point mass must be finite and non-negative"),
+    ], ids=["T-inf", "T-nan", "step-inf", "point-value-nan"])
+    def test_nonfinite_float(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "out"
+        code, out, err = run(argv + ["--output", str(out_file)], capsys)
         assert code == EXIT_USAGE
-        assert SEED_ERROR in err
+        assert err == f"error: {message}\n"
+        assert out == "" and not out_file.exists()
 
     def test_verify_needs_suite(self, capsys):
         code, _, err = run(["verify"], capsys)
@@ -374,17 +382,14 @@ class TestPrecedence:
         )
         assert cfg.p == 0.25
 
-    def test_env_seed_between_file_and_flag(self, tmp_path, monkeypatch):
+    def test_environment_sets_no_seed(self, tmp_path, monkeypatch):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"seed": 11}))
         monkeypatch.setenv("LENGLART_SEED", "99")
         parser = build_parser()
-        cfg = resolve_config(parser.parse_args(["sharpness", "--config", str(f)]))
-        assert cfg.seed == 99
-        cfg = resolve_config(
-            parser.parse_args(["sharpness", "--config", str(f), "--seed", "5"])
-        )
-        assert cfg.seed == 5
+        seeds = [resolve_config(parser.parse_args(["sharpness"] + argv)).seed
+                 for argv in ([], ["--config", str(f)], ["--config", str(f), "--seed", "5"])]
+        assert seeds == [cli.DEFAULT_SEED, 11, 5]
 
 
 class TestSubcommands:
@@ -691,9 +696,11 @@ class TestImportCost:
 
 class TestExperimentConfig:
     def test_resolved_method(self):
-        cfg = ExperimentConfig(subcommand="sharpness", p=0.5, method="auto")
-        assert cfg.resolved_method().name == "median_of_means"
-        cfg = ExperimentConfig(subcommand="sharpness", p=0.3, method="auto")
+        # auto is left to the library, which resolves it from p
+        for p in (0.3, 0.5):
+            cfg = ExperimentConfig(subcommand="sharpness", p=p, method="auto")
+            assert cfg.resolved_method() is None
+        cfg = ExperimentConfig(subcommand="sharpness", p=0.5, method="plain")
         assert cfg.resolved_method().name == "plain"
         cfg = ExperimentConfig(subcommand="sharpness", method="mom", blocks=11)
         assert cfg.resolved_method().blocks == 11

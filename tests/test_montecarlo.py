@@ -1,12 +1,16 @@
 """Estimator behavior: determinism, thread invariance, heavy-tail robustness."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenglart
+from lenglart.bdg import BM_FIXED_TIME, MartingaleSpec, bdg_ratio
 from lenglart.extremal import ExtremalParams, sharpness_sup_sampler
 from lenglart.montecarlo import (
     CHUNK,
@@ -24,6 +28,8 @@ from lenglart.montecarlo import (
     ratio_from_estimates,
     sample_values,
 )
+from lenglart.oracles import ConstantKind
+from lenglart.verifier import ExtremalGenerator, check_inequality
 
 # frozen golden ratios from the quadrature oracle: n / gtilde(0.5, n) and
 # (n/(1-p)) / gtilde(0.5, n)
@@ -222,6 +228,41 @@ class TestReproducibility:
         num, den = estimate_pair(sampler, 50_000, median_of_means(31), seed=0)
         num2, den2 = estimate_pair(sampler, 50_000, median_of_means(31), seed=0)
         assert (num, den) == (num2, den2)
+
+
+def _no_draw(rng, m):
+    pytest.fail("a chunk was drawn")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("run", [
+        lambda t: estimate_pair(_no_draw, 10, PLAIN, 0, threads=t),
+        lambda t: sample_values(_no_draw, 10, 0, threads=t),
+        lambda t: ratio_experiment(ExtremalParams(p=0.5, n=10), 10, PLAIN, threads=t),
+        lambda t: monotone_ratio_experiment(0.5, 10, 10, PLAIN, threads=t),
+        lambda t: bdg_ratio(MartingaleSpec(kind=BM_FIXED_TIME), 10, threads=t),
+        lambda t: check_inequality(ExtremalGenerator(ExtremalParams(p=0.5, n=10)), 0.5,
+                                   ConstantKind.LENGLART, 10, method=PLAIN, threads=t),
+    ], ids=["estimate_pair", "sample_values", "ratio_experiment",
+            "monotone_ratio_experiment", "bdg_ratio", "check_inequality"])
+    def test_nonpositive_threads_rejected(self, run, threads):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            run(threads)
+
+
+class TestStreamSource:
+    SOURCES = sorted(Path(lenglart.__file__).parent.glob("*.py"))
+
+    def test_only_montecarlo_builds_a_generator(self):
+        builds = re.compile(r"np\.random\.(Generator|Philox|default_rng|SeedSequence)\(")
+        builders = [path.name for path in self.SOURCES if builds.search(path.read_text())]
+        assert builders == ["montecarlo.py"]
+
+    def test_no_module_reads_the_environment(self):
+        readers = [path.name for path in self.SOURCES
+                   if re.search(r"os\.environ|getenv", path.read_text())]
+        assert readers == []
 
 
 class TestHeavyTails:
