@@ -42,6 +42,7 @@ would draw alone, so the result does not depend on the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +78,10 @@ OPTIMAL_BDG_Q1_REFERENCE = 1.2727
 _BIAS_TOLERANCE = 0.01
 # the hitting kind's paths still inside (a, b) at this time are censored
 _HITTING_HORIZON_CAP = 50.0
+# the most steps a spec may ask for: round(T / step) at fixed time,
+# 50 / step at the hitting time. The fixed-time validation alone takes about
+# 12 minutes of one core at the cap.
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,18 @@ class MartingaleSpec:
             raise ValueError("q must lie in (0,2)")
         if not 0.0 < self.step < math.inf:
             raise ValueError("step must be positive and finite")
-        if self.kind == BM_FIXED_TIME and not 0.0 < self.T < math.inf:
-            raise ValueError("horizon must be positive and finite")
-        if self.kind == BM_HITTING and not (self.a < 0.0 < self.b):
-            raise ValueError("barriers must satisfy a < 0 < b")
+        if self.kind == BM_FIXED_TIME:
+            if not 0.0 < self.T < math.inf:
+                raise ValueError("horizon must be positive and finite")
+            # round(T / step) lies in [1, _MAX_STEPS] exactly when this holds
+            if not 0.5 < self.T / self.step < _MAX_STEPS + 0.5:
+                raise ValueError(f"T / step must round to between 1 and {_MAX_STEPS} steps")
+        else:
+            if not -math.inf < self.a < 0.0 < self.b < math.inf:
+                raise ValueError("barriers must be finite and satisfy a < 0 < b")
+            if _HITTING_HORIZON_CAP / self.step > _MAX_STEPS:
+                raise ValueError(f"{_HITTING_HORIZON_CAP:g} / step must be at most "
+                                 f"{_MAX_STEPS} steps")
 
 
 def _bridge_max(x0, x1, h, u):
@@ -139,27 +152,32 @@ def _bridge_step(rng: np.random.Generator, x0, x1, up, dn, work, h: float, sqrt_
 
 # P[S < 1], the value of float(sup_abs_bm_law(1.0)[0]): the quantile of a
 # lower u lies on the theta-series side
-_CDF_AT_ONE = 0.3707774297995239
+_CDF_AT_ONE = 0.3707774297995241
 _NEWTON_MAX = 20
 
 
-def _sup_abs_quantile(u: np.ndarray) -> np.ndarray:
-    """Inverse of P[S < x] for S = sup_{t<=1}|B_t| at u in (0, 1).
+def _normal_isf_start(p: np.ndarray) -> np.ndarray:
+    """x with Phibar(x) = p to within 4.5e-4, for 0 < p <= 1/2 (Abramowitz &
+    Stegun 26.2.23): a Newton start that needs no scipy."""
+    t = np.sqrt(-2.0 * np.log(p))
+    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
 
-    Newton's method on log F below F(1) and on log(1 - F) above it, so both
-    tails are solved in relative terms, from the leading term of the series
-    on that side: (4/pi) exp(-pi^2/(8x^2)) = u, or 4 Phibar(x) = 1 - u.
-    The convergence is quadratic, so once every relative step is below 1e-8
-    the next one would be below double precision and the loop stops.
+
+def _newton_quantile(low: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """x with P[S < x] = target where low holds, and P[S >= x] = target
+    elsewhere, for S = sup_{t<=1}|B_t|.
+
+    Newton's method on log F or log(1 - F), so both tails are solved in
+    relative terms, from the leading term of the series on that side:
+    (4/pi) exp(-pi^2/(8x^2)) = target, or 4 Phibar(x) = target. The
+    convergence is quadratic, so once every relative step is below 1e-8 the
+    next one would be below double precision and the loop stops.
     """
-    from scipy.special import ndtri
-
-    low = u < _CDF_AT_ONE
-    target = np.where(low, u, 1.0 - u)
     log_target = np.log(target)
-    with np.errstate(divide="ignore"):  # the branch np.where does not pick
-        x = np.where(low, np.pi / np.sqrt(8.0 * np.log(4.0 / (np.pi * u))),
-                     -ndtri(0.25 * target))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not pick
+        x = np.where(low, np.pi / np.sqrt(8.0 * np.log(4.0 / (np.pi * target))),
+                     _normal_isf_start(0.25 * target))
     sign = np.where(low, 1.0, -1.0)
     for _ in range(_NEWTON_MAX):
         cdf, sf, pdf = sup_abs_bm_law(x)
@@ -171,16 +189,81 @@ def _sup_abs_quantile(u: np.ndarray) -> np.ndarray:
     raise ArithmeticError("Newton inversion of the sup|B| law did not converge")
 
 
+def _sup_abs_quantile(u: np.ndarray) -> np.ndarray:
+    """Inverse of P[S < x] at u in (0, 1) by Newton's method: the reference
+    that `_log_quantile`'s table is built from and tested against."""
+    low = u < _CDF_AT_ONE
+    return _newton_quantile(low, np.where(low, u, 1.0 - u))
+
+
+# knots of the quantile table: logit u on [-37, 36.8] in 8192 steps; a
+# uniform u in [2^-53, 1 - 2^-53] has |logit u| <= 53 log 2 = 36.74
+_TABLE_LO = -37.0
+_TABLE_HI = 36.8
+_TABLE_STEPS = 8192
+_TABLE_INV_STEP = _TABLE_STEPS / (_TABLE_HI - _TABLE_LO)
+
+
+@functools.cache
+def _quantile_table() -> tuple[np.ndarray, ...]:
+    """Coefficients c0..c3 of the cubic Hermite interpolant of log Q in
+    s = (z - z_k) / dz on each knot interval [z_k, z_k+1] of z = logit u,
+    where Q is the quantile of S at u. The knot values come from Newton's
+    method (`_newton_quantile`) at u = 1/(1 + e^-z), with 1 - u = 1/(1 + e^z)
+    formed directly for the upper side, and the slopes from the density:
+    d log Q / dz = u (1 - u) / (Q f(Q)). Built once per process, on the first
+    fixed-time run, in about 10 ms. Against Newton the interpolant's quantile
+    is within 2.3e-12 relative over 2^20 uniforms and at both ends."""
+    z = np.linspace(_TABLE_LO, _TABLE_HI, _TABLE_STEPS + 1)
+    u = 1.0 / (1.0 + np.exp(-z))
+    v = 1.0 / (1.0 + np.exp(z))
+    low = u < _CDF_AT_ONE
+    x = _newton_quantile(low, np.where(low, u, v))
+    y = np.log(x)
+    slope = (z[1] - z[0]) * u * v / (x * sup_abs_bm_law(x)[2])
+    d0, d1, dy = slope[:-1], slope[1:], np.diff(y)
+    return y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy
+
+
+def _log_quantile(u: np.ndarray) -> np.ndarray:
+    """log of the quantile of S at u in [2^-53, 1 - 2^-53], from the table: a
+    new array, with u left as it is."""
+    c0, c1, c2, c3 = _quantile_table()
+    s = np.subtract(1.0, u)
+    np.divide(u, s, out=s)
+    np.log(s, out=s)
+    s -= _TABLE_LO
+    s *= _TABLE_INV_STEP
+    k = s.astype(np.intp)
+    s -= k
+    y = c3.take(k)
+    y *= s
+    y += c2.take(k)
+    y *= s
+    y += c1.take(k)
+    y *= s
+    y += c0.take(k)
+    return y
+
+
 def _exact_fixed_time_sampler(spec: MartingaleSpec):
-    """(T^(q/2), sup_{t<=T}|B_t|^q) with the supremum drawn from its law."""
-    sqrt_T = math.sqrt(spec.T)
+    """(T^(q/2), sup_{t<=T}|B_t|^q) with the supremum drawn from its law:
+    one uniform per path through the quantile table, as
+    exp(q (log Q + log(T) / 2)). The table is built here, before any chunk
+    is drawn, if this process has not built it yet."""
+    _quantile_table()
     qv = spec.q
     num_val = spec.T ** (qv / 2.0)
+    half_log_T = 0.5 * math.log(spec.T)
 
     def sampler(rng: np.random.Generator, m: int):
+        u = rng.random(m)
         # a uniform of exactly 0 (probability 2^-53) is read as 2^-53
-        u = np.maximum(rng.random(m), 2.0**-53)
-        return np.full(m, num_val), (sqrt_T * _sup_abs_quantile(u)) ** qv
+        np.maximum(u, 2.0**-53, out=u)
+        y = _log_quantile(u)
+        y += half_log_T
+        y *= qv
+        return np.full(m, num_val), np.exp(y, out=y)
 
     return sampler
 
@@ -265,6 +348,13 @@ _CV_RELATIVE_SD = 0.2
 _VALIDATION_SIGMAS = 6.0
 
 
+# the validation is drawn in this many pieces, whatever the thread count,
+# from streams chunk_rng(seed, 2^62 + j): no run has 2^62 chunks, so no
+# exact-law chunk draws them
+_VALIDATION_PIECES = 2
+_VALIDATION_FIRST_STREAM = 1 << 62
+
+
 def _validation_samples(tolerance: float) -> int:
     """Paths of the fixed-time validation pass: ceil((6 * 0.2 / tolerance)^2),
     14400 at the 1 % tolerance. The square is rounded first so that float
@@ -339,8 +429,10 @@ def bdg_ratio(
     # the step halved, at the same budget. The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
+        n_check = _validation_samples(_BIAS_TOLERANCE)
         (_, validation), (num, den) = estimate(
-            (_make_sampler(spec, spec.step), _validation_samples(_BIAS_TOLERANCE)),
+            (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
+             _VALIDATION_FIRST_STREAM),
             (_exact_fixed_time_sampler(spec), n_samples))
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)

@@ -158,31 +158,36 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
-    """Run work(rng, start, m) on every chunk of the sample index range of
-    each (work, n_samples) pass, where chunk j holds the m samples from index
-    start = j * CHUNK on and draws from chunk_rng(seed, j) in every pass.
-    The chunks of all passes go to one pool of workers, in the order the
-    passes are given, and come back as one list per pass in chunk order, so
-    they do not depend on the worker count."""
+    """Run work(rng, start, m) on every piece of the sample index range of
+    each (work, n_samples) or (work, n_samples, piece, first_stream) pass.
+    Piece j holds the m samples from index start = j * piece on and draws
+    from chunk_rng(seed, first_stream + j); the default layout is piece =
+    CHUNK and first_stream = 0, so piece j is chunk j. The pieces of all
+    passes go to one pool of workers, in the order the passes are given,
+    and come back as one list per pass in piece order, so they do not depend
+    on the worker count."""
     if threads < 1:
         raise ValueError("threads must be positive")
-    jobs = []
-    for work, n_samples in passes:
+    jobs, counts = [], []
+    for work, n_samples, *layout in passes:
+        piece, first_stream = layout or (CHUNK, 0)
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
-        jobs += [(work, start, min(CHUNK, n_samples - start))
-                 for start in range(0, n_samples, CHUNK)]
+        starts = range(0, n_samples, piece)
+        jobs += [(work, first_stream + j, start, min(piece, n_samples - start))
+                 for j, start in enumerate(starts)]
+        counts.append(len(starts))
 
     def run(job):
-        work, start, m = job
-        return work(chunk_rng(seed, start // CHUNK), start, m)
+        work, stream, start, m = job
+        return work(chunk_rng(seed, stream), start, m)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = pool.map(run, jobs)
     else:
         results = map(run, jobs)
-    return [list(itertools.islice(results, -(-n_samples // CHUNK))) for _, n_samples in passes]
+    return [list(itertools.islice(results, count)) for count in counts]
 
 
 def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
@@ -260,11 +265,14 @@ def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimat
 def estimate_passes(passes, method: EstimatorMethod, seed: int,
                     threads: int = 1) -> list[tuple[Estimate, ...]]:
     """`estimate_pair` of every (paired_sampler, n_samples) pass, all on one
-    seed, with the chunks of every pass run on one pool of workers in the
+    seed, with the pieces of every pass run on one pool of workers in the
     order the passes are given: a long pass given first overlaps the short
-    ones. Each pass is reduced and merged in its own chunk order, so it gets
-    exactly the estimates that `estimate_pair` alone would give it."""
-    for _, n_samples in passes:
+    ones. A pass (paired_sampler, n_samples, piece, first_stream) is drawn
+    in pieces of that length from streams first_stream, first_stream + 1,
+    ... (see `_map_chunks`). Each pass is reduced and merged in its own piece
+    order, so a pass in the default layout gets exactly the estimates that
+    `estimate_pair` alone would give it."""
+    for _, n_samples, *_layout in passes:
         _check_budget(n_samples, method)
 
     def reducer(paired_sampler, n_samples):
@@ -273,9 +281,10 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
 
         return work
 
-    parts = _map_chunks([(reducer(sampler, n), n) for sampler, n in passes], seed, threads)
-    return [tuple(_merge_chunks(column, n_samples, method) for column in zip(*chunks))
-            for chunks, (_, n_samples) in zip(parts, passes)]
+    parts = _map_chunks([(reducer(sampler, n), n, *layout) for sampler, n, *layout in passes],
+                        seed, threads)
+    return [tuple(_merge_chunks(column, pass_[1], method) for column in zip(*chunks))
+            for chunks, pass_ in zip(parts, passes)]
 
 
 def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,

@@ -155,6 +155,7 @@ def full_extremal_sup_moment(p: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 _SERIES_RTOL = 1e-16
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _series_terms(c: float) -> int:
@@ -184,14 +185,21 @@ def _theta_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (4.0 / np.pi) * cdf, (np.pi / x**3) * pdf
 
 
+def _normal_sf(x: np.ndarray) -> np.ndarray:
+    """Phibar(x) = erfc(x / sqrt(2)) / 2 element by element, with the
+    argument formed as x * sqrt(1/2), as Cephes' `ndtr` forms it. The law is
+    evaluated at a few thousand points per process at most (the quadrature
+    nodes and `bdg`'s quantile table), so a loop over `math.erfc` costs less
+    than importing scipy.special."""
+    return 0.5 * np.array([math.erfc(v) for v in (x * _SQRT_HALF).tolist()])
+
+
 def _reflection_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P[S >= x], density) at x > 0 by the reflection series. Term k is
     evaluated only at the elements where the bound of `_series_terms` keeps
     it: x^2 < 2 log((2k+1)/rtol) / ((2k+1)^2 - 1), a cut that falls with k
     (about 3.08, 1.79 and 1.27 for k = 1, 2, 3)."""
-    from scipy.special import ndtr
-
-    sf = ndtr(-x)
+    sf = _normal_sf(x)
     pdf = np.exp(-0.5 * x * x)
     for k in itertools.count(1):
         j = 2 * k + 1
@@ -199,7 +207,7 @@ def _reflection_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not idx.size:
             break
         xs = j * x.take(idx)
-        tail = ndtr(-xs)
+        tail = _normal_sf(xs)
         dens = j * np.exp(-0.5 * xs * xs)
         if k % 2:
             tail, dens = -tail, -dens
@@ -247,14 +255,15 @@ def sup_abs_bm_moment(q: float, T: float = 1.0) -> float:
         raise ValueError("q must lie in (0,4]")
     if T <= 0:
         raise ValueError("horizon must be positive")
-    from scipy.integrate import fixed_quad
+    from numpy.polynomial.legendre import leggauss
+
+    def gauss(side: int, lo: float, hi: float, order: int) -> float:
+        nodes, weights = leggauss(order)
+        x = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+        return 0.5 * (hi - lo) * float(np.dot(weights, q * x ** (q - 1.0) * sup_abs_bm_law(x)[side]))
 
     def integral(order: int) -> float:
-        head, _ = fixed_quad(lambda x: q * x ** (q - 1.0) * sup_abs_bm_law(x)[0],
-                             0.15, 1.0, n=order)
-        tail, _ = fixed_quad(lambda x: q * x ** (q - 1.0) * sup_abs_bm_law(x)[1],
-                             1.0, 12.0, n=order)
-        return 1.0 - head + tail
+        return 1.0 - gauss(0, 0.15, 1.0, order) + gauss(1, 1.0, 12.0, order)
 
     coarse, value = integral(48), integral(64)
     if abs(value - coarse) > 1e-12 * value:

@@ -17,12 +17,20 @@ from lenglart.bdg import (
     _exact_fixed_time_sampler,
     _fixed_time_sampler,
     _hitting_sampler,
+    _log_quantile,
     _sup_abs_quantile,
     _validation_samples,
     bdg_ratio,
 )
 from lenglart.cli import EXIT_STAT_FAIL, main
-from lenglart.montecarlo import CHUNK, PLAIN, estimate_from_values, estimate_pair, sample_values
+from lenglart.montecarlo import (
+    CHUNK,
+    PLAIN,
+    estimate_from_values,
+    estimate_pair,
+    estimate_passes,
+    sample_values,
+)
 from lenglart.oracles import sup_abs_bm_law, sup_abs_bm_moment
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # E[sup_{[0,1]} |B|]... see below
@@ -46,11 +54,29 @@ class TestSpecValidation:
             {"kind": BM_FIXED_TIME, "step": 0.0},
             {"kind": BM_FIXED_TIME, "T": 0.0},
             {"kind": BM_HITTING, "a": 0.5, "b": 1.0},
+            # step counts: round(T / step) of 0 and of more than 10^6, and
+            # 50 / step above 10^6 at the hitting time
+            {"kind": BM_FIXED_TIME, "T": 1.0, "step": 2.5},
+            {"kind": BM_FIXED_TIME, "T": 1e300},
+            {"kind": BM_FIXED_TIME, "step": 1e-300},
+            {"kind": BM_FIXED_TIME, "step": 1.0 / (10**6 + 1)},
+            {"kind": BM_HITTING, "step": 4.9e-5},
+            {"kind": BM_HITTING, "a": -math.inf},
+            {"kind": BM_HITTING, "b": math.inf},
+            {"kind": BM_HITTING, "a": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MartingaleSpec(**kwargs)
+
+
+    def test_step_count_cap(self):
+        # the largest step counts the cap admits: 10^6 fixed-time steps,
+        # 50 / step = 10^6 at the hitting time
+        MartingaleSpec(kind=BM_FIXED_TIME, step=1e-6)
+        MartingaleSpec(kind=BM_FIXED_TIME, T=1.0, step=1.9)
+        MartingaleSpec(kind=BM_HITTING, step=5e-5)
 
 
 class TestBridgeExtrema:
@@ -114,6 +140,25 @@ class TestExactFixedTime:
         u = np.maximum(u, 2.0**-53)
         x = _sup_abs_quantile(u)
         np.testing.assert_allclose(sup_abs_bm_law(x)[0], u, rtol=0.0, atol=1e-12)
+
+    def test_table_matches_newton(self):
+        # the table's quantile against Newton's over 2^20 uniforms, at both
+        # ends of the uniforms' range and on both sides of the switch
+        # between the two series
+        u = np.concatenate([
+            rng_of(21).random(1 << 20),
+            [2.0**-53, 1.0 - 2.0**-53,
+             np.nextafter(_CDF_AT_ONE, 0.0), _CDF_AT_ONE, np.nextafter(_CDF_AT_ONE, 1.0)],
+        ])
+        u = np.maximum(u, 2.0**-53)
+        np.testing.assert_allclose(np.exp(_log_quantile(u)), _sup_abs_quantile(u),
+                                   rtol=1e-11, atol=0.0)
+
+    def test_table_leaves_u_alone(self):
+        u = rng_of(22).random(1000)
+        kept = u.copy()
+        _log_quantile(u)
+        np.testing.assert_array_equal(u, kept)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_mean_matches_oracle(self, q):
@@ -210,8 +255,10 @@ class TestBdgRatio:
     def test_bias_check_is_stepped_pass_against_oracle(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
         result = bdg_ratio(spec, n_samples=5_000, seed=7)
+        # two pieces of 7200 paths, drawn from streams 2^62 and 2^62 + 1
         n_check = _validation_samples(0.01)
-        _, stepped = estimate_pair(_fixed_time_sampler(spec, spec.step), n_check, PLAIN, seed=7)
+        [(_, stepped)] = estimate_passes(
+            [(_fixed_time_sampler(spec, spec.step), n_check, 7200, 1 << 62)], PLAIN, seed=7)
         oracle = sup_abs_bm_moment(1.5, 1.0)
         assert result.bias_relative_change == abs(stepped.value - oracle) / oracle
 
@@ -250,28 +297,57 @@ class TestBdgRatio:
     ], ids=["fixed", "hitting"])
     def test_thread_invariance(self, spec):
         # three chunks, so the threads split the work
-        r1 = bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=1)
-        r2 = bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=4)
-        assert r1.ratio == r2.ratio
-        assert r1.bias_relative_change == r2.bias_relative_change
+        r1, r2, r3 = (bdg_ratio(spec, n_samples=2 * CHUNK + 5, seed=8, threads=threads)
+                      for threads in (1, 2, 3))
+        assert r1.to_json() == r2.to_json() == r3.to_json()
+
+    def test_validation_streams_are_disjoint(self, monkeypatch):
+        # the keys of the streams each pass draws: two validation pieces,
+        # and one chunk per CHUNK exact-law draws
+        keys = {"validation": [], "exact": []}
+
+        def recording(factory, name):
+            def make(*args):
+                sampler = factory(*args)
+
+                def draw(rng, m):
+                    keys[name].append(tuple(rng.bit_generator.state["state"]["key"]))
+                    return sampler(rng, m)
+
+                return draw
+
+            return make
+
+        monkeypatch.setattr(bdg, "_make_sampler", recording(bdg._make_sampler, "validation"))
+        monkeypatch.setattr(bdg, "_exact_fixed_time_sampler",
+                            recording(bdg._exact_fixed_time_sampler, "exact"))
+        seed = 5
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.05)
+        bdg_ratio(spec, n_samples=4 * CHUNK + 1, seed=seed, threads=2)
+        # Philox's 128-bit key as two 64-bit words, low word first
+        assert sorted(keys["validation"]) == [((1 << 62) + j, seed) for j in range(2)]
+        assert sorted(keys["exact"]) == [(j, seed) for j in range(5)]
+        assert not set(keys["validation"]) & set(keys["exact"])
 
 
 class TestGolden:
-    """Values pinned from the implementation that ran the two passes one
-    after the other and allocated every bridge step's arrays. Scheduling and
-    buffer reuse must not move a bit of them, at any thread count."""
+    """Pinned values. The hitting time's come from the implementation that
+    ran the two passes one after the other and allocated every bridge step's
+    arrays; the fixed time's from the quantile table and the validation in
+    two pieces on streams 2^62 and 2^62 + 1. Scheduling and buffer reuse
+    must not move a bit of them, at any thread count."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fixed(self, threads):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.02)
         r = bdg_ratio(spec, n_samples=65_536, seed=3, threads=threads)
-        assert r.ratio.ratio == 0.7993944396124165
+        assert r.ratio.ratio == 0.7993944396124436
         assert (r.ratio.numerator.value, r.ratio.numerator.halfwidth) == (1.0, 0.0)
         assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
-            1.250946904865696, 0.0019838552813147476)
+            1.2509469048656536, 0.001983855281314119)
         assert (r.validation.value, r.validation.halfwidth) == (
-            1.2537373606470328, 0.0018778496806411663)
-        assert r.bias_relative_change == 0.0003376833619954385
+            1.253673799612363, 0.0018778287678238423)
+        assert r.bias_relative_change == 0.0002869689937728222
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hitting(self, threads):

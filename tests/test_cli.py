@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lenglart import cli
+from lenglart import cli, montecarlo
 from lenglart.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -103,6 +103,25 @@ class TestUsageErrors:
     def test_nonfinite_float(self, capsys, tmp_path, argv, message):
         out_file = tmp_path / "out"
         code, out, err = run(argv + ["--output", str(out_file)], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bdg", "--step", "1e-300"], "T / step must round to between 1 and 1000000 steps"),
+        (["bdg", "--T", "1e300"], "T / step must round to between 1 and 1000000 steps"),
+        (["bdg", "--kind", "hitting", "--a=-inf", "--step", "0.01"],
+         "barriers must be finite and satisfy a < 0 < b"),
+        (["bdg", "--kind", "hitting", "--b", "inf", "--step", "0.01"],
+         "barriers must be finite and satisfy a < 0 < b"),
+    ], ids=["step-1e-300", "T-1e300", "a-inf", "b-inf"])
+    def test_bdg_refused_before_drawing(self, capsys, tmp_path, monkeypatch, argv, message):
+        def no_stream(seed, j):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", no_stream)
+        out_file = tmp_path / "out"
+        code, out, err = run(argv + ["--samples", "100", "--output", str(out_file)], capsys)
         assert code == EXIT_USAGE
         assert err == f"error: {message}\n"
         assert out == "" and not out_file.exists()
@@ -669,7 +688,8 @@ class TestDeterminism:
         assert results[0] == results[1]
 
 
-# the headline subcommands at their defaults, then dump-paths; prints the exit
+# the headline subcommands at their defaults, then dump-paths and a small
+# fixed-time bdg run; prints the exit
 # codes and the scipy modules loaded
 HEADLINE_RUNS = """
 import contextlib, io, os, sys, tempfile
@@ -679,6 +699,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main([sub]) for sub in ("sharpness", "monotone-sharpness")]
     with tempfile.TemporaryDirectory() as tmp:
         codes.append(main(["dump-paths", "--output", os.path.join(tmp, "paths.csv")]))
+    codes.append(main(["bdg", "--kind", "fixed", "--samples", "1000", "--step", "0.02"]))
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -691,7 +712,7 @@ class TestImportCost:
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", HEADLINE_RUNS], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "[0, 0, 0] []", done.stdout
+        assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stdout
 
 
 class TestExperimentConfig:
