@@ -9,7 +9,14 @@ E[sup|M|^q]. Since <M,M> is non-decreasing the monotone constant
 Fixed time: sup_{t<=T}|B_t| = sqrt(T) S with S = sup_{t<=1}|B_t|, whose
 law is known (Borodin & Salminen, Handbook of Brownian Motion -- Facts and
 Formulae; `oracles.sup_abs_bm_law`). The denominator is estimated from
-exact draws of S, one uniform per path pushed through the inverse CDF.
+exact draws of S, one uniform per path pushed through the inverse CDF. The
+inverse is read from a table: a cubic Hermite interpolant of log Q against
+z = logit u, on 8193 knots over [-37, 36.8], with slopes from the density.
+Newton's method on the law gives the knots, once per process, when the
+first fixed-time sampler is made; it is never run at import or at draw
+time. The table's quantile is within 1e-12 relative of Newton's, and a
+draw costs about 30 ns where Newton took about 430 ns, so the denominator
+moves at the 1e-13 level against draws by Newton.
 Path simulation is the validation: one stepped pass at the configured step,
 refined with exact Brownian-bridge extremum draws (inverse of the tail
 exp(-2(m-x0)(m-x1)/h)), is compared against the quadrature value of
@@ -34,10 +41,16 @@ their paths through one bridge step, `_bridge_step`, in buffers that the
 sampler allocates once per chunk.
 
 A run's two passes share one pool of workers (`estimate_passes`), the
-longer one handed out first: at fixed time the validation, one chunk of
-14400 paths, runs beside the exact-law chunks; at the hitting time the
-half-step pass goes before the step pass. Each pass draws the streams it
-would draw alone, so the result does not depend on the worker count.
+longer one handed out first. At fixed time the validation is drawn in two
+pieces of 7200 paths, whatever the worker count, from the streams
+chunk_rng(seed, 2^62 + j): two workers share it, the exact-law chunks run
+beside it, and it draws no stream that an exact-law chunk j = 0, 1, ...
+draws. At the hitting time the half-step pass goes before the step pass.
+Each pass draws the streams it would draw alone, so the result does not
+depend on the worker count.
+
+A spec asks for at most 10^6 steps, round(T / step) at fixed time and
+50 / step at the hitting time, and at least one.
 """
 
 from __future__ import annotations
@@ -213,7 +226,8 @@ def _quantile_table() -> tuple[np.ndarray, ...]:
     formed directly for the upper side, and the slopes from the density:
     d log Q / dz = u (1 - u) / (Q f(Q)). Built once per process, on the first
     fixed-time run, in about 10 ms. Against Newton the interpolant's quantile
-    is within 2.3e-12 relative over 2^20 uniforms and at both ends."""
+    is within 8.5e-13 relative (median 1.5e-13) over 2^20 uniforms, and
+    within 7.3e-13 at both ends and beside _CDF_AT_ONE."""
     z = np.linspace(_TABLE_LO, _TABLE_HI, _TABLE_STEPS + 1)
     u = 1.0 / (1.0 + np.exp(-z))
     v = 1.0 / (1.0 + np.exp(z))

@@ -18,7 +18,10 @@ relative, not bit for bit.
 streams it would draw alone, with the chunks of all passes handed to one
 pool of workers in the order the passes are given; `estimate_pair` is its
 one-pass case. A long pass given first runs beside the short ones, as the
-BDG validation runs beside the exact-law chunks (bdg.py).
+BDG validation runs beside the exact-law chunks (bdg.py). A pass may also
+give its own piece length and first stream index: the BDG validation is
+drawn in two pieces from chunk_rng(seed, 2^62 + j), streams that no run's
+chunks reach.
 
 The extremal sup samplers return importance-weighted values that are
 bounded at the family's own exponent (see extremal.py), so their variance is
