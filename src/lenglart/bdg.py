@@ -188,7 +188,7 @@ def _newton_quantile(low: np.ndarray, target: np.ndarray) -> np.ndarray:
     next one would be below double precision and the loop stops.
     """
     log_target = np.log(target)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where does not pick
+    with np.errstate(divide="ignore"):  # the branch np.where does not pick
         x = np.where(low, np.pi / np.sqrt(8.0 * np.log(4.0 / (np.pi * target))),
                      _normal_isf_start(0.25 * target))
     sign = np.where(low, 1.0, -1.0)

@@ -17,6 +17,7 @@ from lenglart.montecarlo import (
     PLAIN,
     Estimate,
     EstimatorMethod,
+    _map_chunks,
     chunk_rng,
     default_method,
     estimate_from_values,
@@ -191,6 +192,20 @@ class TestPassScheduler:
             passes.reverse()
         expected = [estimate_pair(sampler, n, method, 11, threads) for sampler, n in passes]
         assert estimate_passes(passes, method, 11, threads) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_piece_layout(self, threads):
+        # piece j of a (work, n, piece, first_stream) pass holds the samples
+        # from j * piece on and draws stream first_stream + j; a two-element
+        # pass keeps the chunk grid
+        def work(rng, start, m):
+            low, high = rng.bit_generator.state["state"]["key"]
+            return int(high), int(low), start, m
+
+        first = 1 << 62
+        pieces, chunks = _map_chunks([(work, 7, 3, first), (work, CHUNK + 1)], 5, threads)
+        assert pieces == [(5, first, 0, 3), (5, first + 1, 3, 3), (5, first + 2, 6, 1)]
+        assert chunks == [(5, 0, 0, CHUNK), (5, 1, CHUNK, 1)]
 
     def test_pass_that_cannot_fill_the_blocks(self):
         def sampler(rng, m):
