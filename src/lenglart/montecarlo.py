@@ -286,8 +286,8 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
 
     parts = _map_chunks([(reducer(sampler, n), n, *layout) for sampler, n, *layout in passes],
                         seed, threads)
-    return [tuple(_merge_chunks(column, pass_[1], method) for column in zip(*chunks))
-            for chunks, pass_ in zip(parts, passes)]
+    return [tuple(_merge_chunks(column, n_samples, method) for column in zip(*chunks))
+            for chunks, (_, n_samples, *_layout) in zip(parts, passes)]
 
 
 def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,

@@ -265,10 +265,13 @@ def sup_abs_bm_moment(q: float, T: float = 1.0) -> float:
         raise ValueError("q must lie in (0,4]")
     if T <= 0:
         raise ValueError("horizon must be positive")
+
     def gauss(side: int, lo: float, hi: float, order: int) -> float:
+        # side 0 integrates against P[S_1 < x], side 1 against P[S_1 >= x]
         nodes, weights = _gauss_legendre(order)
         x = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        return 0.5 * (hi - lo) * float(np.dot(weights, q * x ** (q - 1.0) * sup_abs_bm_law(x)[side]))
+        f = q * x ** (q - 1.0) * sup_abs_bm_law(x)[side]
+        return 0.5 * (hi - lo) * float(np.dot(weights, f))
 
     def integral(order: int) -> float:
         return 1.0 - gauss(0, 0.15, 1.0, order) + gauss(1, 1.0, 12.0, order)

@@ -689,8 +689,7 @@ class TestDeterminism:
 
 
 # the headline subcommands at their defaults, then dump-paths and a small
-# fixed-time bdg run; prints the exit
-# codes and the scipy modules loaded
+# fixed-time bdg run; prints the exit codes and the scipy modules loaded
 HEADLINE_RUNS = """
 import contextlib, io, os, sys, tempfile
 from lenglart.cli import build_parser, main
