@@ -9,7 +9,6 @@ lhs <= constant * rhs + 3 * combined half-widths.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +79,8 @@ class JumpLaw:
             raise ValueError(f"unknown jump law {self.kind!r}")
         if self.kind == "bernoulli" and not (0.0 < self.q <= 1.0):
             raise ValueError("bernoulli parameter must lie in (0,1]")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, not {self.c!r}")
         if self.kind == "const" and self.c < 0:
             raise ValueError("constant jump must be non-negative")
 
@@ -215,73 +216,55 @@ class DiscreteExtremalGenerator(_Generator):
         return discrete_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
 
 
-# numpy's binomial sampler inverts the cdf where min(q, 1 - q) * n is at most
-# this, and draws by rejection (BTPE) above it
-_INVERSION_LIMIT = 30.0
-# the doubles numpy's next_double returns are the multiples of this in [0, 1)
-_DOUBLE_GRID = 2.0**-53
+def _binomial_pmf(n: int, q: float) -> np.ndarray:
+    """P[K = k], k = 0..n, for K ~ Binomial(n, q) and q in [0, 1]: the ratio
+    recurrence P[K = k + 1] / P[K = k] = (n - k) q / ((k + 1)(1 - q)), run
+    out from the mode in both directions (so nothing overflows), then
+    divided by its sum. q > 0.5 reverses the law on 1 - q, which is exact."""
+    if q > 0.5:
+        return _binomial_pmf(n, 1.0 - q)[::-1]
+    mode = int((n + 1) * q)
+    k = np.arange(1.0, n + 1)
+    # P[K = k] / P[K = k - 1] for k = 1..n; k - k q rounds once per k, where
+    # k (1 - q) would share the rounding of 1 - q among all the ratios
+    up = (n + 1 - k) * q / (k - k * q)
+    w = np.empty(n + 1)
+    w[mode] = 1.0
+    w[mode + 1:] = np.cumprod(up[mode:])
+    w[:mode] = np.cumprod(1.0 / up[:mode][::-1])[::-1]
+    return w / w.sum()
 
 
-def _binomial_thresholds(n: int, q: float) -> tuple[np.ndarray, bool] | None:
-    """(T, flip) such that rng.binomial(n, q) is #{k : U > T[k]}, or n minus
-    that when flip, for the one double U = rng.random() that numpy's
-    inversion sampler reads for the draw; None where that sampler does not
-    read exactly one double per draw.
-
-    The sampler (random_binomial_inversion) runs, on p' = min(q, 1 - q):
-    X = 0, px = exp(n log1p(-p')); while U > px: X += 1, U -= px,
-    px = (n - X + 1) p' px / (X q'); it redraws U once X passes its bound.
-    Its px_i do not depend on U and are computed here by the same IEEE
-    operations (and libm exp and log1p) on Python floats. The remainders
-    u_0 = U, u_(i+1) = u_i - px_i only subtract, and a rounded difference
-    never decreases as its first operand grows, so each u_i is
-    non-decreasing in U. Where u_k <= px_k, u_(k+1) <= 0 <= px_(k+1), so the
-    loop stops at k or below iff u_k <= px_k. The largest such U comes
-    exactly by stepping back from v = px_k: u_(i+1) <= v iff u_i <= the
-    largest double w with w - px_i <= v, which lies within a few ulps of
-    v + px_i and is found by math.nextafter. T[k] is that U floored to the
-    grid of doubles rng.random returns, and the table ends at the first k
-    whose U reaches 1 - 2^-53, the largest of them. None: for p' n above
-    the inversion limit, for p' = 0, and where that k passes the bound,
-    since a redraw is then possible."""
-    p = q if q <= 0.5 else 1.0 - q
-    if p == 0.0 or p * n > _INVERSION_LIMIT:
-        return None
-    r = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * r + 1)))
-    top = 1.0 - _DOUBLE_GRID
-    px = [math.exp(n * math.log1p(-p))]
-    thresholds = []
-    for k in range(bound + 1):  # bound < 86
-        v = px[k]
-        for c in reversed(px[:k]):
-            w = v + c
-            while w - c > v:
-                w = math.nextafter(w, -math.inf)
-            while math.nextafter(w, math.inf) - c <= v:
-                w = math.nextafter(w, math.inf)
-            v = w
-        if v >= top:
-            return np.array(thresholds), q > 0.5
-        thresholds.append(math.floor(v / _DOUBLE_GRID) * _DOUBLE_GRID)
-        px.append(((n - k) * p * px[k]) / ((k + 1) * r))
-    return None
+def _binomial_thresholds(n: int, q: float) -> tuple[int, np.ndarray]:
+    """(lo, T) with T[i] = P[K <= lo + i] for K ~ Binomial(n, q): the cdf at
+    k < n wherever it lies in [2^-53, 1 - 2^-53), lo being the count of k
+    where it lies below. rng.random() returns the multiples of 2^-53 in
+    [0, 1), so it exceeds none of the cdf values from 1 - 2^-53 up and,
+    unless it is 0, every one below 2^-53. Above 1/2 the cdf is
+    1 - P[K > k], summed from the top, so that it stays within a few
+    units of 2^-53 of the exact cdf there too."""
+    pmf = _binomial_pmf(n, q)
+    below = np.cumsum(pmf[:-1])
+    cdf = np.where(below < 0.5, below, 1.0 - np.cumsum(pmf[:0:-1])[::-1])
+    lo, hi = np.searchsorted(cdf, [2.0**-53, 1.0 - 2.0**-53])
+    return int(lo), cdf[lo:hi]
 
 
 def _binomial_sampler(n: int, q: float):
-    """(rng, m) -> rng.binomial(n, q, m) as floats, leaving rng in the state
-    rng.binomial leaves it. Where numpy inverts the cdf with one double per
-    draw, the draws come from rng.random(m) and a table of thresholds
-    (_binomial_thresholds), which is built here, once per sampler."""
-    table = _binomial_thresholds(n, q)
-    if table is None:
-        return lambda rng, m: rng.binomial(n, q, m).astype(float)
-    thresholds, flip = table
+    """(rng, m) -> m draws of Binomial(n, q) as floats, by inversion: the
+    count of cdf values that U = rng.random() exceeds, one U per draw, on
+    min(q, 1 - q) and subtracted from n for q > 0.5. Only the window of
+    thresholds between 2^-53 and 1 - 2^-53 is compared (_binomial_thresholds),
+    so the count never exceeds n."""
+    flip = q > 0.5
+    lo, thresholds = _binomial_thresholds(n, 1.0 - q if flip else q)
+    dtype = np.uint8 if n < 256 else np.uint16  # holds counts up to n < 2^16
 
     def sampler(rng, m):
         u = rng.random(m)
-        count = np.zeros(m, np.uint8)  # fewer than 86 thresholds
+        count = np.zeros(m, dtype)
+        if lo:
+            np.copyto(count, lo, where=u > 0.0)
         above = np.empty(m, bool)
         for t in thresholds:
             count += np.greater(u, t, out=above).view(np.uint8)
@@ -290,6 +273,12 @@ def _binomial_sampler(n: int, q: float):
 
     return sampler
 
+
+# a walk's stopped_batch costs about steps^2 / 65536 numpy calls per row
+# (its block shrinks as 65536 / steps rows), and the battery's pilot holds
+# 2048 (steps + 1) doubles: at this cap a hatx_of check at verify's default
+# 10^5 samples took 4.0 s on one core, the audit and the Pratelli check 3.2 s
+_MAX_WALK_STEPS = 10**3
 
 # the walks' stopped_batch draws its jump rows in blocks of about this many
 # cells (512 KB of doubles), into one buffer, and sums them into another
@@ -317,14 +306,15 @@ class CompensatedBernoulliGenerator(_Generator):
     (hence predictable) compensator G_k = k E[J]; optional stopping makes
     E[X_tau] = E[G_tau] exact for bounded tau.
 
-    sup X is the last value: Bernoulli walks draw it as rng.binomial would,
-    through a threshold table on rng.random where numpy inverts the cdf,
-    and exponential walks as a Gamma(steps) draw. stopped_batch stops the
-    walks path_batch draws a block of rows at a time, without the path
-    matrices: it sums the jump columns in cumsum's order, up to the last
-    index a rule needs, into one row of x per index. A fixed index reads
-    its row; a hitting rule on x stops at its first passage, one index
-    after the count of values below the level, since x never decreases."""
+    sup X is the last value. Bernoulli walks draw it from Binomial(steps, q)
+    by inversion of one rng.random double per draw, on a cdf table computed
+    here (_binomial_sampler); exponential walks still draw it with
+    rng.standard_gamma(steps). stopped_batch stops the walks path_batch
+    draws a block of rows at a time, without the path matrices: it sums the
+    jump columns in cumsum's order, up to the last index a rule needs, into
+    one row of x per index. A fixed index reads its row; a hitting rule on
+    x stops at its first passage, one index after the count of values below
+    the level, since x never decreases. At most _MAX_WALK_STEPS steps."""
 
     jump: JumpLaw
     steps: int
@@ -334,8 +324,8 @@ class CompensatedBernoulliGenerator(_Generator):
     name = "compensated_bernoulli"
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        if not 1 <= self.steps <= _MAX_WALK_STEPS:
+            raise ValueError(f"steps must lie in [1, {_MAX_WALK_STEPS}]")
 
     def sup_sampler(self, r=1.0):
         jump, k = self.jump, self.steps
@@ -651,8 +641,8 @@ def check_pratelli(
     realizes the hypothesis E[Y_tau] <= c E[(G/c)_tau]. Returns the report
     of the binding (worst-margin) stopping time.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, not {c!r}")
     if not gen.exact_compensator:
         raise ValueError(
             f"{gen.name} does not guarantee the scaled domination hypothesis"
@@ -739,37 +729,25 @@ def domination_audit(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration oracles (small Bernoulli walks)
+# Exact oracles of the Bernoulli walk, in closed form
 # ---------------------------------------------------------------------------
 
 
 def enumerate_jump_sup_moments(q: float, steps: int, p: float) -> tuple[float, float]:
-    """Exact (E[(sup X)^p], E[(sup G)^p]) for the Bernoulli compensated walk
-    by exhaustive enumeration over all 2^steps outcome paths."""
-    if steps > 20:
-        raise ValueError("enumeration limited to 20 steps")
-    e_x = 0.0
-    sup_g = steps * q
-    for outcome in itertools.product((0, 1), repeat=steps):
-        k = sum(outcome)
-        prob = q**k * (1 - q) ** (steps - k)
-        e_x += prob * (float(k) ** p if k > 0 else 0.0)
-    return e_x, sup_g**p
+    """Exact (E[(sup X)^p], E[(sup G)^p]) for the Bernoulli compensated walk:
+    sup X is its last value, Binomial(steps, q), and sup G is steps q."""
+    return float(_binomial_pmf(steps, q) @ np.arange(steps + 1.0) ** p), (steps * q) ** p
 
 
 def enumerate_jump_stopping_means(q: float, steps: int, rule) -> tuple[float, float]:
     """Exact (E[X_tau], E[G_tau]) for the Bernoulli compensated walk under a
-    stopping rule, by exhaustive enumeration."""
-    if steps > 20:
-        raise ValueError("enumeration limited to 20 steps")
-    e_x = 0.0
-    e_g = 0.0
-    for outcome in itertools.product((0, 1), repeat=steps):
-        k = sum(outcome)
-        prob = q**k * (1 - q) ** (steps - k)
-        path = np.concatenate([[0.0], np.cumsum(outcome)])
-        g = np.arange(steps + 1) * q
-        x_tau, g_tau = _stopped(rule, path[None, :], g[None, :])
-        e_x += prob * x_tau[0]
-        e_g += prob * g_tau[0]
-    return e_x, e_g
+    stopping rule. X - G is a martingale and tau <= steps, so both are
+    q E[tau]. Every rule but a hitting rule on x at a positive level L
+    stops every walk at one index (_walk_stop_index); that one stops at the
+    ceil(L)-th success, capped at the last index, so E[tau] = sum over
+    k < steps of P[Binomial(k, q) < ceil(L)]."""
+    mean_tau = _walk_stop_index(rule, np.arange(steps + 1) * q)
+    if mean_tau is None:
+        successes = math.ceil(min(rule.level, steps))
+        mean_tau = sum(_binomial_pmf(k, q)[:successes].sum() for k in range(steps))
+    return q * mean_tau, q * mean_tau

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lenglart import cli, montecarlo
+from lenglart import cli, montecarlo, verifier
 from lenglart.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -155,6 +156,29 @@ class TestUsageErrors:
         code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and "checks passed" not in out
+
+    @pytest.mark.parametrize(("generator", "message"), [
+        ({"kind": "compensated_bernoulli", "jump": "const", "c": math.nan, "steps": 12},
+         "c must be finite"),
+        ({"kind": "compensated_bernoulli", "jump": "const", "c": math.inf, "steps": 12},
+         "c must be finite"),
+        ({"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli", "q": 0.3,
+                                       "steps": 10**6},
+          "rule": {"side": "x", "level": 5.0}}, "steps must lie in"),
+    ], ids=["c-nan", "c-inf", "steps-over-cap"])
+    def test_walk_refused_before_drawing(self, capsys, tmp_path, monkeypatch, generator,
+                                         message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the walk was refused")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps({"generator": generator, "p": 0.5,
+                                     "constant": "monotone", "n_samples": 1000}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and message in err
+        assert "checks passed" not in out
 
     @pytest.mark.parametrize(("key", "value"), [
         ("p", [1]), ("p", "0.5"), ("p", None),

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ class TestJumpLaw:
             JumpLaw("bernoulli", q=0.0)
         with pytest.raises(ValueError):
             JumpLaw("const", c=-1.0)
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="c must be finite"):
+                JumpLaw("const", c=c)
 
     def test_sample_means(self):
         for law in (JumpLaw("bernoulli", q=0.3), JumpLaw("exp"), JumpLaw("const", c=2.0)):
@@ -127,7 +131,21 @@ class TestStoppingRules:
         assert "hit[x>=" in HittingRule(side="x", level=1.0).label()
 
 
+def enumerated_walks(q: float, steps: int):
+    """Every Bernoulli walk of the given steps: (probabilities, x, g), x and g
+    of shape (2^steps, steps + 1), by brute force over the jump bits."""
+    bits = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
+    successes = bits.sum(axis=1)
+    prob = q**successes * (1.0 - q) ** (steps - successes)
+    x = np.zeros((2**steps, steps + 1))
+    x[:, 1:] = np.cumsum(bits, axis=1)
+    return prob, x, np.broadcast_to(np.arange(steps + 1) * q, x.shape)
+
+
 class TestEnumeration:
+    """The closed-form walk oracles, against scipy's binomial pmf and a
+    brute-force enumeration of all 2^steps walks."""
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_sup_moment_matches_binomial_formula(self, p):
         # independent oracle: sup X = Binomial(steps, q) for monotone jumps
@@ -156,8 +174,38 @@ class TestEnumeration:
             assert e_x == pytest.approx(e_g, abs=1e-12)
 
     def test_step_limit(self):
-        with pytest.raises(ValueError, match="20"):
-            enumerate_jump_sup_moments(0.3, 21, 0.5)
+        # the closed forms serve every walk the generator accepts, up to its
+        # step cap
+        steps = verifier._MAX_WALK_STEPS
+        assert enumerate_jump_sup_moments(0.3, steps, 1.0)[0] == pytest.approx(0.3 * steps,
+                                                                                rel=1e-12)
+        e_x, e_g = enumerate_jump_stopping_means(0.3, steps, HittingRule("x", 0.5 * steps))
+        assert e_x == e_g == pytest.approx(0.3 * steps, rel=1e-12)
+        with pytest.raises(ValueError, match="steps must lie"):
+            CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=steps + 1)
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("steps", [1, 2, 5, 12])
+    def test_sup_moments(self, q, steps):
+        prob, x, _ = enumerated_walks(q, steps)
+        for p in (0.3, 0.5, 1.0):
+            e_x, e_g = enumerate_jump_sup_moments(q, steps, p)
+            assert e_x == pytest.approx(prob @ x[:, -1] ** p, rel=1e-14, abs=1e-14)
+            assert e_g == pytest.approx((steps * q) ** p, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("steps", [1, 2, 5, 12])
+    def test_stopping_means(self, q, steps):
+        prob, x, g = enumerated_walks(q, steps)
+        levels = [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.5, 3.0, steps * q, steps, steps + 0.5,
+                  math.inf, math.nan]
+        rules = ([FixedIndexRule(k) for k in range(steps + 1)]
+                 + [HittingRule(side, level) for side in ("x", "g") for level in levels])
+        for rule in rules:
+            x_tau, g_tau = verifier._stopped(rule, x, g)
+            e_x, e_g = enumerate_jump_stopping_means(q, steps, rule)
+            assert e_x == pytest.approx(prob @ x_tau, rel=1e-14, abs=1e-14), rule
+            assert e_g == pytest.approx(prob @ g_tau, rel=1e-14, abs=1e-14), rule
 
 
 class Uniforms:
@@ -269,10 +317,11 @@ def law_id(law: JumpLaw) -> str:
 
 
 class TestWalkClosedForm:
-    """The walks stop without building their paths, and draw sup X through
-    a threshold table on rng.random. Both must give what the paths and
-    rng.binomial give from the same stream, element for element, and leave
-    the stream where those leave it."""
+    """The walks stop without building their paths, and draw sup X without
+    them. The stopped values must equal stopping the paths drawn from the
+    same stream, element for element, and leave the stream where those
+    leave it; the Bernoulli sups are rng.binomial's draws wherever numpy
+    inverts the cdf."""
 
     @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
     @pytest.mark.parametrize("steps", [1, 5, 12, 20])
@@ -310,70 +359,101 @@ class TestWalkClosedForm:
         with pytest.raises(ValueError, match="outside the grid"):
             gen.stopped_batch([FixedIndexRule(k=5)], rng_of(0), 16)
 
-    # every case where numpy inverts the cdf, 0 < min(q, 1 - q) * steps <= 30
+    # every case where numpy's binomial inverts the cdf with one double per
+    # draw, 0 < min(q, 1 - q) * steps <= 30; it draws by rejection above
     BINOMIAL_CASES = [(steps, q)
                       for q in (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 1.0)
                       for steps in (1, 2, 3, 5, 8, 12, 20, 30, 40, 60, 100, 200, 300, 600,
                                     1000, 3000)
-                      if 0 < min(q, 1 - q) * steps <= verifier._INVERSION_LIMIT]
+                      if 0 < min(q, 1 - q) * steps <= 30]
 
-    @pytest.mark.parametrize(("steps", "q"), BINOMIAL_CASES + [(100, 0.5)])
+    @pytest.mark.parametrize(("steps", "q"), BINOMIAL_CASES)
     def test_binomial_sampler_is_numpys(self, steps, q):
+        # wherever numpy inverts, the table of this package's own cdf draws
+        # what rng.binomial draws from the same stream, so the outputs of
+        # those walks are unchanged; the package itself never calls it
         rng_table, rng_numpy = rng_of(steps), rng_of(steps)
         got = verifier._binomial_sampler(steps, q)(rng_table, 50_000)
         want = rng_numpy.binomial(steps, q, 50_000).astype(float)
         assert np.array_equal(got, want)
         assert rng_table.random() == rng_numpy.random()
 
-    def test_thresholds_where_numpy_inverts(self):
-        # the table serves the benchmark walk and most cases above; past the
-        # inversion limit, and at q = 1, numpy's own sampler is kept
-        assert verifier._binomial_thresholds(12, 0.3) is not None
-        tables = [verifier._binomial_thresholds(*case) for case in self.BINOMIAL_CASES]
-        assert sum(t is not None for t in tables) > 0.6 * len(tables)
-        assert verifier._binomial_thresholds(100, 0.5) is None
-        assert verifier._binomial_thresholds(12, 1.0) is None
-
-    def test_thresholds_are_the_loops_boundaries(self):
-        # numpy's inversion loop replayed on Python floats, one U at a time:
-        # each T[k] is the largest double on the grid at which it stops by k
-        def stop(n, p, u):
-            x, px = 0, math.exp(n * math.log1p(-p))
-            while u > px:
-                x += 1
-                u -= px
-                px = ((n - x + 1) * p * px) / (x * (1.0 - p))
-            return x
-
-        grid = 2.0**-53
-        for steps, q in self.BINOMIAL_CASES:
-            table = verifier._binomial_thresholds(steps, q)
-            if table is None:
-                continue
-            thresholds, flip = table
-            assert flip == (q > 0.5)
-            p = min(q, 1 - q)
-            for k, t in enumerate(thresholds):
-                assert t % grid == 0.0
-                assert stop(steps, p, t) <= k < stop(steps, p, t + grid), (steps, q, k)
-            assert stop(steps, p, 1.0 - grid) == len(thresholds)
-
     @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
     @pytest.mark.parametrize("r", [1.0, 0.5, 0.3])
     def test_sup_sampler_is_the_last_value(self, law, r):
-        # what the sampler gave when it drew rng.binomial and raised full
-        # arrays to r
+        # the binomial table's or the Gamma draws, with full arrays raised to r
         gen = CompensatedBernoulliGenerator(jump=law, steps=12)
         sup_x, sup_g = gen.sup_sampler(r)(rng_of(5), 4000)
         rng = rng_of(5)
         if law.kind == "bernoulli":
-            want_x = rng.binomial(12, law.q, 4000).astype(float)
+            want_x = verifier._binomial_sampler(12, law.q)(rng, 4000)
         elif law.kind == "exp":
             want_x = rng.standard_gamma(12, 4000)
         else:
             want_x = np.full(4000, 12 * law.c)
         assert np.array_equal(sup_x, want_x**r)
         assert np.array_equal(sup_g, np.full(4000, 12 * law.mean) ** r)
+
+
+def exact_cdf(n: int, q: float) -> np.ndarray:
+    """P[K <= k] for k < n, K ~ Binomial(n, q) at the exact value a / d of
+    the double q, in integers: term_k = C(n, k) a^k (d - a)^(n - k), then
+    one correctly rounded division by d^n."""
+    a, d = q.as_integer_ratio()
+    term, total, denominator, cdf = (d - a) ** n, 0, d**n, []
+    for k in range(n):
+        total += term
+        cdf.append(total / denominator)
+        term = term * (n - k) * a // ((k + 1) * (d - a))
+    return np.array(cdf)
+
+
+class TestBinomialLaw:
+    """The Bernoulli walk's sup, Binomial(steps, q), drawn by inversion of
+    rng.random's doubles on a cdf table of the package's own."""
+
+    GRID = 2.0**-53  # the spacing of rng.random's doubles
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.7, 0.99])
+    def test_thresholds_match_exact_cdf(self, q):
+        # the sampler's table, on min(q, 1 - q), within 4 * 2^-53 of the
+        # exact cdf; the window drops only values below 2^-53 or from
+        # 1 - 2^-53 up. 304 steps gave the largest error seen, 3 * 2^-53
+        p = min(q, 1.0 - q)  # 1 - q is exact for q > 0.5
+        for steps in [*range(1, 41), 304, *range(100, verifier._MAX_WALK_STEPS + 1, 150)]:
+            exact = exact_cdf(steps, p)
+            lo, thresholds = verifier._binomial_thresholds(steps, p)
+            hi = lo + thresholds.size
+            tol = 4 * self.GRID
+            np.testing.assert_allclose(thresholds, exact[lo:hi], rtol=0, atol=tol,
+                                       err_msg=f"steps={steps}")
+            assert np.all(exact[:lo] < self.GRID + tol), steps
+            assert np.all(exact[hi:] >= 1.0 - self.GRID - tol), steps
+
+    @pytest.mark.parametrize("steps", [1, 12, 255, 256, verifier._MAX_WALK_STEPS])
+    def test_q_one_gives_steps(self, steps):
+        gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=1.0), steps=steps)
+        sup_x, sup_g = gen.sup_sampler()(rng_of(1), 1000)
+        assert np.all(sup_x == steps) and np.all(sup_g == steps)
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.7, 0.99])
+    @pytest.mark.parametrize("steps", [1, 12, 255, 256, verifier._MAX_WALK_STEPS])
+    def test_count_at_the_ends(self, steps, q):
+        # U = 0 exceeds no cdf value, U = 2^-53 every one below 2^-53, and
+        # U = 1 - 2^-53 gives the largest count, which never passes steps
+        u = np.array([0.0, self.GRID, 1.0 - self.GRID])
+        low, second, top = verifier._binomial_sampler(steps, q)(Uniforms(u), u.size)
+        lo, thresholds = verifier._binomial_thresholds(steps, min(q, 1.0 - q))
+        count_second = np.count_nonzero(exact_cdf(steps, min(q, 1.0 - q)) < self.GRID)
+        if q > 0.5:
+            low, second, top = steps - low, steps - second, steps - top
+        assert low == 0
+        assert second == lo == count_second
+        assert top == lo + thresholds.size <= steps
+
+    def test_no_rng_binomial_in_src(self):
+        sources = sorted(Path(verifier.__file__).parent.glob("*.py"))
+        assert [path.name for path in sources if ".binomial(" in path.read_text()] == []
 
 
 class TestGenerators:
@@ -543,6 +623,12 @@ class TestPratelli:
         gen = ScaledCompensatorGenerator(**FALSIFIED_WALK, scale=scale)
         report = check_pratelli(gen, PowerF(0.5), c=1.0, n_samples=20_000, seed=0)
         assert report.passed is passed, report.to_json()
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            check_pratelli(gen, PowerF(0.5), c=c, n_samples=1000)
 
     def test_requires_exact_compensator(self):
         gen = DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=2)
