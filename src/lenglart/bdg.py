@@ -43,11 +43,13 @@ sampler allocates once per chunk.
 A run's two passes share one pool of workers (`estimate_passes`), the
 longer one handed out first. At fixed time the validation is drawn in two
 pieces of 7200 paths, whatever the worker count, from the streams
-chunk_rng(seed, 2^62 + j): two workers share it, the exact-law chunks run
-beside it, and it draws no stream that an exact-law chunk j = 0, 1, ...
-draws. At the hitting time the half-step pass goes before the step pass.
-Each pass draws the streams it would draw alone, so the result does not
-depend on the worker count.
+chunk_rng(seed, VALIDATION_STREAM + j) of the validation's own stream
+domain: two workers share it, the exact-law chunks run beside it, and it
+draws no stream that an exact-law chunk j = 0, 1, ... draws. At the
+hitting time the half-step pass goes before the step pass, and its chunk j
+draws chunk_rng(seed, VALIDATION_STREAM + j), so the two passes are
+independent. Each pass draws the streams it would draw alone, so the result
+does not depend on the worker count.
 
 A spec asks for at most 10^6 steps, round(T / step) at fixed time and
 50 / step at the hitting time, and at least one.
@@ -62,7 +64,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import (
+    CHUNK,
     PLAIN,
+    VALIDATION_STREAM,
     Estimate,
     RatioEstimate,
     estimate_passes,
@@ -363,10 +367,8 @@ _VALIDATION_SIGMAS = 6.0
 
 
 # the validation is drawn in this many pieces, whatever the thread count,
-# from streams chunk_rng(seed, 2^62 + j): no run has 2^62 chunks, so no
-# exact-law chunk draws them
+# from streams chunk_rng(seed, VALIDATION_STREAM + j)
 _VALIDATION_PIECES = 2
-_VALIDATION_FIRST_STREAM = 1 << 62
 
 
 def _validation_samples(tolerance: float) -> int:
@@ -438,22 +440,24 @@ def bdg_ratio(
         # sup|M|^q has light tails for q < 2
         return estimate_passes(passes, PLAIN, seed, threads)
 
-    # bias control on the same seed: at fixed time the stepped paths against
-    # the exact value, at a budget set by the tolerance; at the hitting time
-    # the step halved, at the same budget. The longer pass goes first.
+    # bias control on the same seed, drawn from the validation's streams: at
+    # fixed time the stepped paths against the exact value, at a budget set
+    # by the tolerance; at the hitting time the step halved, at the same
+    # budget. The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
         n_check = _validation_samples(_BIAS_TOLERANCE)
         (_, validation), (num, den) = estimate(
             (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
-             _VALIDATION_FIRST_STREAM),
+             VALIDATION_STREAM),
             (_exact_fixed_time_sampler(spec), n_samples))
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
         bias_rel = abs(validation.value - oracle) / oracle
     else:
-        (_, check), (num, den) = estimate((_make_sampler(spec, spec.step / 2.0), n_samples),
-                                          (_make_sampler(spec, spec.step), n_samples))
+        (_, check), (num, den) = estimate(
+            (_make_sampler(spec, spec.step / 2.0), n_samples, CHUNK, VALIDATION_STREAM),
+            (_make_sampler(spec, spec.step), n_samples))
         bias_rel = abs(check.value - den.value) / den.value
     ratio = ratio_from_estimates(num, den)
 

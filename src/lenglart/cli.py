@@ -30,6 +30,8 @@ import numpy as np
 from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
+    DUMP_STREAM,
+    STREAM_LAYOUT,
     EstimatorMethod,
     chunk_rng,
     median_of_means,
@@ -124,8 +126,8 @@ class _Flag:
             raise ValueError(self.valid[1])
 
 
-# ExperimentConfig field -> its flag. A seed is one 64-bit word of the
-# Philox keys that montecarlo.chunk_rng builds.
+# ExperimentConfig field -> its flag. A seed is the SeedSequence entropy of
+# the PCG64DXSM streams that montecarlo.chunk_rng builds.
 _FLAGS = {
     "p": _Flag("--p", float, valid=(lambda v: 0.0 < v < 1.0, "p must lie in (0,1)")),
     "n": _Flag("--n", int, valid=(lambda v: v >= 1, "n must be a positive integer")),
@@ -156,6 +158,8 @@ def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
     payload = {
         "config": asdict(cfg),
         "result": result,
+        # which streams drew the result (montecarlo.STREAM_LAYOUT)
+        "stream_layout": STREAM_LAYOUT,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -297,8 +301,7 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
         return _usage_error(
             f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
     t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
-    # chunk `seed` of a seed-0 run; a domain of its own changes outputs (ROADMAP item 3)
-    rng = chunk_rng(0, cfg.seed)
+    rng = chunk_rng(cfg.seed, DUMP_STREAM)
     x, g = batches[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N, rng, 1)
     # tolist: csv writes numpy scalars by their repr
     rows = list(zip(t.tolist(), x[0].tolist(), g[0].tolist()))

@@ -89,13 +89,14 @@ class ExtremalParams:
 # 2/(U^r + 1 - r). At r = p the exponential is 1 and is not evaluated, and
 # neither side can overflow at any p in (0, 1); at r != p it grows with n as
 # the moment itself does. Each kernel evaluates its closed form in place, in
-# the arrays that Philox filled: at r = p a chunk allocates no full-size
-# temporary (the discrete kernel one, for its caps), because glibc returns
-# a freed heap top to the operating system and every chunk would page-fault
-# it in again. For the same reason a chunk's two full-size arrays are the
-# halves of one allocation (`_mixture_draws`): glibc keeps a freed heap top
-# of up to twice the largest block it has unmapped, and two separate blocks
-# of m doubles leave more than twice one of them free when the chunk ends.
+# the arrays that the bit generator filled: at r = p a chunk allocates no
+# full-size temporary (the discrete kernel one, for its caps), because glibc
+# returns a freed heap top to the operating system and every chunk would
+# page-fault it in again. For the same reason a chunk's two full-size arrays
+# are the halves of one allocation (`_mixture_draws`): glibc keeps a freed
+# heap top of up to twice the largest block it has unmapped, and two
+# separate blocks of m doubles leave more than twice one of them free when
+# the chunk ends.
 # ---------------------------------------------------------------------------
 
 # elements per block of _combine_with_mask's scratch (64 KB)

@@ -2,8 +2,18 @@
 
 Sample streams are counter-based: the sample index range is cut into fixed
 chunks and chunk j of a run with seed s draws from chunk_rng(s, j), that is
-Philox(key = s * 2^64 + j), so the result is bit-identical no matter how many
-workers process the chunks. chunk_rng builds every stream the package draws.
+PCG64DXSM seeded with s and advanced by j * 2^64, so the result is
+bit-identical no matter how many workers process the chunks. chunk_rng
+builds every stream the package draws. Stream j of a seed is its own window
+of 2^64 draws on that seed's cycle of 2^128, so the streams of one run are
+disjoint by construction; distinct seeds start from distinct SeedSequence
+states, so their streams are disjoint with high probability.
+
+A stream index is domain * 2^60 + j, one domain per use: 0 for the Monte
+Carlo chunks, 1 for the verifier's battery pilot (PILOT_STREAM), 2 for
+dump-paths (DUMP_STREAM), 3 reserved for randomized quasi-Monte Carlo
+scrambles, and 4 for the BDG bias-check passes (VALIDATION_STREAM). No run
+reaches 2^60 chunks, so no two uses of one seed share a stream.
 
 Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
 plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
@@ -19,9 +29,8 @@ streams it would draw alone, with the chunks of all passes handed to one
 pool of workers in the order the passes are given; `estimate_pair` is its
 one-pass case. A long pass given first runs beside the short ones, as the
 BDG validation runs beside the exact-law chunks (bdg.py). A pass may also
-give its own piece length and first stream index: the BDG validation is
-drawn in two pieces from chunk_rng(seed, 2^62 + j), streams that no run's
-chunks reach.
+give its own piece length and first stream index: the BDG bias-check
+passes draw piece j from chunk_rng(seed, VALIDATION_STREAM + j).
 
 The extremal sup samplers return importance-weighted values that are
 bounded at the family's own exponent (see extremal.py), so their variance is
@@ -65,6 +74,16 @@ __all__ = [
 ]
 
 CHUNK = 1 << 15
+
+# version of the stream layout below, recorded in every CLI output
+STREAM_LAYOUT = 2
+# stream index = domain * DOMAIN_STRIDE + j (see the module docstring)
+DOMAIN_STRIDE = 1 << 60
+PILOT_STREAM = 1 * DOMAIN_STRIDE
+DUMP_STREAM = 2 * DOMAIN_STRIDE
+VALIDATION_STREAM = 4 * DOMAIN_STRIDE
+# the streams of a seed are windows of this many draws
+_STREAM_SPAN = 1 << 64
 
 # stderr of the median of B approximately normal block means is
 # sqrt(pi/2) * sd / sqrt(B)
@@ -155,9 +174,13 @@ class RatioEstimate:
         }
 
 
-def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Counter-based stream for one chunk of the sample index range."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
+def chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream `index` of a seed: PCG64DXSM seeded with seed and advanced by
+    index * 2^64, so that streams 0 <= index < 2^64 of one seed are disjoint
+    windows of its cycle."""
+    if not 0 <= index < _STREAM_SPAN:
+        raise ValueError(f"stream index must lie in [0, 2^64), not {index!r}")
+    return np.random.Generator(np.random.PCG64DXSM(seed).advance(index * _STREAM_SPAN))
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:

@@ -26,6 +26,7 @@ from .extremal import (
     sharpness_sup_sampler,
 )
 from .montecarlo import (
+    PILOT_STREAM,
     PLAIN,
     Estimate,
     EstimatorMethod,
@@ -608,15 +609,15 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
                   g_divisor: float) -> list:
     """Estimates of columns(x_tau, g_tau), a tuple of arrays, at every rule
     of the stopping battery, all rules evaluated on the same paths. The
-    battery is built on a 2048-path pilot drawn from chunk_rng(0, seed) as
-    dense paths; each estimation chunk is stopped by gen.stopped_batch, so g
-    is divided by g_divisor before stopping and a hitting rule on g stops on
-    the scaled g. The single-jump generators and the walks stop in closed
-    form and build no path matrix there. columns may overwrite the stopped
-    arrays, which are the battery's own. Returns (rule, estimates) pairs,
-    one per rule."""
-    # chunk `seed` of a seed-0 run; a domain of its own changes outputs (ROADMAP item 3)
-    pilot_x, pilot_g = gen.path_batch(chunk_rng(0, seed), 2048)
+    battery is built on a 2048-path pilot drawn as dense paths from
+    chunk_rng(seed, PILOT_STREAM), the pilot's own stream domain, so it
+    shares no draw with the estimation chunks. Each estimation chunk is
+    stopped by gen.stopped_batch, so g is divided by g_divisor before
+    stopping and a hitting rule on g stops on the scaled g. The single-jump
+    generators and the walks stop in closed form and build no path matrix
+    there. columns may overwrite the stopped arrays, which are the
+    battery's own. Returns (rule, estimates) pairs, one per rule."""
+    pilot_x, pilot_g = gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048)
     rules = default_tau_battery(pilot_x, pilot_g)
 
     def paired(rng, m):

@@ -23,9 +23,11 @@ from lenglart.bdg import (
     bdg_ratio,
 )
 from lenglart.cli import EXIT_STAT_FAIL, main
+from lenglart import montecarlo
 from lenglart.montecarlo import (
     CHUNK,
     PLAIN,
+    VALIDATION_STREAM,
     estimate_from_values,
     estimate_pair,
     estimate_passes,
@@ -255,10 +257,11 @@ class TestBdgRatio:
     def test_bias_check_is_stepped_pass_against_oracle(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
         result = bdg_ratio(spec, n_samples=5_000, seed=7)
-        # two pieces of 7200 paths, drawn from streams 2^62 and 2^62 + 1
+        # two pieces of 7200 paths, drawn from the validation's first two streams
         n_check = _validation_samples(0.01)
         [(_, stepped)] = estimate_passes(
-            [(_fixed_time_sampler(spec, spec.step), n_check, 7200, 1 << 62)], PLAIN, seed=7)
+            [(_fixed_time_sampler(spec, spec.step), n_check, 7200, VALIDATION_STREAM)], PLAIN,
+            seed=7)
         oracle = sup_abs_bm_moment(1.5, 1.0)
         assert result.bias_relative_change == abs(stepped.value - oracle) / oracle
 
@@ -302,61 +305,67 @@ class TestBdgRatio:
         assert r1.to_json() == r2.to_json() == r3.to_json()
 
     def test_validation_streams_are_disjoint(self, monkeypatch):
-        # the keys of the streams each pass draws: two validation pieces,
-        # and one chunk per CHUNK exact-law draws
-        keys = {"validation": [], "exact": []}
+        # the (seed, index) of the streams each pass draws, as chunk_rng was
+        # asked for them: two validation pieces, and one chunk per CHUNK
+        # exact-law draws
+        streams, drawn = {}, {"validation": [], "exact": []}
+        make_stream = montecarlo.chunk_rng
+
+        def recording_stream(seed, index):
+            rng = make_stream(seed, index)
+            streams[id(rng)] = (seed, index)
+            return rng
 
         def recording(factory, name):
             def make(*args):
                 sampler = factory(*args)
 
                 def draw(rng, m):
-                    keys[name].append(tuple(rng.bit_generator.state["state"]["key"]))
+                    drawn[name].append(streams[id(rng)])
                     return sampler(rng, m)
 
                 return draw
 
             return make
 
+        monkeypatch.setattr(montecarlo, "chunk_rng", recording_stream)
         monkeypatch.setattr(bdg, "_make_sampler", recording(bdg._make_sampler, "validation"))
         monkeypatch.setattr(bdg, "_exact_fixed_time_sampler",
                             recording(bdg._exact_fixed_time_sampler, "exact"))
         seed = 5
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.05)
         bdg_ratio(spec, n_samples=4 * CHUNK + 1, seed=seed, threads=2)
-        # Philox's 128-bit key as two 64-bit words, low word first
-        assert sorted(keys["validation"]) == [((1 << 62) + j, seed) for j in range(2)]
-        assert sorted(keys["exact"]) == [(j, seed) for j in range(5)]
-        assert not set(keys["validation"]) & set(keys["exact"])
+        assert sorted(drawn["validation"]) == [(seed, VALIDATION_STREAM + j) for j in range(2)]
+        assert sorted(drawn["exact"]) == [(seed, j) for j in range(5)]
 
 
 class TestGolden:
-    """Pinned values. The hitting time's come from the implementation that
-    ran the two passes one after the other and allocated every bridge step's
-    arrays; the fixed time's from the quantile table and the validation in
-    two pieces on streams 2^62 and 2^62 + 1. Scheduling and buffer reuse
-    must not move a bit of them, at any thread count."""
+    """Pinned values, recorded on stream layout 2: PCG64DXSM streams, and
+    the validation on its own domain's streams (at fixed time in two pieces,
+    at the hitting time the half-step pass in chunks).
+    Scheduling and buffer reuse must not move a bit of them, at any thread
+    count."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fixed(self, threads):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.02)
         r = bdg_ratio(spec, n_samples=65_536, seed=3, threads=threads)
-        assert r.ratio.ratio == 0.7993944396124436
+        assert r.ratio.ratio == 0.7999590236748375
         assert (r.ratio.numerator.value, r.ratio.numerator.halfwidth) == (1.0, 0.0)
         assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
-            1.2509469048656536, 0.001983855281314119)
+            1.250064028787647, 0.001995136659824181)
         assert (r.validation.value, r.validation.halfwidth) == (
-            1.253673799612363, 0.0018778287678238423)
-        assert r.bias_relative_change == 0.0002869689937728222
+            1.2549282395955936, 0.0018681852745146058)
+        assert r.bias_relative_change == 0.0012878672888463297
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hitting(self, threads):
         spec = MartingaleSpec(kind=BM_HITTING, q=1.5, step=0.01, a=-0.5, b=1.5)
         r = bdg_ratio(spec, n_samples=40_000, seed=3, threads=threads)
-        assert r.ratio.ratio == 0.8718389010756112
+        assert r.ratio.ratio == 0.8690115964854067
         assert (r.ratio.numerator.value, r.ratio.numerator.halfwidth) == (
-            0.7413625178031258, 0.0029105828223848123)
+            0.7413528689001587, 0.0028662792200351062)
         assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
-            0.8503434715845861, 0.003193026650544056)
+            0.8530989366522317, 0.003195989206718429)
         assert r.validation is None
-        assert r.bias_relative_change == 0.0020020460554221416
+        assert r.bias_relative_change == 0.0012108331595387426

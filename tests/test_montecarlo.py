@@ -1,7 +1,11 @@
 """Estimator behavior: determinism, thread invariance, heavy-tail robustness."""
 
+import contextlib
+import io
+import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lenglart
+from lenglart import montecarlo
 from lenglart.bdg import BM_FIXED_TIME, MartingaleSpec, bdg_ratio
+from lenglart.cli import main
 from lenglart.extremal import ExtremalParams, sharpness_sup_sampler
 from lenglart.montecarlo import (
     CHUNK,
+    DOMAIN_STRIDE,
+    PILOT_STREAM,
     PLAIN,
+    VALIDATION_STREAM,
     Estimate,
     EstimatorMethod,
     _map_chunks,
@@ -30,7 +39,15 @@ from lenglart.montecarlo import (
     sample_values,
 )
 from lenglart.oracles import ConstantKind
-from lenglart.verifier import ExtremalGenerator, check_inequality
+from lenglart.verifier import (
+    CompensatedBernoulliGenerator,
+    ExtremalGenerator,
+    JumpLaw,
+    PowerF,
+    check_inequality,
+    check_pratelli,
+    domination_audit,
+)
 
 # frozen golden ratios from the quadrature oracle: n / gtilde(0.5, n) and
 # (n/(1-p)) / gtilde(0.5, n)
@@ -80,6 +97,22 @@ class TestSampling:
         b = chunk_rng(3, 7).random(5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, chunk_rng(3, 8).random(5))
+
+    @pytest.mark.parametrize("seed, index", [
+        (0, 0), (3, 7), (5, PILOT_STREAM + 2), (2**64 - 1, 2**64 - 1)])
+    def test_chunk_rng_is_advanced_pcg64dxsm(self, seed, index):
+        bits = np.random.PCG64DXSM(seed)
+        bits.advance(index * 2**64)
+        expected = np.random.Generator(bits)
+        rng = chunk_rng(seed, index)
+        np.testing.assert_array_equal(rng.random(1000), expected.random(1000))
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(1000),
+                                      bits.random_raw(1000))
+
+    @pytest.mark.parametrize("index", [-1, 2**64, -(2**64)])
+    def test_chunk_rng_refuses_an_index_outside_the_span(self, index):
+        with pytest.raises(ValueError, match="stream index"):
+            chunk_rng(3, index)
 
     def test_thread_invariance_scalar(self):
         sampler = lambda rng, m: rng.random(m)
@@ -194,15 +227,17 @@ class TestPassScheduler:
         assert estimate_passes(passes, method, 11, threads) == expected
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_piece_layout(self, threads):
+    def test_piece_layout(self, monkeypatch, threads):
         # piece j of a (work, n, piece, first_stream) pass holds the samples
         # from j * piece on and draws stream first_stream + j; a two-element
-        # pass keeps the chunk grid
-        def work(rng, start, m):
-            low, high = rng.bit_generator.state["state"]["key"]
-            return int(high), int(low), start, m
+        # pass keeps the chunk grid. Each piece's work gets the (seed, index)
+        # that it asked chunk_rng for.
+        monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (seed, index))
 
-        first = 1 << 62
+        def work(stream, start, m):
+            return (*stream, start, m)
+
+        first = VALIDATION_STREAM
         pieces, chunks = _map_chunks([(work, 7, 3, first), (work, CHUNK + 1)], 5, threads)
         assert pieces == [(5, first, 0, 3), (5, first + 1, 3, 3), (5, first + 2, 6, 1)]
         assert chunks == [(5, 0, 0, CHUNK), (5, 1, CHUNK, 1)]
@@ -270,7 +305,10 @@ class TestStreamSource:
     SOURCES = sorted(Path(lenglart.__file__).parent.glob("*.py"))
 
     def test_only_montecarlo_builds_a_generator(self):
-        builds = re.compile(r"np\.random\.(Generator|Philox|default_rng|SeedSequence)\(")
+        # a Generator, any numpy bit generator or seed sequence, or a moved
+        # stream, however the name was imported
+        builds = re.compile(r"\b(Generator|Philox|PCG64|PCG64DXSM|SFC64|MT19937|RandomState"
+                            r"|default_rng|SeedSequence)\(|\.(advance|jumped)\(")
         builders = [path.name for path in self.SOURCES if builds.search(path.read_text())]
         assert builders == ["montecarlo.py"]
 
@@ -278,6 +316,91 @@ class TestStreamSource:
         readers = [path.name for path in self.SOURCES
                    if re.search(r"os\.environ|getenv", path.read_text())]
         assert readers == []
+
+
+class TestStreamLayout:
+    """Every stream one run asks chunk_rng for, as (seed, index). Each index
+    lies in a domain the run draws from (index // DOMAIN_STRIDE: 0 for the
+    chunks, 1 for the battery pilot, 2 for dump-paths, 4 for the BDG bias
+    checks), no stream is asked for twice, and the output is the same at 1,
+    2 and 3 threads."""
+
+    SEED = 7
+    SAMPLES = 2 * CHUNK + 5
+    # a second check on its own seed: two checks on one seed would share
+    # their chunk streams
+    SUITE = [{"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
+              "n_samples": SAMPLES},
+             {"generator": {"kind": "compensated_bernoulli", "q": 0.3, "steps": 12},
+              "p": 0.5, "constant": "monotone", "n_samples": SAMPLES, "seed": 8}]
+    SHARP = f"--p 0.5 --n 10 --samples {SAMPLES} --seed {SEED}"
+    GEN = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
+    # run -> (its domains, its argv or an API call)
+    RUNS = {
+        "sharpness": ({0}, f"sharpness {SHARP}"),
+        "monotone-sharpness": ({0}, f"monotone-sharpness {SHARP}"),
+        "bdg-fixed": ({0, 4}, f"bdg --kind fixed --samples {SAMPLES} --step 0.05 --seed {SEED}"),
+        "bdg-hitting": ({0, 4}, f"bdg --kind hitting --samples {CHUNK + 5} --step 0.05 "
+                                f"--seed {SEED}"),
+        "verify": ({0}, f"verify --seed {SEED}"),
+        "dump-paths": ({2}, f"dump-paths --kind discrete --p 0.5 --n 10 --level-N 3 "
+                            f"--seed {SEED}"),
+        "domination_audit": ({0, 1}, lambda: domination_audit(
+            TestStreamLayout.GEN, TestStreamLayout.SAMPLES, TestStreamLayout.SEED)),
+        "check_pratelli": ({0, 1}, lambda: check_pratelli(
+            TestStreamLayout.GEN, PowerF(0.5), 0.5, TestStreamLayout.SAMPLES,
+            TestStreamLayout.SEED)),
+    }
+
+    @staticmethod
+    def output(run, threads: int, tmp_path: Path) -> str:
+        """The run's JSON without timestamp and thread count, or the CSV
+        that dump-paths writes. dump-paths and the API calls take no thread
+        count."""
+        if callable(run):
+            return json.dumps(run().to_json(), sort_keys=True)
+        argv = run.split()
+        if argv[0] == "dump-paths":
+            csv_path = tmp_path / "paths.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + ["--output", str(csv_path)]) == 0
+            return csv_path.read_text()
+        if argv[0] == "verify":
+            suite = tmp_path / "suite.jsonl"
+            suite.write_text("".join(json.dumps(e) + "\n" for e in TestStreamLayout.SUITE))
+            argv += ["--suite", str(suite)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv + ["--threads", str(threads)])
+        text = out.getvalue()
+        payload, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
+        del payload["timestamp"], payload["config"]["threads"]
+        return json.dumps(payload, sort_keys=True)
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_streams_of_one_run(self, monkeypatch, tmp_path, name):
+        domains, run = self.RUNS[name]
+        make_stream = montecarlo.chunk_rng
+        asked = []
+
+        def recording(seed, index):
+            asked.append((seed, index))
+            return make_stream(seed, index)
+
+        # every module of the package that holds chunk_rng by name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "lenglart"
+                    and getattr(module, "chunk_rng", None) is make_stream):
+                monkeypatch.setattr(module, "chunk_rng", recording)
+        outputs, streams = set(), set()
+        for threads in (1, 2, 3):
+            asked.clear()
+            outputs.add(self.output(run, threads, tmp_path))
+            assert len(asked) == len(set(asked)), "a stream was asked for twice"
+            assert {index // DOMAIN_STRIDE for _, index in asked} == domains
+            streams.add(tuple(sorted(asked)))
+        assert len(outputs) == 1
+        assert len(streams) == 1
 
 
 class TestHeavyTails:
