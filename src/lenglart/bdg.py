@@ -27,12 +27,20 @@ L = -(running minimum), through a control variate (Glasserman, Monte Carlo
 Methods in Financial Engineering, 2004, section 4.1). Each of M and L has
 the exact law of sup_{t<=T} B_t = sqrt(T)|N|, so
 max^q = M^q + L^q - min(M, L)^q gives the value
-2 T^(q/2) E|N|^q - min(M, L)^q with the same mean. Single values can be
-negative. Its relative standard deviation is at most 0.195 over q in
-(0, 2), the worst case near q = 0.65 and independent of the step, so the
-pass runs at a fixed ceil((6 * 0.2 / tolerance)^2) paths (14400 at the 1 %
-tolerance), whatever the sample budget: a standard error of at most a
-sixth of the tolerance.
+2 T^(q/2) E|N|^q - min(M, L)^q with the same mean. Each path returns the
+mean of that value and the same formula on its time reversal
+B_{T-t} - B_T, whose M and L are M - B_T and L + B_T. The stepped scheme
+is invariant under time reversal: the Gaussian end points form a
+reversible walk, and a step's bridge maximum and minimum are symmetric in
+its two end points. So the reversed value has the stepped mean, stepping
+bias included, and the average costs no draw. Single values can be
+negative. The average's relative standard deviation over q in (0, 2),
+worst at q = 0.65 to 0.73, is 0.172 at one step, 0.138 at two and at most
+0.134 from three on, against 0.214 at one step and 0.195 from three on for
+the path's value alone. The pass runs at ceil((6 s / tolerance)^2) paths,
+whatever the sample budget, with s = 0.18, 0.145 and 0.14 by step count
+(11664, 7569 and 7056 at the 1 % tolerance): a standard error of at most a
+sixth of the tolerance at any step count.
 
 Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
 paths are the estimator, and a step-halving check guards their bias. sup|M|
@@ -42,7 +50,7 @@ sampler allocates once per chunk.
 
 A run's two passes share one pool of workers (`estimate_passes`), the
 longer one handed out first. At fixed time the validation is drawn in two
-pieces of 7200 paths, whatever the worker count, from the streams
+pieces of half its paths, whatever the worker count, from the streams
 chunk_rng(seed, VALIDATION_STREAM + j) of the validation's own stream
 domain: two workers share it, the exact-law chunks run beside it, and it
 draws no stream that an exact-law chunk j = 0, 1, ... draws. At the
@@ -96,8 +104,8 @@ _BIAS_TOLERANCE = 0.01
 # the hitting kind's paths still inside (a, b) at this time are censored
 _HITTING_HORIZON_CAP = 50.0
 # the most steps a spec may ask for: round(T / step) at fixed time,
-# 50 / step at the hitting time. The fixed-time validation alone takes about
-# 12 minutes of one core at the cap.
+# 50 / step at the hitting time. At the cap the fixed-time validation alone
+# is 7.1e9 path steps, about 4 minutes of one core at 30-35 ns a path step.
 _MAX_STEPS = 10**6
 
 
@@ -286,17 +294,45 @@ def _exact_fixed_time_sampler(spec: MartingaleSpec):
     return sampler
 
 
+def _stepped_minima(rng: np.random.Generator, m: int, n_steps: int, h: float, sqrt_h: float):
+    """min(M, L) of m stepped paths from 0, n_steps steps of length h, with M
+    the running maximum and L = -(running minimum); and the same of each
+    path's time reversal B_{T-t} - B_T, whose M and L are M - B_T and
+    L + B_T."""
+    pos, nxt, up, dn, work = np.zeros((5, m))
+    run_max = np.zeros(m)
+    run_min = np.zeros(m)
+    for _ in range(n_steps):
+        _bridge_step(rng, pos, nxt, up, dn, work, h, sqrt_h)
+        pos, nxt = nxt, pos
+        np.maximum(run_max, up, out=run_max)
+        np.minimum(run_min, dn, out=run_min)
+    forward = np.minimum(run_max, -run_min)
+    np.subtract(run_max, pos, out=up)
+    np.subtract(pos, run_min, out=dn)
+    backward = np.minimum(up, dn)
+    # a bridge maximum can round below its end point, and a power of a
+    # negative difference would be NaN
+    np.maximum(backward, 0.0, out=backward)
+    return forward, backward
+
+
 def _fixed_time_sampler(spec: MartingaleSpec, step: float):
     """Stepped fixed-time paths, the validation of the exact sampler:
-    (T^(q/2), 2 T^(q/2) E|N|^q - min(M, L)^q) with M the running maximum
-    and L = -(running minimum). Every step's bridge maximum and minimum are
-    exact draws, so M and L each have the exact law of sup_{t<=T} B_t =
-    sqrt(T)|N| and E[M^q] = E[L^q] = T^(q/2) E|N|^q. They are drawn
-    independently within a step, which is not their joint law; that bias
-    sits in min(M, L), so the value's mean is the stepped E[max(M, L)^q]
-    with its bias. Single values can be negative. The relative standard
-    deviation is at most 0.195 for q in (0, 2) (worst near q = 0.65, at
-    any step), against 0.20 to 0.86 for max(M, L)^q at q >= 0.5."""
+    (T^(q/2), 2 T^(q/2) E|N|^q - (min(M, L)^q + min(M - B_T, L + B_T)^q) / 2),
+    the mean of the control-variate value of each path and of its time
+    reversal, with M the running maximum and L = -(running minimum). Every
+    step's bridge maximum and minimum are exact draws, so M and L each have
+    the exact law of sup_{t<=T} B_t = sqrt(T)|N| and
+    E[M^q] = E[L^q] = T^(q/2) E|N|^q. They are drawn independently within a
+    step, which is not their joint law; that bias sits in min(M, L), so the
+    value's mean is the stepped E[max(M, L)^q] with its bias. The stepped
+    scheme is invariant under time reversal, so the reversed value has the
+    same mean, bias included. Single values can be negative. The relative
+    standard deviation over q in (0, 2) is at most 0.172 at one step, 0.138
+    at two and 0.134 from three on (worst at q = 0.65 to 0.73), against
+    0.214 at one step and 0.195 from three on for the forward value alone,
+    and 0.20 to 0.86 for max(M, L)^q at q >= 0.5."""
     n_steps = int(round(spec.T / step))
     h = spec.T / n_steps
     sqrt_h = math.sqrt(h)
@@ -306,15 +342,8 @@ def _fixed_time_sampler(spec: MartingaleSpec, step: float):
     sup_mean = num_val * 2.0 ** (qv / 2.0) * math.gamma((qv + 1.0) / 2.0) / math.sqrt(math.pi)
 
     def sampler(rng: np.random.Generator, m: int):
-        pos, nxt, up, dn, work = np.zeros((5, m))
-        run_max = np.zeros(m)
-        run_min = np.zeros(m)
-        for _ in range(n_steps):
-            _bridge_step(rng, pos, nxt, up, dn, work, h, sqrt_h)
-            pos, nxt = nxt, pos
-            np.maximum(run_max, up, out=run_max)
-            np.minimum(run_min, dn, out=run_min)
-        return np.full(m, num_val), 2.0 * sup_mean - np.minimum(run_max, -run_min) ** qv
+        forward, backward = _stepped_minima(rng, m, n_steps, h, sqrt_h)
+        return np.full(m, num_val), 2.0 * sup_mean - 0.5 * (forward ** qv + backward ** qv)
 
     return sampler
 
@@ -360,8 +389,10 @@ def _make_sampler(spec: MartingaleSpec, step: float):
     return _hitting_sampler(spec, step)
 
 
-# the control variate's relative sd is below this bound at every q in (0, 2)
-_CV_RELATIVE_SD = 0.2
+# bounds on the stepped value's relative sd over q in (0, 2) at one, two and
+# three or more steps: the worst of a sweep (0.172, 0.138, 0.134; 10^6 paths
+# per step count, q from 0.01 to 1.99 by 0.02) with a margin of about 5 %
+_CV_RELATIVE_SD = (0.18, 0.145, 0.14)
 # the validation's standard error is at most tolerance / _VALIDATION_SIGMAS
 _VALIDATION_SIGMAS = 6.0
 
@@ -371,11 +402,14 @@ _VALIDATION_SIGMAS = 6.0
 _VALIDATION_PIECES = 2
 
 
-def _validation_samples(tolerance: float) -> int:
-    """Paths of the fixed-time validation pass: ceil((6 * 0.2 / tolerance)^2),
-    14400 at the 1 % tolerance. The square is rounded first so that float
-    noise cannot add a path."""
-    return math.ceil(round((_VALIDATION_SIGMAS * _CV_RELATIVE_SD / tolerance) ** 2, 6))
+def _validation_samples(tolerance: float, n_steps: int) -> int:
+    """Paths of the fixed-time validation pass over n_steps steps:
+    ceil((6 s / tolerance)^2) with s the relative sd bound at that step
+    count, so 11664, 7569 and 7056 paths at the 1 % tolerance for one, two
+    and more steps. The square is rounded first so that float noise cannot
+    add a path."""
+    sd_bound = _CV_RELATIVE_SD[min(n_steps, len(_CV_RELATIVE_SD)) - 1]
+    return math.ceil(round((_VALIDATION_SIGMAS * sd_bound / tolerance) ** 2, 6))
 
 
 @dataclass(frozen=True)
@@ -446,7 +480,7 @@ def bdg_ratio(
     # budget. The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
-        n_check = _validation_samples(_BIAS_TOLERANCE)
+        n_check = _validation_samples(_BIAS_TOLERANCE, round(spec.T / spec.step))
         (_, validation), (num, den) = estimate(
             (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
              VALIDATION_STREAM),

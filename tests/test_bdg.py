@@ -11,6 +11,8 @@ from lenglart.bdg import (
     BM_HITTING,
     MartingaleSpec,
     _CDF_AT_ONE,
+    _CV_RELATIVE_SD,
+    _VALIDATION_PIECES,
     _bridge_max,
     _bridge_min,
     _bridge_step,
@@ -18,6 +20,7 @@ from lenglart.bdg import (
     _fixed_time_sampler,
     _hitting_sampler,
     _log_quantile,
+    _stepped_minima,
     _sup_abs_quantile,
     _validation_samples,
     bdg_ratio,
@@ -172,14 +175,39 @@ class TestExactFixedTime:
 
 
 class TestControlVariate:
-    """The stepped validation value 2 T^(q/2) E|N|^q - min(M, L)^q."""
+    """The stepped validation value 2 T^(q/2) E|N|^q - min(M, L)^q, averaged
+    with the same value of the path's time reversal."""
 
     def test_relative_sd_bound(self):
-        # the validation budget is sized from a relative sd of 0.2
-        for q in np.arange(0.05, 2.0, 0.1):
-            spec = MartingaleSpec(kind=BM_FIXED_TIME, q=float(q), step=0.05)
-            _, value = _fixed_time_sampler(spec, spec.step)(rng_of(11), 10**5)
-            assert value.std() / value.mean() <= 0.2, q
+        # the validation budget is sized from a relative sd bound at one, two
+        # and three or more steps
+        for n_steps, bound in ((1, _CV_RELATIVE_SD[0]), (2, _CV_RELATIVE_SD[1]),
+                               (20, _CV_RELATIVE_SD[2])):
+            for q in np.arange(0.05, 2.0, 0.1):
+                spec = MartingaleSpec(kind=BM_FIXED_TIME, q=float(q), step=1.0 / n_steps)
+                _, value = _fixed_time_sampler(spec, spec.step)(rng_of(11), 10**5)
+                assert value.std() / value.mean() <= bound, (n_steps, q)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 20])
+    def test_reversal_invariance(self, n_steps):
+        # the reversed path's value has the forward value's mean, stepping
+        # bias included: their paired difference has mean 0
+        h = 2.0 / n_steps
+        forward, backward = _stepped_minima(rng_of(14), 10**5, n_steps, h, math.sqrt(h))
+        for q in (0.5, 1.0, 1.5):
+            diff = backward**q - forward**q
+            assert abs(diff.mean()) < 4.0 * diff.std() / math.sqrt(diff.size), q
+
+    def test_value_averages_path_and_reversal(self):
+        q, T, n_steps = 0.7, 2.0, 5
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=q, step=T / n_steps, T=T)
+        _, value = _fixed_time_sampler(spec, spec.step)(rng_of(15), 1000)
+        h = T / n_steps
+        forward, backward = _stepped_minima(rng_of(15), 1000, n_steps, h, math.sqrt(h))
+        sup_mean = (T ** (q / 2.0) * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0)
+                    / math.sqrt(math.pi))
+        np.testing.assert_array_equal(value, 2.0 * sup_mean - 0.5 * (forward**q + backward**q))
+        assert np.all(forward >= 0.0) and np.all(backward >= 0.0)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_mean_matches_oracle(self, q):
@@ -188,12 +216,28 @@ class TestControlVariate:
         est = estimate_from_values(value, PLAIN)
         assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
 
+    def test_reversal_at_rounding_is_not_negative(self):
+        # uniforms of 1 - 2^-53 put each bridge maximum within rounding of
+        # its end points, where it can fall below the end point B_T; the
+        # reversed path's M - B_T must still not be negative
+        class TopUniforms:
+            normals = rng_of(17)
+
+            def standard_normal(self, out):
+                self.normals.standard_normal(out=out)
+
+            def random(self, out):
+                out.fill(1.0 - 2.0**-53)
+
+        h = 0.05
+        _, backward = _stepped_minima(TopUniforms(), 10**4, 20, h, math.sqrt(h))
+        assert np.all(backward >= 0.0)
+
     def test_budget_ignores_samples(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.05)
         small, large = (bdg_ratio(spec, n_samples=n, seed=13, threads=2).to_json()
                         for n in (5_000, 10**6))
-        assert small["validation"]["n"] == large["validation"]["n"] == 14_400
-        assert _validation_samples(0.01) == 14_400
+        assert small["validation"]["n"] == large["validation"]["n"] == _validation_samples(0.01, 20)
 
 
 class TestHitting:
@@ -257,10 +301,11 @@ class TestBdgRatio:
     def test_bias_check_is_stepped_pass_against_oracle(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
         result = bdg_ratio(spec, n_samples=5_000, seed=7)
-        # two pieces of 7200 paths, drawn from the validation's first two streams
-        n_check = _validation_samples(0.01)
+        # pieces of half the paths, drawn from the validation's first streams
+        n_check = _validation_samples(0.01, 20)
+        piece = -(-n_check // _VALIDATION_PIECES)
         [(_, stepped)] = estimate_passes(
-            [(_fixed_time_sampler(spec, spec.step), n_check, 7200, VALIDATION_STREAM)], PLAIN,
+            [(_fixed_time_sampler(spec, spec.step), n_check, piece, VALIDATION_STREAM)], PLAIN,
             seed=7)
         oracle = sup_abs_bm_moment(1.5, 1.0)
         assert result.bias_relative_change == abs(stepped.value - oracle) / oracle
@@ -270,11 +315,19 @@ class TestBdgRatio:
         d = bdg_ratio(spec, n_samples=5_000, seed=7).to_json()
         v, oracle = d["validation"], d["denominator_oracle"]
         assert set(v) == {"n", "value", "halfwidth", "z"}
-        assert v["n"] == _validation_samples(0.01)
+        assert v["n"] == _validation_samples(0.01, 20)
         assert v["z"] == pytest.approx((v["value"] - oracle) / v["halfwidth"])
         assert d["bias_relative_change"] == abs(v["value"] - oracle) / oracle
         # standard error at most a sixth of the tolerance
         assert v["halfwidth"] / oracle <= 0.01 / 6.0
+
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.05])
+    def test_validation_halfwidth_bound(self, step):
+        # at the worst q for one step and near it for more, the standard
+        # error is at most a sixth of the tolerance at any step count
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=0.7, step=step, T=1.0)
+        d = bdg_ratio(spec, n_samples=1_000, seed=16).to_json()
+        assert d["validation"]["halfwidth"] / d["denominator_oracle"] <= 0.01 / 6.0
 
     def test_bias_check_can_fail(self, monkeypatch, capsys):
         # an oracle 2 % off must fail the 1 % bias check
@@ -342,7 +395,8 @@ class TestBdgRatio:
 class TestGolden:
     """Pinned values, recorded on stream layout 2: PCG64DXSM streams, and
     the validation on its own domain's streams (at fixed time in two pieces,
-    at the hitting time the half-step pass in chunks).
+    each path averaged with its time reversal; at the hitting time the
+    half-step pass in chunks).
     Scheduling and buffer reuse must not move a bit of them, at any thread
     count."""
 
@@ -355,8 +409,8 @@ class TestGolden:
         assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
             1.250064028787647, 0.001995136659824181)
         assert (r.validation.value, r.validation.halfwidth) == (
-            1.2549282395955936, 0.0018681852745146058)
-        assert r.bias_relative_change == 0.0012878672888463297
+            1.2561131105417496, 0.0018188939802558464)
+        assert r.bias_relative_change == 0.002233257523328037
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hitting(self, threads):
