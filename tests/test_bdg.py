@@ -181,8 +181,7 @@ class TestControlVariate:
     def test_relative_sd_bound(self):
         # the validation budget is sized from a relative sd bound at one, two
         # and three or more steps
-        for n_steps, bound in ((1, _CV_RELATIVE_SD[0]), (2, _CV_RELATIVE_SD[1]),
-                               (20, _CV_RELATIVE_SD[2])):
+        for n_steps, bound in zip((1, 2, 20), _CV_RELATIVE_SD):
             for q in np.arange(0.05, 2.0, 0.1):
                 spec = MartingaleSpec(kind=BM_FIXED_TIME, q=float(q), step=1.0 / n_steps)
                 _, value = _fixed_time_sampler(spec, spec.step)(rng_of(11), 10**5)
@@ -207,7 +206,6 @@ class TestControlVariate:
         sup_mean = (T ** (q / 2.0) * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0)
                     / math.sqrt(math.pi))
         np.testing.assert_array_equal(value, 2.0 * sup_mean - 0.5 * (forward**q + backward**q))
-        assert np.all(forward >= 0.0) and np.all(backward >= 0.0)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_mean_matches_oracle(self, q):
