@@ -45,8 +45,13 @@ sixth of the tolerance at any step count.
 Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
 paths are the estimator, and a step-halving check guards their bias. sup|M|
 is read from the running extrema, capped at the barriers. Both kinds step
-their paths through one bridge step, `_bridge_step`, in buffers that the
-sampler allocates once per chunk.
+their paths through one helper, `_bridge_steps`, in buffers that the sampler
+allocates once per chunk. The fixed-time validation takes blocks of k steps
+and does the bridge arithmetic once per block on (k, m) arrays, so that each
+numpy call runs long enough for two workers to overlap; its draws stay per
+step, in the stream order of one step at a time, so no value depends on k.
+The hitting kind takes one step at a time, since its draws follow the alive
+set.
 
 A run's two passes share one pool of workers (`estimate_passes`), the
 longer one handed out first. At fixed time the validation is drawn in two
@@ -105,7 +110,8 @@ _BIAS_TOLERANCE = 0.01
 _HITTING_HORIZON_CAP = 50.0
 # the most steps a spec may ask for: round(T / step) at fixed time,
 # 50 / step at the hitting time. At the cap the fixed-time validation alone
-# is 7.1e9 path steps, about 4 minutes of one core at 30-35 ns a path step.
+# is 7.1e9 path steps: about 5 minutes on one worker at 40-45 ns a path
+# step, and 3 on two (2-core x86_64, 1000 steps).
 _MAX_STEPS = 10**6
 
 
@@ -148,31 +154,37 @@ def _bridge_min(x0, x1, h, u):
     return 0.5 * (x0 + x1 - np.sqrt((x1 - x0) ** 2 - 2.0 * h * np.log(u)))
 
 
-def _bridge_step(rng: np.random.Generator, x0, x1, up, dn, work, h: float, sqrt_h: float):
-    """One step of length h from x0, written into buffers of x0's size that
-    the caller owns: the end point into x1, then a uniform into each of up
-    and dn, turned in place into exact draws of the bridge maximum and
-    minimum. The draws come in the order normal, uniform, uniform, and each
-    value is `_bridge_max` or `_bridge_min` to the last bit: the operations
-    are theirs, in their order. work is scratch."""
-    rng.standard_normal(out=x1)
+def _bridge_steps(rng: np.random.Generator, x, u, work, h: float, sqrt_h: float):
+    """k steps of length h of m paths from x[0], written into buffers that the
+    caller owns, each row contiguous: x of shape (k + 1, m), u of shape
+    (k, 2, m) and work of shape (k, m). Step i draws a normal into x[i + 1]
+    and then 2m uniforms into u[i] (one fill of 2m is the stream of two of
+    m), so the draws come in the order normal, uniform, uniform, step by
+    step. x[i + 1] becomes the step's end point and u[i, 0] and u[i, 1] the
+    exact draws of its bridge maximum and minimum. Each value is
+    `_bridge_max` or `_bridge_min` to the last bit: the operations are
+    theirs, in their order, each done once over the block. work is
+    scratch."""
+    k = len(u)
+    for i in range(k):
+        rng.standard_normal(out=x[i + 1])
+        rng.random(out=u[i])
+    x0, x1 = x[:-1], x[1:]
     x1 *= sqrt_h
-    x1 += x0
-    rng.random(out=up)
-    rng.random(out=dn)
-    for u in (up, dn):
-        np.log(u, out=u)
-        u *= 2.0 * h
+    # row by row in step order, so that each end point is x0 + sqrt_h N
+    for i in range(k):
+        np.add(x[i], x[i + 1], out=x[i + 1])
+    np.log(u, out=u)
+    u *= 2.0 * h
     np.subtract(x1, x0, out=work)
     work *= work
-    for u in (up, dn):
-        np.subtract(work, u, out=u)
-        np.sqrt(u, out=u)
+    np.subtract(work[:, None], u, out=u)
+    np.sqrt(u, out=u)
     np.add(x0, x1, out=work)
+    up, dn = u[:, 0], u[:, 1]
     up += work
     np.subtract(work, dn, out=dn)
-    up *= 0.5
-    dn *= 0.5
+    u *= 0.5
 
 
 # P[S < 1], the value of float(sup_abs_bm_law(1.0)[0]): the quantile of a
@@ -294,23 +306,35 @@ def _exact_fixed_time_sampler(spec: MartingaleSpec):
     return sampler
 
 
+# the fixed-time validation steps its paths in blocks of k steps with
+# k m <= _BLOCK_CELLS (k >= 1), about 1 MB of buffers for m paths: each
+# numpy call then runs long enough that two pieces overlap on two workers
+_BLOCK_CELLS = 2**15
+
+
 def _stepped_minima(rng: np.random.Generator, m: int, n_steps: int, h: float, sqrt_h: float):
     """min(M, L) of m stepped paths from 0, n_steps steps of length h, with M
     the running maximum and L = -(running minimum); and the same of each
     path's time reversal B_{T-t} - B_T, whose M and L are M - B_T and
     L + B_T."""
-    pos, nxt, up, dn, work = np.zeros((5, m))
+    k = min(n_steps, max(1, _BLOCK_CELLS // m))
+    # one allocation: three of these sizes are mapped afresh by malloc on
+    # every call, about 220 page faults a piece of 3528 paths
+    rows = np.empty((4 * k + 1, m))
+    x, work = rows[:k + 1], rows[3 * k + 1:]
+    u = rows[k + 1:3 * k + 1].reshape(k, 2, m)
+    x[0] = 0.0
     run_max = np.zeros(m)
     run_min = np.zeros(m)
-    for _ in range(n_steps):
-        _bridge_step(rng, pos, nxt, up, dn, work, h, sqrt_h)
-        pos, nxt = nxt, pos
-        np.maximum(run_max, up, out=run_max)
-        np.minimum(run_min, dn, out=run_min)
+    for done in range(0, n_steps, k):
+        j = min(k, n_steps - done)
+        _bridge_steps(rng, x[:j + 1], u[:j], work[:j], h, sqrt_h)
+        np.maximum(run_max, np.max(u[:j, 0], axis=0, out=work[0]), out=run_max)
+        np.minimum(run_min, np.min(u[:j, 1], axis=0, out=work[0]), out=run_min)
+        x[0] = x[j]
+    pos = x[0]
     forward = np.minimum(run_max, -run_min)
-    np.subtract(run_max, pos, out=up)
-    np.subtract(pos, run_min, out=dn)
-    backward = np.minimum(up, dn)
+    backward = np.minimum(run_max - pos, pos - run_min)
     # a bridge maximum can round below its end point, and a power of a
     # negative difference would be NaN
     np.maximum(backward, 0.0, out=backward)
@@ -355,9 +379,11 @@ def _hitting_sampler(spec: MartingaleSpec, step: float):
     max_steps = int(math.ceil(_HITTING_HORIZON_CAP / step))
 
     def sampler(rng: np.random.Generator, m: int):
-        # rows: the alive paths' positions, then the step's end points,
-        # maxima, minima and scratch; the first `alive.size` columns are used
-        pos, x1, up, dn, work = np.zeros((5, m))
+        # one step at a time over the first cells of flat buffers, so that
+        # every row is contiguous: xs holds the alive paths' positions, then
+        # the step's end points, and us the step's maxima, then its minima
+        xs, us = np.zeros((2, 2 * m))
+        work = np.zeros(m)
         run_max = np.zeros(m)
         run_min = np.zeros(m)
         exit_time = np.full(m, _HITTING_HORIZON_CAP)
@@ -366,16 +392,19 @@ def _hitting_sampler(spec: MartingaleSpec, step: float):
             n = alive.size
             if n == 0:
                 break
-            _bridge_step(rng, pos[:n], x1[:n], up[:n], dn[:n], work[:n], step, sqrt_h)
+            x = xs[:2 * n].reshape(2, n)
+            u = us[:2 * n].reshape(1, 2, n)
+            _bridge_steps(rng, x, u, work[:n].reshape(1, n), step, sqrt_h)
+            up, dn = u[0]
             # the exact bridge extremum draws double as crossing detectors:
             # P[up >= b] is exactly the bridge crossing probability
-            exited = (up[:n] >= b) | (dn[:n] <= a)
-            run_max[alive] = np.maximum(run_max[alive], np.minimum(up[:n], b))
-            run_min[alive] = np.minimum(run_min[alive], np.maximum(dn[:n], a))
+            exited = (up >= b) | (dn <= a)
+            run_max[alive] = np.maximum(run_max[alive], np.minimum(up, b))
+            run_min[alive] = np.minimum(run_min[alive], np.maximum(dn, a))
             exit_time[alive[exited]] = k * step
             stay = ~exited
             alive = alive[stay]
-            np.compress(stay, x1[:n], out=pos[:alive.size])
+            np.compress(stay, x[1], out=xs[:alive.size])
         # capped at the barriers, the running extrema give sup|M| = b or -a
         # on an exit, and the supremum seen so far on a censored path
         return exit_time ** (qv / 2.0), np.maximum(run_max, -run_min) ** qv

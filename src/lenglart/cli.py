@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -351,6 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` parses with, built on the first call in a process
+    and reused: building one costs about as much as a small run."""
+    return build_parser()
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Precedence: explicit flag > config file > built-in default (the
     headline experiment settings). The config file must hold a JSON object
@@ -377,9 +385,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -15,7 +15,7 @@ from lenglart.bdg import (
     _VALIDATION_PIECES,
     _bridge_max,
     _bridge_min,
-    _bridge_step,
+    _bridge_steps,
     _exact_fixed_time_sampler,
     _fixed_time_sampler,
     _hitting_sampler,
@@ -96,18 +96,24 @@ class TestBridgeExtrema:
         assert np.all(m_dn <= np.minimum(x0, x1) + 1e-12)
 
     def test_step_is_the_closed_forms(self):
-        # the in-place step draws a normal, then a uniform for the maximum
-        # and one for the minimum, and matches the closed forms bit for bit
+        # each in-place step draws a normal, then a uniform for the maximum
+        # and one for the minimum, and matches the closed forms bit for bit,
+        # alone and in a block of three steps
         h = 0.01
-        x0 = rng_of(3).standard_normal(5_000)
-        x1, up, dn, work = np.full((4, x0.size), np.nan)
-        _bridge_step(rng_of(4), x0, x1, up, dn, work, h, math.sqrt(h))
-        rng = rng_of(4)
-        end = x0 + rng.standard_normal(x0.size) * math.sqrt(h)
-        u_max, u_min = rng.random(x0.size), rng.random(x0.size)
-        np.testing.assert_array_equal(x1, end)
-        np.testing.assert_array_equal(up, _bridge_max(x0, end, h, u_max))
-        np.testing.assert_array_equal(dn, _bridge_min(x0, end, h, u_min))
+        for k in (1, 3):
+            x = np.full((k + 1, 5_000), np.nan)
+            x[0] = rng_of(3).standard_normal(5_000)
+            u, work = np.full((k, 2, 5_000), np.nan), np.full((k, 5_000), np.nan)
+            _bridge_steps(rng_of(4), x, u, work, h, math.sqrt(h))
+            rng = rng_of(4)
+            x0 = x[0]
+            for i in range(k):
+                end = x0 + rng.standard_normal(x0.size) * math.sqrt(h)
+                u_max, u_min = rng.random(x0.size), rng.random(x0.size)
+                np.testing.assert_array_equal(x[i + 1], end)
+                np.testing.assert_array_equal(u[i, 0], _bridge_max(x0, end, h, u_max))
+                np.testing.assert_array_equal(u[i, 1], _bridge_min(x0, end, h, u_min))
+                x0 = end
 
     def test_tail_law(self):
         # for a bridge from 0 to 0 over h, P[max >= m] = exp(-2 m^2 / h)
@@ -118,6 +124,57 @@ class TestBridgeExtrema:
         emp = float((m_up >= m_level).mean())
         se = math.sqrt(target * (1 - target) / u.size)
         assert abs(emp - target) < 4.0 * se
+
+
+def reference_minima(rng, m, n_steps, h, sqrt_h):
+    """`_stepped_minima` one step at a time, each step's operations on
+    arrays of m paths: the scheme that the blocked kernel must reproduce."""
+    pos, nxt, up, dn, work = np.zeros((5, m))
+    run_max = np.zeros(m)
+    run_min = np.zeros(m)
+    for _ in range(n_steps):
+        rng.standard_normal(out=nxt)
+        nxt *= sqrt_h
+        nxt += pos
+        rng.random(out=up)
+        rng.random(out=dn)
+        for u in (up, dn):
+            np.log(u, out=u)
+            u *= 2.0 * h
+        np.subtract(nxt, pos, out=work)
+        work *= work
+        for u in (up, dn):
+            np.subtract(work, u, out=u)
+            np.sqrt(u, out=u)
+        np.add(pos, nxt, out=work)
+        up += work
+        np.subtract(work, dn, out=dn)
+        up *= 0.5
+        dn *= 0.5
+        pos, nxt = nxt, pos
+        np.maximum(run_max, up, out=run_max)
+        np.minimum(run_min, dn, out=run_min)
+    forward = np.minimum(run_max, -run_min)
+    backward = np.maximum(np.minimum(run_max - pos, pos - run_min), 0.0)
+    return forward, backward
+
+
+class TestSteppedBlocks:
+    @pytest.mark.parametrize("m", [1, 5, 3528])
+    @pytest.mark.parametrize("n_steps", [1, 7, 50])
+    @pytest.mark.parametrize("block_steps", [1, 3, "all", "default"])
+    def test_blocks_are_the_per_step_scheme(self, monkeypatch, m, n_steps, block_steps):
+        # blocks of one step, of 3 (which divides neither 7 nor 50), of
+        # every step and of the default size (9 steps at 3528 paths) give
+        # the per-step scheme's minima bit for bit
+        if block_steps != "default":
+            k = n_steps if block_steps == "all" else block_steps
+            monkeypatch.setattr(bdg, "_BLOCK_CELLS", k * m)
+        h = 1.0 / n_steps
+        blocked = _stepped_minima(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
+        reference = reference_minima(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
+        for got, want in zip(blocked, reference):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFixedTime:

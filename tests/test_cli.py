@@ -686,11 +686,14 @@ class TestDeterminism:
             ["verify", "--suite", str(suite)],
             ["bdg", "--kind", "fixed", "--q", "1.5", "--samples", str(2**15 + 5),
              "--step", "0.05", "--seed", "3"],
+            # the default step: 1000 steps, which the validation's blocks of
+            # 9 steps do not divide
+            ["bdg", "--kind", "fixed", "--step", "0.001", "--samples", "1000"],
         ]
         out_file = tmp_path / "r.json"
         for argv in commands:
             payloads = []
-            for threads in (1, 2):
+            for threads in (1, 2, 3):
                 out_file.unlink(missing_ok=True)
                 code, _, _ = run(argv + ["--threads", str(threads), "--output",
                                          str(out_file)], capsys)
@@ -699,7 +702,7 @@ class TestDeterminism:
                 del payload["timestamp"]
                 del payload["config"]["threads"]
                 payloads.append(payload)
-            assert payloads[0] == payloads[1], argv[0]
+            assert payloads[0] == payloads[1] == payloads[2], argv
 
     def test_rerun_identical(self, capsys, tmp_path):
         results = []
@@ -710,6 +713,34 @@ class TestDeterminism:
             payload = load_json_output(out_file)
             results.append(payload["result"])
         assert results[0] == results[1]
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        # main parses every call with one parser per process; a run of
+        # subcommands with a usage error in between reads as on fresh parsers
+        calls = [
+            ["bdg", "--kind", "fixed", "--samples", "1000", "--step", "0.05"],
+            ["identities", "--law", "exp", "--p", "0.4"],
+            ["sharpness", "--samples", "1000", "--step", "0.05"],
+            ["sharpness", "--p", "0.4", "--n", "5", "--samples", "1000"],
+            ["bdg", "--kind", "hitting", "--samples", "200", "--step", "0.05"],
+        ]
+
+        def outputs():
+            seen = []
+            for argv in calls:
+                code, out, err = run(argv, capsys)
+                lines = [line for line in out.splitlines() if '"timestamp"' not in line]
+                seen.append((code, lines, err))
+            return seen
+
+        cli._parser.cache_clear()
+        reused = outputs()
+        assert cli._parser.cache_info().misses == 1
+        assert reused[2][0] == EXIT_USAGE
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert outputs() == reused
 
 
 # the headline subcommands at their defaults, then dump-paths and a small
