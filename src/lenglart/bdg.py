@@ -285,13 +285,12 @@ def _log_quantile(u: np.ndarray) -> np.ndarray:
 
 
 def _exact_fixed_time_sampler(spec: MartingaleSpec):
-    """(T^(q/2), sup_{t<=T}|B_t|^q) with the supremum drawn from its law:
-    one uniform per path through the quantile table, as
+    """The one column sup_{t<=T}|B_t|^q, with the supremum drawn from its
+    law: one uniform per path through the quantile table, as
     exp(q (log Q + log(T) / 2)). The table is built here, before any chunk
     is drawn, if this process has not built it yet."""
     _quantile_table()
     qv = spec.q
-    num_val = spec.T ** (qv / 2.0)
     half_log_T = 0.5 * math.log(spec.T)
 
     def sampler(rng: np.random.Generator, m: int):
@@ -301,7 +300,7 @@ def _exact_fixed_time_sampler(spec: MartingaleSpec):
         y = _log_quantile(u)
         y += half_log_T
         y *= qv
-        return np.full(m, num_val), np.exp(y, out=y)
+        return (np.exp(y, out=y),)
 
     return sampler
 
@@ -342,8 +341,8 @@ def _stepped_minima(rng: np.random.Generator, m: int, n_steps: int, h: float, sq
 
 
 def _fixed_time_sampler(spec: MartingaleSpec, step: float):
-    """Stepped fixed-time paths, the validation of the exact sampler:
-    (T^(q/2), 2 T^(q/2) E|N|^q - (min(M, L)^q + min(M - B_T, L + B_T)^q) / 2),
+    """Stepped fixed-time paths, the validation of the exact sampler: the
+    one column 2 T^(q/2) E|N|^q - (min(M, L)^q + min(M - B_T, L + B_T)^q) / 2,
     the mean of the control-variate value of each path and of its time
     reversal, with M the running maximum and L = -(running minimum). Every
     step's bridge maximum and minimum are exact draws, so M and L each have
@@ -367,7 +366,7 @@ def _fixed_time_sampler(spec: MartingaleSpec, step: float):
 
     def sampler(rng: np.random.Generator, m: int):
         forward, backward = _stepped_minima(rng, m, n_steps, h, sqrt_h)
-        return np.full(m, num_val), 2.0 * sup_mean - 0.5 * (forward ** qv + backward ** qv)
+        return (2.0 * sup_mean - 0.5 * (forward ** qv + backward ** qv),)
 
     return sampler
 
@@ -510,10 +509,12 @@ def bdg_ratio(
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
         n_check = _validation_samples(_BIAS_TOLERANCE, round(spec.T / spec.step))
-        (_, validation), (num, den) = estimate(
+        (validation,), (den,) = estimate(
             (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
              VALIDATION_STREAM),
             (_exact_fixed_time_sampler(spec), n_samples))
+        # E[<B,B>_T^(q/2)] = T^(q/2) exactly: nothing to draw
+        num = Estimate(spec.T ** (spec.q / 2.0), 0.0, n_samples, PLAIN)
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
         bias_rel = abs(validation.value - oracle) / oracle

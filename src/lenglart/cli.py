@@ -1,17 +1,18 @@
 """Command-line entry point exposing the experiments as subcommands.
 
-Each subcommand takes exactly the settings its runner reads. _SUBCOMMANDS
-gives each subcommand its runner and those settings, as ExperimentConfig
-fields, and _FLAGS gives each field one flag spec: option string, type,
-choices, and the range a run checks before it draws. The parser and the
---config file both follow those tables, so a flag or config key that the
-subcommand does not read, or a config value that its flag could not
+Each subcommand takes exactly the settings its runner reads. _FLAGS declares
+every setting once: its option string, type, default, choices, the range a
+run checks before it draws, and for bdg's T, a and b the --kind that reads
+it. _SUBCOMMANDS gives each subcommand its runner and its settings. The
+parser and the --config file both follow those tables, so a flag or config
+key that the run does not read, or a config value that its flag could not
 produce, is a usage error.
 
 Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error.
-Every JSON output embeds the fully resolved configuration for provenance;
-reruns with the same config and any thread count produce identical output
-up to the timestamp field.
+Every JSON output names its subcommand, and its config block holds the
+run's settings, apart from an unset --output: the block is a --config file
+for the subcommand that reproduces the run. Reruns with the same config and
+any thread count produce identical output up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,10 +52,8 @@ from .oracles import (
     moment_identity_law,
     xtilde_sup_moment,
 )
-from .verifier import check_inequality, check_type, generator_from_config
+from .verifier import check_inequality, generator_from_config, read_object
 
-DEFAULT_SEED = 0
-DEFAULT_SAMPLES = 10**6
 MAX_DUMP_POINTS = 10**4
 
 EXIT_PASS = 0
@@ -60,40 +61,14 @@ EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class ExperimentConfig:
-    subcommand: str
-    p: float = 0.5
-    n: int = 40
-    level_N: int = 6
-    n_samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    method: str = "auto"  # auto | plain | mom
-    blocks: int = 31
-    threads: int = 1
-    output: str | None = None
-    # identities
-    law: str = "exp"
-    point_value: float = 1.0
-    # bdg
-    kind: str = "fixed"
-    T: float = 1.0
-    a: float = -1.0
-    b: float = 1.0
-    q: float = 1.0
-    step: float = 1e-3
-    # verify / dump
-    config_path: str | None = None
-    dump_kind: str = "exp"
-
-    def resolved_method(self) -> EstimatorMethod | None:
-        """The estimator of --method; None for auto, which the library
-        resolves from p."""
-        if self.method == "plain":
-            return PLAIN
-        if self.method == "mom":
-            return median_of_means(self.blocks)
-        return None
+def resolved_method(cfg: SimpleNamespace) -> EstimatorMethod | None:
+    """The estimator of cfg's method; None for auto, which the library
+    resolves from p."""
+    if cfg.method == "plain":
+        return PLAIN
+    if cfg.method == "mom":
+        return median_of_means(cfg.blocks)
+    return None
 
 
 def _usage_error(msg: str) -> int:
@@ -103,64 +78,73 @@ def _usage_error(msg: str) -> int:
 
 @dataclass(frozen=True)
 class _Flag:
-    """The flag of one ExperimentConfig field: its option string, the type
-    of its value (int, float or str), its choices, and a (holds, message)
-    range that a run checks before it draws."""
+    """One setting: its option string, the type of its value (int, float or
+    str), its default (None: unset), its choices, a (holds, message) range
+    that a run checks before it draws, and the bdg --kind that reads it,
+    where only one kind does."""
 
     option: str
     type: type = str
+    default: object = None
     choices: tuple[str, ...] | None = None
     valid: tuple[Callable, str] | None = None
+    bdg_kind: str | None = None
     help: str | None = None
-
-    def check_type(self, key: str, value) -> None:
-        """Raise ValueError unless the flag could produce value: an int for
-        an int flag, an int or float for a float flag, a str for a str flag,
-        and one of the choices where there are any."""
-        check_type(key, value, self.type)
-        if self.choices is not None and value not in self.choices:
-            raise ValueError(f"{key} must be one of {', '.join(self.choices)}, "
-                             f"not {value!r}")
 
     def check_range(self, value) -> None:
         if self.valid is not None and not self.valid[0](value):
             raise ValueError(self.valid[1])
 
 
-# ExperimentConfig field -> its flag. A seed is the SeedSequence entropy of
-# the PCG64DXSM streams that montecarlo.chunk_rng builds.
+# setting -> its flag. The defaults are the headline experiment's settings.
+# A seed is the SeedSequence entropy of the PCG64DXSM streams that
+# montecarlo.chunk_rng builds.
 _FLAGS = {
-    "p": _Flag("--p", float, valid=(lambda v: 0.0 < v < 1.0, "p must lie in (0,1)")),
-    "n": _Flag("--n", int, valid=(lambda v: v >= 1, "n must be a positive integer")),
-    "level_N": _Flag("--level-N", int,
+    "p": _Flag("--p", float, 0.5, valid=(lambda v: 0.0 < v < 1.0, "p must lie in (0,1)")),
+    "n": _Flag("--n", int, 40, valid=(lambda v: v >= 1, "n must be a positive integer")),
+    "level_N": _Flag("--level-N", int, 6,
                      valid=(lambda v: v >= 0, "level-N must be non-negative")),
-    "n_samples": _Flag("--samples", int,
+    "n_samples": _Flag("--samples", int, 10**6,
                        valid=(lambda v: v >= 1, "samples must be positive")),
-    "seed": _Flag("--seed", int, valid=(lambda v: 0 <= v < 2**64,
-                                        "seed must be a non-negative 64-bit integer")),
-    "method": _Flag("--method", choices=("auto", "plain", "mom")),
-    "blocks": _Flag("--blocks", int),
-    "threads": _Flag("--threads", int,
+    "seed": _Flag("--seed", int, 0, valid=(lambda v: 0 <= v < 2**64,
+                                           "seed must be a non-negative 64-bit integer")),
+    "method": _Flag("--method", default="auto", choices=("auto", "plain", "mom")),
+    "blocks": _Flag("--blocks", int, 31),
+    "threads": _Flag("--threads", int, 1,
                      valid=(lambda v: v >= 1, "threads must be positive")),
     "output": _Flag("--output"),
-    "law": _Flag("--law", choices=("uniform", "exp", "point", "pareto")),
-    "point_value": _Flag("--point-value", float),
-    "kind": _Flag("--kind", choices=("fixed", "hitting")),
-    "T": _Flag("--T", float),
-    "a": _Flag("--a", float),
-    "b": _Flag("--b", float),
-    "q": _Flag("--q", float),
-    "step": _Flag("--step", float),
+    "law": _Flag("--law", default="exp", choices=("uniform", "exp", "point", "pareto")),
+    "point_value": _Flag("--point-value", float, 1.0),
+    "kind": _Flag("--kind", default="fixed", choices=("fixed", "hitting")),
+    "T": _Flag("--T", float, 1.0, bdg_kind="fixed"),
+    "a": _Flag("--a", float, -1.0, bdg_kind="hitting"),
+    "b": _Flag("--b", float, 1.0, bdg_kind="hitting"),
+    "q": _Flag("--q", float, 1.0),
+    "step": _Flag("--step", float, 1e-3),
     "config_path": _Flag("--suite", help="JSONL file: one check per line"),
-    "dump_kind": _Flag("--kind", choices=("exp", "discrete")),
+    "dump_kind": _Flag("--kind", default="exp", choices=("exp", "discrete")),
 }
 
-def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
+
+def _print(text: str) -> None:
+    """print to stdout. A reader that closes the pipe early ends the output,
+    not the run, which still exits with its verdict's code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later prints and the flush at exit then write to devnull, and raise
+        # no second error (Python docs, signal module, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(sub: str, cfg: SimpleNamespace, result: dict, summary: str) -> None:
     payload = {
-        "config": asdict(cfg),
+        # every setting but an unset --output: a --config file that reruns it
+        "config": {key: value for key, value in vars(cfg).items() if value is not None},
         "result": result,
         # which streams drew the result (montecarlo.STREAM_LAYOUT)
         "stream_layout": STREAM_LAYOUT,
+        "subcommand": sub,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -168,8 +152,8 @@ def _emit(cfg: ExperimentConfig, result: dict, summary: str) -> None:
         with open(cfg.output, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
-    print(summary)
+        _print(text)
+    _print(summary)
 
 
 def _sandwich_verdict(ratio, c_target: float, lower_target: float) -> bool:
@@ -182,17 +166,6 @@ def _sandwich_verdict(ratio, c_target: float, lower_target: float) -> bool:
     return upper_ok and lower_ok
 
 
-def _oracle_diagnostics(ratio, numerator_oracle: float, denominator_oracle: float) -> dict:
-    """The exact moments behind a ratio and the z-score of each estimate
-    against its own, (value - oracle) / halfwidth."""
-    return {
-        "numerator_oracle": numerator_oracle,
-        "numerator_z": z_score(ratio.numerator, numerator_oracle),
-        "denominator_oracle": denominator_oracle,
-        "denominator_z": z_score(ratio.denominator, denominator_oracle),
-    }
-
-
 # subcommand -> (experiment(p, n, samples, method, seed, threads), constant
 # kind, exact numerator moment); both share the denominator
 _SHARPNESS = {
@@ -203,33 +176,37 @@ _SHARPNESS = {
 }
 
 
-def _run_sharpness(cfg: ExperimentConfig) -> int:
-    experiment, kind, numerator_oracle = _SHARPNESS[cfg.subcommand]
-    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, cfg.resolved_method(),
-                       cfg.seed, cfg.threads)
+def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
+    experiment, kind, numerator_oracle = _SHARPNESS[sub]
+    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, resolved_method(cfg), cfg.seed,
+                       cfg.threads)
     c = constant(kind, cfg.p)
     lower = c * cfg.n / (cfg.n + 1)
     ok = _sandwich_verdict(ratio, c, lower)
+    num_oracle, den_oracle = numerator_oracle(cfg.p, cfg.n), gtilde_sup_moment(cfg.p, cfg.n)
     result = {
         "ratio": ratio.to_json(seed=cfg.seed),
         "constant": c,
         "finite_n_lower_bound": lower,
         "pass": ok,
-        **_oracle_diagnostics(ratio, numerator_oracle(cfg.p, cfg.n),
-                              gtilde_sup_moment(cfg.p, cfg.n)),
+        # the exact moments, and each estimate's z-score against its own
+        "numerator_oracle": num_oracle,
+        "numerator_z": z_score(ratio.numerator, num_oracle),
+        "denominator_oracle": den_oracle,
+        "denominator_z": z_score(ratio.denominator, den_oracle),
     }
-    _emit(cfg, result,
-          f"{cfg.subcommand}: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
+    _emit(sub, cfg, result,
+          f"{sub}: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
           f"{ratio.ci_high:.5f}], constant={c:.7f}, lower bound={lower:.5f}, "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_STAT_FAIL
 
 
-def _run_identities(cfg: ExperimentConfig) -> int:
+def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
     report = check_moment_identities(moment_identity_law(cfg.law, cfg.point_value), cfg.p)
     ok = report.max_discrepancy < 1e-8
     result = {**report.to_json(), "pass": ok}
-    _emit(cfg, result,
+    _emit(sub, cfg, result,
           f"identities: law={cfg.law}, p={cfg.p}, values="
           f"({report.direct:.8f}, {report.via_tail_integral:.8f}, "
           f"{report.via_truncated_mean:.8f}), max discrepancy="
@@ -237,7 +214,7 @@ def _run_identities(cfg: ExperimentConfig) -> int:
     return EXIT_PASS if ok else EXIT_STAT_FAIL
 
 
-def _run_verify(cfg: ExperimentConfig) -> int:
+def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
     try:
@@ -251,40 +228,42 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         if not isinstance(entry, dict):
             return _usage_error(f"bad suite entry {entry!r}: not a JSON object")
     # plain or mom applies to every check; auto (None) keeps each check's default
-    method = cfg.resolved_method()
+    method = resolved_method(cfg)
     reports = []
-    all_ok = True
     for entry in lines:
         try:
-            gen = generator_from_config(entry["generator"])
-            kind = ConstantKind(entry.get("constant", "lenglart"))
-            # the values follow the rules of the same keys in a --config file
-            settings = {"p": entry["p"], "n_samples": entry.get("n_samples", 10**5),
-                        "seed": entry.get("seed", cfg.seed)}
+            # p, n_samples and seed follow the rules of a --config file
+            values = read_object(entry, "suite entry",
+                                 {"generator": dict, "p": float, "constant": str,
+                                  "n_samples": int, "seed": int})
+            gen = generator_from_config(values["generator"])
+            kind = ConstantKind(values.get("constant", "lenglart"))
+            settings = {"p": values["p"], "n_samples": values.get("n_samples", 10**5),
+                        "seed": values.get("seed", cfg.seed)}
             for key, value in settings.items():
-                _FLAGS[key].check_type(key, value)
                 _FLAGS[key].check_range(value)
             report = check_inequality(gen, kind=kind, method=method, threads=cfg.threads,
                                       **settings)
         except (KeyError, TypeError, ValueError) as exc:
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         reports.append(report.to_json())
-        all_ok = all_ok and report.passed
         ratio = "n/a" if report.ratio is None else f"{report.ratio:.5f}"
-        print(f"verify: {report.label}: ratio={ratio} vs "
-              f"constant={report.rhs_constant:.5f}, "
-              f"{'PASS' if report.passed else 'FAIL'}")
-    _emit(cfg, {"checks": reports, "pass": all_ok},
+        _print(f"verify: {report.label}: ratio={ratio} vs "
+               f"constant={report.rhs_constant:.5f}, "
+               f"{'PASS' if report.passed else 'FAIL'}")
+    all_ok = all(r["pass"] for r in reports)
+    _emit(sub, cfg, {"checks": reports, "pass": all_ok},
           f"verify: {sum(r['pass'] for r in reports)}/{len(reports)} checks passed")
     return EXIT_PASS if all_ok else EXIT_STAT_FAIL
 
 
-def _run_bdg(cfg: ExperimentConfig) -> int:
+def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
-    spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, T=cfg.T,
-                          a=cfg.a, b=cfg.b)
+    # T at fixed time, a and b at the hitting time
+    of_kind = {key: value for key, value in vars(cfg).items() if _FLAGS[key].bdg_kind}
+    spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, **of_kind)
     result = bdg_ratio(spec, cfg.n_samples, cfg.seed, cfg.threads)
-    _emit(cfg, result.to_json(),
+    _emit(sub, cfg, result.to_json(),
           f"bdg: ratio={result.ratio.ratio:.5f}, monotone constant="
           f"{constant(ConstantKind.MONOTONE, cfg.q / 2):.5f}, bias change="
           f"{result.bias_relative_change:.3%}, "
@@ -292,7 +271,7 @@ def _run_bdg(cfg: ExperimentConfig) -> int:
     return EXIT_PASS if result.passed else EXIT_STAT_FAIL
 
 
-def _run_dump_paths(cfg: ExperimentConfig) -> int:
+def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
     # looked up at call time, so that a patched module attribute is the one called
@@ -310,17 +289,17 @@ def _run_dump_paths(cfg: ExperimentConfig) -> int:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "g"])
         writer.writerows(rows)
-    print(f"dump-paths: wrote {len(rows)} points to {cfg.output}")
+    _print(f"dump-paths: wrote {len(rows)} points to {cfg.output}")
     return EXIT_PASS
 
 
 _SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "method", "blocks", "threads",
                        "output")
 
-# subcommand -> (runner, the ExperimentConfig fields it reads, which are its
-# flags and the keys its --config file may hold). identities draws nothing
-# and reads no thread count; it keeps --threads so that one argument list
-# with --threads runs every headline subcommand.
+# subcommand -> (runner, the settings it reads, which are its flags and the
+# keys its --config file may hold; bdg reads those of its --kind alone).
+# identities draws nothing and reads no thread count; it keeps --threads so
+# that one argument list with --threads runs every headline subcommand.
 _SUBCOMMANDS = {
     "sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
     "monotone-sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
@@ -340,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
         "constant ladder.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, fields) in _SUBCOMMANDS.items():
+    for name, (_, settings) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        for field in fields:
-            flag = _FLAGS[field]
-            sp.add_argument(flag.option, dest=field, type=flag.type, choices=flag.choices,
+        for key in settings:
+            flag = _FLAGS[key]
+            sp.add_argument(flag.option, dest=key, type=flag.type, choices=flag.choices,
                             default=None, help=flag.help)
         sp.add_argument("--config", dest="config_file", default=None,
-                        help="JSON object of this subcommand's settings, named as "
-                        "in the output's config block")
+                        help="JSON object of settings, named as in an output's "
+                        "config block; that block, passed back, reruns its run")
     return parser
 
 
@@ -359,29 +338,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Precedence: explicit flag > config file > built-in default (the
-    headline experiment settings). The config file must hold a JSON object
-    whose keys are settings of the subcommand, each with a value that its
-    flag could produce; anything else raises ValueError."""
-    _, fields = _SUBCOMMANDS[args.subcommand]
-    cfg = ExperimentConfig(subcommand=args.subcommand)
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """The run's settings, one attribute each. Precedence: explicit flag >
+    config file > the setting's default in _FLAGS. The config file must
+    hold a JSON object whose keys are settings of the subcommand, each with
+    a value that its flag could produce; anything else, and a flag or key
+    of the other bdg --kind, raises ValueError."""
+    _, declared = _SUBCOMMANDS[args.subcommand]
+    given = {}
     if args.config_file:
         with open(args.config_file) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError("the config file must hold a JSON object")
-        for key, value in file_values.items():
-            if key not in fields:
-                raise ValueError(f"{args.subcommand} has no setting {key!r}; it "
-                                 f"takes {', '.join(fields)}")
-            _FLAGS[key].check_type(key, value)
-            setattr(cfg, key, value)
-    for key in fields:
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            given = read_object(json.load(fh), f"{args.subcommand} config",
+                                {key: _FLAGS[key].type for key in declared})
+        # each value one its flag could produce
+        for key, value in given.items():
+            if _FLAGS[key].choices and value not in _FLAGS[key].choices:
+                raise ValueError(f"{key} must be one of {', '.join(_FLAGS[key].choices)}, "
+                                 f"not {value!r}")
+    given.update((key, getattr(args, key)) for key in declared
+                 if getattr(args, key) is not None)
+    # only bdg has a "kind" setting, and only its settings name a kind
+    kind = given.get("kind", _FLAGS["kind"].default)
+    settings = [key for key in declared if _FLAGS[key].bdg_kind in (None, kind)]
+    unread = sorted(given.keys() - set(settings))
+    if unread:
+        raise ValueError(f"bdg --kind {kind} has no setting {unread[0]!r}; it takes "
+                         f"{', '.join(settings)}")
+    return SimpleNamespace(**{key: given.get(key, _FLAGS[key].default) for key in settings})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -393,13 +376,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage_error(f"bad config: {exc}")
-    runner, fields = _SUBCOMMANDS[cfg.subcommand]
+    runner, _ = _SUBCOMMANDS[args.subcommand]
     try:
-        for key in fields:
-            _FLAGS[key].check_range(getattr(cfg, key))
-        if cfg.method != "mom" and cfg.blocks != ExperimentConfig.blocks:
+        for key, value in vars(cfg).items():
+            _FLAGS[key].check_range(value)
+        if getattr(cfg, "method", "mom") != "mom" and cfg.blocks != _FLAGS["blocks"].default:
             return _usage_error("--blocks applies only with --method mom")
-        return runner(cfg)
+        return runner(args.subcommand, cfg)
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -225,8 +225,8 @@ def sup_abs_bm_law(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cdf = np.zeros_like(x)
     sf = np.ones_like(x)
     pdf = np.zeros_like(x)
-    # flat integer indices: take/put cost a tenth of boolean-mask indexing
-    # on the unsorted arrays the sampler passes
+    # flat integer indices: take/put cost a tenth of boolean-mask indexing.
+    # The callers are the quadrature nodes and bdg's quantile-table build
     low = np.flatnonzero((x > 0.0) & (x < 1.0))
     high = np.flatnonzero(x >= 1.0)
     if low.size:

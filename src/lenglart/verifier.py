@@ -48,6 +48,7 @@ __all__ = [
     "CompensatedBernoulliGenerator",
     "HatXGenerator",
     "check_type",
+    "read_object",
     "generator_from_config",
     "VerifierReport",
     "AuditEntry",
@@ -435,38 +436,52 @@ def check_type(key: str, value, kind: type):
     return value
 
 
+def read_object(value, what: str, keys: dict) -> dict:
+    """value, if it is a JSON object whose keys are all in keys, which maps
+    each to the type its value must have (see check_type). Raises ValueError
+    otherwise. A key left out is the caller's to default or to miss."""
+    unknown = sorted(_object(value, what).keys() - keys.keys())
+    if unknown:
+        raise ValueError(f"{what} has no key {unknown[0]!r}; it takes {', '.join(keys)}")
+    return {key: check_type(key, item, keys[key]) for key, item in value.items()}
+
+
+# generator kind -> the keys it may hold besides "kind", with their types
+_GENERATOR_KEYS = {
+    "extremal": {"p": float, "n": int},
+    "discrete_extremal": {"p": float, "n": int, "level_N": int},
+    "compensated_bernoulli": {"jump": str, "steps": int},
+    "hatx_of": {"inner": dict, "rule": dict},
+}
+# compensated_bernoulli's "jump" (bernoulli when left out) -> the key it
+# adds; JumpLaw defaults a key left out, and refuses an unknown law
+_JUMP_KEYS = {"bernoulli": {"q": float}, "exp": {}, "const": {"c": float}}
+
+
 def generator_from_config(cfg: dict) -> _Generator:
-    """Build a generator from a JSON-style description. Its numbers follow
-    the --config rules (see check_type)."""
+    """Build a generator from a JSON-style description: "kind" and the keys
+    of that kind, and no other key. Its numbers follow the --config rules
+    (see check_type)."""
     kind = _object(cfg, "generator").get("kind")
-
-    def params():
-        return ExtremalParams(p=check_type("p", cfg["p"], float),
-                              n=check_type("n", cfg["n"], int))
-
-    if kind == "extremal":
-        return ExtremalGenerator(params())
-    if kind == "discrete_extremal":
-        return DiscreteExtremalGenerator(params(),
-                                         level_N=check_type("level_N", cfg["level_N"], int))
+    if kind not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    jump = cfg.get("jump", "bernoulli") if kind == "compensated_bernoulli" else None
+    values = read_object(cfg, f"{kind} generator",
+                         {"kind": str, **_GENERATOR_KEYS[kind], **_JUMP_KEYS.get(jump, {})})
     if kind == "compensated_bernoulli":
-        jump = JumpLaw(
-            kind=cfg.get("jump", "bernoulli"),
-            q=check_type("q", cfg.get("q", 0.5), float),
-            c=check_type("c", cfg.get("c", 1.0), float),
-        )
-        return CompensatedBernoulliGenerator(jump=jump,
-                                             steps=check_type("steps", cfg["steps"], int))
+        law = {key: values[key] for key in ("q", "c") if key in values}
+        return CompensatedBernoulliGenerator(jump=JumpLaw(jump, **law), steps=values["steps"])
     if kind == "hatx_of":
-        inner = generator_from_config(cfg["inner"])
-        rule_cfg = _object(cfg["rule"], "hatx_of rule")
-        if "k" in rule_cfg:
-            rule = FixedIndexRule(k=check_type("k", rule_cfg["k"], int))
-        else:
-            rule = HittingRule(side=rule_cfg["side"],
-                               level=check_type("level", rule_cfg["level"], float))
-        return HatXGenerator(inner=inner, rule=rule)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        # a rule holds a fixed index, or a level on one side
+        index = "k" in values["rule"]
+        rule = read_object(values["rule"], "hatx_of rule",
+                           {"k": int} if index else {"side": str, "level": float})
+        return HatXGenerator(inner=generator_from_config(values["inner"]),
+                             rule=FixedIndexRule(**rule) if index else HittingRule(**rule))
+    params = ExtremalParams(p=values["p"], n=values["n"])
+    if kind == "extremal":
+        return ExtremalGenerator(params)
+    return DiscreteExtremalGenerator(params, level_N=values["level_N"])
 
 
 # ---------------------------------------------------------------------------

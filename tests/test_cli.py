@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +17,10 @@ from lenglart.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
-    ExperimentConfig,
     build_parser,
     main,
     resolve_config,
+    resolved_method,
 )
 from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment
 
@@ -45,6 +46,7 @@ def write_suite(path, seed=1):
 
 
 SEED_ERROR = "seed must be a non-negative 64-bit integer"
+BERNOULLI = {"kind": "compensated_bernoulli", "jump": "bernoulli", "q": 0.3, "steps": 12}
 
 
 class TestUsageErrors:
@@ -180,6 +182,58 @@ class TestUsageErrors:
         assert "bad suite entry" in err and message in err
         assert "checks passed" not in out
 
+    @pytest.mark.parametrize(("entry", "message"), [
+        ({"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "Q": 0.3,
+                        "steps": 12}, "p": 0.5, "constant": "monotone", "n_sample": 1000,
+          "sed": 5}, "suite entry has no key 'n_sample'"),
+        ({"generator": BERNOULLI, "p": 0.5, "seeds": 5}, "suite entry has no key 'seeds'"),
+        ({"generator": {**BERNOULLI, "Q": 0.3}, "p": 0.5},
+         "compensated_bernoulli generator has no key 'Q'"),
+        ({"generator": {**BERNOULLI, "c": 2.0}, "p": 0.5},
+         "compensated_bernoulli generator has no key 'c'"),
+        ({"generator": {"kind": "compensated_bernoulli", "q": 0.3, "c": 2.0, "steps": 12},
+          "p": 0.5}, "compensated_bernoulli generator has no key 'c'"),
+        ({"generator": {"kind": "compensated_bernoulli", "jump": "const", "q": 0.3,
+                        "steps": 12}, "p": 0.5},
+         "compensated_bernoulli generator has no key 'q'"),
+        ({"generator": {"kind": "compensated_bernoulli", "jump": "exp", "q": 0.3,
+                        "steps": 12}, "p": 0.5},
+         "compensated_bernoulli generator has no key 'q'"),
+        ({"generator": {"kind": "compensated_bernoulli", "jump": "levy", "steps": 12},
+          "p": 0.5}, "unknown jump law 'levy'"),
+        ({"generator": {"kind": "extremal", "p": 0.5, "n": 4, "level_N": 3}, "p": 0.5},
+         "extremal generator has no key 'level_N'"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"k": 6}, "p": 0.5},
+          "p": 0.5}, "hatx_of generator has no key 'p'"),
+        ({"generator": {"kind": "hatx_of", "inner": {**BERNOULLI, "step": 12},
+                        "rule": {"k": 6}}, "p": 0.5},
+         "compensated_bernoulli generator has no key 'step'"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI,
+                        "rule": {"k": 6, "side": "x", "level": 2.0}}, "p": 0.5},
+         "hatx_of rule has no key 'level'"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI,
+                        "rule": {"side": "x", "level": 2.0, "k2": 1}}, "p": 0.5},
+         "hatx_of rule has no key 'k2'"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"side": "x"}},
+          "p": 0.5}, "level"),
+    ], ids=["misspelt-samples-and-seed", "entry-extra-key", "walk-Q", "bernoulli-c",
+            "default-jump-c", "const-q", "exp-q", "unknown-jump", "extremal-level_N",
+            "hatx-extra-key", "inner-extra-key", "rule-k-and-level", "rule-extra-key",
+            "rule-without-level"])
+    def test_suite_entry_unread_key(self, capsys, tmp_path, monkeypatch, entry, message):
+        # an entry and its generator hold only the keys they read; any other
+        # key is refused before the check draws, not dropped
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the entry was refused")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps(entry) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert "bad suite entry" in err and message in err
+        assert "checks passed" not in out
+
     @pytest.mark.parametrize(("key", "value"), [
         ("p", [1]), ("p", "0.5"), ("p", None),
         ("n_samples", None), ("n_samples", True), ("n_samples", 1000.0),
@@ -276,7 +330,7 @@ class TestUsageErrors:
     def test_format_flag_is_gone(self, capsys):
         # output is always JSON (dump-paths: CSV); there is no format switch
         assert run(["identities", "--format", "csv"], capsys)[0] == EXIT_USAGE
-        assert not hasattr(ExperimentConfig("identities"), "fmt")
+        assert "fmt" not in cli._FLAGS
 
     def test_unreadable_config_file(self, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -285,7 +339,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
 
-# flag -> (ExperimentConfig field, a non-default argument, the value it sets);
+# flag -> (setting, a non-default argument, the value it sets);
 # --kind sets a different field in each subcommand that has it
 FLAG_VALUES = {
     "--p": ("p", "0.3", 0.3),
@@ -353,8 +407,11 @@ class TestSettingsTable:
         (sub, flag) for sub, flags in DECLARED.items() for flag in flags])
     def test_flag_sets_its_field(self, sub, flag):
         field, arg, value = flag_value(sub, flag)
-        assert getattr(ExperimentConfig(sub), field) != value
-        cfg = resolve_config(build_parser().parse_args([sub, flag, arg]))
+        assert cli._FLAGS[field].default != value
+        # bdg's --a and --b are settings of the hitting kind alone
+        kind = cli._FLAGS[field].bdg_kind
+        argv = [sub, flag, arg] + (["--kind", kind] if kind else [])
+        cfg = resolve_config(build_parser().parse_args(argv))
         assert getattr(cfg, field) == value
 
     @pytest.mark.parametrize(("sub", "flag"), [
@@ -396,11 +453,111 @@ class TestSettingsTable:
         assert not out_file.exists()
 
     def test_config_file_takes_int_for_float(self, tmp_path):
-        # a float flag's value may be written as an integer, as --T 2 is
+        # a float flag's value may be written as an integer, as --b 2 is
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"T": 2, "kind": "hitting", "a": -2}))
+        cfg_file.write_text(json.dumps({"b": 2, "kind": "hitting", "a": -2}))
         cfg = resolve_config(build_parser().parse_args(["bdg", "--config", str(cfg_file)]))
-        assert (cfg.T, cfg.kind, cfg.a) == (2, "hitting", -2)
+        assert (cfg.b, cfg.kind, cfg.a) == (2, "hitting", -2)
+
+    @pytest.mark.parametrize(("argv", "values", "message"), [
+        (["--kind", "fixed", "--a", "5"], None, "bdg --kind fixed has no setting 'a'"),
+        (["--kind", "hitting", "--T", "-5"], None, "bdg --kind hitting has no setting 'T'"),
+        (["--b", "2"], None, "bdg --kind fixed has no setting 'b'"),
+        ([], {"kind": "hitting", "T": 2.0}, "bdg --kind hitting has no setting 'T'"),
+        (["--kind", "hitting"], {"T": 2.0}, "bdg --kind hitting has no setting 'T'"),
+        (["--kind", "fixed"], {"kind": "hitting", "a": -2.0},
+         "bdg --kind fixed has no setting 'a'"),
+    ], ids=["fixed-a", "hitting-T", "default-kind-b", "config-hitting-T",
+            "flag-kind-config-T", "flag-kind-beats-config"])
+    def test_bdg_setting_of_other_kind(self, capsys, tmp_path, monkeypatch, argv, values,
+                                       message):
+        # T is read at fixed time, a and b at the hitting time; a setting of
+        # the other kind, from a flag or a --config key, is refused before
+        # any draw
+        def no_stream(seed, j):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", no_stream)
+        if values is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(values))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        out_file = tmp_path / "r.json"
+        code, out, err = run(["bdg", *argv, "--samples", "100", "--output", str(out_file)],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: bad config: ") and message in err
+        assert out == "" and not out_file.exists()
+
+
+def write_small_suite(path):
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in (
+        {"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "q": 0.3,
+                       "steps": 12}, "p": 0.5, "constant": "monotone", "n_samples": 2000},
+        {"generator": {"kind": "hatx_of",
+                       "inner": {"kind": "discrete_extremal", "p": 0.5, "n": 5, "level_N": 2},
+                       "rule": {"side": "x", "level": 3.0}},
+         "p": 0.5, "constant": "monotone", "n_samples": 2000, "seed": 9},
+    )))
+    return path
+
+
+# one small run of each subcommand that writes JSON, and of each bdg kind,
+# with the settings its config block must hold
+CONFIG_RUNS = {
+    "sharpness": (["sharpness", "--p", "0.3", "--n", "7", "--samples", "3000", "--seed", "4",
+                   "--method", "mom", "--blocks", "11", "--threads", "2"],
+                  {"p", "n", "n_samples", "seed", "method", "blocks", "threads"}),
+    "monotone-sharpness": (["monotone-sharpness", "--samples", "3000", "--method", "plain"],
+                           {"p", "n", "n_samples", "seed", "method", "blocks", "threads"}),
+    "identities": (["identities", "--law", "point", "--point-value", "2.5", "--p", "0.4"],
+                   {"p", "threads", "law", "point_value"}),
+    "verify": (["verify", "--seed", "3", "--method", "plain"],
+               {"seed", "method", "blocks", "threads", "config_path"}),
+    "bdg-fixed": (["bdg", "--kind", "fixed", "--T", "2", "--q", "1.5", "--samples", "3000",
+                   "--step", "0.1"],
+                  {"n_samples", "seed", "threads", "kind", "T", "q", "step"}),
+    "bdg-hitting": (["bdg", "--kind", "hitting", "--a", "-0.5", "--samples", "300",
+                     "--step", "0.05"],
+                    {"n_samples", "seed", "threads", "kind", "a", "b", "q", "step"}),
+}
+
+
+class TestConfigBlock:
+    """The config block of a run's JSON holds that run's settings and no
+    other key, so that, passed back as --config, it reruns the run."""
+
+    @staticmethod
+    def without_timestamp(text):
+        return [line for line in text.splitlines() if '"timestamp"' not in line]
+
+    @pytest.mark.parametrize("name", CONFIG_RUNS)
+    def test_config_block_reruns_the_run(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        argv, settings = CONFIG_RUNS[name]
+        if argv[0] == "verify":
+            argv = argv + ["--suite", str(write_small_suite(tmp_path / "suite.jsonl"))]
+        # the verdict does not matter here (a hitting run this small can
+        # fail its step-halving check), only that the rerun repeats it
+        code, out, err = run(argv, capsys)
+        assert code in (EXIT_PASS, EXIT_STAT_FAIL) and err == ""
+        payload, _ = json.JSONDecoder().raw_decode(out, out.index("{"))
+        assert payload["subcommand"] == argv[0]
+        assert set(payload["config"]) == settings
+        (tmp_path / "cfg.json").write_text(json.dumps(payload["config"]))
+        rerun = run([argv[0], "--config", "cfg.json"], capsys)
+        assert rerun[0] == code and rerun[2] == ""
+        assert self.without_timestamp(rerun[1]) == self.without_timestamp(out)
+
+    def test_output_setting_is_kept(self, capsys, tmp_path):
+        # a set --output is a setting of the run, and its rerun writes there
+        out_file = tmp_path / "r.json"
+        assert run(["identities", "--output", str(out_file)], capsys)[0] == EXIT_PASS
+        config = load_json_output(out_file)["config"]
+        assert config["output"] == str(out_file)
+        out_file.unlink()
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(["identities", "--config", str(tmp_path / "cfg.json")], capsys)[0] == 0
+        assert load_json_output(out_file)["config"] == config
 
 
 class TestPrecedence:
@@ -432,7 +589,7 @@ class TestPrecedence:
         parser = build_parser()
         seeds = [resolve_config(parser.parse_args(["sharpness"] + argv)).seed
                  for argv in ([], ["--config", str(f)], ["--config", str(f), "--seed", "5"])]
-        assert seeds == [cli.DEFAULT_SEED, 11, 5]
+        assert seeds == [cli._FLAGS["seed"].default, 11, 5]
 
 
 class TestSubcommands:
@@ -758,6 +915,25 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("read", [0, 1], ids=["closed-at-once", "after-one-byte"])
+    def test_closed_pipe_exits_with_the_verdict(self, read):
+        # a reader that closes the pipe early ends the output, not the run:
+        # no traceback, and the passing run's exit code
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lenglart.cli", "sharpness", "--samples", "1000"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if read:
+            proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_PASS
+        assert err == b""
+
+
 class TestImportCost:
     def test_headline_runs_load_no_scipy(self):
         # in a fresh interpreter: pytest's filterwarnings setting names a
@@ -769,13 +945,10 @@ class TestImportCost:
         assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stdout
 
 
-class TestExperimentConfig:
+class TestResolvedMethod:
     def test_resolved_method(self):
         # auto is left to the library, which resolves it from p
         for p in (0.3, 0.5):
-            cfg = ExperimentConfig(subcommand="sharpness", p=p, method="auto")
-            assert cfg.resolved_method() is None
-        cfg = ExperimentConfig(subcommand="sharpness", p=0.5, method="plain")
-        assert cfg.resolved_method().name == "plain"
-        cfg = ExperimentConfig(subcommand="sharpness", method="mom", blocks=11)
-        assert cfg.resolved_method().blocks == 11
+            assert resolved_method(SimpleNamespace(p=p, method="auto", blocks=31)) is None
+        assert resolved_method(SimpleNamespace(p=0.5, method="plain", blocks=31)).name == "plain"
+        assert resolved_method(SimpleNamespace(method="mom", blocks=11)).blocks == 11

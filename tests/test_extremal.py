@@ -18,6 +18,7 @@ from lenglart.extremal import (
     monotone_sup_sampler,
     sharpness_sup_sampler,
 )
+from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment, xtilde_sup_moment
 from lenglart.verifier import ExtremalGenerator, FixedIndexRule, HatXGenerator
 
 
@@ -361,3 +362,119 @@ class TestClosedFormKernels:
         for kind in KERNELS:
             for values in _kernel(kind, p, 1000, 4)(rng_of(22), 2**15):
                 assert np.all(np.isfinite(values)) and np.all(values >= 0.0), kind
+
+
+# -- the kernels integrated by quadrature ---------------------------------------
+#
+# Each kernel is a function of the uniforms it draws: v alone for the
+# monotone pair, v then u (one fill of 2m) for the sharpness and discrete
+# pairs. A stand-in rng that fills them from a product quadrature grid turns
+# the unchanged kernel into its exact mean, with no sampling noise. The rule
+# is tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974) on each piece between
+# the kernels' breakpoints: 1/2 in v (the mixture's two components), 1/2 in
+# u (the tail factor's), and for the discrete kernel every grid time
+# k 2^-N, that is v = k 2^-N / (2n).
+
+
+class GridRng:
+    """Stands in for a Generator: each random(out=...) receives the given
+    columns, one after the other."""
+
+    def __init__(self, *columns):
+        self.fill = np.concatenate(columns)
+
+    def random(self, out):
+        assert out.size == self.fill.size
+        out[...] = self.fill
+
+
+def tanh_sinh(breaks, step, t_max=3.2):
+    """Nodes and weights of the tanh-sinh rule of this step on each piece
+    between consecutive breaks. Each node is formed from its nearer end,
+    and the nodes that round onto an end are dropped: the pieces meet at
+    the kernels' breakpoints, where the integrand jumps."""
+    t = np.arange(-math.ceil(t_max / step), math.ceil(t_max / step) + 1) * step
+    s = 0.5 * math.pi * np.sinh(t)
+    nodes, weights = [], []
+    for a, b in zip(breaks, breaks[1:]):
+        node = np.where(s < 0, a + (b - a) / (1.0 + np.exp(2.0 * s)),
+                        b - (b - a) / (1.0 + np.exp(-2.0 * s)))
+        weight = 0.25 * math.pi * (b - a) * step * np.cosh(t) / np.cosh(s) ** 2
+        inside = (node > a) & (node < b)
+        nodes.append(node[inside])
+        weights.append(weight[inside])
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def integrate(sampler, v_rule, u_rule=None, block=1 << 17):
+    """The mean of each column a kernel returns, over the product rule of v
+    and u, u in blocks so that no call holds more than about block points."""
+    v, wv = v_rule
+    if u_rule is None:
+        return [float(wv @ col) for col in sampler(GridRng(v), v.size)]
+    u, wu = u_rule
+    rows = max(1, block // v.size)
+    sums = np.zeros(2)
+    for i in range(0, u.size, rows):
+        uu, wuu = u[i:i + rows], wu[i:i + rows]
+        m = v.size * uu.size
+        cols = sampler(GridRng(np.repeat(v, uu.size), np.tile(uu, v.size)), m)
+        weight = np.outer(wv, wuu).ravel()
+        sums += [weight @ col for col in cols]
+    return sums.tolist()
+
+
+HALVES = [0.0, 0.5, 1.0]
+# step 1/64: 411 nodes a piece, enough for the steep tail factor at p = 0.999
+FINE = tanh_sinh(HALVES, 1.0 / 64)
+
+
+def discrete_rhs(p, n, level_N):
+    """E[(sup G)^p] of the dyadic discretization, with h = 2^-N: G runs up
+    to the grid time kh that ends the step holding the jump time, or to n:
+    sum_k (e^-(k-1)h - e^-kh) (p expm1(kh/p))^p + e^-n (p expm1(n/p))^p,
+    each term in log space."""
+    h = 2.0 ** -level_N
+
+    def log_g(t):  # log (p expm1(t/p))^p
+        return p * (math.log(p) + t / p + math.log1p(-math.exp(-t / p)))
+
+    log_step = math.log(-math.expm1(-h))
+    terms = [math.exp(-(k - 1) * h + log_step + log_g(k * h))
+             for k in range(1, n * 2**level_N + 1)]
+    return math.fsum(terms + [math.exp(-n + log_g(n))])
+
+
+class TestKernelQuadrature:
+    """The unchanged sup kernels integrate to their oracles within 1e-12
+    relative: an exact check of each kernel's mean, where a Monte Carlo
+    z-score resolves about 1e-3."""
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 4096])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_sharpness_kernel(self, p, n):
+        x, g = integrate(sharpness_sup_sampler(ExtremalParams(p=p, n=n)), FINE, FINE)
+        assert x == pytest.approx(full_extremal_sup_moment(p, n), rel=1e-12, abs=0)
+        assert g == pytest.approx(gtilde_sup_moment(p, n), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 4096])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_monotone_kernel(self, p, n):
+        x, g = integrate(monotone_sup_sampler(ExtremalParams(p=p, n=n)), FINE)
+        assert x == pytest.approx(xtilde_sup_moment(p, n), rel=1e-12, abs=0)
+        assert g == pytest.approx(gtilde_sup_moment(p, n), rel=1e-12, abs=0)
+
+    def test_discrete_rhs_oracle(self):
+        assert discrete_rhs(0.5, 10, 4) == pytest.approx(7.7993834102075, rel=1e-13)
+
+    @pytest.mark.parametrize(("p", "n", "level_N"),
+                             [(0.5, 10, 4), (0.25, 5, 3), (0.75, 20, 2), (0.1, 3, 1)])
+    def test_discrete_kernel(self, p, n, level_N):
+        # v breaks at every grid time, 2^-N / (2n) apart in v
+        cells = n * 2**level_N
+        v_rule = tanh_sinh(np.append(np.arange(cells + 1) / (2 * cells), 1.0), 1.0 / 16)
+        u_rule = tanh_sinh(HALVES, 1.0 / 16)
+        x, g = integrate(discrete_sup_sampler(ExtremalParams(p=p, n=n), level_N),
+                         v_rule, u_rule)
+        assert x == pytest.approx(full_extremal_sup_moment(p, n), rel=1e-12, abs=0)
+        assert g == pytest.approx(discrete_rhs(p, n, level_N), rel=1e-12, abs=0)
