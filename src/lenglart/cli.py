@@ -2,11 +2,12 @@
 
 Each subcommand takes exactly the settings its runner reads. _FLAGS declares
 every setting once: its option string, type, default, choices, the range a
-run checks before it draws, and for bdg's T, a and b the --kind that reads
-it. _SUBCOMMANDS gives each subcommand its runner and its settings. The
-parser and the --config file both follow those tables, so a flag or config
-key that the run does not read, or a config value that its flag could not
-produce, is a usage error.
+run checks before it draws, and for a setting read only when another setting
+has one value, that setting and value: bdg's T at --kind fixed, a and b at
+--kind hitting, identities' point_value at --law point. _SUBCOMMANDS gives
+each subcommand its runner and its settings. The parser and the --config
+file both follow those tables, so a flag or config key that the run does not
+read, or a config value that its flag could not produce, is a usage error.
 
 Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error.
 Every JSON output names its subcommand, and its config block holds the
@@ -52,7 +53,7 @@ from .oracles import (
     moment_identity_law,
     xtilde_sup_moment,
 )
-from .verifier import check_inequality, generator_from_config, read_object
+from .verifier import check_inequality, generator_from_config, inequality_setup, read_object
 
 MAX_DUMP_POINTS = 10**4
 
@@ -80,15 +81,15 @@ def _usage_error(msg: str) -> int:
 class _Flag:
     """One setting: its option string, the type of its value (int, float or
     str), its default (None: unset), its choices, a (holds, message) range
-    that a run checks before it draws, and the bdg --kind that reads it,
-    where only one kind does."""
+    that a run checks before it draws, and (setting, value) where the run
+    reads it only when that other setting has that value."""
 
     option: str
     type: type = str
     default: object = None
     choices: tuple[str, ...] | None = None
     valid: tuple[Callable, str] | None = None
-    bdg_kind: str | None = None
+    when: tuple[str, str] | None = None
     help: str | None = None
 
     def check_range(self, value) -> None:
@@ -114,11 +115,11 @@ _FLAGS = {
                      valid=(lambda v: v >= 1, "threads must be positive")),
     "output": _Flag("--output"),
     "law": _Flag("--law", default="exp", choices=("uniform", "exp", "point", "pareto")),
-    "point_value": _Flag("--point-value", float, 1.0),
+    "point_value": _Flag("--point-value", float, 1.0, when=("law", "point")),
     "kind": _Flag("--kind", default="fixed", choices=("fixed", "hitting")),
-    "T": _Flag("--T", float, 1.0, bdg_kind="fixed"),
-    "a": _Flag("--a", float, -1.0, bdg_kind="hitting"),
-    "b": _Flag("--b", float, 1.0, bdg_kind="hitting"),
+    "T": _Flag("--T", float, 1.0, when=("kind", "fixed")),
+    "a": _Flag("--a", float, -1.0, when=("kind", "hitting")),
+    "b": _Flag("--b", float, 1.0, when=("kind", "hitting")),
     "q": _Flag("--q", float, 1.0),
     "step": _Flag("--step", float, 1e-3),
     "config_path": _Flag("--suite", help="JSONL file: one check per line"),
@@ -203,7 +204,9 @@ def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
 
 
 def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
-    report = check_moment_identities(moment_identity_law(cfg.law, cfg.point_value), cfg.p)
+    # point_value at --law point alone
+    of_law = {key: value for key, value in vars(cfg).items() if _FLAGS[key].when}
+    report = check_moment_identities(moment_identity_law(cfg.law, **of_law), cfg.p)
     ok = report.max_discrepancy < 1e-8
     result = {**report.to_json(), "pass": ok}
     _emit(sub, cfg, result,
@@ -224,12 +227,10 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
         return _usage_error(f"cannot read suite file: {exc}")
     if not lines:
         return _usage_error("suite has no checks")
-    for entry in lines:
-        if not isinstance(entry, dict):
-            return _usage_error(f"bad suite entry {entry!r}: not a JSON object")
     # plain or mom applies to every check; auto (None) keeps each check's default
     method = resolved_method(cfg)
-    reports = []
+    # every entry is read and its check set up before the first one draws
+    checks = []
     for entry in lines:
         try:
             # p, n_samples and seed follow the rules of a --config file
@@ -242,9 +243,16 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
                         "seed": values.get("seed", cfg.seed)}
             for key, value in settings.items():
                 _FLAGS[key].check_range(value)
+            inequality_setup(gen, settings["p"], kind, settings["n_samples"], method)
+        except (KeyError, TypeError, ValueError) as exc:
+            return _usage_error(f"bad suite entry {entry!r}: {exc}")
+        checks.append((entry, gen, kind, settings))
+    reports = []
+    for entry, gen, kind, settings in checks:
+        try:
             report = check_inequality(gen, kind=kind, method=method, threads=cfg.threads,
                                       **settings)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # an estimate that is not finite
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         reports.append(report.to_json())
         ratio = "n/a" if report.ratio is None else f"{report.ratio:.5f}"
@@ -260,7 +268,7 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
 def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
     # T at fixed time, a and b at the hitting time
-    of_kind = {key: value for key, value in vars(cfg).items() if _FLAGS[key].bdg_kind}
+    of_kind = {key: value for key, value in vars(cfg).items() if _FLAGS[key].when}
     spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, **of_kind)
     result = bdg_ratio(spec, cfg.n_samples, cfg.seed, cfg.threads)
     _emit(sub, cfg, result.to_json(),
@@ -343,7 +351,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     config file > the setting's default in _FLAGS. The config file must
     hold a JSON object whose keys are settings of the subcommand, each with
     a value that its flag could produce; anything else, and a flag or key
-    of the other bdg --kind, raises ValueError."""
+    that the run does not read at the value of its `when` setting, raises
+    ValueError."""
     _, declared = _SUBCOMMANDS[args.subcommand]
     given = {}
     if args.config_file:
@@ -357,14 +366,15 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
                                  f"not {value!r}")
     given.update((key, getattr(args, key)) for key in declared
                  if getattr(args, key) is not None)
-    # only bdg has a "kind" setting, and only its settings name a kind
-    kind = given.get("kind", _FLAGS["kind"].default)
-    settings = [key for key in declared if _FLAGS[key].bdg_kind in (None, kind)]
+    value = {key: given.get(key, _FLAGS[key].default) for key in declared}
+    settings = [key for key in declared
+                if not _FLAGS[key].when or value[_FLAGS[key].when[0]] == _FLAGS[key].when[1]]
     unread = sorted(given.keys() - set(settings))
     if unread:
-        raise ValueError(f"bdg --kind {kind} has no setting {unread[0]!r}; it takes "
-                         f"{', '.join(settings)}")
-    return SimpleNamespace(**{key: given.get(key, _FLAGS[key].default) for key in settings})
+        switch = _FLAGS[unread[0]].when[0]
+        raise ValueError(f"{args.subcommand} {_FLAGS[switch].option} {value[switch]} has no "
+                         f"setting {unread[0]!r}; it takes {', '.join(settings)}")
+    return SimpleNamespace(**{key: value[key] for key in settings})
 
 
 def main(argv: list[str] | None = None) -> int:

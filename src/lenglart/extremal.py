@@ -7,11 +7,12 @@ after the horizon multiplies the supremum moment by 1/(1-p); the supremum
 of that excursion started at level x has the exact Pareto tail
 P[sup >= y] = x/y, so it is sampled as x/U rather than by path simulation.
 
-The vectorized sup samplers that feed the moment estimates draw Z from a
-defensive mixture rather than from Exp(1) and return importance-weighted
-values: a single value is not a draw of (sup X)^r or (sup G)^r, only the
-mean of each side is the moment. The exponent r defaults to the family's p.
-They work in log space and are finite at every 0 < p < 1.
+The vectorized sup samplers that feed the moment estimates draw Z uniformly
+below the horizon n rather than from Exp(1), add the mass beyond n exactly,
+and return importance-weighted values: a single value is not a draw of
+(sup X)^r or (sup G)^r, only the mean of each side is the moment. The
+exponent r defaults to the family's p. They work in log space and are
+finite at every 0 < p < 1.
 
 The path batches (exp_pair_path_batch, discrete_path_batch) are the one
 path representation: (size, n 2^N + 1) arrays of x and g on the dyadic grid
@@ -69,90 +70,54 @@ class ExtremalParams:
 # ---------------------------------------------------------------------------
 # Vectorized sup-statistic samplers (closed forms, computed in place)
 #
-# Z is drawn from the defensive mixture q = 1/2 U(0, n) + 1/2 (n + Exp(1))
-# instead of its own law Exp(1), and every value is multiplied by the
-# likelihood ratio w(z) = e^-z / q(z): 2n e^-z below n, 2 e^-n beyond it.
-# Under Exp(1) both sides have Pareto(1) tails (e^Z and ~p^p e^min(Z,n)),
-# so plain draws never see Z beyond ~ln N; under q the weighted monotone
-# numerator is the constant 2n on the first component and all weights are
-# bounded (Hesterberg, Technometrics 37, 1995; Owen & Zhou, JASA 95, 2000).
-# The Brownian-tail factor U^-p has tail index 1/p, which biases the median
-# of means low once the intervals are tight; U is drawn from a defensive
-# mixture of the same kind, so that the weighted factor is bounded too.
+# Beyond the horizon no jump happens and G runs to n, so f(Z) is a known
+# constant on Z > n and E[f(Z)] = int_0^n e^-z f(z) dz + e^-n f(n). The
+# samplers draw Z = n v, v uniform on [0, 1), weight each value by n e^-z,
+# and add the mass beyond the horizon exactly: 0 on the jump side,
+# e^-n (p expm1(n/p))^r on the compensator side. Plain Exp(1) draws would
+# leave both sides with Pareto(1) tails; here every weighted value is
+# bounded, and the weighted monotone numerator is its own mean n. The
+# Brownian-tail factor U^-p has tail index 1/p, which biases the median of
+# means low once the intervals are tight; U is drawn from a defensive
+# mixture (Hesterberg, Technometrics 37, 1995; Owen & Zhou, JASA 95, 2000),
+# so that the weighted factor is bounded too.
 #
 # A sampler returns the r-th powers of the sups, for an exponent r in (0, 1)
-# that defaults to the family's p. The weight e^-t cancels the e^(rt/p)
-# inside (p expm1(t/p))^r up to e^((r/p - 1) t), so every weighted value has
-# a closed form with no exp(t/p) in it: w (sup G)^r =
-# 2 n^head (p (1 - e^(-t/p)))^r e^((r/p - 1) t), at r = p the integrand of
-# oracles.gtilde_sup_moment, and w (sup X)^r = 2n head e^((r/p - 1) t)
+# that defaults to the family's p. The weight e^-z cancels the e^(rz/p)
+# inside (p expm1(z/p))^r up to e^((r/p - 1) z), so every weighted value has
+# a closed form with no exp(z/p) in it: n e^-z (sup G)^r =
+# n (p (1 - e^(-z/p)))^r e^((r/p - 1) z), at r = p the integrand of
+# oracles.gtilde_sup_moment, and n e^-z (sup X)^r = n e^((r/p - 1) z)
 # 2/(U^r + 1 - r). At r = p the exponential is 1 and is not evaluated, and
 # neither side can overflow at any p in (0, 1); at r != p it grows with n as
-# the moment itself does. Each kernel evaluates its closed form in place, in
-# the arrays that the bit generator filled: at r = p a chunk allocates no
-# full-size temporary (the discrete kernel one, for its caps), because glibc
-# returns a freed heap top to the operating system and every chunk would
-# page-fault it in again. For the same reason a chunk's two full-size arrays
-# are the halves of one allocation (`_mixture_draws`): glibc keeps a freed
-# heap top of up to twice the largest block it has unmapped, and two
-# separate blocks of m doubles leave more than twice one of them free when
-# the chunk ends.
+# the moment itself does, to inf where the moment is no float64. Each kernel
+# evaluates its closed form in place, in the arrays that the bit generator
+# filled: at r = p a chunk allocates no full-size temporary (the discrete
+# kernel one, for its caps), because glibc returns a freed heap top to the
+# operating system and every chunk would page-fault it in again. For the
+# same reason a chunk's two full-size arrays are the halves of one
+# allocation (`_horizon_draws`): glibc keeps a freed heap top of up to twice
+# the largest block it has unmapped, and two separate blocks of m doubles
+# leave more than twice one of them free when the chunk ends.
 # ---------------------------------------------------------------------------
 
-# elements per block of _combine_with_mask's scratch (64 KB)
+# elements per block of the tail factor's exponents (64 KB)
 _BLOCK = 1 << 13
 
-
-def _combine_with_mask(op, values: np.ndarray, mask: np.ndarray, off: float,
-                       on: float) -> None:
-    """values = op(values, on where mask else off), in place. The two-valued
-    operand off + (on - off) mask is built one small block at a time: a full
-    array of it would be a fresh temporary on every chunk, and a where= ufunc
-    branches on every element."""
-    scratch = np.empty(min(values.size, _BLOCK))
-    for i in range(0, values.size, _BLOCK):
-        block = values[i : i + _BLOCK]
-        operand = scratch[: block.size]
-        np.multiply(mask[i : i + _BLOCK], on - off, out=operand)
-        operand += off
-        op(block, operand, out=block)
+# largest t with exp(t) a finite float64, ~709.78
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
-def _mixture_draws(rng: np.random.Generator, m: int, n: int, tail: bool):
-    """(t, head, rest) for Z drawn from q, with t = min(Z, n) in the array of
-    the uniforms v. head marks the U(0, n) component, on which Z = 2n v.
-    Beyond n every statistic depends on Z only through t = n, so Z is not
-    inverted there. t and rest are the two halves of one array of 2m
-    doubles. With tail, rest holds the uniforms behind the Brownian tail,
-    drawn next as in the Exp(1) layout; without, it is left for the caller
-    to fill."""
+def _horizon_draws(rng: np.random.Generator, m: int, n: int, tail: bool):
+    """(z, rest): the jump times Z = n v below the horizon, in the array of
+    the uniforms v, and rest, the two halves of one array of 2m doubles.
+    With tail, rest holds the uniforms behind the Brownian tail, drawn next;
+    without, it is left for the caller to fill."""
     both = np.empty(2 * m)
-    t, rest = both[:m], both[m:]
-    rng.random(out=both if tail else t)
-    head = t < 0.5
-    t *= 2.0 * n
-    np.minimum(t, n, out=t)
-    return t, head, rest
-
-
-def _weighted_tail_factor(r: float, u: np.ndarray) -> np.ndarray:
-    """U^-r importance-weighted, computed in place in u, with U drawn from the
-    defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-r, 1), whose second component
-    has density (1-r) x^-r. u below or above 1/2 picks the component and
-    s = 2u mod 1 the draw: U = s, or U = s^(1/(1-r)), so U^r = exp(e log s)
-    with e = r or r/(1-r). The weighted value
-    U^-r / (1/2 + 1/2 (1-r) U^-r) = 2 / (U^r + 1 - r) lies in
-    (2/(2-r), 2/(1-r)], and its mean is E[U^-r] = 1/(1-r) for uniform U."""
-    second = u >= 0.5
-    u *= 2.0
-    u -= second
-    with np.errstate(divide="ignore"):
-        np.log(u, out=u)
-    _combine_with_mask(np.multiply, u, second, r, r / (1.0 - r))
-    np.exp(u, out=u)
-    u += 1.0 - r
-    np.divide(2.0, u, out=u)
-    return u
+    z, rest = both[:m], both[m:]
+    rng.random(out=both if tail else z)
+    z *= n
+    return z, rest
 
 
 def _exponent(params: ExtremalParams, r: float | None) -> float:
@@ -163,43 +128,65 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
     return r
 
 
-def _excess_growth(p: float, r: float, t: np.ndarray) -> np.ndarray | None:
-    """(r/p - 1) t, the log of what the weight leaves of e^(rt/p); None at
+def _excess_growth(p: float, r: float, z: np.ndarray) -> np.ndarray | None:
+    """(r/p - 1) z, the log of what the weight leaves of e^(rz/p); None at
     r = p, where it is 0."""
-    return None if r == p else (r / p - 1.0) * t
+    return None if r == p else (r / p - 1.0) * z
 
 
-def _weighted_sup_x_pow(n: int, r: float, head: np.ndarray,
-                        growth: np.ndarray | None, u: np.ndarray) -> np.ndarray:
-    """w(Z) (A(Z)/U)^r = 2n head e^growth 2/(U^r + 1 - r), computed in place
-    in u: the jump happened iff Z came from the U(0, n) component."""
-    supx = _weighted_tail_factor(r, u)
-    supx *= 2.0 * n
-    supx *= head
+def _weighted_sup_x_pow(n: int, r: float, growth: np.ndarray | None,
+                        u: np.ndarray) -> np.ndarray:
+    """n e^-z (A(Z)/U)^r = n e^growth 2/(U^r + 1 - r), computed in place in
+    u, with U drawn from the defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-r, 1),
+    whose second component has density (1-r) x^-r. u below or above 1/2
+    picks the component and s = 2u mod 1 the draw: U = s, or U = s^(1/(1-r)),
+    so U^r = exp(e log s) with e = r or r/(1-r). The weighted tail factor
+    U^-r / (1/2 + 1/2 (1-r) U^-r) = 2 / (U^r + 1 - r) lies in
+    (2/(2-r), 2/(1-r)], and its mean is E[U^-r] = 1/(1-r) for uniform U.
+    The exponents e are formed one small block at a time: a full array of
+    them would be a fresh temporary on every chunk, and a where= ufunc
+    branches on every element."""
+    second = u >= 0.5
+    u *= 2.0
+    u -= second
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    scratch = np.empty(min(u.size, _BLOCK))
+    for i in range(0, u.size, _BLOCK):
+        block = u[i : i + _BLOCK]
+        e = scratch[: block.size]
+        np.multiply(second[i : i + _BLOCK], r / (1.0 - r) - r, out=e)
+        e += r
+        block *= e
+    np.exp(u, out=u)
+    u += 1.0 - r
+    np.divide(2.0 * n, u, out=u)
     if growth is not None:
-        supx *= np.exp(growth)
-    return supx
+        u *= np.exp(growth)
+    return u
 
 
 def _weighted_sup_g_pow(p: float, r: float, n: int, t_eff: np.ndarray,
-                        head: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-    """w(Z) (p expm1(t_eff/p))^r, computed in place in t_eff, for t = min(Z, n)
-    and a compensator run up to t_eff >= t. It is the exp of
-    r log(p (1 - e^(-t_eff/p))) + log 2 + log n head + ((r/p) t_eff - t),
-    where shift holds (r/p) t_eff - t when it is not zero; at r = p every
-    term is bounded, so no p in (0, 1) overflows, and t_eff = 0 gives
-    exactly 0."""
-    np.divide(t_eff, -p, out=t_eff)
+                        shift: np.ndarray | None = None) -> np.ndarray:
+    """n e^-z (p expm1(t_eff/p))^r + e^-n (p expm1(n/p))^r, computed in place
+    in t_eff, for a compensator run up to t_eff >= z; the second term is the
+    mass beyond the horizon. With L(t) = r log(p (1 - e^(-t/p))) the terms
+    are exp(L(t_eff) + log n + shift) and exp(L(n) + (r/p - 1) n), where
+    shift holds (r/p) t_eff - z when it is not zero. At r = p every term is
+    bounded, so no p in (0, 1) overflows; t_eff = 0 gives exactly 0 to the
+    first term, and the second is inf where it is no float64."""
+    beyond = r * math.log(-p * math.expm1(-n / p)) + (r / p - 1.0) * n
+    t_eff *= -1.0 / p
     np.expm1(t_eff, out=t_eff)
     t_eff *= -p
     with np.errstate(divide="ignore"):
         np.log(t_eff, out=t_eff)
     t_eff *= r
-    t_eff += math.log(2.0)
-    _combine_with_mask(np.add, t_eff, head, 0.0, math.log(n))
+    t_eff += math.log(n)
     if shift is not None:
         t_eff += shift
     np.exp(t_eff, out=t_eff)
+    t_eff += math.exp(beyond) if beyond <= _MAX_EXP_ARG else math.inf
     return t_eff
 
 
@@ -216,10 +203,10 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
     r = _exponent(params, r)
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, u = _mixture_draws(rng, m, n, tail=True)
-        growth = _excess_growth(p, r, t)
-        supx = _weighted_sup_x_pow(n, r, head, growth, u)
-        return supx, _weighted_sup_g_pow(p, r, n, t, head, shift=growth)
+        z, u = _horizon_draws(rng, m, n, tail=True)
+        growth = _excess_growth(p, r, z)
+        supx = _weighted_sup_x_pow(n, r, growth, u)
+        return supx, _weighted_sup_g_pow(p, r, n, z, shift=growth)
 
     return sampler
 
@@ -227,15 +214,15 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
 def monotone_sup_sampler(params: ExtremalParams):
     """Paired importance-weighted sampler of ((sup X)^p, (sup G)^p) for the
     monotone pair (no Brownian tail); only the mean of each side is the
-    moment. It draws only v: the uniforms behind the tail would come after
-    v and go unused."""
+    moment, and the numerator is the constant n, its mean. It draws only v:
+    the uniforms behind the tail would come after v and go unused."""
     p, n = params.p, params.n
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, supx_p = _mixture_draws(rng, m, n, tail=False)
-        # w(z) A(z)^p = 2n e^-z exp(z)
-        np.multiply(head, 2.0 * n, out=supx_p)
-        return supx_p, _weighted_sup_g_pow(p, p, n, t, head)
+        z, supx_p = _horizon_draws(rng, m, n, tail=False)
+        # n e^-z A(z)^p = n e^-z e^z below the horizon; no jump beyond it
+        supx_p.fill(n)
+        return supx_p, _weighted_sup_g_pow(p, p, n, z)
 
     return sampler
 
@@ -251,25 +238,20 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     h = 2.0 ** (-level_N)
 
     def sampler(rng: np.random.Generator, m: int):
-        t, head, u = _mixture_draws(rng, m, n, tail=True)
-        supx = _weighted_sup_x_pow(n, r, head, _excess_growth(p, r, t), u)
-        # g keeps accruing through the grid step that contains z; the cap is
-        # the one array this kernel adds, and t's array takes the shift
-        # (r/p) cap - t
-        cap = t / h
+        z, u = _horizon_draws(rng, m, n, tail=True)
+        supx = _weighted_sup_x_pow(n, r, _excess_growth(p, r, z), u)
+        # g keeps accruing through the grid step that contains z, which ends
+        # at n at the latest; the cap is the one array this kernel adds, and
+        # z's array takes the shift (r/p) cap - z
+        cap = z / h
         np.ceil(cap, out=cap)
         cap *= h
-        np.minimum(cap, n, out=cap)
-        np.subtract(cap, t, out=t)
+        np.subtract(cap, z, out=z)
         if r != p:
-            t += (r / p - 1.0) * cap
-        return supx, _weighted_sup_g_pow(p, r, n, cap, head, shift=t)
+            z += (r / p - 1.0) * cap
+        return supx, _weighted_sup_g_pow(p, r, n, cap, shift=z)
 
     return sampler
-
-
-# largest t with exp(t) a finite float64, ~709.78
-_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 def _check_path_range(params: ExtremalParams) -> None:

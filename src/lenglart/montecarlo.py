@@ -225,7 +225,7 @@ def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
     return np.concatenate(parts)
 
 
-def _check_budget(n: int, method: EstimatorMethod) -> None:
+def check_budget(n: int, method: EstimatorMethod) -> None:
     if n < method.blocks:
         raise ValueError(f"{n} samples cannot fill {method.blocks} blocks")
 
@@ -283,7 +283,7 @@ def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimat
     n = values.size
     if n == 0:
         raise ValueError("empty sample set")
-    _check_budget(n, method)
+    check_budget(n, method)
     parts = [_reduce_chunk(values[s : s + CHUNK], s, n, method) for s in range(0, n, CHUNK)]
     return _merge_chunks(parts, n, method)
 
@@ -299,7 +299,7 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
     order, so a pass in the default layout gets exactly the estimates that
     `estimate_pair` alone would give it."""
     for _, n_samples, *_layout in passes:
-        _check_budget(n_samples, method)
+        check_budget(n_samples, method)
 
     def reducer(paired_sampler, n_samples):
         def work(rng, start, m):

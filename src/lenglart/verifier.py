@@ -30,6 +30,7 @@ from .montecarlo import (
     PLAIN,
     Estimate,
     EstimatorMethod,
+    check_budget,
     chunk_rng,
     default_method,
     estimate_pair,
@@ -55,6 +56,7 @@ __all__ = [
     "AuditReport",
     "PowerF",
     "PiecewiseLinearF",
+    "inequality_setup",
     "check_inequality",
     "check_pratelli",
     "domination_audit",
@@ -528,6 +530,19 @@ class VerifierReport:
         }
 
 
+def inequality_setup(gen: _Generator, p: float, kind: ConstantKind, n_samples: int,
+                     method: EstimatorMethod | None = None) -> tuple[float, EstimatorMethod]:
+    """(constant(kind, p), estimator) of check_inequality's run, the estimator
+    defaulting to default_method(p). Raises ValueError, without drawing,
+    where the check does not apply or its samples cannot fill the blocks."""
+    if kind is ConstantKind.MONOTONE and not gen.monotone_x:
+        raise ValueError(f"{gen.name} does not produce non-decreasing X; the monotone "
+                         "constant does not apply")
+    method = default_method(p) if method is None else method
+    check_budget(n_samples, method)
+    return constant(kind, p), method  # constant rejects p outside (0, 1)
+
+
 def check_inequality(
     gen: _Generator,
     p: float,
@@ -538,14 +553,7 @@ def check_inequality(
     threads: int = 1,
 ) -> VerifierReport:
     """Certify E[(sup X)^p] <= constant(kind, p) * E[(sup G)^p] empirically."""
-    if kind is ConstantKind.MONOTONE and not gen.monotone_x:
-        raise ValueError(
-            f"{gen.name} does not produce non-decreasing X; the monotone "
-            "constant does not apply"
-        )
-    rhs_constant = constant(kind, p)  # rejects p outside (0, 1) before any draw
-    if method is None:
-        method = default_method(p)
+    rhs_constant, method = inequality_setup(gen, p, kind, n_samples, method)
     lhs, rhs = estimate_pair(gen.sup_sampler(p), n_samples, method, seed, threads)
     return VerifierReport(
         lhs=lhs,

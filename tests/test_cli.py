@@ -408,9 +408,10 @@ class TestSettingsTable:
     def test_flag_sets_its_field(self, sub, flag):
         field, arg, value = flag_value(sub, flag)
         assert cli._FLAGS[field].default != value
-        # bdg's --a and --b are settings of the hitting kind alone
-        kind = cli._FLAGS[field].bdg_kind
-        argv = [sub, flag, arg] + (["--kind", kind] if kind else [])
+        # bdg's --a and --b are settings of the hitting kind alone, and
+        # identities' --point-value of the point law
+        when = cli._FLAGS[field].when
+        argv = [sub, flag, arg] + ([cli._FLAGS[when[0]].option, when[1]] if when else [])
         cfg = resolve_config(build_parser().parse_args(argv))
         assert getattr(cfg, field) == value
 
@@ -489,6 +490,22 @@ class TestSettingsTable:
         assert out == "" and not out_file.exists()
 
 
+    @pytest.mark.parametrize(("argv", "values"), [
+        (["--law", "exp", "--point-value", "2.5"], None),
+        (["--point-value", "2.5"], None),
+        ([], {"law": "uniform", "point_value": 2.5}),
+        (["--law", "pareto"], {"law": "point", "point_value": 2.5}),
+    ], ids=["exp-flag", "default-law-flag", "config", "flag-law-beats-config"])
+    def test_point_value_of_other_law(self, capsys, tmp_path, argv, values):
+        # --point-value is read at --law point alone
+        if values is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(values))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = run(["identities", *argv], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "identities --law" in err and "has no setting 'point_value'" in err
+
+
 def write_small_suite(path):
     path.write_text("".join(json.dumps(entry) + "\n" for entry in (
         {"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "q": 0.3,
@@ -501,8 +518,9 @@ def write_small_suite(path):
     return path
 
 
-# one small run of each subcommand that writes JSON, and of each bdg kind,
-# with the settings its config block must hold
+# one small run of each subcommand that writes JSON, of each bdg kind and of
+# identities with and without the point law, with the settings its config
+# block must hold
 CONFIG_RUNS = {
     "sharpness": (["sharpness", "--p", "0.3", "--n", "7", "--samples", "3000", "--seed", "4",
                    "--method", "mom", "--blocks", "11", "--threads", "2"],
@@ -511,6 +529,7 @@ CONFIG_RUNS = {
                            {"p", "n", "n_samples", "seed", "method", "blocks", "threads"}),
     "identities": (["identities", "--law", "point", "--point-value", "2.5", "--p", "0.4"],
                    {"p", "threads", "law", "point_value"}),
+    "identities-exp": (["identities", "--law", "exp", "--p", "0.4"], {"p", "threads", "law"}),
     "verify": (["verify", "--seed", "3", "--method", "plain"],
                {"seed", "method", "blocks", "threads", "config_path"}),
     "bdg-fixed": (["bdg", "--kind", "fixed", "--T", "2", "--q", "1.5", "--samples", "3000",
@@ -642,6 +661,12 @@ class TestSubcommands:
         assert result["denominator_oracle"] == pytest.approx(gtilde_sup_moment(p, n), rel=1e-15)
         for side in ("numerator", "denominator"):
             est = result["ratio"][side]
+            if est["halfwidth"] == 0.0:
+                # the monotone numerator is the constant n: exact, with no z
+                assert sub == "monotone-sharpness" and side == "numerator"
+                assert est["value"] == result["numerator_oracle"]
+                assert result["numerator_z"] is None
+                continue
             z = (est["value"] - result[f"{side}_oracle"]) / est["halfwidth"]
             assert result[f"{side}_z"] == pytest.approx(z, rel=1e-12)
             assert abs(result[f"{side}_z"]) < 4.0, (side, result[f"{side}_z"])
@@ -735,6 +760,40 @@ class TestSubcommands:
         suite.write_text(json.dumps({"generator": {"kind": "levy"}, "p": 0.5}) + "\n")
         code, _, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(("bad", "message"), [
+        ({"generator": {"kind": "levy"}, "p": 0.5}, "unknown generator kind"),
+        ({"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
+          "constant": "monotone"}, "the monotone constant does not apply"),
+        ({"generator": BERNOULLI, "p": 0.5, "constant": "monotone", "n_samples": 10},
+         "10 samples cannot fill 31 blocks"),
+    ], ids=["unknown-kind", "monotone-on-extremal", "budget-below-blocks"])
+    def test_verify_reads_every_entry_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                     bad, message):
+        # a bad second entry is refused before the first one draws or
+        # prints a verdict
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the suite was read")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        suite = tmp_path / "suite.jsonl"
+        good = json.loads(write_suite(tmp_path / "good.jsonl").read_text())
+        suite.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "bad suite entry" in err and message in err
+
+    def test_verify_overflowing_moment(self, capsys, tmp_path):
+        # at r = 0.9 > p = 0.5 and n = 1000 the moments exceed DBL_MAX: the
+        # estimate is not finite, which is a usage error, not a traceback
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({"generator": {"kind": "extremal", "p": 0.5, "n": 1000},
+                                     "p": 0.9, "n_samples": 1000}) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "halfwidth must be finite" in err
 
     def test_bdg_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "r.json"

@@ -486,15 +486,17 @@ class TestGenerators:
 
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
     def test_extremal_generator_weighted_bounds(self, p):
-        # the weighted values are bounded: 2n times the tail factor
-        # 2/(U^p + 1 - p) on x, 2n (p (1 - e^(-t/p)))^p on g
+        # the weighted values are bounded: n times the tail factor
+        # 2/(U^p + 1 - p) on x, n (p (1 - e^(-z/p)))^p on g plus the mass
+        # beyond the horizon, e^-n (p expm1(n/p))^p = (p (1 - e^(-n/p)))^p
         n = 5
         gen = ExtremalGenerator(ExtremalParams(p=p, n=n))
         x_p, g_p = gen.sup_sampler(p)(rng_of(1), 10_000)
         for vals in (x_p, g_p):
             assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
-        assert x_p.max() <= 4.0 * n / (1.0 - p) * (1 + 1e-12)
-        assert g_p.max() <= 2.0 * n * p**p * (1 + 1e-12)
+        assert x_p.max() <= 2.0 * n / (1.0 - p) * (1 + 1e-12)
+        beyond = (p * -math.expm1(-n / p)) ** p
+        assert g_p.max() <= (n * p**p + beyond) * (1 + 1e-12)
 
     @pytest.mark.parametrize(("p", "n", "r"), [(0.5, 10, 0.25), (0.5, 10, 0.75),
                                                (0.25, 10, 0.5)])
