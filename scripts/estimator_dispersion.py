@@ -5,9 +5,9 @@ supremum statistic across independent replicates.
 The statistic (sup X)^p of the extremal family has tail index 1/p, so its
 variance is infinite for p >= 1/sqrt(2) and barely finite below; the plain
 mean stays unbiased but disperses wildly, while the median of means trades
-a small bias for stability. The package's samplers importance-weight their
-draws, which bounds them and removes that dispersion, so this script draws
-the unweighted statistic exp(Z) U^-p 1{Z <= n}, Z ~ Exp(1), itself.
+a small bias for stability. The package's samplers return this moment in
+closed form, n/(1-p), with no dispersion at all, so this script draws the
+unweighted statistic exp(Z) U^-p 1{Z <= n}, Z ~ Exp(1), itself.
 """
 
 import argparse

@@ -3,16 +3,17 @@
 The basic object is the exponential pair: a single jump of height
 A(Z) = exp(Z/p) at an Exp(1) time Z, compensated by the running integral
 p expm1(t/p) of A up to Z. Appending an independent Brownian excursion
-after the horizon multiplies the supremum moment by 1/(1-p); the supremum
+after the horizon multiplies the supremum moment by 1/(1-p): the supremum
 of that excursion started at level x has the exact Pareto tail
-P[sup >= y] = x/y, so it is sampled as x/U rather than by path simulation.
+P[sup >= y] = x/y, so it is x/U with U uniform, and E[U^-p] = 1/(1-p).
 
-The vectorized sup samplers that feed the moment estimates draw Z uniformly
-below the horizon n rather than from Exp(1), add the mass beyond n exactly,
-and return importance-weighted values: a single value is not a draw of
-(sup X)^r or (sup G)^r, only the mean of each side is the moment. The
-exponent r defaults to the family's p. They work in log space and are
-finite at every 0 < p < 1.
+The vectorized sup samplers that feed the moment estimates return the x
+side's moment itself, a float, since it is a closed form in the horizon n.
+On the compensator side they draw Z uniformly below n rather than from
+Exp(1), add the mass beyond n exactly, and return importance-weighted
+values: a single value is not a draw of (sup G)^r, only their mean is the
+moment. The exponent r defaults to the family's p. They work in log space
+and are finite at every 0 < p < 1.
 
 The path batches (exp_pair_path_batch, discrete_path_batch) are the one
 path representation: (size, n 2^N + 1) arrays of x and g on the dyadic grid
@@ -70,54 +71,49 @@ class ExtremalParams:
 # ---------------------------------------------------------------------------
 # Vectorized sup-statistic samplers (closed forms, computed in place)
 #
-# Beyond the horizon no jump happens and G runs to n, so f(Z) is a known
-# constant on Z > n and E[f(Z)] = int_0^n e^-z f(z) dz + e^-n f(n). The
-# samplers draw Z = n v, v uniform on [0, 1), weight each value by n e^-z,
-# and add the mass beyond the horizon exactly: 0 on the jump side,
-# e^-n (p expm1(n/p))^r on the compensator side. Plain Exp(1) draws would
-# leave both sides with Pareto(1) tails; here every weighted value is
-# bounded, and the weighted monotone numerator is its own mean n. The
-# Brownian-tail factor U^-p has tail index 1/p, which biases the median of
-# means low once the intervals are tight; U is drawn from a defensive
-# mixture (Hesterberg, Technometrics 37, 1995; Owen & Zhou, JASA 95, 2000),
-# so that the weighted factor is bounded too.
-#
 # A sampler returns the r-th powers of the sups, for an exponent r in (0, 1)
-# that defaults to the family's p. The weight e^-z cancels the e^(rz/p)
-# inside (p expm1(z/p))^r up to e^((r/p - 1) z), so every weighted value has
-# a closed form with no exp(z/p) in it: n e^-z (sup G)^r =
-# n (p (1 - e^(-z/p)))^r e^((r/p - 1) z), at r = p the integrand of
-# oracles.gtilde_sup_moment, and n e^-z (sup X)^r = n e^((r/p - 1) z)
-# 2/(U^r + 1 - r). At r = p the exponential is 1 and is not evaluated, and
-# neither side can overflow at any p in (0, 1); at r != p it grows with n as
-# the moment itself does, to inf where the moment is no float64. Each kernel
-# evaluates its closed form in place, in the arrays that the bit generator
-# filled: at r = p a chunk allocates no full-size temporary (the discrete
-# kernel one, for its caps), because glibc returns a freed heap top to the
-# operating system and every chunk would page-fault it in again. For the
-# same reason a chunk's two full-size arrays are the halves of one
-# allocation (`_horizon_draws`): glibc keeps a freed heap top of up to twice
-# the largest block it has unmapped, and two separate blocks of m doubles
-# leave more than twice one of them free when the chunk ends.
+# that defaults to the family's p. The x side needs no draw: sup X is
+# A(Z)^r = e^(rZ/p) below the horizon n, times U^-r in the full pair, and 0
+# beyond it, with U independent of Z. So E[(sup X)^r] =
+# E[e^(rZ/p); Z <= n] E[U^-r] = int_0^n e^((r/p - 1) z) dz / (1 - r), which
+# is n/(1-r) at r = p and expm1(a n)/(a (1-r)) with a = r/p - 1 otherwise,
+# and n for the monotone pair, which has no U. A sampler returns it as a
+# float, which the estimator reports as exact (montecarlo.estimate_passes).
+#
+# On the compensator side, no jump happens beyond the horizon and G runs to
+# n, so f(Z) is a known constant on Z > n and E[f(Z)] =
+# int_0^n e^-z f(z) dz + e^-n f(n). The samplers draw Z = n v, v uniform on
+# [0, 1), weight each value by n e^-z, and add the mass beyond the horizon,
+# e^-n (p expm1(n/p))^r, exactly; plain Exp(1) draws would leave a Pareto(1)
+# tail. The weight e^-z cancels the e^(rz/p) inside (p expm1(z/p))^r up to
+# e^((r/p - 1) z), so every weighted value has a closed form with no exp(z/p)
+# in it: n e^-z (sup G)^r = n (p (1 - e^(-z/p)))^r e^((r/p - 1) z), at r = p
+# the integrand of oracles.gtilde_sup_moment. At r = p the exponential is 1
+# and is not evaluated, and no value can overflow at any p in (0, 1); at
+# r > p the moments grow as e^((r/p - 1) n), and the samplers refuse an r, p
+# and n at which the x moment or the mass beyond the horizon is no float64.
+#
+# Each kernel evaluates its closed form in place, in the array that the bit
+# generator filled: at r = p a chunk allocates no full-size temporary (the
+# discrete kernel keeps its caps in the second row of its draws' one
+# allocation), because glibc returns a freed heap top to the operating
+# system and every chunk would page-fault it in again; it keeps a freed heap
+# top of up to twice the largest block it has unmapped, which two separate
+# blocks of m doubles would exceed.
 # ---------------------------------------------------------------------------
-
-# elements per block of the tail factor's exponents (64 KB)
-_BLOCK = 1 << 13
 
 # largest t with exp(t) a finite float64, ~709.78
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
-def _horizon_draws(rng: np.random.Generator, m: int, n: int, tail: bool):
-    """(z, rest): the jump times Z = n v below the horizon, in the array of
-    the uniforms v, and rest, the two halves of one array of 2m doubles.
-    With tail, rest holds the uniforms behind the Brownian tail, drawn next;
-    without, it is left for the caller to fill."""
-    both = np.empty(2 * m)
-    z, rest = both[:m], both[m:]
-    rng.random(out=both if tail else z)
-    z *= n
-    return z, rest
+def _horizon_draws(rng: np.random.Generator, m: int, n: int, rows: int = 1) -> np.ndarray:
+    """rows arrays of m doubles, the rows of one allocation: the first holds
+    the jump times Z = n v below the horizon, in the array of the uniforms
+    v, and the others are left for the caller."""
+    block = np.empty((rows, m))
+    rng.random(out=block[0])
+    block[0] *= n
+    return block
 
 
 def _exponent(params: ExtremalParams, r: float | None) -> float:
@@ -128,54 +124,32 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
     return r
 
 
-def _excess_growth(p: float, r: float, z: np.ndarray) -> np.ndarray | None:
-    """(r/p - 1) z, the log of what the weight leaves of e^(rz/p); None at
-    r = p, where it is 0."""
-    return None if r == p else (r / p - 1.0) * z
+def _moments(params: ExtremalParams, r: float) -> tuple[float, float]:
+    """(E[(sup X)^r] of the full pair, e^-n (p expm1(n/p))^r), the x moment
+    and the compensator's mass beyond the horizon, the latter as
+    exp(r log(p (1 - e^(-n/p))) + (r/p - 1) n). Raises ValueError where
+    either is no float64."""
+    p, n = params.p, params.n
+    a = r / p - 1.0
+    try:
+        supx = n / (1.0 - r) if a == 0.0 else math.expm1(a * n) / (a * (1.0 - r))
+        beyond = math.exp(r * math.log(-p * math.expm1(-n / p)) + a * n)
+    except OverflowError:
+        supx = beyond = math.inf
+    if not (math.isfinite(supx) and math.isfinite(beyond)):
+        raise ValueError(f"the moments of order r = {r} of the extremal pair at p = {p}, "
+                         f"n = {n} exceed DBL_MAX; they grow as e^((r/p - 1) n)")
+    return supx, beyond
 
 
-def _weighted_sup_x_pow(n: int, r: float, growth: np.ndarray | None,
-                        u: np.ndarray) -> np.ndarray:
-    """n e^-z (A(Z)/U)^r = n e^growth 2/(U^r + 1 - r), computed in place in
-    u, with U drawn from the defensive mixture 1/2 U(0, 1) + 1/2 Beta(1-r, 1),
-    whose second component has density (1-r) x^-r. u below or above 1/2
-    picks the component and s = 2u mod 1 the draw: U = s, or U = s^(1/(1-r)),
-    so U^r = exp(e log s) with e = r or r/(1-r). The weighted tail factor
-    U^-r / (1/2 + 1/2 (1-r) U^-r) = 2 / (U^r + 1 - r) lies in
-    (2/(2-r), 2/(1-r)], and its mean is E[U^-r] = 1/(1-r) for uniform U.
-    The exponents e are formed one small block at a time: a full array of
-    them would be a fresh temporary on every chunk, and a where= ufunc
-    branches on every element."""
-    second = u >= 0.5
-    u *= 2.0
-    u -= second
-    with np.errstate(divide="ignore"):
-        np.log(u, out=u)
-    scratch = np.empty(min(u.size, _BLOCK))
-    for i in range(0, u.size, _BLOCK):
-        block = u[i : i + _BLOCK]
-        e = scratch[: block.size]
-        np.multiply(second[i : i + _BLOCK], r / (1.0 - r) - r, out=e)
-        e += r
-        block *= e
-    np.exp(u, out=u)
-    u += 1.0 - r
-    np.divide(2.0 * n, u, out=u)
-    if growth is not None:
-        u *= np.exp(growth)
-    return u
-
-
-def _weighted_sup_g_pow(p: float, r: float, n: int, t_eff: np.ndarray,
+def _weighted_sup_g_pow(p: float, r: float, n: int, beyond: float, t_eff: np.ndarray,
                         shift: np.ndarray | None = None) -> np.ndarray:
-    """n e^-z (p expm1(t_eff/p))^r + e^-n (p expm1(n/p))^r, computed in place
-    in t_eff, for a compensator run up to t_eff >= z; the second term is the
-    mass beyond the horizon. With L(t) = r log(p (1 - e^(-t/p))) the terms
-    are exp(L(t_eff) + log n + shift) and exp(L(n) + (r/p - 1) n), where
-    shift holds (r/p) t_eff - z when it is not zero. At r = p every term is
-    bounded, so no p in (0, 1) overflows; t_eff = 0 gives exactly 0 to the
-    first term, and the second is inf where it is no float64."""
-    beyond = r * math.log(-p * math.expm1(-n / p)) + (r / p - 1.0) * n
+    """n e^-z (p expm1(t_eff/p))^r + beyond, computed in place in t_eff, for
+    a compensator run up to t_eff >= z; beyond is the mass beyond the
+    horizon. With L(t) = r log(p (1 - e^(-t/p))) the first term is
+    exp(L(t_eff) + log n + shift), where shift holds (r/p) t_eff - z when it
+    is not zero. At r = p it is bounded, so no p in (0, 1) overflows, and
+    t_eff = 0 gives exactly 0."""
     t_eff *= -1.0 / p
     np.expm1(t_eff, out=t_eff)
     t_eff *= -p
@@ -186,7 +160,7 @@ def _weighted_sup_g_pow(p: float, r: float, n: int, t_eff: np.ndarray,
     if shift is not None:
         t_eff += shift
     np.exp(t_eff, out=t_eff)
-    t_eff += math.exp(beyond) if beyond <= _MAX_EXP_ARG else math.inf
+    t_eff += beyond
     return t_eff
 
 
@@ -196,60 +170,61 @@ def _check_level(level_N: int) -> None:
 
 
 def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
-    """Paired sampler (rng, m) -> importance-weighted ((sup X)^r, (sup G)^r)
-    for the full extremal family, tail by exact law, common z draws for both
-    sides; r defaults to p. Only the mean of each side is the moment."""
+    """Paired sampler (rng, m) -> (E[(sup X)^r], importance-weighted
+    (sup G)^r) for the full extremal family, Brownian tail by exact law; r
+    defaults to p. The x side is its exact moment, a float; only the mean of
+    the g side is the moment. Raises ValueError where the moments are no
+    float64."""
     p, n = params.p, params.n
     r = _exponent(params, r)
+    supx, beyond = _moments(params, r)
 
     def sampler(rng: np.random.Generator, m: int):
-        z, u = _horizon_draws(rng, m, n, tail=True)
-        growth = _excess_growth(p, r, z)
-        supx = _weighted_sup_x_pow(n, r, growth, u)
-        return supx, _weighted_sup_g_pow(p, r, n, z, shift=growth)
+        (z,) = _horizon_draws(rng, m, n)
+        # (r/p - 1) z, the log of what the weight leaves of e^(rz/p)
+        growth = None if r == p else (r / p - 1.0) * z
+        return supx, _weighted_sup_g_pow(p, r, n, beyond, z, shift=growth)
 
     return sampler
 
 
 def monotone_sup_sampler(params: ExtremalParams):
-    """Paired importance-weighted sampler of ((sup X)^p, (sup G)^p) for the
-    monotone pair (no Brownian tail); only the mean of each side is the
-    moment, and the numerator is the constant n, its mean. It draws only v:
-    the uniforms behind the tail would come after v and go unused."""
+    """Paired sampler of (E[(sup X)^p], importance-weighted (sup G)^p) for
+    the monotone pair (no Brownian tail): the x side is its exact moment n;
+    only the mean of the g side is the moment."""
     p, n = params.p, params.n
+    _, beyond = _moments(params, p)
 
     def sampler(rng: np.random.Generator, m: int):
-        z, supx_p = _horizon_draws(rng, m, n, tail=False)
-        # n e^-z A(z)^p = n e^-z e^z below the horizon; no jump beyond it
-        supx_p.fill(n)
-        return supx_p, _weighted_sup_g_pow(p, p, n, z)
+        (z,) = _horizon_draws(rng, m, n)
+        return float(n), _weighted_sup_g_pow(p, p, n, beyond, z)
 
     return sampler
 
 
 def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None = None):
-    """Paired importance-weighted sampler of ((sup X)^r, (sup G)^r) for the
-    dyadic discretization, r defaulting to p; same draws and weights as the
-    continuous sampler so discretization effects isolate cleanly. Only the
-    mean of each side is the moment."""
+    """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
+    the dyadic discretization, r defaulting to p; same draws and weights as
+    the continuous sampler, so discretization effects isolate cleanly. The
+    x side does not see the grid and is the continuous pair's exact moment;
+    only the mean of the g side is the moment."""
     _check_level(level_N)
     p, n = params.p, params.n
     r = _exponent(params, r)
+    supx, beyond = _moments(params, r)
     h = 2.0 ** (-level_N)
 
     def sampler(rng: np.random.Generator, m: int):
-        z, u = _horizon_draws(rng, m, n, tail=True)
-        supx = _weighted_sup_x_pow(n, r, _excess_growth(p, r, z), u)
+        z, cap = _horizon_draws(rng, m, n, rows=2)
         # g keeps accruing through the grid step that contains z, which ends
-        # at n at the latest; the cap is the one array this kernel adds, and
-        # z's array takes the shift (r/p) cap - z
-        cap = z / h
+        # at n at the latest; z's array takes the shift (r/p) cap - z
+        np.divide(z, h, out=cap)
         np.ceil(cap, out=cap)
         cap *= h
         np.subtract(cap, z, out=z)
         if r != p:
             z += (r / p - 1.0) * cap
-        return supx, _weighted_sup_g_pow(p, r, n, cap, shift=z)
+        return supx, _weighted_sup_g_pow(p, r, n, beyond, cap, shift=z)
 
     return sampler
 

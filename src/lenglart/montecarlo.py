@@ -32,11 +32,11 @@ BDG validation runs beside the exact-law chunks (bdg.py). A pass may also
 give its own piece length and first stream index: the BDG bias-check
 passes draw piece j from chunk_rng(seed, VALIDATION_STREAM + j).
 
-The extremal sup samplers return importance-weighted values that are
-bounded at the family's own exponent (see extremal.py), so their variance is
-finite at every 0 < p < 1. The median of means stays the default for
-p >= 0.45 only until the samplers move to randomized quasi-Monte Carlo
-(ROADMAP item 4).
+The extremal sup samplers return the x side's exact moment and weighted
+compensator values that are bounded at the family's own exponent (see
+extremal.py), so their variance is finite at every 0 < p < 1. The median of
+means stays the default for p >= 0.45 only until the samplers move to
+randomized quasi-Monte Carlo (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -297,19 +297,30 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
     in pieces of that length from streams first_stream, first_stream + 1,
     ... (see `_map_chunks`). Each pass is reduced and merged in its own piece
     order, so a pass in the default layout gets exactly the estimates that
-    `estimate_pair` alone would give it."""
+    `estimate_pair` alone would give it. A component may be a float, the
+    exact mean of its column: it is reported with half-width 0, not
+    reduced, and must be the same float in every chunk (else ValueError)."""
     for _, n_samples, *_layout in passes:
         check_budget(n_samples, method)
 
     def reducer(paired_sampler, n_samples):
         def work(rng, start, m):
-            return [_reduce_chunk(v, start, n_samples, method) for v in paired_sampler(rng, m)]
+            return [v if isinstance(v, float) else _reduce_chunk(v, start, n_samples, method)
+                    for v in paired_sampler(rng, m)]
 
         return work
 
+    def merge(column, n_samples):
+        exact = column[0]
+        if not isinstance(exact, float):
+            return _merge_chunks(column, n_samples, method)
+        if any(not isinstance(part, float) or part != exact for part in column):
+            raise ValueError("a float component must be the same float in every chunk")
+        return Estimate(value=float(exact), halfwidth=0.0, n_samples=n_samples, method=method)
+
     parts = _map_chunks([(reducer(sampler, n), n, *layout) for sampler, n, *layout in passes],
                         seed, threads)
-    return [tuple(_merge_chunks(column, n_samples, method) for column in zip(*chunks))
+    return [tuple(merge(column, n_samples) for column in zip(*chunks))
             for chunks, (_, n_samples, *_layout) in zip(parts, passes)]
 
 
@@ -319,7 +330,8 @@ def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
     parallel arrays (a numerator and a denominator, say), all from one stream
     of draws (common random numbers). Each chunk is reduced by the worker
     that drew it. The arrays a sampler returns belong to the reducer, which
-    writes into them, so they must be distinct and writable."""
+    writes into them, so they must be distinct and writable. A float
+    component is its column's exact mean (see `estimate_passes`)."""
     (estimates,) = estimate_passes([(paired_sampler, n_samples)], method, seed, threads)
     return estimates
 

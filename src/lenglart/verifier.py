@@ -155,9 +155,10 @@ class _Generator:
 
     def sup_sampler(self, r: float):
         """(rng, m) -> two arrays whose means are E[(sup X)^r] and
-        E[(sup G)^r]. Unit-weight generators return the r-th powers of the
-        sups, and r = 1 the sups themselves; the extremal ones return
-        importance-weighted values, of which only the mean is the moment."""
+        E[(sup G)^r], or for a side whose moment is known, that float.
+        Unit-weight generators return the r-th powers of the sups, and r = 1
+        the sups themselves; the extremal ones weight their g values, of
+        which only the mean is the moment."""
         raise NotImplementedError
 
     def path_batch(self, rng: np.random.Generator, size: int):
@@ -333,11 +334,10 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def sup_sampler(self, r=1.0):
         jump, k = self.jump, self.steps
-        # one pow, by the array power that np.full(m, k * mean) ** r runs on
-        # each element, so that the filled column has its bits
-        sup_g = float((np.array([k * jump.mean]) ** r)[0])
+        # sup G = k E[J] on every path, so its moment is exact
+        sup_g = float(k * jump.mean) ** r
         if jump.kind == "const":  # sup X = sup G = k c
-            return lambda rng, m: (np.full(m, sup_g), np.full(m, sup_g))
+            return lambda rng, m: (sup_g, sup_g)
         if jump.kind == "bernoulli":
             draw = _binomial_sampler(k, jump.q)
         else:
@@ -347,7 +347,7 @@ class CompensatedBernoulliGenerator(_Generator):
         def sampler(rng, m):
             sup_x = draw(rng, m)
             sup_x **= r
-            return sup_x, np.full(m, sup_g)
+            return sup_x, sup_g
 
         return sampler
 
@@ -531,16 +531,18 @@ class VerifierReport:
 
 
 def inequality_setup(gen: _Generator, p: float, kind: ConstantKind, n_samples: int,
-                     method: EstimatorMethod | None = None) -> tuple[float, EstimatorMethod]:
-    """(constant(kind, p), estimator) of check_inequality's run, the estimator
-    defaulting to default_method(p). Raises ValueError, without drawing,
-    where the check does not apply or its samples cannot fill the blocks."""
+                     method: EstimatorMethod | None = None):
+    """(constant(kind, p), estimator, gen.sup_sampler(p)) of check_inequality's
+    run, the estimator defaulting to default_method(p). Raises ValueError,
+    without drawing, where the check does not apply, its samples cannot fill
+    the blocks or its moments are no float64."""
     if kind is ConstantKind.MONOTONE and not gen.monotone_x:
         raise ValueError(f"{gen.name} does not produce non-decreasing X; the monotone "
                          "constant does not apply")
     method = default_method(p) if method is None else method
     check_budget(n_samples, method)
-    return constant(kind, p), method  # constant rejects p outside (0, 1)
+    rhs_constant = constant(kind, p)  # rejects p outside (0, 1)
+    return rhs_constant, method, gen.sup_sampler(p)
 
 
 def check_inequality(
@@ -553,8 +555,8 @@ def check_inequality(
     threads: int = 1,
 ) -> VerifierReport:
     """Certify E[(sup X)^p] <= constant(kind, p) * E[(sup G)^p] empirically."""
-    rhs_constant, method = inequality_setup(gen, p, kind, n_samples, method)
-    lhs, rhs = estimate_pair(gen.sup_sampler(p), n_samples, method, seed, threads)
+    rhs_constant, method, sampler = inequality_setup(gen, p, kind, n_samples, method)
+    lhs, rhs = estimate_pair(sampler, n_samples, method, seed, threads)
     return VerifierReport(
         lhs=lhs,
         rhs_constant=rhs_constant,

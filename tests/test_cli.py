@@ -661,11 +661,10 @@ class TestSubcommands:
         assert result["denominator_oracle"] == pytest.approx(gtilde_sup_moment(p, n), rel=1e-15)
         for side in ("numerator", "denominator"):
             est = result["ratio"][side]
-            if est["halfwidth"] == 0.0:
-                # the monotone numerator is the constant n: exact, with no z
-                assert sub == "monotone-sharpness" and side == "numerator"
+            if side == "numerator":
+                # both numerators are closed forms: exact, with no z
                 assert est["value"] == result["numerator_oracle"]
-                assert result["numerator_z"] is None
+                assert est["halfwidth"] == 0.0 and result["numerator_z"] is None
                 continue
             z = (est["value"] - result[f"{side}_oracle"]) / est["halfwidth"]
             assert result[f"{side}_z"] == pytest.approx(z, rel=1e-12)
@@ -708,8 +707,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_verify_extremal_pair_meets_oracle(self, capsys, tmp_path, p):
-        # the extremal checks run on the importance-weighted samplers, so the
-        # lhs estimates E[(sup X)^p] = n/(1-p) within its own interval
+        # the extremal checks' lhs is the closed form E[(sup X)^p] = n/(1-p),
+        # the oracle's float, with half-width 0
         n = 40
         suite = tmp_path / "suite.jsonl"
         suite.write_text(json.dumps({
@@ -721,8 +720,7 @@ class TestSubcommands:
                          capsys)
         assert code == EXIT_PASS
         lhs = load_json_output(out_file)["result"]["checks"][0]["lhs"]
-        exact = full_extremal_sup_moment(p, n)
-        assert abs(lhs["value"] - exact) < 3.0 * lhs["halfwidth"], (lhs, exact)
+        assert (lhs["value"], lhs["halfwidth"]) == (full_extremal_sup_moment(p, n), 0.0)
 
     def test_verify_extremal_pair_small_p(self, capsys, tmp_path):
         # exp(z/p) overflows at p = 0.01; the weighted closed forms do not
@@ -783,17 +781,40 @@ class TestSubcommands:
         assert code == EXIT_USAGE
         assert out == "" and "bad suite entry" in err and message in err
 
-    def test_verify_overflowing_moment(self, capsys, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_verify_overflowing_moment(self, capsys, tmp_path, monkeypatch):
         # at r = 0.9 > p = 0.5 and n = 1000 the moments exceed DBL_MAX: the
-        # estimate is not finite, which is a usage error, not a traceback
+        # entry is refused before drawing, with no numpy warning, and the
+        # message names r, p and n
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the overflow was refused")
+
         suite = tmp_path / "suite.jsonl"
         suite.write_text(json.dumps({"generator": {"kind": "extremal", "p": 0.5, "n": 1000},
                                      "p": 0.9, "n_samples": 1000}) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "estimate_pair", no_draws)
             code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
-        assert out == "" and "halfwidth must be finite" in err
+        assert out == "" and "bad suite entry" in err
+        assert "r = 0.9 of the extremal pair at p = 0.5, n = 1000 exceed DBL_MAX" in err
+        # at n = 300 the moments, about e^240, are float64: the check runs
+        suite.write_text(json.dumps({"generator": {"kind": "extremal", "p": 0.5, "n": 300},
+                                     "p": 0.9, "n_samples": 1000}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_PASS and err == ""
+        assert "1/1 checks passed" in out
+
+    def test_sharpness_subcommands_share_the_denominator(self, capsys, tmp_path):
+        # the two pairs share their compensator, their draws and their
+        # kernel, so one seed prints the same denominator object
+        texts = []
+        for sub in ("sharpness", "monotone-sharpness"):
+            code, out, _ = run([sub, "--samples", "100000", "--seed", "4"], capsys)
+            assert code == EXIT_PASS
+            result = json.loads(out[: out.rindex("}") + 1])["result"]
+            texts.append(json.dumps(result["ratio"]["denominator"]))
+        assert texts[0] == texts[1]
 
     def test_bdg_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "r.json"

@@ -1,5 +1,5 @@
-"""Extremal-family samplers: path batches, Brownian tail,
-importance-weighted sup samplers."""
+"""Extremal-family samplers: path batches, Brownian tail, exact numerators
+and importance-weighted compensator samplers."""
 
 import itertools
 import math
@@ -231,9 +231,9 @@ class TestDiscretization:
 
 class TestSupSamplers:
     def test_draw_layout_alignment(self):
-        """All three samplers consume (z, u) in the same order, so the
-        compensator stream of the sharpness and monotone samplers agree and
-        the x stream of the sharpness and discrete samplers agree."""
+        """All three samplers draw the same v, so the compensator columns of
+        the sharpness and monotone samplers agree, and the sharpness and
+        discrete samplers return the same exact x moment."""
         params = ExtremalParams(p=0.5, n=10)
         m = 4096
         full_x, full_g = sharpness_sup_sampler(params)(rng_of(3), m)
@@ -272,28 +272,26 @@ class TestSupSamplers:
 
     def test_relative_sd_ceiling(self):
         # with every draw below the horizon and the mass beyond it added
-        # exactly, the relative sd at (0.5, 10) is 0.31 (numerator) and 0.096
-        # (denominator); a defensive mixture in Z that spends half its draws
-        # beyond the horizon gives 1.09 and 0.82
+        # exactly, the denominator's relative sd at (0.5, 10) is 0.096; a
+        # defensive mixture in Z that spends half its draws beyond the
+        # horizon gives 0.82. Both numerators are exact floats
         params = ExtremalParams(p=0.5, n=10)
-        x_p, g_p = sharpness_sup_sampler(params)(rng_of(14), 1 << 17)
-        assert x_p.std() / x_p.mean() < 0.35
-        assert g_p.std() / g_p.mean() < 0.11
-        x_p, g_p = monotone_sup_sampler(params)(rng_of(14), 1 << 17)
-        assert x_p.std() == 0.0
-        assert g_p.std() / g_p.mean() < 0.11
+        for kernel, exact in ((sharpness_sup_sampler, 20.0), (monotone_sup_sampler, 10.0)):
+            x_p, g_p = kernel(params)(rng_of(14), 1 << 17)
+            assert type(x_p) is float and x_p == exact
+            assert g_p.std() / g_p.mean() < 0.11
 
     @pytest.mark.parametrize("p", [0.25, 0.75])
-    def test_sharpness_numerator_bounded(self, p):
-        # the weighted Brownian-tail factor 2/(U^p + 1 - p) is bounded by
-        # 2/(1-p), so the numerator has a variance even where U^-p has none
+    def test_sharpness_numerator_exact(self, p):
+        # U is independent of Z and E[U^-p] = 1/(1-p), so the numerator is
+        # the closed form n/(1-p), whatever the draws
         from lenglart.oracles import full_extremal_sup_moment
 
         n = 40
-        x_p, _ = sharpness_sup_sampler(ExtremalParams(p=p, n=n))(rng_of(13), 200_000)
-        assert x_p.max() <= 2.0 * n / (1.0 - p)
-        se = x_p.std() / math.sqrt(x_p.size)
-        assert abs(x_p.mean() - full_extremal_sup_moment(p, n)) < 4.0 * se
+        sampler = sharpness_sup_sampler(ExtremalParams(p=p, n=n))
+        for seed in (13, 14):
+            x_p, _ = sampler(rng_of(seed), 1000)
+            assert x_p == full_extremal_sup_moment(p, n) == n / (1.0 - p)
 
     @settings(max_examples=10, deadline=None)
     @given(p=st.floats(0.03, 0.97), n=st.integers(1, 60))
@@ -305,22 +303,10 @@ class TestSupSamplers:
         assert np.all(x_p >= 0) and np.all(g_p >= 0)
 
 
-# The log-space formulas of the sup samplers, kept as the reference for their
-# in-place closed forms: Z = n v below the horizon, the tail uniform u drawn
-# after v, every value weighted by n e^-z, and the mass beyond the horizon,
-# e^-n (p expm1(n/p))^p, added to the compensator side.
-def _reference_draws(rng, m, n):
-    v = rng.random(m)
-    u = rng.random(m)
-    return n * v, u
-
-
-def _reference_tail_factor(p, u):
-    second = u >= 0.5
-    u_pow_p = (2.0 * u - second) ** (p + (p / (1.0 - p) - p) * second)
-    return 2.0 / (u_pow_p + (1.0 - p))
-
-
+# The log-space formulas of the compensator kernels, kept as the reference
+# for their in-place closed forms: Z = n v below the horizon, every value
+# weighted by n e^-z, and the mass beyond the horizon, e^-n (p expm1(n/p))^p,
+# added. TestExactNumerators checks the x side.
 def _log_sup_g_pow_p(p, t):
     """log (p expm1(t/p))^p."""
     with np.errstate(divide="ignore"):
@@ -332,28 +318,22 @@ def _reference_sup_g_pow_p(p, n, t_eff, z):
     return np.exp(_log_sup_g_pow_p(p, t_eff) - z + math.log(n)) + beyond
 
 
-def _reference_sampler(kind, p, n, level_N):
-    def sampler(rng, m):
-        z, u = _reference_draws(rng, m, n)
-        t_eff = z
-        if kind == "discrete":
-            h = 2.0 ** (-level_N)
-            t_eff = np.ceil(z / h) * h
-        supx_p = np.full(m, float(n))
-        if kind != "monotone":
-            supx_p = supx_p * _reference_tail_factor(p, u)
-        return supx_p, _reference_sup_g_pow_p(p, n, t_eff, z)
-
-    return sampler
+def _reference_sup_g(kind, p, n, level_N, rng, m):
+    z = n * rng.random(m)
+    t_eff = z
+    if kind == "discrete":
+        h = 2.0 ** (-level_N)
+        t_eff = np.ceil(z / h) * h
+    return _reference_sup_g_pow_p(p, n, t_eff, z)
 
 
-def _kernel(kind, p, n, level_N):
+def _kernel(kind, p, n, level_N, r=None):
     params = ExtremalParams(p=p, n=n)
     if kind == "sharpness":
-        return sharpness_sup_sampler(params)
+        return sharpness_sup_sampler(params, r)
     if kind == "monotone":
         return monotone_sup_sampler(params)
-    return discrete_sup_sampler(params, level_N)
+    return discrete_sup_sampler(params, level_N, r)
 
 
 KERNELS = ("sharpness", "monotone", "discrete")
@@ -368,11 +348,9 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("p", FULL_RANGE_P)
     def test_matches_log_space_reference(self, p, n):
         for kind in KERNELS:
-            got = _kernel(kind, p, n, 4)(rng_of(21), 2**15)
-            ref = _reference_sampler(kind, p, n, 4)(rng_of(21), 2**15)
-            for side, new, old in zip("xg", got, ref):
-                np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0,
-                                           err_msg=f"{kind} {side}")
+            _, g = _kernel(kind, p, n, 4)(rng_of(21), 2**15)
+            ref = _reference_sup_g(kind, p, n, 4, rng_of(21), 2**15)
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0, err_msg=kind)
 
     @pytest.mark.parametrize("p", [0.001, 0.999])
     def test_long_horizon_finite(self, p):
@@ -381,27 +359,83 @@ class TestClosedFormKernels:
                 assert np.all(np.isfinite(values)) and np.all(values >= 0.0), kind
 
 
+class CountingRng:
+    """A Generator that records how many doubles each random() call draws;
+    any other draw is an AttributeError."""
+
+    def __init__(self, seed):
+        self._rng = rng_of(seed)
+        self.draws = []
+
+    def random(self, size=None, out=None):
+        values = self._rng.random(size, out=out)
+        self.draws.append(np.size(values))
+        return values
+
+
+class TestExactNumerators:
+    """U is independent of Z, so each kernel's x side is
+    E[e^(rZ/p); Z <= n] E[U^-r], a closed form returned as a float, and each
+    kernel draws v alone."""
+
+    @pytest.mark.parametrize("n", [1, 10, 40, 1000, 4096])
+    @pytest.mark.parametrize("p", FULL_RANGE_P)
+    def test_r_equal_to_p_is_the_oracle(self, p, n):
+        full, monotone = full_extremal_sup_moment(p, n), xtilde_sup_moment(p, n)
+        for kind, exact in (("sharpness", full), ("discrete", full), ("monotone", monotone)):
+            x, _ = _kernel(kind, p, n, 2)(rng_of(0), 8)
+            assert type(x) is float and x == exact, kind
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    @pytest.mark.parametrize("p", [0.25, 0.5])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.9])
+    def test_r_other_than_p_matches_quadrature(self, r, p, n):
+        jump, _ = quad(lambda z: math.exp((r / p - 1.0) * z), 0.0, n)
+        tail, _ = quad(lambda u: u**-r, 0.0, 1.0)
+        for kind in ("sharpness", "discrete"):
+            x, _ = _kernel(kind, p, n, 3, r)(rng_of(0), 8)
+            assert x == pytest.approx(jump * tail, rel=1e-12, abs=0), kind
+
+    @pytest.mark.parametrize(("kind", "r"), [(kind, None) for kind in KERNELS]
+                             + [("sharpness", 0.75), ("discrete", 0.75)])
+    def test_draws_m_doubles(self, kind, r):
+        for m in (1, 1000, 2**15):
+            rng = CountingRng(m)
+            _kernel(kind, 0.5, 10, 4, r)(rng, m)
+            assert rng.draws == [m], (kind, m)
+
+    @pytest.mark.parametrize("kind", ["sharpness", "discrete"])
+    def test_refused_where_no_float64(self, kind):
+        # at r = 0.9 > p = 0.5 the moments grow as e^(0.8 n): past DBL_MAX
+        # at n = 1000, not at n = 300
+        with pytest.raises(ValueError, match=r"r = 0\.9 .* p = 0\.5, n = 1000"):
+            _kernel(kind, 0.5, 1000, 2, 0.9)
+        x, g = _kernel(kind, 0.5, 300, 2, 0.9)(rng_of(0), 1000)
+        assert math.isfinite(x) and np.all(np.isfinite(g))
+
+
 # -- the kernels integrated by quadrature ---------------------------------------
 #
-# Each kernel is a function of the uniforms it draws: v alone for the
-# monotone pair, v then u (one fill of 2m) for the sharpness and discrete
-# pairs. A stand-in rng that fills them from a product quadrature grid turns
-# the unchanged kernel into its exact mean, with no sampling noise. The rule
-# is tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974) on each piece between
-# the kernels' breakpoints: 1/2 in u (the tail factor's two components), and
-# for the discrete kernel every grid time k 2^-N, that is v = k 2^-N / n.
-# The rule for v splits at 1/2 too, which costs nothing in accuracy.
+# Each kernel is a function of the m uniforms v it draws, and returns its x
+# side as the exact moment. A stand-in rng that fills v from a quadrature rule
+# turns the unchanged kernel into the exact mean of its g side, with no
+# sampling noise. The rule is tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974)
+# on each piece between the kernel's breakpoints in v: none for the sharpness
+# and monotone kernels, every grid time k 2^-N, that is v = k 2^-N / n, for
+# the discrete kernel.
 
 
 class GridRng:
-    """Stands in for a Generator: each random(out=...) receives the given
-    columns, one after the other."""
+    """Stands in for a Generator: its one random(out=...) call receives the
+    given nodes."""
 
-    def __init__(self, *columns):
-        self.fill = np.concatenate(columns)
+    def __init__(self, nodes):
+        self.fill = nodes
+        self.calls = 0
 
     def random(self, out):
-        assert out.size == self.fill.size
+        self.calls += 1
+        assert self.calls == 1 and out.size == self.fill.size
         out[...] = self.fill
 
 
@@ -423,27 +457,16 @@ def tanh_sinh(breaks, step, t_max=3.2):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def integrate(sampler, v_rule, u_rule=None, block=1 << 17):
-    """The mean of each column a kernel returns, over the product rule of v
-    and u, u in blocks so that no call holds more than about block points."""
+def integrate(sampler, v_rule):
+    """The mean of each column a kernel returns, over the rule in v; a float
+    column is its own mean."""
     v, wv = v_rule
-    if u_rule is None:
-        return [float(wv @ col) for col in sampler(GridRng(v), v.size)]
-    u, wu = u_rule
-    rows = max(1, block // v.size)
-    sums = np.zeros(2)
-    for i in range(0, u.size, rows):
-        uu, wuu = u[i:i + rows], wu[i:i + rows]
-        m = v.size * uu.size
-        cols = sampler(GridRng(np.repeat(v, uu.size), np.tile(uu, v.size)), m)
-        weight = np.outer(wv, wuu).ravel()
-        sums += [weight @ col for col in cols]
-    return sums.tolist()
+    return [col if isinstance(col, float) else float(wv @ col)
+            for col in sampler(GridRng(v), v.size)]
 
 
-HALVES = [0.0, 0.5, 1.0]
-# step 1/64: 411 nodes a piece, enough for the steep tail factor at p = 0.999
-FINE = tanh_sinh(HALVES, 1.0 / 64)
+# step 1/64: 411 nodes, enough for the steep rise of g near v = 0 at p = 0.01
+FINE = tanh_sinh([0.0, 1.0], 1.0 / 64)
 
 
 def discrete_rhs(p, n, level_N):
@@ -470,7 +493,7 @@ class TestKernelQuadrature:
     @pytest.mark.parametrize("n", [1, 10, 1000, 4096])
     @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
     def test_sharpness_kernel(self, p, n):
-        x, g = integrate(sharpness_sup_sampler(ExtremalParams(p=p, n=n)), FINE, FINE)
+        x, g = integrate(sharpness_sup_sampler(ExtremalParams(p=p, n=n)), FINE)
         assert x == pytest.approx(full_extremal_sup_moment(p, n), rel=1e-12, abs=0)
         assert g == pytest.approx(gtilde_sup_moment(p, n), rel=1e-12, abs=0)
 
@@ -490,8 +513,6 @@ class TestKernelQuadrature:
         # v breaks at every grid time, 2^-N / n apart in v
         cells = n * 2**level_N
         v_rule = tanh_sinh(np.arange(cells + 1) / cells, 1.0 / 16)
-        u_rule = tanh_sinh(HALVES, 1.0 / 16)
-        x, g = integrate(discrete_sup_sampler(ExtremalParams(p=p, n=n), level_N),
-                         v_rule, u_rule)
+        x, g = integrate(discrete_sup_sampler(ExtremalParams(p=p, n=n), level_N), v_rule)
         assert x == pytest.approx(full_extremal_sup_moment(p, n), rel=1e-12, abs=0)
         assert g == pytest.approx(discrete_rhs(p, n, level_N), rel=1e-12, abs=0)

@@ -123,7 +123,10 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
     def test_thread_invariance_paired(self):
-        sampler = sharpness_sup_sampler(ExtremalParams(p=0.5, n=10))
+        def sampler(rng, m):
+            u = rng.random(m)
+            return u, 1.0 / np.sqrt(u)
+
         a = sample_values(sampler, 2 * CHUNK + 5, seed=2, threads=1)
         b = sample_values(sampler, 2 * CHUNK + 5, seed=2, threads=3)
         for left, right in zip(a, b):
@@ -241,6 +244,39 @@ class TestPassScheduler:
         pieces, chunks = _map_chunks([(work, 7, 3, first), (work, CHUNK + 1)], 5, threads)
         assert pieces == [(5, first, 0, 3), (5, first + 1, 3, 3), (5, first + 2, 6, 1)]
         assert chunks == [(5, 0, 0, CHUNK), (5, 1, CHUNK, 1)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
+    def test_float_component_is_exact(self, method, threads):
+        # a float component is its column's exact mean: reported as it is,
+        # with half-width 0, while the array beside it is reduced as alone.
+        # A column filled with 40/0.75 = 53.333333333333336 reduces to
+        # 53.33333333333334, with a half-width of 1e-17 to 1e-14, instead
+        exact = 40 / 0.75
+
+        def with_float(rng, m):
+            return exact, self.paired(rng, m)[1]
+
+        n = 3 * CHUNK + 5
+        passes = [(with_float, n), (self.paired, CHUNK - 100)]
+        (num, den), alone = estimate_passes(passes, method, 11, threads)
+        assert num == Estimate(value=exact, halfwidth=0.0, n_samples=n, method=method)
+        assert den == estimate_pair(self.paired, n, method, 11, threads)[1]
+        assert alone == estimate_pair(self.paired, CHUNK - 100, method, 11, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
+    def test_float_component_differs_between_chunks(self, method, threads):
+        # the last chunk is partial, so m differs there
+        def drifting(rng, m):
+            return float(m), rng.random(m)
+
+        def float_or_array(rng, m):
+            return (1.0 if m == CHUNK else np.ones(m)), rng.random(m)
+
+        for sampler in (drifting, float_or_array):
+            with pytest.raises(ValueError, match="same float in every chunk"):
+                estimate_pair(sampler, 2 * CHUNK + 5, method, 0, threads)
 
     def test_pass_that_cannot_fill_the_blocks(self):
         def sampler(rng, m):

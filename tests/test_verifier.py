@@ -381,18 +381,21 @@ class TestWalkClosedForm:
     @pytest.mark.parametrize("law", WALK_LAWS, ids=law_id)
     @pytest.mark.parametrize("r", [1.0, 0.5, 0.3])
     def test_sup_sampler_is_the_last_value(self, law, r):
-        # the binomial table's or the Gamma draws, with full arrays raised to r
+        # the binomial table's or the Gamma draws, with full arrays raised to
+        # r; sup G = 12 E[J] on every path, and so is sup X for constant
+        # jumps, and those sides are their exact moments, floats
         gen = CompensatedBernoulliGenerator(jump=law, steps=12)
         sup_x, sup_g = gen.sup_sampler(r)(rng_of(5), 4000)
+        assert type(sup_g) is float and sup_g == (12 * law.mean) ** r
+        if law.kind == "const":
+            assert sup_x == sup_g
+            return
         rng = rng_of(5)
         if law.kind == "bernoulli":
             want_x = verifier._binomial_sampler(12, law.q)(rng, 4000)
-        elif law.kind == "exp":
-            want_x = rng.standard_gamma(12, 4000)
         else:
-            want_x = np.full(4000, 12 * law.c)
+            want_x = rng.standard_gamma(12, 4000)
         assert np.array_equal(sup_x, want_x**r)
-        assert np.array_equal(sup_g, np.full(4000, 12 * law.mean) ** r)
 
 
 def exact_cdf(n: int, q: float) -> np.ndarray:
@@ -486,15 +489,14 @@ class TestGenerators:
 
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
     def test_extremal_generator_weighted_bounds(self, p):
-        # the weighted values are bounded: n times the tail factor
-        # 2/(U^p + 1 - p) on x, n (p (1 - e^(-z/p)))^p on g plus the mass
-        # beyond the horizon, e^-n (p expm1(n/p))^p = (p (1 - e^(-n/p)))^p
+        # x is the exact moment n/(1-p); the weighted g values are bounded by
+        # n (p (1 - e^(-z/p)))^p plus the mass beyond the horizon,
+        # e^-n (p expm1(n/p))^p = (p (1 - e^(-n/p)))^p
         n = 5
         gen = ExtremalGenerator(ExtremalParams(p=p, n=n))
         x_p, g_p = gen.sup_sampler(p)(rng_of(1), 10_000)
-        for vals in (x_p, g_p):
-            assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
-        assert x_p.max() <= 2.0 * n / (1.0 - p) * (1 + 1e-12)
+        assert x_p == n / (1.0 - p)
+        assert np.all(np.isfinite(g_p)) and np.all(g_p >= 0)
         beyond = (p * -math.expm1(-n / p)) ** p
         assert g_p.max() <= (n * p**p + beyond) * (1 + 1e-12)
 
@@ -508,9 +510,9 @@ class TestGenerators:
         g_exact = head + math.exp(-n) * (p * math.expm1(n / p)) ** r
         x_r, g_r = ExtremalGenerator(ExtremalParams(p=p, n=n)).sup_sampler(r)(
             rng_of(4), 10**6)
-        for vals, exact in ((x_r, x_exact), (g_r, g_exact)):
-            se = vals.std() / math.sqrt(vals.size)
-            assert abs(vals.mean() - exact) < 4.0 * se, (vals.mean(), exact, se)
+        assert x_r == pytest.approx(x_exact, rel=1e-14)
+        se = g_r.std() / math.sqrt(g_r.size)
+        assert abs(g_r.mean() - g_exact) < 4.0 * se, (g_r.mean(), g_exact, se)
 
     def test_discrete_exponent_matches_continuous_x(self):
         # the x side does not see the grid; the g side runs on to the cap
