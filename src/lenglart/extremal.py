@@ -25,11 +25,16 @@ a float64.
 A single-jump path is a closed form of its jump time, and so is its value
 at a stopping rule (FixedIndexRule, HittingRule). exp_pair_stopped and
 discrete_stopped draw the same Z as the batches and return the stopped
-(x, g) values directly: a fixed index k reads (exp(Z/p) 1[t_k >= Z], g at
-t_k), a hitting rule on x stops at the first grid point at or after Z, and
-a hitting rule on g is a binary search on the grid row of g. The values
-equal those of stopping the batches element for element, at a cost of
-O(size) per rule and O(size log(n 2^N)) per draw instead of O(size n 2^N).
+(x, g) values directly. Both paths are constant from the grid index of the
+jump on, so every rule reads them at one grid index k for all paths: a
+fixed index its own, a hitting rule on x the last (at a level <= 0 the
+first), and a hitting rule on g the first index where the grid row of g
+reaches the level (the last if none does). At k the path holds
+(exp(Z/p) 1[t_k >= Z], g_end) where t_k >= Z and (0, the grid row of g at
+k) elsewhere, with g_end the path's g from its jump on, computed once per
+draw. The values equal those of stopping the batches element for element,
+at a cost of O(size) per rule and per draw instead of O(size n 2^N), and
+all of a draw's stopped columns are rows of one allocation.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ class ExtremalParams:
 # the integrand of oracles.gtilde_sup_moment. At r = p the exponential is 1
 # and is not evaluated, and no value can overflow at any p in (0, 1); at
 # r > p the moments grow as e^((r/p - 1) n), and the samplers refuse an r, p
-# and n at which the x moment or the mass beyond the horizon is no float64.
+# and n at which the x moment or the mass beyond the horizon is no float64,
+# or at which the estimator's sum of a chunk of squared values could not be.
 #
 # Each kernel evaluates its closed form in place, in the array that the bit
 # generator filled: at r = p a chunk allocates no full-size temporary (the
@@ -124,21 +130,30 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
     return r
 
 
-def _moments(params: ExtremalParams, r: float) -> tuple[float, float]:
+def _moments(params: ExtremalParams, r: float, step: float = 0.0) -> tuple[float, float]:
     """(E[(sup X)^r] of the full pair, e^-n (p expm1(n/p))^r), the x moment
     and the compensator's mass beyond the horizon, the latter as
-    exp(r log(p (1 - e^(-n/p))) + (r/p - 1) n). Raises ValueError where
-    either is no float64."""
+    exp(r log(p (1 - e^(-n/p))) + a n), a = r/p - 1. Raises ValueError where
+    either is no float64, or where CHUNK squared weighted g values, which
+    the estimator sums, could exceed DBL_MAX. Those values are at most
+    (n + 1) (p (1 - e^(-n/p)))^r e^(max(a, 0) n + step), where step is how
+    far past z a kernel runs g: the grid step for the discrete kernel."""
+    from .montecarlo import CHUNK  # montecarlo imports this module
+
     p, n = params.p, params.n
     a = r / p - 1.0
+    level = r * math.log(-p * math.expm1(-n / p))
+    log_largest = math.log(n + 1) + level + max(a, 0.0) * n + step
     try:
         supx = n / (1.0 - r) if a == 0.0 else math.expm1(a * n) / (a * (1.0 - r))
-        beyond = math.exp(r * math.log(-p * math.expm1(-n / p)) + a * n)
+        beyond = math.exp(level + a * n)
     except OverflowError:
         supx = beyond = math.inf
-    if not (math.isfinite(supx) and math.isfinite(beyond)):
+    if not (math.isfinite(supx) and math.isfinite(beyond)
+            and 2.0 * log_largest + math.log(CHUNK) <= _MAX_EXP_ARG):
         raise ValueError(f"the moments of order r = {r} of the extremal pair at p = {p}, "
-                         f"n = {n} exceed DBL_MAX; they grow as e^((r/p - 1) n)")
+                         f"n = {n} exceed DBL_MAX, or the squares their estimate sums do; "
+                         "they grow as e^((r/p - 1) n)")
     return supx, beyond
 
 
@@ -211,8 +226,8 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     _check_level(level_N)
     p, n = params.p, params.n
     r = _exponent(params, r)
-    supx, beyond = _moments(params, r)
     h = 2.0 ** (-level_N)
+    supx, beyond = _moments(params, r, step=h)
 
     def sampler(rng: np.random.Generator, m: int):
         z, cap = _horizon_draws(rng, m, n, rows=2)
@@ -239,17 +254,27 @@ def _check_path_range(params: ExtremalParams) -> None:
 
 
 def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,
-                size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, t, jump) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
-    the Exp(1) jump times z, the grid t, and the jump heights exp(z/p), 0 for
-    z > n."""
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, t) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
+    the Exp(1) jump times z, computed in the array of their uniforms (a
+    uniform 0 gives z = inf, a path that never jumps), and the grid t."""
     _check_level(level_N)
     _check_path_range(params)
-    p, n = params.p, params.n
-    z = -np.log(rng.random(size))
-    t = np.arange(n * 2**level_N + 1) * 2.0 ** (-level_N)
-    jump = np.where(z <= n, np.exp(np.minimum(z, n) / p), 0.0)
-    return z, t, jump
+    z = rng.random(size)
+    with np.errstate(divide="ignore"):
+        np.log(z, out=z)
+    np.negative(z, out=z)
+    return z, np.arange(params.n * 2**level_N + 1) * 2.0 ** (-level_N)
+
+
+def _jump_heights(params: ExtremalParams, z: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The jump heights exp(z/p), 0 for z > n, in out if given."""
+    jump = np.minimum(z, params.n, out=out)
+    jump /= params.p
+    np.exp(jump, out=jump)
+    np.copyto(jump, 0.0, where=z > params.n)
+    return jump
 
 
 def _jump_paths(params: ExtremalParams, level_N: int, rng: np.random.Generator,
@@ -257,7 +282,8 @@ def _jump_paths(params: ExtremalParams, level_N: int, rng: np.random.Generator,
     """(z, t, x) for a batch on the dyadic grid: the jump times z as a
     (size, 1) column, and the jump paths x, which jump to exp(z/p) at the
     first grid point >= z if z <= n."""
-    z, t, jump = _jump_times(params, level_N, rng, size)
+    z, t = _jump_times(params, level_N, rng, size)
+    jump = _jump_heights(params, z)
     z = z[:, None]
     return z, t, np.where(t >= z, jump[:, None], 0.0)
 
@@ -282,6 +308,10 @@ class FixedIndexRule:
             raise ValueError("fixed stopping index outside the grid")
         return self.k
 
+    def common_index(self, g_row: np.ndarray) -> int:
+        """k, the index at which every path stops (see HittingRule)."""
+        return self.index(g_row.size - 1)
+
 
 @dataclass(frozen=True)
 class HittingRule:
@@ -298,29 +328,56 @@ class HittingRule:
     def label(self) -> str:
         return f"hit[{self.side}>={self.level:.4g}]"
 
+    def common_index(self, g_row: np.ndarray) -> int | None:
+        """The index at which the rule stops every path whose g is the
+        non-decreasing g_row: on g, the first index where g_row reaches the
+        level, else the last. None on x at a positive level, where the stop
+        depends on the path; since x starts at 0 and never decreases, a
+        level <= 0 stops every path at 0, and a NaN level, which nothing
+        reaches, at the last index."""
+        last = g_row.size - 1
+        if self.side == "g":
+            return min(int(np.searchsorted(g_row, self.level)), last)
+        if self.level <= 0:
+            return 0
+        return last if math.isnan(self.level) else None
 
-def _stopped_jumps(rules, t: np.ndarray, z: np.ndarray, jump: np.ndarray,
-                   g_row: np.ndarray, g_at) -> list:
-    """(x_tau, g_tau) per rule for the single-jump paths x_k = jump 1[t_k >= z]
-    and a g that equals the non-decreasing g_row up to some index and stays
-    constant, at most g_row, from there; g_at(k) is g at the index (array) k.
-    Equal, element for element, to stopping the dense paths."""
+
+def _stopped_jumps(rules, t: np.ndarray, z: np.ndarray, g_row: np.ndarray,
+                   block: np.ndarray) -> list:
+    """(x_tau, g_tau) per rule, rows 2i and 2i + 1 of block, for the
+    single-jump paths x_k = jump 1[t_k >= z] and a g that equals the
+    non-decreasing g_row before the jump and g_end from it on, where g_end
+    is g_row[last] on a path with no jump. On entry the last two rows of
+    block hold jump and g_end; the last rule is stopped in them. Equal,
+    element for element, to stopping the dense paths."""
     last = t.size - 1
-    j = np.searchsorted(t, z)  # the first grid index with t_j >= z
-    values = []
-    for rule in rules:
-        if isinstance(rule, FixedIndexRule):
-            tau = rule.index(last)
-        elif rule.side == "x":
-            # x is 0 before j and the jump from j on
-            tau = 0 if rule.level <= 0 else np.where(jump >= rule.level, j, last)
-        else:
-            # g <= g_row, so g cannot hit before the first index k where
-            # g_row does; if g misses there it is already constant
-            k = np.minimum(np.searchsorted(g_row, rule.level), last)
-            tau = np.where(g_at(k) >= rule.level, k, last)
-        values.append((np.where(tau >= j, jump, 0.0), g_at(tau)))
-    return values
+    jump, g_end = block[-2], block[-1]
+    mask = np.empty(z.size, bool)
+    pairs = []
+    for i, rule in enumerate(rules):
+        # both paths are constant from the jump on, so a rule on x that
+        # stops each path at its jump or at the last index reads the values
+        # at the last index; and g <= g_row, so a rule on g cannot stop
+        # before g_row reaches its level, where g, if it has not reached it,
+        # is already constant
+        k = rule.common_index(g_row)
+        x, g = block[2 * i], block[2 * i + 1]
+        if k is None or k == last:  # every path reads (jump, g_end)
+            if i < len(rules) - 1:
+                np.copyto(x, jump)
+                np.copyto(g, g_end)
+        elif i < len(rules) - 1:
+            np.less_equal(z, t[k], out=mask)  # the path has jumped by t_k
+            np.multiply(jump, mask, out=x)
+            np.copyto(g, g_row[k])
+            np.copyto(g, g_end, where=mask)
+        else:  # in the rows of jump and g_end
+            np.greater(z, t[k], out=mask)  # the path has not jumped by t_k
+            np.copyto(x, 0.0, where=mask)
+            np.copyto(g, g_row[k], where=mask)
+        pairs.append((x, g))
+    return pairs
 
 
 def exp_pair_path_batch(
@@ -330,10 +387,14 @@ def exp_pair_path_batch(
     size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of exponential pairs (size x (n 2^N + 1) arrays) at step
-    h = 2^-N: the jump paths x and g = p expm1(min(t, z)/p)."""
+    h = 2^-N: the jump paths x and g = p expm1(min(t, z)/p), computed in
+    g's array."""
     z, t, x = _jump_paths(params, level_N, rng, size)
-    p = params.p
-    return x, p * np.expm1(np.minimum(t, z) / p)
+    g = np.minimum(t, z)
+    g /= params.p
+    np.expm1(g, out=g)
+    g *= params.p
+    return x, g
 
 
 def discrete_path_batch(
@@ -351,11 +412,14 @@ def discrete_path_batch(
     increment over ((k-1)h, kh] is gated on z > (k-1)h, which is measurable
     one step ahead, keeps g non-decreasing and keeps
     g_k >= g(continuous at kh), so the discrete pair still satisfies the
-    domination hypothesis.
+    domination hypothesis. The increments are summed in g's array.
     """
     z, t, x = _jump_paths(params, level_N, rng, size)
-    increments = np.where(z > t[:-1], _step_integrals(params.p, t), 0.0)
-    g = np.concatenate([np.zeros((size, 1)), np.cumsum(increments, axis=1)], axis=1)
+    g = np.empty_like(x)
+    g[:, 0] = 0.0
+    increments = g[:, 1:]
+    np.multiply(_step_integrals(params.p, t), z > t[:-1], out=increments)
+    np.cumsum(increments, axis=1, out=increments)
     return x, g
 
 
@@ -370,12 +434,23 @@ def exp_pair_stopped(
     """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on the
     exponential pairs that exp_pair_path_batch(params, level_N, rng, size)
     would build, from the same draws and without building them; g is
-    divided by g_divisor before stopping."""
-    z, t, jump = _jump_times(params, level_N, rng, size)
+    divided by g_divisor before stopping. The arrays are the rows of one
+    new (2 len(rules), size) array, and the jump times are the only other
+    array of size doubles allocated. g_end is p expm1(min(z, n)/p), g's
+    value from the jump on."""
+    z, t = _jump_times(params, level_N, rng, size)
+    if not rules:
+        return []
     p = params.p
+    block = np.empty((2 * len(rules), size))
+    _jump_heights(params, z, out=block[-2])
+    g_end = np.minimum(z, params.n, out=block[-1])
+    g_end /= p
+    np.expm1(g_end, out=g_end)
+    g_end *= p
+    g_end /= g_divisor
     g_row = p * np.expm1(t / p) / g_divisor
-    return _stopped_jumps(rules, t, z, jump, g_row,
-                          lambda k: p * np.expm1(np.minimum(t[k], z) / p) / g_divisor)
+    return _stopped_jumps(rules, t, z, g_row, block)
 
 
 def discrete_stopped(
@@ -389,8 +464,21 @@ def discrete_stopped(
     """(x_tau, g_tau) per rule on the dyadic discrete pairs that
     discrete_path_batch would build, as exp_pair_stopped. g_k is
     levels[min(k, c)], the partial sums of the step integrals up to the
-    count c of grid points t_0 .. t_(last-1) below z."""
-    z, t, jump = _jump_times(params, level_N, rng, size)
+    count c of grid points t_0 .. t_(last-1) below z, so g_end is
+    levels[c]. The first grid index j with t_j >= z is ceil(z 2^N), or
+    last + 1 if there is none, since t_k = k 2^-N and the scaling by 2^N is
+    exact; c is min(j, last)."""
+    z, t = _jump_times(params, level_N, rng, size)
+    if not rules:
+        return []
+    last = t.size - 1
+    block = np.empty((2 * len(rules), size))
     levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))]) / g_divisor
-    c = np.searchsorted(t[:-1], z)
-    return _stopped_jumps(rules, t, z, jump, levels, lambda k: levels[np.minimum(k, c)])
+    c = np.multiply(z, 2.0**level_N, out=block[-1])
+    np.ceil(c, out=c)
+    np.minimum(c, last, out=c)
+    index = block[-2].view(np.intp)  # the jump's row, before it holds the jump
+    np.copyto(index, c, casting="unsafe")
+    np.take(levels, index, out=block[-1], mode="clip")
+    _jump_heights(params, z, out=block[-2])
+    return _stopped_jumps(rules, t, z, levels, block)

@@ -169,13 +169,17 @@ class _Generator:
                       g_divisor: float = 1.0) -> list:
         """(x_tau, g_tau) per rule on the size paths that path_batch(rng, size)
         draws, with g divided by g_divisor before stopping, so that a hitting
-        rule on g stops on the scaled g. Each array is new and the caller's
-        to overwrite. Here the paths are built and stopped; the single-jump
-        generators and the walks stop them in closed form."""
+        rule on g stops on the scaled g. The arrays are rows 2i and 2i + 1
+        of one new (2 len(rules), size) array: distinct, writable, and the
+        caller's to overwrite. Here the paths are built and stopped; the
+        single-jump generators and the walks stop them in closed form."""
         x, g = self.path_batch(rng, size)
         if g_divisor != 1.0:
             g = g / g_divisor
-        return [_stopped(rule, x, g) for rule in rules]
+        stopped = np.empty((2 * len(rules), size))
+        for i, rule in enumerate(rules):
+            stopped[2 * i], stopped[2 * i + 1] = _stopped(rule, x, g)
+        return list(zip(stopped[0::2], stopped[1::2]))
 
 
 @dataclass(frozen=True)
@@ -290,21 +294,6 @@ _MAX_WALK_STEPS = 10**3
 _WALK_BLOCK_CELLS = 1 << 16
 
 
-def _walk_stop_index(rule, g_row: np.ndarray) -> int | None:
-    """The index at which rule stops every walk whose g is g_row, or None
-    for a hitting rule on x that stops each walk where its x first reaches
-    the level (x starts at 0 and never decreases)."""
-    last = g_row.size - 1
-    if isinstance(rule, FixedIndexRule):
-        return rule.index(last)
-    if rule.side == "g":
-        hits = np.flatnonzero(g_row >= rule.level)
-        return int(hits[0]) if hits.size else last
-    if rule.level <= 0:
-        return 0
-    return last if math.isnan(rule.level) else None
-
-
 @dataclass(frozen=True)
 class CompensatedBernoulliGenerator(_Generator):
     """Random walk of non-negative i.i.d. jumps with its deterministic
@@ -365,10 +354,15 @@ class CompensatedBernoulliGenerator(_Generator):
         g_row = np.arange(last + 1) * self.jump.mean
         if g_divisor != 1.0:
             g_row = g_row / g_divisor
-        index = [_walk_stop_index(rule, g_row) for rule in rules]
+        # None: a hitting rule on x, which stops each walk at its first passage
+        index = [rule.common_index(g_row) for rule in rules]
         reach = last if None in index else max(index, default=0)
-        x_tau = [np.zeros(size) for _ in rules]
-        g_tau = [np.empty(size) if k is None else np.full(size, g_row[k]) for k in index]
+        stopped = np.empty((2 * len(rules), size))
+        x_tau, g_tau = stopped[0::2], stopped[1::2]
+        x_tau.fill(0.0)
+        for k, gt in zip(index, g_tau):
+            if k is not None:
+                gt.fill(g_row[k])
         block = max(1, min(size, _WALK_BLOCK_CELLS // last))
         jump_buf = np.empty((block, last))
         x_buf = np.empty((last, block))  # row k - 1 holds x_k, contiguous
@@ -631,23 +625,31 @@ def default_tau_battery(x: np.ndarray, g: np.ndarray) -> list:
 
 
 def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
-                  g_divisor: float) -> list:
-    """Estimates of columns(x_tau, g_tau), a tuple of arrays, at every rule
-    of the stopping battery, all rules evaluated on the same paths. The
-    battery is built on a 2048-path pilot drawn as dense paths from
-    chunk_rng(seed, PILOT_STREAM), the pilot's own stream domain, so it
+                  g_divisor: float, spare: int = 0) -> list:
+    """Estimates of columns(x_tau, g_tau, *rows), a tuple of arrays, at
+    every rule of the stopping battery, all rules evaluated on the same
+    paths. The battery is built on a 2048-path pilot drawn as dense paths
+    from chunk_rng(seed, PILOT_STREAM), the pilot's own stream domain, so it
     shares no draw with the estimation chunks. Each estimation chunk is
     stopped by gen.stopped_batch, so g is divided by g_divisor before
     stopping and a hitting rule on g stops on the scaled g. The single-jump
     generators and the walks stop in closed form and build no path matrix
-    there. columns may overwrite the stopped arrays, which are the
-    battery's own. Returns (rule, estimates) pairs, one per rule."""
-    pilot_x, pilot_g = gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048)
-    rules = default_tau_battery(pilot_x, pilot_g)
+    there. A chunk's stopped arrays are the rows of one allocation, and the
+    spare rows per rule that columns may write its own columns into are
+    the rows of one more: freed, two blocks stay on glibc's heap for the
+    next chunk, while a column-sized array per column raises glibc's trim
+    threshold too little and is page-faulted in again in every chunk.
+    columns may overwrite the stopped arrays, which are the battery's own.
+    Returns (rule, estimates) pairs, one per rule."""
+    # the pilot's paths are freed before the first chunk is drawn: held, they
+    # would split the heap top, which then grows past glibc's trim threshold
+    rules = default_tau_battery(*gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048))
 
     def paired(rng, m):
         stopped = gen.stopped_batch(rules, rng, m, g_divisor)
-        return tuple(col for x_tau, g_tau in stopped for col in columns(x_tau, g_tau))
+        own = np.empty((len(rules), spare, m))
+        return tuple(col for (x_tau, g_tau), rows in zip(stopped, own)
+                     for col in columns(x_tau, g_tau, *rows))
 
     estimates = estimate_pair(paired, n_samples, PLAIN, seed)
     k = len(estimates) // len(rules)
@@ -745,7 +747,8 @@ def domination_audit(
     """Estimate E[X_tau] - E[G_tau] over a stopping battery and flag any
     positive excess beyond 3 stderr. Report only; generators are expected
     to satisfy the domination hypothesis by construction."""
-    battery = _battery_pass(gen, lambda x, g: (x, g, x - g), n_samples, seed, g_divisor=1.0)
+    battery = _battery_pass(gen, lambda x, g, diff: (x, g, np.subtract(x, g, out=diff)),
+                            n_samples, seed, g_divisor=1.0, spare=1)
     entries = tuple(
         AuditEntry(tau_label=rule.label(), mean_x=mean_x.value, mean_g=mean_g.value,
                    stderr=diff.halfwidth)
@@ -769,10 +772,10 @@ def enumerate_jump_stopping_means(q: float, steps: int, rule) -> tuple[float, fl
     """Exact (E[X_tau], E[G_tau]) for the Bernoulli compensated walk under a
     stopping rule. X - G is a martingale and tau <= steps, so both are
     q E[tau]. Every rule but a hitting rule on x at a positive level L
-    stops every walk at one index (_walk_stop_index); that one stops at the
+    stops every walk at one index (common_index); that one stops at the
     ceil(L)-th success, capped at the last index, so E[tau] = sum over
     k < steps of P[Binomial(k, q) < ceil(L)]."""
-    mean_tau = _walk_stop_index(rule, np.arange(steps + 1) * q)
+    mean_tau = rule.common_index(np.arange(steps + 1) * q)
     if mean_tau is None:
         successes = math.ceil(min(rule.level, steps))
         mean_tau = sum(_binomial_pmf(k, q)[:successes].sum() for k in range(steps))

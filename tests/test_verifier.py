@@ -1,6 +1,7 @@
 """Generators, stopping rules, inequality checks and enumeration oracles."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -255,7 +256,7 @@ class TestClosedFormStopping:
         u = np.concatenate([
             rng_of(seed).random(data.draw(st.integers(1, 24), label="rows")),
             uniforms_hitting(on_grid),
-            [0.5 * math.exp(-n), math.exp(-n - 1e-9), 1e-300],
+            [0.5 * math.exp(-n), math.exp(-n - 1e-9), 1e-300, 0.0],
         ])
         x, g = dense(params, level_N, Uniforms(u), u.size)
         g = g / divisor
@@ -306,6 +307,52 @@ class TestClosedFormStopping:
     def test_closed_form_refuses(self, gen, match):
         with pytest.raises(ValueError, match=match):
             gen.stopped_batch([FixedIndexRule(k=33)], rng_of(0), 16)
+
+
+class TestStoppedBlock:
+    """Every closed-form stopped_batch returns its columns as the rows of one
+    allocation: distinct and writable, as estimate_pair needs them, and
+    with no other array of the batch's size left behind."""
+
+    GENERATORS = [
+        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+        DiscreteExtremalGenerator(ExtremalParams(p=0.3, n=4), level_N=2),
+        CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
+        CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=5),
+        CompensatedBernoulliGenerator(jump=JumpLaw("const", c=1.5), steps=3),
+    ]
+    RULES = [FixedIndexRule(0), FixedIndexRule(2), FixedIndexRule(2), HittingRule("x", 2.5),
+             HittingRule("x", 0.0), HittingRule("g", 1.0), HittingRule("g", math.nan)]
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    @pytest.mark.parametrize("n_rules", [1, 2, len(RULES)])
+    def test_columns_share_one_allocation(self, gen, n_rules):
+        rules, size = self.RULES[:n_rules], 1000
+        got = gen.stopped_batch(rules, rng_of(2), size, 0.5)
+        arrays = [a for pair in got for a in pair]
+        assert len(got) == n_rules
+        assert all(a.shape == (size,) and a.flags.writeable and a.flags.c_contiguous
+                   for a in arrays)
+        base = arrays[0].base
+        assert base is not None and all(a.base is base for a in arrays)
+        assert base.nbytes == 2 * n_rules * size * 8
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("gen", GENERATORS[:2], ids=lambda gen: gen.name)
+    def test_single_jump_route_allocates_the_block_and_the_draws(self, gen):
+        # the jump times are the one array of size doubles besides the
+        # block; a mask of size bytes, numpy's cast buffers and the grid
+        # rows are all the rest, less than half a column
+        size = 1 << 15
+        gen.stopped_batch(self.RULES, rng_of(1), size)  # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            gen.stopped_batch(self.RULES, rng_of(1), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * len(self.RULES) + 1.5) * size * 8
 
 
 WALK_LAWS = [JumpLaw("bernoulli", q=0.3), JumpLaw("bernoulli", q=0.7),
