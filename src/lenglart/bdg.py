@@ -23,24 +23,32 @@ exp(-2(m-x0)(m-x1)/h)), is compared against the quadrature value of
 E[sup|B|^q], and `bias_relative_change` is their relative difference.
 
 The stepped pass estimates E[max(M, L)^q], with M the running maximum and
-L = -(running minimum), through a control variate (Glasserman, Monte Carlo
-Methods in Financial Engineering, 2004, section 4.1). Each of M and L has
-the exact law of sup_{t<=T} B_t = sqrt(T)|N|, so
-max^q = M^q + L^q - min(M, L)^q gives the value
-2 T^(q/2) E|N|^q - min(M, L)^q with the same mean. Each path returns the
-mean of that value and the same formula on its time reversal
-B_{T-t} - B_T, whose M and L are M - B_T and L + B_T. The stepped scheme
-is invariant under time reversal: the Gaussian end points form a
-reversible walk, and a step's bridge maximum and minimum are symmetric in
-its two end points. So the reversed value has the stepped mean, stepping
-bias included, and the average costs no draw. Single values can be
-negative. The average's relative standard deviation over q in (0, 2),
-worst at q = 0.65 to 0.73, is 0.172 at one step, 0.138 at two and at most
-0.134 from three on, against 0.214 at one step and 0.195 from three on for
-the path's value alone. The pass runs at ceil((6 s / tolerance)^2) paths,
-whatever the sample budget, with s = 0.18, 0.145 and 0.14 by step count
-(11664, 7569 and 7056 at the 1 % tolerance): a standard error of at most a
-sixth of the tolerance at any step count.
+L = -(running minimum), through two controls of exactly known mean
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sections
+4.1.1-4.1.2). Each of M and L has the exact law of sup_{t<=T} B_t =
+sqrt(T)|N|, and so have Mr = M - B_T and Lr = L + B_T, the M and L of the
+time reversal B_{T-t} - B_T; B_T itself is exactly N(0, T). With
+E = T^(q/2) E|N|^q, each path returns
+
+    (max(M, L)^q + max(Mr, Lr)^q) / 2
+        - beta1 ((M^q + L^q + Mr^q + Lr^q) / 2 - 2 E) - beta2 (|B_T|^q - E).
+
+The stepped scheme is invariant under time reversal: the Gaussian end
+points form a reversible walk, and a step's bridge maximum and minimum are
+symmetric in its two end points. So the reversed term has the stepped mean,
+stepping bias included, and costs no draw; both controls have mean 0, so
+for any fixed beta the value has the stepped mean. beta(q) is read from a
+committed table (`_CV_BETA`, q = 0, 0.05, ..., 2, linear between rows),
+fitted once by `scripts/fit_validation_beta.py`; a beta estimated from a
+run's own draws would bias the mean. At beta = (1, 0) the value is
+2 E - (min(M, L)^q + min(Mr, Lr)^q) / 2, the earlier single control. Single
+values can be negative. The relative standard deviation over q in (0, 2)
+is at most 0.069 at one step and 0.077 to 0.079 from two steps on (worst
+at q = 0.81; checked up to 1000 steps), against 0.172 at one step and
+0.134 from three on at beta = (1, 0). The pass runs at
+ceil((6 s / tolerance)^2) paths, whatever the sample budget, with
+s = 0.084 (2541 at the 1 % tolerance): a standard error of at most a sixth
+of the tolerance at any step count.
 
 Hitting time of (a, b): no closed form is used. The stepped, bridge-refined
 paths are the estimator, and a step-halving check guards their bias. sup|M|
@@ -311,11 +319,11 @@ def _exact_fixed_time_sampler(spec: MartingaleSpec):
 _BLOCK_CELLS = 2**15
 
 
-def _stepped_minima(rng: np.random.Generator, m: int, n_steps: int, h: float, sqrt_h: float):
-    """min(M, L) of m stepped paths from 0, n_steps steps of length h, with M
-    the running maximum and L = -(running minimum); and the same of each
-    path's time reversal B_{T-t} - B_T, whose M and L are M - B_T and
-    L + B_T."""
+def _stepped_extrema(rng: np.random.Generator, m: int, n_steps: int, h: float, sqrt_h: float):
+    """M, L, Mr, Lr and B of m stepped paths from 0, n_steps steps of length h:
+    M the running maximum, L = -(running minimum) and B the end point, and
+    Mr = M - B and Lr = L + B, the M and L of each path's time reversal
+    B_{T-t} - B_T."""
     k = min(n_steps, max(1, _BLOCK_CELLS // m))
     # one allocation: three of these sizes are mapped afresh by malloc on
     # every call, about 220 page faults a piece of 3528 paths
@@ -331,42 +339,121 @@ def _stepped_minima(rng: np.random.Generator, m: int, n_steps: int, h: float, sq
         np.maximum(run_max, np.max(u[:j, 0], axis=0, out=work[0]), out=run_max)
         np.minimum(run_min, np.min(u[:j, 1], axis=0, out=work[0]), out=run_min)
         x[0] = x[j]
-    pos = x[0]
-    forward = np.minimum(run_max, -run_min)
-    backward = np.minimum(run_max - pos, pos - run_min)
-    # a bridge maximum can round below its end point, and a power of a
-    # negative difference would be NaN
-    np.maximum(backward, 0.0, out=backward)
-    return forward, backward
+    end = x[0].copy()
+    run_low = np.negative(run_min, out=run_min)
+    # a bridge maximum can round below its end point, or a minimum above it,
+    # and a power of a negative difference would be NaN
+    rev_max = np.maximum(run_max - end, 0.0)
+    rev_low = np.maximum(run_low + end, 0.0)
+    return run_max, run_low, rev_max, rev_low, end
+
+
+def _sup_moment(q: float, T: float) -> float:
+    """E = T^(q/2) E|N|^q, with E|N|^q = 2^(q/2) Gamma((q+1)/2) / sqrt(pi):
+    the exact E[M^q] = E[L^q] = E[Mr^q] = E[Lr^q] = E|B_T|^q."""
+    return T ** (q / 2.0) * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
+
+
+def _value_and_controls(extrema, q: float, sup_mean: float):
+    """The plain stepped value (max(M, L)^q + max(Mr, Lr)^q) / 2 and the two
+    controls, (M^q + L^q + Mr^q + Lr^q) / 2 - 2 E and |B|^q - E, of
+    `_stepped_extrema`'s paths, with E = `_sup_moment(q, T)`."""
+    run_max, run_low, rev_max, rev_low, end = extrema
+    plain = 0.5 * (np.maximum(run_max, run_low) ** q + np.maximum(rev_max, rev_low) ** q)
+    sides = 0.5 * (run_max**q + run_low**q + rev_max**q + rev_low**q) - 2.0 * sup_mean
+    return plain, sides, np.abs(end) ** q - sup_mean
+
+
+# (q, beta1, beta2): the coefficients of the stepped value's two controls,
+# read between rows by linear interpolation. `scripts/fit_validation_beta.py`
+# fitted them, the regression of the plain value on the controls, on 10^6
+# paths of 50 steps (seed 0). A literal, so that importing the module draws
+# nothing.
+_CV_BETA = (
+    (0.00, 0.115, 0.228),
+    (0.05, 0.147, 0.250),
+    (0.10, 0.181, 0.271),
+    (0.15, 0.216, 0.289),
+    (0.20, 0.251, 0.305),
+    (0.25, 0.286, 0.318),
+    (0.30, 0.320, 0.329),
+    (0.35, 0.353, 0.337),
+    (0.40, 0.385, 0.343),
+    (0.45, 0.414, 0.348),
+    (0.50, 0.443, 0.350),
+    (0.55, 0.469, 0.351),
+    (0.60, 0.493, 0.351),
+    (0.65, 0.517, 0.350),
+    (0.70, 0.538, 0.348),
+    (0.75, 0.558, 0.345),
+    (0.80, 0.577, 0.341),
+    (0.85, 0.595, 0.337),
+    (0.90, 0.612, 0.332),
+    (0.95, 0.628, 0.327),
+    (1.00, 0.643, 0.321),
+    (1.05, 0.657, 0.315),
+    (1.10, 0.671, 0.309),
+    (1.15, 0.684, 0.303),
+    (1.20, 0.696, 0.296),
+    (1.25, 0.708, 0.289),
+    (1.30, 0.720, 0.282),
+    (1.35, 0.731, 0.275),
+    (1.40, 0.742, 0.268),
+    (1.45, 0.752, 0.260),
+    (1.50, 0.762, 0.253),
+    (1.55, 0.771, 0.246),
+    (1.60, 0.781, 0.238),
+    (1.65, 0.790, 0.231),
+    (1.70, 0.799, 0.223),
+    (1.75, 0.807, 0.216),
+    (1.80, 0.815, 0.209),
+    (1.85, 0.823, 0.201),
+    (1.90, 0.831, 0.194),
+    (1.95, 0.839, 0.187),
+    (2.00, 0.846, 0.180),
+)
+
+
+def _control_coefficients(q: float) -> tuple[float, float]:
+    """(beta1, beta2) at q, linear between the rows of _CV_BETA."""
+    qs, b1, b2 = zip(*_CV_BETA)
+    return float(np.interp(q, qs, b1)), float(np.interp(q, qs, b2))
 
 
 def _fixed_time_sampler(spec: MartingaleSpec, step: float):
     """Stepped fixed-time paths, the validation of the exact sampler: the
-    one column 2 T^(q/2) E|N|^q - (min(M, L)^q + min(M - B_T, L + B_T)^q) / 2,
-    the mean of the control-variate value of each path and of its time
-    reversal, with M the running maximum and L = -(running minimum). Every
-    step's bridge maximum and minimum are exact draws, so M and L each have
-    the exact law of sup_{t<=T} B_t = sqrt(T)|N| and
-    E[M^q] = E[L^q] = T^(q/2) E|N|^q. They are drawn independently within a
-    step, which is not their joint law; that bias sits in min(M, L), so the
-    value's mean is the stepped E[max(M, L)^q] with its bias. The stepped
-    scheme is invariant under time reversal, so the reversed value has the
-    same mean, bias included. Single values can be negative. The relative
-    standard deviation over q in (0, 2) is at most 0.172 at one step, 0.138
-    at two and 0.134 from three on (worst at q = 0.65 to 0.73), against
-    0.214 at one step and 0.195 from three on for the forward value alone,
-    and 0.20 to 0.86 for max(M, L)^q at q >= 0.5."""
+    one column
+
+        (max(M, L)^q + max(Mr, Lr)^q) / 2
+            - beta1(q) ((M^q + L^q + Mr^q + Lr^q) / 2 - 2 E)
+            - beta2(q) (|B_T|^q - E),
+
+    with M the running maximum, L = -(running minimum), Mr = M - B_T and
+    Lr = L + B_T the same of the time reversal B_{T-t} - B_T, and
+    E = T^(q/2) E|N|^q. Every step's bridge maximum and minimum are exact
+    draws, so M and L each have the exact law of sup_{t<=T} B_t = sqrt(T)|N|,
+    and so have Mr and Lr; B_T is exactly N(0, T). Both controls therefore
+    have mean 0 for any fixed beta, and the value's mean is the stepped
+    E[max(M, L)^q] with its bias: M and L are drawn independently within a
+    step, which is not their joint law, and the stepped scheme is invariant
+    under time reversal, so the reversed term has the same mean, bias
+    included. beta comes from the committed table _CV_BETA, never from a
+    run's own draws, which would bias the mean. Single values can be
+    negative. The relative standard deviation over q in (0, 2) is at most
+    0.079 at any step count (worst at q = 0.81), against 0.172 at one step
+    and 0.134 from three on with beta = (1, 0), and 0.20 to 0.86 for
+    max(M, L)^q alone at q >= 0.5."""
     n_steps = int(round(spec.T / step))
     h = spec.T / n_steps
     sqrt_h = math.sqrt(h)
     qv = spec.q
-    num_val = spec.T ** (qv / 2.0)
-    # E|N|^q = 2^(q/2) Gamma((q+1)/2) / sqrt(pi)
-    sup_mean = num_val * 2.0 ** (qv / 2.0) * math.gamma((qv + 1.0) / 2.0) / math.sqrt(math.pi)
+    sup_mean = _sup_moment(qv, spec.T)
+    beta1, beta2 = _control_coefficients(qv)
 
     def sampler(rng: np.random.Generator, m: int):
-        forward, backward = _stepped_minima(rng, m, n_steps, h, sqrt_h)
-        return (2.0 * sup_mean - 0.5 * (forward ** qv + backward ** qv),)
+        plain, sides, end = _value_and_controls(
+            _stepped_extrema(rng, m, n_steps, h, sqrt_h), qv, sup_mean)
+        return (plain - beta1 * sides - beta2 * end,)
 
     return sampler
 
@@ -417,10 +504,11 @@ def _make_sampler(spec: MartingaleSpec, step: float):
     return _hitting_sampler(spec, step)
 
 
-# bounds on the stepped value's relative sd over q in (0, 2) at one, two and
-# three or more steps: the worst of a sweep (0.172, 0.138, 0.134; 10^6 paths
-# per step count, q from 0.01 to 1.99 by 0.02) with a margin of about 5 %
-_CV_RELATIVE_SD = (0.18, 0.145, 0.14)
+# a bound on the stepped value's relative sd over q in (0, 2) at any step
+# count: the worst of `scripts/fit_validation_beta.py`'s sweep (0.0787 at
+# 20 steps, q = 0.81; 10^6 paths per step count, q from 0.01 to 1.99 by 0.02,
+# steps 1, 2, 3, 5, 20 and 50) with a margin of about 6 %
+_CV_RELATIVE_SD = 0.084
 # the validation's standard error is at most tolerance / _VALIDATION_SIGMAS
 _VALIDATION_SIGMAS = 6.0
 
@@ -430,14 +518,12 @@ _VALIDATION_SIGMAS = 6.0
 _VALIDATION_PIECES = 2
 
 
-def _validation_samples(tolerance: float, n_steps: int) -> int:
-    """Paths of the fixed-time validation pass over n_steps steps:
-    ceil((6 s / tolerance)^2) with s the relative sd bound at that step
-    count, so 11664, 7569 and 7056 paths at the 1 % tolerance for one, two
-    and more steps. The square is rounded first so that float noise cannot
-    add a path."""
-    sd_bound = _CV_RELATIVE_SD[min(n_steps, len(_CV_RELATIVE_SD)) - 1]
-    return math.ceil(round((_VALIDATION_SIGMAS * sd_bound / tolerance) ** 2, 6))
+def _validation_samples(tolerance: float) -> int:
+    """Paths of the fixed-time validation pass: ceil((6 s / tolerance)^2)
+    with s the relative sd bound, 2541 paths at the 1 % tolerance at every
+    step count. The square is rounded first so that float noise cannot add
+    a path."""
+    return math.ceil(round((_VALIDATION_SIGMAS * _CV_RELATIVE_SD / tolerance) ** 2, 6))
 
 
 @dataclass(frozen=True)
@@ -508,7 +594,7 @@ def bdg_ratio(
     # budget. The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
-        n_check = _validation_samples(_BIAS_TOLERANCE, round(spec.T / spec.step))
+        n_check = _validation_samples(_BIAS_TOLERANCE)
         (validation,), (den,) = estimate(
             (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
              VALIDATION_STREAM),

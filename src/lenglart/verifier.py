@@ -283,15 +283,19 @@ def _binomial_sampler(n: int, q: float):
     return sampler
 
 
-# a walk's stopped_batch costs about steps^2 / 65536 numpy calls per row
-# (its block shrinks as 65536 / steps rows), and the battery's pilot holds
-# 2048 (steps + 1) doubles: at this cap a hatx_of check at verify's default
-# 10^5 samples took 4.0 s on one core, the audit and the Pratelli check 3.2 s
+# the battery's pilot holds 2048 (steps + 1) doubles: at this cap, at
+# verify's default 10^5 samples, a hatx_of check with a hitting rule on x
+# took 1.5 s in process on one core (2-core x86_64), the audit 1.6 s and the
+# Pratelli check 1.7 s
 _MAX_WALK_STEPS = 10**3
 
 # the walks' stopped_batch draws its jump rows in blocks of about this many
-# cells (512 KB of doubles), into one buffer, and sums them into another
+# cells (512 KB of doubles), into one buffer, and sums them into another. A
+# block makes about one numpy call per step, so it has at least
+# _WALK_BLOCK_ROWS rows (2 MB at the step cap): past 256 steps the calls per
+# row then grow as steps, not as steps^2
 _WALK_BLOCK_CELLS = 1 << 16
+_WALK_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ class CompensatedBernoulliGenerator(_Generator):
         for k, gt in zip(index, g_tau):
             if k is not None:
                 gt.fill(g_row[k])
-        block = max(1, min(size, _WALK_BLOCK_CELLS // last))
+        block = max(1, min(size, max(_WALK_BLOCK_ROWS, _WALK_BLOCK_CELLS // last)))
         jump_buf = np.empty((block, last))
         x_buf = np.empty((last, block))  # row k - 1 holds x_k, contiguous
         for start in range(0, size, block):

@@ -11,18 +11,21 @@ from lenglart.bdg import (
     BM_HITTING,
     MartingaleSpec,
     _CDF_AT_ONE,
+    _CV_BETA,
     _CV_RELATIVE_SD,
     _VALIDATION_PIECES,
     _bridge_max,
     _bridge_min,
     _bridge_steps,
+    _control_coefficients,
     _exact_fixed_time_sampler,
     _fixed_time_sampler,
     _hitting_sampler,
     _log_quantile,
-    _stepped_minima,
+    _stepped_extrema,
     _sup_abs_quantile,
     _validation_samples,
+    _value_and_controls,
     bdg_ratio,
 )
 from lenglart.cli import EXIT_STAT_FAIL, main
@@ -126,8 +129,8 @@ class TestBridgeExtrema:
         assert abs(emp - target) < 4.0 * se
 
 
-def reference_minima(rng, m, n_steps, h, sqrt_h):
-    """`_stepped_minima` one step at a time, each step's operations on
+def reference_extrema(rng, m, n_steps, h, sqrt_h):
+    """`_stepped_extrema` one step at a time, each step's operations on
     arrays of m paths: the scheme that the blocked kernel must reproduce."""
     pos, nxt, up, dn, work = np.zeros((5, m))
     run_max = np.zeros(m)
@@ -154,9 +157,14 @@ def reference_minima(rng, m, n_steps, h, sqrt_h):
         pos, nxt = nxt, pos
         np.maximum(run_max, up, out=run_max)
         np.minimum(run_min, dn, out=run_min)
-    forward = np.minimum(run_max, -run_min)
-    backward = np.maximum(np.minimum(run_max - pos, pos - run_min), 0.0)
-    return forward, backward
+    run_low = -run_min
+    return (run_max, run_low, np.maximum(run_max - pos, 0.0), np.maximum(run_low + pos, 0.0),
+            pos)
+
+
+def exact_mean(q, T):
+    """E = T^(q/2) E|N|^q, the mean of M^q, L^q, Mr^q, Lr^q and |B_T|^q."""
+    return T ** (q / 2.0) * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 class TestSteppedBlocks:
@@ -166,14 +174,14 @@ class TestSteppedBlocks:
     def test_blocks_are_the_per_step_scheme(self, monkeypatch, m, n_steps, block_steps):
         # blocks of one step, of 3 (which divides neither 7 nor 50), of
         # every step and of the default size (9 steps at 3528 paths) give
-        # the per-step scheme's minima bit for bit
+        # the per-step scheme's extrema and end points bit for bit
         if block_steps != "default":
             k = n_steps if block_steps == "all" else block_steps
             monkeypatch.setattr(bdg, "_BLOCK_CELLS", k * m)
         h = 1.0 / n_steps
-        blocked = _stepped_minima(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
-        reference = reference_minima(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
-        for got, want in zip(blocked, reference):
+        blocked = _stepped_extrema(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
+        reference = reference_extrema(rng_of(m + n_steps), m, n_steps, h, math.sqrt(h))
+        for got, want in zip(blocked, reference, strict=True):
             np.testing.assert_array_equal(got, want)
 
 
@@ -235,37 +243,68 @@ class TestExactFixedTime:
 
 
 class TestControlVariate:
-    """The stepped validation value 2 T^(q/2) E|N|^q - min(M, L)^q, averaged
-    with the same value of the path's time reversal."""
+    """The stepped validation value (max(M, L)^q + max(Mr, Lr)^q) / 2 less
+    beta1 and beta2 times two controls of mean 0,
+    (M^q + L^q + Mr^q + Lr^q) / 2 - 2 E and |B_T|^q - E."""
 
     def test_relative_sd_bound(self):
-        # the validation budget is sized from a relative sd bound at one, two
-        # and three or more steps
-        for n_steps, bound in zip((1, 2, 20), _CV_RELATIVE_SD):
-            for q in np.arange(0.05, 2.0, 0.1):
-                spec = MartingaleSpec(kind=BM_FIXED_TIME, q=float(q), step=1.0 / n_steps)
-                (value,) = _fixed_time_sampler(spec, spec.step)(rng_of(11), 10**5)
-                assert value.std() / value.mean() <= bound, (n_steps, q)
+        # the validation budget is sized from one relative sd bound at every
+        # step count; each step count's paths serve every q
+        for n_steps in (1, 2, 3, 5, 20):
+            h = 1.0 / n_steps
+            extrema = _stepped_extrema(rng_of(11), 10**5, n_steps, h, math.sqrt(h))
+            for q in np.linspace(0.01, 1.99, 34):
+                beta1, beta2 = _control_coefficients(q)
+                plain, sides, end = _value_and_controls(extrema, q, exact_mean(q, 1.0))
+                value = plain - beta1 * sides - beta2 * end
+                assert value.std() / value.mean() <= _CV_RELATIVE_SD, (n_steps, q)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 20])
     def test_reversal_invariance(self, n_steps):
-        # the reversed path's value has the forward value's mean, stepping
-        # bias included: their paired difference has mean 0
+        # the reversed path's max(Mr, Lr) has the forward max(M, L)'s law,
+        # stepping bias included: their powers' paired difference has mean 0
         h = 2.0 / n_steps
-        forward, backward = _stepped_minima(rng_of(14), 10**5, n_steps, h, math.sqrt(h))
+        run_max, run_low, rev_max, rev_low, _ = _stepped_extrema(
+            rng_of(14), 10**5, n_steps, h, math.sqrt(h))
         for q in (0.5, 1.0, 1.5):
-            diff = backward**q - forward**q
+            diff = np.maximum(rev_max, rev_low)**q - np.maximum(run_max, run_low)**q
             assert abs(diff.mean()) < 4.0 * diff.std() / math.sqrt(diff.size), q
 
+    @pytest.mark.parametrize("n_steps", [1, 20])
+    def test_controls_keep_the_plain_mean(self, n_steps):
+        # the controlled value and the plain (max(M, L)^q + max(Mr, Lr)^q) / 2
+        # of the same paths agree within their paired difference's standard
+        # error: the controls have mean 0
+        h = 1.0 / n_steps
+        extrema = _stepped_extrema(rng_of(18), 10**5, n_steps, h, math.sqrt(h))
+        for q in (0.05, 0.5, 1.0, 1.5, 1.95):
+            beta1, beta2 = _control_coefficients(q)
+            plain, sides, end = _value_and_controls(extrema, q, exact_mean(q, 1.0))
+            diff = (plain - beta1 * sides - beta2 * end) - plain
+            assert abs(diff.mean()) < 4.0 * diff.std() / math.sqrt(diff.size), q
+
+    def test_coefficients_interpolate_the_table(self):
+        # rows are q = 0, 0.05, ..., 2, read as they are on a row and linearly
+        # between rows
+        assert [row[0] for row in _CV_BETA] == [round(0.05 * i, 2) for i in range(41)]
+        assert _control_coefficients(0.5) == _CV_BETA[10][1:]
+        (_, a1, a2), (_, b1, b2) = _CV_BETA[14:16]
+        assert _control_coefficients(0.71) == pytest.approx((0.8 * a1 + 0.2 * b1,
+                                                             0.8 * a2 + 0.2 * b2))
+
     def test_value_averages_path_and_reversal(self):
-        q, T, n_steps = 0.7, 2.0, 5
+        q, T, n_steps = 0.72, 2.0, 5
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=q, step=T / n_steps, T=T)
         (value,) = _fixed_time_sampler(spec, spec.step)(rng_of(15), 1000)
         h = T / n_steps
-        forward, backward = _stepped_minima(rng_of(15), 1000, n_steps, h, math.sqrt(h))
-        sup_mean = (T ** (q / 2.0) * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0)
-                    / math.sqrt(math.pi))
-        np.testing.assert_array_equal(value, 2.0 * sup_mean - 0.5 * (forward**q + backward**q))
+        run_max, run_low, rev_max, rev_low, end = _stepped_extrema(
+            rng_of(15), 1000, n_steps, h, math.sqrt(h))
+        e = exact_mean(q, T)
+        beta1, beta2 = _control_coefficients(q)
+        plain = 0.5 * (np.maximum(run_max, run_low)**q + np.maximum(rev_max, rev_low)**q)
+        sides = 0.5 * (run_max**q + run_low**q + rev_max**q + rev_low**q) - 2.0 * e
+        np.testing.assert_array_equal(
+            value, plain - beta1 * sides - beta2 * (np.abs(end)**q - e))
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_mean_matches_oracle(self, q):
@@ -275,9 +314,10 @@ class TestControlVariate:
         assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
 
     def test_reversal_at_rounding_is_not_negative(self):
-        # uniforms of 1 - 2^-53 put each bridge maximum within rounding of
-        # its end points, where it can fall below the end point B_T; the
-        # reversed path's M - B_T must still not be negative
+        # uniforms of 1 - 2^-53 put each bridge maximum and minimum within
+        # rounding of its end points, where they can fall on the wrong side
+        # of the end point B_T; the reversed path's M - B_T and L + B_T must
+        # still not be negative
         class TopUniforms:
             normals = rng_of(17)
 
@@ -288,14 +328,14 @@ class TestControlVariate:
                 out.fill(1.0 - 2.0**-53)
 
         h = 0.05
-        _, backward = _stepped_minima(TopUniforms(), 10**4, 20, h, math.sqrt(h))
-        assert np.all(backward >= 0.0)
+        _, _, rev_max, rev_low, _ = _stepped_extrema(TopUniforms(), 10**4, 20, h, math.sqrt(h))
+        assert np.all(rev_max >= 0.0) and np.all(rev_low >= 0.0)
 
     def test_budget_ignores_samples(self):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.0, step=0.05)
         small, large = (bdg_ratio(spec, n_samples=n, seed=13, threads=2).to_json()
                         for n in (5_000, 10**6))
-        assert small["validation"]["n"] == large["validation"]["n"] == _validation_samples(0.01, 20)
+        assert small["validation"]["n"] == large["validation"]["n"] == _validation_samples(0.01)
 
 
 class TestHitting:
@@ -360,7 +400,7 @@ class TestBdgRatio:
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=1.5, step=5e-2, T=1.0)
         result = bdg_ratio(spec, n_samples=5_000, seed=7)
         # pieces of half the paths, drawn from the validation's first streams
-        n_check = _validation_samples(0.01, 20)
+        n_check = _validation_samples(0.01)
         piece = -(-n_check // _VALIDATION_PIECES)
         [(stepped,)] = estimate_passes(
             [(_fixed_time_sampler(spec, spec.step), n_check, piece, VALIDATION_STREAM)], PLAIN,
@@ -373,17 +413,18 @@ class TestBdgRatio:
         d = bdg_ratio(spec, n_samples=5_000, seed=7).to_json()
         v, oracle = d["validation"], d["denominator_oracle"]
         assert set(v) == {"n", "value", "halfwidth", "z"}
-        assert v["n"] == _validation_samples(0.01, 20)
+        assert v["n"] == _validation_samples(0.01)
         assert v["z"] == pytest.approx((v["value"] - oracle) / v["halfwidth"])
         assert d["bias_relative_change"] == abs(v["value"] - oracle) / oracle
         # standard error at most a sixth of the tolerance
         assert v["halfwidth"] / oracle <= 0.01 / 6.0
 
-    @pytest.mark.parametrize("step", [1.0, 0.5, 0.05])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.2, 0.05])
     def test_validation_halfwidth_bound(self, step):
-        # at the worst q for one step and near it for more, the standard
-        # error is at most a sixth of the tolerance at any step count
-        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=0.7, step=step, T=1.0)
+        # near the worst q of the relative sd (about 0.8, at 2 to 50 steps),
+        # the standard error is at most a sixth of the tolerance at any step
+        # count
+        spec = MartingaleSpec(kind=BM_FIXED_TIME, q=0.8, step=step, T=1.0)
         d = bdg_ratio(spec, n_samples=1_000, seed=16).to_json()
         assert d["validation"]["halfwidth"] / d["denominator_oracle"] <= 0.01 / 6.0
 
@@ -453,8 +494,8 @@ class TestBdgRatio:
 class TestGolden:
     """Pinned values, recorded on stream layout 2: PCG64DXSM streams, and
     the validation on its own domain's streams (at fixed time in two pieces,
-    each path averaged with its time reversal; at the hitting time the
-    half-step pass in chunks).
+    each path averaged with its time reversal, with two controls; at the
+    hitting time the half-step pass in chunks).
     Scheduling and buffer reuse must not move a bit of them, at any thread
     count."""
 
@@ -467,8 +508,8 @@ class TestGolden:
         assert (r.ratio.denominator.value, r.ratio.denominator.halfwidth) == (
             1.250064028787647, 0.001995136659824181)
         assert (r.validation.value, r.validation.halfwidth) == (
-            1.2561131105417496, 0.0018188939802558464)
-        assert r.bias_relative_change == 0.002233257523328037
+            1.2522157827590843, 0.0018556774414138987)
+        assert r.bias_relative_change == 0.0008763601428486582
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hitting(self, threads):

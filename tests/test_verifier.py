@@ -401,6 +401,25 @@ class TestWalkClosedForm:
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
+    @pytest.mark.parametrize("law", [JumpLaw("bernoulli", q=0.3), JumpLaw("exp")], ids=law_id)
+    @pytest.mark.parametrize("steps", [300, 1000])
+    def test_long_walks_match_dense_stopping(self, law, steps):
+        # past 256 steps a block holds _WALK_BLOCK_ROWS rows, more than
+        # _WALK_BLOCK_CELLS / steps: 600 rows are two whole blocks and a part
+        gen = CompensatedBernoulliGenerator(jump=law, steps=steps)
+        size = 600
+        x, _ = gen.path_batch(rng_of(9), size)
+        rules = [FixedIndexRule(steps // 2), FixedIndexRule(steps),
+                 HittingRule("x", float(np.median(x[:, -1]))),
+                 HittingRule("g", 0.4 * steps * law.mean)]
+        rng_closed, rng_dense = rng_of(4), rng_of(4)
+        got = gen.stopped_batch(rules, rng_closed, size)
+        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, size)
+        for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
+            assert np.array_equal(x_tau, want_x), rule
+            assert np.array_equal(g_tau, want_g), rule
+        assert rng_closed.random() == rng_dense.random()
+
     def test_refuses_index_outside_the_walk(self):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=4)
         with pytest.raises(ValueError, match="outside the grid"):
