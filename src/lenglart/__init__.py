@@ -17,7 +17,6 @@ from .montecarlo import (
     Estimate,
     EstimatorMethod,
     RatioEstimate,
-    default_method,
     discrete_ratio_experiment,
     estimate_from_values,
     median_of_means,
@@ -44,7 +43,6 @@ __all__ = [
     "Estimate",
     "EstimatorMethod",
     "RatioEstimate",
-    "default_method",
     "discrete_ratio_experiment",
     "estimate_from_values",
     "median_of_means",

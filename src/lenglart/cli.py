@@ -62,14 +62,9 @@ EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def resolved_method(cfg: SimpleNamespace) -> EstimatorMethod | None:
-    """The estimator of cfg's method; None for auto, which the library
-    resolves from p."""
-    if cfg.method == "plain":
-        return PLAIN
-    if cfg.method == "mom":
-        return median_of_means(cfg.blocks)
-    return None
+def resolved_method(cfg: SimpleNamespace) -> EstimatorMethod:
+    """The estimator of cfg's method: plain, or median of cfg.blocks means."""
+    return median_of_means(cfg.blocks) if cfg.method == "mom" else PLAIN
 
 
 def _usage_error(msg: str) -> int:
@@ -109,7 +104,7 @@ _FLAGS = {
                        valid=(lambda v: v >= 1, "samples must be positive")),
     "seed": _Flag("--seed", int, 0, valid=(lambda v: 0 <= v < 2**64,
                                            "seed must be a non-negative 64-bit integer")),
-    "method": _Flag("--method", default="auto", choices=("auto", "plain", "mom")),
+    "method": _Flag("--method", default="plain", choices=("plain", "mom")),
     "blocks": _Flag("--blocks", int, 31),
     "threads": _Flag("--threads", int, 1,
                      valid=(lambda v: v >= 1, "threads must be positive")),
@@ -227,7 +222,6 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
         return _usage_error(f"cannot read suite file: {exc}")
     if not lines:
         return _usage_error("suite has no checks")
-    # plain or mom applies to every check; auto (None) keeps each check's default
     method = resolved_method(cfg)
     # every entry is read and its check set up before the first one draws
     checks = []

@@ -11,9 +11,9 @@ states, so their streams are disjoint with high probability.
 
 A stream index is domain * 2^60 + j, one domain per use: 0 for the Monte
 Carlo chunks, 1 for the verifier's battery pilot (PILOT_STREAM), 2 for
-dump-paths (DUMP_STREAM), 3 reserved for randomized quasi-Monte Carlo
-scrambles, and 4 for the BDG bias-check passes (VALIDATION_STREAM). No run
-reaches 2^60 chunks, so no two uses of one seed share a stream.
+dump-paths (DUMP_STREAM), and 4 for the BDG bias-check passes
+(VALIDATION_STREAM); domain 3 is unused. No run reaches 2^60 chunks, so no
+two uses of one seed share a stream.
 
 Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
 plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
@@ -34,9 +34,9 @@ passes draw piece j from chunk_rng(seed, VALIDATION_STREAM + j).
 
 The extremal sup samplers return the x side's exact moment and weighted
 compensator values that are bounded at the family's own exponent (see
-extremal.py), so their variance is finite at every 0 < p < 1. The median of
-means stays the default for p >= 0.45 only until the samplers move to
-randomized quasi-Monte Carlo (ROADMAP item 4).
+extremal.py), so their variance is finite at every 0 < p < 1 and the plain
+mean is the default estimator. Median of means runs only when a caller
+names it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "EstimatorMethod",
     "PLAIN",
     "median_of_means",
-    "default_method",
     "Estimate",
     "RatioEstimate",
     "sample_values",
@@ -114,14 +113,6 @@ PLAIN = EstimatorMethod("plain")
 
 def median_of_means(blocks: int = 31) -> EstimatorMethod:
     return EstimatorMethod("median_of_means", blocks)
-
-
-def default_method(p: float) -> EstimatorMethod:
-    """Median of means for p >= 0.45, the plain mean below. The rule dates
-    from unweighted samplers, whose values had tail index 1/p; the weighted
-    values are bounded, and the rule stays only until the samplers move to
-    randomized quasi-Monte Carlo (ROADMAP item 4)."""
-    return median_of_means(31) if p >= 0.45 else PLAIN
 
 
 @dataclass(frozen=True)
@@ -350,36 +341,29 @@ def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:
                          ci_low=min(ci_low, ratio), ci_high=max(ci_high, ratio))
 
 
-def _ratio(sampler, p: float, n_samples: int, method: EstimatorMethod | None,
-           seed: int, threads: int) -> RatioEstimate:
-    """Moment ratio of a paired sampler, by `default_method(p)` unless a
-    method is given."""
-    method = default_method(p) if method is None else method
-    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
-
-
 def ratio_experiment(params: ExtremalParams, n_samples: int = 10**6,
-                     method: EstimatorMethod | None = None,
+                     method: EstimatorMethod = PLAIN,
                      seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the full extremal pair (Brownian tail by exact law),
     targeting p^-p/(1-p) as n grows."""
-    return _ratio(sharpness_sup_sampler(params), params.p, n_samples, method, seed, threads)
+    sampler = sharpness_sup_sampler(params)
+    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
 
 
 def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
-                              method: EstimatorMethod | None = None,
+                              method: EstimatorMethod = PLAIN,
                               seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the monotone pair (no tail), targeting p^-p."""
-    return _ratio(monotone_sup_sampler(ExtremalParams(p=p, n=n)), p, n_samples, method, seed,
-                  threads)
+    sampler = monotone_sup_sampler(ExtremalParams(p=p, n=n))
+    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
 
 
 def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
                               n_samples: int = 10**6,
-                              method: EstimatorMethod | None = None,
+                              method: EstimatorMethod = PLAIN,
                               seed: int = 0,
                               threads: int = 1) -> RatioEstimate:
     """Moment ratio of the dyadic discretization; shares the draw layout of
     ratio_experiment so the discretization effect isolates cleanly."""
-    return _ratio(discrete_sup_sampler(params, level_N), params.p, n_samples, method, seed,
-                  threads)
+    sampler = discrete_sup_sampler(params, level_N)
+    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))

@@ -32,7 +32,6 @@ from .montecarlo import (
     EstimatorMethod,
     check_budget,
     chunk_rng,
-    default_method,
     estimate_pair,
 )
 # not called here; perfbench/tracing.py wraps these names in this module
@@ -529,18 +528,17 @@ class VerifierReport:
 
 
 def inequality_setup(gen: _Generator, p: float, kind: ConstantKind, n_samples: int,
-                     method: EstimatorMethod | None = None):
-    """(constant(kind, p), estimator, gen.sup_sampler(p)) of check_inequality's
-    run, the estimator defaulting to default_method(p). Raises ValueError,
-    without drawing, where the check does not apply, its samples cannot fill
-    the blocks or its moments are no float64."""
+                     method: EstimatorMethod = PLAIN):
+    """(constant(kind, p), gen.sup_sampler(p)) of check_inequality's run with
+    the given estimator. Raises ValueError, without drawing, where the check
+    does not apply, its samples cannot fill the blocks or its moments are no
+    float64."""
     if kind is ConstantKind.MONOTONE and not gen.monotone_x:
         raise ValueError(f"{gen.name} does not produce non-decreasing X; the monotone "
                          "constant does not apply")
-    method = default_method(p) if method is None else method
     check_budget(n_samples, method)
     rhs_constant = constant(kind, p)  # rejects p outside (0, 1)
-    return rhs_constant, method, gen.sup_sampler(p)
+    return rhs_constant, gen.sup_sampler(p)
 
 
 def check_inequality(
@@ -549,11 +547,11 @@ def check_inequality(
     kind: ConstantKind,
     n_samples: int = 10**5,
     seed: int = 0,
-    method: EstimatorMethod | None = None,
+    method: EstimatorMethod = PLAIN,
     threads: int = 1,
 ) -> VerifierReport:
     """Certify E[(sup X)^p] <= constant(kind, p) * E[(sup G)^p] empirically."""
-    rhs_constant, method, sampler = inequality_setup(gen, p, kind, n_samples, method)
+    rhs_constant, sampler = inequality_setup(gen, p, kind, n_samples, method)
     lhs, rhs = estimate_pair(sampler, n_samples, method, seed, threads)
     return VerifierReport(
         lhs=lhs,

@@ -22,6 +22,7 @@ from lenglart.cli import (
     resolve_config,
     resolved_method,
 )
+from lenglart.montecarlo import PLAIN, median_of_means
 from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment
 
 
@@ -303,7 +304,7 @@ class TestUsageErrors:
         ["sharpness", "--method", "plain", "--blocks", "7"],
         ["sharpness", "--config", "blocks.json"],
         ["verify", "--suite", "s.jsonl", "--blocks", "11"],
-    ], ids=["auto", "plain", "config", "verify"])
+    ], ids=["default", "plain", "config", "verify"])
     def test_blocks_need_mom(self, capsys, tmp_path, monkeypatch, argv):
         # a block count that no estimator reads is refused before any draw
         def no_draw(*args):
@@ -326,6 +327,28 @@ class TestUsageErrors:
         assert code in (EXIT_PASS, EXIT_STAT_FAIL)
         ratio = load_json_output(out_file)["result"]["ratio"]
         assert ratio["numerator"]["method"] == {"name": "median_of_means", "blocks": 11}
+
+    @pytest.mark.parametrize("argv", [
+        ["sharpness", "--method", "auto"],
+        ["sharpness", "--config", "auto.json"],
+        ["verify", "--suite", "s.jsonl", "--method", "auto"],
+        ["verify", "--suite", "s.jsonl", "--config", "auto.json"],
+    ], ids=["sharpness-flag", "sharpness-config", "verify-flag", "verify-config"])
+    def test_auto_method_is_gone(self, capsys, tmp_path, monkeypatch, argv):
+        # the estimator is plain unless mom is named; an old "auto", from
+        # the flag or from a --config file, is refused before any draw
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(cli, "ratio_experiment", no_draw)
+        monkeypatch.setattr(cli, "check_inequality", no_draw)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "auto.json").write_text(json.dumps({"method": "auto"}))
+        write_suite(tmp_path / "s.jsonl")
+        code, out, err = run(argv + ["--output", "r.json"], capsys)
+        assert code == EXIT_USAGE
+        assert "auto" in err and out == ""
+        assert not (tmp_path / "r.json").exists()
 
     def test_format_flag_is_gone(self, capsys):
         # output is always JSON (dump-paths: CSV); there is no format switch
@@ -701,7 +724,7 @@ class TestSubcommands:
             check = load_json_output(out_file)["result"]["checks"][0]
             assert check["lhs"]["method"] == check["rhs"]["method"]
             methods.append(check["lhs"]["method"])
-        # auto: the default for p = 0.3 is the plain mean
+        # the default is the plain mean
         assert methods == [{"name": "plain", "blocks": 1},
                            {"name": "median_of_means", "blocks": 11}]
 
@@ -759,15 +782,15 @@ class TestSubcommands:
         code, _, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize(("bad", "message"), [
-        ({"generator": {"kind": "levy"}, "p": 0.5}, "unknown generator kind"),
+    @pytest.mark.parametrize(("bad", "flags", "message"), [
+        ({"generator": {"kind": "levy"}, "p": 0.5}, [], "unknown generator kind"),
         ({"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
-          "constant": "monotone"}, "the monotone constant does not apply"),
+          "constant": "monotone"}, [], "the monotone constant does not apply"),
         ({"generator": BERNOULLI, "p": 0.5, "constant": "monotone", "n_samples": 10},
-         "10 samples cannot fill 31 blocks"),
+         ["--method", "mom"], "10 samples cannot fill 31 blocks"),
     ], ids=["unknown-kind", "monotone-on-extremal", "budget-below-blocks"])
     def test_verify_reads_every_entry_before_drawing(self, capsys, tmp_path, monkeypatch,
-                                                     bad, message):
+                                                     bad, flags, message):
         # a bad second entry is refused before the first one draws or
         # prints a verdict
         def no_draws(*args, **kwargs):
@@ -777,7 +800,7 @@ class TestSubcommands:
         suite = tmp_path / "suite.jsonl"
         good = json.loads(write_suite(tmp_path / "good.jsonl").read_text())
         suite.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        code, out, err = run(["verify", "--suite", str(suite), *flags], capsys)
         assert code == EXIT_USAGE
         assert out == "" and "bad suite entry" in err and message in err
 
@@ -1045,8 +1068,8 @@ class TestImportCost:
 
 class TestResolvedMethod:
     def test_resolved_method(self):
-        # auto is left to the library, which resolves it from p
-        for p in (0.3, 0.5):
-            assert resolved_method(SimpleNamespace(p=p, method="auto", blocks=31)) is None
-        assert resolved_method(SimpleNamespace(p=0.5, method="plain", blocks=31)).name == "plain"
-        assert resolved_method(SimpleNamespace(method="mom", blocks=11)).blocks == 11
+        # every setting names an estimator; the default is the plain mean
+        assert cli._FLAGS["method"].choices == ("plain", "mom")
+        assert cli._FLAGS["method"].default == "plain"
+        assert resolved_method(SimpleNamespace(method="plain", blocks=31)) == PLAIN
+        assert resolved_method(SimpleNamespace(method="mom", blocks=11)) == median_of_means(11)

@@ -28,7 +28,6 @@ from lenglart.montecarlo import (
     EstimatorMethod,
     _map_chunks,
     chunk_rng,
-    default_method,
     estimate_from_values,
     estimate_pair,
     estimate_passes,
@@ -38,7 +37,7 @@ from lenglart.montecarlo import (
     ratio_from_estimates,
     sample_values,
 )
-from lenglart.oracles import ConstantKind
+from lenglart.oracles import ConstantKind, gtilde_sup_moment
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
     ExtremalGenerator,
@@ -68,11 +67,6 @@ class TestEstimatorMethod:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             EstimatorMethod("mean_of_medians")
-
-    def test_default_method_threshold(self):
-        assert default_method(0.3) == PLAIN
-        assert default_method(0.45).name == "median_of_means"
-        assert default_method(0.9).blocks == 31
 
 
 class TestEstimateTypes:
@@ -461,7 +455,8 @@ class TestHeavyTails:
     def test_mom_is_biased_low_but_stable(self):
         # the median of block means undershoots the heavy-tailed mean; it
         # must still land within ~10% of the truth at this budget
-        r = monotone_ratio_experiment(0.5, 10, n_samples=200_000, seed=1)
+        r = monotone_ratio_experiment(0.5, 10, n_samples=200_000, method=median_of_means(31),
+                                      seed=1)
         assert abs(r.ratio - TRUE_MONOTONE_RATIO_N10) < 0.1 * TRUE_MONOTONE_RATIO_N10
 
 
@@ -475,3 +470,19 @@ class TestExperiments:
         params = ExtremalParams(p=0.5, n=10)
         r = ratio_experiment(params, n_samples=300_000, seed=0)
         assert r.ratio == pytest.approx(TRUE_LENGLART_RATIO_N10, rel=0.08)
+
+    @pytest.mark.parametrize("p", [0.5, 0.75, 0.9])
+    def test_default_interval_covers(self, p):
+        """The default estimator is the plain mean at every p, and its
+        denominator interval covers the exact moment at about the normal
+        rate: over seeds 0-399 at 2^15 draws, at most 32 seeds miss by more
+        than 2 half-widths and at most 5 by more than 3, the Binomial(400,
+        nominal) upper tails at about 1e-3."""
+        oracle = gtilde_sup_moment(p, 10)
+        z = np.empty(400)
+        for seed in range(z.size):
+            den = ratio_experiment(ExtremalParams(p, 10), 2**15, seed=seed).denominator
+            assert den.method == PLAIN
+            z[seed] = (den.value - oracle) / den.halfwidth
+        assert np.sum(np.abs(z) > 2) <= 32
+        assert np.sum(np.abs(z) > 3) <= 5

@@ -20,7 +20,7 @@ from lenglart.extremal import (
     exp_pair_path_batch,
     exp_pair_stopped,
 )
-from lenglart.montecarlo import PLAIN, default_method, estimate_pair
+from lenglart.montecarlo import PLAIN, estimate_pair, median_of_means
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
@@ -646,7 +646,7 @@ class TestCheckInequality:
         # constant here, so the report is built directly
         p = 0.12
         gen = ExtremalGenerator(ExtremalParams(p=p, n=40))
-        lhs, rhs = estimate_pair(gen.sup_sampler(p), 10**5, default_method(p), 0)
+        lhs, rhs = estimate_pair(gen.sup_sampler(p), 10**5, PLAIN, 0)
         report = VerifierReport(lhs=lhs, rhs_constant=constant(ConstantKind.MONOTONE, p),
                                 rhs=rhs, constant_kind=ConstantKind.MONOTONE)
         assert not report.passed, report.to_json()
@@ -802,7 +802,9 @@ class TestStreamedReportsMatchConcatenated:
     def test_check_inequality_on_hatx(self):
         gen = HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4),
                             HittingRule(side="x", level=3.0))
-        report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5)
+        # the values were pinned under 31-block median of means
+        report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5,
+                                  method=median_of_means(31))
         assert report.label == "hatx_of:monotone:p=0.5"
         for est, (value, halfwidth) in ((report.lhs, (5.054872947961474, 0.03995275342814966)),
                                         (report.rhs, (4.154375971234825, 0.037931590646154215))):
