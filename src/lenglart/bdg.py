@@ -90,6 +90,7 @@ from .montecarlo import (
     VALIDATION_STREAM,
     Estimate,
     RatioEstimate,
+    Verdict,
     estimate_passes,
     ratio_from_estimates,
 )
@@ -620,10 +621,8 @@ def bdg_ratio(
     gaps = {name: val - ratio.ratio for name, val in ladder.items()}
 
     ci_half = 0.5 * (ratio.ci_high - ratio.ci_low)
-    passed = (
-        ratio.ratio <= ladder["monotone"] + 3.0 * ci_half
-        and bias_rel < _BIAS_TOLERANCE
-    )
+    passed = (Verdict(ladder["monotone"] - ratio.ratio, ci_half).passed
+              and bias_rel < _BIAS_TOLERANCE)
     reverse = den.value / num.value if num.value > 0 else math.inf
     return BdgResult(
         spec=spec,

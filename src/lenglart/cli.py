@@ -9,7 +9,7 @@ each subcommand its runner and its settings. The parser and the --config
 file both follow those tables, so a flag or config key that the run does not
 read, or a config value that its flag could not produce, is a usage error.
 
-Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error.
+Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error or an unwritable --output.
 Every JSON output names its subcommand, and its config block holds the
 run's settings, apart from an unset --output: the block is a --config file
 for the subcommand that reproduces the run. Reruns with the same config and
@@ -38,6 +38,7 @@ from .montecarlo import (
     DUMP_STREAM,
     STREAM_LAYOUT,
     EstimatorMethod,
+    Verdict,
     chunk_rng,
     median_of_means,
     monotone_ratio_experiment,
@@ -133,7 +134,8 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(sub: str, cfg: SimpleNamespace, result: dict, summary: str) -> None:
+def _emit(sub: str, cfg: SimpleNamespace, result: dict, summary: str) -> int:
+    """Write the run's JSON and summary; return the exit code of result["pass"]."""
     payload = {
         # every setting but an unset --output: a --config file that reruns it
         "config": {key: value for key, value in vars(cfg).items() if value is not None},
@@ -150,16 +152,7 @@ def _emit(sub: str, cfg: SimpleNamespace, result: dict, summary: str) -> None:
     else:
         _print(text)
     _print(summary)
-
-
-def _sandwich_verdict(ratio, c_target: float, lower_target: float) -> bool:
-    """Pass iff the confidence interval reaches the finite-n lower bound and
-    does not contradict the theorem's upper constant."""
-    hw = 0.5 * (ratio.ci_high - ratio.ci_low)
-    rel = hw / ratio.ratio if ratio.ratio > 0 else math.inf
-    upper_ok = ratio.ratio <= c_target * (1.0 + 5.0 * rel)
-    lower_ok = ratio.ci_high >= lower_target - 3.0 * hw
-    return upper_ok and lower_ok
+    return EXIT_PASS if result["pass"] else EXIT_STAT_FAIL
 
 
 # subcommand -> (experiment(p, n, samples, method, seed, threads), constant
@@ -178,7 +171,11 @@ def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
                        cfg.threads)
     c = constant(kind, cfg.p)
     lower = c * cfg.n / (cfg.n + 1)
-    ok = _sandwich_verdict(ratio, c, lower)
+    hw = 0.5 * (ratio.ci_high - ratio.ci_low)
+    rel = hw / ratio.ratio if ratio.ratio > 0 else math.inf
+    # within 5 relative half-widths of the constant, and reaching the lower bound
+    ok = (Verdict(c - ratio.ratio, c * rel, k=5).passed
+          and Verdict(ratio.ci_high - lower, hw).passed)
     num_oracle, den_oracle = numerator_oracle(cfg.p, cfg.n), gtilde_sup_moment(cfg.p, cfg.n)
     result = {
         "ratio": ratio.to_json(seed=cfg.seed),
@@ -191,11 +188,10 @@ def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
         "denominator_oracle": den_oracle,
         "denominator_z": z_score(ratio.denominator, den_oracle),
     }
-    _emit(sub, cfg, result,
-          f"{sub}: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
-          f"{ratio.ci_high:.5f}], constant={c:.7f}, lower bound={lower:.5f}, "
-          f"{'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_STAT_FAIL
+    return _emit(sub, cfg, result,
+                 f"{sub}: ratio={ratio.ratio:.5f} in CI [{ratio.ci_low:.5f}, "
+                 f"{ratio.ci_high:.5f}], constant={c:.7f}, lower bound={lower:.5f}, "
+                 f"{'PASS' if ok else 'FAIL'}")
 
 
 def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
@@ -204,12 +200,11 @@ def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
     report = check_moment_identities(moment_identity_law(cfg.law, **of_law), cfg.p)
     ok = report.max_discrepancy < 1e-8
     result = {**report.to_json(), "pass": ok}
-    _emit(sub, cfg, result,
-          f"identities: law={cfg.law}, p={cfg.p}, values="
-          f"({report.direct:.8f}, {report.via_tail_integral:.8f}, "
-          f"{report.via_truncated_mean:.8f}), max discrepancy="
-          f"{report.max_discrepancy:.2e}, {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_STAT_FAIL
+    return _emit(sub, cfg, result,
+                 f"identities: law={cfg.law}, p={cfg.p}, values="
+                 f"({report.direct:.8f}, {report.via_tail_integral:.8f}, "
+                 f"{report.via_truncated_mean:.8f}), max discrepancy="
+                 f"{report.max_discrepancy:.2e}, {'PASS' if ok else 'FAIL'}")
 
 
 def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
@@ -253,10 +248,8 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
         _print(f"verify: {report.label}: ratio={ratio} vs "
                f"constant={report.rhs_constant:.5f}, "
                f"{'PASS' if report.passed else 'FAIL'}")
-    all_ok = all(r["pass"] for r in reports)
-    _emit(sub, cfg, {"checks": reports, "pass": all_ok},
-          f"verify: {sum(r['pass'] for r in reports)}/{len(reports)} checks passed")
-    return EXIT_PASS if all_ok else EXIT_STAT_FAIL
+    return _emit(sub, cfg, {"checks": reports, "pass": all(r["pass"] for r in reports)},
+                 f"verify: {sum(r['pass'] for r in reports)}/{len(reports)} checks passed")
 
 
 def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
@@ -265,12 +258,11 @@ def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
     of_kind = {key: value for key, value in vars(cfg).items() if _FLAGS[key].when}
     spec = MartingaleSpec(kind=kind, q=cfg.q, step=cfg.step, **of_kind)
     result = bdg_ratio(spec, cfg.n_samples, cfg.seed, cfg.threads)
-    _emit(sub, cfg, result.to_json(),
-          f"bdg: ratio={result.ratio.ratio:.5f}, monotone constant="
-          f"{constant(ConstantKind.MONOTONE, cfg.q / 2):.5f}, bias change="
-          f"{result.bias_relative_change:.3%}, "
-          f"{'PASS' if result.passed else 'FAIL'}")
-    return EXIT_PASS if result.passed else EXIT_STAT_FAIL
+    return _emit(sub, cfg, result.to_json(),
+                 f"bdg: ratio={result.ratio.ratio:.5f}, monotone constant="
+                 f"{constant(ConstantKind.MONOTONE, cfg.q / 2):.5f}, bias change="
+                 f"{result.bias_relative_change:.3%}, "
+                 f"{'PASS' if result.passed else 'FAIL'}")
 
 
 def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
@@ -387,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(cfg, "method", "mom") != "mom" and cfg.blocks != _FLAGS["blocks"].default:
             return _usage_error("--blocks applies only with --method mom")
         return runner(args.subcommand, cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an --output it cannot write
         return _usage_error(str(exc))
 
 

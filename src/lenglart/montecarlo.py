@@ -61,6 +61,7 @@ __all__ = [
     "PLAIN",
     "median_of_means",
     "Estimate",
+    "Verdict",
     "RatioEstimate",
     "sample_values",
     "estimate_from_values",
@@ -138,6 +139,24 @@ class Estimate:
             "n": self.n_samples,
             "method": self.method.to_json(),
         }
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Every Monte Carlo check's pass rule: margin, how far the estimates
+    clear the inequality, may fall below 0 by at most k half-widths, scale."""
+
+    margin: float
+    scale: float
+    k: float = 3.0
+
+    @property
+    def slack(self) -> float:
+        return self.margin + self.k * self.scale
+
+    @property
+    def passed(self) -> bool:
+        return self.slack >= 0
 
 
 @dataclass(frozen=True)
@@ -328,8 +347,7 @@ def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
 
 
 def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:
-    """Conservative interval-arithmetic CI for num/den; the delta method is
-    not trusted for heavy-tailed numerators."""
+    """Conservative interval-arithmetic CI for num/den."""
     if den.value <= 0:
         raise ValueError("degenerate denominator")
     ratio = num.value / den.value

@@ -3,8 +3,8 @@
 A generator guarantees, by construction, that its pair satisfies
 E[X_tau] <= E[G_tau] for bounded stopping times. The checkers then certify
 the p-th moment inequalities at the appropriate constant, with a pass rule
-that tolerates Monte Carlo noise but nothing else: pass iff
-lhs <= constant * rhs + 3 * combined half-widths.
+that tolerates Monte Carlo noise but nothing else (montecarlo.Verdict):
+pass iff lhs <= constant * rhs + 3 * combined half-widths.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .montecarlo import (
     PLAIN,
     Estimate,
     EstimatorMethod,
+    Verdict,
     check_budget,
     chunk_rng,
     estimate_pair,
@@ -497,16 +498,14 @@ class VerifierReport:
     label: str = ""
 
     @property
-    def margin(self) -> float:
-        return self.rhs_constant * self.rhs.value - self.lhs.value
-
-    @property
-    def combined_halfwidth(self) -> float:
-        return self.lhs.halfwidth + self.rhs_constant * self.rhs.halfwidth
+    def verdict(self) -> Verdict:
+        """lhs <= rhs_constant * rhs, at 3 combined half-widths."""
+        return Verdict(self.rhs_constant * self.rhs.value - self.lhs.value,
+                       self.lhs.halfwidth + self.rhs_constant * self.rhs.halfwidth)
 
     @property
     def passed(self) -> bool:
-        return self.margin >= -3.0 * self.combined_halfwidth
+        return self.verdict.passed
 
     @property
     def ratio(self) -> float | None:
@@ -521,7 +520,7 @@ class VerifierReport:
             "lhs": self.lhs.to_json(),
             "rhs": self.rhs.to_json(),
             "rhs_constant": self.rhs_constant,
-            "margin": self.margin,
+            "margin": self.verdict.margin,
             "ratio": self.ratio,
             "pass": self.passed,
         }
@@ -695,7 +694,7 @@ def check_pratelli(
         for rule, (lhs, rhs) in battery
     ]
     # the first of equal keys binds
-    return min(reports, key=lambda r: r.margin + 3 * r.combined_halfwidth)
+    return min(reports, key=lambda r: r.verdict.slack)
 
 
 @dataclass(frozen=True)
@@ -711,7 +710,8 @@ class AuditEntry:
 
     @property
     def flagged(self) -> bool:
-        return self.diff > 3.0 * self.stderr
+        # E[X_tau] <= E[G_tau] fails by more than 3 standard errors
+        return not Verdict(-self.diff, self.stderr).passed
 
     def to_json(self) -> dict:
         return {

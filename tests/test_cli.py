@@ -295,6 +295,22 @@ class TestUsageErrors:
         assert message in err and out == ""
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("sub", ["sharpness", "verify", "bdg", "dump-paths"])
+    def test_unwritable_output(self, capsys, tmp_path, sub):
+        # the write fails after the draws: a usage error naming the path,
+        # not the statistical-failure code and a traceback
+        out_file = tmp_path / "missing" / "x.json"
+        argv = {
+            "sharpness": ["sharpness", "--samples", "1000"],
+            "verify": ["verify", "--suite", str(write_suite(tmp_path / "s.jsonl"))],
+            "bdg": ["bdg", "--samples", "100", "--step", "0.1"],
+            "dump-paths": ["dump-paths"],
+        }[sub]
+        code, _, err = run(argv + ["--output", str(out_file)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and str(out_file) in err
+        assert "Traceback" not in err
+
     def test_dump_needs_output(self, capsys):
         code, _, err = run(["dump-paths"], capsys)
         assert code == EXIT_USAGE

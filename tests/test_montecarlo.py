@@ -26,6 +26,7 @@ from lenglart.montecarlo import (
     VALIDATION_STREAM,
     Estimate,
     EstimatorMethod,
+    Verdict,
     _map_chunks,
     chunk_rng,
     estimate_from_values,
@@ -294,6 +295,21 @@ class TestRatio:
         den = Estimate(value=0.0, halfwidth=0.1, n_samples=10, method=PLAIN)
         with pytest.raises(ValueError, match="denominator"):
             ratio_from_estimates(num, den)
+
+
+class TestVerdict:
+    """The one k-half-width rule, against the comparisons it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(m=st.floats(allow_nan=False, allow_infinity=False),
+           s=st.floats(min_value=0.0, allow_nan=False))
+    def test_pass_iff_margin_clears_three_scales(self, m, s):
+        assert Verdict(m, s).passed == (m >= -3.0 * s)
+        assert (not Verdict(-m, s).passed) == (m > 3.0 * s)
+
+    def test_slack(self):
+        assert Verdict(-1.0, 0.25, k=5).slack == 0.25
+        assert Verdict(-1.0, 0.25).slack == -0.25
 
 
 class TestReproducibility:
