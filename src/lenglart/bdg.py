@@ -93,6 +93,7 @@ from .montecarlo import (
     Verdict,
     estimate_passes,
     ratio_from_estimates,
+    z_score,
 )
 # not called here; perfbench/tracing.py wraps these names in this module
 from .montecarlo import estimate_from_values, sample_values  # noqa: F401
@@ -105,7 +106,6 @@ __all__ = [
     "MartingaleSpec",
     "BdgResult",
     "bdg_ratio",
-    "z_score",
 ]
 
 BM_FIXED_TIME = "bm_fixed_time"
@@ -564,11 +564,6 @@ class BdgResult:
                 "z": z_score(v, self.denominator_oracle),
             }
         return d
-
-
-def z_score(est: Estimate, oracle: float) -> float | None:
-    """(estimate - oracle) / half-width, or None for a zero half-width."""
-    return (est.value - oracle) / est.halfwidth if est.halfwidth > 0 else None
 
 
 def bdg_ratio(

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio, z_score
+from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     DUMP_STREAM,
@@ -43,6 +43,7 @@ from .montecarlo import (
     median_of_means,
     monotone_ratio_experiment,
     ratio_experiment,
+    z_score,
     PLAIN,
 )
 from .oracles import (
@@ -233,7 +234,9 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
             for key, value in settings.items():
                 _FLAGS[key].check_range(value)
             inequality_setup(gen, settings["p"], kind, settings["n_samples"], method)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:  # a required key left out: its repr alone says too little
+            return _usage_error(f"bad suite entry {entry!r}: missing key {exc.args[0]!r}")
+        except (TypeError, ValueError) as exc:
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         checks.append((entry, gen, kind, settings))
     reports = []

@@ -62,6 +62,7 @@ __all__ = [
     "median_of_means",
     "Estimate",
     "Verdict",
+    "z_score",
     "RatioEstimate",
     "sample_values",
     "estimate_from_values",
@@ -157,6 +158,11 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.slack >= 0
+
+
+def z_score(est: Estimate, oracle: float) -> float | None:
+    """(estimate - oracle) / half-width, or None for a zero half-width."""
+    return (est.value - oracle) / est.halfwidth if est.halfwidth > 0 else None
 
 
 @dataclass(frozen=True)

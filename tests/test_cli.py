@@ -235,6 +235,28 @@ class TestUsageErrors:
         assert "bad suite entry" in err and message in err
         assert "checks passed" not in out
 
+    @pytest.mark.parametrize(("entry", "key"), [
+        ({"generator": BERNOULLI}, "p"),
+        ({"generator": {"kind": "extremal", "p": 0.5}, "p": 0.5}, "n"),
+        ({"generator": {"kind": "compensated_bernoulli", "q": 0.3}, "p": 0.5}, "steps"),
+        ({"generator": {"kind": "discrete_extremal", "p": 0.5, "n": 4}, "p": 0.5}, "level_N"),
+        ({"generator": {"kind": "hatx_of", "rule": {"k": 6}}, "p": 0.5}, "inner"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI}, "p": 0.5}, "rule"),
+    ], ids=["entry-p", "extremal-n", "walk-steps", "discrete-level_N", "hatx-inner",
+            "hatx-rule"])
+    def test_suite_entry_missing_key(self, capsys, tmp_path, monkeypatch, entry, key):
+        # a required key left out is named as missing, before the check draws
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the entry was refused")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps(entry) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert f"bad suite entry {entry!r}: missing key {key!r}" in err
+        assert "checks passed" not in out
+
     @pytest.mark.parametrize(("key", "value"), [
         ("p", [1]), ("p", "0.5"), ("p", None),
         ("n_samples", None), ("n_samples", True), ("n_samples", 1000.0),

@@ -11,6 +11,10 @@ outputs on purpose re-records the corpus and says which entries changed
 and why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it writes a corpus file, the recorder prints every entry whose value
+changed, with each differing leaf and its old and new values, the keys added
+and removed, and the count of entries left unchanged.
 """
 
 import contextlib
@@ -172,7 +176,48 @@ def test_api_report_matches_corpus(api_corpus, key):
     assert api_json(key) == api_corpus[key]
 
 
+_ABSENT = "<absent>"
+
+
+def _leaf_changes(old, new, path: str = "") -> list:
+    """(path, old, new) for every leaf where two JSON values differ, the
+    path's parts joined by dots (entries.3.diff); a key on one side only
+    reads as <absent> on the other, and lists of unequal length differ as
+    one leaf."""
+    def at(part) -> str:
+        return f"{path}.{part}" if path else str(part)
+
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [change for key in sorted(old.keys() | new.keys())
+                for change in _leaf_changes(old.get(key, _ABSENT), new.get(key, _ABSENT), at(key))]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [change for i, (a, b) in enumerate(zip(old, new))
+                for change in _leaf_changes(a, b, at(i))]
+    return [] if old == new else [(path, old, new)]
+
+
+def _report_changes(path: Path, records: dict) -> None:
+    """Print how records differ from the corpus at path: each changed entry
+    with its differing leaves, the added and removed keys, and the count of
+    entries left unchanged."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    unchanged = 0
+    for key in sorted(old.keys() & records.keys()):
+        changes = _leaf_changes(old[key], records[key])
+        unchanged += not changes
+        if changes:
+            print(f"{path.name}: changed {key!r}")
+            for leaf, a, b in changes:
+                print(f"  {leaf or '(whole entry)'}: {a!r} -> {b!r}")
+    for key in sorted(records.keys() - old.keys()):
+        print(f"{path.name}: added {key!r}")
+    for key in sorted(old.keys() - records.keys()):
+        print(f"{path.name}: removed {key!r}")
+    print(f"{path.name}: {unchanged} entries unchanged")
+
+
 def _record(path: Path, records: dict) -> None:
+    _report_changes(path, records)
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} entries to {path}")

@@ -20,7 +20,15 @@ from lenglart.extremal import (
     exp_pair_path_batch,
     exp_pair_stopped,
 )
-from lenglart.montecarlo import PLAIN, estimate_pair, median_of_means
+from lenglart.montecarlo import (
+    CHUNK,
+    PILOT_STREAM,
+    PLAIN,
+    chunk_rng,
+    estimate_from_values,
+    estimate_pair,
+    median_of_means,
+)
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
@@ -62,6 +70,22 @@ class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         return verifier._Generator.stopped_batch(self, rules, rng, size, g_divisor)
+
+
+@dataclass(frozen=True)
+class ScaledStoppedXGenerator(ExtremalGenerator):
+    """The extremal pair with each stopped x row scaled by factor after its
+    closed-form stopping: above factor 1, E[X_tau] = factor E[G_tau] >
+    E[G_tau] at every rule, so the audit must say so. Unlike
+    ScaledCompensatorGenerator, the checkers take the closed-form route."""
+
+    factor: float = 1.0
+
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        stopped = super().stopped_batch(rules, rng, size, g_divisor)
+        for x_tau, _ in stopped:
+            x_tau *= self.factor
+        return stopped
 
 
 @dataclass(frozen=True)
@@ -827,3 +851,67 @@ class TestStreamedReportsMatchConcatenated:
         assert report.rhs.value == pytest.approx(rhs, rel=1e-12)
         # a constant column: its half-width is 0 up to rounding of the mean
         assert report.rhs.halfwidth == pytest.approx(rhs_hw, rel=1e-12, abs=1e-12 * rhs)
+
+
+def battery_rules(gen, seed):
+    """The stopping battery the audit and the Pratelli check build from
+    their pilot at this seed."""
+    return verifier.default_tau_battery(*gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048))
+
+
+class TestBatteryColumnPair:
+    """Each battery rule reduces one column pair, in the rows stopped_batch
+    returns: (x, x - g) for the audit, (F(x), F(g)) for the Pratelli check."""
+
+    GENERATORS = [
+        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+        CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
+    ]
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        call()  # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    @pytest.mark.parametrize(("check", "g_divisor"), [
+        (lambda gen: domination_audit(gen, n_samples=CHUNK, seed=3), 1.0),
+        (lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK, seed=3), 0.5),
+    ], ids=["audit", "pratelli"])
+    def test_no_block_besides_the_stopped_rows(self, gen, check, g_divisor):
+        # the pilot's paths are freed before the chunk is drawn, and every
+        # column is reduced in the rows stopped_batch returned
+        rules = battery_rules(gen, 3)
+        stopped = self.traced_peak(
+            lambda: gen.stopped_batch(rules, chunk_rng(3, 0), CHUNK, g_divisor))
+        checked = self.traced_peak(lambda: check(gen))
+        assert checked - stopped < 0.5 * CHUNK * 8, (checked - stopped) / (CHUNK * 8)
+
+    @pytest.mark.parametrize(("factor", "passed"), [(1.0, True), (1.2, False)])
+    def test_flags_scaled_x_on_the_closed_form_route(self, factor, passed):
+        gen = ScaledStoppedXGenerator(ExtremalParams(p=0.5, n=10), factor=factor)
+        report = domination_audit(gen, n_samples=20_000, seed=0)
+        assert report.passed is passed, report.to_json()
+        if not passed:
+            assert any(e.flagged and e.tau_label.startswith("fixed[") for e in report.entries)
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    def test_audit_reduces_x_and_x_minus_g(self, gen):
+        n, seed = 2 * CHUNK + 17, 4
+        rules = battery_rules(gen, seed)
+        chunks = [gen.stopped_batch(rules, chunk_rng(seed, j), min(CHUNK, n - start))
+                  for j, start in enumerate(range(0, n, CHUNK))]
+        report = domination_audit(gen, n_samples=n, seed=seed)
+        assert [e.tau_label for e in report.entries] == [rule.label() for rule in rules]
+        for i, entry in enumerate(report.entries):
+            x = np.concatenate([chunk[i][0] for chunk in chunks])
+            g = np.concatenate([chunk[i][1] for chunk in chunks])
+            assert entry.stderr == estimate_from_values(x - g, PLAIN).halfwidth
+            assert entry.mean_x == estimate_from_values(x, PLAIN).value
+            assert entry.mean_g == pytest.approx(estimate_from_values(g, PLAIN).value,
+                                                 rel=1e-15, abs=0)
