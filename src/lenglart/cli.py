@@ -14,12 +14,16 @@ Every JSON output names its subcommand, and its config block holds the
 run's settings, apart from an unset --output: the block is a --config file
 for the subcommand that reproduces the run. Reruns with the same config and
 any thread count produce identical output up to the timestamp field.
+
+Imports follow what a subcommand reads: numpy, montecarlo, extremal and
+oracles load with this module, because every drawing subcommand reads
+them; verifier loads inside verify (and to read a --config file), bdg
+inside bdg and csv inside dump-paths, so a sharpness run pays for neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -32,7 +36,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     DUMP_STREAM,
@@ -55,13 +58,21 @@ from .oracles import (
     moment_identity_law,
     xtilde_sup_moment,
 )
-from .verifier import check_inequality, generator_from_config, inequality_setup, read_object
 
 MAX_DUMP_POINTS = 10**4
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def check_inequality(*args, **kwargs):
+    """verifier.check_inequality, loading verifier on the first call.
+    _run_verify calls the check through this module attribute, which is the
+    one that tests and perfbench's tracer patch."""
+    from . import verifier
+
+    return verifier.check_inequality(*args, **kwargs)
 
 
 def resolved_method(cfg: SimpleNamespace) -> EstimatorMethod:
@@ -209,6 +220,8 @@ def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
 
 
 def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
+    from .verifier import generator_from_config, inequality_setup, read_object
+
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
     try:
@@ -256,6 +269,8 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
 
 
 def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
+    from .bdg import BM_FIXED_TIME, BM_HITTING, MartingaleSpec, bdg_ratio
+
     kind = BM_FIXED_TIME if cfg.kind == "fixed" else BM_HITTING
     # T at fixed time, a and b at the hitting time
     of_kind = {key: value for key, value in vars(cfg).items() if _FLAGS[key].when}
@@ -269,6 +284,8 @@ def _run_bdg(sub: str, cfg: SimpleNamespace) -> int:
 
 
 def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
+    import csv
+
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
     # looked up at call time, so that a patched module attribute is the one called
@@ -345,6 +362,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     _, declared = _SUBCOMMANDS[args.subcommand]
     given = {}
     if args.config_file:
+        from .verifier import read_object
+
         with open(args.config_file) as fh:
             given = read_object(json.load(fh), f"{args.subcommand} config",
                                 {key: _FLAGS[key].type for key in declared})

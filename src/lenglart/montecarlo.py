@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +224,10 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
         return work(chunk_rng(seed, stream), start, m)
 
     if threads > 1:
+        # imported here: concurrent.futures loads logging, which a one-thread
+        # run does not need to pay for at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = pool.map(run, jobs)
     else:

@@ -472,10 +472,12 @@ def generator_from_config(cfg: dict) -> _Generator:
         law = {key: values[key] for key in ("q", "c") if key in values}
         return CompensatedBernoulliGenerator(jump=JumpLaw(jump, **law), steps=values["steps"])
     if kind == "hatx_of":
-        # a rule holds a fixed index, or a level on one side
-        index = "k" in values["rule"]
-        rule = read_object(values["rule"], "hatx_of rule",
-                           {"k": int} if index else {"side": str, "level": float})
+        # a rule holds a fixed index k, or a level on one side; a rule with
+        # none of those keys lacks k
+        index = "k" in values["rule"] or not values["rule"].keys() & {"side", "level"}
+        keys = {"k": int} if index else {"side": str, "level": float}
+        read = read_object(values["rule"], "hatx_of rule", keys)
+        rule = {key: read[key] for key in keys}  # a KeyError names a key left out
         return HatXGenerator(inner=generator_from_config(values["inner"]),
                              rule=FixedIndexRule(**rule) if index else HittingRule(**rule))
     params = ExtremalParams(p=values["p"], n=values["n"])
@@ -595,16 +597,24 @@ class PiecewiseLinearF:
         if any(a < b for a, b in zip(self.slopes, self.slopes[1:])):
             raise ValueError("slopes must be non-increasing (F concave)")
 
-    def __call__(self, arr: np.ndarray) -> np.ndarray:
+    def __call__(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """F(arr), written into out if given, which may be arr: the sum of
+        slope times the part of arr in each piece, accumulated piece by
+        piece in a scratch array, with a second one for each piece's term."""
         arr = np.asarray(arr, dtype=float)
-        out = np.zeros_like(arr)
+        acc = np.zeros_like(arr)
+        seg = np.empty_like(arr)
         prev_break = 0.0
         for b, s in zip(self.breakpoints, self.slopes[:-1]):
-            seg = np.clip(arr, prev_break, b) - prev_break
-            out += s * seg
+            np.clip(arr, prev_break, b, out=seg)
+            seg -= prev_break
+            seg *= s
+            acc += seg
             prev_break = b
-        out += self.slopes[-1] * np.maximum(arr - prev_break, 0.0)
-        return out
+        np.subtract(arr, prev_break, out=seg)
+        np.maximum(seg, 0.0, out=seg)
+        seg *= self.slopes[-1]
+        return np.add(acc, seg, out=out)
 
 
 def default_tau_battery(x: np.ndarray, g: np.ndarray) -> list:
@@ -678,6 +688,10 @@ def check_pratelli(
             x **= F.p
             g **= F.p
             return x, g
+    elif isinstance(F, PiecewiseLinearF):
+        def columns(x, g):
+            # in the stopped arrays, with two scratch columns per call
+            return F(x, out=x), F(g, out=g)
     else:
         def columns(x, g):
             return F(x), F(g)

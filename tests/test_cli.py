@@ -242,8 +242,13 @@ class TestUsageErrors:
         ({"generator": {"kind": "discrete_extremal", "p": 0.5, "n": 4}, "p": 0.5}, "level_N"),
         ({"generator": {"kind": "hatx_of", "rule": {"k": 6}}, "p": 0.5}, "inner"),
         ({"generator": {"kind": "hatx_of", "inner": BERNOULLI}, "p": 0.5}, "rule"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"level": 2.0}},
+          "p": 0.5}, "side"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"side": "g"}},
+          "p": 0.5}, "level"),
+        ({"generator": {"kind": "hatx_of", "inner": BERNOULLI, "rule": {}}, "p": 0.5}, "k"),
     ], ids=["entry-p", "extremal-n", "walk-steps", "discrete-level_N", "hatx-inner",
-            "hatx-rule"])
+            "hatx-rule", "rule-side", "rule-level", "rule-k"])
     def test_suite_entry_missing_key(self, capsys, tmp_path, monkeypatch, entry, key):
         # a required key left out is named as missing, before the check draws
         def no_draws(*args, **kwargs):
@@ -1102,6 +1107,61 @@ class TestImportCost:
         done = subprocess.run([sys.executable, "-c", HEADLINE_RUNS], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stdout
+
+
+# one CLI run in a fresh interpreter (build_parser alone when no argument is
+# given); prints its exit code and which of the modules a run may defer it
+# loaded
+LOADED_BY_RUN = """
+import contextlib, io, json, sys
+from lenglart.cli import build_parser, main
+argv = sys.argv[1:]
+code = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    if argv:
+        code = main(argv)
+    else:
+        build_parser()
+print(json.dumps([code, [m for m in %r if m in sys.modules]]))
+"""
+DEFERRED = ("lenglart.verifier", "lenglart.bdg", "concurrent.futures", "csv", "scipy")
+
+
+class TestDeferredImports:
+    """Each subcommand loads only the modules it reads. The other tests load
+    every module into their own process, so only a fresh interpreter sees a
+    deferred import that has become eager."""
+
+    @pytest.mark.parametrize(("argv", "absent"), [
+        ([], DEFERRED),
+        (["sharpness", "--samples", "1000"], DEFERRED),
+        (["monotone-sharpness", "--samples", "1000"], DEFERRED),
+        # its quadrature imports scipy, which imports what it needs
+        (["identities"], ("lenglart.verifier", "lenglart.bdg")),
+        (["verify", "--suite", "s.jsonl"], ("lenglart.bdg", "concurrent.futures", "csv", "scipy")),
+        (["bdg", "--kind", "fixed", "--samples", "1000", "--step", "0.02"],
+         ("lenglart.verifier", "concurrent.futures", "csv", "scipy")),
+        (["bdg", "--kind", "hitting", "--samples", "300", "--step", "0.05"],
+         ("lenglart.verifier", "concurrent.futures", "csv", "scipy")),
+        (["dump-paths", "--output", "paths.csv"],
+         ("lenglart.verifier", "lenglart.bdg", "concurrent.futures", "scipy")),
+        # read_object, the --config reader, lives in verifier
+        (["sharpness", "--config", "config.json"],
+         ("lenglart.bdg", "concurrent.futures", "csv", "scipy")),
+        (["sharpness", "--samples", "1000", "--threads", "2"],
+         ("lenglart.verifier", "lenglart.bdg", "csv", "scipy")),
+    ], ids=["parser", "sharpness", "monotone-sharpness", "identities", "verify", "bdg-fixed",
+            "bdg-hitting", "dump-paths", "config", "two-threads"])
+    def test_run_loads_only_what_it_reads(self, tmp_path, argv, absent):
+        write_suite(tmp_path / "s.jsonl")
+        (tmp_path / "config.json").write_text(json.dumps({"n_samples": 1000}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", LOADED_BY_RUN % (DEFERRED,), *argv],
+                              env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120, check=True)
+        code, loaded = json.loads(done.stdout)
+        assert code == EXIT_PASS, done.stderr
+        assert not set(loaded) & set(absent), loaded
 
 
 class TestResolvedMethod:

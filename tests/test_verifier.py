@@ -742,6 +742,24 @@ class TestPratelli:
         np.testing.assert_allclose(F(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 10.0])),
                                    [0.0, 1.0, 2.0, 2.5, 3.0, 3.0])
 
+    @pytest.mark.parametrize("F", [
+        PiecewiseLinearF(breakpoints=(1.0, 3.0), slopes=(2.0, 1.0, 0.25)),
+        PiecewiseLinearF(breakpoints=(), slopes=(0.7,)),
+    ], ids=["three-pieces", "one-piece"])
+    def test_piecewise_in_place_is_bit_identical(self, F):
+        # F written into its argument equals F into a new array, and the sum
+        # over the pieces that F's definition gives, bit for bit
+        arr = np.concatenate([rng_of(5).random(1000) * 5, [0.0, 1.0, 3.0, np.inf]])
+        expected = np.zeros_like(arr)
+        prev = 0.0
+        for b, s in zip(F.breakpoints, F.slopes[:-1]):
+            expected += s * (np.clip(arr, prev, b) - prev)
+            prev = b
+        expected += F.slopes[-1] * np.maximum(arr - prev, 0.0)
+        assert F(arr).tobytes() == expected.tobytes()
+        assert F(arr, out=arr) is arr
+        assert arr.tobytes() == expected.tobytes()
+
 
 class TestDominationAudit:
     @pytest.mark.parametrize(
@@ -891,6 +909,18 @@ class TestBatteryColumnPair:
             lambda: gen.stopped_batch(rules, chunk_rng(3, 0), CHUNK, g_divisor))
         checked = self.traced_peak(lambda: check(gen))
         assert checked - stopped < 0.5 * CHUNK * 8, (checked - stopped) / (CHUNK * 8)
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    def test_piecewise_linear_f_in_two_scratch_columns(self, gen):
+        # F is written into the stopped rows, through an accumulator and one
+        # piece's term at a time
+        F = PiecewiseLinearF(breakpoints=(1.0, 3.0), slopes=(2.0, 1.0, 0.25))
+        rules = battery_rules(gen, 3)
+        stopped = self.traced_peak(
+            lambda: gen.stopped_batch(rules, chunk_rng(3, 0), CHUNK, 0.5))
+        checked = self.traced_peak(
+            lambda: check_pratelli(gen, F, 0.5, n_samples=CHUNK, seed=3))
+        assert checked - stopped < 2.5 * CHUNK * 8, (checked - stopped) / (CHUNK * 8)
 
     @pytest.mark.parametrize(("factor", "passed"), [(1.0, True), (1.2, False)])
     def test_flags_scaled_x_on_the_closed_form_route(self, factor, passed):
