@@ -15,10 +15,13 @@ run's settings, apart from an unset --output: the block is a --config file
 for the subcommand that reproduces the run. Reruns with the same config and
 any thread count produce identical output up to the timestamp field.
 
-Imports follow what a subcommand reads: numpy, montecarlo, extremal and
-oracles load with this module, because every drawing subcommand reads
-them; verifier loads inside verify (and to read a --config file), bdg
-inside bdg and csv inside dump-paths, so a sharpness run pays for neither.
+This module reads every outside input: the flags, a --config file and
+each line of a verify suite, whose generator objects generator_from_config
+builds; verifier takes built generators and parses nothing. Imports follow
+what a subcommand reads: numpy, montecarlo, extremal and oracles load with
+this module, because every drawing subcommand reads them; verifier loads
+inside verify alone, bdg inside bdg and csv inside dump-paths, so a
+sharpness run, with or without a --config file, pays for none of them.
 """
 
 from __future__ import annotations
@@ -135,6 +138,75 @@ _FLAGS = {
 }
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def check_type(key: str, value, kind: type):
+    """value, if it follows the rule of a --config setting of type kind: an
+    int for int, an int or float for float, a str for str, and never a bool.
+    Raises ValueError otherwise; nothing is cast."""
+    types = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} must be {kind.__name__}, not {value!r}")
+    return value
+
+
+def read_object(value, what: str, keys: dict) -> dict:
+    """value, if it is a JSON object whose keys are all in keys, which maps
+    each to the type its value must have (see check_type). Raises ValueError
+    otherwise. A key left out is the caller's to default or to miss."""
+    unknown = sorted(_object(value, what).keys() - keys.keys())
+    if unknown:
+        raise ValueError(f"{what} has no key {unknown[0]!r}; it takes {', '.join(keys)}")
+    return {key: check_type(key, item, keys[key]) for key, item in value.items()}
+
+
+# generator kind -> the keys it may hold besides "kind", with their types
+_GENERATOR_KEYS = {
+    "extremal": {"p": float, "n": int},
+    "discrete_extremal": {"p": float, "n": int, "level_N": int},
+    "compensated_bernoulli": {"jump": str, "steps": int},
+    "hatx_of": {"inner": dict, "rule": dict},
+}
+# compensated_bernoulli's "jump" (bernoulli when left out) -> the key it
+# adds; JumpLaw defaults a key left out, and refuses an unknown law
+_JUMP_KEYS = {"bernoulli": {"q": float}, "exp": {}, "const": {"c": float}}
+
+
+def generator_from_config(cfg: dict):
+    """The verifier generator of a suite entry's "generator" object: "kind"
+    and the keys of that kind, and no other key. Its numbers follow the
+    --config rules (see check_type)."""
+    from . import verifier
+
+    kind = _object(cfg, "generator").get("kind")
+    if kind not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    jump = cfg.get("jump", "bernoulli") if kind == "compensated_bernoulli" else None
+    values = read_object(cfg, f"{kind} generator",
+                         {"kind": str, **_GENERATOR_KEYS[kind], **_JUMP_KEYS.get(jump, {})})
+    if kind == "compensated_bernoulli":
+        law = {key: values[key] for key in ("q", "c") if key in values}
+        return verifier.CompensatedBernoulliGenerator(jump=verifier.JumpLaw(jump, **law),
+                                                      steps=values["steps"])
+    if kind == "hatx_of":
+        # a rule holds a fixed index k, or a level on one side; a rule with
+        # none of those keys lacks k
+        index = "k" in values["rule"] or not values["rule"].keys() & {"side", "level"}
+        keys = {"k": int} if index else {"side": str, "level": float}
+        read = read_object(values["rule"], "hatx_of rule", keys)
+        of_rule = {key: read[key] for key in keys}  # a KeyError names a key left out
+        rule = verifier.FixedIndexRule(**of_rule) if index else verifier.HittingRule(**of_rule)
+        return verifier.HatXGenerator(inner=generator_from_config(values["inner"]), rule=rule)
+    params = ExtremalParams(p=values["p"], n=values["n"])
+    if kind == "extremal":
+        return verifier.ExtremalGenerator(params)
+    return verifier.DiscreteExtremalGenerator(params, level_N=values["level_N"])
+
+
 def _print(text: str) -> None:
     """print to stdout. A reader that closes the pipe early ends the output,
     not the run, which still exits with its verdict's code."""
@@ -220,7 +292,7 @@ def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
 
 
 def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
-    from .verifier import generator_from_config, inequality_setup, read_object
+    from .verifier import inequality_setup
 
     if not cfg.config_path:
         return _usage_error("verify needs --suite pointing to a JSONL check file")
@@ -362,8 +434,6 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     _, declared = _SUBCOMMANDS[args.subcommand]
     given = {}
     if args.config_file:
-        from .verifier import read_object
-
         with open(args.config_file) as fh:
             given = read_object(json.load(fh), f"{args.subcommand} config",
                                 {key: _FLAGS[key].type for key in declared})

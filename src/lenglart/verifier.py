@@ -4,7 +4,8 @@ A generator guarantees, by construction, that its pair satisfies
 E[X_tau] <= E[G_tau] for bounded stopping times. The checkers then certify
 the p-th moment inequalities at the appropriate constant, with a pass rule
 that tolerates Monte Carlo noise but nothing else (montecarlo.Verdict):
-pass iff lhs <= constant * rhs + 3 * combined half-widths.
+pass iff lhs <= constant * rhs + 3 * combined half-widths. This module
+takes built generators; cli.generator_from_config reads the suite format.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ __all__ = [
     "DiscreteExtremalGenerator",
     "CompensatedBernoulliGenerator",
     "HatXGenerator",
-    "check_type",
-    "read_object",
-    "generator_from_config",
     "VerifierReport",
     "AuditEntry",
     "AuditReport",
@@ -420,72 +418,6 @@ class HatXGenerator(_Generator):
         return np.where(after, x_tau[:, None], 0.0), np.where(after, g_tau[:, None], g)
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, not {value!r}")
-    return value
-
-
-def check_type(key: str, value, kind: type):
-    """value, if it follows the rule of a --config setting of type kind: an
-    int for int, an int or float for float, a str for str, and never a bool.
-    Raises ValueError otherwise; nothing is cast."""
-    types = (int, float) if kind is float else (kind,)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{key} must be {kind.__name__}, not {value!r}")
-    return value
-
-
-def read_object(value, what: str, keys: dict) -> dict:
-    """value, if it is a JSON object whose keys are all in keys, which maps
-    each to the type its value must have (see check_type). Raises ValueError
-    otherwise. A key left out is the caller's to default or to miss."""
-    unknown = sorted(_object(value, what).keys() - keys.keys())
-    if unknown:
-        raise ValueError(f"{what} has no key {unknown[0]!r}; it takes {', '.join(keys)}")
-    return {key: check_type(key, item, keys[key]) for key, item in value.items()}
-
-
-# generator kind -> the keys it may hold besides "kind", with their types
-_GENERATOR_KEYS = {
-    "extremal": {"p": float, "n": int},
-    "discrete_extremal": {"p": float, "n": int, "level_N": int},
-    "compensated_bernoulli": {"jump": str, "steps": int},
-    "hatx_of": {"inner": dict, "rule": dict},
-}
-# compensated_bernoulli's "jump" (bernoulli when left out) -> the key it
-# adds; JumpLaw defaults a key left out, and refuses an unknown law
-_JUMP_KEYS = {"bernoulli": {"q": float}, "exp": {}, "const": {"c": float}}
-
-
-def generator_from_config(cfg: dict) -> _Generator:
-    """Build a generator from a JSON-style description: "kind" and the keys
-    of that kind, and no other key. Its numbers follow the --config rules
-    (see check_type)."""
-    kind = _object(cfg, "generator").get("kind")
-    if kind not in _GENERATOR_KEYS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    jump = cfg.get("jump", "bernoulli") if kind == "compensated_bernoulli" else None
-    values = read_object(cfg, f"{kind} generator",
-                         {"kind": str, **_GENERATOR_KEYS[kind], **_JUMP_KEYS.get(jump, {})})
-    if kind == "compensated_bernoulli":
-        law = {key: values[key] for key in ("q", "c") if key in values}
-        return CompensatedBernoulliGenerator(jump=JumpLaw(jump, **law), steps=values["steps"])
-    if kind == "hatx_of":
-        # a rule holds a fixed index k, or a level on one side; a rule with
-        # none of those keys lacks k
-        index = "k" in values["rule"] or not values["rule"].keys() & {"side", "level"}
-        keys = {"k": int} if index else {"side": str, "level": float}
-        read = read_object(values["rule"], "hatx_of rule", keys)
-        rule = {key: read[key] for key in keys}  # a KeyError names a key left out
-        return HatXGenerator(inner=generator_from_config(values["inner"]),
-                             rule=FixedIndexRule(**rule) if index else HittingRule(**rule))
-    params = ExtremalParams(p=values["p"], n=values["n"])
-    if kind == "extremal":
-        return ExtremalGenerator(params)
-    return DiscreteExtremalGenerator(params, level_N=values["level_N"])
-
-
 # ---------------------------------------------------------------------------
 # Reports and checkers
 # ---------------------------------------------------------------------------
@@ -574,8 +506,15 @@ class PowerF:
         if not (0.0 < self.p <= 1.0):
             raise ValueError("power must lie in (0,1] to be concave with F(0)=0")
 
-    def __call__(self, arr: np.ndarray) -> np.ndarray:
-        return np.asarray(arr, dtype=float) ** self.p
+    def __call__(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """F(arr), written into out if given, which may be arr, by numpy's **:
+        at p = 0.5 a square root, faster than np.power's loop, to the same bits."""
+        if out is None:
+            out = np.array(arr, dtype=float)
+        elif out is not arr:
+            np.copyto(out, arr)
+        out **= self.p
+        return out
 
 
 @dataclass(frozen=True)
@@ -680,22 +619,12 @@ def check_pratelli(
         raise ValueError(
             f"{gen.name} does not guarantee the scaled domination hypothesis"
         )
-    if not callable(F):
-        raise ValueError("F must be callable (PowerF or PiecewiseLinearF)")
-    if isinstance(F, PowerF):
-        def columns(x, g):
-            # in the stopped arrays; ** as in PowerF.__call__, so the bits match
-            x **= F.p
-            g **= F.p
-            return x, g
-    elif isinstance(F, PiecewiseLinearF):
-        def columns(x, g):
-            # in the stopped arrays, with two scratch columns per call
-            return F(x, out=x), F(g, out=g)
-    else:
-        def columns(x, g):
-            return F(x), F(g)
-    battery = _battery_pass(gen, columns, n_samples, seed, g_divisor=c)
+    # their constructors check the concavity and F(0) = 0 the inequality needs
+    if not isinstance(F, (PowerF, PiecewiseLinearF)):
+        raise ValueError(f"F must be a PowerF or a PiecewiseLinearF, not {F!r}")
+    # in the stopped arrays, PiecewiseLinearF with two scratch columns per call
+    battery = _battery_pass(gen, lambda x, g: (F(x, out=x), F(g, out=g)), n_samples,
+                            seed, g_divisor=c)
     reports = [
         VerifierReport(lhs=lhs, rhs_constant=1.0 + c, rhs=rhs, constant_kind=None,
                        label=f"{gen.name}:pratelli:{rule.label()}")

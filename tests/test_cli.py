@@ -819,6 +819,30 @@ class TestSubcommands:
         assert check["ratio"] is None and check["pass"] is True
         assert check["rhs"]["value"] == 0.0
 
+    def test_verify_nested_hatx_of(self, capsys, tmp_path):
+        # a walk frozen at index 6 and frozen again, at index 6 or where x
+        # reaches 2 (at 6, or at the last index with x_6 unchanged), stops
+        # every path at the walk's (x_6, g_6): the outer freeze builds its
+        # inner pair's paths (the dense stopping route), and each check equals
+        # the single freeze's bit for bit
+        once = {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"k": 6}}
+
+        def checks(*generators):
+            suite, out_file = tmp_path / "suite.jsonl", tmp_path / "r.json"
+            suite.write_text("".join(json.dumps({
+                "generator": gen, "p": 0.5, "constant": "monotone", "n_samples": 20_000,
+                "seed": 3}) + "\n" for gen in generators))
+            code, _, err = run(["verify", "--suite", str(suite), "--output", str(out_file)],
+                               capsys)
+            assert code == EXIT_PASS, err
+            return load_json_output(out_file)["result"]["checks"]
+
+        [reference] = checks(once)
+        nested = checks(*({"kind": "hatx_of", "inner": once, "rule": rule}
+                          for rule in ({"k": 6}, {"side": "x", "level": 2.0})))
+        assert nested == [reference, reference]
+        assert reference["rhs"]["value"] > 0
+
     def test_verify_bad_entry(self, capsys, tmp_path):
         suite = tmp_path / "suite.jsonl"
         suite.write_text(json.dumps({"generator": {"kind": "levy"}, "p": 0.5}) + "\n")
@@ -1145,9 +1169,8 @@ class TestDeferredImports:
          ("lenglart.verifier", "concurrent.futures", "csv", "scipy")),
         (["dump-paths", "--output", "paths.csv"],
          ("lenglart.verifier", "lenglart.bdg", "concurrent.futures", "scipy")),
-        # read_object, the --config reader, lives in verifier
-        (["sharpness", "--config", "config.json"],
-         ("lenglart.bdg", "concurrent.futures", "csv", "scipy")),
+        # the --config reader lives in cli itself
+        (["sharpness", "--config", "config.json"], DEFERRED),
         (["sharpness", "--samples", "1000", "--threads", "2"],
          ("lenglart.verifier", "lenglart.bdg", "csv", "scipy")),
     ], ids=["parser", "sharpness", "monotone-sharpness", "identities", "verify", "bdg-fixed",

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import binom
 
 from lenglart import verifier
+from lenglart.cli import generator_from_config
 from lenglart.extremal import (
     ExtremalParams,
     discrete_path_batch,
@@ -46,7 +47,6 @@ from lenglart.verifier import (
     domination_audit,
     enumerate_jump_stopping_means,
     enumerate_jump_sup_moments,
-    generator_from_config,
     stopping_indices,
 )
 
@@ -759,6 +759,28 @@ class TestPratelli:
         assert F(arr).tobytes() == expected.tobytes()
         assert F(arr, out=arr) is arr
         assert arr.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
+    def test_power_in_place_is_bit_identical(self, p):
+        # F into a new array and into its argument equal arr ** p bit for bit
+        arr = np.concatenate([rng_of(5).random(1000) * 5, [0.0, 1.0, 1e300, np.inf]])
+        expected = arr ** p
+        assert PowerF(p)(arr).tobytes() == expected.tobytes()
+        assert PowerF(p)(arr, out=arr) is arr
+        assert arr.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("F", [lambda x: x ** 0.5, np.sqrt], ids=["lambda", "ufunc"])
+    def test_other_f_refused_before_drawing(self, monkeypatch, F):
+        # only PowerF's and PiecewiseLinearF's constructors check that F is
+        # concave with F(0) = 0
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before F was refused")
+
+        monkeypatch.setattr(verifier, "chunk_rng", no_draws)
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
+        with pytest.raises(ValueError, match="F must be a PowerF or a PiecewiseLinearF"):
+            check_pratelli(gen, F, c=1.0, n_samples=1000)
 
 
 class TestDominationAudit:
