@@ -15,26 +15,20 @@ values: a single value is not a draw of (sup G)^r, only their mean is the
 moment. The exponent r defaults to the family's p. They work in log space
 and are finite at every 0 < p < 1.
 
-The path batches (exp_pair_path_batch, discrete_path_batch) are the one
-path representation: (size, n 2^N + 1) arrays of x and g on the dyadic grid
-of step 2^-N, one row per realization, with Z ~ Exp(1) and no weights. The
-two pairs share the jump path x and differ only in g. They hold exp(Z/p)
-itself, so they refuse horizons with n/p beyond ln(DBL_MAX), where it is not
-a float64.
-
-A single-jump path is a closed form of its jump time, and so is its value
-at a stopping rule (FixedIndexRule, HittingRule). exp_pair_stopped and
-discrete_stopped draw the same Z as the batches and return the stopped
-(x, g) values directly. Both paths are constant from the grid index of the
-jump on, so every rule reads them at one grid index k for all paths: a
-fixed index its own, a hitting rule on x the last (at a level <= 0 the
-first), and a hitting rule on g the first index where the grid row of g
-reaches the level (the last if none does). At k the path holds
-(exp(Z/p) 1[t_k >= Z], g_end) where t_k >= Z and (0, the grid row of g at
-k) elsewhere, with g_end the path's g from its jump on, computed once per
-draw. The values equal those of stopping the batches element for element,
-at a cost of O(size) per rule and per draw instead of O(size n 2^N), and
-all of a draw's stopped columns are rows of one allocation.
+The checks read paths only at stopping rules (FixedIndexRule, HittingRule),
+where a single-jump path is a closed form of its jump time Z ~ Exp(1):
+exp_pair_stopped and discrete_stopped draw Z and return the stopped (x, g)
+values, at O(size) per rule instead of O(size n 2^N). Both paths are
+constant from the grid index of the jump on, so every rule reads them at
+one grid index k for all paths: a fixed index its own, a hitting rule on x
+the last (at a level <= 0 the first), and a hitting rule on g the first
+index where the grid row of g reaches the level (the last if none does).
+At k the path holds (exp(Z/p) 1[t_k >= Z], g_end) where t_k >= Z and (0,
+the grid row of g at k) elsewhere, with g_end the path's g from its jump on.
+The path batches (exp_pair_path_batch, discrete_path_batch) hold x and g
+at every grid index, from the same Z, for dump-paths and as the tests'
+dense reference. Both routes hold exp(Z/p), so grid_last refuses n/p
+beyond ln(DBL_MAX), where it is not a float64.
 """
 
 from __future__ import annotations
@@ -52,6 +46,7 @@ __all__ = [
     "sharpness_sup_sampler",
     "monotone_sup_sampler",
     "discrete_sup_sampler",
+    "grid_last",
     "exp_pair_path_batch",
     "discrete_path_batch",
     "exp_pair_stopped",
@@ -244,13 +239,17 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     return sampler
 
 
-def _check_path_range(params: ExtremalParams) -> None:
-    """Refuse n/p beyond ln(DBL_MAX): a path row holds exp(Z/p) and
-    p expm1(t/p) up to t = n, which are not float64 there."""
+def grid_last(params: ExtremalParams, level_N: int) -> int:
+    """n 2^N, the last index of the path grid of step 2^-N. Raises
+    ValueError at a negative N, and at n/p beyond ln(DBL_MAX): a path row
+    holds exp(Z/p) and p expm1(t/p) up to t = n, which are not float64
+    there."""
+    _check_level(level_N)
     if params.n / params.p > _MAX_EXP_ARG:
         raise ValueError(
             f"path values exp(n/p) overflow at n/p = {params.n / params.p:.6g} > "
             f"ln(DBL_MAX) = {_MAX_EXP_ARG:.2f}; lower n or raise p")
+    return params.n * 2**level_N
 
 
 def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,
@@ -258,13 +257,12 @@ def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,
     """(z, t) for a batch on the dyadic grid t_k = k 2^-N, k = 0 .. n 2^N:
     the Exp(1) jump times z, computed in the array of their uniforms (a
     uniform 0 gives z = inf, a path that never jumps), and the grid t."""
-    _check_level(level_N)
-    _check_path_range(params)
+    last = grid_last(params, level_N)
     z = rng.random(size)
     with np.errstate(divide="ignore"):
         np.log(z, out=z)
     np.negative(z, out=z)
-    return z, np.arange(params.n * 2**level_N + 1) * 2.0 ** (-level_N)
+    return z, np.arange(last + 1) * 2.0 ** (-level_N)
 
 
 def _jump_heights(params: ExtremalParams, z: np.ndarray,
@@ -390,12 +388,8 @@ def _stopped_jumps(rules, t: np.ndarray, z: np.ndarray, g_row: np.ndarray,
     return pairs
 
 
-def exp_pair_path_batch(
-    params: ExtremalParams,
-    level_N: int,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def exp_pair_path_batch(params: ExtremalParams, level_N: int, rng: np.random.Generator,
+                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of exponential pairs (size x (n 2^N + 1) arrays) at step
     h = 2^-N: the jump paths x and g = p expm1(min(t, z)/p), computed in
     g's array."""
@@ -407,12 +401,8 @@ def exp_pair_path_batch(
     return x, g
 
 
-def discrete_path_batch(
-    params: ExtremalParams,
-    level_N: int,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def discrete_path_batch(params: ExtremalParams, level_N: int, rng: np.random.Generator,
+                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of dyadic discrete pairs (size x (n 2^N + 1) arrays) at step
     h = 2^-N.
 
@@ -433,14 +423,8 @@ def discrete_path_batch(
     return x, g
 
 
-def exp_pair_stopped(
-    params: ExtremalParams,
-    level_N: int,
-    rules,
-    rng: np.random.Generator,
-    size: int,
-    g_divisor: float = 1.0,
-) -> list:
+def exp_pair_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random.Generator,
+                     size: int, g_divisor: float = 1.0) -> list:
     """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on the
     exponential pairs that exp_pair_path_batch(params, level_N, rng, size)
     would build, from the same draws and without building them; g is
@@ -463,14 +447,8 @@ def exp_pair_stopped(
     return _stopped_jumps(rules, t, z, g_row, block)
 
 
-def discrete_stopped(
-    params: ExtremalParams,
-    level_N: int,
-    rules,
-    rng: np.random.Generator,
-    size: int,
-    g_divisor: float = 1.0,
-) -> list:
+def discrete_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random.Generator,
+                     size: int, g_divisor: float = 1.0) -> list:
     """(x_tau, g_tau) per rule on the dyadic discrete pairs that
     discrete_path_batch would build, as exp_pair_stopped. g_k is
     levels[min(k, c)], the partial sums of the step integrals up to the

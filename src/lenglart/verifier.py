@@ -10,7 +10,9 @@ takes built generators; cli.generator_from_config reads the suite format.
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +21,10 @@ from .extremal import (
     ExtremalParams,
     FixedIndexRule,
     HittingRule,
-    discrete_path_batch,
     discrete_stopped,
     discrete_sup_sampler,
-    exp_pair_path_batch,
     exp_pair_stopped,
+    grid_last,
     sharpness_sup_sampler,
 )
 from .montecarlo import (
@@ -37,6 +38,7 @@ from .montecarlo import (
     estimate_pair,
 )
 # not called here; perfbench/tracing.py wraps these names in this module
+from .extremal import discrete_path_batch, exp_pair_path_batch  # noqa: F401
 from .montecarlo import estimate_from_values, sample_values  # noqa: F401
 from .oracles import ConstantKind, constant
 
@@ -111,30 +113,19 @@ class JumpLaw:
 
 
 # ---------------------------------------------------------------------------
-# Stopping rules (FixedIndexRule, HittingRule, from extremal) on path batches
+# Stopping rules (FixedIndexRule, HittingRule, from extremal) on path matrices
 # ---------------------------------------------------------------------------
 
 
+# not called here: the tests' dense reference, which perfbench/tracing.py wraps
 def stopping_indices(rule, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-path stopping index; hitting rules cap at the final index."""
     last = x.shape[1] - 1
     if isinstance(rule, FixedIndexRule):
         return np.full(x.shape[0], rule.index(last))
-    arr = x if rule.side == "x" else g
-    hit_mask = arr >= rule.level
-    idx = hit_mask.argmax(axis=1)
-    # argmax is 0 on a row without a hit, so the mask there tells them apart
-    return np.where(hit_mask[np.arange(idx.size), idx], idx, last)
-
-
-def _gather(tau: np.ndarray, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(x.shape[0])
-    return x[rows, tau], g[rows, tau]
-
-
-def _stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x_tau, g_tau) per path under a stopping rule."""
-    return _gather(stopping_indices(rule, x, g), x, g)
+    hit = (x if rule.side == "x" else g) >= rule.level
+    # argmax is 0 on a row without a hit too
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), last)
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +150,16 @@ class _Generator:
         which only the mean is the moment."""
         raise NotImplementedError
 
-    def path_batch(self, rng: np.random.Generator, size: int):
-        """(x, g) arrays of shape (size, n_points); g may be a read-only view."""
-        raise NotImplementedError(f"{self.name} has no path representation")
+    last: int  # the last index of the path grid; raises where no path can be drawn
 
     def stopped_batch(self, rules, rng: np.random.Generator, size: int,
                       g_divisor: float = 1.0) -> list:
-        """(x_tau, g_tau) per rule on the size paths that path_batch(rng, size)
-        draws, with g divided by g_divisor before stopping, so that a hitting
-        rule on g stops on the scaled g. The arrays are rows 2i and 2i + 1
-        of one new (2 len(rules), size) array: distinct, writable, and the
-        caller's to overwrite. Here the paths are built and stopped; the
-        single-jump generators and the walks stop them in closed form."""
-        x, g = self.path_batch(rng, size)
-        if g_divisor != 1.0:
-            g = g / g_divisor
-        stopped = np.empty((2 * len(rules), size))
-        for i, rule in enumerate(rules):
-            stopped[2 * i], stopped[2 * i + 1] = _stopped(rule, x, g)
-        return list(zip(stopped[0::2], stopped[1::2]))
+        """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on size
+        paths drawn from rng, in closed form, without the paths; g is
+        divided by g_divisor before stopping, so that a hitting rule on g
+        stops on the scaled g. The arrays are rows of one new array, two
+        distinct rows per rule: writable, and the caller's to overwrite."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -195,8 +177,9 @@ class ExtremalGenerator(_Generator):
     def sup_sampler(self, r):
         return sharpness_sup_sampler(self.params, r)
 
-    def path_batch(self, rng, size):
-        return exp_pair_path_batch(self.params, _GRID_LEVEL, rng, size)
+    @property
+    def last(self):
+        return grid_last(self.params, _GRID_LEVEL)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         return exp_pair_stopped(self.params, _GRID_LEVEL, rules, rng, size, g_divisor)
@@ -216,8 +199,9 @@ class DiscreteExtremalGenerator(_Generator):
     def sup_sampler(self, r):
         return discrete_sup_sampler(self.params, self.level_N, r)
 
-    def path_batch(self, rng, size):
-        return discrete_path_batch(self.params, self.level_N, rng, size)
+    @property
+    def last(self):
+        return grid_last(self.params, self.level_N)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         return discrete_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
@@ -281,10 +265,9 @@ def _binomial_sampler(n: int, q: float):
     return sampler
 
 
-# the battery's pilot holds 2048 (steps + 1) doubles: at this cap, at
-# verify's default 10^5 samples, a hatx_of check with a hitting rule on x
-# took 1.5 s in process on one core (2-core x86_64), the audit 1.6 s and the
-# Pratelli check 1.7 s
+# at this cap and verify's default 10^5 samples, a hatx_of check with a
+# hitting rule on x took 1.1-1.4 s in process on one core of a 2-core x86_64
+# Xeon, the audit 1.4-1.7 s and the Pratelli check 1.3-1.5 s
 _MAX_WALK_STEPS = 10**3
 
 # the walks' stopped_batch draws its jump rows in blocks of about this many
@@ -305,12 +288,12 @@ class CompensatedBernoulliGenerator(_Generator):
     sup X is the last value. Bernoulli walks draw it from Binomial(steps, q)
     by inversion of one rng.random double per draw, on a cdf table computed
     here (_binomial_sampler); exponential walks still draw it with
-    rng.standard_gamma(steps). stopped_batch stops the walks path_batch
-    draws a block of rows at a time, without the path matrices: it sums the
-    jump columns in cumsum's order, up to the last index a rule needs, into
-    one row of x per index. A fixed index reads its row; a hitting rule on
-    x stops at its first passage, one index after the count of values below
-    the level, since x never decreases. At most _MAX_WALK_STEPS steps."""
+    rng.standard_gamma(steps). stopped_batch stops the walks without their
+    path matrices, a block of rows at a time: it sums the jump columns in
+    cumsum's order, up to the last index a rule needs, into one row of x per
+    index. A fixed index reads its row; a hitting rule on x stops at its
+    first passage, one index after the count of values below the level,
+    since x never decreases. At most _MAX_WALK_STEPS steps."""
 
     jump: JumpLaw
     steps: int
@@ -342,14 +325,15 @@ class CompensatedBernoulliGenerator(_Generator):
 
         return sampler
 
+    @property
+    def last(self):
+        return self.steps
+
+    # not called here: the tests' dense reference, which perfbench/tracing.py wraps
     def path_batch(self, rng, size):
-        jumps = self.jump.sample(rng, (size, self.steps))
-        np.cumsum(jumps, axis=1, out=jumps)
-        x = np.empty((size, self.steps + 1))
-        x[:, 0] = 0.0
-        x[:, 1:] = jumps
-        g = np.broadcast_to(np.arange(self.steps + 1) * self.jump.mean, x.shape)
-        return x, g
+        x = np.zeros((size, self.steps + 1))
+        np.cumsum(self.jump.sample(rng, (size, self.steps)), axis=1, out=x[:, 1:])
+        return x, np.broadcast_to(np.arange(self.steps + 1) * self.jump.mean, x.shape)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         last = self.steps
@@ -388,11 +372,33 @@ class CompensatedBernoulliGenerator(_Generator):
         return list(zip(x_tau, g_tau))
 
 
+def _level_before_division(level: float, divisor: float) -> float:
+    """The level that g >= 0 reaches exactly where g / divisor reaches level:
+    level at divisor 1, at a level <= 0 and at NaN; else the least double v
+    with v / divisor >= level, by bisection on the bits of the doubles in
+    [0, inf], which order them, as division by divisor > 0 is monotone."""
+    if divisor == 1.0 or not level > 0:
+        return level
+
+    def double(bits):  # a float quotient past DBL_MAX is inf
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    return double(bisect.bisect_left(range(0x7FF0000000000001), True,
+                                     key=lambda bits: double(bits) / divisor >= level))
+
+
 @dataclass(frozen=True)
 class HatXGenerator(_Generator):
     """Freeze an inner pair at a stopping rule: the x side becomes the
     single-jump process 1[tau, inf) * X_tau, the g side stops at tau.
-    Both sups reduce to the values at tau."""
+    Both sups reduce to the values at tau. stopped_batch reads the frozen
+    pair, (X_tau 1[tau <= s], G_min(tau, s)), from one stopped_batch of the
+    inner pair at each rule's inner index s: a fixed index its own; on x,
+    0 at a level <= 0 and else the last, as x jumps once; on g, G's passage.
+    X and G never decrease, so tau <= s where s reaches the bound on tau
+    (the fixed index, or the last), as a hitting s does where G one index
+    before the bound is below its level, or where the freeze rule's side
+    has passed its level at s."""
 
     inner: _Generator
     rule: FixedIndexRule | HittingRule
@@ -400,6 +406,16 @@ class HatXGenerator(_Generator):
     monotone_x = True
     exact_compensator = False  # freezing can only lose x-mass
     name = "hatx_of"
+
+    def __post_init__(self) -> None:
+        # refused before any draw: undrawable inner paths (last raises), an index off the grid
+        last = self.inner.last
+        if isinstance(self.rule, FixedIndexRule):
+            self.rule.index(last)
+
+    @property
+    def last(self):
+        return self.inner.last
 
     def sup_sampler(self, r=1.0):
         def sampler(rng, m):
@@ -410,12 +426,25 @@ class HatXGenerator(_Generator):
 
         return sampler
 
-    def path_batch(self, rng, size):
-        x, g = self.inner.path_batch(rng, size)
-        tau = stopping_indices(self.rule, x, g)
-        x_tau, g_tau = _gather(tau, x, g)
-        after = np.arange(x.shape[1]) >= tau[:, None]
-        return np.where(after, x_tau[:, None], 0.0), np.where(after, g_tau[:, None], g)
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        freeze, last = self.rule, self.last
+        reads = [rule if isinstance(rule, FixedIndexRule)
+                 else FixedIndexRule(0 if rule.level <= 0 else last) if rule.side == "x"
+                 else HittingRule("g", _level_before_division(rule.level, g_divisor))
+                 for rule in rules]
+        bound = freeze.k if isinstance(freeze, FixedIndexRule) else last
+        helper = [FixedIndexRule(bound - 1)] if bound > 0 else []
+        stopped = self.inner.stopped_batch(reads + [freeze] + helper, rng, size)
+        x_tau, g_tau = stopped[len(rules)]
+        for s, (x, g) in zip(reads, stopped):
+            frozen = (s.k >= bound if isinstance(s, FixedIndexRule)
+                      else np.logical_not(stopped[-1][1] >= s.level) if helper else True)
+            if isinstance(freeze, HittingRule):
+                frozen = frozen | ((x if freeze.side == "x" else g) >= freeze.level)
+            np.copyto(g, g_tau, where=frozen)
+            g /= g_divisor
+            np.multiply(x_tau, frozen, out=x)  # X_tau is finite and >= 0
+        return stopped[:len(rules)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,41 +585,33 @@ class PiecewiseLinearF:
         return np.add(acc, seg, out=out)
 
 
-def default_tau_battery(x: np.ndarray, g: np.ndarray) -> list:
+def default_tau_battery(gen: _Generator, seed: int) -> list:
     """Deterministic stopping battery: fixed deciles of the horizon plus
-    hitting levels at empirical quantiles of sup X."""
-    last = x.shape[1] - 1
-    rules: list = []
-    for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
-        rules.append(FixedIndexRule(k=max(1, int(round(frac * last)))))
-    sup_x = x.max(axis=1)
-    for qtl in (0.5, 0.9, 0.99):
-        level = float(np.quantile(sup_x, qtl))
-        if level > 0:
-            rules.append(HittingRule(side="x", level=level))
-    level_g = float(np.quantile(g.max(axis=1), 0.5))
-    if level_g > 0:
-        rules.append(HittingRule(side="g", level=level_g))
-    return rules
+    hitting levels at empirical quantiles of sup X and sup G over a pilot of
+    2048 paths, drawn from chunk_rng(seed, PILOT_STREAM), the pilot's own
+    stream domain, so it shares no draw with the estimation chunks. X and G
+    never decrease, so the pilot reads their sups at the last index."""
+    last = gen.last
+    [(sup_x, sup_g)] = gen.stopped_batch([FixedIndexRule(last)],
+                                         chunk_rng(seed, PILOT_STREAM), 2048)
+    levels = [("x", np.quantile(sup_x, qtl)) for qtl in (0.5, 0.9, 0.99)]
+    levels.append(("g", np.quantile(sup_g, 0.5)))
+    return ([FixedIndexRule(k=max(1, int(round(frac * last))))
+             for frac in (0.1, 0.25, 0.5, 0.75, 1.0)]
+            + [HittingRule(side, float(level)) for side, level in levels if level > 0])
 
 
 def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
                   g_divisor: float) -> list:
-    """Estimates of the column pair columns(x_tau, g_tau) at every rule of the
-    stopping battery, all rules evaluated on the same paths. The battery is
-    built on a 2048-path pilot drawn as dense paths from chunk_rng(seed,
-    PILOT_STREAM), the pilot's own stream domain, so it shares no draw with
-    the estimation chunks. Each estimation chunk is stopped by
-    gen.stopped_batch, so g is divided by g_divisor before stopping and a
-    hitting rule on g stops on the scaled g. The single-jump generators and
-    the walks stop in closed form and build no path matrix there. columns
-    may overwrite the stopped arrays, the rows of one allocation and no
-    other: freed, the block stays on glibc's heap for the next chunk, while
-    an array per column is page-faulted in again in every chunk. Returns
-    (rule, (a, b)) pairs, one per rule."""
-    # the pilot's paths are freed before the first chunk is drawn: held, they
-    # would split the heap top, which then grows past glibc's trim threshold
-    rules = default_tau_battery(*gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048))
+    """Estimates of the column pair columns(x_tau, g_tau) at every rule of
+    default_tau_battery(gen, seed), all rules evaluated on the same paths.
+    Each estimation chunk is stopped by gen.stopped_batch, so g is divided
+    by g_divisor before stopping and a hitting rule on g stops on the
+    scaled g. columns may overwrite the stopped arrays, the rows of one
+    allocation and no other: freed, the block stays on glibc's heap for the
+    next chunk, while an array per column is page-faulted in again in every
+    chunk. Returns (rule, (a, b)) pairs, one per rule."""
+    rules = default_tau_battery(gen, seed)
 
     def paired(rng, m):
         return tuple(col for x_tau, g_tau in gen.stopped_batch(rules, rng, m, g_divisor)

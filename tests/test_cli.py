@@ -822,9 +822,9 @@ class TestSubcommands:
     def test_verify_nested_hatx_of(self, capsys, tmp_path):
         # a walk frozen at index 6 and frozen again, at index 6 or where x
         # reaches 2 (at 6, or at the last index with x_6 unchanged), stops
-        # every path at the walk's (x_6, g_6): the outer freeze builds its
-        # inner pair's paths (the dense stopping route), and each check equals
-        # the single freeze's bit for bit
+        # every path at the walk's (x_6, g_6): the outer freeze stops its
+        # inner freeze in closed form, and each check equals the single
+        # freeze's bit for bit
         once = {"kind": "hatx_of", "inner": BERNOULLI, "rule": {"k": 6}}
 
         def checks(*generators):
@@ -855,7 +855,15 @@ class TestSubcommands:
           "constant": "monotone"}, [], "the monotone constant does not apply"),
         ({"generator": BERNOULLI, "p": 0.5, "constant": "monotone", "n_samples": 10},
          ["--method", "mom"], "10 samples cannot fill 31 blocks"),
-    ], ids=["unknown-kind", "monotone-on-extremal", "budget-below-blocks"])
+        ({"generator": {"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli",
+                                                     "q": 0.3, "steps": 12},
+                        "rule": {"k": 99}}, "p": 0.5, "constant": "monotone"},
+         [], "fixed stopping index outside the grid"),
+        ({"generator": {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.01, "n": 10},
+                        "rule": {"k": 3}}, "p": 0.5, "constant": "monotone"},
+         [], "path values exp(n/p) overflow"),
+    ], ids=["unknown-kind", "monotone-on-extremal", "budget-below-blocks",
+            "hatx-index-past-the-walk", "hatx-overflowing-inner"])
     def test_verify_reads_every_entry_before_drawing(self, capsys, tmp_path, monkeypatch,
                                                      bad, flags, message):
         # a bad second entry is refused before the first one draws or

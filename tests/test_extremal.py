@@ -179,10 +179,13 @@ class TestYLaw:
 class TestHatX:
     def test_freeze(self):
         # x is 0 before tau and x[tau] from tau on; g is unchanged before
-        # tau and frozen at g[tau] after
-        inner = ExtremalGenerator(ExtremalParams(p=0.5, n=5))
-        x, g = inner.path_batch(rng_of(1), 64)
-        frozen_x, frozen_g = HatXGenerator(inner, FixedIndexRule(k=10)).path_batch(rng_of(1), 64)
+        # tau and frozen at g[tau] after: the frozen pair read at every
+        # index of the grid of step 1/8
+        params = ExtremalParams(p=0.5, n=5)
+        x, g = exp_pair_path_batch(params, 3, rng_of(1), 64)
+        gen = HatXGenerator(ExtremalGenerator(params), FixedIndexRule(k=10))
+        stopped = gen.stopped_batch([FixedIndexRule(k) for k in range(41)], rng_of(1), 64)
+        frozen_x, frozen_g = (np.stack(side, axis=1) for side in zip(*stopped))
         assert np.all(np.diff(frozen_x, axis=1) >= 0)
         assert np.all(frozen_x[:, :10] == 0.0)
         np.testing.assert_array_equal(frozen_x[:, 10:], np.broadcast_to(x[:, 10:11], (64, 31)))

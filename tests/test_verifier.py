@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
 
-from lenglart import verifier
+from lenglart import extremal, verifier
 from lenglart.cli import generator_from_config
 from lenglart.extremal import (
     ExtremalParams,
@@ -55,21 +55,48 @@ def rng_of(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def dense_stopped(rule, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_tau, g_tau) per path of the path matrices x and g under a rule."""
+    tau = stopping_indices(rule, x, g)
+    rows = np.arange(x.shape[0])
+    return x[rows, tau], g[rows, tau]
+
+
+def dense_paths(gen, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (size, last + 1) path matrices of x and g whose stopped values
+    gen.stopped_batch returns, drawn from rng as it draws them; a freeze
+    is applied to its inner pair's matrices."""
+    if isinstance(gen, HatXGenerator):
+        x, g = dense_paths(gen.inner, rng, size)
+        tau = stopping_indices(gen.rule, x, g)
+        x_tau, g_tau = x[np.arange(size), tau, None], g[np.arange(size), tau, None]
+        after = np.arange(x.shape[1]) >= tau[:, None]
+        return np.where(after, x_tau, 0.0), np.where(after, g_tau, g)
+    if isinstance(gen, ExtremalGenerator):
+        return exp_pair_path_batch(gen.params, verifier._GRID_LEVEL, rng, size)
+    if isinstance(gen, DiscreteExtremalGenerator):
+        return discrete_path_batch(gen.params, gen.level_N, rng, size)
+    return gen.path_batch(rng, size)
+
+
+def dense_stopped_batch(gen, rules, rng, size: int, g_divisor: float = 1.0) -> list:
+    """gen.stopped_batch's values, from stopping gen's path matrices."""
+    x, g = dense_paths(gen, rng, size)
+    g = g / g_divisor
+    return [dense_stopped(rule, x, g) for rule in rules]
+
+
 @dataclass(frozen=True)
 class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
-    """The compensated walk with its compensator scaled on the paths: below
-    scale 1, E[X_tau] = E[G_tau] / scale > E[G_tau], so the domination
-    hypothesis fails and a checker run on the paths must say so. The
-    checkers stop these paths, not the walk's closed form."""
+    """The compensated walk with its compensator scaled by scale, stopped by
+    the walk's closed form at g_divisor / scale: below scale 1,
+    E[X_tau] = E[G_tau] / scale > E[G_tau], so the domination hypothesis
+    fails and a checker must say so."""
 
     scale: float = 1.0
 
-    def path_batch(self, rng, size):
-        x, g = super().path_batch(rng, size)
-        return x, self.scale * g
-
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return verifier._Generator.stopped_batch(self, rules, rng, size, g_divisor)
+        return super().stopped_batch(rules, rng, size, g_divisor / self.scale)
 
 
 @dataclass(frozen=True)
@@ -90,14 +117,9 @@ class ScaledStoppedXGenerator(ExtremalGenerator):
 
 @dataclass(frozen=True)
 class CountingGenerator(CompensatedBernoulliGenerator):
-    """The compensated walk, recording the size of every path batch drawn
-    and of every batch stopped (in closed form, without a path batch)."""
+    """The compensated walk, recording the size of every batch stopped."""
 
     sizes: list = field(default_factory=list, compare=False)
-
-    def path_batch(self, rng, size):
-        self.sizes.append(size)
-        return super().path_batch(rng, size)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         self.sizes.append(size)
@@ -227,7 +249,7 @@ class TestEnumeration:
         rules = ([FixedIndexRule(k) for k in range(steps + 1)]
                  + [HittingRule(side, level) for side in ("x", "g") for level in levels])
         for rule in rules:
-            x_tau, g_tau = verifier._stopped(rule, x, g)
+            x_tau, g_tau = dense_stopped(rule, x, g)
             e_x, e_g = enumerate_jump_stopping_means(q, steps, rule)
             assert e_x == pytest.approx(prob @ x_tau, rel=1e-14, abs=1e-14), rule
             assert e_g == pytest.approx(prob @ g_tau, rel=1e-14, abs=1e-14), rule
@@ -298,7 +320,7 @@ class TestClosedFormStopping:
         got = closed(params, level_N, rules, Uniforms(u), u.size, divisor)
         assert len(got) == len(rules)
         for rule, (x_tau, g_tau) in zip(rules, got):
-            want_x, want_g = verifier._stopped(rule, x, g)
+            want_x, want_g = dense_stopped(rule, x, g)
             assert np.array_equal(x_tau, want_x), rule
             assert np.array_equal(g_tau, want_g), rule
 
@@ -314,10 +336,9 @@ class TestClosedFormStopping:
     @pytest.mark.parametrize("divisor", [1.0, 0.5])
     def test_generator_draws_what_path_batch_draws(self, gen, divisor):
         rng_closed, rng_dense = rng_of(7), rng_of(7)
-        x, g = gen.path_batch(rng_of(1), 2048)
-        rules = verifier.default_tau_battery(x, g)
+        rules = verifier.default_tau_battery(gen, 1)
         got = gen.stopped_batch(rules, rng_closed, 4096, divisor)
-        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, 4096, divisor)
+        want = dense_stopped_batch(gen, rules, rng_dense, 4096, divisor)
         for (x_tau, g_tau), (want_x, want_g) in zip(got, want, strict=True):
             assert np.array_equal(x_tau, want_x) and np.array_equal(g_tau, want_g)
         assert rng_closed.random() == rng_dense.random()
@@ -416,7 +437,7 @@ class TestWalkClosedForm:
                  + [HittingRule("g", level) for level in g_levels])
         rng_closed, rng_dense = rng_of(3), rng_of(3)
         got = gen.stopped_batch(rules, rng_closed, size, divisor)
-        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, size, divisor)
+        want = dense_stopped_batch(gen, rules, rng_dense, size, divisor)
         for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
             assert np.array_equal(x_tau, want_x), rule
             assert np.array_equal(g_tau, want_g), rule
@@ -438,7 +459,7 @@ class TestWalkClosedForm:
                  HittingRule("g", 0.4 * steps * law.mean)]
         rng_closed, rng_dense = rng_of(4), rng_of(4)
         got = gen.stopped_batch(rules, rng_closed, size)
-        want = verifier._Generator.stopped_batch(gen, rules, rng_dense, size)
+        want = dense_stopped_batch(gen, rules, rng_dense, size)
         for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
             assert np.array_equal(x_tau, want_x), rule
             assert np.array_equal(g_tau, want_g), rule
@@ -486,6 +507,88 @@ class TestWalkClosedForm:
         else:
             want_x = rng.standard_gamma(12, 4000)
         assert np.array_equal(sup_x, want_x**r)
+
+
+# inner pairs of the freeze tests: both single-jump pairs, the three walk
+# laws, and freezes of a walk and of the discrete pair
+FREEZE_INNERS = [
+    ExtremalGenerator(ExtremalParams(p=0.5, n=2)),
+    DiscreteExtremalGenerator(ExtremalParams(p=0.3, n=2), level_N=2),
+    CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
+    CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=7),
+    CompensatedBernoulliGenerator(jump=JumpLaw("const", c=1.5), steps=5),
+    HatXGenerator(CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.5), steps=9),
+                  HittingRule("x", 3.0)),
+    HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=3), level_N=1),
+                  FixedIndexRule(4)),
+]
+
+
+class TestFreezeClosedForm:
+    """hatx_of stops the frozen pair from its inner pair's stopped values,
+    without paths. They must equal freezing the dense paths drawn from the
+    same stream and stopping those, element for element, and leave the
+    stream where those leave it."""
+
+    @staticmethod
+    def rule_on(data, x, g, label):
+        """A fixed index, or a hitting rule on x or g at a level <= 0, NaN,
+        above every value, at a value of the paths or next to one."""
+        kind = data.draw(st.sampled_from(["fixed", "x", "g"]), label=f"{label} kind")
+        if kind == "fixed":
+            return FixedIndexRule(data.draw(st.integers(0, x.shape[1] - 1), label=label))
+        values = x if kind == "x" else g
+        level = data.draw(st.one_of(
+            st.sampled_from([0.0, -1.0, math.nan, float(np.nextafter(values.max(), np.inf))]),
+            st.sampled_from(np.unique(values).tolist()).flatmap(lambda v: st.sampled_from(
+                [v, float(np.nextafter(v, -np.inf)), float(np.nextafter(v, np.inf))]))),
+            label=label)
+        return HittingRule(kind, level)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), inner=st.sampled_from(FREEZE_INNERS),
+           divisor=st.sampled_from([1.0, 0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_freezing_dense_paths(self, data, inner, divisor, seed):
+        size = 48
+        freeze = self.rule_on(data, *dense_paths(inner, rng_of(seed), size), "freeze")
+        gen = HatXGenerator(inner, freeze)
+        x, g = dense_paths(gen, rng_of(seed), size)
+        rules = [self.rule_on(data, x, g / divisor, f"rule {i}")
+                 for i in range(data.draw(st.integers(0, 8), label="rules"))]
+        rng_closed, rng_dense = rng_of(seed), rng_of(seed)
+        got = gen.stopped_batch(rules, rng_closed, size, divisor)
+        want = dense_stopped_batch(gen, rules, rng_dense, size, divisor)
+        for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
+            assert np.array_equal(x_tau, want_x), rule
+            assert np.array_equal(g_tau, want_g, equal_nan=True), rule
+        assert rng_closed.random() == rng_dense.random()
+        arrays = [a for pair in got for a in pair]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("divisor", [0.5, 3.0, 7.0])
+    def test_level_before_division(self, divisor):
+        # the least double whose quotient reaches the level: its predecessor's
+        # does not, at the extremes of the doubles as well
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+        for level in (1e-310, tiny, 0.3, 1.0, 2.5, 1e300, huge, math.inf):
+            v = verifier._level_before_division(level, divisor)
+            assert v / divisor >= level and np.nextafter(v, -np.inf) / divisor < level, level
+        for level in (0.0, -1.0, math.nan):
+            assert verifier._level_before_division(level, divisor) is level
+
+    @pytest.mark.parametrize(("inner", "rule", "match"), [
+        (FREEZE_INNERS[2], FixedIndexRule(13), "outside the grid"),
+        (FREEZE_INNERS[2], FixedIndexRule(-1), "outside the grid"),
+        (FREEZE_INNERS[5], FixedIndexRule(10), "outside the grid"),
+        (ExtremalGenerator(ExtremalParams(p=0.01, n=10)), FixedIndexRule(3), "DBL_MAX"),
+        (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=-1),
+         HittingRule("x", 2.0), "level_N"),
+    ], ids=["past-the-walk", "negative", "past-the-nested-walk", "overflow", "level_N"])
+    def test_refused_at_construction(self, inner, rule, match):
+        # what stopping the inner paths would refuse at the first draw
+        with pytest.raises(ValueError, match=match):
+            HatXGenerator(inner, rule)
 
 
 def exact_cdf(n: int, q: float) -> np.ndarray:
@@ -621,7 +724,7 @@ class TestGenerators:
     def test_hatx_generator_is_monotone(self):
         inner = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
         gen = HatXGenerator(inner=inner, rule=FixedIndexRule(k=5))
-        x, g = gen.path_batch(rng_of(3), 32)
+        x, g = dense_paths(gen, rng_of(3), 32)
         assert np.all(np.diff(x, axis=1) >= 0)
         assert np.all(np.diff(g, axis=1) >= -1e-12)
         sup_x, sup_g = gen.sup_sampler()(rng_of(3), 32)
@@ -896,7 +999,7 @@ class TestStreamedReportsMatchConcatenated:
 def battery_rules(gen, seed):
     """The stopping battery the audit and the Pratelli check build from
     their pilot at this seed."""
-    return verifier.default_tau_battery(*gen.path_batch(chunk_rng(seed, PILOT_STREAM), 2048))
+    return verifier.default_tau_battery(gen, seed)
 
 
 class TestBatteryColumnPair:
@@ -924,8 +1027,7 @@ class TestBatteryColumnPair:
         (lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK, seed=3), 0.5),
     ], ids=["audit", "pratelli"])
     def test_no_block_besides_the_stopped_rows(self, gen, check, g_divisor):
-        # the pilot's paths are freed before the chunk is drawn, and every
-        # column is reduced in the rows stopped_batch returned
+        # every column is reduced in the rows stopped_batch returned
         rules = battery_rules(gen, 3)
         stopped = self.traced_peak(
             lambda: gen.stopped_batch(rules, chunk_rng(3, 0), CHUNK, g_divisor))
@@ -967,3 +1069,84 @@ class TestBatteryColumnPair:
             assert entry.mean_x == estimate_from_values(x, PLAIN).value
             assert entry.mean_g == pytest.approx(estimate_from_values(g, PLAIN).value,
                                                  rel=1e-15, abs=0)
+
+
+def dense_battery(x: np.ndarray, g: np.ndarray) -> list:
+    """The stopping battery as built on a pilot's path matrices: fixed
+    deciles of the horizon, hitting levels at quantiles of the row maxima."""
+    last = x.shape[1] - 1
+    rules = [FixedIndexRule(k=max(1, int(round(frac * last))))
+             for frac in (0.1, 0.25, 0.5, 0.75, 1.0)]
+    for qtl in (0.5, 0.9, 0.99):
+        level = float(np.quantile(x.max(axis=1), qtl))
+        if level > 0:
+            rules.append(HittingRule(side="x", level=level))
+    level_g = float(np.quantile(g.max(axis=1), 0.5))
+    if level_g > 0:
+        rules.append(HittingRule(side="g", level=level_g))
+    return rules
+
+
+WALK = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
+DISCRETE = DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4)
+
+
+class TestPilot:
+    """The battery's pilot stops its paths at the last index, without
+    building them."""
+
+    GENERATORS = [
+        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+        DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4),
+        WALK,
+        CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=20),
+        HatXGenerator(WALK, FixedIndexRule(6)),
+        HatXGenerator(DISCRETE, HittingRule("x", 3.0)),
+    ]
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: f"{gen.name}")
+    def test_matches_the_battery_of_dense_paths(self, gen):
+        # X and G never decrease, so the last index holds the row maxima
+        for seed in range(20):
+            x, g = dense_paths(gen, chunk_rng(seed, PILOT_STREAM), 2048)
+            assert verifier.default_tau_battery(gen, seed) == dense_battery(x, g), seed
+
+    @pytest.mark.parametrize("gen", GENERATORS[:2], ids=lambda gen: gen.name)
+    def test_allocates_two_rows_and_the_jump_times(self, gen):
+        # the stopped pair and the jump times, 2048 doubles each, then the
+        # pair and np.quantile's copy of a row; the rest, 7.7 KB at most, is
+        # a mask of 2048 bytes, the grid rows (81 or 161 doubles) and the
+        # pilot's bit generator. Dense paths took 2 * 2048 * 81 doubles
+        verifier.default_tau_battery(gen, 0)  # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            verifier.default_tau_battery(gen, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2048 * 8 + 12 * 1024, peak - 3 * 2048 * 8
+
+
+class TestNoDenseRoute:
+    """No check in the package builds or stops a path matrix: with every
+    dense builder and the dense stopping rule made to raise, each runs."""
+
+    def test_checks_run_without_path_matrices(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("a check built or stopped a path matrix")
+
+        for module in (extremal, verifier):
+            monkeypatch.setattr(module, "exp_pair_path_batch", dense)
+            monkeypatch.setattr(module, "discrete_path_batch", dense)
+        monkeypatch.setattr(verifier, "stopping_indices", dense)
+        monkeypatch.setattr(CompensatedBernoulliGenerator, "path_batch", dense)
+        exact = [ExtremalGenerator(ExtremalParams(p=0.5, n=4)), WALK,
+                 CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=8),
+                 CompensatedBernoulliGenerator(jump=JumpLaw("const", c=1.5), steps=3)]
+        nested = HatXGenerator(HatXGenerator(WALK, FixedIndexRule(6)), HittingRule("x", 2.0))
+        for gen in [*exact, DISCRETE, HatXGenerator(WALK, HittingRule("g", 1.0)),
+                    HatXGenerator(DISCRETE, HittingRule("x", 3.0)), nested]:
+            assert domination_audit(gen, n_samples=3000, seed=1).passed, gen
+        for gen in exact:
+            assert check_pratelli(gen, PowerF(0.5), 0.5, n_samples=3000, seed=1).passed, gen
+        assert check_inequality(nested, 0.5, ConstantKind.MONOTONE, n_samples=3000).passed
