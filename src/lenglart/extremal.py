@@ -93,6 +93,8 @@ class ExtremalParams:
 # r > p the moments grow as e^((r/p - 1) n), and the samplers refuse an r, p
 # and n at which the x moment or the mass beyond the horizon is no float64,
 # or at which the estimator's sum of a chunk of squared values could not be.
+# The monotone pair's G is the full pair's, and its sampler returns the full
+# sampler's g values at r = p.
 #
 # Each kernel evaluates its closed form in place, in the array that the bit
 # generator filled: at r = p a chunk allocates no full-size temporary (the
@@ -200,14 +202,12 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
 
 def monotone_sup_sampler(params: ExtremalParams):
     """Paired sampler of (E[(sup X)^p], importance-weighted (sup G)^p) for
-    the monotone pair (no Brownian tail): the x side is its exact moment n;
-    only the mean of the g side is the moment."""
-    p, n = params.p, params.n
-    _, beyond = _moments(params, p)
+    the monotone pair (no Brownian tail): the x side is its exact moment n,
+    the g side the full pair's; only the mean of the g side is the moment."""
+    full = sharpness_sup_sampler(params)
 
     def sampler(rng: np.random.Generator, m: int):
-        (z,) = _horizon_draws(rng, m, n)
-        return float(n), _weighted_sup_g_pow(p, p, n, beyond, z)
+        return float(params.n), full(rng, m)[1]
 
     return sampler
 
@@ -448,20 +448,20 @@ def exp_pair_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random
 
 
 def discrete_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random.Generator,
-                     size: int, g_divisor: float = 1.0) -> list:
+                     size: int) -> list:
     """(x_tau, g_tau) per rule on the dyadic discrete pairs that
-    discrete_path_batch would build, as exp_pair_stopped. g_k is
-    levels[min(k, c)], the partial sums of the step integrals up to the
-    count c of grid points t_0 .. t_(last-1) below z, so g_end is
-    levels[c]. The first grid index j with t_j >= z is ceil(z 2^N), or
-    last + 1 if there is none, since t_k = k 2^-N and the scaling by 2^N is
-    exact; c is min(j, last)."""
+    discrete_path_batch would build, as exp_pair_stopped but with g
+    undivided. g_k is levels[min(k, c)], the partial sums of the step
+    integrals up to the count c of grid points t_0 .. t_(last-1) below z, so
+    g_end is levels[c]. The first grid index j with t_j >= z is
+    ceil(z 2^N), or last + 1 if there is none, since t_k = k 2^-N and the
+    scaling by 2^N is exact; c is min(j, last)."""
     z, t = _jump_times(params, level_N, rng, size)
     if not rules:
         return []
     last = t.size - 1
     block = np.empty((2 * len(rules), size))
-    levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))]) / g_divisor
+    levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))])
     c = np.multiply(z, 2.0**level_N, out=block[-1])
     np.ceil(c, out=c)
     np.minimum(c, last, out=c)

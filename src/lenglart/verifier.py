@@ -10,9 +10,7 @@ takes built generators; cli.generator_from_config reads the suite format.
 
 from __future__ import annotations
 
-import bisect
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +137,8 @@ _GRID_LEVEL = 3
 
 class _Generator:
     monotone_x = False
+    # E[X_tau] = E[G_tau] exactly; only such a generator's stopped_batch
+    # takes a g_divisor, which check_pratelli passes
     exact_compensator = False
     name = "generator"
 
@@ -152,13 +152,13 @@ class _Generator:
 
     last: int  # the last index of the path grid; raises where no path can be drawn
 
-    def stopped_batch(self, rules, rng: np.random.Generator, size: int,
-                      g_divisor: float = 1.0) -> list:
+    def stopped_batch(self, rules, rng: np.random.Generator, size: int) -> list:
         """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on size
-        paths drawn from rng, in closed form, without the paths; g is
-        divided by g_divisor before stopping, so that a hitting rule on g
-        stops on the scaled g. The arrays are rows of one new array, two
-        distinct rows per rule: writable, and the caller's to overwrite."""
+        paths drawn from rng, in closed form, without the paths. The arrays
+        are rows of one new array, two distinct rows per rule: writable, and
+        the caller's to overwrite. A generator with exact_compensator takes
+        a fourth argument, g_divisor (default 1.0), and stops g / g_divisor,
+        so that a hitting rule on g stops on the scaled g."""
         raise NotImplementedError
 
 
@@ -203,8 +203,8 @@ class DiscreteExtremalGenerator(_Generator):
     def last(self):
         return grid_last(self.params, self.level_N)
 
-    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return discrete_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
+    def stopped_batch(self, rules, rng, size):
+        return discrete_stopped(self.params, self.level_N, rules, rng, size)
 
 
 def _binomial_pmf(n: int, q: float) -> np.ndarray:
@@ -337,9 +337,7 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         last = self.steps
-        g_row = np.arange(last + 1) * self.jump.mean
-        if g_divisor != 1.0:
-            g_row = g_row / g_divisor
+        g_row = np.arange(last + 1) * self.jump.mean / g_divisor
         # None: a hitting rule on x, which stops each walk at its first passage
         index = [rule.common_index(g_row) for rule in rules]
         reach = last if None in index else max(index, default=0)
@@ -370,21 +368,6 @@ class CompensatedBernoulliGenerator(_Generator):
                 elif k > 0:
                     xt[rows] = x[k - 1]
         return list(zip(x_tau, g_tau))
-
-
-def _level_before_division(level: float, divisor: float) -> float:
-    """The level that g >= 0 reaches exactly where g / divisor reaches level:
-    level at divisor 1, at a level <= 0 and at NaN; else the least double v
-    with v / divisor >= level, by bisection on the bits of the doubles in
-    [0, inf], which order them, as division by divisor > 0 is monotone."""
-    if divisor == 1.0 or not level > 0:
-        return level
-
-    def double(bits):  # a float quotient past DBL_MAX is inf
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    return double(bisect.bisect_left(range(0x7FF0000000000001), True,
-                                     key=lambda bits: double(bits) / divisor >= level))
 
 
 @dataclass(frozen=True)
@@ -426,11 +409,10 @@ class HatXGenerator(_Generator):
 
         return sampler
 
-    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+    def stopped_batch(self, rules, rng, size):
         freeze, last = self.rule, self.last
-        reads = [rule if isinstance(rule, FixedIndexRule)
-                 else FixedIndexRule(0 if rule.level <= 0 else last) if rule.side == "x"
-                 else HittingRule("g", _level_before_division(rule.level, g_divisor))
+        reads = [FixedIndexRule(0 if rule.level <= 0 else last)
+                 if isinstance(rule, HittingRule) and rule.side == "x" else rule
                  for rule in rules]
         bound = freeze.k if isinstance(freeze, FixedIndexRule) else last
         helper = [FixedIndexRule(bound - 1)] if bound > 0 else []
@@ -442,7 +424,6 @@ class HatXGenerator(_Generator):
             if isinstance(freeze, HittingRule):
                 frozen = frozen | ((x if freeze.side == "x" else g) >= freeze.level)
             np.copyto(g, g_tau, where=frozen)
-            g /= g_divisor
             np.multiply(x_tau, frozen, out=x)  # X_tau is finite and >= 0
         return stopped[:len(rules)]
 
@@ -601,20 +582,19 @@ def default_tau_battery(gen: _Generator, seed: int) -> list:
             + [HittingRule(side, float(level)) for side, level in levels if level > 0])
 
 
-def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
-                  g_divisor: float) -> list:
+def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int, **stop) -> list:
     """Estimates of the column pair columns(x_tau, g_tau) at every rule of
     default_tau_battery(gen, seed), all rules evaluated on the same paths.
-    Each estimation chunk is stopped by gen.stopped_batch, so g is divided
-    by g_divisor before stopping and a hitting rule on g stops on the
-    scaled g. columns may overwrite the stopped arrays, the rows of one
-    allocation and no other: freed, the block stays on glibc's heap for the
-    next chunk, while an array per column is page-faulted in again in every
-    chunk. Returns (rule, (a, b)) pairs, one per rule."""
+    Each estimation chunk is gen.stopped_batch(rules, rng, m, **stop): only
+    check_pratelli passes a stop, g_divisor=c. columns may overwrite the
+    stopped arrays, the rows of one allocation and no other: freed, the
+    block stays on glibc's heap for the next chunk, while an array per
+    column is page-faulted in again in every chunk. Returns (rule, (a, b))
+    pairs, one per rule."""
     rules = default_tau_battery(gen, seed)
 
     def paired(rng, m):
-        return tuple(col for x_tau, g_tau in gen.stopped_batch(rules, rng, m, g_divisor)
+        return tuple(col for x_tau, g_tau in gen.stopped_batch(rules, rng, m, **stop)
                      for col in columns(x_tau, g_tau))
 
     estimates = estimate_pair(paired, n_samples, PLAIN, seed)
@@ -630,9 +610,11 @@ def check_pratelli(
 ) -> VerifierReport:
     """Certify E[F(Y_tau)] <= (1+c) E[F(G_tau)] over a stopping battery.
 
-    The generator must carry an exact compensator so that scaling g by 1/c
-    realizes the hypothesis E[Y_tau] <= c E[(G/c)_tau]. Returns the report
-    of the binding (worst-margin) stopping time.
+    The generator must carry an exact compensator (exact_compensator), so
+    that scaling g by 1/c realizes the hypothesis E[Y_tau] <= c E[(G/c)_tau];
+    only such a generator's stopped_batch takes the g_divisor c, and the
+    others are refused before any draw. Returns the report of the binding
+    (worst-margin) stopping time.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, not {c!r}")
@@ -708,7 +690,7 @@ def domination_audit(
     each rule of a stopping battery; mean g is read as mean x - mean(x - g).
     Report only: generators satisfy the domination hypothesis by construction."""
     battery = _battery_pass(gen, lambda x, g: (x, np.subtract(x, g, out=g)),
-                            n_samples, seed, g_divisor=1.0)
+                            n_samples, seed)
     entries = tuple(
         AuditEntry(tau_label=rule.label(), mean_x=mean_x.value,
                    mean_g=mean_x.value - diff.value, stderr=diff.halfwidth)

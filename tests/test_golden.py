@@ -32,7 +32,10 @@ from lenglart.extremal import ExtremalParams
 from lenglart.montecarlo import CHUNK
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
+    DiscreteExtremalGenerator,
     ExtremalGenerator,
+    HatXGenerator,
+    HittingRule,
     JumpLaw,
     PowerF,
     check_pratelli,
@@ -102,6 +105,22 @@ API_CALLS = {
     for call, make in (("domination_audit", domination_audit),
                        ("check_pratelli", partial(check_pratelli, F=PowerF(0.5), c=0.5)))
 }
+# c = 3 stops g / 3 in the Pratelli check; the discrete pair and a freeze
+# that stops its walk where g reaches 2 are audited on their own paths
+API_CALLS.update({
+    f"check_pratelli:c=3 {name}": partial(check_pratelli, gen, PowerF(0.5), 3.0,
+                                          n_samples=SAMPLES, seed=0)
+    for name, gen in API_GENERATORS.items()
+})
+API_CALLS.update({
+    f"domination_audit {name}": partial(domination_audit, gen, n_samples=SAMPLES, seed=0)
+    for name, gen in (
+        ("discrete_extremal:p=0.5:n=10:N=4",
+         DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4)),
+        ("hatx_of:bernoulli:g>=2",
+         HatXGenerator(API_GENERATORS["bernoulli:q=0.3:steps=12"], HittingRule("g", 2.0))),
+    )
+})
 
 
 def stable_json(argv: str, threads: int) -> dict:

@@ -1,5 +1,6 @@
 """Generators, stopping rules, inequality checks and enumeration oracles."""
 
+import inspect
 import math
 import tracemalloc
 from dataclasses import dataclass, field
@@ -279,8 +280,10 @@ def uniforms_hitting(z_targets) -> list:
     return found
 
 
-# (dense batch, closed-form stopping) for both single-jump pairs
-JUMP_PAIRS = [(exp_pair_path_batch, exp_pair_stopped), (discrete_path_batch, discrete_stopped)]
+# (dense batch, closed-form stopping, g divisors) for both single-jump pairs:
+# only the exponential pair, which has an exact compensator, divides g
+JUMP_PAIRS = [(exp_pair_path_batch, exp_pair_stopped, [1.0, 0.5, 3.0]),
+              (discrete_path_batch, discrete_stopped, [1.0])]
 
 
 class TestClosedFormStopping:
@@ -290,10 +293,10 @@ class TestClosedFormStopping:
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), pair=st.sampled_from(JUMP_PAIRS), n=st.integers(1, 12),
-           level_N=st.integers(0, 4), divisor=st.sampled_from([1.0, 0.5, 3.0]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_dense_stopping(self, data, pair, n, level_N, divisor, seed):
-        dense, closed = pair
+           level_N=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_stopping(self, data, pair, n, level_N, seed):
+        dense, closed, divisors = pair
+        divisor = data.draw(st.sampled_from(divisors), label="divisor")
         p = data.draw(st.floats(n / 700, 1.0, exclude_max=True), label="p")
         params = ExtremalParams(p=p, n=n)
         t = np.arange(n * 2**level_N + 1) * 2.0**-level_N
@@ -317,7 +320,8 @@ class TestClosedFormStopping:
         rules = ([FixedIndexRule(k) for k in range(t.size)]
                  + [HittingRule("x", level) for level in x_levels]
                  + [HittingRule("g", level) for level in g_levels])
-        got = closed(params, level_N, rules, Uniforms(u), u.size, divisor)
+        got = (closed(params, level_N, rules, Uniforms(u), u.size) if divisor == 1.0
+               else closed(params, level_N, rules, Uniforms(u), u.size, divisor))
         assert len(got) == len(rules)
         for rule, (x_tau, g_tau) in zip(rules, got):
             want_x, want_g = dense_stopped(rule, x, g)
@@ -335,10 +339,12 @@ class TestClosedFormStopping:
     ])
     @pytest.mark.parametrize("divisor", [1.0, 0.5])
     def test_generator_draws_what_path_batch_draws(self, gen, divisor):
+        # the discrete pair takes no divisor, and stops its g undivided
+        divided = (divisor,) if gen.exact_compensator else ()
         rng_closed, rng_dense = rng_of(7), rng_of(7)
         rules = verifier.default_tau_battery(gen, 1)
-        got = gen.stopped_batch(rules, rng_closed, 4096, divisor)
-        want = dense_stopped_batch(gen, rules, rng_dense, 4096, divisor)
+        got = gen.stopped_batch(rules, rng_closed, 4096, *divided)
+        want = dense_stopped_batch(gen, rules, rng_dense, 4096, *divided)
         for (x_tau, g_tau), (want_x, want_g) in zip(got, want, strict=True):
             assert np.array_equal(x_tau, want_x) and np.array_equal(g_tau, want_g)
         assert rng_closed.random() == rng_dense.random()
@@ -373,7 +379,8 @@ class TestStoppedBlock:
     @pytest.mark.parametrize("n_rules", [1, 2, len(RULES)])
     def test_columns_share_one_allocation(self, gen, n_rules):
         rules, size = self.RULES[:n_rules], 1000
-        got = gen.stopped_batch(rules, rng_of(2), size, 0.5)
+        divided = (0.5,) if gen.exact_compensator else ()  # the discrete pair takes none
+        got = gen.stopped_batch(rules, rng_of(2), size, *divided)
         arrays = [a for pair in got for a in pair]
         assert len(got) == n_rules
         assert all(a.shape == (size,) and a.flags.writeable and a.flags.c_contiguous
@@ -547,17 +554,17 @@ class TestFreezeClosedForm:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), inner=st.sampled_from(FREEZE_INNERS),
-           divisor=st.sampled_from([1.0, 0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_freezing_dense_paths(self, data, inner, divisor, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_freezing_dense_paths(self, data, inner, seed):
         size = 48
         freeze = self.rule_on(data, *dense_paths(inner, rng_of(seed), size), "freeze")
         gen = HatXGenerator(inner, freeze)
         x, g = dense_paths(gen, rng_of(seed), size)
-        rules = [self.rule_on(data, x, g / divisor, f"rule {i}")
+        rules = [self.rule_on(data, x, g, f"rule {i}")
                  for i in range(data.draw(st.integers(0, 8), label="rules"))]
         rng_closed, rng_dense = rng_of(seed), rng_of(seed)
-        got = gen.stopped_batch(rules, rng_closed, size, divisor)
-        want = dense_stopped_batch(gen, rules, rng_dense, size, divisor)
+        got = gen.stopped_batch(rules, rng_closed, size)
+        want = dense_stopped_batch(gen, rules, rng_dense, size)
         for rule, (x_tau, g_tau), (want_x, want_g) in zip(rules, got, want, strict=True):
             assert np.array_equal(x_tau, want_x), rule
             assert np.array_equal(g_tau, want_g, equal_nan=True), rule
@@ -565,17 +572,6 @@ class TestFreezeClosedForm:
         arrays = [a for pair in got for a in pair]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
-
-    @pytest.mark.parametrize("divisor", [0.5, 3.0, 7.0])
-    def test_level_before_division(self, divisor):
-        # the least double whose quotient reaches the level: its predecessor's
-        # does not, at the extremes of the doubles as well
-        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
-        for level in (1e-310, tiny, 0.3, 1.0, 2.5, 1e300, huge, math.inf):
-            v = verifier._level_before_division(level, divisor)
-            assert v / divisor >= level and np.nextafter(v, -np.inf) / divisor < level, level
-        for level in (0.0, -1.0, math.nan):
-            assert verifier._level_before_division(level, divisor) is level
 
     @pytest.mark.parametrize(("inner", "rule", "match"), [
         (FREEZE_INNERS[2], FixedIndexRule(13), "outside the grid"),
@@ -828,9 +824,20 @@ class TestPratelli:
             check_pratelli(gen, PowerF(0.5), c=c, n_samples=1000)
 
     def test_requires_exact_compensator(self):
-        gen = DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=2)
-        with pytest.raises(ValueError, match="domination"):
-            check_pratelli(gen, PowerF(0.5), c=1.0)
+        discrete = DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=4), level_N=2)
+        walk = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
+        for gen in (discrete, HatXGenerator(walk, HittingRule("g", 2.0))):
+            with pytest.raises(ValueError, match="domination"):
+                check_pratelli(gen, PowerF(0.5), c=1.0)
+
+    def test_g_divisor_only_where_the_compensator_is_exact(self):
+        # check_pratelli, which refuses the others, passes the one g_divisor
+        classes = verifier._Generator.__subclasses__()
+        assert {cls.name for cls in classes} == {
+            "extremal", "discrete_extremal", "compensated_bernoulli", "hatx_of"}
+        for cls in classes:
+            takes = "g_divisor" in inspect.signature(cls.stopped_batch).parameters
+            assert takes is cls.exact_compensator, cls.name
 
     def test_f_validation(self):
         with pytest.raises(ValueError):
