@@ -9,11 +9,14 @@ P[sup >= y] = x/y, so it is x/U with U uniform, and E[U^-p] = 1/(1-p).
 
 The vectorized sup samplers that feed the moment estimates return the x
 side's moment itself, a float, since it is a closed form in the horizon n.
-On the compensator side they draw Z uniformly below n rather than from
-Exp(1), add the mass beyond n exactly, and return importance-weighted
-values: a single value is not a draw of (sup G)^r, only their mean is the
-moment. The exponent r defaults to the family's p. They work in log space
-and are finite at every 0 < p < 1.
+On the compensator side they add exactly the two parts of the moment that
+have closed forms, the mass beyond n and the integral of a plateau below
+it, and draw only the deficit under the plateau, by importance sampling
+from its own exponential rate of decay, with the uniform behind each draw
+as a second control variate. They return these weighted values: a single
+value is not a draw of (sup G)^r, only their mean is the moment. The
+exponent r defaults to the family's p. The values are bounded and finite at
+every 0 < p < 1.
 
 The checks read paths only at stopping rules (FixedIndexRule, HittingRule),
 where a single-jump path is a closed form of its jump time Z ~ Exp(1):
@@ -81,42 +84,60 @@ class ExtremalParams:
 # float, which the estimator reports as exact (montecarlo.estimate_passes).
 #
 # On the compensator side, no jump happens beyond the horizon and G runs to
-# n, so f(Z) is a known constant on Z > n and E[f(Z)] =
-# int_0^n e^-z f(z) dz + e^-n f(n). The samplers draw Z = n v, v uniform on
-# [0, 1), weight each value by n e^-z, and add the mass beyond the horizon,
-# e^-n (p expm1(n/p))^r, exactly; plain Exp(1) draws would leave a Pareto(1)
-# tail. The weight e^-z cancels the e^(rz/p) inside (p expm1(z/p))^r up to
-# e^((r/p - 1) z), so every weighted value has a closed form with no exp(z/p)
-# in it: n e^-z (sup G)^r = n (p (1 - e^(-z/p)))^r e^((r/p - 1) z), at r = p
-# the integrand of oracles.gtilde_sup_moment. At r = p the exponential is 1
-# and is not evaluated, and no value can overflow at any p in (0, 1); at
-# r > p the moments grow as e^((r/p - 1) n), and the samplers refuse an r, p
-# and n at which the x moment or the mass beyond the horizon is no float64,
-# or at which the estimator's sum of a chunk of squared values could not be.
-# The monotone pair's G is the full pair's, and its sampler returns the full
-# sampler's g values at r = p.
+# n, so f(Z) = (sup G)^r is a known constant on Z > n and E[f(Z)] =
+# int_0^n e^-z f(z) dz + e^-n f(n); the second term, the mass beyond the
+# horizon, is exp(r log(p (1 - e^(-n/p))) + a n). Below the horizon G runs
+# to t: z itself, or for the discrete pair the end of z's grid step. With
+# y = e^(-t/p) and phi(y) = (1 - (1 - y)^r) / y, which lies in [r, 1] and
+# rises with y, e^-z (p expm1(t/p))^r = p^r e^(rt/p - z) (1 - y phi(y)):
+# a plateau p^r e^(rt/p - z) less a deficit
+# p^r e^(-kappa z/p) phi(y) e^(-(1-r)(t-z)/p), kappa = 1 + p - r. The
+# plateau's integral P is a closed form: p^r expm1(a n)/a (p^r n at r = p),
+# and p^r expm1(h) sum_{k=1}^{n/h} e^(a k h) on the grid of step h. So the
+# samplers add P exactly, as a control variate of known mean, and draw only
+# the deficit, from the density proportional to e^(-kappa z/p) on [0, n],
+# the deficit's own rate of decay: z = -(p/kappa) log(1 - v c_u) for v
+# uniform, c_u = -expm1(-kappa n/p), with the weight W = p^(r+1) c_u/kappa.
+# Each value is
 #
-# Each kernel evaluates its closed form in place, in the array that the bit
-# generator filled: at r = p a chunk allocates no full-size temporary (the
-# discrete kernel keeps its caps in the second row of its draws' one
-# allocation), because glibc returns a freed heap top to the operating
-# system and every chunk would page-fault it in again; it keeps a freed heap
-# top of up to twice the largest block it has unmapped, which two separate
-# blocks of m doubles would exceed.
+#     P + beyond - W phi(e^(-t/p)) e^(-(1-r)(t-z)/p) - beta (v - 1/2):
+#
+# v - 1/2 is a second control variate, of mean 0, and beta its best fixed
+# coefficient for the continuous pair, 12 Cov of the deficit term with v,
+# from a midpoint rule when the sampler is built (Owen, Monte Carlo theory,
+# methods and examples, 2013, ch. 8-9). The deficit term rises almost
+# linearly with v (correlation 0.93 at p = 0.5, n = 10), so it takes a
+# further 5 to 13 times the variance away. A single value is not a draw of
+# (sup G)^r; only their mean is the moment. At r = p and t = z,
+# e^(-z/p) = 1 - s with s = v c_u, so the deficit term is
+# W expm1(p log s)/(1 - s), and z is never formed. The discrete pair's t is
+# k h for the grid index k = ceil(z/h), so its phi is a table over k,
+# constant from kh/p >= _PHI_FLAT on. It takes the continuous pair's beta,
+# so its value is at least the continuous pair's on every v, since its P is
+# larger and its t later, and discretization effects isolate cleanly. The
+# values lie within 3 W of each other and are bounded at every 0 < p < 1;
+# at r > p the moments grow as e^(a n), and the samplers refuse an r, p and
+# n at which the x moment is no float64, or at which the estimator's sum of
+# a chunk of squared deviations from the mean could not be: rounding at the
+# size of the values, about e^(a n), leaves deviations of up to 2^-48 of
+# them. The monotone pair's G is the full pair's, and its sampler returns
+# the full sampler's g values at r = p.
+#
+# Each kernel evaluates its closed form in place, in the rows of one
+# allocation of m doubles each (two, three for the discrete kernel) whose
+# first row the bit generator filled, and at r = p allocates no other
+# full-size array: glibc returns a freed heap top to the operating system
+# and every chunk would page-fault it in again; it keeps a freed heap top of
+# up to twice the largest block it has unmapped, which separate blocks of m
+# doubles would exceed.
 # ---------------------------------------------------------------------------
 
 # largest t with exp(t) a finite float64, ~709.78
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-
-
-def _horizon_draws(rng: np.random.Generator, m: int, n: int, rows: int = 1) -> np.ndarray:
-    """rows arrays of m doubles, the rows of one allocation: the first holds
-    the jump times Z = n v below the horizon, in the array of the uniforms
-    v, and the others are left for the caller."""
-    block = np.empty((rows, m))
-    rng.random(out=block[0])
-    block[0] *= n
-    return block
+# from x = t/p = 40 on, phi(e^-x) = r (1 + (1 - r) e^-x/2 + ...) is r in float64
+_PHI_FLAT = 40.0
+# midpoints of the rule that fixes a control variate's coefficient
+_SLOPE_NODES = 1 << 12
 
 
 def _exponent(params: ExtremalParams, r: float | None) -> float:
@@ -127,53 +148,77 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
     return r
 
 
-def _moments(params: ExtremalParams, r: float, step: float = 0.0) -> tuple[float, float]:
-    """(E[(sup X)^r] of the full pair, e^-n (p expm1(n/p))^r), the x moment
-    and the compensator's mass beyond the horizon, the latter as
-    exp(r log(p (1 - e^(-n/p))) + a n), a = r/p - 1. Raises ValueError where
-    either is no float64, or where CHUNK squared weighted g values, which
-    the estimator sums, could exceed DBL_MAX. Those values are at most
-    (n + 1) (p (1 - e^(-n/p)))^r e^(max(a, 0) n + step), where step is how
-    far past z a kernel runs g: the grid step for the discrete kernel."""
+def _constants(params: ExtremalParams, r: float,
+               h: float = 0.0) -> tuple[float, float, float, float, float]:
+    """(E[(sup X)^r] of the full pair, top, W, c_u, beta): top = P + beyond,
+    the plateau's integral on the grid of step h (continuous at h = 0) plus
+    the mass beyond the horizon, W the deficit's weight, c_u its draws'
+    normaliser, and beta = 12 Cov(-W phi(e^(-z(V)/p)), V) for V uniform, by
+    the midpoint rule: the multiple of the control variate V - 1/2 that
+    leaves the continuous values least variance (any beta keeps the mean
+    exact). Raises ValueError where the x moment or top is no float64, or
+    where CHUNK squared deviations of values from their mean, which the
+    estimator sums, could exceed DBL_MAX: the values lie within 3 W of each
+    other, and rounding near top adds up to about 2^-48 top."""
     from .montecarlo import CHUNK  # montecarlo imports this module
 
     p, n = params.p, params.n
     a = r / p - 1.0
-    level = r * math.log(-p * math.expm1(-n / p))
-    log_largest = math.log(n + 1) + level + max(a, 0.0) * n + step
+    kappa = 1.0 + p - r
+    c_u = -math.expm1(-kappa * n / p)
+    weight = p ** (r + 1.0) * c_u / kappa
     try:
         supx = n / (1.0 - r) if a == 0.0 else math.expm1(a * n) / (a * (1.0 - r))
-        beyond = math.exp(level + a * n)
+        # int_0^n e^(a z) dz, or expm1(h) sum_{k=1}^{n/h} e^(a k h)
+        if a == 0.0:
+            plateau = n * math.expm1(h) / h if h else float(n)
+        else:
+            step = math.expm1(h) * math.exp(a * h) / math.expm1(a * h) if h else 1.0 / a
+            plateau = math.expm1(a * n) * step
+        top = p**r * plateau + math.exp(r * math.log(-p * math.expm1(-n / p)) + a * n)
     except OverflowError:
-        supx = beyond = math.inf
-    if not (math.isfinite(supx) and math.isfinite(beyond)
-            and 2.0 * log_largest + math.log(CHUNK) <= _MAX_EXP_ARG):
+        supx = top = math.inf
+    spread = 3.0 * weight + top * 2.0**-48
+    if not (math.isfinite(supx) and 2.0 * math.log(spread) + math.log(CHUNK) <= _MAX_EXP_ARG):
         raise ValueError(f"the moments of order r = {r} of the extremal pair at p = {p}, "
-                         f"n = {n} exceed DBL_MAX, or the squares their estimate sums do; "
-                         "they grow as e^((r/p - 1) n)")
-    return supx, beyond
+                         f"n = {n} exceed DBL_MAX, or the squared deviations their estimate "
+                         "sums could; they grow as e^((r/p - 1) n)")
+    v = (np.arange(_SLOPE_NODES) + 0.5) / _SLOPE_NODES
+    minus_phi = _continuous_minus_phi(v.copy(), np.empty_like(v), p, r, c_u)
+    return supx, top, weight, c_u, 12.0 * weight * float(np.mean(minus_phi * (v - 0.5)))
 
 
-def _weighted_sup_g_pow(p: float, r: float, n: int, beyond: float, t_eff: np.ndarray,
-                        shift: np.ndarray | None = None) -> np.ndarray:
-    """n e^-z (p expm1(t_eff/p))^r + beyond, computed in place in t_eff, for
-    a compensator run up to t_eff >= z; beyond is the mass beyond the
-    horizon. With L(t) = r log(p (1 - e^(-t/p))) the first term is
-    exp(L(t_eff) + log n + shift), where shift holds (r/p) t_eff - z when it
-    is not zero. At r = p it is bounded, so no p in (0, 1) overflows, and
-    t_eff = 0 gives exactly 0."""
-    t_eff *= -1.0 / p
-    np.expm1(t_eff, out=t_eff)
-    t_eff *= -p
-    with np.errstate(divide="ignore"):
-        np.log(t_eff, out=t_eff)
-    t_eff *= r
-    t_eff += math.log(n)
-    if shift is not None:
-        t_eff += shift
-    np.exp(t_eff, out=t_eff)
-    t_eff += beyond
-    return t_eff
+def _minus_phi(x: np.ndarray, r: float) -> np.ndarray:
+    """-phi(e^-x) = ((1 - e^-x)^r - 1) e^x for x >= 0, a new array: log(1 - e^-x)
+    by log1p(-e^-x) where e^-x is small and by log(-expm1(-x)) where it is
+    near 1, each where it keeps its digits (Maechler, Rmpfr note, 2012)."""
+    x = np.minimum(x, _PHI_FLAT)
+    y = np.exp(-x)
+    with np.errstate(divide="ignore"):  # x = 0 gives log 0 = -inf, and phi 1
+        log_w = np.where(x > math.log(2.0), np.log1p(-y), np.log(-np.expm1(-x)))
+    log_w *= r
+    np.expm1(log_w, out=log_w)
+    log_w /= y
+    return log_w
+
+
+def _continuous_minus_phi(s: np.ndarray, rest: np.ndarray, p: float, r: float,
+                          c_u: float) -> np.ndarray:
+    """-phi(e^(-z/p)) of the continuous pair for the uniforms v in s, in s at
+    r = p and in a new array otherwise; rest receives 1 - v c_u."""
+    s *= c_u
+    np.subtract(1.0, s, out=rest)
+    if r == p:  # e^(-z/p) = 1 - s
+        with np.errstate(divide="ignore"):  # v = 0 gives log 0 = -inf, and phi 1
+            np.log(s, out=s)
+        s *= p
+        np.expm1(s, out=s)
+        s /= rest
+        return s
+    np.negative(s, out=s)
+    np.log1p(s, out=s)
+    s *= -1.0 / (1.0 + p - r)  # z/p
+    return _minus_phi(s, r)
 
 
 def _check_level(level_N: int) -> None:
@@ -189,13 +234,20 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
     float64."""
     p, n = params.p, params.n
     r = _exponent(params, r)
-    supx, beyond = _moments(params, r)
+    supx, top, weight, c_u, beta = _constants(params, r)
+    # -beta (v - 1/2) = (beta/c_u) (1 - v c_u) - beta/c_u + beta/2
+    slope, offset = beta / c_u, top - beta / c_u + 0.5 * beta
 
     def sampler(rng: np.random.Generator, m: int):
-        (z,) = _horizon_draws(rng, m, n)
-        # (r/p - 1) z, the log of what the weight leaves of e^(rz/p)
-        growth = None if r == p else (r / p - 1.0) * z
-        return supx, _weighted_sup_g_pow(p, r, n, beyond, z, shift=growth)
+        block = np.empty((2, m))
+        s, rest = block
+        rng.random(out=s)
+        g = _continuous_minus_phi(s, rest, p, r, c_u)
+        g *= weight
+        rest *= slope
+        g += rest
+        g += offset
+        return supx, g
 
     return sampler
 
@@ -214,27 +266,44 @@ def monotone_sup_sampler(params: ExtremalParams):
 
 def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None = None):
     """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
-    the dyadic discretization, r defaulting to p; same draws and weights as
-    the continuous sampler, so discretization effects isolate cleanly. The
-    x side does not see the grid and is the continuous pair's exact moment;
-    only the mean of the g side is the moment."""
+    the dyadic discretization, r defaulting to p; same draws and control
+    variate as the continuous sampler, so discretization effects isolate
+    cleanly. The x side does not see the grid and is the continuous pair's
+    exact moment; only the mean of the g side is the moment. The g side
+    reads -W phi(e^(-kh/p)) from a table over the grid index k of at most
+    min(n 2^N, _PHI_FLAT p 2^N) + 1 entries."""
     _check_level(level_N)
     p, n = params.p, params.n
     r = _exponent(params, r)
     h = 2.0 ** (-level_N)
-    supx, beyond = _moments(params, r, step=h)
+    supx, top, weight, c_u, beta = _constants(params, r, h)
+    offset = top + 0.5 * beta
+    kappa = 1.0 + p - r
+    last = min(n * 2**level_N, math.ceil(_PHI_FLAT * p / h))
+    table = _minus_phi(np.arange(last + 1) * (h / p), r)
+    table *= weight
 
     def sampler(rng: np.random.Generator, m: int):
-        z, cap = _horizon_draws(rng, m, n, rows=2)
-        # g keeps accruing through the grid step that contains z, which ends
-        # at n at the latest; z's array takes the shift (r/p) cap - z
-        np.divide(z, h, out=cap)
-        np.ceil(cap, out=cap)
-        cap *= h
-        np.subtract(cap, z, out=z)
-        if r != p:
-            z += (r / p - 1.0) * cap
-        return supx, _weighted_sup_g_pow(p, r, n, beyond, cap, shift=z)
+        block = np.empty((3, m))
+        z, k, g = block
+        rng.random(out=z)
+        np.multiply(z, -beta, out=g)
+        z *= -c_u
+        np.log1p(z, out=z)
+        z *= -p / (kappa * h)  # z/h
+        np.ceil(z, out=k)  # t = k h ends the grid step that holds z
+        np.subtract(k, z, out=z)
+        z *= -(1.0 - r) * h / p
+        np.exp(z, out=z)  # e^(-(1-r)(t-z)/p)
+        index = k.view(np.intp)  # cast in place, element by element
+        np.copyto(index, k, casting="unsafe")
+        # clip: beyond the table phi is r, and k = n/h + 1, which a z
+        # rounded past n gives, reads the last grid time
+        np.take(table, index, out=k, mode="clip")
+        k *= z
+        g += k
+        g += offset
+        return supx, g
 
     return sampler
 

@@ -33,10 +33,11 @@ give its own piece length and first stream index: the BDG bias-check
 passes draw piece j from chunk_rng(seed, VALIDATION_STREAM + j).
 
 The extremal sup samplers return the x side's exact moment and weighted
-compensator values that are bounded at the family's own exponent (see
-extremal.py), so their variance is finite at every 0 < p < 1 and the plain
-mean is the default estimator. Median of means runs only when a caller
-names it.
+compensator values: the closed-form plateau plus an importance-sampled
+deficit, less a control variate in the uniform draw (see extremal.py).
+The values lie within a few times the deficit's weight of each other, so
+their variance is finite, and small, at every 0 < p < 1, and the plain mean
+is the default estimator. Median of means runs only when a caller names it.
 """
 
 from __future__ import annotations

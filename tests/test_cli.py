@@ -904,11 +904,13 @@ class TestSubcommands:
         assert "1/1 checks passed" in out
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", [437, 600, 880])
+    @pytest.mark.parametrize("n", [479, 600, 880])
     def test_verify_overflowing_estimate(self, capsys, tmp_path, monkeypatch, n):
         # below n = 884 the moments at r = 0.9 > p = 0.5 are float64, but
-        # the squares the estimate sums are not: refused before drawing, with
-        # no numpy warning, by the message that names r, p and n
+        # from n = 479 on the squared deviations the estimate sums may not
+        # be: values of about e^(0.8 n) round to 2^-52 of themselves.
+        # Refused before drawing, with no numpy warning, by the message that
+        # names r, p and n
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before the overflow was refused")
 
@@ -920,6 +922,17 @@ class TestSubcommands:
         assert code == EXIT_USAGE
         assert out == "" and "bad suite entry" in err
         assert f"r = 0.9 of the extremal pair at p = 0.5, n = {n} exceed DBL_MAX" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_runs_below_the_estimate_bound(self, capsys, tmp_path):
+        # n = 478 at r = 0.9 > p = 0.5, the last horizon admitted: the check
+        # draws and passes, with no numpy warning
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({"generator": {"kind": "extremal", "p": 0.5, "n": 478},
+                                     "p": 0.9, "n_samples": 1000}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_PASS and err == ""
+        assert "1/1 checks passed" in out
 
     def test_sharpness_subcommands_share_the_denominator(self, capsys, tmp_path):
         # the two pairs share their compensator, their draws and their

@@ -274,15 +274,23 @@ class TestSupSamplers:
             assert abs(g_p.mean() - exact) < 4.0 * se, (p, n, g_p.mean(), exact, se)
 
     def test_relative_sd_ceiling(self):
-        # with every draw below the horizon and the mass beyond it added
-        # exactly, the denominator's relative sd at (0.5, 10) is 0.096; a
-        # defensive mixture in Z that spends half its draws beyond the
-        # horizon gives 0.82. Both numerators are exact floats
+        # with the plateau's integral added exactly, only the deficit drawn,
+        # from its own rate of decay, and the uniform as a control variate,
+        # the denominator's relative sd at (0.5, 10) is 0.00165 (0.0046
+        # without the control variate, 0.096 with z uniform below the
+        # horizon, 0.82 with half the draws beyond it). Both numerators are
+        # exact floats
         params = ExtremalParams(p=0.5, n=10)
         for kernel, exact in ((sharpness_sup_sampler, 20.0), (monotone_sup_sampler, 10.0)):
             x_p, g_p = kernel(params)(rng_of(14), 1 << 17)
             assert type(x_p) is float and x_p == exact
-            assert g_p.std() / g_p.mean() < 0.11
+            assert g_p.std() / g_p.mean() < 0.002
+        # measured at this seed: 0.00147 for the discrete kernel at N = 4
+        # (0.086 with z uniform), 0.0094 at r = 0.25 against p = 0.5 (1.14)
+        for sampler, ceiling in ((discrete_sup_sampler(params, 4), 0.0018),
+                                 (sharpness_sup_sampler(params, 0.25), 0.011)):
+            _, g = sampler(rng_of(14), 1 << 17)
+            assert g.std() / g.mean() < ceiling
 
     @pytest.mark.parametrize("p", [0.25, 0.75])
     def test_sharpness_numerator_exact(self, p):
@@ -306,28 +314,52 @@ class TestSupSamplers:
         assert np.all(x_p >= 0) and np.all(g_p >= 0)
 
 
-# The log-space formulas of the compensator kernels, kept as the reference
-# for their in-place closed forms: Z = n v below the horizon, every value
-# weighted by n e^-z, and the mass beyond the horizon, e^-n (p expm1(n/p))^p,
-# added. TestExactNumerators checks the x side.
-def _log_sup_g_pow_p(p, t):
-    """log (p expm1(t/p))^p."""
+# The compensator kernels' closed form in log space, kept as the reference
+# for their in-place evaluation at r = p: z = -p log(1 - v c_u) with
+# c_u = -expm1(-n/p), t = z or the end of z's grid step, and each value
+# top - exp(log W + log phi(e^(-t/p)) - (1 - p)(t - z)/p) - beta (v - 1/2),
+# W = p^(p+1) c_u. top is the plateau's integral, p^p n or its sum over the
+# grid steps term by term, plus the mass beyond the horizon; beta is
+# 12 Cov(deficit(V), V) of the continuous deficit, over 4096 midpoints.
+# TestExactNumerators checks the x side.
+def _log1mexp(u):
+    """log(1 - e^-u) for u >= 0 (Maechler, Rmpfr note, 2012)."""
+    u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        return p * (np.log(-np.expm1(-t / p)) + t / p + math.log(p))
+        return np.where(u > math.log(2.0), np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
 
 
-def _reference_sup_g_pow_p(p, n, t_eff, z):
-    beyond = math.exp(-n + _log_sup_g_pow_p(p, n))
-    return np.exp(_log_sup_g_pow_p(p, t_eff) - z + math.log(n)) + beyond
+def _log_phi(p, x):
+    """log phi(e^-x) = log(1 - (1 - e^-x)^p) + x; phi is p from x = 700 on."""
+    x = np.minimum(x, 700.0)
+    return _log1mexp(-p * _log1mexp(x)) + x
+
+
+def _reference_top(p, n, level_N):
+    beyond = math.exp(p * (math.log(p) + math.log(-math.expm1(-n / p))))
+    if level_N is None:
+        return p**p * n + beyond
+    h = 2.0**-level_N
+    log_step = math.log(-math.expm1(-h))
+    # p^p e^(kh) (e^-(k-1)h - e^-kh) per grid step
+    return math.fsum([math.exp(p * math.log(p) + k * h - (k - 1) * h + log_step)
+                      for k in range(1, n * 2**level_N + 1)] + [beyond])
+
+
+def _reference_deficit(p, n, level_N, v):
+    c_u = -math.expm1(-n / p)
+    z = -p * np.log1p(-v * c_u)
+    t = z if level_N is None else np.ceil(z * 2.0**level_N) * 2.0**-level_N
+    log_w = (p + 1.0) * math.log(p) + math.log(c_u)
+    return -np.exp(log_w + _log_phi(p, t / p) - (1.0 - p) * (t - z) / p)
 
 
 def _reference_sup_g(kind, p, n, level_N, rng, m):
-    z = n * rng.random(m)
-    t_eff = z
-    if kind == "discrete":
-        h = 2.0 ** (-level_N)
-        t_eff = np.ceil(z / h) * h
-    return _reference_sup_g_pow_p(p, n, t_eff, z)
+    grid = level_N if kind == "discrete" else None
+    mid = (np.arange(4096) + 0.5) / 4096
+    beta = 12.0 * np.mean(_reference_deficit(p, n, None, mid) * (mid - 0.5))
+    v = rng.random(m)
+    return _reference_top(p, n, grid) + _reference_deficit(p, n, grid, v) - beta * (v - 0.5)
 
 
 def _kernel(kind, p, n, level_N, r=None):
@@ -424,8 +456,9 @@ class TestExactNumerators:
 # turns the unchanged kernel into the exact mean of its g side, with no
 # sampling noise. The rule is tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974)
 # on each piece between the kernel's breakpoints in v: none for the sharpness
-# and monotone kernels, every grid time k 2^-N, that is v = k 2^-N / n, for
-# the discrete kernel.
+# and monotone kernels, and for the discrete kernel the v of every grid time
+# t_k = k 2^-N, v_k = expm1(-kappa t_k/p) / expm1(-kappa n/p) with
+# kappa = 1 + p - r, since the kernels draw z = -(p/kappa) log(1 - v c_u).
 
 
 class GridRng:
@@ -472,20 +505,38 @@ def integrate(sampler, v_rule):
 FINE = tanh_sinh([0.0, 1.0], 1.0 / 64)
 
 
-def discrete_rhs(p, n, level_N):
-    """E[(sup G)^p] of the dyadic discretization, with h = 2^-N: G runs up
-    to the grid time kh that ends the step holding the jump time, or to n:
-    sum_k (e^-(k-1)h - e^-kh) (p expm1(kh/p))^p + e^-n (p expm1(n/p))^p,
+def discrete_rhs(p, n, level_N, r=None):
+    """E[(sup G)^r] of the dyadic discretization, r defaulting to p, with
+    h = 2^-N: G runs up to the grid time kh that ends the step holding the
+    jump time, or to n:
+    sum_k (e^-(k-1)h - e^-kh) (p expm1(kh/p))^r + e^-n (p expm1(n/p))^r,
     each term in log space."""
     h = 2.0 ** -level_N
+    r = p if r is None else r
 
-    def log_g(t):  # log (p expm1(t/p))^p
-        return p * (math.log(p) + t / p + math.log1p(-math.exp(-t / p)))
+    def log_g(t):  # log (p expm1(t/p))^r
+        return r * (math.log(p) + t / p + math.log1p(-math.exp(-t / p)))
 
     log_step = math.log(-math.expm1(-h))
     terms = [math.exp(-(k - 1) * h + log_step + log_g(k * h))
              for k in range(1, n * 2**level_N + 1)]
     return math.fsum(terms + [math.exp(-n + log_g(n))])
+
+
+def grid_breaks(r, p, n, level_N):
+    """The v of every grid time k 2^-N, k = 0 .. n 2^N, at exponent r."""
+    kappa = 1.0 + p - r
+    t = np.arange(n * 2**level_N + 1) * 2.0**-level_N
+    return np.expm1(-kappa * t / p) / math.expm1(-kappa * n / p)
+
+
+def g_moment(r, p, n):
+    """E[(sup G)^r] by quadrature in z: int_0^n e^-z (p expm1(z/p))^r dz
+    plus the mass beyond the horizon, the integrand in log space."""
+    a = r / p - 1.0
+    head, _ = quad(lambda z: math.exp(r * (math.log(p) + math.log(-math.expm1(-z / p)))
+                                      + a * z), 0.0, n, epsabs=0.0, epsrel=1e-13, limit=200)
+    return head + math.exp(r * math.log(-p * math.expm1(-n / p)) + a * n)
 
 
 class TestKernelQuadrature:
@@ -513,9 +564,19 @@ class TestKernelQuadrature:
     @pytest.mark.parametrize(("p", "n", "level_N"),
                              [(0.5, 10, 4), (0.25, 5, 3), (0.75, 20, 2), (0.1, 3, 1)])
     def test_discrete_kernel(self, p, n, level_N):
-        # v breaks at every grid time, 2^-N / n apart in v
-        cells = n * 2**level_N
-        v_rule = tanh_sinh(np.arange(cells + 1) / cells, 1.0 / 16)
+        v_rule = tanh_sinh(grid_breaks(p, p, n, level_N), 1.0 / 16)
         x, g = integrate(discrete_sup_sampler(ExtremalParams(p=p, n=n), level_N), v_rule)
         assert x == pytest.approx(full_extremal_sup_moment(p, n), rel=1e-12, abs=0)
         assert g == pytest.approx(discrete_rhs(p, n, level_N), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(("r", "p", "n"), [(0.1, 0.5, 10), (0.9, 0.5, 10),
+                                               (0.3, 0.25, 40), (0.9, 0.25, 1)])
+    def test_kernels_at_r_other_than_p(self, r, p, n):
+        # the plateau's integral, the deficit's density and its weight all
+        # move with r; the x side is TestExactNumerators'
+        params = ExtremalParams(p=p, n=n)
+        _, g = integrate(sharpness_sup_sampler(params, r), FINE)
+        assert g == pytest.approx(g_moment(r, p, n), rel=1e-12, abs=0)
+        v_rule = tanh_sinh(grid_breaks(r, p, n, 3), 1.0 / 16)
+        _, g = integrate(discrete_sup_sampler(params, 3, r), v_rule)
+        assert g == pytest.approx(discrete_rhs(p, n, 3, r), rel=1e-12, abs=0)

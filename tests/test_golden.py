@@ -26,10 +26,12 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from test_extremal import discrete_rhs
 
 from lenglart.cli import main
 from lenglart.extremal import ExtremalParams
 from lenglart.montecarlo import CHUNK
+from lenglart.oracles import gtilde_sup_moment
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
     DiscreteExtremalGenerator,
@@ -93,6 +95,18 @@ SUITE = {
                        "rule": {"k": 6}},
          "p": 0.5, "constant": "monotone"},
 }
+
+# the corpus entries whose compensator moment is drawn: the path to the
+# estimate in the result, and its exact value
+DRAWN_SIDES = {f"{sub} --p {p} --n {n} --samples {SAMPLES} --seed 0":
+               ("ratio.denominator", partial(gtilde_sup_moment, p, n))
+               for sub in ("sharpness", "monotone-sharpness")
+               for p in (0.25, 0.5, 0.75)
+               for n in (10, 40)}
+DRAWN_SIDES.update({f"verify extremal:p={p}:n=10": ("checks.0.rhs", partial(gtilde_sup_moment, p, 10))
+                    for p in (0.25, 0.5, 0.01)})
+DRAWN_SIDES["verify discrete_extremal:p=0.5:n=10:N=4"] = (
+    "checks.0.rhs", partial(discrete_rhs, 0.5, 10, 4))
 
 API_GENERATORS = {
     "extremal:p=0.5:n=10": ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
@@ -183,6 +197,17 @@ def test_output_matches_corpus(corpus, argv, threads):
 @pytest.mark.parametrize("name", SUITE)
 def test_verify_matches_corpus(corpus, name, threads):
     assert stable_verify_json(name, threads) == corpus[f"verify {name}"]
+
+
+@pytest.mark.parametrize("key", DRAWN_SIDES)
+def test_drawn_side_covers_its_oracle(corpus, key):
+    # a re-recorded corpus holds estimates, not just outputs: each drawn
+    # compensator moment lies within 3 half-widths of its exact value
+    path, exact = DRAWN_SIDES[key]
+    node = corpus[key]["result"]
+    for part in path.split("."):
+        node = node[int(part)] if part.isdigit() else node[part]
+    assert abs(node["value"] - exact()) <= 3.0 * node["halfwidth"], (node, exact())
 
 
 @pytest.mark.parametrize("argv", DUMPS)

@@ -333,14 +333,14 @@ class TestClosedFormStopping:
         t = np.arange(1, 12 * 16 + 1) / 16.0
         assert len(uniforms_hitting(t)) > 0.9 * t.size
 
-    @pytest.mark.parametrize("gen", [
-        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
-        DiscreteExtremalGenerator(ExtremalParams(p=0.3, n=4), level_N=2),
+    # the discrete pair takes no divisor, and stops its g undivided
+    @pytest.mark.parametrize(("gen", "divided"), [
+        pytest.param(ExtremalGenerator(ExtremalParams(p=0.5, n=10)), (1.0,), id="1.0-gen0"),
+        pytest.param(ExtremalGenerator(ExtremalParams(p=0.5, n=10)), (0.5,), id="0.5-gen0"),
+        pytest.param(DiscreteExtremalGenerator(ExtremalParams(p=0.3, n=4), level_N=2), (),
+                     id="1.0-gen1"),
     ])
-    @pytest.mark.parametrize("divisor", [1.0, 0.5])
-    def test_generator_draws_what_path_batch_draws(self, gen, divisor):
-        # the discrete pair takes no divisor, and stops its g undivided
-        divided = (divisor,) if gen.exact_compensator else ()
+    def test_generator_draws_what_path_batch_draws(self, gen, divided):
         rng_closed, rng_dense = rng_of(7), rng_of(7)
         rules = verifier.default_tau_battery(gen, 1)
         got = gen.stopped_batch(rules, rng_closed, 4096, *divided)
