@@ -50,6 +50,10 @@ __all__ = [
     "monotone_sup_sampler",
     "discrete_sup_sampler",
     "grid_last",
+    "grid_g_row",
+    "read_index",
+    "zero_moments",
+    "stopped_jump_sampler",
     "exp_pair_path_batch",
     "discrete_path_batch",
     "exp_pair_stopped",
@@ -121,7 +125,15 @@ class ExtremalParams:
 # a chunk of squared deviations from the mean could not be: rounding at the
 # size of the values, about e^(a n), leaves deviations of up to 2^-48 of
 # them. The monotone pair's G is the full pair's, and its sampler returns
-# the full sampler's g values at r = p.
+# the full sampler's g values.
+#
+# Every constant above is a function of the horizon n, and _constants and
+# the two kernels take any horizon t on their grid in its place (n when
+# none is given, to the same bits): the single-jump pair stopped at grid
+# time t is the monotone pair on [0, t], since X_t = e^(Z/p) 1[Z <= t] and
+# G_t = G(min(Z, t)). monotone_sup_sampler at horizon t is the freeze's
+# sampler (verifier.HatXGenerator): x exact, int_0^t e^(a z) dz, and the g
+# kernel at t, continuous or on the grid.
 #
 # Each kernel evaluates its closed form in place, in the rows of one
 # allocation of m doubles each (two, three for the discrete kernel) whose
@@ -148,10 +160,11 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
     return r
 
 
-def _constants(params: ExtremalParams, r: float,
-               h: float = 0.0) -> tuple[float, float, float, float, float]:
-    """(E[(sup X)^r] of the full pair, top, W, c_u, beta): top = P + beyond,
-    the plateau's integral on the grid of step h (continuous at h = 0) plus
+def _constants(params: ExtremalParams, r: float, h: float = 0.0,
+               horizon: float | None = None) -> tuple[float, float, float, float, float]:
+    """(E[(sup X)^r] of the full pair, top, W, c_u, beta) at the horizon n,
+    or at horizon, a multiple of h, if given: top = P + beyond, the
+    plateau's integral on the grid of step h (continuous at h = 0) plus
     the mass beyond the horizon, W the deficit's weight, c_u its draws'
     normaliser, and beta = 12 Cov(-W phi(e^(-z(V)/p)), V) for V uniform, by
     the midpoint rule: the multiple of the control variate V - 1/2 that
@@ -162,7 +175,8 @@ def _constants(params: ExtremalParams, r: float,
     other, and rounding near top adds up to about 2^-48 top."""
     from .montecarlo import CHUNK  # montecarlo imports this module
 
-    p, n = params.p, params.n
+    p = params.p
+    n = params.n if horizon is None else horizon
     a = r / p - 1.0
     kappa = 1.0 + p - r
     c_u = -math.expm1(-kappa * n / p)
@@ -180,8 +194,9 @@ def _constants(params: ExtremalParams, r: float,
         supx = top = math.inf
     spread = 3.0 * weight + top * 2.0**-48
     if not (math.isfinite(supx) and 2.0 * math.log(spread) + math.log(CHUNK) <= _MAX_EXP_ARG):
+        at = f"n = {n}" if horizon is None else f"n = {params.n} stopped at t = {n:g}"
         raise ValueError(f"the moments of order r = {r} of the extremal pair at p = {p}, "
-                         f"n = {n} exceed DBL_MAX, or the squared deviations their estimate "
+                         f"{at} exceed DBL_MAX, or the squared deviations their estimate "
                          "sums could; they grow as e^((r/p - 1) n)")
     v = (np.arange(_SLOPE_NODES) + 0.5) / _SLOPE_NODES
     minus_phi = _continuous_minus_phi(v.copy(), np.empty_like(v), p, r, c_u)
@@ -226,15 +241,16 @@ def _check_level(level_N: int) -> None:
         raise ValueError("level_N must be non-negative")
 
 
-def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
+def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None,
+                          horizon: float | None = None):
     """Paired sampler (rng, m) -> (E[(sup X)^r], importance-weighted
     (sup G)^r) for the full extremal family, Brownian tail by exact law; r
-    defaults to p. The x side is its exact moment, a float; only the mean of
-    the g side is the moment. Raises ValueError where the moments are no
-    float64."""
-    p, n = params.p, params.n
+    defaults to p, and the horizon to n. The x side is its exact moment, a
+    float; only the mean of the g side is the moment. Raises ValueError
+    where the moments are no float64."""
+    p = params.p
     r = _exponent(params, r)
-    supx, top, weight, c_u, beta = _constants(params, r)
+    supx, top, weight, c_u, beta = _constants(params, r, horizon=horizon)
     # -beta (v - 1/2) = (beta/c_u) (1 - v c_u) - beta/c_u + beta/2
     slope, offset = beta / c_u, top - beta / c_u + 0.5 * beta
 
@@ -252,34 +268,49 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None):
     return sampler
 
 
-def monotone_sup_sampler(params: ExtremalParams):
-    """Paired sampler of (E[(sup X)^p], importance-weighted (sup G)^p) for
-    the monotone pair (no Brownian tail): the x side is its exact moment n,
-    the g side the full pair's; only the mean of the g side is the moment."""
-    full = sharpness_sup_sampler(params)
+def monotone_sup_sampler(params: ExtremalParams, r: float | None = None,
+                         horizon: float | None = None, level_N: int | None = None):
+    """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
+    the monotone pair (no Brownian tail) on [0, horizon], r defaulting to p
+    and the horizon to n: the single-jump pair stopped at the horizon. The x
+    side is its exact moment, int_0^horizon e^((r/p - 1) z) dz (n at the
+    defaults); the g side is the full pair's, or with level_N given, and a
+    horizon on its grid, the discrete pair's. Only the mean of the g side
+    is the moment."""
+    r = _exponent(params, r)
+    t = params.n if horizon is None else horizon
+    a = r / params.p - 1.0
+    full = (sharpness_sup_sampler(params, r, t) if level_N is None
+            else discrete_sup_sampler(params, level_N, r, t))
+    # finite: the kernel refused the full pair's x moment, 1/(1 - r) times
+    # this one, past DBL_MAX
+    supx = float(t) if a == 0.0 else math.expm1(a * t) / a
 
     def sampler(rng: np.random.Generator, m: int):
-        return float(params.n), full(rng, m)[1]
+        return supx, full(rng, m)[1]
 
     return sampler
 
 
-def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None = None):
+def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None = None,
+                         horizon: float | None = None):
     """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
-    the dyadic discretization, r defaulting to p; same draws and control
-    variate as the continuous sampler, so discretization effects isolate
-    cleanly. The x side does not see the grid and is the continuous pair's
-    exact moment; only the mean of the g side is the moment. The g side
-    reads -W phi(e^(-kh/p)) from a table over the grid index k of at most
-    min(n 2^N, _PHI_FLAT p 2^N) + 1 entries."""
+    the dyadic discretization, r defaulting to p and the horizon, a grid
+    time, to n; same draws and control variate as the continuous sampler,
+    so discretization effects isolate cleanly. The x side does not see the
+    grid and is the continuous pair's exact moment; only the mean of the g
+    side is the moment. The g side reads -W phi(e^(-kh/p)) from a table
+    over the grid index k of at most min(horizon 2^N, _PHI_FLAT p 2^N) + 1
+    entries."""
     _check_level(level_N)
-    p, n = params.p, params.n
+    p = params.p
     r = _exponent(params, r)
     h = 2.0 ** (-level_N)
-    supx, top, weight, c_u, beta = _constants(params, r, h)
+    supx, top, weight, c_u, beta = _constants(params, r, h, horizon)
     offset = top + 0.5 * beta
     kappa = 1.0 + p - r
-    last = min(n * 2**level_N, math.ceil(_PHI_FLAT * p / h))
+    steps = params.n * 2**level_N if horizon is None else int(horizon * 2**level_N)
+    last = min(steps, math.ceil(_PHI_FLAT * p / h))
     table = _minus_phi(np.arange(last + 1) * (h / p), r)
     table *= weight
 
@@ -297,8 +328,8 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
         np.exp(z, out=z)  # e^(-(1-r)(t-z)/p)
         index = k.view(np.intp)  # cast in place, element by element
         np.copyto(index, k, casting="unsafe")
-        # clip: beyond the table phi is r, and k = n/h + 1, which a z
-        # rounded past n gives, reads the last grid time
+        # clip: beyond the table phi is r, and k = horizon/h + 1, which a
+        # z rounded past the horizon gives, reads the last grid time
         np.take(table, index, out=k, mode="clip")
         k *= z
         g += k
@@ -319,6 +350,47 @@ def grid_last(params: ExtremalParams, level_N: int) -> int:
             f"path values exp(n/p) overflow at n/p = {params.n / params.p:.6g} > "
             f"ln(DBL_MAX) = {_MAX_EXP_ARG:.2f}; lower n or raise p")
     return params.n * 2**level_N
+
+
+def grid_g_row(params: ExtremalParams, level_N: int, discrete: bool = False) -> np.ndarray:
+    """g on the grid t_k = k 2^-N, k = 0 .. n 2^N, of a path that has not
+    jumped: p expm1(t_k/p), or for the discrete pair the partial sums of the
+    step integrals. Every path's g follows it until the path jumps and is
+    constant from there on. Raises as grid_last."""
+    t = np.arange(grid_last(params, level_N) + 1) * 2.0 ** (-level_N)
+    if discrete:
+        return np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))])
+    return params.p * np.expm1(t / params.p)
+
+
+def read_index(rule, g_row: np.ndarray) -> int:
+    """The grid index k at which rule reads every single-jump path whose g
+    follows g_row: rule.common_index, or, for a hitting rule on x at a
+    positive level, the last index, since both paths are constant from the
+    jump on (see the module docstring)."""
+    k = rule.common_index(g_row)
+    return g_row.size - 1 if k is None else k
+
+
+def zero_moments(rng: np.random.Generator, m: int) -> tuple[float, float]:
+    """The sampler of a pair stopped at time 0, where X and G are 0: exact
+    zeros, with no draw."""
+    return 0.0, 0.0
+
+
+def stopped_jump_sampler(params: ExtremalParams, level_N: int, rule, r: float | None = None,
+                         discrete: bool = False):
+    """Paired sampler of (E[X_tau^r], importance-weighted G_tau^r) for the
+    single-jump pair on the grid of step 2^-N, the discrete pair if
+    discrete, stopped by rule: the rule reads every path at one grid index
+    k (read_index), where the stopped pair is the monotone pair on
+    [0, t_k] (monotone_sup_sampler), with no Brownian tail. k = 0 gives
+    exact zeros."""
+    k = read_index(rule, grid_g_row(params, level_N, discrete))
+    if k == 0:
+        return zero_moments
+    return monotone_sup_sampler(params, r, k * 2.0 ** (-level_N),
+                                level_N if discrete else None)
 
 
 def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,
@@ -439,9 +511,9 @@ def _stopped_jumps(rules, t: np.ndarray, z: np.ndarray, g_row: np.ndarray,
         # at the last index; and g <= g_row, so a rule on g cannot stop
         # before g_row reaches its level, where g, if it has not reached it,
         # is already constant
-        k = rule.common_index(g_row)
+        k = read_index(rule, g_row)
         x, g = block[2 * i], block[2 * i + 1]
-        if k is None or k == last:  # every path reads (jump, g_end)
+        if k == last:  # every path reads (jump, g_end)
             if i < len(rules) - 1:
                 np.copyto(x, jump)
                 np.copyto(g, g_end)
@@ -512,8 +584,7 @@ def exp_pair_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random
     np.expm1(g_end, out=g_end)
     g_end *= p
     g_end /= g_divisor
-    g_row = p * np.expm1(t / p) / g_divisor
-    return _stopped_jumps(rules, t, z, g_row, block)
+    return _stopped_jumps(rules, t, z, grid_g_row(params, level_N) / g_divisor, block)
 
 
 def discrete_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random.Generator,
@@ -530,7 +601,7 @@ def discrete_stopped(params: ExtremalParams, level_N: int, rules, rng: np.random
         return []
     last = t.size - 1
     block = np.empty((2 * len(rules), size))
-    levels = np.concatenate([[0.0], np.cumsum(_step_integrals(params.p, t))])
+    levels = grid_g_row(params, level_N, discrete=True)
     c = np.multiply(z, 2.0**level_N, out=block[-1])
     np.ceil(c, out=c)
     np.minimum(c, last, out=c)

@@ -11,7 +11,7 @@ takes built generators; cli.generator_from_config reads the suite format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,12 @@ from .extremal import (
     discrete_stopped,
     discrete_sup_sampler,
     exp_pair_stopped,
+    grid_g_row,
     grid_last,
+    read_index,
     sharpness_sup_sampler,
+    stopped_jump_sampler,
+    zero_moments,
 )
 from .montecarlo import (
     PILOT_STREAM,
@@ -146,11 +150,30 @@ class _Generator:
         """(rng, m) -> two arrays whose means are E[(sup X)^r] and
         E[(sup G)^r], or for a side whose moment is known, that float.
         Unit-weight generators return the r-th powers of the sups, and r = 1
-        the sups themselves; the extremal ones weight their g values, of
-        which only the mean is the moment."""
+        the sups themselves; the extremal ones, and a freeze of one, weight
+        their g values, of which only the mean is the moment."""
         raise NotImplementedError
 
+    def stopped_sup_sampler(self, rule, r: float):
+        """sup_sampler(r) of the pair stopped by rule (FixedIndexRule or
+        HittingRule), (X_tau, G_tau): the sampler a freeze at rule draws
+        its sups from. Where rule stops or reads every path at one grid
+        index k, known before any draw from rule.common_index on g_row,
+        that pair is a member of the generator's own family at horizon k,
+        and a generator returns that member's sampler: exact zeros at k = 0.
+        Here, and where tau depends on the path, the r-th powers of
+        stopped_batch([rule]), path by path."""
+        def sampler(rng, m):
+            [(x_tau, g_tau)] = self.stopped_batch([rule], rng, m)
+            x_tau **= r
+            g_tau **= r
+            return x_tau, g_tau
+
+        return sampler
+
     last: int  # the last index of the path grid; raises where no path can be drawn
+    # g on the path grid of a path that has not jumped, which no path's g exceeds
+    g_row: np.ndarray
 
     def stopped_batch(self, rules, rng: np.random.Generator, size: int) -> list:
         """(x_tau, g_tau) per rule (FixedIndexRule or HittingRule) on size
@@ -177,9 +200,16 @@ class ExtremalGenerator(_Generator):
     def sup_sampler(self, r):
         return sharpness_sup_sampler(self.params, r)
 
+    def stopped_sup_sampler(self, rule, r):
+        return stopped_jump_sampler(self.params, _GRID_LEVEL, rule, r)
+
     @property
     def last(self):
         return grid_last(self.params, _GRID_LEVEL)
+
+    @property
+    def g_row(self):
+        return grid_g_row(self.params, _GRID_LEVEL)
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         return exp_pair_stopped(self.params, _GRID_LEVEL, rules, rng, size, g_divisor)
@@ -199,9 +229,16 @@ class DiscreteExtremalGenerator(_Generator):
     def sup_sampler(self, r):
         return discrete_sup_sampler(self.params, self.level_N, r)
 
+    def stopped_sup_sampler(self, rule, r):
+        return stopped_jump_sampler(self.params, self.level_N, rule, r, discrete=True)
+
     @property
     def last(self):
         return grid_last(self.params, self.level_N)
+
+    @property
+    def g_row(self):
+        return grid_g_row(self.params, self.level_N, discrete=True)
 
     def stopped_batch(self, rules, rng, size):
         return discrete_stopped(self.params, self.level_N, rules, rng, size)
@@ -325,9 +362,21 @@ class CompensatedBernoulliGenerator(_Generator):
 
         return sampler
 
+    def stopped_sup_sampler(self, rule, r):
+        # every rule but a hitting rule on x at a positive level stops every
+        # walk at one index k, where the walk stopped is the walk of k steps
+        k = rule.common_index(self.g_row)
+        if k is None:
+            return super().stopped_sup_sampler(rule, r)
+        return zero_moments if k == 0 else replace(self, steps=k).sup_sampler(r)
+
     @property
     def last(self):
         return self.steps
+
+    @property
+    def g_row(self):
+        return np.arange(self.steps + 1) * self.jump.mean
 
     # not called here: the tests' dense reference, which perfbench/tracing.py wraps
     def path_batch(self, rng, size):
@@ -337,7 +386,7 @@ class CompensatedBernoulliGenerator(_Generator):
 
     def stopped_batch(self, rules, rng, size, g_divisor=1.0):
         last = self.steps
-        g_row = np.arange(last + 1) * self.jump.mean / g_divisor
+        g_row = self.g_row / g_divisor
         # None: a hitting rule on x, which stops each walk at its first passage
         index = [rule.common_index(g_row) for rule in rules]
         reach = last if None in index else max(index, default=0)
@@ -374,7 +423,14 @@ class CompensatedBernoulliGenerator(_Generator):
 class HatXGenerator(_Generator):
     """Freeze an inner pair at a stopping rule: the x side becomes the
     single-jump process 1[tau, inf) * X_tau, the g side stops at tau.
-    Both sups reduce to the values at tau. stopped_batch reads the frozen
+    Both sups reduce to the values at tau, so sup_sampler is the inner
+    pair's stopped_sup_sampler at the rule: where the rule stops or reads
+    every inner path at one grid index k, the inner family's member at
+    horizon k (the walk of k steps; the monotone single-jump pair on
+    [0, t_k], with x exact and g from the weighted kernel; a nested
+    freeze's own sups when k is at or past its bound on tau), and
+    otherwise, as for a walk frozen where x reaches a positive level, the
+    inner pair's stopped values, path by path. stopped_batch reads the frozen
     pair, (X_tau 1[tau <= s], G_min(tau, s)), from one stopped_batch of the
     inner pair at each rule's inner index s: a fixed index its own; on x,
     0 at a level <= 0 and else the last, as x jumps once; on g, G's passage.
@@ -400,21 +456,34 @@ class HatXGenerator(_Generator):
     def last(self):
         return self.inner.last
 
-    def sup_sampler(self, r=1.0):
-        def sampler(rng, m):
-            [(x_tau, g_tau)] = self.inner.stopped_batch([self.rule], rng, m)
-            x_tau **= r
-            g_tau **= r
-            return x_tau, g_tau
+    @property
+    def g_row(self):
+        return self.inner.g_row
 
-        return sampler
+    @property
+    def _bound(self) -> int:
+        """A bound on tau known before any draw: the fixed index, or the last."""
+        return self.rule.k if isinstance(self.rule, FixedIndexRule) else self.last
+
+    def sup_sampler(self, r=1.0):
+        return self.inner.stopped_sup_sampler(self.rule, r)
+
+    def stopped_sup_sampler(self, rule, r):
+        # both frozen paths are constant from tau on, so a stop at or past
+        # tau reads the freeze's own sups. Every stop is, where k reaches
+        # the bound on tau: a fixed or g rule stops no path before k, as
+        # g-hat <= g_row, and x-hat, 0 before tau, reaches a positive level
+        # (k = last) at tau or never
+        k = read_index(rule, self.g_row)
+        if k >= self._bound:
+            return self.sup_sampler(r)
+        return zero_moments if k == 0 else super().stopped_sup_sampler(rule, r)
 
     def stopped_batch(self, rules, rng, size):
-        freeze, last = self.rule, self.last
+        freeze, last, bound = self.rule, self.last, self._bound
         reads = [FixedIndexRule(0 if rule.level <= 0 else last)
                  if isinstance(rule, HittingRule) and rule.side == "x" else rule
                  for rule in rules]
-        bound = freeze.k if isinstance(freeze, FixedIndexRule) else last
         helper = [FixedIndexRule(bound - 1)] if bound > 0 else []
         stopped = self.inner.stopped_batch(reads + [freeze] + helper, rng, size)
         x_tau, g_tau = stopped[len(rules)]

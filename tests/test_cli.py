@@ -904,6 +904,23 @@ class TestSubcommands:
         assert "1/1 checks passed" in out
 
     @pytest.mark.filterwarnings("error")
+    def test_verify_refuses_an_overflowing_freeze_before_drawing(self, capsys, tmp_path):
+        # a freeze of the extremal pair at r = 0.9 > p = 0.03 draws through
+        # the pair's kernel at its horizon, n = 20, whose squared deviations
+        # are no float64: refused with the extremal entry's message before
+        # the walk ahead of it draws or prints its verdict
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({"generator": BERNOULLI, "p": 0.5, "constant": "monotone",
+                                     "n_samples": 1000}) + "\n" + json.dumps({
+            "generator": {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.03, "n": 20},
+                          "rule": {"side": "x", "level": 2.0}},
+            "p": 0.9, "constant": "monotone"}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "bad suite entry" in err
+        assert "r = 0.9 of the extremal pair at p = 0.03, n = 20 stopped at t = 20 exceed" in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [479, 600, 880])
     def test_verify_overflowing_estimate(self, capsys, tmp_path, monkeypatch, n):
         # below n = 884 the moments at r = 0.9 > p = 0.5 are float64, but

@@ -507,8 +507,8 @@ FINE = tanh_sinh([0.0, 1.0], 1.0 / 64)
 
 def discrete_rhs(p, n, level_N, r=None):
     """E[(sup G)^r] of the dyadic discretization, r defaulting to p, with
-    h = 2^-N: G runs up to the grid time kh that ends the step holding the
-    jump time, or to n:
+    h = 2^-N, on the horizon n, a grid time: G runs up to the grid time kh
+    that ends the step holding the jump time, or to n:
     sum_k (e^-(k-1)h - e^-kh) (p expm1(kh/p))^r + e^-n (p expm1(n/p))^r,
     each term in log space."""
     h = 2.0 ** -level_N
@@ -519,14 +519,15 @@ def discrete_rhs(p, n, level_N, r=None):
 
     log_step = math.log(-math.expm1(-h))
     terms = [math.exp(-(k - 1) * h + log_step + log_g(k * h))
-             for k in range(1, n * 2**level_N + 1)]
+             for k in range(1, round(n * 2**level_N) + 1)]
     return math.fsum(terms + [math.exp(-n + log_g(n))])
 
 
 def grid_breaks(r, p, n, level_N):
-    """The v of every grid time k 2^-N, k = 0 .. n 2^N, at exponent r."""
+    """The v of every grid time k 2^-N, k = 0 .. n 2^N, at exponent r, for
+    the horizon n, a grid time."""
     kappa = 1.0 + p - r
-    t = np.arange(n * 2**level_N + 1) * 2.0**-level_N
+    t = np.arange(round(n * 2**level_N) + 1) * 2.0**-level_N
     return np.expm1(-kappa * t / p) / math.expm1(-kappa * n / p)
 
 
@@ -580,3 +581,32 @@ class TestKernelQuadrature:
         v_rule = tanh_sinh(grid_breaks(r, p, n, 3), 1.0 / 16)
         _, g = integrate(discrete_sup_sampler(params, 3, r), v_rule)
         assert g == pytest.approx(discrete_rhs(p, n, 3, r), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(("r", "p", "n", "t"), [(0.5, 0.5, 10, 1.125), (0.5, 0.5, 10, 7.5),
+                                                    (0.25, 0.5, 4, 0.375), (0.9, 0.25, 5, 2.25),
+                                                    (0.3, 0.75, 2, 0.125)])
+    def test_kernels_at_a_horizon(self, r, p, n, t):
+        # the monotone pair on [0, t], a grid time below n: the pair
+        # stopped at t, continuous and on the grid of step 1/8
+        params = ExtremalParams(p=p, n=n)
+        a = r / p - 1.0
+        x_exact = t if a == 0.0 else math.expm1(a * t) / a
+        x, g = integrate(monotone_sup_sampler(params, r, t), FINE)
+        assert x == pytest.approx(x_exact, rel=1e-14, abs=0)
+        assert g == pytest.approx(g_moment(r, p, t), rel=1e-12, abs=0)
+        v_rule = tanh_sinh(grid_breaks(r, p, t, 3), 1.0 / 16)
+        x, g = integrate(monotone_sup_sampler(params, r, t, level_N=3), v_rule)
+        assert x == pytest.approx(x_exact, rel=1e-14, abs=0)
+        assert g == pytest.approx(discrete_rhs(p, t, 3, r), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", [None, 0.25])
+    def test_kernels_at_the_horizon_n_are_the_defaults(self, r):
+        # horizon n, as an int or a float, draws the default kernels' bits
+        params = ExtremalParams(p=0.5, n=10)
+        for horizon in (10, 10.0):
+            for make in (lambda **kw: sharpness_sup_sampler(params, r, **kw),
+                         lambda **kw: discrete_sup_sampler(params, 4, r, **kw),
+                         lambda **kw: monotone_sup_sampler(params, r, **kw)):
+                want, got = make()(rng_of(7), 1000), make(horizon=horizon)(rng_of(7), 1000)
+                assert want[0] == got[0]
+                np.testing.assert_array_equal(want[1], got[1])

@@ -42,6 +42,7 @@ from lenglart.verifier import (
     PowerF,
     check_pratelli,
     domination_audit,
+    enumerate_jump_sup_moments,
 )
 
 CORPUS = Path(__file__).with_name("golden") / "cli.json"
@@ -107,6 +108,12 @@ DRAWN_SIDES.update({f"verify extremal:p={p}:n=10": ("checks.0.rhs", partial(gtil
                     for p in (0.25, 0.5, 0.01)})
 DRAWN_SIDES["verify discrete_extremal:p=0.5:n=10:N=4"] = (
     "checks.0.rhs", partial(discrete_rhs, 0.5, 10, 4))
+# the freezes draw through their inner families: the discrete pair on
+# [0, 5], and the walk of 6 steps
+DRAWN_SIDES["verify hatx_of:discrete_extremal:x>=3"] = (
+    "checks.0.rhs", partial(discrete_rhs, 0.5, 5, 4))
+DRAWN_SIDES["verify hatx_of:bernoulli:k=6"] = (
+    "checks.0.lhs", lambda: enumerate_jump_sup_moments(0.3, 6, 0.5)[0])
 
 API_GENERATORS = {
     "extremal:p=0.5:n=10": ExtremalGenerator(ExtremalParams(p=0.5, n=10)),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
+from test_extremal import discrete_rhs, g_moment
 
 from lenglart import extremal, verifier
 from lenglart.cli import generator_from_config
@@ -587,6 +588,125 @@ class TestFreezeClosedForm:
             HatXGenerator(inner, rule)
 
 
+def freeze_rules(inner) -> list:
+    """Fixed indices at 0, mid-grid (a fractional grid time on the
+    single-jump pairs) and last; a g rule whose level lies between two
+    values of g's grid row; hitting rules on x at 0, below 0 and at NaN;
+    and on every generator but a walk, on x at a positive level."""
+    last, g_row = inner.last, inner.g_row
+    mid = last // 2 + 1
+    rules = [FixedIndexRule(0), FixedIndexRule(mid), FixedIndexRule(last),
+             HittingRule("g", float(g_row[mid - 2:mid].mean())),
+             HittingRule("x", 0.0), HittingRule("x", -1.0), HittingRule("x", math.nan)]
+    if not isinstance(inner, CompensatedBernoulliGenerator):
+        rules.append(HittingRule("x", 3.0))
+    return rules
+
+
+def exact_stopped_moments(inner, rule, r: float):
+    """(E[X_tau^r], E[G_tau^r]) for the inner pair stopped by rule, where
+    the rule stops or reads every path at one grid index k: the walk of k
+    steps, or the monotone pair on [0, t_k]. None for a walk stopped where
+    x reaches a positive level, and for a freeze."""
+    if isinstance(inner, HatXGenerator):
+        return None
+    if isinstance(inner, CompensatedBernoulliGenerator):
+        k, law = rule.common_index(inner.g_row), inner.jump
+        if k is None:
+            return None
+        if law.kind == "bernoulli":
+            return enumerate_jump_sup_moments(law.q, k, r)
+        # E[Gamma(k)^r] = Gamma(k + r) / Gamma(k)
+        x = (k * law.c) ** r if law.kind == "const" else (
+            math.exp(math.lgamma(k + r) - math.lgamma(k)) if k else 0.0)
+        return x, float(k * law.mean) ** r
+    discrete = isinstance(inner, DiscreteExtremalGenerator)
+    level_N = inner.level_N if discrete else verifier._GRID_LEVEL
+    k = rule.common_index(inner.g_row)
+    t = (inner.last if k is None else k) * 2.0**-level_N
+    p = inner.params.p
+    if t == 0:
+        return 0.0, 0.0
+    a = r / p - 1.0
+    x = t if a == 0.0 else math.expm1(a * t) / a
+    return x, discrete_rhs(p, t, level_N, r) if discrete else g_moment(r, p, t)
+
+
+class TestFreezeDelegates:
+    """A freeze draws its sups through its inner pair's stopped_sup_sampler:
+    where the rule stops or reads every inner path at one grid index k, the
+    inner family's member at horizon k. Its estimates must agree, within 4
+    combined half-widths, with the r-th powers of the inner pair's
+    stopped_batch on draws of their own, and with the exact moments where
+    they exist; a sampler delegated one index too far must not."""
+
+    N = 1 << 15
+    R = 0.5
+    CASES = [(inner, rule) for inner in FREEZE_INNERS for rule in freeze_rules(inner)]
+
+    @staticmethod
+    def estimates(sampler, seed):
+        return estimate_pair(sampler, TestFreezeDelegates.N, PLAIN, seed)
+
+    @staticmethod
+    def agree(got, want) -> bool:
+        """Every side within 4 combined half-widths; exact sides to rounding."""
+        return all(abs(a.value - b.value) <= 4.0 * (a.halfwidth + b.halfwidth)
+                   + 1e-12 * abs(b.value) for a, b in zip(got, want, strict=True))
+
+    def per_path(self, inner, rule, seed):
+        return self.estimates(verifier._Generator.stopped_sup_sampler(inner, rule, self.R),
+                              seed)
+
+    @pytest.mark.parametrize(("inner", "rule"), CASES,
+                             ids=[f"{inner.name}-{rule.label()}" for inner, rule in CASES])
+    def test_agrees_with_stopped_batch_and_exact(self, inner, rule):
+        got = self.estimates(HatXGenerator(inner, rule).sup_sampler(self.R), 1)
+        want = self.per_path(inner, rule, 2)
+        assert self.agree(got, want), (got, want)
+        exact = exact_stopped_moments(inner, rule, self.R)
+        if exact is not None:
+            for est, value in zip(got, exact, strict=True):
+                assert abs(est.value - value) <= 4.0 * est.halfwidth + 1e-12 * value, (
+                    est, value)
+
+    @pytest.mark.parametrize("inner", FREEZE_INNERS, ids=lambda inner: inner.name)
+    def test_delegating_one_index_late_is_caught(self, inner):
+        # at k = mid - 1: below the bound of the fixed freeze among the inners
+        k = inner.last // 2
+        late = self.estimates(inner.stopped_sup_sampler(FixedIndexRule(k + 1), self.R), 1)
+        assert not self.agree(late, self.per_path(inner, FixedIndexRule(k), 2))
+
+    def test_draws_through_the_family_samplers(self):
+        # the benchmark's freezes: the walk of 6 steps, one binomial draw
+        # per path, and the monotone discrete pair on [0, 5]
+        m = 1000
+        walk6 = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=6)
+        for gen, family in (
+                (HatXGenerator(WALK, FixedIndexRule(6)), walk6.sup_sampler(self.R)),
+                (HatXGenerator(DISCRETE, HittingRule("x", 3.0)),
+                 extremal.monotone_sup_sampler(DISCRETE.params, self.R, 5, 4))):
+            x, g = gen.sup_sampler(self.R)(rng_of(8), m)
+            want_x, want_g = family(rng_of(8), m)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(g, want_g)
+        assert HatXGenerator(DISCRETE, HittingRule("x", 3.0)).sup_sampler(self.R)(
+            rng_of(8), m)[0] == 5.0
+
+    @pytest.mark.parametrize("inner", FREEZE_INNERS, ids=lambda inner: inner.name)
+    def test_index_zero_draws_nothing(self, inner):
+        # X_0 = G_0 = 0: exact zeros, with no draw
+        for rule in (FixedIndexRule(0), HittingRule("x", 0.0), HittingRule("g", -1.0)):
+            assert HatXGenerator(inner, rule).sup_sampler(self.R)(None, 10) == (0.0, 0.0)
+
+    def test_walk_frozen_where_x_reaches_a_level_stops_path_by_path(self):
+        rule = HittingRule("x", 2.0)
+        x, g = HatXGenerator(WALK, rule).sup_sampler(self.R)(rng_of(9), 1000)
+        [(x_tau, g_tau)] = WALK.stopped_batch([rule], rng_of(9), 1000)
+        np.testing.assert_array_equal(x, x_tau**self.R)
+        np.testing.assert_array_equal(g, g_tau**self.R)
+
+
 def exact_cdf(n: int, q: float) -> np.ndarray:
     """P[K <= k] for k < n, K ~ Binomial(n, q) at the exact value a / d of
     the double q, in integers: term_k = C(n, k) a^k (d - a)^(n - k), then
@@ -723,8 +843,10 @@ class TestGenerators:
         x, g = dense_paths(gen, rng_of(3), 32)
         assert np.all(np.diff(x, axis=1) >= 0)
         assert np.all(np.diff(g, axis=1) >= -1e-12)
-        sup_x, sup_g = gen.sup_sampler()(rng_of(3), 32)
-        np.testing.assert_allclose(sup_x, x.max(axis=1))
+        # the sups are the values at the freeze, which the inner pair stops
+        [(sup_x, sup_g)] = inner.stopped_batch([gen.rule], rng_of(3), 32)
+        np.testing.assert_array_equal(sup_x, x.max(axis=1))
+        np.testing.assert_array_equal(sup_g, g.max(axis=1))
 
     def test_config_roundtrip(self):
         gen = generator_from_config(
@@ -937,7 +1059,9 @@ class TestStreamedReportsMatchConcatenated:
     as it cancels). The values were first pinned from the reduction of the
     concatenated arrays, and check_inequality's on hatx_of from dense path
     batches; they were re-recorded once on stream layout 2 (PCG64DXSM
-    streams, the pilot on its own domain)."""
+    streams, the pilot on its own domain), and check_inequality's on
+    hatx_of again when the freeze began to draw through the monotone
+    discrete pair's sampler."""
 
     GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
     N = 3 * 2**15 + 17
@@ -976,12 +1100,14 @@ class TestStreamedReportsMatchConcatenated:
     def test_check_inequality_on_hatx(self):
         gen = HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4),
                             HittingRule(side="x", level=3.0))
-        # the values were pinned under 31-block median of means
+        # the values were pinned under 31-block median of means; the freeze
+        # draws the monotone discrete pair on [0, 5], whose x moment is 5
         report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5,
                                   method=median_of_means(31))
         assert report.label == "hatx_of:monotone:p=0.5"
-        for est, (value, halfwidth) in ((report.lhs, (5.054872947961474, 0.03995275342814966)),
-                                        (report.rhs, (4.154375971234825, 0.037931590646154215))):
+        for est, (value, halfwidth) in (
+                (report.lhs, (5.0, 0.0)),
+                (report.rhs, (4.1511323800219255, 4.182845328505807e-05))):
             assert est.value == pytest.approx(value, rel=1e-12)
             assert est.halfwidth == pytest.approx(halfwidth, rel=1e-12)
 
