@@ -13,10 +13,13 @@ On the compensator side they add exactly the two parts of the moment that
 have closed forms, the mass beyond n and the integral of a plateau below
 it, and draw only the deficit under the plateau, by importance sampling
 from its own exponential rate of decay, with the uniform behind each draw
-as a second control variate. They return these weighted values: a single
-value is not a draw of (sup G)^r, only their mean is the moment. The
-exponent r defaults to the family's p. The values are bounded and finite at
-every 0 < p < 1.
+as a control variate. They return these weighted values, of which only the
+mean is the moment. At r = p each continuous value is a smooth function of
+its one uniform, with a second control variate for the cusp at v = 0, and
+on a chunk that montecarlo offers for it the kernel draws its uniforms
+stratified, two to a stratum (see the block comment below). The exponent r
+defaults to the family's p. The values are bounded and finite at every
+0 < p < 1.
 
 The checks read paths only at stopping rules (FixedIndexRule, HittingRule),
 where a single-jump path is a closed form of its jump time Z ~ Exp(1):
@@ -106,25 +109,47 @@ class ExtremalParams:
 #
 #     P + beyond - W phi(e^(-t/p)) e^(-(1-r)(t-z)/p) - beta (v - 1/2):
 #
-# v - 1/2 is a second control variate, of mean 0, and beta its best fixed
-# coefficient for the continuous pair, 12 Cov of the deficit term with v,
-# from a midpoint rule when the sampler is built (Owen, Monte Carlo theory,
-# methods and examples, 2013, ch. 8-9). The deficit term rises almost
-# linearly with v (correlation 0.93 at p = 0.5, n = 10), so it takes a
-# further 5 to 13 times the variance away. A single value is not a draw of
-# (sup G)^r; only their mean is the moment. At r = p and t = z,
-# e^(-z/p) = 1 - s with s = v c_u, so the deficit term is
+# v - 1/2 is a further control variate, of mean 0, and beta its best fixed
+# coefficient, 12 Cov of the deficit term with v, from a midpoint rule when
+# the sampler is built (Owen, Monte Carlo theory, methods and examples,
+# 2013, ch. 8-9). The deficit term rises almost linearly with v
+# (correlation 0.93 at p = 0.5, n = 10), so it takes a further 5 to 13
+# times the variance away. Only the mean of the values is the moment. At
+# r = p and t = z, e^(-z/p) = 1 - s with s = v c_u, so the deficit term is
 # W expm1(p log s)/(1 - s), and z is never formed. The discrete pair's t is
 # k h for the grid index k = ceil(z/h), so its phi is a table over k,
-# constant from kh/p >= _PHI_FLAT on. It takes the continuous pair's beta,
-# so its value is at least the continuous pair's on every v, since its P is
-# larger and its t later, and discretization effects isolate cleanly. The
-# values lie within 3 W of each other and are bounded at every 0 < p < 1;
-# at r > p the moments grow as e^(a n), and the samplers refuse an r, p and
-# n at which the x moment is no float64, or at which the estimator's sum of
-# a chunk of squared deviations from the mean could not be: rounding at the
-# size of the values, about e^(a n), leaves deviations of up to 2^-48 of
-# them. The monotone pair's G is the full pair's, and its sampler returns
+# constant from kh/p >= _PHI_FLAT on. It takes the continuous pair's beta
+# at r != p and at r = p without the cusp control below, so its value is at
+# least that continuous value on every v, since its P is larger and its t
+# later, and discretization effects isolate cleanly.
+#
+# At r = p a continuous value is a smooth function of its one uniform, so
+# on a chunk of m values the kernel may draw its v stratified: m/2 strata of
+# width 2/m, two independent uniforms in each, at entries k and m/2 + k:
+# v = (k + u) 2/m, whose within-pair differences give the chunk's variance
+# (montecarlo._reduce_strata); an odd m ends in one stratum of three values,
+# of width 3/m, and m = 1 draws v = u. Its variance then falls as m^-3, not
+# m^-1, except that W s^p has an infinite slope at s = 0, which would leave
+# the first strata carrying the variance and the pair differences a heavy
+# tail. So the kernel also subtracts the cusp control W (s^p - c_u^p/(p+1)),
+# of mean 0:
+#
+#     W (s^p - 1)/(1 - s) - W (s^p - c_u^p/(p+1))
+#         = W (s^(p+1) - 1)/(1 - s) + W c_u^p/(p+1),
+#
+# which takes expm1's exponent from p to p + 1 at no further pass, folds the
+# constant into the offset, and refits beta by the midpoint rule. The
+# stratified offsets k come from one cached array, and 2/m is folded into
+# c_u. The discrete kernel, whose value is a step function of v, the
+# continuous one at r != p, median of means and sample_values keep i.i.d.
+# draws.
+#
+# The values lie within 3 W of each other and are bounded at every
+# 0 < p < 1; at r > p the moments grow as e^(a n), and the samplers refuse
+# an r, p and n at which the x moment is no float64, or at which the
+# estimator's sum of a chunk of squared deviations from the mean could not
+# be: rounding at the size of the values, about e^(a n), leaves deviations
+# of up to 2^-48 of them. The monotone pair's G is the full pair's, and its sampler returns
 # the full sampler's g values.
 #
 # Every constant above is a function of the horizon n, and _constants and
@@ -161,18 +186,20 @@ def _exponent(params: ExtremalParams, r: float | None) -> float:
 
 
 def _constants(params: ExtremalParams, r: float, h: float = 0.0,
-               horizon: float | None = None) -> tuple[float, float, float, float, float]:
+               horizon: float | None = None,
+               cusp: bool = False) -> tuple[float, float, float, float, float]:
     """(E[(sup X)^r] of the full pair, top, W, c_u, beta) at the horizon n,
     or at horizon, a multiple of h, if given: top = P + beyond, the
     plateau's integral on the grid of step h (continuous at h = 0) plus
     the mass beyond the horizon, W the deficit's weight, c_u its draws'
     normaliser, and beta = 12 Cov(-W phi(e^(-z(V)/p)), V) for V uniform, by
-    the midpoint rule: the multiple of the control variate V - 1/2 that
-    leaves the continuous values least variance (any beta keeps the mean
-    exact). Raises ValueError where the x moment or top is no float64, or
-    where CHUNK squared deviations of values from their mean, which the
-    estimator sums, could exceed DBL_MAX: the values lie within 3 W of each
-    other, and rounding near top adds up to about 2^-48 top."""
+    the midpoint rule, of the deficit term less the cusp control if cusp:
+    the multiple of the control variate V - 1/2 that leaves the continuous
+    values least variance (any beta keeps the mean exact). Raises
+    ValueError where the x moment or top is no float64, or where CHUNK
+    squared deviations of values from their mean, which the estimator sums,
+    could exceed DBL_MAX: the values lie within 3 W of each other, and
+    rounding near top adds up to about 2^-48 top."""
     from .montecarlo import CHUNK  # montecarlo imports this module
 
     p = params.p
@@ -199,7 +226,7 @@ def _constants(params: ExtremalParams, r: float, h: float = 0.0,
                          f"{at} exceed DBL_MAX, or the squared deviations their estimate "
                          "sums could; they grow as e^((r/p - 1) n)")
     v = (np.arange(_SLOPE_NODES) + 0.5) / _SLOPE_NODES
-    minus_phi = _continuous_minus_phi(v.copy(), np.empty_like(v), p, r, c_u)
+    minus_phi = _continuous_minus_phi(v.copy(), np.empty_like(v), p, r, c_u, cusp)
     return supx, top, weight, c_u, 12.0 * weight * float(np.mean(minus_phi * (v - 0.5)))
 
 
@@ -218,15 +245,16 @@ def _minus_phi(x: np.ndarray, r: float) -> np.ndarray:
 
 
 def _continuous_minus_phi(s: np.ndarray, rest: np.ndarray, p: float, r: float,
-                          c_u: float) -> np.ndarray:
+                          c_u: float, cusp: bool = False) -> np.ndarray:
     """-phi(e^(-z/p)) of the continuous pair for the uniforms v in s, in s at
-    r = p and in a new array otherwise; rest receives 1 - v c_u."""
+    r = p and in a new array otherwise; rest receives 1 - v c_u. With cusp,
+    at r = p only, less s^p, s = v c_u: (s^(p+1) - 1)/(1 - s)."""
     s *= c_u
     np.subtract(1.0, s, out=rest)
     if r == p:  # e^(-z/p) = 1 - s
         with np.errstate(divide="ignore"):  # v = 0 gives log 0 = -inf, and phi 1
             np.log(s, out=s)
-        s *= p
+        s *= p + 1.0 if cusp else p
         np.expm1(s, out=s)
         s /= rest
         return s
@@ -241,24 +269,45 @@ def _check_level(level_N: int) -> None:
         raise ValueError("level_N must be non-negative")
 
 
+def _fill_uniforms(rng, out: np.ndarray, spread: float | None) -> float:
+    """Fill out with a kernel's uniforms v divided by the returned scale.
+    Where spread is given, the kernel's values are each a smooth function of
+    one uniform and lie in an interval of that width; if rng offers strata
+    (montecarlo.ChunkStream, on the chunks of a plain-mean pass), the v are
+    drawn stratified through it. Otherwise they are i.i.d., at scale 1."""
+    strata = None if spread is None else getattr(rng, "strata", None)
+    if strata is None:
+        rng.random(out=out)
+        return 1.0
+    return strata(out, spread)
+
+
 def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None,
                           horizon: float | None = None):
     """Paired sampler (rng, m) -> (E[(sup X)^r], importance-weighted
     (sup G)^r) for the full extremal family, Brownian tail by exact law; r
     defaults to p, and the horizon to n. The x side is its exact moment, a
-    float; only the mean of the g side is the moment. Raises ValueError
-    where the moments are no float64."""
+    float; only the mean of the g side is the moment. At r = p the g side
+    carries the cusp control and is drawn stratified where rng offers strata
+    (_fill_uniforms). Raises ValueError where the moments are no float64."""
     p = params.p
     r = _exponent(params, r)
-    supx, top, weight, c_u, beta = _constants(params, r, horizon=horizon)
+    cusp = r == p
+    supx, top, weight, c_u, beta = _constants(params, r, horizon=horizon, cusp=cusp)
     # -beta (v - 1/2) = (beta/c_u) (1 - v c_u) - beta/c_u + beta/2
     slope, offset = beta / c_u, top - beta / c_u + 0.5 * beta
+    # the cusp control's mean, W E[(V c_u)^p]; its deficit term lies in
+    # [-(1 + p) W, -W] and the beta term spans |beta|
+    spread = None
+    if cusp:
+        offset += weight * c_u**p / (p + 1.0)
+        spread = p * weight + abs(beta)
 
     def sampler(rng: np.random.Generator, m: int):
         block = np.empty((2, m))
         s, rest = block
-        rng.random(out=s)
-        g = _continuous_minus_phi(s, rest, p, r, c_u)
+        scale = _fill_uniforms(rng, s, spread)
+        g = _continuous_minus_phi(s, rest, p, r, c_u * scale, cusp)
         g *= weight
         rest *= slope
         g += rest
@@ -296,10 +345,10 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
                          horizon: float | None = None):
     """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
     the dyadic discretization, r defaulting to p and the horizon, a grid
-    time, to n; same draws and control variate as the continuous sampler,
-    so discretization effects isolate cleanly. The x side does not see the
-    grid and is the continuous pair's exact moment; only the mean of the g
-    side is the moment. The g side reads -W phi(e^(-kh/p)) from a table
+    time, to n; the continuous sampler's i.i.d. draws and beta, without its
+    cusp control, so discretization effects isolate cleanly. The x side
+    does not see the grid and is the continuous pair's exact moment; only
+    the mean of the g side is the moment. The g side reads -W phi(e^(-kh/p)) from a table
     over the grid index k of at most min(horizon 2^N, _PHI_FLAT p 2^N) + 1
     entries."""
     _check_level(level_N)

@@ -16,13 +16,24 @@ dump-paths (DUMP_STREAM), and 4 for the BDG bias-check passes
 two uses of one seed share a stream.
 
 Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
-plain mean keeps (count, mean, M2) per chunk and merges them in chunk order
-(Chan, Golub & LeVeque 1979), and median of means keeps per-block partial
-sums. No value array of the whole run is assembled. `estimate_from_values`
-runs the same reduction over CHUNK-sized slices, so it gives bit for bit the
-estimates that `estimate_pair` gives from the same draws. Against versions
-that reduced the concatenated values, estimates agree to about 1e-15
-relative, not bit for bit.
+plain mean keeps (count, mean, M2) per chunk of i.i.d. values and merges
+them in chunk order (Chan, Golub & LeVeque 1979), and median of means keeps
+per-block partial sums. No value array of the whole run is assembled.
+
+On a plain-mean pass each chunk's stream is a ChunkStream, which offers
+stratified uniforms: m/2 strata of width 2/m with two independent uniforms
+in each, at entries k and m/2 + k (_fill_strata). Only a sampler whose
+values are each a smooth function of one uniform takes them: the
+continuous extremal kernel at r = p (extremal._fill_uniforms). Its chunk then reduces to (count, mean,
+variance of the mean), the variance from the squared differences within
+the pairs (_reduce_strata), and the chunks merge as independent estimates
+in chunk order. Median of means, whose contiguous blocks would each cover a
+sub-range of the strata, and sample_values offer no strata, so they and
+every other sampler draw i.i.d. `estimate_from_values` runs the i.i.d.
+reduction over CHUNK-sized slices, so on i.i.d. columns it gives bit for
+bit the estimates that `estimate_pair` gives from the same draws. Against
+versions that reduced the concatenated values, estimates agree to about
+1e-15 relative, not bit for bit.
 
 `estimate_passes` runs several passes on one seed, each pass drawing the
 streams it would draw alone, with the chunks of all passes handed to one
@@ -34,7 +45,7 @@ passes draw piece j from chunk_rng(seed, VALIDATION_STREAM + j).
 
 The extremal sup samplers return the x side's exact moment and weighted
 compensator values: the closed-form plateau plus an importance-sampled
-deficit, less a control variate in the uniform draw (see extremal.py).
+deficit, less control variates in the uniform draw (see extremal.py).
 The values lie within a few times the deficit's weight of each other, so
 their variance is finite, and small, at every 0 < p < 1, and the plain mean
 is the default estimator. Median of means runs only when a caller names it.
@@ -42,9 +53,11 @@ is the default estimator. Median of means runs only when a caller names it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +89,9 @@ __all__ = [
 
 CHUNK = 1 << 15
 
-# version of the stream layout below, recorded in every CLI output
-STREAM_LAYOUT = 2
+# version of the stream layout below, recorded in every CLI output; 3 since
+# the continuous kernel's chunks draw stratified uniforms
+STREAM_LAYOUT = 3
 # stream index = domain * DOMAIN_STRIDE + j (see the module docstring)
 DOMAIN_STRIDE = 1 << 60
 PILOT_STREAM = 1 * DOMAIN_STRIDE
@@ -199,6 +213,72 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(seed).advance(index * _STREAM_SPAN))
 
 
+@functools.cache
+def _stratum_offsets() -> np.ndarray:
+    """0, 1, ..., CHUNK/2 - 1: the strata of a chunk's pairs, read-only, as
+    every caller shares it."""
+    offsets = np.arange(CHUNK // 2, dtype=float)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _pairs(m: int) -> int:
+    """The number of two-value strata in a stratified chunk of m values."""
+    return m // 2 if m % 2 == 0 else (m - 3) // 2
+
+
+def _fill_strata(rng: np.random.Generator, out: np.ndarray) -> float:
+    """Fill out, m doubles, with stratified uniforms over the returned scale
+    2/m: with h = _pairs(m), entries k and h + k, k < h, hold k + u with u
+    uniform, for v in the stratum [2k/m, (2k + 2)/m), so that the two halves
+    of each pair are contiguous. An odd m >= 3 ends in one stratum of three,
+    [(m - 3)/m, 1), whose entries hold h + 1.5 u; m = 1 holds u, at scale 1.
+    The m doubles are one rng.random fill. k + u rounds to k + 1 for u
+    within half an ulp of k of 1, so the last stratum's entries are held
+    2^-50 (relative) below m/2, where v times any c_u <= 1 stays below 1, as
+    the i.i.d. v do."""
+    m = out.size
+    rng.random(out=out)
+    if m == 1:
+        return 1.0
+    h = _pairs(m)
+    offsets = _stratum_offsets()[:h] if 2 * h <= CHUNK else np.arange(h, dtype=float)
+    out[:h] += offsets
+    out[h : 2 * h] += offsets
+    if m % 2:
+        last = out[2 * h :]
+        last *= 1.5
+        last += h
+    else:
+        last = out[h - 1 :: h]
+    np.minimum(last, 0.5 * m * (1.0 - 2.0**-50), out=last)
+    return 2.0 / m
+
+
+class ChunkStream:
+    """The stream of one chunk of a plain-mean pass: every draw goes to the
+    chunk's Generator, and a sampler whose values are each a smooth function
+    of one uniform may draw them stratified through strata()."""
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self.generator = generator
+        self.spread = None  # set where the chunk was drawn stratified
+
+    def __getattr__(self, name):
+        # kept on the stream, so that a sampler drawing step by step (bdg's
+        # bridge steps) forwards each name once per chunk
+        value = getattr(self.generator, name)
+        setattr(self, name, value)
+        return value
+
+    def strata(self, out: np.ndarray, spread: float) -> float:
+        """_fill_strata(out); spread is the width of an interval that holds
+        every value the sampler returns from them, which bounds the
+        variance of a chunk of one value."""
+        self.spread = spread
+        return _fill_strata(self.generator, out)
+
+
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
     """Run work(rng, start, m) on every piece of the sample index range of
     each (work, n_samples) or (work, n_samples, piece, first_stream) pass.
@@ -250,12 +330,51 @@ def check_budget(n: int, method: EstimatorMethod) -> None:
         raise ValueError(f"{n} samples cannot fill {method.blocks} blocks")
 
 
-def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMethod):
+class _Strata(NamedTuple):
+    """A stratified chunk's partial statistics: its count, its mean and the
+    estimated variance of that mean."""
+
+    count: int
+    mean: float
+    variance: float
+
+
+def _reduce_strata(values: np.ndarray, spread: float) -> _Strata:
+    """The partial statistics of a chunk drawn by _fill_strata, in whose
+    array the squared differences are formed. A stratum of width w holding
+    k values adds w^2 s^2/k to the variance of the mean, with s^2 its values'
+    variance, estimated with ddof 1: so a pair adds d^2/m^2 for its
+    difference d, and the last stratum of an odd m 1.5 M2/m^2 for its
+    squared deviations M2. Variance = (S + 1.5 M2)/m^2, S/(4 H^2) for H = m/2
+    pairs. A chunk of one value gets spread^2/4, the largest variance of a
+    value within an interval of width spread."""
+    m = values.size
+    mean = float(values.mean())
+    if m == 1:
+        return _Strata(1, mean, 0.25 * spread * spread)
+    h = _pairs(m)
+    diff = values[:h]
+    diff -= values[h : 2 * h]
+    diff *= diff
+    total = float(diff.sum())
+    if m % 2:
+        last = values[2 * h :]
+        last -= last.mean()
+        last *= last
+        total += 1.5 * float(last.sum())
+    return _Strata(m, mean, total / (m * m))
+
+
+def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMethod,
+                  spread: float | None = None):
     """Partial statistics of the values at sample indices start, start+1, ...
     of a run of n samples: (count, mean, sum of squared deviations) for the
-    plain mean, (first block index, block sums) for median of means. The
-    plain mean forms the deviations in the array of the values."""
+    plain mean, (first block index, block sums) for median of means, and
+    _reduce_strata's for a chunk drawn stratified, whose spread is given.
+    The plain mean forms the deviations in the array of the values."""
     values = np.asarray(values, dtype=float)
+    if spread is not None:
+        return _reduce_strata(values, spread)
     if method.name == "plain":
         mean = values.mean()
         values -= mean
@@ -274,7 +393,23 @@ def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMetho
 
 def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
     """The estimate from the partial statistics of every chunk, merged in
-    chunk order."""
+    chunk order. Stratified chunks merge as independent estimates with the
+    fixed weights w_j = m_j^3 / sum m^3, the inverse of the m^-3 law of their
+    variance: mean sum w_j mean_j, variance sum w_j^2 variance_j. Weights
+    m_j/n would let a short last chunk, whose variance estimate rests on a
+    few strata, dominate the interval."""
+    stratified = [isinstance(part, _Strata) for part in parts]
+    if any(stratified):
+        if not all(stratified):
+            raise ValueError("a column mixes stratified and i.i.d. chunks")
+        cubes = [part.count**3 for part in parts]
+        total = sum(cubes)
+        value = variance = 0.0
+        for (_, mu, var), cube in zip(parts, cubes):
+            share = cube / total
+            value += share * mu
+            variance += share * share * var
+        return Estimate(value=value, halfwidth=math.sqrt(variance), n_samples=n, method=method)
     if method.name == "plain":
         count, mean, m2 = parts[0]
         for c, mu, q in parts[1:]:
@@ -296,9 +431,10 @@ def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
 
 
 def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimate:
-    """Estimate of the mean of given values, reduced over CHUNK-sized slices
-    exactly as `estimate_pair` reduces the chunks it draws. The values are
-    copied once, since the reduction writes into them."""
+    """Estimate of the mean of given i.i.d. values, reduced over CHUNK-sized
+    slices exactly as `estimate_pair` reduces the i.i.d. chunks it draws:
+    the same bits for those, not for a column drawn stratified. The values
+    are copied once, since the reduction writes into them."""
     values = np.array(values, dtype=float)
     n = values.size
     if n == 0:
@@ -319,14 +455,23 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
     order, so a pass in the default layout gets exactly the estimates that
     `estimate_pair` alone would give it. A component may be a float, the
     exact mean of its column: it is reported with half-width 0, not
-    reduced, and must be the same float in every chunk (else ValueError)."""
+    reduced, and must be the same float in every chunk (else ValueError).
+    The estimator decides whether a chunk may be drawn stratified: the
+    plain mean offers each chunk's sampler strata (ChunkStream), median of
+    means offers none. A sampler takes them where each of its values is a
+    smooth function of one uniform, and the array columns of such a chunk
+    reduce as stratified."""
     for _, n_samples, *_layout in passes:
         check_budget(n_samples, method)
+    plain = method.name == "plain"
 
     def reducer(paired_sampler, n_samples):
         def work(rng, start, m):
-            return [v if isinstance(v, float) else _reduce_chunk(v, start, n_samples, method)
-                    for v in paired_sampler(rng, m)]
+            stream = ChunkStream(rng) if plain else rng
+            values = paired_sampler(stream, m)
+            spread = stream.spread if plain else None
+            return [v if isinstance(v, float) else _reduce_chunk(v, start, n_samples, method, spread)
+                    for v in values]
 
         return work
 

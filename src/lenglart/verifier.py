@@ -465,7 +465,7 @@ class HatXGenerator(_Generator):
         """A bound on tau known before any draw: the fixed index, or the last."""
         return self.rule.k if isinstance(self.rule, FixedIndexRule) else self.last
 
-    def sup_sampler(self, r=1.0):
+    def sup_sampler(self, r):
         return self.inner.stopped_sup_sampler(self.rule, r)
 
     def stopped_sup_sampler(self, rule, r):

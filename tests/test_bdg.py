@@ -473,7 +473,9 @@ class TestBdgRatio:
                 sampler = factory(*args)
 
                 def draw(rng, m):
-                    drawn[name].append(streams[id(rng)])
+                    # a plain-mean pass hands each sampler its chunk's
+                    # Generator inside a montecarlo.ChunkStream
+                    drawn[name].append(streams[id(rng.generator)])
                     return sampler(rng, m)
 
                 return draw

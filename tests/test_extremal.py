@@ -318,9 +318,11 @@ class TestSupSamplers:
 # for their in-place evaluation at r = p: z = -p log(1 - v c_u) with
 # c_u = -expm1(-n/p), t = z or the end of z's grid step, and each value
 # top - exp(log W + log phi(e^(-t/p)) - (1 - p)(t - z)/p) - beta (v - 1/2),
-# W = p^(p+1) c_u. top is the plateau's integral, p^p n or its sum over the
-# grid steps term by term, plus the mass beyond the horizon; beta is
-# 12 Cov(deficit(V), V) of the continuous deficit, over 4096 midpoints.
+# W = p^(p+1) c_u, less for the continuous kernels the cusp control
+# W (s^p - c_u^p/(p+1)), s = v c_u. top is the plateau's integral, p^p n or
+# its sum over the grid steps term by term, plus the mass beyond the
+# horizon; beta is 12 Cov(deficit(V), V) of the continuous deficit, less the
+# cusp control for the continuous kernels, over 4096 midpoints.
 # TestExactNumerators checks the x side.
 def _log1mexp(u):
     """log(1 - e^-u) for u >= 0 (Maechler, Rmpfr note, 2012)."""
@@ -354,12 +356,25 @@ def _reference_deficit(p, n, level_N, v):
     return -np.exp(log_w + _log_phi(p, t / p) - (1.0 - p) * (t - z) / p)
 
 
+def _reference_cusp(p, n, v):
+    """The cusp control W (s^p - c_u^p/(p+1)) at s = v c_u, of mean 0."""
+    c_u = -math.expm1(-n / p)
+    with np.errstate(divide="ignore"):  # v = 0 gives s^p = 0
+        s_p = np.exp(p * (np.log(v) + math.log(c_u)))
+    return p ** (p + 1.0) * c_u * (s_p - math.exp(p * math.log(c_u)) / (p + 1.0))
+
+
 def _reference_sup_g(kind, p, n, level_N, rng, m):
     grid = level_N if kind == "discrete" else None
+
+    def deficit(v, grid):
+        cusp = 0.0 if kind == "discrete" else _reference_cusp(p, n, v)
+        return _reference_deficit(p, n, grid, v) - cusp
+
     mid = (np.arange(4096) + 0.5) / 4096
-    beta = 12.0 * np.mean(_reference_deficit(p, n, None, mid) * (mid - 0.5))
+    beta = 12.0 * np.mean(deficit(mid, None) * (mid - 0.5))
     v = rng.random(m)
-    return _reference_top(p, n, grid) + _reference_deficit(p, n, grid, v) - beta * (v - 0.5)
+    return _reference_top(p, n, grid) + deficit(v, grid) - beta * (v - 0.5)
 
 
 def _kernel(kind, p, n, level_N, r=None):

@@ -12,12 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_extremal import GridRng
 
 import lenglart
 from lenglart import montecarlo
 from lenglart.bdg import BM_FIXED_TIME, MartingaleSpec, bdg_ratio
 from lenglart.cli import main
-from lenglart.extremal import ExtremalParams, sharpness_sup_sampler
+from lenglart import extremal
+from lenglart.extremal import (
+    ExtremalParams,
+    discrete_sup_sampler,
+    monotone_sup_sampler,
+    sharpness_sup_sampler,
+)
 from lenglart.montecarlo import (
     CHUNK,
     DOMAIN_STRIDE,
@@ -27,6 +34,7 @@ from lenglart.montecarlo import (
     Estimate,
     EstimatorMethod,
     Verdict,
+    ChunkStream,
     _map_chunks,
     chunk_rng,
     estimate_from_values,
@@ -514,3 +522,175 @@ class TestExperiments:
             den = ratio_experiment(ExtremalParams(0.5, 10), 2**12, seed=seed).denominator
             misses += abs(den.value - oracle) > 3.0 * den.halfwidth
         assert misses <= 4
+
+
+def _binomial_limit(trials: int, prob: float, tail: float = 1e-3) -> int:
+    """The least k with P[Binomial(trials, prob) > k] <= tail."""
+    cdf, k = 0.0, 0
+    while True:
+        cdf += math.comb(trials, k) * prob**k * (1.0 - prob) ** (trials - k)
+        if 1.0 - cdf <= tail:
+            return k
+        k += 1
+
+
+class TestStratifiedDraws:
+    """On a plain-mean pass the continuous kernel at r = p draws its uniforms
+    two to a stratum of each chunk (montecarlo._fill_strata), and its chunks
+    reduce by the squared differences within the pairs; every other sampler
+    and estimator draws i.i.d."""
+
+    PARAMS = ExtremalParams(p=0.5, n=10)
+    # P[|z| > 3] of a normal z, and the binomial limit of the coverage runs
+    BEYOND_3 = math.erfc(3.0 / math.sqrt(2.0))
+    RUNS = 200
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, CHUNK, CHUNK + 3])
+    def test_fill_puts_each_entry_in_its_stratum(self, m):
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            out = np.empty(m)
+            v = out * montecarlo._fill_strata(GridRng(np.full(m, u)), out)
+            if m == 1:
+                assert v[0] == u
+                continue
+            h = m // 2 if m % 2 == 0 else (m - 3) // 2
+            k = np.concatenate([np.arange(h), np.arange(h)])
+            low = np.concatenate([2.0 * k, [2.0 * h] * (m - 2 * h)]) / m
+            width = np.where(np.arange(m) < 2 * h, 2.0 / m, 3.0 / m)
+            np.testing.assert_allclose(v, low + u * width, rtol=1e-14, atol=1e-15)
+            assert np.all(v >= low) and np.all(v < 1.0)
+            # s = v c_u stays below 1 at c_u = 1, as at p = 0.01, n = 10
+            _, g = sharpness_sup_sampler(ExtremalParams(0.01, 10))(
+                ChunkStream(GridRng(np.full(m, u))), m)
+            assert np.all(np.isfinite(g))
+
+    def test_reduce_strata_formula(self):
+        # pairs (1, 3) and (2, 2.5) at entries k and k + 2, then a triple
+        values = np.array([1.0, 2.0, 3.0, 2.5, 7.0, 4.0, 5.0])
+        part = montecarlo._reduce_strata(values.copy(), spread=10.0)
+        tail = values[4:]
+        pairs = (1.0 - 3.0) ** 2 + (2.0 - 2.5) ** 2
+        assert part.count == 7 and part.mean == pytest.approx(values.mean(), rel=1e-15)
+        assert part.variance == pytest.approx(
+            (pairs + 1.5 * np.sum((tail - tail.mean()) ** 2)) / 49, rel=1e-14)
+        even = montecarlo._reduce_strata(values[:4].copy(), spread=10.0)
+        assert even.mean == 2.125
+        assert even.variance == pytest.approx(pairs / (4 * 2**2), rel=1e-15)
+        # one value: the largest variance of a value in an interval of width 10
+        assert montecarlo._reduce_strata(np.array([4.0]), spread=10.0).variance == 25.0
+
+    def test_chunks_merge_by_the_cube_of_their_counts(self):
+        parts = [montecarlo._Strata(4, 1.0, 0.5), montecarlo._Strata(2, 3.0, 2.0)]
+        est = montecarlo._merge_chunks(parts, 6, PLAIN)
+        assert est.value == pytest.approx((64 * 1.0 + 8 * 3.0) / 72, rel=1e-15)
+        assert est.halfwidth == pytest.approx(
+            math.sqrt((64 / 72) ** 2 * 0.5 + (8 / 72) ** 2 * 2.0), rel=1e-15)
+        with pytest.raises(ValueError, match="mixes"):
+            montecarlo._merge_chunks(parts + [(3, 1.0, 0.1)], 9, PLAIN)
+
+    def test_spread_bounds_the_values(self):
+        # the m = 1 rule reads the kernel's spread, which must hold every value
+        for p, n in ((0.01, 10), (0.5, 10), (0.99, 1), (0.25, 1000)):
+            sampler = sharpness_sup_sampler(ExtremalParams(p, n))
+            stream = ChunkStream(chunk_rng(0, 0))
+            sampler(stream, 2)
+            v = np.linspace(0.0, 1.0 - 2.0**-53, 1 << 14)
+            _, g = sampler(GridRng(v), v.size)
+            assert np.ptp(g) <= stream.spread, (p, n)
+
+    def test_only_the_plain_mean_at_r_equal_p_draws_strata(self):
+        # everything else is bit for bit the i.i.d. reduction of sample_values
+        n, seed = 2 * CHUNK + 5, 3
+        cases = [(sharpness_sup_sampler(self.PARAMS), median_of_means(3)),
+                 (monotone_sup_sampler(self.PARAMS), median_of_means(3)),
+                 (sharpness_sup_sampler(self.PARAMS, 0.25), PLAIN),
+                 (discrete_sup_sampler(self.PARAMS, 4), PLAIN),
+                 (monotone_sup_sampler(self.PARAMS, horizon=5, level_N=4), PLAIN)]
+        for sampler, method in cases:
+            g = sample_values(lambda rng, m: sampler(rng, m)[1], n, seed)
+            assert estimate_pair(sampler, n, method, seed)[1] == estimate_from_values(g, method)
+        sampler = sharpness_sup_sampler(self.PARAMS)
+        iid = estimate_from_values(sample_values(lambda rng, m: sampler(rng, m)[1], n, seed),
+                                   PLAIN)
+        strata = estimate_pair(sharpness_sup_sampler(self.PARAMS), n, PLAIN, seed)[1]
+        assert strata.halfwidth < 1e-3 * iid.halfwidth
+        assert abs(strata.value - iid.value) < 4.0 * iid.halfwidth
+
+    def test_chunk_stream_forwards_draws(self):
+        stream = ChunkStream(chunk_rng(4, 0))
+        assert stream.spread is None
+        np.testing.assert_array_equal(stream.random(5), chunk_rng(4, 0).random(5))
+
+    @pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 5])
+    def test_remainder_chunks_are_thread_invariant(self, n):
+        outputs = set()
+        for threads in (1, 2, 3):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(f"sharpness --p 0.5 --n 10 --samples {n} --seed 5 "
+                     f"--threads {threads}".split())
+            payload, _ = json.JSONDecoder().raw_decode(out.getvalue())
+            del payload["timestamp"], payload["config"]["threads"]
+            outputs.add(json.dumps(payload, sort_keys=True))
+        assert len(outputs) == 1
+        den = payload["result"]["ratio"]["denominator"]
+        assert den["halfwidth"] > 0
+        assert abs(payload["result"]["denominator_z"]) < 4.0
+
+    def misses(self, sampler, p, n):
+        """Runs of one chunk, of seeds 0 .. RUNS - 1, whose estimate lies more
+        than 3 half-widths from gtilde_sup_moment(p, n)."""
+        oracle = gtilde_sup_moment(p, n)
+        count = 0
+        for seed in range(self.RUNS):
+            (den,) = estimate_pair(sampler, CHUNK, PLAIN, seed)
+            count += not abs(den.value - oracle) <= 3.0 * den.halfwidth
+        return count
+
+    @staticmethod
+    def g_column(sampler):
+        return lambda rng, m: sampler(rng, m)[1:]
+
+    @pytest.mark.parametrize(("p", "n"), [(0.01, 10), (0.5, 10)])
+    def test_one_chunk_covers(self, p, n):
+        """Over 200 seeds of one chunk, the runs beyond 3 half-widths stay
+        within the Binomial(200, 0.0027) limit at 1e-3 (4); 0 were seen."""
+        sampler = self.g_column(sharpness_sup_sampler(ExtremalParams(p, n)))
+        assert self.misses(sampler, p, n) <= _binomial_limit(self.RUNS, self.BEYOND_3)
+
+    def test_twin_without_the_cusp_control_fails(self):
+        # the kernel at r = p without W (s^p - c_u^p/(p+1)), drawn as the
+        # kernel draws: the first strata carry the variance, and their pair
+        # differences a heavy tail (27 of 200 seeds beyond 3)
+        params = ExtremalParams(0.01, 10)
+        p = params.p
+        _, top, weight, c_u, beta = extremal._constants(params, p)
+        slope, offset = beta / c_u, top - beta / c_u + 0.5 * beta
+
+        def twin(rng, m):
+            block = np.empty((2, m))
+            s, rest = block
+            scale = extremal._fill_uniforms(rng, s, 1.0)
+            g = extremal._continuous_minus_phi(s, rest, p, p, c_u * scale)
+            g *= weight
+            rest *= slope
+            g += rest
+            g += offset
+            return (g,)
+
+        assert self.misses(twin, 0.01, 10) > _binomial_limit(self.RUNS, self.BEYOND_3)
+
+    def test_twin_with_one_uniform_per_stratum_fails(self, monkeypatch):
+        # both entries of a stratum from one uniform: the pair differences
+        # vanish, and with them the half-width
+        fill = montecarlo._fill_strata
+
+        def one_per_stratum(rng, out):
+            scale = fill(rng, out)
+            h = montecarlo._pairs(out.size)
+            out[h : 2 * h] = out[:h]
+            return scale
+
+        monkeypatch.setattr(montecarlo, "_fill_strata", one_per_stratum)
+        sampler = self.g_column(sharpness_sup_sampler(self.PARAMS))
+        assert self.misses(sampler, 0.5, 10) > _binomial_limit(self.RUNS, self.BEYOND_3)

@@ -699,6 +699,22 @@ class TestFreezeDelegates:
         for rule in (FixedIndexRule(0), HittingRule("x", 0.0), HittingRule("g", -1.0)):
             assert HatXGenerator(inner, rule).sup_sampler(self.R)(None, 10) == (0.0, 0.0)
 
+    def test_freeze_takes_no_default_exponent(self):
+        # the kernels take r in (0, 1) only, so a default r = 1 raised on a
+        # freeze of an extremal pair; every check passes r = p
+        with pytest.raises(TypeError):
+            HatXGenerator(WALK, FixedIndexRule(6)).sup_sampler()
+
+    def test_continuous_freeze_draws_strata(self):
+        # at r = p the freeze's g side is the continuous kernel at t_k, drawn
+        # two uniforms to a stratum on a plain-mean pass
+        inner = FREEZE_INNERS[0]
+        rule = FixedIndexRule(inner.last // 2)
+        _, g = self.estimates(HatXGenerator(inner, rule).sup_sampler(inner.params.p), 1)
+        _, exact = exact_stopped_moments(inner, rule, inner.params.p)
+        assert g.halfwidth < 1e-7 * exact
+        assert abs(g.value - exact) <= 4.0 * g.halfwidth + 1e-12 * exact
+
     def test_walk_frozen_where_x_reaches_a_level_stops_path_by_path(self):
         rule = HittingRule("x", 2.0)
         x, g = HatXGenerator(WALK, rule).sup_sampler(self.R)(rng_of(9), 1000)
