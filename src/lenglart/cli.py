@@ -42,15 +42,13 @@ import numpy as np
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     DUMP_STREAM,
+    PLAIN,
     STREAM_LAYOUT,
-    EstimatorMethod,
     Verdict,
     chunk_rng,
-    median_of_means,
     monotone_ratio_experiment,
     ratio_experiment,
     z_score,
-    PLAIN,
 )
 from .oracles import (
     ConstantKind,
@@ -76,11 +74,6 @@ def check_inequality(*args, **kwargs):
     from . import verifier
 
     return verifier.check_inequality(*args, **kwargs)
-
-
-def resolved_method(cfg: SimpleNamespace) -> EstimatorMethod:
-    """The estimator of cfg's method: plain, or median of cfg.blocks means."""
-    return median_of_means(cfg.blocks) if cfg.method == "mom" else PLAIN
 
 
 def _usage_error(msg: str) -> int:
@@ -120,8 +113,6 @@ _FLAGS = {
                        valid=(lambda v: v >= 1, "samples must be positive")),
     "seed": _Flag("--seed", int, 0, valid=(lambda v: 0 <= v < 2**64,
                                            "seed must be a non-negative 64-bit integer")),
-    "method": _Flag("--method", default="plain", choices=("plain", "mom")),
-    "blocks": _Flag("--blocks", int, 31),
     "threads": _Flag("--threads", int, 1,
                      valid=(lambda v: v >= 1, "threads must be positive")),
     "output": _Flag("--output"),
@@ -251,8 +242,7 @@ _SHARPNESS = {
 
 def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
     experiment, kind, numerator_oracle = _SHARPNESS[sub]
-    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, resolved_method(cfg), cfg.seed,
-                       cfg.threads)
+    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, PLAIN, cfg.seed, cfg.threads)
     c = constant(kind, cfg.p)
     lower = c * cfg.n / (cfg.n + 1)
     hw = 0.5 * (ratio.ci_high - ratio.ci_low)
@@ -303,7 +293,6 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
         return _usage_error(f"cannot read suite file: {exc}")
     if not lines:
         return _usage_error("suite has no checks")
-    method = resolved_method(cfg)
     # every entry is read and its check set up before the first one draws
     checks = []
     for entry in lines:
@@ -318,7 +307,7 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
                         "seed": values.get("seed", cfg.seed)}
             for key, value in settings.items():
                 _FLAGS[key].check_range(value)
-            inequality_setup(gen, settings["p"], kind, settings["n_samples"], method)
+            inequality_setup(gen, settings["p"], kind)
         except KeyError as exc:  # a required key left out: its repr alone says too little
             return _usage_error(f"bad suite entry {entry!r}: missing key {exc.args[0]!r}")
         except (TypeError, ValueError) as exc:
@@ -327,8 +316,7 @@ def _run_verify(sub: str, cfg: SimpleNamespace) -> int:
     reports = []
     for entry, gen, kind, settings in checks:
         try:
-            report = check_inequality(gen, kind=kind, method=method, threads=cfg.threads,
-                                      **settings)
+            report = check_inequality(gen, kind=kind, threads=cfg.threads, **settings)
         except ValueError as exc:  # an estimate that is not finite
             return _usage_error(f"bad suite entry {entry!r}: {exc}")
         reports.append(report.to_json())
@@ -379,8 +367,7 @@ def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
     return EXIT_PASS
 
 
-_SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "method", "blocks", "threads",
-                       "output")
+_SHARPNESS_SETTINGS = ("p", "n", "n_samples", "seed", "threads", "output")
 
 # subcommand -> (runner, the settings it reads, which are its flags and the
 # keys its --config file may hold; bdg reads those of its --kind alone).
@@ -390,7 +377,7 @@ _SUBCOMMANDS = {
     "sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
     "monotone-sharpness": (_run_sharpness, _SHARPNESS_SETTINGS),
     "identities": (_run_identities, ("p", "threads", "output", "law", "point_value")),
-    "verify": (_run_verify, ("seed", "method", "blocks", "threads", "output", "config_path")),
+    "verify": (_run_verify, ("seed", "threads", "output", "config_path")),
     "bdg": (_run_bdg, ("n_samples", "seed", "threads", "output", "kind", "T", "a", "b", "q",
                        "step")),
     "dump-paths": (_run_dump_paths, ("p", "n", "level_N", "seed", "output", "dump_kind")),
@@ -468,8 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for key, value in vars(cfg).items():
             _FLAGS[key].check_range(value)
-        if getattr(cfg, "method", "mom") != "mom" and cfg.blocks != _FLAGS["blocks"].default:
-            return _usage_error("--blocks applies only with --method mom")
         return runner(args.subcommand, cfg)
     except (OSError, ValueError) as exc:  # OSError: an --output it cannot write
         return _usage_error(str(exc))

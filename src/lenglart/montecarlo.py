@@ -48,7 +48,10 @@ compensator values: the closed-form plateau plus an importance-sampled
 deficit, less control variates in the uniform draw (see extremal.py).
 The values lie within a few times the deficit's weight of each other, so
 their variance is finite, and small, at every 0 < p < 1, and the plain mean
-is the default estimator. Median of means runs only when a caller names it.
+is the default estimator; the CLI and verifier.check_inequality take no
+other. Median of means runs only when an API caller names it: acceptance
+criteria 02, 03 and 07 pass it to the *_ratio_experiment functions, and
+criterion 04 to estimate_from_values.
 """
 
 from __future__ import annotations

@@ -107,8 +107,9 @@ def gtilde_sup_moment(p: float, t: float) -> float:
     whose integrand is bounded by 1. A fixed tanh-sinh rule evaluates I to
     a relative error of about 1e-16, with 1 - w = e^(-t/p) + a (1 - x_k)
     and 1 - w^p = -expm1(p log w) free of cancellation; against 40-digit
-    values the moment is within 2.4e-16 relative for p in [0.01, 0.99]
-    and t in [1e-3, 1e7]. No term can overflow, whatever t/p.
+    mpmath values on a grid of p in [0.001, 0.999] and t in [1e-3, 1e7]
+    (README, "Layout") it is within 9.6e-16 relative, and 2.8e-16 from
+    p = 0.01 up. No term can overflow, whatever t/p.
     """
     _check_p(p)
     if t < 0:

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,9 +19,7 @@ from lenglart.cli import (
     build_parser,
     main,
     resolve_config,
-    resolved_method,
 )
-from lenglart.montecarlo import PLAIN, median_of_means
 from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment
 
 
@@ -273,7 +270,7 @@ class TestUsageErrors:
         suite = write_suite(tmp_path / "s.jsonl")
         entry = {**json.loads(suite.read_text()), key: value}
         suite.write_text(json.dumps(entry) + "\n")
-        code, out, err = run(["verify", "--suite", str(suite), "--method", "plain"], capsys)
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and f"{key} must be" in err
         assert "checks passed" not in out
@@ -300,7 +297,7 @@ class TestUsageErrors:
         suite = tmp_path / "s.jsonl"
         suite.write_text(json.dumps({"generator": generator, "p": 0.5,
                                      "n_samples": 1000, "seed": 1}) + "\n")
-        code, out, err = run(["verify", "--suite", str(suite), "--method", "plain"], capsys)
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert "bad suite entry" in err and f"{key} must be" in err
         assert "checks passed" not in out
@@ -342,55 +339,31 @@ class TestUsageErrors:
         code, _, err = run(["dump-paths"], capsys)
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ["sharpness", "--blocks", "7"],
-        ["sharpness", "--method", "plain", "--blocks", "7"],
-        ["sharpness", "--config", "blocks.json"],
-        ["verify", "--suite", "s.jsonl", "--blocks", "11"],
-    ], ids=["default", "plain", "config", "verify"])
-    def test_blocks_need_mom(self, capsys, tmp_path, monkeypatch, argv):
-        # a block count that no estimator reads is refused before any draw
-        def no_draw(*args):
+    @pytest.mark.parametrize("sub", ["sharpness", "monotone-sharpness", "verify"])
+    @pytest.mark.parametrize("given", [
+        ["--method", "plain"], ["--method", "mom"], ["--blocks", "7"],
+        {"method": "plain"}, {"blocks": 31},
+    ], ids=["method-plain", "method-mom", "blocks", "config-method", "config-blocks"])
+    def test_estimator_is_not_a_setting(self, capsys, tmp_path, monkeypatch, sub, given):
+        # every run draws by the plain mean: an estimator or a block count,
+        # named by a flag or a --config key, is refused before any draw
+        def no_stream(seed, j):
             raise AssertionError("drew samples")
 
-        monkeypatch.setattr(cli, "ratio_experiment", no_draw)
-        monkeypatch.setattr(cli, "check_inequality", no_draw)
+        monkeypatch.setattr(montecarlo, "chunk_rng", no_stream)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "blocks.json").write_text(json.dumps({"blocks": 7}))
-        write_suite(tmp_path / "s.jsonl")
+        argv = [sub] + (["--suite", str(write_suite(tmp_path / "s.jsonl"))]
+                        if sub == "verify" else [])
+        if isinstance(given, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(given))
+            argv += ["--config", "cfg.json"]
+            message = f"has no key {next(iter(given))!r}"
+        else:
+            argv += given
+            message = "unrecognized arguments"
         code, out, err = run(argv + ["--output", "r.json"], capsys)
         assert code == EXIT_USAGE
-        assert "--blocks applies only with --method mom" in err and out == ""
-        assert not (tmp_path / "r.json").exists()
-
-    def test_blocks_with_mom_run(self, capsys, tmp_path):
-        out_file = tmp_path / "r.json"
-        code, _, _ = run(["sharpness", "--samples", "2000", "--method", "mom",
-                          "--blocks", "11", "--output", str(out_file)], capsys)
-        assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-        ratio = load_json_output(out_file)["result"]["ratio"]
-        assert ratio["numerator"]["method"] == {"name": "median_of_means", "blocks": 11}
-
-    @pytest.mark.parametrize("argv", [
-        ["sharpness", "--method", "auto"],
-        ["sharpness", "--config", "auto.json"],
-        ["verify", "--suite", "s.jsonl", "--method", "auto"],
-        ["verify", "--suite", "s.jsonl", "--config", "auto.json"],
-    ], ids=["sharpness-flag", "sharpness-config", "verify-flag", "verify-config"])
-    def test_auto_method_is_gone(self, capsys, tmp_path, monkeypatch, argv):
-        # the estimator is plain unless mom is named; an old "auto", from
-        # the flag or from a --config file, is refused before any draw
-        def no_draw(*args):
-            raise AssertionError("drew samples")
-
-        monkeypatch.setattr(cli, "ratio_experiment", no_draw)
-        monkeypatch.setattr(cli, "check_inequality", no_draw)
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "auto.json").write_text(json.dumps({"method": "auto"}))
-        write_suite(tmp_path / "s.jsonl")
-        code, out, err = run(argv + ["--output", "r.json"], capsys)
-        assert code == EXIT_USAGE
-        assert "auto" in err and out == ""
+        assert message in err and out == ""
         assert not (tmp_path / "r.json").exists()
 
     def test_format_flag_is_gone(self, capsys):
@@ -413,8 +386,6 @@ FLAG_VALUES = {
     "--level-N": ("level_N", "2", 2),
     "--samples": ("n_samples", "5000", 5000),
     "--seed": ("seed", "9", 9),
-    "--method": ("method", "mom", "mom"),
-    "--blocks": ("blocks", "11", 11),
     "--threads": ("threads", "2", 2),
     "--output": ("output", "r.json", "r.json"),
     "--law": ("law", "pareto", "pareto"),
@@ -428,20 +399,22 @@ FLAG_VALUES = {
 }
 KIND_VALUES = {"bdg": ("kind", "hitting", "hitting"),
                "dump-paths": ("dump_kind", "discrete", "discrete")}
+# flags that no subcommand has -> an argument they took
+GONE_FLAGS = {"--method": "mom", "--blocks": "11"}
 
-SHARPNESS_FLAGS = ("--p", "--n", "--samples", "--seed", "--method", "--blocks",
-                   "--threads", "--output")
+SHARPNESS_FLAGS = ("--p", "--n", "--samples", "--seed", "--threads", "--output")
 # subcommand -> the flags it declares besides --config
 DECLARED = {
     "sharpness": SHARPNESS_FLAGS,
     "monotone-sharpness": SHARPNESS_FLAGS,
     "identities": ("--p", "--threads", "--output", "--law", "--point-value"),
-    "verify": ("--seed", "--method", "--blocks", "--threads", "--output", "--suite"),
+    "verify": ("--seed", "--threads", "--output", "--suite"),
     "bdg": ("--samples", "--seed", "--threads", "--output", "--kind", "--T", "--a",
             "--b", "--q", "--step"),
     "dump-paths": ("--p", "--n", "--level-N", "--seed", "--output", "--kind"),
 }
-# the flags each subcommand took without reading them
+# the flags each subcommand took without reading them (the estimator's,
+# which the others read, are test_estimator_is_not_a_setting's)
 REMOVED = {
     "sharpness": ("--level-N",),
     "monotone-sharpness": ("--level-N",),
@@ -456,6 +429,10 @@ def flag_value(sub, flag):
     return KIND_VALUES[sub] if flag == "--kind" else FLAG_VALUES[flag]
 
 
+def flag_argument(sub, flag):
+    return GONE_FLAGS[flag] if flag in GONE_FLAGS else flag_value(sub, flag)[1]
+
+
 class TestSettingsTable:
     """Every flag a subcommand declares is read, every flag it does not read
     is refused, and a --config file holds only the subcommand's settings."""
@@ -467,7 +444,7 @@ class TestSettingsTable:
         options = {name: {opt for action in sp._actions for opt in action.option_strings}
                    - {"-h", "--help"} for name, sp in subparsers.choices.items()}
         assert options == {sub: {*flags, "--config"} for sub, flags in DECLARED.items()}
-        assert sum(map(len, options.values())) == 49
+        assert sum(map(len, options.values())) == 43
 
     @pytest.mark.parametrize(("sub", "flag"), [
         (sub, flag) for sub, flags in DECLARED.items() for flag in flags])
@@ -484,7 +461,7 @@ class TestSettingsTable:
     @pytest.mark.parametrize(("sub", "flag"), [
         (sub, flag) for sub, flags in REMOVED.items() for flag in flags])
     def test_removed_flag_is_refused(self, capsys, sub, flag):
-        code, out, err = run([sub, flag, flag_value(sub, flag)[1]], capsys)
+        code, out, err = run([sub, flag, flag_argument(sub, flag)], capsys)
         assert code == EXIT_USAGE
         assert "unrecognized arguments" in err and out == ""
 
@@ -589,15 +566,14 @@ def write_small_suite(path):
 # block must hold
 CONFIG_RUNS = {
     "sharpness": (["sharpness", "--p", "0.3", "--n", "7", "--samples", "3000", "--seed", "4",
-                   "--method", "mom", "--blocks", "11", "--threads", "2"],
-                  {"p", "n", "n_samples", "seed", "method", "blocks", "threads"}),
-    "monotone-sharpness": (["monotone-sharpness", "--samples", "3000", "--method", "plain"],
-                           {"p", "n", "n_samples", "seed", "method", "blocks", "threads"}),
+                   "--threads", "2"],
+                  {"p", "n", "n_samples", "seed", "threads"}),
+    "monotone-sharpness": (["monotone-sharpness", "--samples", "3000"],
+                           {"p", "n", "n_samples", "seed", "threads"}),
     "identities": (["identities", "--law", "point", "--point-value", "2.5", "--p", "0.4"],
                    {"p", "threads", "law", "point_value"}),
     "identities-exp": (["identities", "--law", "exp", "--p", "0.4"], {"p", "threads", "law"}),
-    "verify": (["verify", "--seed", "3", "--method", "plain"],
-               {"seed", "method", "blocks", "threads", "config_path"}),
+    "verify": (["verify", "--seed", "3"], {"seed", "threads", "config_path"}),
     "bdg-fixed": (["bdg", "--kind", "fixed", "--T", "2", "--q", "1.5", "--samples", "3000",
                    "--step", "0.1"],
                   {"n_samples", "seed", "threads", "kind", "T", "q", "step"}),
@@ -749,28 +725,6 @@ class TestSubcommands:
         assert code == EXIT_PASS
         assert "1/1 checks passed" in out
 
-    def test_verify_honours_method(self, capsys, tmp_path):
-        suite = tmp_path / "suite.jsonl"
-        suite.write_text(
-            json.dumps({
-                "generator": {"kind": "compensated_bernoulli", "jump": "bernoulli",
-                              "q": 0.3, "steps": 12},
-                "p": 0.3, "constant": "monotone", "n_samples": 30000, "seed": 1,
-            }) + "\n"
-        )
-        methods = []
-        for flags in ([], ["--method", "mom", "--blocks", "11"]):
-            out_file = tmp_path / "r.json"
-            code, _, _ = run(["verify", "--suite", str(suite), "--output",
-                              str(out_file)] + flags, capsys)
-            assert code == EXIT_PASS
-            check = load_json_output(out_file)["result"]["checks"][0]
-            assert check["lhs"]["method"] == check["rhs"]["method"]
-            methods.append(check["lhs"]["method"])
-        # the default is the plain mean
-        assert methods == [{"name": "plain", "blocks": 1},
-                           {"name": "median_of_means", "blocks": 11}]
-
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_verify_extremal_pair_meets_oracle(self, capsys, tmp_path, p):
         # the extremal checks' lhs is the closed form E[(sup X)^p] = n/(1-p),
@@ -849,23 +803,21 @@ class TestSubcommands:
         code, _, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize(("bad", "flags", "message"), [
-        ({"generator": {"kind": "levy"}, "p": 0.5}, [], "unknown generator kind"),
+    @pytest.mark.parametrize(("bad", "message"), [
+        ({"generator": {"kind": "levy"}, "p": 0.5}, "unknown generator kind"),
         ({"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
-          "constant": "monotone"}, [], "the monotone constant does not apply"),
-        ({"generator": BERNOULLI, "p": 0.5, "constant": "monotone", "n_samples": 10},
-         ["--method", "mom"], "10 samples cannot fill 31 blocks"),
+          "constant": "monotone"}, "the monotone constant does not apply"),
         ({"generator": {"kind": "hatx_of", "inner": {"kind": "compensated_bernoulli",
                                                      "q": 0.3, "steps": 12},
                         "rule": {"k": 99}}, "p": 0.5, "constant": "monotone"},
-         [], "fixed stopping index outside the grid"),
+         "fixed stopping index outside the grid"),
         ({"generator": {"kind": "hatx_of", "inner": {"kind": "extremal", "p": 0.01, "n": 10},
                         "rule": {"k": 3}}, "p": 0.5, "constant": "monotone"},
-         [], "path values exp(n/p) overflow"),
-    ], ids=["unknown-kind", "monotone-on-extremal", "budget-below-blocks",
-            "hatx-index-past-the-walk", "hatx-overflowing-inner"])
+         "path values exp(n/p) overflow"),
+    ], ids=["unknown-kind", "monotone-on-extremal", "hatx-index-past-the-walk",
+            "hatx-overflowing-inner"])
     def test_verify_reads_every_entry_before_drawing(self, capsys, tmp_path, monkeypatch,
-                                                     bad, flags, message):
+                                                     bad, message):
         # a bad second entry is refused before the first one draws or
         # prints a verdict
         def no_draws(*args, **kwargs):
@@ -875,7 +827,7 @@ class TestSubcommands:
         suite = tmp_path / "suite.jsonl"
         good = json.loads(write_suite(tmp_path / "good.jsonl").read_text())
         suite.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        code, out, err = run(["verify", "--suite", str(suite), *flags], capsys)
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
         assert code == EXIT_USAGE
         assert out == "" and "bad suite entry" in err and message in err
 
@@ -1223,12 +1175,3 @@ class TestDeferredImports:
         code, loaded = json.loads(done.stdout)
         assert code == EXIT_PASS, done.stderr
         assert not set(loaded) & set(absent), loaded
-
-
-class TestResolvedMethod:
-    def test_resolved_method(self):
-        # every setting names an estimator; the default is the plain mean
-        assert cli._FLAGS["method"].choices == ("plain", "mom")
-        assert cli._FLAGS["method"].default == "plain"
-        assert resolved_method(SimpleNamespace(method="plain", blocks=31)) == PLAIN
-        assert resolved_method(SimpleNamespace(method="mom", blocks=11)) == median_of_means(11)

@@ -347,7 +347,7 @@ class TestThreads:
         lambda t: monotone_ratio_experiment(0.5, 10, 10, PLAIN, threads=t),
         lambda t: bdg_ratio(MartingaleSpec(kind=BM_FIXED_TIME), 10, threads=t),
         lambda t: check_inequality(ExtremalGenerator(ExtremalParams(p=0.5, n=10)), 0.5,
-                                   ConstantKind.LENGLART, 10, method=PLAIN, threads=t),
+                                   ConstantKind.LENGLART, 10, threads=t),
     ], ids=["estimate_pair", "sample_values", "ratio_experiment",
             "monotone_ratio_experiment", "bdg_ratio", "check_inequality"])
     def test_nonpositive_threads_rejected(self, run, threads):

@@ -30,7 +30,6 @@ from lenglart.montecarlo import (
     chunk_rng,
     estimate_from_values,
     estimate_pair,
-    median_of_means,
 )
 from lenglart.oracles import ConstantKind, constant
 from lenglart.verifier import (
@@ -1077,7 +1076,8 @@ class TestStreamedReportsMatchConcatenated:
     batches; they were re-recorded once on stream layout 2 (PCG64DXSM
     streams, the pilot on its own domain), and check_inequality's on
     hatx_of again when the freeze began to draw through the monotone
-    discrete pair's sampler."""
+    discrete pair's sampler, and once more when check_inequality came to
+    draw by the plain mean alone."""
 
     GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
     N = 3 * 2**15 + 17
@@ -1116,16 +1116,17 @@ class TestStreamedReportsMatchConcatenated:
     def test_check_inequality_on_hatx(self):
         gen = HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4),
                             HittingRule(side="x", level=3.0))
-        # the values were pinned under 31-block median of means; the freeze
-        # draws the monotone discrete pair on [0, 5], whose x moment is 5
-        report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5,
-                                  method=median_of_means(31))
+        # the values are pinned under the plain mean; the freeze draws the
+        # monotone discrete pair on [0, 5], whose x moment is 5 and whose g
+        # moment is discrete_rhs(0.5, 5, 4)
+        report = check_inequality(gen, 0.5, ConstantKind.MONOTONE, n_samples=self.N, seed=5)
         assert report.label == "hatx_of:monotone:p=0.5"
         for est, (value, halfwidth) in (
                 (report.lhs, (5.0, 0.0)),
-                (report.rhs, (4.1511323800219255, 4.182845328505807e-05))):
+                (report.rhs, (4.151074398288129, 3.643806827444155e-05))):
             assert est.value == pytest.approx(value, rel=1e-12)
             assert est.halfwidth == pytest.approx(halfwidth, rel=1e-12)
+        assert abs(report.rhs.value - discrete_rhs(0.5, 5, 4)) <= 3 * report.rhs.halfwidth
 
     @pytest.mark.parametrize("gen, n, seed, expected", [
         (GEN, N, 5, ("extremal:pratelli:hit[g>=1.608]", 0.49709677875120645,
