@@ -725,6 +725,22 @@ class TestSubcommands:
         assert code == EXIT_PASS
         assert "1/1 checks passed" in out
 
+    @pytest.mark.parametrize("sub", ["sharpness", "monotone-sharpness", "verify"])
+    def test_every_estimate_is_the_plain_mean(self, capsys, tmp_path, sub):
+        # with no estimator setting left, both sides of every run report
+        # the plain mean
+        out_file = tmp_path / "r.json"
+        argv = ([sub, "--suite", str(write_suite(tmp_path / "s.jsonl"))] if sub == "verify"
+                else [sub, "--samples", "2000"])
+        code, _, _ = run(argv + ["--output", str(out_file)], capsys)
+        assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+        result = load_json_output(out_file)["result"]
+        pairs = ([(c["lhs"], c["rhs"]) for c in result["checks"]] if sub == "verify"
+                 else [(result["ratio"]["numerator"], result["ratio"]["denominator"])])
+        assert pairs
+        for pair in pairs:
+            assert [est["method"] for est in pair] == [{"name": "plain", "blocks": 1}] * 2
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_verify_extremal_pair_meets_oracle(self, capsys, tmp_path, p):
         # the extremal checks' lhs is the closed form E[(sup X)^p] = n/(1-p),

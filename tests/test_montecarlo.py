@@ -37,6 +37,7 @@ from lenglart.montecarlo import (
     ChunkStream,
     _map_chunks,
     chunk_rng,
+    discrete_ratio_experiment,
     estimate_from_values,
     estimate_pair,
     estimate_passes,
@@ -482,6 +483,33 @@ class TestHeavyTails:
         r = monotone_ratio_experiment(0.5, 10, n_samples=200_000, method=median_of_means(31),
                                       seed=1)
         assert abs(r.ratio - TRUE_MONOTONE_RATIO_N10) < 0.1 * TRUE_MONOTONE_RATIO_N10
+
+
+# the ratio experiments that still take an estimator, as the API calls them
+MOM_EXPERIMENTS = {
+    "ratio_experiment": lambda n, method: ratio_experiment(
+        ExtremalParams(p=0.5, n=10), n, method, seed=2),
+    "monotone_ratio_experiment": lambda n, method: monotone_ratio_experiment(
+        0.5, 10, n, method, seed=2),
+    "discrete_ratio_experiment": lambda n, method: discrete_ratio_experiment(
+        ExtremalParams(p=0.5, n=10), 3, n, method, seed=2),
+}
+
+
+class TestMedianOfMeansThroughTheApi:
+    """The CLI draws by the plain mean alone; median of means stays for the
+    API callers of the ratio experiments."""
+
+    @pytest.mark.parametrize("name", MOM_EXPERIMENTS)
+    def test_blocks_reach_both_estimates(self, name):
+        r = MOM_EXPERIMENTS[name](2000, median_of_means(11))
+        for est in (r.numerator, r.denominator):
+            assert est.method == median_of_means(11) and est.n_samples == 2000
+
+    @pytest.mark.parametrize("name", MOM_EXPERIMENTS)
+    def test_budget_below_blocks_rejected(self, name):
+        with pytest.raises(ValueError, match="10 samples cannot fill 31 blocks"):
+            MOM_EXPERIMENTS[name](10, median_of_means(31))
 
 
 class TestExperiments:
