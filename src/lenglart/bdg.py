@@ -86,7 +86,6 @@ import numpy as np
 
 from .montecarlo import (
     CHUNK,
-    PLAIN,
     VALIDATION_STREAM,
     Estimate,
     RatioEstimate,
@@ -294,13 +293,15 @@ def _log_quantile(u: np.ndarray) -> np.ndarray:
 
 
 def _exact_fixed_time_sampler(spec: MartingaleSpec):
-    """The one column sup_{t<=T}|B_t|^q, with the supremum drawn from its
-    law: one uniform per path through the quantile table, as
+    """Paired sampler (rng, m) -> (E[<B,B>_T^(q/2)], sup_{t<=T}|B_t|^q): the
+    numerator is exactly T^(q/2), a float, and the supremum is drawn from
+    its law, one uniform per path through the quantile table, as
     exp(q (log Q + log(T) / 2)). The table is built here, before any chunk
     is drawn, if this process has not built it yet."""
     _quantile_table()
     qv = spec.q
     half_log_T = 0.5 * math.log(spec.T)
+    num = spec.T ** (qv / 2.0)
 
     def sampler(rng: np.random.Generator, m: int):
         u = rng.random(m)
@@ -309,7 +310,7 @@ def _exact_fixed_time_sampler(spec: MartingaleSpec):
         y = _log_quantile(u)
         y += half_log_T
         y *= qv
-        return (np.exp(y, out=y),)
+        return num, np.exp(y, out=y)
 
     return sampler
 
@@ -579,31 +580,26 @@ def bdg_ratio(
     change."""
     p = spec.q / 2.0
 
-    def estimate(*passes):
-        # one pool for every chunk of both passes; the plain mean, since
-        # sup|M|^q has light tails for q < 2
-        return estimate_passes(passes, PLAIN, seed, threads)
-
-    # bias control on the same seed, drawn from the validation's streams: at
-    # fixed time the stepped paths against the exact value, at a budget set
-    # by the tolerance; at the hitting time the step halved, at the same
-    # budget. The longer pass goes first.
+    # one pool for every chunk of both passes, reduced by the plain mean,
+    # since sup|M|^q has light tails for q < 2. The bias control runs on the
+    # same seed, drawn from the validation's streams: at fixed time the
+    # stepped paths against the exact value, at a budget set by the
+    # tolerance; at the hitting time the step halved, at the same budget.
+    # The longer pass goes first.
     oracle = z = validation = None
     if spec.kind == BM_FIXED_TIME:
         n_check = _validation_samples(_BIAS_TOLERANCE)
-        (validation,), (den,) = estimate(
+        (validation,), (num, den) = estimate_passes([
             (_make_sampler(spec, spec.step), n_check, -(-n_check // _VALIDATION_PIECES),
              VALIDATION_STREAM),
-            (_exact_fixed_time_sampler(spec), n_samples))
-        # E[<B,B>_T^(q/2)] = T^(q/2) exactly: nothing to draw
-        num = Estimate(spec.T ** (spec.q / 2.0), 0.0, n_samples, PLAIN)
+            (_exact_fixed_time_sampler(spec), n_samples)], seed, threads)
         oracle = sup_abs_bm_moment(spec.q, spec.T)
         z = z_score(den, oracle)
         bias_rel = abs(validation.value - oracle) / oracle
     else:
-        (_, check), (num, den) = estimate(
+        (_, check), (num, den) = estimate_passes([
             (_make_sampler(spec, spec.step / 2.0), n_samples, CHUNK, VALIDATION_STREAM),
-            (_make_sampler(spec, spec.step), n_samples))
+            (_make_sampler(spec, spec.step), n_samples)], seed, threads)
         bias_rel = abs(check.value - den.value) / den.value
     ratio = ratio_from_estimates(num, den)
 

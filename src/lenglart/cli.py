@@ -42,7 +42,6 @@ import numpy as np
 from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
 from .montecarlo import (
     DUMP_STREAM,
-    PLAIN,
     STREAM_LAYOUT,
     Verdict,
     chunk_rng,
@@ -230,10 +229,10 @@ def _emit(sub: str, cfg: SimpleNamespace, result: dict, summary: str) -> int:
     return EXIT_PASS if result["pass"] else EXIT_STAT_FAIL
 
 
-# subcommand -> (experiment(p, n, samples, method, seed, threads), constant
+# subcommand -> (experiment(p, n, samples, seed=..., threads=...), constant
 # kind, exact numerator moment); both share the denominator
 _SHARPNESS = {
-    "sharpness": (lambda p, n, *run: ratio_experiment(ExtremalParams(p=p, n=n), *run),
+    "sharpness": (lambda p, n, *run, **kw: ratio_experiment(ExtremalParams(p=p, n=n), *run, **kw),
                   ConstantKind.LENGLART, full_extremal_sup_moment),
     "monotone-sharpness": (monotone_ratio_experiment, ConstantKind.MONOTONE,
                            xtilde_sup_moment),
@@ -242,7 +241,7 @@ _SHARPNESS = {
 
 def _run_sharpness(sub: str, cfg: SimpleNamespace) -> int:
     experiment, kind, numerator_oracle = _SHARPNESS[sub]
-    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, PLAIN, cfg.seed, cfg.threads)
+    ratio = experiment(cfg.p, cfg.n, cfg.n_samples, seed=cfg.seed, threads=cfg.threads)
     c = constant(kind, cfg.p)
     lower = c * cfg.n / (cfg.n + 1)
     hw = 0.5 * (ratio.ci_high - ratio.ci_low)

@@ -141,8 +141,8 @@ class ExtremalParams:
 # constant into the offset, and refits beta by the midpoint rule. The
 # stratified offsets k come from one cached array, and 2/m is folded into
 # c_u. The discrete kernel, whose value is a step function of v, the
-# continuous one at r != p, median of means and sample_values keep i.i.d.
-# draws.
+# continuous one at r != p, and every kernel under sample_values (which
+# median of means draws through) keep i.i.d. draws.
 #
 # The values lie within 3 W of each other and are bounded at every
 # 0 < p < 1; at r > p the moments grow as e^(a n), and the samplers refuse
@@ -273,8 +273,9 @@ def _fill_uniforms(rng, out: np.ndarray, spread: float | None) -> float:
     """Fill out with a kernel's uniforms v divided by the returned scale.
     Where spread is given, the kernel's values are each a smooth function of
     one uniform and lie in an interval of that width; if rng offers strata
-    (montecarlo.ChunkStream, on the chunks of a plain-mean pass), the v are
-    drawn stratified through it. Otherwise they are i.i.d., at scale 1."""
+    (montecarlo.ChunkStream, on the chunks of montecarlo.estimate_passes),
+    the v are drawn stratified through it. Otherwise they are i.i.d., at
+    scale 1."""
     strata = None if spread is None else getattr(rng, "strata", None)
     if strata is None:
         rng.random(out=out)

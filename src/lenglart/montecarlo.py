@@ -15,25 +15,25 @@ dump-paths (DUMP_STREAM), and 4 for the BDG bias-check passes
 (VALIDATION_STREAM); domain 3 is unused. No run reaches 2^60 chunks, so no
 two uses of one seed share a stream.
 
-Estimates are reduced chunk by chunk, in the worker that drew the chunk: the
-plain mean keeps (count, mean, M2) per chunk of i.i.d. values and merges
-them in chunk order (Chan, Golub & LeVeque 1979), and median of means keeps
-per-block partial sums. No value array of the whole run is assembled.
+`estimate_passes` and `estimate_pair` reduce by the plain mean, chunk by
+chunk, in the worker that drew the chunk: a chunk of i.i.d. values keeps
+(count, mean, M2), and the chunks merge in chunk order (Chan, Golub &
+LeVeque 1979). No value array of the whole run is assembled.
 
-On a plain-mean pass each chunk's stream is a ChunkStream, which offers
-stratified uniforms: m/2 strata of width 2/m with two independent uniforms
-in each, at entries k and m/2 + k (_fill_strata). Only a sampler whose
-values are each a smooth function of one uniform takes them: the
-continuous extremal kernel at r = p (extremal._fill_uniforms). Its chunk then reduces to (count, mean,
+Each chunk's stream is a ChunkStream, which offers stratified uniforms: m/2
+strata of width 2/m with two independent uniforms in each, at entries k and
+m/2 + k (_fill_strata). Only a sampler whose values are each a smooth
+function of one uniform takes them: the continuous extremal kernel at
+r = p (extremal._fill_uniforms). Its chunk then reduces to (count, mean,
 variance of the mean), the variance from the squared differences within
 the pairs (_reduce_strata), and the chunks merge as independent estimates
-in chunk order. Median of means, whose contiguous blocks would each cover a
-sub-range of the strata, and sample_values offer no strata, so they and
-every other sampler draw i.i.d. `estimate_from_values` runs the i.i.d.
-reduction over CHUNK-sized slices, so on i.i.d. columns it gives bit for
-bit the estimates that `estimate_pair` gives from the same draws. Against
-versions that reduced the concatenated values, estimates agree to about
-1e-15 relative, not bit for bit.
+in chunk order. Every other sampler draws i.i.d., and so does every
+sampler under `sample_values`, which offers no strata.
+
+`estimate_from_values` reduces a given column: by the plain mean over
+CHUNK-sized slices, bit for bit what `estimate_pair` gives from the same
+i.i.d. draws (about 1e-15 relative from versions that reduced the
+concatenated values), or by median of means over the whole column.
 
 `estimate_passes` runs several passes on one seed, each pass drawing the
 streams it would draw alone, with the chunks of all passes handed to one
@@ -48,10 +48,11 @@ compensator values: the closed-form plateau plus an importance-sampled
 deficit, less control variates in the uniform draw (see extremal.py).
 The values lie within a few times the deficit's weight of each other, so
 their variance is finite, and small, at every 0 < p < 1, and the plain mean
-is the default estimator; the CLI and verifier.check_inequality take no
-other. Median of means runs only when an API caller names it: acceptance
-criteria 02, 03 and 07 pass it to the *_ratio_experiment functions, and
-criterion 04 to estimate_from_values.
+is the estimator of the CLI, the verifier and bdg. Median of means runs
+only when an API caller names it: criteria 02, 03 and 07 pass it to the
+*_ratio_experiment functions, which reduce the g column drawn i.i.d. by
+`sample_values` (a contiguous block of a stratified chunk would cover a
+sub-range of its strata), and criterion 04 to estimate_from_values.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _fill_strata(rng: np.random.Generator, out: np.ndarray) -> float:
 
 
 class ChunkStream:
-    """The stream of one chunk of a plain-mean pass: every draw goes to the
+    """The stream of one chunk of `estimate_passes`: every draw goes to the
     chunk's Generator, and a sampler whose values are each a smooth function
     of one uniform may draw them stratified through strata()."""
 
@@ -283,10 +284,10 @@ class ChunkStream:
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
-    """Run work(rng, start, m) on every piece of the sample index range of
-    each (work, n_samples) or (work, n_samples, piece, first_stream) pass.
-    Piece j holds the m samples from index start = j * piece on and draws
-    from chunk_rng(seed, first_stream + j); the default layout is piece =
+    """Run work(rng, m) on every piece of the sample index range of each
+    (work, n_samples) or (work, n_samples, piece, first_stream) pass. Piece
+    j holds the m samples from index j * piece on and draws from
+    chunk_rng(seed, first_stream + j); the default layout is piece =
     CHUNK and first_stream = 0, so piece j is chunk j. The pieces of all
     passes go to one pool of workers, in the order the passes are given,
     and come back as one list per pass in piece order, so they do not depend
@@ -299,13 +300,13 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
         starts = range(0, n_samples, piece)
-        jobs += [(work, first_stream + j, start, min(piece, n_samples - start))
+        jobs += [(work, first_stream + j, min(piece, n_samples - start))
                  for j, start in enumerate(starts)]
         counts.append(len(starts))
 
     def run(job):
-        work, stream, start, m = job
-        return work(chunk_rng(seed, stream), start, m)
+        work, stream, m = job
+        return work(chunk_rng(seed, stream), m)
 
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a one-thread
@@ -322,15 +323,10 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
 def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
     """Draw n_samples values (or tuples of parallel arrays) chunk by chunk,
     concatenated in chunk order."""
-    (parts,) = _map_chunks([(lambda rng, start, m: sampler(rng, m), n_samples)], seed, threads)
+    (parts,) = _map_chunks([(sampler, n_samples)], seed, threads)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     return np.concatenate(parts)
-
-
-def check_budget(n: int, method: EstimatorMethod) -> None:
-    if n < method.blocks:
-        raise ValueError(f"{n} samples cannot fill {method.blocks} blocks")
 
 
 class _Strata(NamedTuple):
@@ -368,39 +364,27 @@ def _reduce_strata(values: np.ndarray, spread: float) -> _Strata:
     return _Strata(m, mean, total / (m * m))
 
 
-def _reduce_chunk(values: np.ndarray, start: int, n: int, method: EstimatorMethod,
-                  spread: float | None = None):
-    """Partial statistics of the values at sample indices start, start+1, ...
-    of a run of n samples: (count, mean, sum of squared deviations) for the
-    plain mean, (first block index, block sums) for median of means, and
-    _reduce_strata's for a chunk drawn stratified, whose spread is given.
-    The plain mean forms the deviations in the array of the values."""
+def _reduce_chunk(values: np.ndarray, spread: float | None = None):
+    """Partial statistics of one chunk's values: (count, mean, sum of
+    squared deviations), or _reduce_strata's for a chunk drawn stratified,
+    whose spread is given. The deviations are formed in the array of the
+    values."""
     values = np.asarray(values, dtype=float)
     if spread is not None:
         return _reduce_strata(values, spread)
-    if method.name == "plain":
-        mean = values.mean()
-        values -= mean
-        values *= values
-        return values.size, float(mean), float(values.sum())
-    length = n // method.blocks
-    # samples past the last whole block are not used
-    stop = min(start + values.size, method.blocks * length)
-    first = start // length
-    if stop <= start:
-        return first, values[:0]
-    edges = np.arange(first * length, stop, length) - start
-    edges[0] = 0  # block `first` may have begun in an earlier chunk
-    return first, np.add.reduceat(values[: stop - start], edges)
+    mean = values.mean()
+    values -= mean
+    values *= values
+    return values.size, float(mean), float(values.sum())
 
 
-def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
-    """The estimate from the partial statistics of every chunk, merged in
-    chunk order. Stratified chunks merge as independent estimates with the
-    fixed weights w_j = m_j^3 / sum m^3, the inverse of the m^-3 law of their
-    variance: mean sum w_j mean_j, variance sum w_j^2 variance_j. Weights
-    m_j/n would let a short last chunk, whose variance estimate rests on a
-    few strata, dominate the interval."""
+def _merge_chunks(parts, n: int) -> Estimate:
+    """The plain-mean estimate from the partial statistics of every chunk,
+    merged in chunk order. Stratified chunks merge as independent estimates
+    with the fixed weights w_j = m_j^3 / sum m^3, the inverse of the m^-3 law
+    of their variance: mean sum w_j mean_j, variance sum w_j^2 variance_j.
+    Weights m_j/n would let a short last chunk, whose variance estimate
+    rests on a few strata, dominate the interval."""
     stratified = [isinstance(part, _Strata) for part in parts]
     if any(stratified):
         if not all(stratified):
@@ -412,68 +396,65 @@ def _merge_chunks(parts, n: int, method: EstimatorMethod) -> Estimate:
             share = cube / total
             value += share * mu
             variance += share * share * var
-        return Estimate(value=value, halfwidth=math.sqrt(variance), n_samples=n, method=method)
+        return Estimate(value=value, halfwidth=math.sqrt(variance), n_samples=n, method=PLAIN)
+    count, mean, m2 = parts[0]
+    for c, mu, q in parts[1:]:
+        total = count + c
+        delta = mu - mean
+        mean += delta * (c / total)
+        m2 += q + delta * delta * (count * c / total)
+        count = total
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return Estimate(value=mean, halfwidth=stderr, n_samples=n, method=PLAIN)
+
+
+def _refuse_short(n: int, method: EstimatorMethod) -> None:
+    if n < method.blocks:
+        raise ValueError(f"{n} samples cannot fill {method.blocks} blocks")
+
+
+def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimate:
+    """Estimate of the mean of given i.i.d. values. The plain mean reduces
+    CHUNK-sized slices exactly as `estimate_pair` reduces the i.i.d. chunks
+    it draws: the same bits for those, not for a column drawn stratified.
+    It writes into a copy of the values. Median of means takes the median
+    of the means of method.blocks contiguous blocks of n // blocks values
+    each; the values past the last whole block are not used."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n == 0:
+        raise ValueError("empty sample set")
     if method.name == "plain":
-        count, mean, m2 = parts[0]
-        for c, mu, q in parts[1:]:
-            total = count + c
-            delta = mu - mean
-            mean += delta * (c / total)
-            m2 += q + delta * delta * (count * c / total)
-            count = total
-        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-        return Estimate(value=mean, halfwidth=stderr, n_samples=n, method=method)
+        values = values.copy()
+        return _merge_chunks([_reduce_chunk(values[s : s + CHUNK]) for s in range(0, n, CHUNK)], n)
+    _refuse_short(n, method)
     b = method.blocks
-    sums = np.zeros(b)
-    for first, block_sums in parts:
-        sums[first : first + block_sums.size] += block_sums
-    block_means = sums / (n // b)
+    block_means = values[: n - n % b].reshape(b, -1).mean(axis=1)
     value = float(np.median(block_means))
     halfwidth = _MEDIAN_INFLATION * float(block_means.std(ddof=1)) / math.sqrt(b)
     return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=method)
 
 
-def estimate_from_values(values: np.ndarray, method: EstimatorMethod) -> Estimate:
-    """Estimate of the mean of given i.i.d. values, reduced over CHUNK-sized
-    slices exactly as `estimate_pair` reduces the i.i.d. chunks it draws:
-    the same bits for those, not for a column drawn stratified. The values
-    are copied once, since the reduction writes into them."""
-    values = np.array(values, dtype=float)
-    n = values.size
-    if n == 0:
-        raise ValueError("empty sample set")
-    check_budget(n, method)
-    parts = [_reduce_chunk(values[s : s + CHUNK], s, n, method) for s in range(0, n, CHUNK)]
-    return _merge_chunks(parts, n, method)
-
-
-def estimate_passes(passes, method: EstimatorMethod, seed: int,
-                    threads: int = 1) -> list[tuple[Estimate, ...]]:
+def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate, ...]]:
     """`estimate_pair` of every (paired_sampler, n_samples) pass, all on one
     seed, with the pieces of every pass run on one pool of workers in the
     order the passes are given: a long pass given first overlaps the short
     ones. A pass (paired_sampler, n_samples, piece, first_stream) is drawn
     in pieces of that length from streams first_stream, first_stream + 1,
-    ... (see `_map_chunks`). Each pass is reduced and merged in its own piece
-    order, so a pass in the default layout gets exactly the estimates that
-    `estimate_pair` alone would give it. A component may be a float, the
-    exact mean of its column: it is reported with half-width 0, not
-    reduced, and must be the same float in every chunk (else ValueError).
-    The estimator decides whether a chunk may be drawn stratified: the
-    plain mean offers each chunk's sampler strata (ChunkStream), median of
-    means offers none. A sampler takes them where each of its values is a
-    smooth function of one uniform, and the array columns of such a chunk
-    reduce as stratified."""
-    for _, n_samples, *_layout in passes:
-        check_budget(n_samples, method)
-    plain = method.name == "plain"
+    ... (see `_map_chunks`). Each pass is reduced by the plain mean and
+    merged in its own piece order, so a pass in the default layout gets
+    exactly the estimates that `estimate_pair` alone would give it. A
+    component may be a float, the exact mean of its column: it is reported
+    with half-width 0, not reduced, and must be the same float in every
+    chunk (else ValueError). Each chunk's sampler is offered strata
+    (ChunkStream), which it takes where each of its values is a smooth
+    function of one uniform; such a chunk's arrays reduce as stratified."""
 
-    def reducer(paired_sampler, n_samples):
-        def work(rng, start, m):
-            stream = ChunkStream(rng) if plain else rng
+    def reducer(paired_sampler):
+        def work(rng, m):
+            stream = ChunkStream(rng)
             values = paired_sampler(stream, m)
-            spread = stream.spread if plain else None
-            return [v if isinstance(v, float) else _reduce_chunk(v, start, n_samples, method, spread)
+            return [v if isinstance(v, float) else _reduce_chunk(v, stream.spread)
                     for v in values]
 
         return work
@@ -481,26 +462,26 @@ def estimate_passes(passes, method: EstimatorMethod, seed: int,
     def merge(column, n_samples):
         exact = column[0]
         if not isinstance(exact, float):
-            return _merge_chunks(column, n_samples, method)
+            return _merge_chunks(column, n_samples)
         if any(not isinstance(part, float) or part != exact for part in column):
             raise ValueError("a float component must be the same float in every chunk")
-        return Estimate(value=float(exact), halfwidth=0.0, n_samples=n_samples, method=method)
+        return Estimate(value=float(exact), halfwidth=0.0, n_samples=n_samples, method=PLAIN)
 
-    parts = _map_chunks([(reducer(sampler, n), n, *layout) for sampler, n, *layout in passes],
+    parts = _map_chunks([(reducer(sampler), n, *layout) for sampler, n, *layout in passes],
                         seed, threads)
     return [tuple(merge(column, n_samples) for column in zip(*chunks))
             for chunks, (_, n_samples, *_layout) in zip(parts, passes)]
 
 
-def estimate_pair(paired_sampler, n_samples: int, method: EstimatorMethod,
-                  seed: int, threads: int = 1) -> tuple[Estimate, ...]:
-    """One estimate per component of a sampler that returns a tuple of
-    parallel arrays (a numerator and a denominator, say), all from one stream
-    of draws (common random numbers). Each chunk is reduced by the worker
-    that drew it. The arrays a sampler returns belong to the reducer, which
-    writes into them, so they must be distinct and writable. A float
-    component is its column's exact mean (see `estimate_passes`)."""
-    (estimates,) = estimate_passes([(paired_sampler, n_samples)], method, seed, threads)
+def estimate_pair(paired_sampler, n_samples: int, seed: int,
+                  threads: int = 1) -> tuple[Estimate, ...]:
+    """One plain-mean estimate per component of a sampler that returns a
+    tuple of parallel arrays (a numerator and a denominator, say), all from
+    one stream of draws (common random numbers). Each chunk is reduced by
+    the worker that drew it. The arrays a sampler returns belong to the
+    reducer, which writes into them, so they must be distinct and writable.
+    A float component is its column's exact mean (see `estimate_passes`)."""
+    (estimates,) = estimate_passes([(paired_sampler, n_samples)], seed, threads)
     return estimates
 
 
@@ -517,13 +498,34 @@ def ratio_from_estimates(num: Estimate, den: Estimate) -> RatioEstimate:
                          ci_low=min(ci_low, ratio), ci_high=max(ci_high, ratio))
 
 
+def _sup_ratio(sampler, n_samples: int, method: EstimatorMethod, seed: int,
+               threads: int) -> RatioEstimate:
+    """The moment ratio of an extremal sup sampler, whose x side is its
+    exact moment: by `estimate_pair`, or by median of means, which refuses
+    a budget short of its blocks before any draw, then reduces the whole g
+    column drawn by `sample_values`, the x side with half-width 0."""
+    if method.name == "plain":
+        return ratio_from_estimates(*estimate_pair(sampler, n_samples, seed, threads))
+    _refuse_short(n_samples, method)
+    exact = set()
+
+    def g_column(rng, m):
+        x, g = sampler(rng, m)
+        exact.add(x)
+        return g
+
+    g = sample_values(g_column, n_samples, seed, threads)
+    (x,) = exact
+    num = Estimate(value=x, halfwidth=0.0, n_samples=n_samples, method=method)
+    return ratio_from_estimates(num, estimate_from_values(g, method))
+
+
 def ratio_experiment(params: ExtremalParams, n_samples: int = 10**6,
                      method: EstimatorMethod = PLAIN,
                      seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the full extremal pair (Brownian tail by exact law),
     targeting p^-p/(1-p) as n grows."""
-    sampler = sharpness_sup_sampler(params)
-    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
+    return _sup_ratio(sharpness_sup_sampler(params), n_samples, method, seed, threads)
 
 
 def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
@@ -531,7 +533,7 @@ def monotone_ratio_experiment(p: float, n: int, n_samples: int = 10**6,
                               seed: int = 0, threads: int = 1) -> RatioEstimate:
     """Moment ratio of the monotone pair (no tail), targeting p^-p."""
     sampler = monotone_sup_sampler(ExtremalParams(p=p, n=n))
-    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
+    return _sup_ratio(sampler, n_samples, method, seed, threads)
 
 
 def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
@@ -541,5 +543,4 @@ def discrete_ratio_experiment(params: ExtremalParams, level_N: int,
                               threads: int = 1) -> RatioEstimate:
     """Moment ratio of the dyadic discretization; shares the draw layout of
     ratio_experiment so the discretization effect isolates cleanly."""
-    sampler = discrete_sup_sampler(params, level_N)
-    return ratio_from_estimates(*estimate_pair(sampler, n_samples, method, seed, threads))
+    return _sup_ratio(discrete_sup_sampler(params, level_N), n_samples, method, seed, threads)

@@ -31,7 +31,6 @@ from .extremal import (
 )
 from .montecarlo import (
     PILOT_STREAM,
-    PLAIN,
     Estimate,
     Verdict,
     chunk_rng,
@@ -559,7 +558,7 @@ def check_inequality(
     """Certify E[(sup X)^p] <= constant(kind, p) * E[(sup G)^p] empirically,
     by the plain mean of n_samples draws."""
     rhs_constant, sampler = inequality_setup(gen, p, kind)
-    lhs, rhs = estimate_pair(sampler, n_samples, PLAIN, seed, threads)
+    lhs, rhs = estimate_pair(sampler, n_samples, seed, threads)
     return VerifierReport(
         lhs=lhs,
         rhs_constant=rhs_constant,
@@ -661,7 +660,7 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int, **stop) -
         return tuple(col for x_tau, g_tau in gen.stopped_batch(rules, rng, m, **stop)
                      for col in columns(x_tau, g_tau))
 
-    estimates = estimate_pair(paired, n_samples, PLAIN, seed)
+    estimates = estimate_pair(paired, n_samples, seed)
     return list(zip(rules, zip(estimates[0::2], estimates[1::2])))
 
 

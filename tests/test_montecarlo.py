@@ -156,9 +156,23 @@ class TestEstimateFromValues:
         block_means = vals.reshape(3, 5).mean(axis=1)
         assert est.value == pytest.approx(np.median(block_means))
 
-    def test_too_few_samples_for_blocks(self):
-        with pytest.raises(ValueError, match="blocks"):
-            estimate_from_values(np.arange(5.0), median_of_means(7))
+    def test_mom_leaves_the_remainder_unused(self):
+        # 17 values in 3 blocks of 5: the last two values are not used
+        vals = np.arange(17.0) ** 2
+        est = estimate_from_values(vals, median_of_means(3))
+        block_means = [vals[0:5].mean(), vals[5:10].mean(), vals[10:15].mean()]
+        assert est.value == np.median(block_means)
+        assert est.halfwidth == pytest.approx(
+            math.sqrt(math.pi / 2.0) * np.std(block_means, ddof=1) / math.sqrt(3), rel=1e-15)
+        assert est.n_samples == 17 and est.method == median_of_means(3)
+        changed = vals.copy()
+        changed[15:] = 1e300
+        assert estimate_from_values(changed, median_of_means(3)) == est
+
+    @pytest.mark.parametrize("n, blocks", [(5, 7), (2, 3)])
+    def test_too_few_samples_for_blocks(self, n, blocks):
+        with pytest.raises(ValueError, match=f"{n} samples cannot fill {blocks} blocks"):
+            estimate_from_values(np.arange(float(n)), median_of_means(blocks))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -173,35 +187,23 @@ class TestEstimateFromValues:
 
 class TestStreamedEqualsConcatenated:
     """estimate_pair reduces every chunk in its worker; the result must be
-    bit for bit the estimate of the concatenated values."""
+    bit for bit the plain-mean estimate of the concatenated values."""
 
     @staticmethod
     def paired(rng, m):
         u = rng.random(m)
         return u, 1.0 / np.sqrt(u)  # the second has infinite variance
 
-    # 3 * CHUNK with 3 blocks puts the block edges on chunk edges; the other
-    # sizes put them inside chunks, and 31 blocks put several in one chunk
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 17])
-    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3), median_of_means(31)],
-                             ids=["plain", "mom3", "mom31"])
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_bit_identical(self, n, method, seed):
-        if n < method.blocks:
-            for threads in (1, 2, 4):
-                with pytest.raises(ValueError, match="blocks"):
-                    estimate_pair(self.paired, n, method, seed, threads)
-                with pytest.raises(ValueError, match="blocks"):
-                    estimate_pair(lambda rng, m: (rng.random(m),), n, method, seed, threads)
-            return
+    def test_bit_identical(self, n, seed):
         num_vals, den_vals = sample_values(self.paired, n, seed)
-        expected = (estimate_from_values(num_vals, method),
-                    estimate_from_values(den_vals, method))
+        expected = (estimate_from_values(num_vals, PLAIN),
+                    estimate_from_values(den_vals, PLAIN))
         for threads in (1, 2, 4):
-            assert estimate_pair(self.paired, n, method, seed, threads) == expected
-            single = estimate_pair(lambda rng, m: self.paired(rng, m)[1:], n, method,
-                                   seed, threads)
+            assert estimate_pair(self.paired, n, seed, threads) == expected
+            single = estimate_pair(lambda rng, m: self.paired(rng, m)[1:], n, seed, threads)
             assert single == expected[1:]
 
 
@@ -221,17 +223,14 @@ class TestPassScheduler:
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
-    def test_each_pass_as_if_alone(self, method, threads, order):
-        # one sample (the fewest that fill the blocks, for median of means),
-        # one partial chunk, and four chunks with a partial last one
-        smallest = 1 if method is PLAIN else method.blocks
-        passes = [(self.paired, smallest), (self.squared_normal, CHUNK - 100),
+    def test_each_pass_as_if_alone(self, threads, order):
+        # one sample, one partial chunk, and four chunks with a partial last one
+        passes = [(self.paired, 1), (self.squared_normal, CHUNK - 100),
                   (self.paired, 3 * CHUNK + 5)]
         if order == "reversed":
             passes.reverse()
-        expected = [estimate_pair(sampler, n, method, 11, threads) for sampler, n in passes]
-        assert estimate_passes(passes, method, 11, threads) == expected
+        expected = [estimate_pair(sampler, n, 11, threads) for sampler, n in passes]
+        assert estimate_passes(passes, 11, threads) == expected
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_piece_layout(self, monkeypatch, threads):
@@ -241,17 +240,16 @@ class TestPassScheduler:
         # that it asked chunk_rng for.
         monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (seed, index))
 
-        def work(stream, start, m):
-            return (*stream, start, m)
+        def work(stream, m):
+            return (*stream, m)
 
         first = VALIDATION_STREAM
         pieces, chunks = _map_chunks([(work, 7, 3, first), (work, CHUNK + 1)], 5, threads)
-        assert pieces == [(5, first, 0, 3), (5, first + 1, 3, 3), (5, first + 2, 6, 1)]
-        assert chunks == [(5, 0, 0, CHUNK), (5, 1, CHUNK, 1)]
+        assert pieces == [(5, first, 3), (5, first + 1, 3), (5, first + 2, 1)]
+        assert chunks == [(5, 0, CHUNK), (5, 1, 1)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
-    def test_float_component_is_exact(self, method, threads):
+    def test_float_component_is_exact(self, threads):
         # a float component is its column's exact mean: reported as it is,
         # with half-width 0, while the array beside it is reduced as alone.
         # A column filled with 40/0.75 = 53.333333333333336 reduces to
@@ -263,14 +261,13 @@ class TestPassScheduler:
 
         n = 3 * CHUNK + 5
         passes = [(with_float, n), (self.paired, CHUNK - 100)]
-        (num, den), alone = estimate_passes(passes, method, 11, threads)
-        assert num == Estimate(value=exact, halfwidth=0.0, n_samples=n, method=method)
-        assert den == estimate_pair(self.paired, n, method, 11, threads)[1]
-        assert alone == estimate_pair(self.paired, CHUNK - 100, method, 11, threads)
+        (num, den), alone = estimate_passes(passes, 11, threads)
+        assert num == Estimate(value=exact, halfwidth=0.0, n_samples=n, method=PLAIN)
+        assert den == estimate_pair(self.paired, n, 11, threads)[1]
+        assert alone == estimate_pair(self.paired, CHUNK - 100, 11, threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("method", [PLAIN, median_of_means(3)], ids=["plain", "mom3"])
-    def test_float_component_differs_between_chunks(self, method, threads):
+    def test_float_component_differs_between_chunks(self, threads):
         # the last chunk is partial, so m differs there
         def drifting(rng, m):
             return float(m), rng.random(m)
@@ -280,14 +277,7 @@ class TestPassScheduler:
 
         for sampler in (drifting, float_or_array):
             with pytest.raises(ValueError, match="same float in every chunk"):
-                estimate_pair(sampler, 2 * CHUNK + 5, method, 0, threads)
-
-    def test_pass_that_cannot_fill_the_blocks(self):
-        def sampler(rng, m):
-            raise AssertionError("drew before checking the budgets")
-
-        with pytest.raises(ValueError, match="blocks"):
-            estimate_passes([(sampler, 3 * CHUNK), (sampler, 1)], median_of_means(3), 0, 2)
+                estimate_pair(sampler, 2 * CHUNK + 5, 0, threads)
 
 
 class TestRatio:
@@ -324,14 +314,14 @@ class TestVerdict:
 class TestReproducibility:
     def test_estimate_same_seed_identical(self):
         sampler = lambda rng, m: (rng.random(m),)
-        e1 = estimate_pair(sampler, 50_000, PLAIN, seed=9)
-        e2 = estimate_pair(sampler, 50_000, PLAIN, seed=9, threads=2)
+        e1 = estimate_pair(sampler, 50_000, seed=9)
+        e2 = estimate_pair(sampler, 50_000, seed=9, threads=2)
         assert e1 == e2
 
     def test_estimate_pair_shares_draws(self):
         sampler = sharpness_sup_sampler(ExtremalParams(p=0.5, n=10))
-        num, den = estimate_pair(sampler, 50_000, median_of_means(31), seed=0)
-        num2, den2 = estimate_pair(sampler, 50_000, median_of_means(31), seed=0)
+        num, den = estimate_pair(sampler, 50_000, seed=0)
+        num2, den2 = estimate_pair(sampler, 50_000, seed=0)
         assert (num, den) == (num2, den2)
 
 
@@ -342,7 +332,7 @@ def _no_draw(rng, m):
 class TestThreads:
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("run", [
-        lambda t: estimate_pair(_no_draw, 10, PLAIN, 0, threads=t),
+        lambda t: estimate_pair(_no_draw, 10, 0, threads=t),
         lambda t: sample_values(_no_draw, 10, 0, threads=t),
         lambda t: ratio_experiment(ExtremalParams(p=0.5, n=10), 10, PLAIN, threads=t),
         lambda t: monotone_ratio_experiment(0.5, 10, 10, PLAIN, threads=t),
@@ -366,6 +356,20 @@ class TestStreamSource:
                             r"|default_rng|SeedSequence)\(|\.(advance|jumped)\(")
         builders = [path.name for path in self.SOURCES if builds.search(path.read_text())]
         assert builders == ["montecarlo.py"]
+
+    def test_only_montecarlo_names_an_estimator(self):
+        # the streaming layer and its callers reduce by the plain mean alone;
+        # __init__.py names the estimators only to re-export them
+        names = re.compile(r"\b(PLAIN|median_of_means|EstimatorMethod)\b")
+        reexport = re.compile(r"from \.montecarlo import \([^)]*\)|__all__ = \[[^\]]*\]")
+        namers = []
+        for path in self.SOURCES:
+            text = path.read_text()
+            if path.name == "__init__.py":
+                text = reexport.sub("", text)
+            if names.search(text):
+                namers.append(path.name)
+        assert namers == ["montecarlo.py"]
 
     def test_no_module_reads_the_environment(self):
         readers = [path.name for path in self.SOURCES
@@ -485,31 +489,63 @@ class TestHeavyTails:
         assert abs(r.ratio - TRUE_MONOTONE_RATIO_N10) < 0.1 * TRUE_MONOTONE_RATIO_N10
 
 
-# the ratio experiments that still take an estimator, as the API calls them
+MOM_PARAMS = ExtremalParams(p=0.5, n=10)
+# the ratio experiments that still take an estimator, as the API calls them,
+# each with the sampler it draws
 MOM_EXPERIMENTS = {
-    "ratio_experiment": lambda n, method: ratio_experiment(
-        ExtremalParams(p=0.5, n=10), n, method, seed=2),
-    "monotone_ratio_experiment": lambda n, method: monotone_ratio_experiment(
-        0.5, 10, n, method, seed=2),
-    "discrete_ratio_experiment": lambda n, method: discrete_ratio_experiment(
-        ExtremalParams(p=0.5, n=10), 3, n, method, seed=2),
+    "ratio_experiment": (
+        lambda n, method, threads=1: ratio_experiment(
+            MOM_PARAMS, n, method, seed=2, threads=threads),
+        lambda: sharpness_sup_sampler(MOM_PARAMS)),
+    "monotone_ratio_experiment": (
+        lambda n, method, threads=1: monotone_ratio_experiment(
+            0.5, 10, n, method, seed=2, threads=threads),
+        lambda: monotone_sup_sampler(MOM_PARAMS)),
+    "discrete_ratio_experiment": (
+        lambda n, method, threads=1: discrete_ratio_experiment(
+            MOM_PARAMS, 3, n, method, seed=2, threads=threads),
+        lambda: discrete_sup_sampler(MOM_PARAMS, 3)),
 }
 
 
 class TestMedianOfMeansThroughTheApi:
     """The CLI draws by the plain mean alone; median of means stays for the
-    API callers of the ratio experiments."""
+    API callers of the ratio experiments, which draw the g column i.i.d.
+    through sample_values and reduce it whole."""
 
     @pytest.mark.parametrize("name", MOM_EXPERIMENTS)
     def test_blocks_reach_both_estimates(self, name):
-        r = MOM_EXPERIMENTS[name](2000, median_of_means(11))
+        experiment, _ = MOM_EXPERIMENTS[name]
+        r = experiment(2000, median_of_means(11))
         for est in (r.numerator, r.denominator):
             assert est.method == median_of_means(11) and est.n_samples == 2000
 
     @pytest.mark.parametrize("name", MOM_EXPERIMENTS)
     def test_budget_below_blocks_rejected(self, name):
+        experiment, _ = MOM_EXPERIMENTS[name]
         with pytest.raises(ValueError, match="10 samples cannot fill 31 blocks"):
-            MOM_EXPERIMENTS[name](10, median_of_means(31))
+            experiment(10, median_of_means(31))
+
+    @pytest.mark.parametrize("name", MOM_EXPERIMENTS)
+    def test_g_column_reduced_whole(self, monkeypatch, name):
+        # three chunks with a partial last one; the last
+        # 2 * CHUNK + 5 - 31 * 2114 = 7 values fill no block
+        experiment, make_sampler = MOM_EXPERIMENTS[name]
+        method, n = median_of_means(31), 2 * CHUNK + 5
+        runs = [experiment(n, method, threads) for threads in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        sampler = make_sampler()
+        g = sample_values(lambda rng, m: sampler(rng, m)[1], n, seed=2)
+        assert runs[0].denominator == estimate_from_values(g, method)
+        x, _ = sampler(chunk_rng(0, 0), 1)
+        assert runs[0].numerator == Estimate(value=x, halfwidth=0.0, n_samples=n, method=method)
+
+        def no_stream(seed, index):
+            raise AssertionError("drew before the budget was refused")
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", no_stream)
+        with pytest.raises(ValueError, match="30 samples cannot fill 31 blocks"):
+            experiment(30, method, 2)
 
 
 class TestExperiments:
@@ -609,12 +645,12 @@ class TestStratifiedDraws:
 
     def test_chunks_merge_by_the_cube_of_their_counts(self):
         parts = [montecarlo._Strata(4, 1.0, 0.5), montecarlo._Strata(2, 3.0, 2.0)]
-        est = montecarlo._merge_chunks(parts, 6, PLAIN)
+        est = montecarlo._merge_chunks(parts, 6)
         assert est.value == pytest.approx((64 * 1.0 + 8 * 3.0) / 72, rel=1e-15)
         assert est.halfwidth == pytest.approx(
             math.sqrt((64 / 72) ** 2 * 0.5 + (8 / 72) ** 2 * 2.0), rel=1e-15)
         with pytest.raises(ValueError, match="mixes"):
-            montecarlo._merge_chunks(parts + [(3, 1.0, 0.1)], 9, PLAIN)
+            montecarlo._merge_chunks(parts + [(3, 1.0, 0.1)], 9)
 
     def test_spread_bounds_the_values(self):
         # the m = 1 rule reads the kernel's spread, which must hold every value
@@ -629,18 +665,16 @@ class TestStratifiedDraws:
     def test_only_the_plain_mean_at_r_equal_p_draws_strata(self):
         # everything else is bit for bit the i.i.d. reduction of sample_values
         n, seed = 2 * CHUNK + 5, 3
-        cases = [(sharpness_sup_sampler(self.PARAMS), median_of_means(3)),
-                 (monotone_sup_sampler(self.PARAMS), median_of_means(3)),
-                 (sharpness_sup_sampler(self.PARAMS, 0.25), PLAIN),
-                 (discrete_sup_sampler(self.PARAMS, 4), PLAIN),
-                 (monotone_sup_sampler(self.PARAMS, horizon=5, level_N=4), PLAIN)]
-        for sampler, method in cases:
+        cases = [sharpness_sup_sampler(self.PARAMS, 0.25),
+                 discrete_sup_sampler(self.PARAMS, 4),
+                 monotone_sup_sampler(self.PARAMS, horizon=5, level_N=4)]
+        for sampler in cases:
             g = sample_values(lambda rng, m: sampler(rng, m)[1], n, seed)
-            assert estimate_pair(sampler, n, method, seed)[1] == estimate_from_values(g, method)
+            assert estimate_pair(sampler, n, seed)[1] == estimate_from_values(g, PLAIN)
         sampler = sharpness_sup_sampler(self.PARAMS)
         iid = estimate_from_values(sample_values(lambda rng, m: sampler(rng, m)[1], n, seed),
                                    PLAIN)
-        strata = estimate_pair(sharpness_sup_sampler(self.PARAMS), n, PLAIN, seed)[1]
+        strata = estimate_pair(sharpness_sup_sampler(self.PARAMS), n, seed)[1]
         assert strata.halfwidth < 1e-3 * iid.halfwidth
         assert abs(strata.value - iid.value) < 4.0 * iid.halfwidth
 
@@ -671,7 +705,7 @@ class TestStratifiedDraws:
         oracle = gtilde_sup_moment(p, n)
         count = 0
         for seed in range(self.RUNS):
-            (den,) = estimate_pair(sampler, CHUNK, PLAIN, seed)
+            (den,) = estimate_pair(sampler, CHUNK, seed)
             count += not abs(den.value - oracle) <= 3.0 * den.halfwidth
         return count
 

@@ -39,7 +39,7 @@ class TestSandwich:
     LOWER = C * 40 / 41
 
     def run_sharpness(self, monkeypatch, tmp_path, ratio):
-        monkeypatch.setattr(cli, "ratio_experiment", lambda *args: ratio)
+        monkeypatch.setattr(cli, "ratio_experiment", lambda *args, **kwargs: ratio)
         out_file = tmp_path / "r.json"
         code = main(["sharpness", "--samples", "1000", "--output", str(out_file)])
         assert json.loads(out_file.read_text())["result"]["pass"] == (code == EXIT_PASS)

@@ -645,7 +645,7 @@ class TestFreezeDelegates:
 
     @staticmethod
     def estimates(sampler, seed):
-        return estimate_pair(sampler, TestFreezeDelegates.N, PLAIN, seed)
+        return estimate_pair(sampler, TestFreezeDelegates.N, seed)
 
     @staticmethod
     def agree(got, want) -> bool:
@@ -788,8 +788,7 @@ class TestGenerators:
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
         e_x, e_g = enumerate_jump_sup_moments(0.3, 12, 0.5)
         base = gen.sup_sampler()
-        (est,) = estimate_pair(lambda rng, m: (base(rng, m)[0] ** 0.5,), 200_000, PLAIN,
-                               seed=3)
+        (est,) = estimate_pair(lambda rng, m: (base(rng, m)[0] ** 0.5,), 200_000, seed=3)
         assert abs(est.value - e_x) < 3.0 * est.halfwidth
         sup_x, sup_g = base(rng_of(0), 100)
         assert np.all(sup_g == 12 * 0.3)
@@ -906,7 +905,7 @@ class TestCheckInequality:
         # constant here, so the report is built directly
         p = 0.12
         gen = ExtremalGenerator(ExtremalParams(p=p, n=40))
-        lhs, rhs = estimate_pair(gen.sup_sampler(p), 10**5, PLAIN, 0)
+        lhs, rhs = estimate_pair(gen.sup_sampler(p), 10**5, 0)
         report = VerifierReport(lhs=lhs, rhs_constant=constant(ConstantKind.MONOTONE, p),
                                 rhs=rhs, constant_kind=ConstantKind.MONOTONE)
         assert not report.passed, report.to_json()
