@@ -503,7 +503,8 @@ def _sup_ratio(sampler, n_samples: int, method: EstimatorMethod, seed: int,
     """The moment ratio of an extremal sup sampler, whose x side is its
     exact moment: by `estimate_pair`, or by median of means, which refuses
     a budget short of its blocks before any draw, then reduces the whole g
-    column drawn by `sample_values`, the x side with half-width 0."""
+    column drawn by `sample_values`, the x side with half-width 0. The x
+    side must be the same float in every chunk (else ValueError)."""
     if method.name == "plain":
         return ratio_from_estimates(*estimate_pair(sampler, n_samples, seed, threads))
     _refuse_short(n_samples, method)
@@ -515,6 +516,8 @@ def _sup_ratio(sampler, n_samples: int, method: EstimatorMethod, seed: int,
         return g
 
     g = sample_values(g_column, n_samples, seed, threads)
+    if len(exact) != 1:
+        raise ValueError("a float component must be the same float in every chunk")
     (x,) = exact
     num = Estimate(value=x, halfwidth=0.0, n_samples=n_samples, method=method)
     return ratio_from_estimates(num, estimate_from_values(g, method))

@@ -156,18 +156,24 @@ class TestEstimateFromValues:
         block_means = vals.reshape(3, 5).mean(axis=1)
         assert est.value == pytest.approx(np.median(block_means))
 
-    def test_mom_leaves_the_remainder_unused(self):
-        # 17 values in 3 blocks of 5: the last two values are not used
-        vals = np.arange(17.0) ** 2
-        est = estimate_from_values(vals, median_of_means(3))
-        block_means = [vals[0:5].mean(), vals[5:10].mean(), vals[10:15].mean()]
+    # 17 values in 3 blocks of 5 leave the last two unused; 15 and 3 in 3
+    # blocks leave none, 61 in 31 blocks of 1 leave 30
+    @pytest.mark.parametrize("n, blocks", [(17, 3), (15, 3), (3, 3), (61, 31),
+                                           (3 * CHUNK + 17, 31)])
+    def test_mom_leaves_the_remainder_unused(self, n, blocks):
+        vals = np.arange(float(n)) ** 2
+        method = median_of_means(blocks)
+        est = estimate_from_values(vals, method)
+        size = n // blocks
+        block_means = [vals[j * size : (j + 1) * size].mean() for j in range(blocks)]
         assert est.value == np.median(block_means)
         assert est.halfwidth == pytest.approx(
-            math.sqrt(math.pi / 2.0) * np.std(block_means, ddof=1) / math.sqrt(3), rel=1e-15)
-        assert est.n_samples == 17 and est.method == median_of_means(3)
+            math.sqrt(math.pi / 2.0) * np.std(block_means, ddof=1) / math.sqrt(blocks),
+            rel=1e-15)
+        assert est.n_samples == n and est.method == method
         changed = vals.copy()
-        changed[15:] = 1e300
-        assert estimate_from_values(changed, median_of_means(3)) == est
+        changed[blocks * size :] = 1e300
+        assert estimate_from_values(changed, method) == est
 
     @pytest.mark.parametrize("n, blocks", [(5, 7), (2, 3)])
     def test_too_few_samples_for_blocks(self, n, blocks):
@@ -186,8 +192,9 @@ class TestEstimateFromValues:
 
 
 class TestStreamedEqualsConcatenated:
-    """estimate_pair reduces every chunk in its worker; the result must be
-    bit for bit the plain-mean estimate of the concatenated values."""
+    """estimate_pair reduces every chunk in its worker, and median of means
+    reduces the g column drawn chunk by chunk; either result must be bit for
+    bit the estimate of the concatenated values."""
 
     @staticmethod
     def paired(rng, m):
@@ -205,6 +212,30 @@ class TestStreamedEqualsConcatenated:
             assert estimate_pair(self.paired, n, seed, threads) == expected
             single = estimate_pair(lambda rng, m: self.paired(rng, m)[1:], n, seed, threads)
             assert single == expected[1:]
+
+    # 3 * CHUNK with 3 blocks puts the block edges on chunk edges; the other
+    # sizes put them inside chunks, and 31 blocks put several in one chunk
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 17])
+    @pytest.mark.parametrize("blocks", [3, 31], ids=["mom3", "mom31"])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mom_reduces_the_concatenated_column(self, n, blocks, seed):
+        method = median_of_means(blocks)
+
+        def exact_x(rng, m):
+            return 1.0, self.paired(rng, m)[1]
+
+        if n < blocks:
+            for threads in (1, 2, 4):
+                with pytest.raises(ValueError, match=f"{n} samples cannot fill {blocks} blocks"):
+                    montecarlo._sup_ratio(exact_x, n, method, seed, threads)
+            return
+        _, den_vals = sample_values(self.paired, n, seed)
+        expected = estimate_from_values(den_vals, method)
+        for threads in (1, 2, 4):
+            r = montecarlo._sup_ratio(exact_x, n, method, seed, threads)
+            assert r.denominator == expected
+            assert r.numerator == Estimate(value=1.0, halfwidth=0.0, n_samples=n, method=method)
 
 
 class TestPassScheduler:
@@ -278,6 +309,14 @@ class TestPassScheduler:
         for sampler in (drifting, float_or_array):
             with pytest.raises(ValueError, match="same float in every chunk"):
                 estimate_pair(sampler, 2 * CHUNK + 5, 0, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_pass_without_samples_refused_before_any_draw(self, threads):
+        def sampler(rng, m):
+            raise AssertionError("drew before checking the budgets")
+
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            estimate_passes([(sampler, 3 * CHUNK), (sampler, 0)], 0, threads)
 
 
 class TestRatio:
@@ -546,6 +585,15 @@ class TestMedianOfMeansThroughTheApi:
         monkeypatch.setattr(montecarlo, "chunk_rng", no_stream)
         with pytest.raises(ValueError, match="30 samples cannot fill 31 blocks"):
             experiment(30, method, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_exact_side_must_agree_between_chunks(self, threads):
+        # the last chunk is partial, so m differs there
+        def drifting(rng, m):
+            return float(m), rng.random(m)
+
+        with pytest.raises(ValueError, match="same float in every chunk"):
+            montecarlo._sup_ratio(drifting, 2 * CHUNK + 5, median_of_means(3), 0, threads)
 
 
 class TestExperiments:
