@@ -124,22 +124,23 @@ class ExtremalParams:
 # later, and discretization effects isolate cleanly.
 #
 # At r = p a continuous value is a smooth function of its one uniform, so
-# on a chunk of m values the kernel may draw its v stratified: m/2 strata of
-# width 2/m, two independent uniforms in each, at entries k and m/2 + k:
-# v = (k + u) 2/m, whose within-pair differences give the chunk's variance
-# (montecarlo._reduce_strata); an odd m ends in one stratum of three values,
-# of width 3/m, and m = 1 draws v = u. Its variance then falls as m^-3, not
-# m^-1, except that W s^p has an infinite slope at s = 0, which would leave
-# the first strata carrying the variance and the pair differences a heavy
-# tail. So the kernel also subtracts the cusp control W (s^p - c_u^p/(p+1)),
-# of mean 0:
+# the kernel may draw the v of a column of n values stratified: n/2 strata
+# of width 2/n, two independent uniforms in each, a chunk of m values from
+# entry start on holding strata start/2 + k at entries k and m/2 + k:
+# v = (start/2 + k + u) 2/n, whose within-pair differences give the chunk's
+# variance (montecarlo._reduce_strata); an odd n ends in one stratum of
+# three values, of width 3/n, and n = 1 draws v = u. The variance of the
+# column's mean then falls as n^-3, not n^-1, except that W s^p has an
+# infinite slope at s = 0, which would leave the first strata carrying the
+# variance and the pair differences a heavy tail. So the kernel also
+# subtracts the cusp control W (s^p - c_u^p/(p+1)), of mean 0:
 #
 #     W (s^p - 1)/(1 - s) - W (s^p - c_u^p/(p+1))
 #         = W (s^(p+1) - 1)/(1 - s) + W c_u^p/(p+1),
 #
 # which takes expm1's exponent from p to p + 1 at no further pass, folds the
 # constant into the offset, and refits beta by the midpoint rule. The
-# stratified offsets k come from one cached array, and 2/m is folded into
+# stratified offsets k come from one cached array, and 2/n is folded into
 # c_u. The discrete kernel, whose value is a step function of v, the
 # continuous one at r != p, and every kernel under sample_values (which
 # median of means draws through) keep i.i.d. draws.

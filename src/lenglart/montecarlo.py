@@ -20,15 +20,19 @@ chunk, in the worker that drew the chunk: a chunk of i.i.d. values keeps
 (count, mean, M2), and the chunks merge in chunk order (Chan, Golub &
 LeVeque 1979). No value array of the whole run is assembled.
 
-Each chunk's stream is a ChunkStream, which offers stratified uniforms: m/2
-strata of width 2/m with two independent uniforms in each, at entries k and
-m/2 + k (_fill_strata). Only a sampler whose values are each a smooth
+Each chunk's stream is a ChunkStream, which offers stratified uniforms over
+the whole column of a pass: its n draws fall in n/2 strata of width 2/n,
+two independent uniforms in each, and the chunk of m draws from entry
+start on holds the strata [start/2, start/2 + m/2), at entries k and
+m/2 + k (_fill_strata). An odd n has one stratum of three, the column's
+last three entries. Only a sampler whose values are each a smooth
 function of one uniform takes them: the continuous extremal kernel at
 r = p (extremal._fill_uniforms). Its chunk then reduces to (count, mean,
 variance of the mean), the variance from the squared differences within
-the pairs (_reduce_strata), and the chunks merge as independent estimates
-in chunk order. Every other sampler draws i.i.d., and so does every
-sampler under `sample_values`, which offers no strata.
+the pairs (_reduce_strata), and the chunks merge in chunk order with the
+weights m/n of their shares of the column. Every other sampler draws
+i.i.d., and so does every sampler under `sample_values`, which offers no
+strata.
 
 `estimate_from_values` reduces a given column: by the plain mean over
 CHUNK-sized slices, bit for bit what `estimate_pair` gives from the same
@@ -93,9 +97,9 @@ __all__ = [
 
 CHUNK = 1 << 15
 
-# version of the stream layout below, recorded in every CLI output; 3 since
-# the continuous kernel's chunks draw stratified uniforms
-STREAM_LAYOUT = 3
+# version of the stream layout below, recorded in every CLI output; 4 since
+# the continuous kernel's strata span the whole column, not each chunk
+STREAM_LAYOUT = 4
 # stream index = domain * DOMAIN_STRIDE + j (see the module docstring)
 DOMAIN_STRIDE = 1 << 60
 PILOT_STREAM = 1 * DOMAIN_STRIDE
@@ -107,6 +111,9 @@ _STREAM_SPAN = 1 << 64
 # stderr of the median of B approximately normal block means is
 # sqrt(pi/2) * sd / sqrt(B)
 _MEDIAN_INFLATION = math.sqrt(math.pi / 2.0)
+# the least relative half-width of a stratified column: the rounding of
+# values near extremal._constants' top, which their sums cannot resolve
+_ROUNDING = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -226,46 +233,63 @@ def _stratum_offsets() -> np.ndarray:
     return offsets
 
 
-def _pairs(m: int) -> int:
-    """The number of two-value strata in a stratified chunk of m values."""
-    return m // 2 if m % 2 == 0 else (m - 3) // 2
+def _strata_window(start: int, m: int, n: int) -> tuple[int, int]:
+    """(h, t) for the m entries from start on of a stratified column of n:
+    h two-value strata, and t entries of the column's stratum of three,
+    which an odd n has in its last three entries. A last chunk of one entry
+    thus holds the third value of a stratum whose other two end the chunk
+    before it."""
+    t = min(m, max(0, start + m - (n - 3))) if n % 2 else 0
+    return (m - t) // 2, t
 
 
-def _fill_strata(rng: np.random.Generator, out: np.ndarray) -> float:
-    """Fill out, m doubles, with stratified uniforms over the returned scale
-    2/m: with h = _pairs(m), entries k and h + k, k < h, hold k + u with u
-    uniform, for v in the stratum [2k/m, (2k + 2)/m), so that the two halves
-    of each pair are contiguous. An odd m >= 3 ends in one stratum of three,
-    [(m - 3)/m, 1), whose entries hold h + 1.5 u; m = 1 holds u, at scale 1.
-    The m doubles are one rng.random fill. k + u rounds to k + 1 for u
-    within half an ulp of k of 1, so the last stratum's entries are held
-    2^-50 (relative) below m/2, where v times any c_u <= 1 stays below 1, as
-    the i.i.d. v do."""
+def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int) -> float:
+    """Fill out, the m entries from start on of a column of n, with
+    stratified uniforms over the returned scale 2/n. The column's n/2
+    strata have width 2/n, and with (h, t) = _strata_window(start, m, n)
+    the chunk holds strata start/2 + k, k < h, at entries k and h + k,
+    which hold start/2 + k + u with u uniform, for v in [(start + 2k)/n,
+    (start + 2k + 2)/n): the two halves of each pair are contiguous. An odd
+    n ends in one stratum of three, [(n - 3)/n, 1), whose t entries in the
+    chunk come last and hold (n - 3)/2 + 1.5 u; n = 1 holds u, at scale 1.
+    start must be even, and so must m unless the window ends the column.
+    The m doubles are one rng.random fill. A sum start/2 + k + u rounds to
+    the stratum's upper end for u within half an ulp of 1, so the last
+    stratum's entries are held 2^-50 (relative) below n/2, where v times
+    any c_u <= 1 stays below 1, as the i.i.d. v do."""
     m = out.size
+    if start % 2 or (m % 2 and start + m < n):
+        raise ValueError("a stratified window must start at an even entry, and only the "
+                         "column's last may hold an odd count")
     rng.random(out=out)
-    if m == 1:
+    if n == 1:
         return 1.0
-    h = _pairs(m)
-    offsets = _stratum_offsets()[:h] if 2 * h <= CHUNK else np.arange(h, dtype=float)
-    out[:h] += offsets
-    out[h : 2 * h] += offsets
-    if m % 2:
+    h, t = _strata_window(start, m, n)
+    pairs = out[: 2 * h].reshape(2, h)
+    pairs += _stratum_offsets()[:h] if h <= CHUNK // 2 else np.arange(h, dtype=float)
+    if start:
+        pairs += start // 2
+    top = 0.5 * n * (1.0 - 2.0**-50)
+    if t:
         last = out[2 * h :]
         last *= 1.5
-        last += h
-    else:
+        last += (n - 3) // 2
+    else:  # the chunk's last stratum, the column's last in its last chunk
         last = out[h - 1 :: h]
-    np.minimum(last, 0.5 * m * (1.0 - 2.0**-50), out=last)
-    return 2.0 / m
+    np.minimum(last, top, out=last)
+    return 2.0 / n
 
 
 class ChunkStream:
-    """The stream of one chunk of `estimate_passes`: every draw goes to the
-    chunk's Generator, and a sampler whose values are each a smooth function
-    of one uniform may draw them stratified through strata()."""
+    """The stream of one chunk of `estimate_passes`, the entries from start
+    on of a column of n: every draw goes to the chunk's Generator, and a
+    sampler whose values are each a smooth function of one uniform may draw
+    them stratified over the column through strata()."""
 
-    def __init__(self, generator: np.random.Generator) -> None:
+    def __init__(self, generator: np.random.Generator, start: int, n: int) -> None:
         self.generator = generator
+        self.start = start
+        self.n = n
         self.spread = None  # set where the chunk was drawn stratified
 
     def __getattr__(self, name):
@@ -276,22 +300,23 @@ class ChunkStream:
         return value
 
     def strata(self, out: np.ndarray, spread: float) -> float:
-        """_fill_strata(out); spread is the width of an interval that holds
-        every value the sampler returns from them, which bounds the
-        variance of a chunk of one value."""
+        """_fill_strata(out) over the chunk's window of the column; spread
+        is the width of an interval that holds every value the sampler
+        returns from them, which bounds the variance of a column of one
+        value."""
         self.spread = spread
-        return _fill_strata(self.generator, out)
+        return _fill_strata(self.generator, out, self.start, self.n)
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
-    """Run work(rng, m) on every piece of the sample index range of each
-    (work, n_samples) or (work, n_samples, piece, first_stream) pass. Piece
-    j holds the m samples from index j * piece on and draws from
-    chunk_rng(seed, first_stream + j); the default layout is piece =
-    CHUNK and first_stream = 0, so piece j is chunk j. The pieces of all
-    passes go to one pool of workers, in the order the passes are given,
-    and come back as one list per pass in piece order, so they do not depend
-    on the worker count."""
+    """Run work(rng, m, start, n_samples) on every piece of the sample index
+    range of each (work, n_samples) or (work, n_samples, piece,
+    first_stream) pass. Piece j holds the m samples from index start =
+    j * piece on and draws from chunk_rng(seed, first_stream + j); the
+    default layout is piece = CHUNK and first_stream = 0, so piece j is
+    chunk j. The pieces of all passes go to one pool of workers, in the
+    order the passes are given, and come back as one list per pass in piece
+    order, so they do not depend on the worker count."""
     if threads < 1:
         raise ValueError("threads must be positive")
     jobs, counts = [], []
@@ -300,13 +325,13 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
         starts = range(0, n_samples, piece)
-        jobs += [(work, first_stream + j, min(piece, n_samples - start))
+        jobs += [(work, first_stream + j, min(piece, n_samples - start), start, n_samples)
                  for j, start in enumerate(starts)]
         counts.append(len(starts))
 
     def run(job):
-        work, stream, m = job
-        return work(chunk_rng(seed, stream), m)
+        work, stream, m, start, n_samples = job
+        return work(chunk_rng(seed, stream), m, start, n_samples)
 
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a one-thread
@@ -323,7 +348,8 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
 def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
     """Draw n_samples values (or tuples of parallel arrays) chunk by chunk,
     concatenated in chunk order."""
-    (parts,) = _map_chunks([(sampler, n_samples)], seed, threads)
+    (parts,) = _map_chunks([(lambda rng, m, *window: sampler(rng, m), n_samples)], seed,
+                           threads)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     return np.concatenate(parts)
@@ -338,40 +364,41 @@ class _Strata(NamedTuple):
     variance: float
 
 
-def _reduce_strata(values: np.ndarray, spread: float) -> _Strata:
-    """The partial statistics of a chunk drawn by _fill_strata, in whose
-    array the squared differences are formed. A stratum of width w holding
-    k values adds w^2 s^2/k to the variance of the mean, with s^2 its values'
-    variance, estimated with ddof 1: so a pair adds d^2/m^2 for its
-    difference d, and the last stratum of an odd m 1.5 M2/m^2 for its
-    squared deviations M2. Variance = (S + 1.5 M2)/m^2, S/(4 H^2) for H = m/2
-    pairs. A chunk of one value gets spread^2/4, the largest variance of a
+def _reduce_strata(values: np.ndarray, stream: ChunkStream) -> _Strata:
+    """The partial statistics of a chunk drawn by _fill_strata over the
+    stream's window, in whose array the squared differences are formed. A
+    stratum holding k values of variance s^2 adds k s^2/m^2 to the variance
+    of the chunk's mean, s^2 estimated with ddof 1: so a pair adds d^2/m^2
+    for its difference d, and the stratum of three, whose t >= 2 values in
+    the chunk have squared deviations M2, adds 3 M2/((t - 1) m^2), all of
+    it in the chunk holding two or three of its values. Variance =
+    (S + 1.5 M2)/m^2 for a chunk ending in all three, S/(4 H^2) for H = m/2
+    pairs. A column of one value gets spread^2/4, the largest variance of a
     value within an interval of width spread."""
     m = values.size
     mean = float(values.mean())
-    if m == 1:
-        return _Strata(1, mean, 0.25 * spread * spread)
-    h = _pairs(m)
+    if stream.n == 1:
+        return _Strata(1, mean, 0.25 * stream.spread**2)
+    h, t = _strata_window(stream.start, m, stream.n)
     diff = values[:h]
     diff -= values[h : 2 * h]
     diff *= diff
     total = float(diff.sum())
-    if m % 2:
+    if t > 1:
         last = values[2 * h :]
         last -= last.mean()
         last *= last
-        total += 1.5 * float(last.sum())
+        total += 3.0 / (t - 1) * float(last.sum())
     return _Strata(m, mean, total / (m * m))
 
 
-def _reduce_chunk(values: np.ndarray, spread: float | None = None):
+def _reduce_chunk(values: np.ndarray, stream: ChunkStream | None = None):
     """Partial statistics of one chunk's values: (count, mean, sum of
-    squared deviations), or _reduce_strata's for a chunk drawn stratified,
-    whose spread is given. The deviations are formed in the array of the
-    values."""
+    squared deviations), or _reduce_strata's for a chunk whose stream drew
+    it stratified. The deviations are formed in the array of the values."""
     values = np.asarray(values, dtype=float)
-    if spread is not None:
-        return _reduce_strata(values, spread)
+    if stream is not None and stream.spread is not None:
+        return _reduce_strata(values, stream)
     mean = values.mean()
     values -= mean
     values *= values
@@ -380,23 +407,23 @@ def _reduce_chunk(values: np.ndarray, spread: float | None = None):
 
 def _merge_chunks(parts, n: int) -> Estimate:
     """The plain-mean estimate from the partial statistics of every chunk,
-    merged in chunk order. Stratified chunks merge as independent estimates
-    with the fixed weights w_j = m_j^3 / sum m^3, the inverse of the m^-3 law
-    of their variance: mean sum w_j mean_j, variance sum w_j^2 variance_j.
-    Weights m_j/n would let a short last chunk, whose variance estimate
-    rests on a few strata, dominate the interval."""
+    merged in chunk order. The stratified chunks of a column cover disjoint
+    parts of its strata, so they merge as independent estimates with the
+    weights w_j = m_j/n of their shares of the column: mean sum w_j mean_j,
+    variance sum w_j^2 variance_j. Its half-width is at least 2^-48 of the
+    mean, the rounding near extremal._constants' top, which no sum of the
+    values resolves."""
     stratified = [isinstance(part, _Strata) for part in parts]
     if any(stratified):
         if not all(stratified):
             raise ValueError("a column mixes stratified and i.i.d. chunks")
-        cubes = [part.count**3 for part in parts]
-        total = sum(cubes)
         value = variance = 0.0
-        for (_, mu, var), cube in zip(parts, cubes):
-            share = cube / total
+        for count, mu, var in parts:
+            share = count / n
             value += share * mu
             variance += share * share * var
-        return Estimate(value=value, halfwidth=math.sqrt(variance), n_samples=n, method=PLAIN)
+        halfwidth = max(math.sqrt(variance), _ROUNDING * abs(value))
+        return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=PLAIN)
     count, mean, m2 = parts[0]
     for c, mu, q in parts[1:]:
         total = count + c
@@ -448,14 +475,14 @@ def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate,
     with half-width 0, not reduced, and must be the same float in every
     chunk (else ValueError). Each chunk's sampler is offered strata
     (ChunkStream), which it takes where each of its values is a smooth
-    function of one uniform; such a chunk's arrays reduce as stratified."""
+    function of one uniform, over the whole column of the pass; such a
+    chunk's arrays reduce as stratified."""
 
     def reducer(paired_sampler):
-        def work(rng, m):
-            stream = ChunkStream(rng)
+        def work(rng, m, start, n):
+            stream = ChunkStream(rng, start, n)
             values = paired_sampler(stream, m)
-            return [v if isinstance(v, float) else _reduce_chunk(v, stream.spread)
-                    for v in values]
+            return [v if isinstance(v, float) else _reduce_chunk(v, stream) for v in values]
 
         return work
 

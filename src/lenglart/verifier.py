@@ -141,6 +141,9 @@ class _Generator:
     # E[X_tau] = E[G_tau] exactly; only such a generator's stopped_batch
     # takes a g_divisor, which check_pratelli passes
     exact_compensator = False
+    # one jump per path: every rule reads every path at the grid index
+    # read_index(rule, g_row), so rules at one index stop equal columns
+    single_jump = False
     name = "generator"
 
     def sup_sampler(self, r: float):
@@ -192,6 +195,7 @@ class ExtremalGenerator(_Generator):
 
     monotone_x = False
     exact_compensator = True
+    single_jump = True
     name = "extremal"
 
     def sup_sampler(self, r):
@@ -221,6 +225,7 @@ class DiscreteExtremalGenerator(_Generator):
 
     monotone_x = False
     exact_compensator = False  # g dominates the compensator from above
+    single_jump = True
     name = "discrete_extremal"
 
     def sup_sampler(self, r):
@@ -638,7 +643,7 @@ def default_tau_battery(gen: _Generator, seed: int) -> list:
     last = gen.last
     [(sup_x, sup_g)] = gen.stopped_batch([FixedIndexRule(last)],
                                          chunk_rng(seed, PILOT_STREAM), 2048)
-    levels = [("x", np.quantile(sup_x, qtl)) for qtl in (0.5, 0.9, 0.99)]
+    levels = [("x", level) for level in np.quantile(sup_x, (0.5, 0.9, 0.99))]
     levels.append(("g", np.quantile(sup_g, 0.5)))
     return ([FixedIndexRule(k=max(1, int(round(frac * last))))
              for frac in (0.1, 0.25, 0.5, 0.75, 1.0)]
@@ -649,19 +654,29 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int, **stop) -
     """Estimates of the column pair columns(x_tau, g_tau) at every rule of
     default_tau_battery(gen, seed), all rules evaluated on the same paths.
     Each estimation chunk is gen.stopped_batch(rules, rng, m, **stop): only
-    check_pratelli passes a stop, g_divisor=c. columns may overwrite the
-    stopped arrays, the rows of one allocation and no other: freed, the
-    block stays on glibc's heap for the next chunk, while an array per
-    column is page-faulted in again in every chunk. Returns (rule, (a, b))
-    pairs, one per rule."""
+    check_pratelli passes a stop, g_divisor=c. On a single-jump generator
+    the rules that read one grid index (read_index on g_row / g_divisor)
+    stop equal columns, so only the first of them is drawn, and its
+    estimates go to each of them. columns may overwrite the stopped arrays,
+    the rows of one allocation and no other: freed, the block stays on
+    glibc's heap for the next chunk, while an array per column is
+    page-faulted in again in every chunk. Returns (rule, (a, b)) pairs, one
+    per rule, in battery order."""
     rules = default_tau_battery(gen, seed)
+    keys = list(range(len(rules)))
+    if gen.single_jump:
+        g_row = gen.g_row / stop.get("g_divisor", 1.0)
+        keys = [read_index(rule, g_row) for rule in rules]
+    distinct = list(dict.fromkeys(keys))
+    drawn = [rules[keys.index(key)] for key in distinct]
 
     def paired(rng, m):
-        return tuple(col for x_tau, g_tau in gen.stopped_batch(rules, rng, m, **stop)
+        return tuple(col for x_tau, g_tau in gen.stopped_batch(drawn, rng, m, **stop)
                      for col in columns(x_tau, g_tau))
 
     estimates = estimate_pair(paired, n_samples, seed)
-    return list(zip(rules, zip(estimates[0::2], estimates[1::2])))
+    pairs = list(zip(estimates[0::2], estimates[1::2]))
+    return [(rule, pairs[distinct.index(key)]) for rule, key in zip(rules, keys)]
 
 
 def check_pratelli(

@@ -268,16 +268,16 @@ class TestPassScheduler:
         # piece j of a (work, n, piece, first_stream) pass holds the samples
         # from j * piece on and draws stream first_stream + j; a two-element
         # pass keeps the chunk grid. Each piece's work gets the (seed, index)
-        # that it asked chunk_rng for.
+        # that it asked chunk_rng for, its size, its start and its pass's n.
         monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (seed, index))
 
-        def work(stream, m):
-            return (*stream, m)
+        def work(stream, m, start, n):
+            return (*stream, m, start, n)
 
         first = VALIDATION_STREAM
         pieces, chunks = _map_chunks([(work, 7, 3, first), (work, CHUNK + 1)], 5, threads)
-        assert pieces == [(5, first, 3), (5, first + 1, 3), (5, first + 2, 1)]
-        assert chunks == [(5, 0, CHUNK), (5, 1, 1)]
+        assert pieces == [(5, first, 3, 0, 7), (5, first + 1, 3, 3, 7), (5, first + 2, 1, 6, 7)]
+        assert chunks == [(5, 0, CHUNK, 0, CHUNK + 1), (5, 1, 1, CHUNK, CHUNK + 1)]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_float_component_is_exact(self, threads):
@@ -648,63 +648,139 @@ def _binomial_limit(trials: int, prob: float, tail: float = 1e-3) -> int:
 
 class TestStratifiedDraws:
     """On a plain-mean pass the continuous kernel at r = p draws its uniforms
-    two to a stratum of each chunk (montecarlo._fill_strata), and its chunks
-    reduce by the squared differences within the pairs; every other sampler
-    and estimator draws i.i.d."""
+    two to a stratum of the whole column, each chunk filling its window of
+    the strata (montecarlo._fill_strata); its chunks reduce by the squared
+    differences within the pairs and merge by their shares of the column.
+    Every other sampler and estimator draws i.i.d."""
 
     PARAMS = ExtremalParams(p=0.5, n=10)
     # P[|z| > 3] of a normal z, and the binomial limit of the coverage runs
     BEYOND_3 = math.erfc(3.0 / math.sqrt(2.0))
     RUNS = 200
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, CHUNK, CHUNK + 3])
-    def test_fill_puts_each_entry_in_its_stratum(self, m):
+    # (start, m, n): whole columns, then windows of longer ones, among them
+    # the stratum of three split 2 + 1 at a last chunk of one value
+    WINDOWS = [(0, m, m) for m in (1, 2, 3, 4, 5, 8, 9, CHUNK, CHUNK + 3)] + [
+        (CHUNK, CHUNK, 3 * CHUNK), (2 * CHUNK, 6, 2 * CHUNK + 6), (2 * CHUNK, 5, 2 * CHUNK + 5),
+        (0, CHUNK, CHUNK + 1), (CHUNK, 1, CHUNK + 1), (4, 4, 11), (8, 3, 11)]
+
+    @staticmethod
+    def strata_of(start, m, n):
+        """The lower end and width of the stratum of each entry of a window,
+        in units of the scale 2/n: the column's last three entries of an odd
+        n share [(n - 3)/2, n/2), and the window's other entries k and h + k
+        the pair stratum [start/2 + k, start/2 + k + 1), with those three
+        entries last."""
+        t = len(set(range(start, start + m)) & set(range(n - 3, n))) if n % 2 else 0
+        h = (m - t) // 2
+        low = np.concatenate([start // 2 + np.arange(h), start // 2 + np.arange(h),
+                              [(n - 3) / 2] * t])
+        return low, np.where(np.arange(m) < 2 * h, 1.0, 1.5)
+
+    @pytest.mark.parametrize(("start", "m", "n"), WINDOWS)
+    def test_fill_puts_each_entry_in_its_stratum(self, start, m, n):
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             out = np.empty(m)
-            v = out * montecarlo._fill_strata(GridRng(np.full(m, u)), out)
-            if m == 1:
-                assert v[0] == u
+            scale = montecarlo._fill_strata(GridRng(np.full(m, u)), out, start, n)
+            if n == 1:
+                assert (scale, out[0]) == (1.0, u)
                 continue
-            h = m // 2 if m % 2 == 0 else (m - 3) // 2
-            k = np.concatenate([np.arange(h), np.arange(h)])
-            low = np.concatenate([2.0 * k, [2.0 * h] * (m - 2 * h)]) / m
-            width = np.where(np.arange(m) < 2 * h, 2.0 / m, 3.0 / m)
-            np.testing.assert_allclose(v, low + u * width, rtol=1e-14, atol=1e-15)
-            assert np.all(v >= low) and np.all(v < 1.0)
+            assert scale == 2.0 / n
+            low, width = self.strata_of(start, m, n)
+            np.testing.assert_allclose(out, low + u * width, rtol=1e-14, atol=1e-15)
+            assert np.all(out >= low) and np.all(out * scale < 1.0)
             # s = v c_u stays below 1 at c_u = 1, as at p = 0.01, n = 10
             _, g = sharpness_sup_sampler(ExtremalParams(0.01, 10))(
-                ChunkStream(GridRng(np.full(m, u))), m)
+                ChunkStream(GridRng(np.full(m, u)), start, n), m)
             assert np.all(np.isfinite(g))
+
+    @pytest.mark.parametrize("n", [2, 7, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 5, 3 * CHUNK])
+    def test_chunks_tile_the_column(self, n):
+        # every pair stratum of the column gets two entries, and an odd n's
+        # stratum of three its three, across all chunks
+        counts = np.zeros(n // 2 + 1, dtype=int)
+        for start in range(0, n, CHUNK):
+            m = min(CHUNK, n - start)
+            out = np.empty(m)
+            v = out * montecarlo._fill_strata(GridRng(np.full(m, 0.5)), out, start, n)
+            np.add.at(counts, np.floor(v * n / 2).astype(int), 1)
+        expected = np.full(n // 2, 2)
+        if n % 2:
+            expected[-1] = 3
+        np.testing.assert_array_equal(counts[: n // 2], expected)
+        assert counts[n // 2] == 0
+
+    @pytest.mark.parametrize(("start", "m", "n"), [(1, 2, 8), (0, 3, 8), (2, 3, 9)])
+    def test_fill_refuses_windows_that_split_a_pair(self, start, m, n):
+        with pytest.raises(ValueError, match="even entry"):
+            montecarlo._fill_strata(chunk_rng(0, 0), np.empty(m), start, n)
+
+    @staticmethod
+    def window(start, n):
+        stream = ChunkStream(None, start, n)
+        stream.spread = 10.0
+        return stream
 
     def test_reduce_strata_formula(self):
         # pairs (1, 3) and (2, 2.5) at entries k and k + 2, then a triple
         values = np.array([1.0, 2.0, 3.0, 2.5, 7.0, 4.0, 5.0])
-        part = montecarlo._reduce_strata(values.copy(), spread=10.0)
+        part = montecarlo._reduce_strata(values.copy(), self.window(0, 7))
         tail = values[4:]
         pairs = (1.0 - 3.0) ** 2 + (2.0 - 2.5) ** 2
         assert part.count == 7 and part.mean == pytest.approx(values.mean(), rel=1e-15)
         assert part.variance == pytest.approx(
             (pairs + 1.5 * np.sum((tail - tail.mean()) ** 2)) / 49, rel=1e-14)
-        even = montecarlo._reduce_strata(values[:4].copy(), spread=10.0)
+        even = montecarlo._reduce_strata(values[:4].copy(), self.window(0, 4))
         assert even.mean == 2.125
         assert even.variance == pytest.approx(pairs / (4 * 2**2), rel=1e-15)
-        # one value: the largest variance of a value in an interval of width 10
-        assert montecarlo._reduce_strata(np.array([4.0]), spread=10.0).variance == 25.0
+        # a window of a longer column reduces the same
+        assert montecarlo._reduce_strata(values[:4].copy(), self.window(8, 20)) == even
+        # two values of the stratum of three carry its whole variance, 3 s^2
+        # with s^2 = d^2/2 from their difference d = 3, and the chunk
+        # holding its third value adds none
+        split = montecarlo._reduce_strata(values[:6].copy(), self.window(0, 7))
+        assert split.variance == pytest.approx((pairs + 1.5 * 3.0**2) / 36, rel=1e-14)
+        assert montecarlo._reduce_strata(np.array([4.0]), self.window(6, 7)).variance == 0.0
+        # a column of one value: the largest variance of a value in an
+        # interval of width 10
+        assert montecarlo._reduce_strata(np.array([4.0]), self.window(0, 1)).variance == 25.0
 
-    def test_chunks_merge_by_the_cube_of_their_counts(self):
+    def test_chunks_merge_by_their_shares_of_the_column(self):
         parts = [montecarlo._Strata(4, 1.0, 0.5), montecarlo._Strata(2, 3.0, 2.0)]
         est = montecarlo._merge_chunks(parts, 6)
-        assert est.value == pytest.approx((64 * 1.0 + 8 * 3.0) / 72, rel=1e-15)
+        assert est.value == pytest.approx((4 * 1.0 + 2 * 3.0) / 6, rel=1e-15)
         assert est.halfwidth == pytest.approx(
-            math.sqrt((64 / 72) ** 2 * 0.5 + (8 / 72) ** 2 * 2.0), rel=1e-15)
+            math.sqrt((4 / 6) ** 2 * 0.5 + (2 / 6) ** 2 * 2.0), rel=1e-15)
         with pytest.raises(ValueError, match="mixes"):
             montecarlo._merge_chunks(parts + [(3, 1.0, 0.1)], 9)
 
+    def test_half_width_has_a_rounding_floor(self):
+        # a column whose strata leave no variance reports 2^-48 of its mean
+        est = montecarlo._merge_chunks([montecarlo._Strata(2, -3.0, 0.0)], 2)
+        assert est.halfwidth == 3.0 * 2.0**-48
+
+    @pytest.mark.parametrize(("p", "n", "draws"),
+                             [(0.001, 10**5, 10**6), (0.1, 1000, 10**6), (0.01, 10, 4 * 10**6)])
+    def test_floor_keeps_the_interval_at_rounding(self, p, n, draws):
+        # where the strata leave a variance below the rounding of the
+        # values, the floor keeps |z| at most 3 (8.5e4 at (0.001, 10^5)
+        # without it)
+        sampler = sharpness_sup_sampler(ExtremalParams(p, n))
+        (den,) = estimate_pair(self.g_column(sampler), draws, 0)
+        assert abs(den.value - gtilde_sup_moment(p, n)) <= 3.0 * den.halfwidth
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_floor_does_not_bind_at_the_headline_budget(self, p, n):
+        sampler = sharpness_sup_sampler(ExtremalParams(p, n))
+        (den,) = estimate_pair(self.g_column(sampler), 10**6, 0)
+        assert den.halfwidth > 10.0 * 2.0**-48 * den.value
+
     def test_spread_bounds_the_values(self):
-        # the m = 1 rule reads the kernel's spread, which must hold every value
+        # the n = 1 rule reads the kernel's spread, which must hold every value
         for p, n in ((0.01, 10), (0.5, 10), (0.99, 1), (0.25, 1000)):
             sampler = sharpness_sup_sampler(ExtremalParams(p, n))
-            stream = ChunkStream(chunk_rng(0, 0))
+            stream = ChunkStream(chunk_rng(0, 0), 0, 2)
             sampler(stream, 2)
             v = np.linspace(0.0, 1.0 - 2.0**-53, 1 << 14)
             _, g = sampler(GridRng(v), v.size)
@@ -727,11 +803,11 @@ class TestStratifiedDraws:
         assert abs(strata.value - iid.value) < 4.0 * iid.halfwidth
 
     def test_chunk_stream_forwards_draws(self):
-        stream = ChunkStream(chunk_rng(4, 0))
+        stream = ChunkStream(chunk_rng(4, 0), 0, 5)
         assert stream.spread is None
         np.testing.assert_array_equal(stream.random(5), chunk_rng(4, 0).random(5))
 
-    @pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 5, 10**6])
     def test_remainder_chunks_are_thread_invariant(self, n):
         outputs = set()
         for threads in (1, 2, 3):
@@ -747,13 +823,14 @@ class TestStratifiedDraws:
         assert den["halfwidth"] > 0
         assert abs(payload["result"]["denominator_z"]) < 4.0
 
-    def misses(self, sampler, p, n):
-        """Runs of one chunk, of seeds 0 .. RUNS - 1, whose estimate lies more
-        than 3 half-widths from gtilde_sup_moment(p, n)."""
+    def misses(self, sampler, p, n, draws=CHUNK, runs=RUNS):
+        """Runs of seeds 0 .. runs - 1 at a budget of draws, by default one
+        chunk, whose estimate lies more than 3 half-widths from
+        gtilde_sup_moment(p, n)."""
         oracle = gtilde_sup_moment(p, n)
         count = 0
-        for seed in range(self.RUNS):
-            (den,) = estimate_pair(sampler, CHUNK, seed)
+        for seed in range(runs):
+            (den,) = estimate_pair(sampler, draws, seed)
             count += not abs(den.value - oracle) <= 3.0 * den.halfwidth
         return count
 
@@ -767,6 +844,40 @@ class TestStratifiedDraws:
         within the Binomial(200, 0.0027) limit at 1e-3 (4); 0 were seen."""
         sampler = self.g_column(sharpness_sup_sampler(ExtremalParams(p, n)))
         assert self.misses(sampler, p, n) <= _binomial_limit(self.RUNS, self.BEYOND_3)
+
+    @pytest.mark.parametrize(("p", "n"), [(0.01, 10), (0.5, 10)])
+    def test_four_chunks_cover(self, p, n):
+        """One stratification over a column of four chunks: over 200 seeds
+        the runs beyond 3 half-widths stay within the Binomial(200, 0.0027)
+        limit at 1e-3 (4)."""
+        sampler = self.g_column(sharpness_sup_sampler(ExtremalParams(p, n)))
+        assert self.misses(sampler, p, n, 4 * CHUNK) <= _binomial_limit(self.RUNS, self.BEYOND_3)
+
+    def test_twin_with_cube_weights_fails(self, monkeypatch):
+        # the column-wide fill merged with weights m_j^3/sum m^3, as when each
+        # chunk was a stratification of its own: the short last chunk, which
+        # holds the top 5 % of the strata, counts for 1e-4 of the mean
+        def cube_weights(parts, n):
+            total = sum(part.count**3 for part in parts)
+            value = sum(part.count**3 / total * part.mean for part in parts)
+            variance = sum((part.count**3 / total) ** 2 * part.variance for part in parts)
+            return Estimate(value, math.sqrt(variance), n, PLAIN)
+
+        monkeypatch.setattr(montecarlo, "_merge_chunks", cube_weights)
+        sampler = self.g_column(sharpness_sup_sampler(self.PARAMS))
+        runs = 20
+        misses = self.misses(sampler, 0.5, 10, CHUNK + CHUNK // 20, runs)
+        assert misses > _binomial_limit(runs, self.BEYOND_3)
+
+    def test_one_value_past_the_chunks_keeps_the_width(self):
+        # at 2^15 + 1 draws the last chunk's one value is the third of the
+        # stratum of three, whose other two end chunk 0: the half-width
+        # stays within 2x of the one at 2^15 + 2, where it rests on pairs
+        sampler = sharpness_sup_sampler(self.PARAMS)
+        for seed in range(5):
+            odd = estimate_pair(sampler, CHUNK + 1, seed)[1].halfwidth
+            even = estimate_pair(sampler, CHUNK + 2, seed)[1].halfwidth
+            assert 0.5 < odd / even < 2.0
 
     def test_twin_without_the_cusp_control_fails(self):
         # the kernel at r = p without W (s^p - c_u^p/(p+1)), drawn as the
@@ -795,9 +906,9 @@ class TestStratifiedDraws:
         # vanish, and with them the half-width
         fill = montecarlo._fill_strata
 
-        def one_per_stratum(rng, out):
-            scale = fill(rng, out)
-            h = montecarlo._pairs(out.size)
+        def one_per_stratum(rng, out, start, n):
+            scale = fill(rng, out, start, n)
+            h, _ = montecarlo._strata_window(start, out.size, n)
             out[h : 2 * h] = out[:h]
             return scale
 

@@ -1203,6 +1203,32 @@ class TestBatteryColumnPair:
         if not passed:
             assert any(e.flagged and e.tau_label.startswith("fixed[") for e in report.entries)
 
+    @pytest.mark.parametrize(("gen", "check"), [
+        (GENERATORS[0], lambda gen: domination_audit(gen, n_samples=CHUNK + 5, seed=3)),
+        (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4),
+         lambda gen: domination_audit(gen, n_samples=CHUNK + 5, seed=3)),
+        (GENERATORS[0],
+         lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK + 5, seed=3)),
+    ], ids=["audit", "discrete-audit", "pratelli"])
+    def test_rules_at_one_index_draw_one_column(self, monkeypatch, gen, check):
+        # a single-jump pair's rules that read one grid index stop equal
+        # columns: each is drawn once, and the report is the one of the
+        # battery drawn rule by rule
+        drawn = []
+        stopped_batch = type(gen).stopped_batch
+
+        def counting(self, rules, *args, **kwargs):
+            drawn.append(len(rules))
+            return stopped_batch(self, rules, *args, **kwargs)
+
+        monkeypatch.setattr(type(gen), "stopped_batch", counting)
+        merged = check(gen).to_json()
+        distinct = drawn[1]
+        monkeypatch.setattr(type(gen), "single_jump", False)
+        drawn.clear()
+        assert check(gen).to_json() == merged
+        assert distinct < drawn[1] == len(battery_rules(gen, 3))
+
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
     def test_audit_reduces_x_and_x_minus_g(self, gen):
         n, seed = 2 * CHUNK + 17, 4
