@@ -7,11 +7,7 @@ heavy-tail-aware Monte Carlo, and cross-checks every estimate against
 closed-form or quadrature oracles.
 """
 
-from .extremal import (
-    ExtremalParams,
-    discrete_path_batch,
-    exp_pair_path_batch,
-)
+from .extremal import ExtremalParams
 from .montecarlo import (
     PLAIN,
     Estimate,
@@ -37,8 +33,6 @@ from .oracles import (
 
 __all__ = [
     "ExtremalParams",
-    "discrete_path_batch",
-    "exp_pair_path_batch",
     "PLAIN",
     "Estimate",
     "EstimatorMethod",

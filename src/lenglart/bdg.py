@@ -170,9 +170,10 @@ def _bridge_steps(rng: np.random.Generator, x, u, work, h: float, sqrt_h: float)
     m), so the draws come in the order normal, uniform, uniform, step by
     step. x[i + 1] becomes the step's end point and u[i, 0] and u[i, 1] the
     exact draws of its bridge maximum and minimum. Each value is
-    `_bridge_max` or `_bridge_min` to the last bit: the operations are
-    theirs, in their order, each done once over the block. work is
-    scratch."""
+    `_bridge_max` or `_bridge_min` to the last bit for u > 0: the
+    operations are theirs, in their order, each done once over the block.
+    A uniform of exactly 0 is read as 2^-53, as the exact sampler reads it,
+    for a finite extremum. work is scratch."""
     k = len(u)
     for i in range(k):
         rng.standard_normal(out=x[i + 1])
@@ -182,6 +183,7 @@ def _bridge_steps(rng: np.random.Generator, x, u, work, h: float, sqrt_h: float)
     # row by row in step order, so that each end point is x0 + sqrt_h N
     for i in range(k):
         np.add(x[i], x[i + 1], out=x[i + 1])
+    np.maximum(u, 2.0**-53, out=u)
     np.log(u, out=u)
     u *= 2.0 * h
     np.subtract(x1, x0, out=work)

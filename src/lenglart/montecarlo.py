@@ -32,7 +32,8 @@ variance of the mean), the variance from the squared differences within
 the pairs (_reduce_strata), and the chunks merge in chunk order with the
 weights m/n of their shares of the column. Every other sampler draws
 i.i.d., and so does every sampler under `sample_values`, which offers no
-strata.
+strata. Both draw paths read a float column, one a sampler gives as the
+same float in every chunk, as its exact mean (_exact_mean).
 
 `estimate_from_values` reduces a given column: by the plain mean over
 CHUNK-sized slices, bit for bit what `estimate_pair` gives from the same
@@ -54,9 +55,10 @@ The values lie within a few times the deficit's weight of each other, so
 their variance is finite, and small, at every 0 < p < 1, and the plain mean
 is the estimator of the CLI, the verifier and bdg. Median of means runs
 only when an API caller names it: criteria 02, 03 and 07 pass it to the
-*_ratio_experiment functions, which reduce the g column drawn i.i.d. by
-`sample_values` (a contiguous block of a stratified chunk would cover a
-sub-range of its strata), and criterion 04 to estimate_from_values.
+*_ratio_experiment functions, which draw the pair i.i.d. by
+`sample_values` and reduce its g column (a contiguous block of a stratified
+chunk would cover a sub-range of its strata), and criterion 04 to
+estimate_from_values.
 """
 
 from __future__ import annotations
@@ -345,14 +347,28 @@ def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
     return [list(itertools.islice(results, count)) for count in counts]
 
 
+def _exact_mean(column) -> float | None:
+    """The one rule for a column's chunks on both draw paths: the float every
+    chunk gave is its exact mean, a column of arrays (or of their partial
+    statistics) gives None, and anything else raises ValueError."""
+    floats = [part for part in column if isinstance(part, float)]
+    if not floats:
+        return None
+    if len(floats) < len(column) or any(part != floats[0] for part in floats):
+        raise ValueError("a float component must be the same float in every chunk")
+    return float(floats[0])
+
+
 def sample_values(sampler, n_samples: int, seed: int, threads: int = 1):
     """Draw n_samples values (or tuples of parallel arrays) chunk by chunk,
-    concatenated in chunk order."""
+    concatenated in chunk order; a float column, the exact mean that
+    `_exact_mean` reads, is returned as that float."""
     (parts,) = _map_chunks([(lambda rng, m, *window: sampler(rng, m), n_samples)], seed,
                            threads)
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    return np.concatenate(parts)
+    paired = isinstance(parts[0], tuple)
+    values = tuple(np.concatenate(column) if (exact := _exact_mean(column)) is None else exact
+                   for column in (zip(*parts) if paired else [parts]))
+    return values if paired else values[0]
 
 
 class _Strata(NamedTuple):
@@ -471,12 +487,11 @@ def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate,
     ... (see `_map_chunks`). Each pass is reduced by the plain mean and
     merged in its own piece order, so a pass in the default layout gets
     exactly the estimates that `estimate_pair` alone would give it. A
-    component may be a float, the exact mean of its column: it is reported
-    with half-width 0, not reduced, and must be the same float in every
-    chunk (else ValueError). Each chunk's sampler is offered strata
-    (ChunkStream), which it takes where each of its values is a smooth
-    function of one uniform, over the whole column of the pass; such a
-    chunk's arrays reduce as stratified."""
+    float component is the exact mean of its column (`_exact_mean`),
+    reported with half-width 0, not reduced. Each chunk's sampler is
+    offered strata (ChunkStream), which it takes where each of its values
+    is a smooth function of one uniform, over the whole column of the
+    pass; such a chunk's arrays reduce as stratified."""
 
     def reducer(paired_sampler):
         def work(rng, m, start, n):
@@ -487,12 +502,10 @@ def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate,
         return work
 
     def merge(column, n_samples):
-        exact = column[0]
-        if not isinstance(exact, float):
+        exact = _exact_mean(column)
+        if exact is None:
             return _merge_chunks(column, n_samples)
-        if any(not isinstance(part, float) or part != exact for part in column):
-            raise ValueError("a float component must be the same float in every chunk")
-        return Estimate(value=float(exact), halfwidth=0.0, n_samples=n_samples, method=PLAIN)
+        return Estimate(value=exact, halfwidth=0.0, n_samples=n_samples, method=PLAIN)
 
     parts = _map_chunks([(reducer(sampler), n, *layout) for sampler, n, *layout in passes],
                         seed, threads)
@@ -529,23 +542,13 @@ def _sup_ratio(sampler, n_samples: int, method: EstimatorMethod, seed: int,
                threads: int) -> RatioEstimate:
     """The moment ratio of an extremal sup sampler, whose x side is its
     exact moment: by `estimate_pair`, or by median of means, which refuses
-    a budget short of its blocks before any draw, then reduces the whole g
-    column drawn by `sample_values`, the x side with half-width 0. The x
-    side must be the same float in every chunk (else ValueError)."""
+    a budget short of its blocks before any draw, then draws the pair by
+    `sample_values`, reduces its whole g column and reports its x side,
+    the float that `_exact_mean` reads, with half-width 0."""
     if method.name == "plain":
         return ratio_from_estimates(*estimate_pair(sampler, n_samples, seed, threads))
     _refuse_short(n_samples, method)
-    exact = set()
-
-    def g_column(rng, m):
-        x, g = sampler(rng, m)
-        exact.add(x)
-        return g
-
-    g = sample_values(g_column, n_samples, seed, threads)
-    if len(exact) != 1:
-        raise ValueError("a float component must be the same float in every chunk")
-    (x,) = exact
+    x, g = sample_values(sampler, n_samples, seed, threads)
     num = Estimate(value=x, halfwidth=0.0, n_samples=n_samples, method=method)
     return ratio_from_estimates(num, estimate_from_values(g, method))
 

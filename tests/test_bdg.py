@@ -184,6 +184,23 @@ class TestSteppedBlocks:
         for got, want in zip(blocked, reference, strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_zero_uniform_gives_a_finite_extremum(self):
+        # a uniform of exactly 0 (probability 2^-53) is read as 2^-53, as
+        # the exact sampler reads it, not as an infinite bridge extremum
+        class ZeroRng:
+            def random(self, out):
+                out.fill(0.0)
+
+            standard_normal = random
+
+        h = 0.25
+        run_max, run_low, rev_max, rev_low, end = _stepped_extrema(ZeroRng(), 4, 3, h,
+                                                                   math.sqrt(h))
+        top = _bridge_max(0.0, 0.0, h, 2.0**-53)
+        for extremum in (run_max, run_low, rev_max, rev_low):
+            np.testing.assert_array_equal(extremum, np.full(4, top))
+        np.testing.assert_array_equal(end, np.zeros(4))
+
 
 class TestFixedTime:
     def test_expected_sup_abs(self):
@@ -238,7 +255,8 @@ class TestExactFixedTime:
     def test_mean_matches_oracle(self, q):
         spec = MartingaleSpec(kind=BM_FIXED_TIME, q=q, T=2.0)
         sampler = _exact_fixed_time_sampler(spec)
-        den = sample_values(lambda rng, m: sampler(rng, m)[1], 200_000, seed=10)
+        num, den = sample_values(sampler, 200_000, seed=10)
+        assert num == 2.0 ** (q / 2.0)
         est = estimate_from_values(den, PLAIN)
         assert abs(est.value - sup_abs_bm_moment(q, 2.0)) < 4.0 * est.halfwidth
 

@@ -140,6 +140,28 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_values(lambda rng, m: rng.random(m), 0, seed=0)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, CHUNK + 1, 3 * CHUNK + 5])
+    def test_paired_samplers_of_the_package(self, n, threads):
+        # each returns its x side as a float, its exact moment: sample_values
+        # gives that float, and the g column that a sampler of g alone
+        # draws (a float itself for the pair stopped at 0 and the walk of
+        # constant jumps)
+        params = ExtremalParams(0.5, 10)
+        walk = CompensatedBernoulliGenerator(jump=JumpLaw("const", c=2.0), steps=12)
+        samplers = [sharpness_sup_sampler(params), monotone_sup_sampler(params),
+                    discrete_sup_sampler(params, 4), extremal.zero_moments,
+                    walk.sup_sampler(0.5)]
+        for sampler in samplers:
+            x, g = sample_values(sampler, n, 6, threads)
+            assert type(x) is float and x == sampler(chunk_rng(0, 0), 1)[0]
+            alone = sample_values(lambda rng, m: sampler(rng, m)[1], n, 6, threads)
+            if isinstance(alone, float):
+                assert type(g) is float and g == alone
+            else:
+                assert g.size == n
+                np.testing.assert_array_equal(g, alone)
+
 
 class TestEstimateFromValues:
     def test_plain_matches_numpy(self):
@@ -306,9 +328,14 @@ class TestPassScheduler:
         def float_or_array(rng, m):
             return (1.0 if m == CHUNK else np.ones(m)), rng.random(m)
 
-        for sampler in (drifting, float_or_array):
-            with pytest.raises(ValueError, match="same float in every chunk"):
-                estimate_pair(sampler, 2 * CHUNK + 5, 0, threads)
+        def array_then_float(rng, m):
+            return (np.ones(m) if m == CHUNK else 1.0), rng.random(m)
+
+        # both draw paths read a column by one rule
+        for sampler in (drifting, float_or_array, array_then_float):
+            for draw in (estimate_pair, sample_values):
+                with pytest.raises(ValueError, match="same float in every chunk"):
+                    draw(sampler, 2 * CHUNK + 5, 0, threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_pass_without_samples_refused_before_any_draw(self, threads):
@@ -574,7 +601,7 @@ class TestMedianOfMeansThroughTheApi:
         runs = [experiment(n, method, threads) for threads in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         sampler = make_sampler()
-        g = sample_values(lambda rng, m: sampler(rng, m)[1], n, seed=2)
+        _, g = sample_values(sampler, n, seed=2)
         assert runs[0].denominator == estimate_from_values(g, method)
         x, _ = sampler(chunk_rng(0, 0), 1)
         assert runs[0].numerator == Estimate(value=x, halfwidth=0.0, n_samples=n, method=method)
@@ -793,11 +820,10 @@ class TestStratifiedDraws:
                  discrete_sup_sampler(self.PARAMS, 4),
                  monotone_sup_sampler(self.PARAMS, horizon=5, level_N=4)]
         for sampler in cases:
-            g = sample_values(lambda rng, m: sampler(rng, m)[1], n, seed)
+            _, g = sample_values(sampler, n, seed)
             assert estimate_pair(sampler, n, seed)[1] == estimate_from_values(g, PLAIN)
-        sampler = sharpness_sup_sampler(self.PARAMS)
-        iid = estimate_from_values(sample_values(lambda rng, m: sampler(rng, m)[1], n, seed),
-                                   PLAIN)
+        _, g = sample_values(sharpness_sup_sampler(self.PARAMS), n, seed)
+        iid = estimate_from_values(g, PLAIN)
         strata = estimate_pair(sharpness_sup_sampler(self.PARAMS), n, seed)[1]
         assert strata.halfwidth < 1e-3 * iid.halfwidth
         assert abs(strata.value - iid.value) < 4.0 * iid.halfwidth
