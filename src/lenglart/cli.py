@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .extremal import ExtremalParams, discrete_path_batch, exp_pair_path_batch
+from .extremal import ExtremalParams, FixedIndexRule, discrete_stopped, exp_pair_stopped
 from .montecarlo import (
     DUMP_STREAM,
     STREAM_LAYOUT,
@@ -348,16 +348,18 @@ def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
     if not cfg.output:
         return _usage_error("dump-paths needs --output")
     # looked up at call time, so that a patched module attribute is the one called
-    batches = {"exp": exp_pair_path_batch, "discrete": discrete_path_batch}
+    stopped = {"exp": exp_pair_stopped, "discrete": discrete_stopped}
     points = cfg.n * 2**cfg.level_N
     if points + 1 > MAX_DUMP_POINTS:
         return _usage_error(
             f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
     t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
     rng = chunk_rng(cfg.seed, DUMP_STREAM)
-    x, g = batches[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N, rng, 1)
+    path = stopped[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N,
+                                  [FixedIndexRule(k) for k in range(points + 1)], rng, 1)
+    x, g = (np.concatenate(side) for side in zip(*path))
     # tolist: csv writes numpy scalars by their repr
-    rows = list(zip(t.tolist(), x[0].tolist(), g[0].tolist()))
+    rows = list(zip(t.tolist(), x.tolist(), g.tolist()))
     with open(cfg.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "g"])

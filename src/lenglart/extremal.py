@@ -26,15 +26,18 @@ where a single-jump path is a closed form of its jump time Z ~ Exp(1):
 exp_pair_stopped and discrete_stopped draw Z and return the stopped (x, g)
 values, at O(size) per rule instead of O(size n 2^N). Both paths are
 constant from the grid index of the jump on, so every rule reads them at
-one grid index k for all paths: a fixed index its own, a hitting rule on x
-the last (at a level <= 0 the first), and a hitting rule on g the first
-index where the grid row of g reaches the level (the last if none does).
-At k the path holds (exp(Z/p) 1[t_k >= Z], g_end) where t_k >= Z and (0,
-the grid row of g at k) elsewhere, with g_end the path's g from its jump on.
+one grid index k for all paths (read_index): a fixed index its own, a
+hitting rule on x the last (at a level <= 0 the first), and a hitting rule
+on g the first index where the grid row of g reaches the level (the last if
+none does). At k the path holds (exp(Z/p) 1[t_k >= Z], g_end) where
+t_k >= Z and (0, the grid row of g at k) elsewhere, with g_end the path's g
+from its jump on; so the pair stopped there is the monotone pair on
+[0, t_k], whose sups monotone_sup_sampler draws at horizon t_k.
 The path batches (exp_pair_path_batch, discrete_path_batch) hold x and g
-at every grid index, from the same Z, for dump-paths and as the tests'
-dense reference. Both routes hold exp(Z/p), so grid_last refuses n/p
-beyond ln(DBL_MAX), where it is not a float64.
+at every grid index, from the same Z, as the tests' dense reference.
+Both routes hold exp(Z/p), so grid_last refuses n/p beyond ln(DBL_MAX),
+where it is not a float64, and both it and discrete_sup_sampler refuse a
+grid of more than _MAX_GRID_STEPS steps.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "grid_g_row",
     "read_index",
     "zero_moments",
-    "stopped_jump_sampler",
     "exp_pair_path_batch",
     "discrete_path_batch",
     "exp_pair_stopped",
@@ -265,9 +267,19 @@ def _continuous_minus_phi(s: np.ndarray, rest: np.ndarray, p: float, r: float,
     return _minus_phi(s, r)
 
 
-def _check_level(level_N: int) -> None:
+# the most steps, n 2^N, of a dyadic grid. At 2^22 (n = 4, N = 20 and n = 16,
+# N = 18) and 10^5 samples, on one core of a 2-core x86_64 Xeon, a check of
+# the discrete pair took 0.11-0.20 s, a freeze of it where x reaches 3
+# 0.20-0.23 s and its audit 0.54-0.58 s, at a peak RSS of 232 MB
+_MAX_GRID_STEPS = 1 << 22
+
+
+def _check_level(n: int, level_N: int) -> None:
     if level_N < 0:
         raise ValueError("level_N must be non-negative")
+    if n > _MAX_GRID_STEPS >> level_N:  # n 2^N, without forming 2^N
+        raise ValueError(f"a grid of n 2^level_N steps at n = {n}, level_N = {level_N} "
+                         f"exceeds {_MAX_GRID_STEPS}; lower n or level_N")
 
 
 def _fill_uniforms(rng, out: np.ndarray, spread: float | None) -> float:
@@ -353,7 +365,7 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     the mean of the g side is the moment. The g side reads -W phi(e^(-kh/p)) from a table
     over the grid index k of at most min(horizon 2^N, _PHI_FLAT p 2^N) + 1
     entries."""
-    _check_level(level_N)
+    _check_level(params.n, level_N)
     p = params.p
     r = _exponent(params, r)
     h = 2.0 ** (-level_N)
@@ -392,10 +404,10 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
 
 def grid_last(params: ExtremalParams, level_N: int) -> int:
     """n 2^N, the last index of the path grid of step 2^-N. Raises
-    ValueError at a negative N, and at n/p beyond ln(DBL_MAX): a path row
-    holds exp(Z/p) and p expm1(t/p) up to t = n, which are not float64
-    there."""
-    _check_level(level_N)
+    ValueError at a negative N or past _MAX_GRID_STEPS, and at n/p beyond
+    ln(DBL_MAX): a path row holds exp(Z/p) and p expm1(t/p) up to t = n,
+    which are not float64 there."""
+    _check_level(params.n, level_N)
     if params.n / params.p > _MAX_EXP_ARG:
         raise ValueError(
             f"path values exp(n/p) overflow at n/p = {params.n / params.p:.6g} > "
@@ -427,21 +439,6 @@ def zero_moments(rng: np.random.Generator, m: int) -> tuple[float, float]:
     """The sampler of a pair stopped at time 0, where X and G are 0: exact
     zeros, with no draw."""
     return 0.0, 0.0
-
-
-def stopped_jump_sampler(params: ExtremalParams, level_N: int, rule, r: float | None = None,
-                         discrete: bool = False):
-    """Paired sampler of (E[X_tau^r], importance-weighted G_tau^r) for the
-    single-jump pair on the grid of step 2^-N, the discrete pair if
-    discrete, stopped by rule: the rule reads every path at one grid index
-    k (read_index), where the stopped pair is the monotone pair on
-    [0, t_k] (monotone_sup_sampler), with no Brownian tail. k = 0 gives
-    exact zeros."""
-    k = read_index(rule, grid_g_row(params, level_N, discrete))
-    if k == 0:
-        return zero_moments
-    return monotone_sup_sampler(params, r, k * 2.0 ** (-level_N),
-                                level_N if discrete else None)
 
 
 def _jump_times(params: ExtremalParams, level_N: int, rng: np.random.Generator,

@@ -428,7 +428,8 @@ def _merge_chunks(parts, n: int) -> Estimate:
     weights w_j = m_j/n of their shares of the column: mean sum w_j mean_j,
     variance sum w_j^2 variance_j. Its half-width is at least 2^-48 of the
     mean, the rounding near extremal._constants' top, which no sum of the
-    values resolves."""
+    values resolves. An i.i.d. column of one value has no standard error and
+    is refused: a half-width of 0 would leave a verdict on it no slack."""
     stratified = [isinstance(part, _Strata) for part in parts]
     if any(stratified):
         if not all(stratified):
@@ -440,6 +441,9 @@ def _merge_chunks(parts, n: int) -> Estimate:
             variance += share * share * var
         halfwidth = max(math.sqrt(variance), _ROUNDING * abs(value))
         return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=PLAIN)
+    if n < 2:
+        raise ValueError("a drawn column of one i.i.d. value has no standard error; "
+                         "draw at least 2 samples")
     count, mean, m2 = parts[0]
     for c, mu, q in parts[1:]:
         total = count + c
@@ -447,7 +451,7 @@ def _merge_chunks(parts, n: int) -> Estimate:
         mean += delta * (c / total)
         m2 += q + delta * delta * (count * c / total)
         count = total
-    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return Estimate(value=mean, halfwidth=stderr, n_samples=n, method=PLAIN)
 
 

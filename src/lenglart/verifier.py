@@ -6,6 +6,11 @@ the p-th moment inequalities at the appropriate constant, with a pass rule
 that tolerates Monte Carlo noise but nothing else (montecarlo.Verdict):
 pass iff lhs <= constant * rhs + 3 * combined half-widths. This module
 takes built generators; cli.generator_from_config reads the suite format.
+
+A generator's read_index(rule, g_row) is the grid index at which a stopping
+rule reads every path, known before any draw (None where tau depends on the
+path): stopped_sup_sampler, which a freeze draws its sups through, and the
+stopping battery, which draws one column per index, both key on it.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from .extremal import (
     exp_pair_stopped,
     grid_g_row,
     grid_last,
+    monotone_sup_sampler,
     read_index,
     sharpness_sup_sampler,
-    stopped_jump_sampler,
     zero_moments,
 )
 from .montecarlo import (
@@ -141,9 +146,6 @@ class _Generator:
     # E[X_tau] = E[G_tau] exactly; only such a generator's stopped_batch
     # takes a g_divisor, which check_pratelli passes
     exact_compensator = False
-    # one jump per path: every rule reads every path at the grid index
-    # read_index(rule, g_row), so rules at one index stop equal columns
-    single_jump = False
     name = "generator"
 
     def sup_sampler(self, r: float):
@@ -154,14 +156,25 @@ class _Generator:
         their g values, of which only the mean is the moment."""
         raise NotImplementedError
 
+    def read_index(self, rule, g_row: np.ndarray) -> int | None:
+        """The grid index k at which rule (FixedIndexRule or HittingRule)
+        stops or reads every path whose g follows g_row, known before any
+        draw: every rule with that k stops the same pair, a member of the
+        generator's own family whose sups sampler_at(k, r) draws at k >= 1.
+        None where tau depends on the path."""
+        raise NotImplementedError
+
     def stopped_sup_sampler(self, rule, r: float):
-        """sup_sampler(r) of the pair stopped by rule (FixedIndexRule or
-        HittingRule), (X_tau, G_tau): the sampler a freeze at rule draws
-        its sups from. Where rule stops or reads every path at one grid
-        index k, known before any draw from rule.common_index on g_row,
-        that pair is a member of the generator's own family at horizon k,
-        and a generator returns that member's sampler: exact zeros at k = 0.
-        Here, and where tau depends on the path, the r-th powers of
+        """sup_sampler(r) of the pair stopped by rule, (X_tau, G_tau), which
+        a freeze at rule draws: exact zeros where read_index on g_row is 0,
+        sampler_at(k, r) where it is k, and else per_path_sampler."""
+        k = self.read_index(rule, self.g_row)
+        if k is None:
+            return self.per_path_sampler(rule, r)
+        return zero_moments if k == 0 else self.sampler_at(k, r)
+
+    def per_path_sampler(self, rule, r: float):
+        """stopped_sup_sampler(rule, r) at any rule: the r-th powers of
         stopped_batch([rule]), path by path."""
         def sampler(rng, m):
             [(x_tau, g_tau)] = self.stopped_batch([rule], rng, m)
@@ -185,54 +198,21 @@ class _Generator:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ExtremalGenerator(_Generator):
-    """Full extremal pair: exponential jump plus Brownian tail (exact law).
-    Paths (used by the domination audit) cover the pre-tail phase [0, n],
-    where the compensator identity E[X_tau] = E[G_tau] holds."""
-
-    params: ExtremalParams
-
-    monotone_x = False
-    exact_compensator = True
-    single_jump = True
-    name = "extremal"
-
-    def sup_sampler(self, r):
-        return sharpness_sup_sampler(self.params, r)
-
-    def stopped_sup_sampler(self, rule, r):
-        return stopped_jump_sampler(self.params, _GRID_LEVEL, rule, r)
-
-    @property
-    def last(self):
-        return grid_last(self.params, _GRID_LEVEL)
-
-    @property
-    def g_row(self):
-        return grid_g_row(self.params, _GRID_LEVEL)
-
-    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return exp_pair_stopped(self.params, _GRID_LEVEL, rules, rng, size, g_divisor)
-
-
-@dataclass(frozen=True)
-class DiscreteExtremalGenerator(_Generator):
-    """Dyadic discretization of the extremal pair at step 2^-N."""
+class _SingleJumpGenerator(_Generator):
+    """One jump per path, on the grid of step 2^-level_N: every rule reads
+    every path at one grid index k (extremal.read_index), where the stopped
+    pair is the monotone pair on [0, t_k], with the discrete g if discrete."""
 
     params: ExtremalParams
     level_N: int
+    discrete = False
 
-    monotone_x = False
-    exact_compensator = False  # g dominates the compensator from above
-    single_jump = True
-    name = "discrete_extremal"
+    def read_index(self, rule, g_row):
+        return read_index(rule, g_row)
 
-    def sup_sampler(self, r):
-        return discrete_sup_sampler(self.params, self.level_N, r)
-
-    def stopped_sup_sampler(self, rule, r):
-        return stopped_jump_sampler(self.params, self.level_N, rule, r, discrete=True)
+    def sampler_at(self, k, r):
+        return monotone_sup_sampler(self.params, r, k * 2.0 ** (-self.level_N),
+                                    self.level_N if self.discrete else None)
 
     @property
     def last(self):
@@ -240,7 +220,41 @@ class DiscreteExtremalGenerator(_Generator):
 
     @property
     def g_row(self):
-        return grid_g_row(self.params, self.level_N, discrete=True)
+        return grid_g_row(self.params, self.level_N, self.discrete)
+
+
+@dataclass(frozen=True)
+class ExtremalGenerator(_SingleJumpGenerator):
+    """Full extremal pair: exponential jump plus Brownian tail (exact law).
+    Paths (used by the domination audit) cover the pre-tail phase [0, n],
+    where the compensator identity E[X_tau] = E[G_tau] holds."""
+
+    params: ExtremalParams
+
+    exact_compensator = True
+    level_N = _GRID_LEVEL
+    name = "extremal"
+
+    def sup_sampler(self, r):
+        return sharpness_sup_sampler(self.params, r)
+
+    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
+        return exp_pair_stopped(self.params, self.level_N, rules, rng, size, g_divisor)
+
+
+@dataclass(frozen=True)
+class DiscreteExtremalGenerator(_SingleJumpGenerator):
+    """Dyadic discretization of the extremal pair at step 2^-N."""
+
+    params: ExtremalParams
+    level_N: int
+
+    exact_compensator = False  # g dominates the compensator from above
+    discrete = True
+    name = "discrete_extremal"
+
+    def sup_sampler(self, r):
+        return discrete_sup_sampler(self.params, self.level_N, r)
 
     def stopped_batch(self, rules, rng, size):
         return discrete_stopped(self.params, self.level_N, rules, rng, size)
@@ -364,13 +378,13 @@ class CompensatedBernoulliGenerator(_Generator):
 
         return sampler
 
-    def stopped_sup_sampler(self, rule, r):
+    def read_index(self, rule, g_row):
         # every rule but a hitting rule on x at a positive level stops every
         # walk at one index k, where the walk stopped is the walk of k steps
-        k = rule.common_index(self.g_row)
-        if k is None:
-            return super().stopped_sup_sampler(rule, r)
-        return zero_moments if k == 0 else replace(self, steps=k).sup_sampler(r)
+        return rule.common_index(g_row)
+
+    def sampler_at(self, k, r):
+        return replace(self, steps=k).sup_sampler(r)
 
     @property
     def last(self):
@@ -427,19 +441,19 @@ class HatXGenerator(_Generator):
     single-jump process 1[tau, inf) * X_tau, the g side stops at tau.
     Both sups reduce to the values at tau, so sup_sampler is the inner
     pair's stopped_sup_sampler at the rule: where the rule stops or reads
-    every inner path at one grid index k, the inner family's member at
-    horizon k (the walk of k steps; the monotone single-jump pair on
-    [0, t_k], with x exact and g from the weighted kernel; a nested
-    freeze's own sups when k is at or past its bound on tau), and
-    otherwise, as for a walk frozen where x reaches a positive level, the
-    inner pair's stopped values, path by path. stopped_batch reads the frozen
-    pair, (X_tau 1[tau <= s], G_min(tau, s)), from one stopped_batch of the
-    inner pair at each rule's inner index s: a fixed index its own; on x,
-    0 at a level <= 0 and else the last, as x jumps once; on g, G's passage.
-    X and G never decrease, so tau <= s where s reaches the bound on tau
-    (the fixed index, or the last), as a hitting s does where G one index
-    before the bound is below its level, or where the freeze rule's side
-    has passed its level at s."""
+    every inner path at one grid index k (inner.read_index), the inner
+    family's member at horizon k (the walk of k steps; the monotone
+    single-jump pair on [0, t_k], with x exact and g from the weighted
+    kernel; a nested freeze's own sups when k is at or past its bound on
+    tau), and otherwise, as for a walk frozen where x reaches a positive
+    level, the inner pair's stopped values, path by path. stopped_batch
+    reads the frozen pair, (X_tau 1[tau <= s], G_min(tau, s)), from one
+    stopped_batch of the inner pair at each rule's inner index s: a fixed
+    index its own; on x, 0 at a level <= 0 and else the last, as x jumps
+    once; on g, G's passage. X and G never decrease, so tau <= s where s
+    reaches the bound on tau (the fixed index, or the last), as a hitting s
+    does where G one index before the bound is below its level, or where
+    the freeze rule's side has passed its level at s."""
 
     inner: _Generator
     rule: FixedIndexRule | HittingRule
@@ -470,16 +484,18 @@ class HatXGenerator(_Generator):
     def sup_sampler(self, r):
         return self.inner.stopped_sup_sampler(self.rule, r)
 
-    def stopped_sup_sampler(self, rule, r):
+    def read_index(self, rule, g_row):
         # both frozen paths are constant from tau on, so a stop at or past
         # tau reads the freeze's own sups. Every stop is, where k reaches
         # the bound on tau: a fixed or g rule stops no path before k, as
         # g-hat <= g_row, and x-hat, 0 before tau, reaches a positive level
         # (k = last) at tau or never
-        k = read_index(rule, self.g_row)
-        if k >= self._bound:
-            return self.sup_sampler(r)
-        return zero_moments if k == 0 else super().stopped_sup_sampler(rule, r)
+        k = read_index(rule, g_row)
+        return min(k, self._bound) if k == 0 or k >= self._bound else None
+
+    def sampler_at(self, k, r):
+        # k is the bound on tau: the freeze's own sups
+        return self.sup_sampler(r)
 
     def stopped_batch(self, rules, rng, size):
         freeze, last, bound = self.rule, self.last, self._bound
@@ -654,19 +670,16 @@ def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int, **stop) -
     """Estimates of the column pair columns(x_tau, g_tau) at every rule of
     default_tau_battery(gen, seed), all rules evaluated on the same paths.
     Each estimation chunk is gen.stopped_batch(rules, rng, m, **stop): only
-    check_pratelli passes a stop, g_divisor=c. On a single-jump generator
-    the rules that read one grid index (read_index on g_row / g_divisor)
-    stop equal columns, so only the first of them is drawn, and its
-    estimates go to each of them. columns may overwrite the stopped arrays,
-    the rows of one allocation and no other: freed, the block stays on
-    glibc's heap for the next chunk, while an array per column is
-    page-faulted in again in every chunk. Returns (rule, (a, b)) pairs, one
-    per rule, in battery order."""
+    check_pratelli passes a stop, g_divisor=c. Rules with one read index
+    (gen.read_index on g_row / g_divisor) stop equal columns, as do equal
+    rules read path by path (None), so only the first of them is drawn, and
+    its estimates go to each of them. columns may overwrite the stopped arrays, the rows of one
+    allocation and no other: freed, the block stays on glibc's heap for the
+    next chunk, while an array per column is page-faulted in again in every
+    chunk. Returns (rule, (a, b)) pairs, one per rule, in battery order."""
     rules = default_tau_battery(gen, seed)
-    keys = list(range(len(rules)))
-    if gen.single_jump:
-        g_row = gen.g_row / stop.get("g_divisor", 1.0)
-        keys = [read_index(rule, g_row) for rule in rules]
+    g_row = gen.g_row / stop.get("g_divisor", 1.0)
+    keys = [rule if (k := gen.read_index(rule, g_row)) is None else k for rule in rules]
     distinct = list(dict.fromkeys(keys))
     drawn = [rules[keys.index(key)] for key in distinct]
 

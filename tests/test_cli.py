@@ -180,6 +180,39 @@ class TestUsageErrors:
         assert "bad suite entry" in err and message in err
         assert "checks passed" not in out
 
+    @pytest.mark.parametrize("generator", [
+        {"kind": "discrete_extremal", "p": 0.5, "n": 10, "level_N": 40},
+        {"kind": "hatx_of", "inner": {"kind": "discrete_extremal", "p": 0.5, "n": 10,
+                                      "level_N": 24},
+         "rule": {"side": "x", "level": 3.0}},
+        {"kind": "discrete_extremal", "p": 0.5, "n": 1, "level_N": 10**9},
+    ], ids=["discrete", "freeze", "huge-level"])
+    def test_grid_over_cap_refused_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                  generator):
+        # level_N 40 asked numpy for an 80 TiB phi table: a MemoryError and exit 1
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the grid was refused")
+
+        monkeypatch.setattr(verifier, "estimate_pair", no_draws)
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps({"generator": generator, "p": 0.5,
+                                     "n_samples": 1000}) + "\n")
+        code, out, err = run(["verify", "--suite", str(suite)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: bad suite entry") and "exceeds 4194304" in err
+
+    def test_one_iid_draw_refused(self, capsys, tmp_path):
+        # at seed 5 the one Binomial(12, 0.3) draw gave lhs 2.8284 +- 0 against
+        # a bound of 2.6833 +- 0: a FAIL of a correct generator, with exit 1
+        suite = tmp_path / "s.jsonl"
+        suite.write_text(json.dumps({"generator": BERNOULLI, "p": 0.5, "constant": "monotone",
+                                     "n_samples": 1}) + "\n")
+        for argv in (["verify", "--suite", str(suite), "--seed", "5"],
+                     ["bdg", "--kind", "fixed", "--samples", "1", "--step", "0.5"]):
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_USAGE and out == "", argv
+            assert "one i.i.d. value has no standard error" in err, argv
+
     @pytest.mark.parametrize(("entry", "message"), [
         ({"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "Q": 0.3,
                         "steps": 12}, "p": 0.5, "constant": "monotone", "n_sample": 1000,
@@ -995,8 +1028,8 @@ class TestSubcommands:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a path before checking the point cap")
 
-        monkeypatch.setattr(cli, "discrete_path_batch", no_draws)
-        monkeypatch.setattr(cli, "exp_pair_path_batch", no_draws)
+        monkeypatch.setattr(cli, "discrete_stopped", no_draws)
+        monkeypatch.setattr(cli, "exp_pair_stopped", no_draws)
         out_file = tmp_path / "paths.csv"
         for flags in (["--kind", "discrete", "--n", "40", "--level-N", "10"],
                       ["--kind", "exp", "--n", "200"]):

@@ -223,7 +223,7 @@ class TestStreamedEqualsConcatenated:
         u = rng.random(m)
         return u, 1.0 / np.sqrt(u)  # the second has infinite variance
 
-    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 17])
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 17])
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_bit_identical(self, n, seed):
@@ -277,8 +277,8 @@ class TestPassScheduler:
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_each_pass_as_if_alone(self, threads, order):
-        # one sample, one partial chunk, and four chunks with a partial last one
-        passes = [(self.paired, 1), (self.squared_normal, CHUNK - 100),
+        # two samples, one partial chunk, and four chunks with a partial last one
+        passes = [(self.paired, 2), (self.squared_normal, CHUNK - 100),
                   (self.paired, 3 * CHUNK + 5)]
         if order == "reversed":
             passes.reverse()
@@ -344,6 +344,19 @@ class TestPassScheduler:
 
         with pytest.raises(ValueError, match="n_samples must be positive"):
             estimate_passes([(sampler, 3 * CHUNK), (sampler, 0)], 0, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_iid_value_is_refused(self, threads):
+        # one i.i.d. value has no standard error: a half-width of 0 would
+        # give a verdict on it no slack. A float column stays exact, and a
+        # stratified column of one value keeps its spread bound
+        for draw in (lambda: estimate_pair(self.paired, 1, 5, threads),
+                     lambda: estimate_from_values(np.array([2.0]), PLAIN)):
+            with pytest.raises(ValueError, match="one i.i.d. value has no standard error"):
+                draw()
+        supx, den = estimate_pair(sharpness_sup_sampler(ExtremalParams(p=0.5, n=10)), 1, 5,
+                                  threads)
+        assert supx.halfwidth == 0.0 and den.halfwidth > 0.0
 
 
 class TestRatio:

@@ -654,8 +654,7 @@ class TestFreezeDelegates:
                    + 1e-12 * abs(b.value) for a, b in zip(got, want, strict=True))
 
     def per_path(self, inner, rule, seed):
-        return self.estimates(verifier._Generator.stopped_sup_sampler(inner, rule, self.R),
-                              seed)
+        return self.estimates(inner.per_path_sampler(rule, self.R), seed)
 
     @pytest.mark.parametrize(("inner", "rule"), CASES,
                              ids=[f"{inner.name}-{rule.label()}" for inner, rule in CASES])
@@ -968,7 +967,8 @@ class TestPratelli:
 
     def test_g_divisor_only_where_the_compensator_is_exact(self):
         # check_pratelli, which refuses the others, passes the one g_divisor
-        classes = verifier._Generator.__subclasses__()
+        classes = [cls for cls in vars(verifier).values() if isinstance(cls, type)
+                   and issubclass(cls, verifier._Generator) and cls.__name__[0] != "_"]
         assert {cls.name for cls in classes} == {
             "extremal", "discrete_extremal", "compensated_bernoulli", "hatx_of"}
         for cls in classes:
@@ -1203,17 +1203,26 @@ class TestBatteryColumnPair:
         if not passed:
             assert any(e.flagged and e.tau_label.startswith("fixed[") for e in report.entries)
 
-    @pytest.mark.parametrize(("gen", "check"), [
-        (GENERATORS[0], lambda gen: domination_audit(gen, n_samples=CHUNK + 5, seed=3)),
-        (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4),
-         lambda gen: domination_audit(gen, n_samples=CHUNK + 5, seed=3)),
+    @staticmethod
+    def audit(gen):
+        return domination_audit(gen, n_samples=CHUNK + 5, seed=3)
+
+    @pytest.mark.parametrize(("gen", "check", "columns"), [
+        (GENERATORS[0], audit, 6),
+        (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4), audit, 6),
         (GENERATORS[0],
-         lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK + 5, seed=3)),
-    ], ids=["audit", "discrete-audit", "pratelli"])
-    def test_rules_at_one_index_draw_one_column(self, monkeypatch, gen, check):
-        # a single-jump pair's rules that read one grid index stop equal
-        # columns: each is drawn once, and the report is the one of the
-        # battery drawn rule by rule
+         lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK + 5, seed=3), 6),
+        (GENERATORS[1], audit, 8),
+        (HatXGenerator(GENERATORS[1], FixedIndexRule(6)), audit, 3),
+        (HatXGenerator(GENERATORS[1], HittingRule("g", 2.0)), audit, 6),
+        (HatXGenerator(DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=5), level_N=4),
+                       HittingRule("x", 3.0)), audit, 6),
+    ], ids=["audit", "discrete-audit", "pratelli", "walk-audit", "walk-freeze-at-6",
+            "walk-freeze-at-g", "discrete-freeze-at-x"])
+    def test_rules_at_one_index_draw_one_column(self, monkeypatch, gen, check, columns):
+        # the rules that read one grid index stop equal columns: each index
+        # is drawn once, and the report is the one of the battery drawn rule
+        # by rule (read_index None on every rule)
         drawn = []
         stopped_batch = type(gen).stopped_batch
 
@@ -1223,11 +1232,11 @@ class TestBatteryColumnPair:
 
         monkeypatch.setattr(type(gen), "stopped_batch", counting)
         merged = check(gen).to_json()
-        distinct = drawn[1]
-        monkeypatch.setattr(type(gen), "single_jump", False)
+        assert drawn[1] == columns
+        monkeypatch.setattr(type(gen), "read_index", lambda self, rule, g_row: None)
         drawn.clear()
         assert check(gen).to_json() == merged
-        assert distinct < drawn[1] == len(battery_rules(gen, 3))
+        assert drawn[1] == len(battery_rules(gen, 3)) == 9
 
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
     def test_audit_reduces_x_and_x_minus_g(self, gen):
@@ -1300,6 +1309,57 @@ class TestPilot:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2048 * 8 + 12 * 1024, peak - 3 * 2048 * 8
+
+
+class TestReadIndex:
+    """read_index, known before any draw, keys the battery's merge and a
+    freeze's sampler: every kind's battery rules at one read index stop
+    equal columns of its dense paths, and a freeze reads no fixed rule
+    strictly between 0 and its bound at one index."""
+
+    GENERATORS = [
+        ExtremalGenerator(ExtremalParams(p=0.5, n=10)),
+        DISCRETE,
+        WALK,
+        CompensatedBernoulliGenerator(jump=JumpLaw("exp"), steps=20),
+        CompensatedBernoulliGenerator(jump=JumpLaw("const", c=1.5), steps=5),
+        HatXGenerator(WALK, FixedIndexRule(6)),
+        HatXGenerator(WALK, HittingRule("x", 3.0)),
+        HatXGenerator(DISCRETE, HittingRule("x", 3.0)),
+        HatXGenerator(HatXGenerator(WALK, FixedIndexRule(6)), HittingRule("x", 2.0)),
+    ]
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    def test_rules_at_one_index_stop_equal_dense_columns(self, gen):
+        rules = battery_rules(gen, 3)
+        for divisor in (1.0, 0.5) if gen.exact_compensator else (1.0,):
+            g_row = gen.g_row / divisor
+            stopped = dense_stopped_batch(gen, rules, rng_of(5), 4000, divisor)
+            by_index = {}
+            for rule, column in zip(rules, stopped, strict=True):
+                k = gen.read_index(rule, g_row)
+                if k is not None:
+                    by_index.setdefault(k, []).append((rule, column))
+            shared = [group for group in by_index.values() if len(group) > 1]
+            assert shared, (gen, divisor)
+            for (_, (x, g)), *rest in shared:
+                for rule, (x_other, g_other) in rest:
+                    assert np.array_equal(x, x_other), (gen, divisor, rule)
+                    assert np.array_equal(g, g_other), (gen, divisor, rule)
+
+    @pytest.mark.parametrize("freeze", [
+        HatXGenerator(WALK, FixedIndexRule(6)),
+        HatXGenerator(DISCRETE, FixedIndexRule(40)),
+        HatXGenerator(WALK, HittingRule("x", 3.0)),
+        HatXGenerator(HatXGenerator(WALK, FixedIndexRule(6)), FixedIndexRule(9)),
+    ], ids=["walk-at-6", "discrete-at-40", "walk-at-x", "nested-at-9"])
+    def test_freeze_reads_fixed_rules_below_its_bound_path_by_path(self, freeze):
+        bound = (freeze.rule.k if isinstance(freeze.rule, FixedIndexRule)
+                 else freeze.last)
+        g_row = freeze.g_row
+        indices = [freeze.read_index(FixedIndexRule(k), g_row)
+                   for k in range(freeze.last + 1)]
+        assert indices == [0] + [None] * (bound - 1) + [bound] * (freeze.last + 1 - bound)
 
 
 class TestNoDenseRoute:
