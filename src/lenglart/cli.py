@@ -349,10 +349,12 @@ def _run_dump_paths(sub: str, cfg: SimpleNamespace) -> int:
         return _usage_error("dump-paths needs --output")
     # looked up at call time, so that a patched module attribute is the one called
     stopped = {"exp": exp_pair_stopped, "discrete": discrete_stopped}
-    points = cfg.n * 2**cfg.level_N
-    if points + 1 > MAX_DUMP_POINTS:
+    # n 2^N + 1 points, counted without forming 2^N, which a huge level-N
+    # would make a huge integer (as extremal._check_level does)
+    if cfg.n > (MAX_DUMP_POINTS - 1) >> cfg.level_N:
         return _usage_error(
             f"dump would exceed {MAX_DUMP_POINTS} points; lower n or level-N")
+    points = cfg.n * 2**cfg.level_N
     t = np.arange(points + 1) * 2.0 ** (-cfg.level_N)
     rng = chunk_rng(cfg.seed, DUMP_STREAM)
     path = stopped[cfg.dump_kind](ExtremalParams(p=cfg.p, n=cfg.n), cfg.level_N,

@@ -17,7 +17,8 @@ as a control variate. They return these weighted values, of which only the
 mean is the moment. At r = p each continuous value is a smooth function of
 its one uniform, with a second control variate for the cusp at v = 0, and
 on a chunk that montecarlo offers for it the kernel draws its uniforms
-stratified, two to a stratum (see the block comment below). The exponent r
+stratified, two to a stratum; the discrete kernel draws replicated Latin
+columns there (see the block comment below). The exponent r
 defaults to the family's p. The values are bounded and finite at every
 0 < p < 1.
 
@@ -143,9 +144,14 @@ class ExtremalParams:
 # which takes expm1's exponent from p to p + 1 at no further pass, folds the
 # constant into the offset, and refits beta by the midpoint rule. The
 # stratified offsets k come from one cached array, and 2/n is folded into
-# c_u. The discrete kernel, whose value is a step function of v, the
-# continuous one at r != p, and every kernel under sample_values (which
-# median of means draws through) keep i.i.d. draws.
+# c_u. The discrete kernel's value jumps at every grid time, so its pair
+# differences would be a poor variance estimate; it draws its v, on a
+# column of at least 64 values, as 32 replicated Latin columns, replicate i
+# one v in each of the n/32 strata of width 32/n, and montecarlo reads the
+# spread of the 32 replicate means (montecarlo.ChunkStream.replicates); its
+# scale 32/n is folded into c_u and beta. The continuous kernel at r != p,
+# and every kernel under sample_values (which median of means draws
+# through), keep i.i.d. draws.
 #
 # The values lie within 3 W of each other and are bounded at every
 # 0 < p < 1; at r > p the moments grow as e^(a n), and the samplers refuse
@@ -282,18 +288,22 @@ def _check_level(n: int, level_N: int) -> None:
                          f"exceeds {_MAX_GRID_STEPS}; lower n or level_N")
 
 
-def _fill_uniforms(rng, out: np.ndarray, spread: float | None) -> float:
-    """Fill out with a kernel's uniforms v divided by the returned scale.
-    Where spread is given, the kernel's values are each a smooth function of
-    one uniform and lie in an interval of that width; if rng offers strata
-    (montecarlo.ChunkStream, on the chunks of montecarlo.estimate_passes),
-    the v are drawn stratified through it. Otherwise they are i.i.d., at
+def _fill_uniforms(rng, out: np.ndarray, spread: float | None = None,
+                   step: bool = False) -> float:
+    """Fill out with a kernel's uniforms v divided by the returned scale. If
+    rng offers a stratified column (montecarlo.ChunkStream, on the chunks of
+    montecarlo.estimate_passes), a kernel whose values are each a smooth
+    function of one uniform, within an interval of width spread, draws them
+    two to a stratum through it, and a kernel whose values are a step
+    function of one uniform (step) draws replicated Latin columns through
+    it, where the column is long enough. Otherwise they are i.i.d., at
     scale 1."""
-    strata = None if spread is None else getattr(rng, "strata", None)
-    if strata is None:
-        rng.random(out=out)
-        return 1.0
-    return strata(out, spread)
+    if spread is not None and (strata := getattr(rng, "strata", None)):
+        return strata(out, spread)
+    if step and (replicates := getattr(rng, "replicates", None)):
+        return replicates(out)
+    rng.random(out=out)
+    return 1.0
 
 
 def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None,
@@ -359,12 +369,13 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
                          horizon: float | None = None):
     """Paired sampler of (E[(sup X)^r], importance-weighted (sup G)^r) for
     the dyadic discretization, r defaulting to p and the horizon, a grid
-    time, to n; the continuous sampler's i.i.d. draws and beta, without its
-    cusp control, so discretization effects isolate cleanly. The x side
-    does not see the grid and is the continuous pair's exact moment; only
-    the mean of the g side is the moment. The g side reads -W phi(e^(-kh/p)) from a table
-    over the grid index k of at most min(horizon 2^N, _PHI_FLAT p 2^N) + 1
-    entries."""
+    time, to n; the continuous sampler's beta, without its cusp control, so
+    discretization effects isolate cleanly. Its v are drawn in replicated
+    Latin columns where rng offers them (_fill_uniforms), else i.i.d. The x
+    side does not see the grid and is the continuous pair's exact moment;
+    only the mean of the g side is the moment. The g side reads
+    -W phi(e^(-kh/p)) from a table over the grid index k of at most
+    min(horizon 2^N, _PHI_FLAT p 2^N) + 1 entries."""
     _check_level(params.n, level_N)
     p = params.p
     r = _exponent(params, r)
@@ -380,9 +391,9 @@ def discrete_sup_sampler(params: ExtremalParams, level_N: int, r: float | None =
     def sampler(rng: np.random.Generator, m: int):
         block = np.empty((3, m))
         z, k, g = block
-        rng.random(out=z)
-        np.multiply(z, -beta, out=g)
-        z *= -c_u
+        scale = _fill_uniforms(rng, z, step=True)
+        np.multiply(z, -beta * scale, out=g)
+        z *= -c_u * scale
         np.log1p(z, out=z)
         z *= -p / (kappa * h)  # z/h
         np.ceil(z, out=k)  # t = k h ends the grid step that holds z

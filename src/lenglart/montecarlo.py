@@ -21,19 +21,32 @@ chunk, in the worker that drew the chunk: a chunk of i.i.d. values keeps
 LeVeque 1979). No value array of the whole run is assembled.
 
 Each chunk's stream is a ChunkStream, which offers stratified uniforms over
-the whole column of a pass: its n draws fall in n/2 strata of width 2/n,
-two independent uniforms in each, and the chunk of m draws from entry
-start on holds the strata [start/2, start/2 + m/2), at entries k and
-m/2 + k (_fill_strata). An odd n has one stratum of three, the column's
-last three entries. Only a sampler whose values are each a smooth
-function of one uniform takes them: the continuous extremal kernel at
-r = p (extremal._fill_uniforms). Its chunk then reduces to (count, mean,
-variance of the mean), the variance from the squared differences within
-the pairs (_reduce_strata), and the chunks merge in chunk order with the
-weights m/n of their shares of the column. Every other sampler draws
-i.i.d., and so does every sampler under `sample_values`, which offers no
-strata. Both draw paths read a float column, one a sampler gives as the
-same float in every chunk, as its exact mean (_exact_mean).
+the whole column of a pass (_fill_strata): its n draws fall in n/R strata
+of width R/n, R independent uniforms in each, and the chunk of m draws from
+entry start on holds the strata [start/R, start/R + m/R), at entries
+i m/R + k, i < R: row i of the chunk is its window of replicate i. Where R
+does not divide n, the column's last stratum holds R + n % R entries, its
+last ones. Two kernels take them, and the stream decides R:
+- the continuous extremal kernel at r = p, each of whose values is a
+  smooth function of one uniform, draws pairs, R = 2 (strata(), through
+  extremal._fill_uniforms; an odd n ends in one stratum of three). Its
+  chunk reduces to (count, mean, variance of the mean), the variance from
+  the squared differences within the pairs (_reduce_strata), and the chunks
+  merge in chunk order with the weights m/n of their shares of the column;
+- the discrete extremal kernel, a step function of its one uniform, draws
+  R = REPLICATES = 32 replicated Latin columns (replicates()): replicate i
+  is a one-per-stratum column of n/R values (McKay, Beckman & Conover,
+  Technometrics 21, 1979). Its chunk reduces to each replicate's sum
+  (_reduce_replicates), in which the last stratum's first R values count
+  (R + n % R)/R, one to each replicate, and its other n % R none; the
+  chunks' sums add up in chunk order to R replicate means, whose mean is
+  the estimate and whose standard error, times the t_(R-1) quantile over
+  3, the half-width (Owen, Monte Carlo theory, methods and examples, 2013).
+  A column shorter than 2R draws i.i.d.
+Every other sampler draws i.i.d., and so does every sampler under
+`sample_values`, which offers no strata. Both draw paths read a float
+column, one a sampler gives as the same float in every chunk, as its exact
+mean (_exact_mean).
 
 `estimate_from_values` reduces a given column: by the plain mean over
 CHUNK-sized slices, bit for bit what `estimate_pair` gives from the same
@@ -99,9 +112,9 @@ __all__ = [
 
 CHUNK = 1 << 15
 
-# version of the stream layout below, recorded in every CLI output; 4 since
-# the continuous kernel's strata span the whole column, not each chunk
-STREAM_LAYOUT = 4
+# version of the stream layout below, recorded in every CLI output; 5 since
+# the discrete kernel draws replicated Latin columns
+STREAM_LAYOUT = 5
 # stream index = domain * DOMAIN_STRIDE + j (see the module docstring)
 DOMAIN_STRIDE = 1 << 60
 PILOT_STREAM = 1 * DOMAIN_STRIDE
@@ -116,6 +129,15 @@ _MEDIAN_INFLATION = math.sqrt(math.pi / 2.0)
 # the least relative half-width of a stratified column: the rounding of
 # values near extremal._constants' top, which their sums cannot resolve
 _ROUNDING = 2.0**-48
+# the replicates of a step-function kernel's column (ChunkStream.replicates):
+# over 4 columns at 64 to 2^18 draws, 1 000 seeds each, 32 put 41 runs beyond
+# the t bound against 43 expected, 16 put 57 and 8 put 55
+REPLICATES = 32
+# the Phi(3) = 0.99865 quantile of Student's t with REPLICATES - 1 degrees of
+# freedom (scipy.stats.t.ppf, which the tests compare): a replicated column's
+# half-width is t/3 standard errors, so that 3 half-widths are the t bound at
+# the normal 3 sigma level
+_T_QUANTILE = 3.2609419188943876
 
 
 @dataclass(frozen=True)
@@ -228,71 +250,82 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 @functools.cache
 def _stratum_offsets() -> np.ndarray:
-    """0, 1, ..., CHUNK/2 - 1: the strata of a chunk's pairs, read-only, as
+    """0, 1, ..., CHUNK/2 - 1: the strata of a chunk's rows, read-only, as
     every caller shares it."""
     offsets = np.arange(CHUNK // 2, dtype=float)
     offsets.flags.writeable = False
     return offsets
 
 
-def _strata_window(start: int, m: int, n: int) -> tuple[int, int]:
-    """(h, t) for the m entries from start on of a stratified column of n:
-    h two-value strata, and t entries of the column's stratum of three,
-    which an odd n has in its last three entries. A last chunk of one entry
-    thus holds the third value of a stratum whose other two end the chunk
-    before it."""
-    t = min(m, max(0, start + m - (n - 3))) if n % 2 else 0
-    return (m - t) // 2, t
+def _strata_window(start: int, m: int, n: int, rows: int = 2) -> tuple[int, int]:
+    """(h, t) for the m entries from start on of a column of n drawn rows to
+    a stratum: h strata of rows values, and t entries of the column's last
+    stratum, which holds rows + n % rows values, its last entries, where
+    rows does not divide n (at rows = 2, an odd n's stratum of three). A
+    last chunk of one entry thus holds the third value of a stratum of three
+    whose other two end the chunk before it."""
+    extra = n % rows
+    t = min(m, max(0, start + m - (n - rows - extra))) if extra else 0
+    return (m - t) // rows, t
 
 
-def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int) -> float:
+def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int,
+                 rows: int = 2) -> float:
     """Fill out, the m entries from start on of a column of n, with
-    stratified uniforms over the returned scale 2/n. The column's n/2
-    strata have width 2/n, and with (h, t) = _strata_window(start, m, n)
-    the chunk holds strata start/2 + k, k < h, at entries k and h + k,
-    which hold start/2 + k + u with u uniform, for v in [(start + 2k)/n,
-    (start + 2k + 2)/n): the two halves of each pair are contiguous. An odd
-    n ends in one stratum of three, [(n - 3)/n, 1), whose t entries in the
-    chunk come last and hold (n - 3)/2 + 1.5 u; n = 1 holds u, at scale 1.
-    start must be even, and so must m unless the window ends the column.
-    The m doubles are one rng.random fill. A sum start/2 + k + u rounds to
-    the stratum's upper end for u within half an ulp of 1, so the last
-    stratum's entries are held 2^-50 (relative) below n/2, where v times
-    any c_u <= 1 stays below 1, as the i.i.d. v do."""
+    stratified uniforms over the returned scale rows/n. The column's n/rows
+    strata have width rows/n, and with (h, t) = _strata_window(start, m, n,
+    rows) the chunk holds strata start/rows + k, k < h, at entries i h + k,
+    i < rows, which hold start/rows + k + u with u uniform, for v in
+    [(start + rows k)/n, (start + rows k + rows)/n): row i of the chunk is
+    its window of replicate i, a one-per-stratum column, and at rows = 2 the
+    two halves of each pair are contiguous. Where rows does not divide n,
+    the column ends in one stratum of rows + e values, e = n % rows, whose
+    t entries in the chunk come last and hold n // rows - 1 + (rows + e)/rows
+    u (at rows = 2, the stratum of three, (n - 3)/2 + 1.5 u); n = 1 holds u,
+    at scale 1. start must be a multiple of rows, and so must m unless the
+    window ends the column. The m doubles are one rng.random fill. A sum
+    start/rows + k + u rounds to the stratum's upper end for u within half
+    an ulp of 1, so the last stratum's entries are held 2^-50 (relative)
+    below n/rows, where v times any c_u <= 1 stays below 1, as the i.i.d. v
+    do."""
     m = out.size
-    if start % 2 or (m % 2 and start + m < n):
-        raise ValueError("a stratified window must start at an even entry, and only the "
-                         "column's last may hold an odd count")
+    if start % rows or (m % rows and start + m < n):
+        raise ValueError("a stratified window must start at an entry its rows divide (an even "
+                         "entry for pairs), and only the column's last may hold a count they "
+                         "do not divide")
     rng.random(out=out)
     if n == 1:
         return 1.0
-    h, t = _strata_window(start, m, n)
-    pairs = out[: 2 * h].reshape(2, h)
-    pairs += _stratum_offsets()[:h] if h <= CHUNK // 2 else np.arange(h, dtype=float)
+    h, t = _strata_window(start, m, n, rows)
+    grid = out[: rows * h].reshape(rows, h)
+    grid += _stratum_offsets()[:h] if h <= CHUNK // 2 else np.arange(h, dtype=float)
     if start:
-        pairs += start // 2
-    top = 0.5 * n * (1.0 - 2.0**-50)
+        grid += start // rows
+    top = n / rows * (1.0 - 2.0**-50)
     if t:
-        last = out[2 * h :]
-        last *= 1.5
-        last += (n - 3) // 2
+        last = out[rows * h :]
+        last *= (rows + n % rows) / rows
+        last += n // rows - 1
     else:  # the chunk's last stratum, the column's last in its last chunk
         last = out[h - 1 :: h]
     np.minimum(last, top, out=last)
-    return 2.0 / n
+    return rows / n
 
 
 class ChunkStream:
     """The stream of one chunk of `estimate_passes`, the entries from start
     on of a column of n: every draw goes to the chunk's Generator, and a
-    sampler whose values are each a smooth function of one uniform may draw
-    them stratified over the column through strata()."""
+    kernel may draw its uniforms stratified over the column, through
+    strata() where each of its values is a smooth function of one uniform,
+    through replicates() where it is a step function of it. rows records
+    how the chunk was drawn, for its reduction."""
 
     def __init__(self, generator: np.random.Generator, start: int, n: int) -> None:
         self.generator = generator
         self.start = start
         self.n = n
-        self.spread = None  # set where the chunk was drawn stratified
+        self.rows = None  # 2 or REPLICATES where the chunk was drawn stratified
+        self.spread = None
 
     def __getattr__(self, name):
         # kept on the stream, so that a sampler drawing step by step (bdg's
@@ -302,12 +335,23 @@ class ChunkStream:
         return value
 
     def strata(self, out: np.ndarray, spread: float) -> float:
-        """_fill_strata(out) over the chunk's window of the column; spread
-        is the width of an interval that holds every value the sampler
-        returns from them, which bounds the variance of a column of one
-        value."""
-        self.spread = spread
+        """_fill_strata(out), two to a stratum, over the chunk's window of the
+        column; spread is the width of an interval that holds every value
+        the sampler returns from them, which bounds the variance of a column
+        of one value."""
+        self.rows, self.spread = 2, spread
         return _fill_strata(self.generator, out, self.start, self.n)
+
+    def replicates(self, out: np.ndarray) -> float:
+        """_fill_strata(out) at REPLICATES rows, the chunk's window of
+        REPLICATES independent one-per-stratum replicates of the column; a
+        column shorter than 2 REPLICATES, which would leave a replicate one
+        stratum, gets i.i.d. uniforms, at scale 1."""
+        if self.n < 2 * REPLICATES:
+            self.generator.random(out=out)
+            return 1.0
+        self.rows = REPLICATES
+        return _fill_strata(self.generator, out, self.start, self.n, REPLICATES)
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
@@ -408,13 +452,41 @@ def _reduce_strata(values: np.ndarray, stream: ChunkStream) -> _Strata:
     return _Strata(m, mean, total / (m * m))
 
 
+class _Replicates(NamedTuple):
+    """A replicated chunk's partial statistics: each replicate's weighted sum
+    of the chunk's values."""
+
+    sums: np.ndarray
+
+
+def _reduce_replicates(values: np.ndarray, stream: ChunkStream) -> _Replicates:
+    """The per-replicate sums of a chunk drawn by _fill_strata at REPLICATES
+    rows over the stream's window: row i of its h strata is replicate i's.
+    Each value is weighted by its stratum's width over the regular width
+    R/n: 1 in a stratum of R values, and (R + e)/R in the column's last
+    stratum of R + e values, e = n % R, whose first R values go one to each
+    replicate and whose other e are unused."""
+    rows, n, start = REPLICATES, stream.n, stream.start
+    h, t = _strata_window(start, values.size, n, rows)
+    sums = values[: rows * h].reshape(rows, h).sum(axis=1)
+    if t:
+        first = start + rows * h - (n - rows - n % rows)  # index in the last stratum
+        used = values[rows * h : rows * h + max(0, min(t, rows - first))]
+        sums[first : first + used.size] += (rows + n % rows) / rows * used
+    return _Replicates(sums)
+
+
 def _reduce_chunk(values: np.ndarray, stream: ChunkStream | None = None):
     """Partial statistics of one chunk's values: (count, mean, sum of
-    squared deviations), or _reduce_strata's for a chunk whose stream drew
-    it stratified. The deviations are formed in the array of the values."""
+    squared deviations), or _reduce_strata's or _reduce_replicates' for a
+    chunk whose stream drew it stratified. The deviations are formed in the
+    array of the values."""
     values = np.asarray(values, dtype=float)
-    if stream is not None and stream.spread is not None:
+    rows = None if stream is None else stream.rows
+    if rows == 2:
         return _reduce_strata(values, stream)
+    if rows is not None:
+        return _reduce_replicates(values, stream)
     mean = values.mean()
     values -= mean
     values *= values
@@ -426,14 +498,26 @@ def _merge_chunks(parts, n: int) -> Estimate:
     merged in chunk order. The stratified chunks of a column cover disjoint
     parts of its strata, so they merge as independent estimates with the
     weights w_j = m_j/n of their shares of the column: mean sum w_j mean_j,
-    variance sum w_j^2 variance_j. Its half-width is at least 2^-48 of the
-    mean, the rounding near extremal._constants' top, which no sum of the
-    values resolves. An i.i.d. column of one value has no standard error and
-    is refused: a half-width of 0 would leave a verdict on it no slack."""
-    stratified = [isinstance(part, _Strata) for part in parts]
-    if any(stratified):
-        if not all(stratified):
-            raise ValueError("a column mixes stratified and i.i.d. chunks")
+    variance sum w_j^2 variance_j. The replicated chunks' sums add up to R
+    replicate means, each (R/n) times its sum: the estimate is their mean,
+    and its half-width t/3 times their standard error, t = _T_QUANTILE. A
+    stratified or replicated half-width is at least 2^-48 of the mean, the
+    rounding near extremal._constants' top, which no sum of the values
+    resolves. An i.i.d. column of one value has no standard error and is
+    refused: a half-width of 0 would leave a verdict on it no slack."""
+    kinds = {type(part) for part in parts}
+    if len(kinds) > 1:
+        raise ValueError("a column mixes stratified, replicated and i.i.d. chunks")
+    if _Replicates in kinds:
+        sums = parts[0].sums.copy()
+        for part in parts[1:]:
+            sums += part.sums
+        means = sums * (REPLICATES / n)
+        value = float(means.mean())
+        stderr = float(means.std(ddof=1)) / math.sqrt(REPLICATES)
+        halfwidth = max(_T_QUANTILE / 3.0 * stderr, _ROUNDING * abs(value))
+        return Estimate(value=value, halfwidth=halfwidth, n_samples=n, method=PLAIN)
+    if _Strata in kinds:
         value = variance = 0.0
         for count, mu, var in parts:
             share = count / n
@@ -493,9 +577,10 @@ def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate,
     exactly the estimates that `estimate_pair` alone would give it. A
     float component is the exact mean of its column (`_exact_mean`),
     reported with half-width 0, not reduced. Each chunk's sampler is
-    offered strata (ChunkStream), which it takes where each of its values
-    is a smooth function of one uniform, over the whole column of the
-    pass; such a chunk's arrays reduce as stratified."""
+    offered strata over the whole column of the pass (ChunkStream): pairs,
+    which it takes where each of its values is a smooth function of one
+    uniform, or replicates, where it is a step function of it; such a
+    chunk's arrays reduce as stratified or replicated."""
 
     def reducer(paired_sampler):
         def work(rng, m, start, n):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1038,6 +1039,18 @@ class TestSubcommands:
             assert code == EXIT_USAGE
             assert "10000 points; lower n or level-N" in err
             assert not out_file.exists()
+
+    def test_dump_paths_huge_level_refused_at_once(self, capsys, tmp_path):
+        # the cap is checked without forming 2^N: at level-N 4 * 10^8 the
+        # refusal formed two integers of 50 MB first and took about 1.5 s
+        out_file = tmp_path / "paths.csv"
+        start = time.perf_counter()
+        code, _, err = run(["dump-paths", "--p", "0.5", "--n", "1", "--level-N",
+                            str(4 * 10**8), "--output", str(out_file)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_USAGE
+        assert "10000 points; lower n or level-N" in err
+        assert not out_file.exists()
 
 
 class TestDeterminism:

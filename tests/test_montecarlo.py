@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_extremal import GridRng
+from test_extremal import GridRng, discrete_rhs
 
 import lenglart
 from lenglart import montecarlo
@@ -50,6 +50,7 @@ from lenglart.montecarlo import (
 from lenglart.oracles import ConstantKind, gtilde_sup_moment
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
+    DiscreteExtremalGenerator,
     ExtremalGenerator,
     JumpLaw,
     PowerF,
@@ -461,16 +462,25 @@ class TestStreamLayout:
     lies in a domain the run draws from (index // DOMAIN_STRIDE: 0 for the
     chunks, 1 for the battery pilot, 2 for dump-paths, 4 for the BDG bias
     checks), no stream is asked for twice, and the output is the same at 1,
-    2 and 3 threads."""
+    2 and 3 threads. A JSON output names stream layout 5."""
 
     SEED = 7
+    # neither CHUNK nor REPLICATES divides it
     SAMPLES = 2 * CHUNK + 5
-    # a second check on its own seed: two checks on one seed would share
-    # their chunk streams
+    # each check after the first on its own seed: two checks on one seed
+    # would share their chunk streams. The discrete pair and its freeze
+    # draw replicates, the continuous pair strata
     SUITE = [{"generator": {"kind": "extremal", "p": 0.5, "n": 10}, "p": 0.5,
               "n_samples": SAMPLES},
              {"generator": {"kind": "compensated_bernoulli", "q": 0.3, "steps": 12},
-              "p": 0.5, "constant": "monotone", "n_samples": SAMPLES, "seed": 8}]
+              "p": 0.5, "constant": "monotone", "n_samples": SAMPLES, "seed": 8},
+             {"generator": {"kind": "discrete_extremal", "p": 0.5, "n": 10, "level_N": 4},
+              "p": 0.5, "n_samples": SAMPLES, "seed": 9},
+             {"generator": {"kind": "hatx_of",
+                            "inner": {"kind": "discrete_extremal", "p": 0.5, "n": 5,
+                                      "level_N": 4},
+                            "rule": {"side": "x", "level": 3.0}},
+              "p": 0.5, "constant": "monotone", "n_samples": SAMPLES, "seed": 10}]
     SHARP = f"--p 0.5 --n 10 --samples {SAMPLES} --seed {SEED}"
     GEN = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12)
     # run -> (its domains, its argv or an API call)
@@ -513,6 +523,7 @@ class TestStreamLayout:
         text = out.getvalue()
         payload, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
         del payload["timestamp"], payload["config"]["threads"]
+        assert payload["stream_layout"] == 5
         return json.dumps(payload, sort_keys=True)
 
     @pytest.mark.parametrize("name", RUNS)
@@ -691,7 +702,8 @@ class TestStratifiedDraws:
     two to a stratum of the whole column, each chunk filling its window of
     the strata (montecarlo._fill_strata); its chunks reduce by the squared
     differences within the pairs and merge by their shares of the column.
-    Every other sampler and estimator draws i.i.d."""
+    The discrete kernel draws replicates (TestReplicatedDraws); every other
+    sampler and estimator draws i.i.d."""
 
     PARAMS = ExtremalParams(p=0.5, n=10)
     # P[|z| > 3] of a normal z, and the binomial limit of the coverage runs
@@ -827,14 +839,13 @@ class TestStratifiedDraws:
             assert np.ptp(g) <= stream.spread, (p, n)
 
     def test_only_the_plain_mean_at_r_equal_p_draws_strata(self):
-        # everything else is bit for bit the i.i.d. reduction of sample_values
+        # the continuous kernel at r != p is bit for bit the i.i.d. reduction
+        # of sample_values (the discrete kernel draws replicates:
+        # TestReplicatedDraws)
         n, seed = 2 * CHUNK + 5, 3
-        cases = [sharpness_sup_sampler(self.PARAMS, 0.25),
-                 discrete_sup_sampler(self.PARAMS, 4),
-                 monotone_sup_sampler(self.PARAMS, horizon=5, level_N=4)]
-        for sampler in cases:
-            _, g = sample_values(sampler, n, seed)
-            assert estimate_pair(sampler, n, seed)[1] == estimate_from_values(g, PLAIN)
+        sampler = sharpness_sup_sampler(self.PARAMS, 0.25)
+        _, g = sample_values(sampler, n, seed)
+        assert estimate_pair(sampler, n, seed)[1] == estimate_from_values(g, PLAIN)
         _, g = sample_values(sharpness_sup_sampler(self.PARAMS), n, seed)
         iid = estimate_from_values(g, PLAIN)
         strata = estimate_pair(sharpness_sup_sampler(self.PARAMS), n, seed)[1]
@@ -954,3 +965,187 @@ class TestStratifiedDraws:
         monkeypatch.setattr(montecarlo, "_fill_strata", one_per_stratum)
         sampler = self.g_column(sharpness_sup_sampler(self.PARAMS))
         assert self.misses(sampler, 0.5, 10) > _binomial_limit(self.RUNS, self.BEYOND_3)
+
+
+class TestReplicatedDraws:
+    """On a plain-mean pass the discrete kernel draws its uniforms as R =
+    REPLICATES replicated Latin columns of the whole column, each chunk
+    filling its window of them (montecarlo._fill_strata at R rows); its
+    chunks reduce to their replicates' sums, which add up in chunk order to
+    R replicate means, read by the t_(R-1) quantile. Columns shorter than 2R
+    and every sample_values draw stay i.i.d."""
+
+    R = montecarlo.REPLICATES
+    PARAMS = ExtremalParams(p=0.5, n=10)
+    BEYOND_3 = math.erfc(3.0 / math.sqrt(2.0))
+    # whole columns, one chunk or more, that neither CHUNK nor R divides,
+    # among them a last stratum whose unused values are a chunk of their own
+    COLUMNS = [2 * R, 3 * R - 1, CHUNK + 5, 2 * CHUNK + 40, 3 * CHUNK + 5]
+
+    def test_t_quantile_is_scipys(self):
+        from scipy.stats import t
+
+        level = 1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+        assert montecarlo._T_QUANTILE == pytest.approx(t.ppf(level, self.R - 1), rel=1e-13)
+
+    def column(self, n, seed):
+        """(v, replicate, weight, drawn) of every entry of a replicated
+        column of n on seed's chunk streams: v, its replicate and its weight
+        rebuilt from the streams' uniforms, and the v that
+        ChunkStream.replicates draws. The column's last stratum holds its
+        last R + e entries, e = n % R, the first R of them one per replicate
+        at weight (R + e)/R and the other e unused (replicate -1); a chunk's
+        other entries lie h to a row, row i replicate i's, entry k of each
+        row in stratum start/R + k."""
+        R = self.R
+        e = n % R
+        last = n - R - e if e else n
+        v, rep, weight, drawn = [], [], [], []
+        for j, start in enumerate(range(0, n, CHUNK)):
+            m = min(CHUNK, n - start)
+            u = chunk_rng(seed, j).random(m)
+            out = np.empty(m)
+            scale = ChunkStream(chunk_rng(seed, j), start, n).replicates(out)
+            drawn.append(out * scale)
+            regular = max(0, min(start + m, last) - start)
+            h = regular // R
+            k = np.arange(regular) % h if h else np.arange(0)
+            v.append((start // R + k + u[:regular]) * R / n)
+            rep.append(np.arange(regular) // h if h else np.arange(0))
+            weight.append(np.ones(regular))
+            index = np.arange(start + regular, start + m) - last
+            v.append((n // R - 1 + u[regular:] * (R + e) / R) * R / n)
+            rep.append(np.where(index < R, index, -1))
+            weight.append(np.where(index < R, (R + e) / R, 0.0))
+        return tuple(map(np.concatenate, (v, rep, weight, drawn)))
+
+    @pytest.mark.parametrize("n", COLUMNS)
+    def test_each_replicate_is_one_per_stratum(self, n):
+        v, rep, weight, drawn = self.column(n, seed=1)
+        np.testing.assert_allclose(drawn, v, rtol=1e-15, atol=1e-15)
+        assert np.all(drawn < 1.0)
+        m = n // self.R
+        for i in range(self.R):
+            strata = np.minimum(np.floor(drawn[rep == i] * n / self.R), m - 1)
+            np.testing.assert_array_equal(np.sort(strata), np.arange(m))
+        assert np.sum(rep == -1) == n % self.R
+
+    @pytest.mark.parametrize("n", COLUMNS)
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_estimate_is_the_mean_of_replicate_means(self, n, threads):
+        # f(v) = v^2 through the replicates: the estimate and its half-width
+        # from the rebuilt column's replicate means
+        def square(rng, m):
+            out = np.empty(m)
+            out *= rng.replicates(out)
+            return (out * out,)
+
+        v, rep, weight, _ = self.column(n, seed=2)
+        means = np.array([np.sum((weight * v * v)[rep == i]) * self.R / n
+                          for i in range(self.R)])
+        (est,) = estimate_pair(square, n, 2, threads)
+        assert est.value == pytest.approx(means.mean(), rel=1e-13)
+        t_over_3 = montecarlo._T_QUANTILE / 3.0
+        assert est.halfwidth == pytest.approx(
+            t_over_3 * means.std(ddof=1) / math.sqrt(self.R), rel=1e-9)
+        assert abs(est.value - 1.0 / 3.0) <= 3.0 * est.halfwidth
+
+    def test_replicates_merge_in_chunk_order(self):
+        R = self.R
+        parts = [montecarlo._Replicates(np.arange(R, dtype=float)),
+                 montecarlo._Replicates(np.ones(R))]
+        est = montecarlo._merge_chunks(parts, 4 * R)
+        means = (np.arange(R) + 1.0) / 4
+        assert est.value == means.mean()
+        assert est.halfwidth == pytest.approx(
+            montecarlo._T_QUANTILE / 3.0 * means.std(ddof=1) / math.sqrt(R), rel=1e-15)
+        with pytest.raises(ValueError, match="mixes"):
+            montecarlo._merge_chunks(parts + [(3, 1.0, 0.1)], 4 * R + 3)
+        # replicates that agree leave the rounding floor
+        flat = [montecarlo._Replicates(np.full(R, 8.0))]
+        assert montecarlo._merge_chunks(flat, 2 * R).halfwidth == 4.0 * 2.0**-48
+
+    # sampler -> the rows its chunks are drawn at: the discrete pair, its
+    # freeze (monotone_sup_sampler at a level) and the discrete generator's
+    # sampler_at draw replicates, the continuous kernel at r = p pairs
+    KERNELS = {
+        "discrete": (discrete_sup_sampler(PARAMS, 4), R),
+        "freeze": (monotone_sup_sampler(PARAMS, horizon=5, level_N=4), R),
+        "sampler_at": (DiscreteExtremalGenerator(PARAMS, 4).sampler_at(80, 0.5), R),
+        "continuous": (sharpness_sup_sampler(PARAMS), 2),
+        "continuous r != p": (sharpness_sup_sampler(PARAMS, 0.25), None),
+    }
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_which_kernels_draw_replicates(self, monkeypatch, name):
+        sampler, rows = self.KERNELS[name]
+        seen = []
+        reduce_chunk = montecarlo._reduce_chunk
+
+        def recording(values, stream=None):
+            seen.append(stream.rows)
+            return reduce_chunk(values, stream)
+
+        monkeypatch.setattr(montecarlo, "_reduce_chunk", recording)
+        estimate_pair(sampler, 2 * CHUNK + 5, 0)
+        assert seen == [rows] * 3
+
+    @pytest.mark.parametrize("n", [2, 5, 2 * R - 1])
+    def test_short_columns_stay_iid(self, n):
+        # bit for bit the i.i.d. reduction of sample_values
+        sampler = discrete_sup_sampler(self.PARAMS, 4)
+        _, g = sample_values(sampler, n, 4)
+        assert estimate_pair(sampler, n, 4)[1] == estimate_from_values(g, PLAIN)
+
+    def test_one_iid_value_is_refused(self):
+        with pytest.raises(ValueError, match="no standard error"):
+            estimate_pair(discrete_sup_sampler(self.PARAMS, 4), 1, 0)
+
+    @pytest.mark.parametrize("n", [2 * R, 2 * CHUNK + 5])
+    def test_sample_values_draws_iid(self, n):
+        # the kernel on each chunk stream's own uniforms, as median of means
+        # reads them (discrete_ratio_experiment), where estimate_pair draws
+        # replicates
+        sampler = discrete_sup_sampler(self.PARAMS, 4)
+        _, g = sample_values(sampler, n, 4)
+        sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+        expected = [sampler(GridRng(chunk_rng(4, j).random(m)), m)[1]
+                    for j, m in enumerate(sizes)]
+        np.testing.assert_array_equal(g, np.concatenate(expected))
+        assert estimate_pair(sampler, n, 4)[1] != estimate_from_values(g, PLAIN)
+
+    def misses(self, sampler, oracle, draws, runs=1000):
+        """Runs of seeds 0 .. runs - 1 at a budget of draws whose g estimate
+        lies more than 3 half-widths from oracle."""
+        count = 0
+        for seed in range(runs):
+            (den,) = estimate_pair(lambda rng, m: sampler(rng, m)[1:], draws, seed)
+            count += not abs(den.value - oracle) <= 3.0 * den.halfwidth
+        return count
+
+    @pytest.mark.parametrize(("p", "draws"), [(0.5, 64), (0.5, 1024), (0.1, 64), (0.1, 1024)])
+    def test_replicated_columns_cover(self, p, draws):
+        """Over seeds 0-999 the runs beyond 3 half-widths, the t_31 bound on
+        the replicate means, from the exact discrete moment stay within the
+        Binomial(1000, 0.0027) limit at 1e-3 (9); 7, 5, 0 and 5 were seen,
+        and over seeds 0-9999 42, 25, 23 and 32 (27 expected)."""
+        sampler = discrete_sup_sampler(ExtremalParams(p, 10), 4)
+        misses = self.misses(sampler, discrete_rhs(p, 10, 4), draws)
+        assert misses <= _binomial_limit(1000, self.BEYOND_3)
+
+    def test_twin_with_one_stream_for_every_replicate_fails(self, monkeypatch):
+        # every replicate drawn from replicate 0's uniforms: the replicate
+        # means agree, and the half-width falls to the rounding floor
+        fill = montecarlo._fill_strata
+
+        def one_stream(rng, out, start, n, rows=2):
+            scale = fill(rng, out, start, n, rows)
+            h, _ = montecarlo._strata_window(start, out.size, n, rows)
+            out[h : rows * h] = np.tile(out[:h], rows - 1)
+            return scale
+
+        monkeypatch.setattr(montecarlo, "_fill_strata", one_stream)
+        sampler = discrete_sup_sampler(self.PARAMS, 4)
+        runs = 100
+        misses = self.misses(sampler, discrete_rhs(0.5, 10, 4), 1024, runs)
+        assert misses > _binomial_limit(runs, self.BEYOND_3)

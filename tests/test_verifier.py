@@ -1075,8 +1075,9 @@ class TestStreamedReportsMatchConcatenated:
     batches; they were re-recorded once on stream layout 2 (PCG64DXSM
     streams, the pilot on its own domain), and check_inequality's on
     hatx_of again when the freeze began to draw through the monotone
-    discrete pair's sampler, and once more when check_inequality came to
-    draw by the plain mean alone."""
+    discrete pair's sampler, once more when check_inequality came to draw
+    by the plain mean alone, and once more when the discrete kernel came to
+    draw replicated Latin columns (stream layout 5)."""
 
     GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
     N = 3 * 2**15 + 17
@@ -1122,7 +1123,7 @@ class TestStreamedReportsMatchConcatenated:
         assert report.label == "hatx_of:monotone:p=0.5"
         for est, (value, halfwidth) in (
                 (report.lhs, (5.0, 0.0)),
-                (report.rhs, (4.151074398288129, 3.643806827444155e-05))):
+                (report.rhs, (4.151015801998498, 2.2462722903261166e-06))):
             assert est.value == pytest.approx(value, rel=1e-12)
             assert est.halfwidth == pytest.approx(halfwidth, rel=1e-12)
         assert abs(report.rhs.value - discrete_rhs(0.5, 5, 4)) <= 3 * report.rhs.halfwidth
