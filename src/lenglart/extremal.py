@@ -132,7 +132,7 @@ class ExtremalParams:
 # entry start on holding strata start/2 + k at entries k and m/2 + k:
 # v = (start/2 + k + u) 2/n, whose within-pair differences give the chunk's
 # variance (montecarlo._reduce_strata); an odd n ends in one stratum of
-# three values, of width 3/n, and n = 1 draws v = u. The variance of the
+# three values, of width 3/n. The variance of the
 # column's mean then falls as n^-3, not n^-1, except that W s^p has an
 # infinite slope at s = 0, which would leave the first strata carrying the
 # variance and the pair differences a heavy tail. So the kernel also
@@ -145,13 +145,15 @@ class ExtremalParams:
 # constant into the offset, and refits beta by the midpoint rule. The
 # stratified offsets k come from one cached array, and 2/n is folded into
 # c_u. The discrete kernel's value jumps at every grid time, so its pair
-# differences would be a poor variance estimate; it draws its v, on a
-# column of at least 64 values, as 32 replicated Latin columns, replicate i
-# one v in each of the n/32 strata of width 32/n, and montecarlo reads the
-# spread of the 32 replicate means (montecarlo.ChunkStream.replicates); its
-# scale 32/n is folded into c_u and beta. The continuous kernel at r != p,
-# and every kernel under sample_values (which median of means draws
-# through), keep i.i.d. draws.
+# differences would be a poor variance estimate; it draws its v as 32
+# replicated Latin columns, replicate i one v in each of the n/32 strata of
+# width 32/n, and montecarlo reads the standard error of the 32 replicate
+# means; its scale 32/n is folded into c_u and beta. Each kernel says only
+# whether it is smooth or a step function of v (_fill_uniforms), and
+# montecarlo.ChunkStream.stratified picks the strata, and draws i.i.d. on a
+# column shorter than two of them. The continuous kernel at r != p, and
+# every kernel under sample_values (which median of means draws through),
+# keep i.i.d. draws.
 #
 # The values lie within 3 W of each other and are bounded at every
 # 0 < p < 1; at r > p the moments grow as e^(a n), and the samplers refuse
@@ -288,20 +290,15 @@ def _check_level(n: int, level_N: int) -> None:
                          f"exceeds {_MAX_GRID_STEPS}; lower n or level_N")
 
 
-def _fill_uniforms(rng, out: np.ndarray, spread: float | None = None,
-                   step: bool = False) -> float:
+def _fill_uniforms(rng, out: np.ndarray, step: bool | None) -> float:
     """Fill out with a kernel's uniforms v divided by the returned scale. If
     rng offers a stratified column (montecarlo.ChunkStream, on the chunks of
     montecarlo.estimate_passes), a kernel whose values are each a smooth
-    function of one uniform, within an interval of width spread, draws them
-    two to a stratum through it, and a kernel whose values are a step
-    function of one uniform (step) draws replicated Latin columns through
-    it, where the column is long enough. Otherwise they are i.i.d., at
+    (step False) or a step (step True) function of one uniform draws them
+    through it; step None, or an rng without one, draws them i.i.d., at
     scale 1."""
-    if spread is not None and (strata := getattr(rng, "strata", None)):
-        return strata(out, spread)
-    if step and (replicates := getattr(rng, "replicates", None)):
-        return replicates(out)
+    if step is not None and (stratified := getattr(rng, "stratified", None)):
+        return stratified(out, step)
     rng.random(out=out)
     return 1.0
 
@@ -320,17 +317,15 @@ def sharpness_sup_sampler(params: ExtremalParams, r: float | None = None,
     supx, top, weight, c_u, beta = _constants(params, r, horizon=horizon, cusp=cusp)
     # -beta (v - 1/2) = (beta/c_u) (1 - v c_u) - beta/c_u + beta/2
     slope, offset = beta / c_u, top - beta / c_u + 0.5 * beta
-    # the cusp control's mean, W E[(V c_u)^p]; its deficit term lies in
-    # [-(1 + p) W, -W] and the beta term spans |beta|
-    spread = None
-    if cusp:
+    if cusp:  # the cusp control's mean, W E[(V c_u)^p]
         offset += weight * c_u**p / (p + 1.0)
-        spread = p * weight + abs(beta)
+    # smooth in v at r = p, drawn i.i.d. otherwise
+    step = False if cusp else None
 
     def sampler(rng: np.random.Generator, m: int):
         block = np.empty((2, m))
         s, rest = block
-        scale = _fill_uniforms(rng, s, spread)
+        scale = _fill_uniforms(rng, s, step)
         g = _continuous_minus_phi(s, rest, p, r, c_u * scale, cusp)
         g *= weight
         rest *= slope

@@ -21,28 +21,30 @@ chunk, in the worker that drew the chunk: a chunk of i.i.d. values keeps
 LeVeque 1979). No value array of the whole run is assembled.
 
 Each chunk's stream is a ChunkStream, which offers stratified uniforms over
-the whole column of a pass (_fill_strata): its n draws fall in n/R strata
-of width R/n, R independent uniforms in each, and the chunk of m draws from
-entry start on holds the strata [start/R, start/R + m/R), at entries
-i m/R + k, i < R: row i of the chunk is its window of replicate i. Where R
-does not divide n, the column's last stratum holds R + n % R entries, its
-last ones. Two kernels take them, and the stream decides R:
-- the continuous extremal kernel at r = p, each of whose values is a
-  smooth function of one uniform, draws pairs, R = 2 (strata(), through
-  extremal._fill_uniforms; an odd n ends in one stratum of three). Its
-  chunk reduces to (count, mean, variance of the mean), the variance from
-  the squared differences within the pairs (_reduce_strata), and the chunks
-  merge in chunk order with the weights m/n of their shares of the column;
-- the discrete extremal kernel, a step function of its one uniform, draws
-  R = REPLICATES = 32 replicated Latin columns (replicates()): replicate i
-  is a one-per-stratum column of n/R values (McKay, Beckman & Conover,
-  Technometrics 21, 1979). Its chunk reduces to each replicate's sum
-  (_reduce_replicates), in which the last stratum's first R values count
-  (R + n % R)/R, one to each replicate, and its other n % R none; the
-  chunks' sums add up in chunk order to R replicate means, whose mean is
-  the estimate and whose standard error, times the t_(R-1) quantile over
-  3, the half-width (Owen, Monte Carlo theory, methods and examples, 2013).
-  A column shorter than 2R draws i.i.d.
+the whole column of a pass (ChunkStream.stratified, _fill_strata): its n
+draws fall in n/R strata of width R/n, R independent uniforms in each, and
+the chunk of m draws from entry start on holds the strata [start/R,
+start/R + m/R), at entries i m/R + k, i < R: row i of the chunk is its
+window of replicate i. Where R does not divide n, the column's last stratum
+holds R + n % R entries, its last ones. A kernel says only whether its
+values are a smooth or a step function of its one uniform, and the stream
+picks R. One floor holds for both: a replicate needs at least two strata
+(Owen, Monte Carlo theory, methods and examples, 2013), so a column shorter
+than 2R draws i.i.d.: pairs from 4 draws on, replicates from 64. The two
+extremal kernels take strata:
+- the continuous extremal kernel at r = p, a smooth function, draws pairs,
+  R = 2 (an odd n ends in one stratum of three). Its chunk reduces to
+  (count, mean, variance of the mean), the variance from the squared
+  differences within the pairs (_reduce_strata), and the chunks merge in
+  chunk order with the weights m/n of their shares of the column;
+- the discrete extremal kernel, a step function, draws R = REPLICATES = 32
+  replicated Latin columns: replicate i is a one-per-stratum column of n/R
+  values (McKay, Beckman & Conover, Technometrics 21, 1979). Its chunk
+  reduces to each replicate's sum (_reduce_replicates), in which the last
+  stratum's first R values count (R + n % R)/R, one to each replicate, and
+  its other n % R none; the chunks' sums add up in chunk order to R
+  replicate means, whose mean is the estimate and whose standard error,
+  times the t_(R-1) quantile over 3, the half-width (Owen 2013).
 Every other sampler draws i.i.d., and so does every sampler under
 `sample_values`, which offers no strata. Both draw paths read a float
 column, one a sampler gives as the same float in every chunk, as its exact
@@ -112,9 +114,9 @@ __all__ = [
 
 CHUNK = 1 << 15
 
-# version of the stream layout below, recorded in every CLI output; 5 since
-# the discrete kernel draws replicated Latin columns
-STREAM_LAYOUT = 5
+# version of the stream layout below, recorded in every CLI output; 6 since
+# a column shorter than two strata of either kernel draws i.i.d.
+STREAM_LAYOUT = 6
 # stream index = domain * DOMAIN_STRIDE + j (see the module docstring)
 DOMAIN_STRIDE = 1 << 60
 PILOT_STREAM = 1 * DOMAIN_STRIDE
@@ -129,7 +131,7 @@ _MEDIAN_INFLATION = math.sqrt(math.pi / 2.0)
 # the least relative half-width of a stratified column: the rounding of
 # values near extremal._constants' top, which their sums cannot resolve
 _ROUNDING = 2.0**-48
-# the replicates of a step-function kernel's column (ChunkStream.replicates):
+# the replicates of a step-function kernel's column (ChunkStream.stratified):
 # over 4 columns at 64 to 2^18 draws, 1 000 seeds each, 32 put 41 runs beyond
 # the t bound against 43 expected, 16 put 57 and 8 put 55
 REPLICATES = 32
@@ -257,7 +259,7 @@ def _stratum_offsets() -> np.ndarray:
     return offsets
 
 
-def _strata_window(start: int, m: int, n: int, rows: int = 2) -> tuple[int, int]:
+def _strata_window(start: int, m: int, n: int, rows: int) -> tuple[int, int]:
     """(h, t) for the m entries from start on of a column of n drawn rows to
     a stratum: h strata of rows values, and t entries of the column's last
     stratum, which holds rows + n % rows values, its last entries, where
@@ -270,7 +272,7 @@ def _strata_window(start: int, m: int, n: int, rows: int = 2) -> tuple[int, int]
 
 
 def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int,
-                 rows: int = 2) -> float:
+                 rows: int) -> float:
     """Fill out, the m entries from start on of a column of n, with
     stratified uniforms over the returned scale rows/n. The column's n/rows
     strata have width rows/n, and with (h, t) = _strata_window(start, m, n,
@@ -281,21 +283,22 @@ def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int,
     two halves of each pair are contiguous. Where rows does not divide n,
     the column ends in one stratum of rows + e values, e = n % rows, whose
     t entries in the chunk come last and hold n // rows - 1 + (rows + e)/rows
-    u (at rows = 2, the stratum of three, (n - 3)/2 + 1.5 u); n = 1 holds u,
-    at scale 1. start must be a multiple of rows, and so must m unless the
-    window ends the column. The m doubles are one rng.random fill. A sum
-    start/rows + k + u rounds to the stratum's upper end for u within half
-    an ulp of 1, so the last stratum's entries are held 2^-50 (relative)
-    below n/rows, where v times any c_u <= 1 stays below 1, as the i.i.d. v
-    do."""
+    u (at rows = 2, the stratum of three, (n - 3)/2 + 1.5 u). The column
+    must hold two strata or more (ChunkStream.stratified draws a shorter
+    one i.i.d.), start must be a multiple of rows, and so must m unless
+    the window ends the column. The m doubles are one rng.random fill. A
+    sum start/rows + k + u rounds to the stratum's upper end for u within
+    half an ulp of 1, so the last stratum's entries are held 2^-50
+    (relative) below n/rows, where v times any c_u <= 1 stays below 1, as
+    the i.i.d. v do."""
     m = out.size
+    if n < 2 * rows:
+        raise ValueError(f"a column of {n} draws holds fewer than two strata of {rows}")
     if start % rows or (m % rows and start + m < n):
         raise ValueError("a stratified window must start at an entry its rows divide (an even "
                          "entry for pairs), and only the column's last may hold a count they "
                          "do not divide")
     rng.random(out=out)
-    if n == 1:
-        return 1.0
     h, t = _strata_window(start, m, n, rows)
     grid = out[: rows * h].reshape(rows, h)
     grid += _stratum_offsets()[:h] if h <= CHUNK // 2 else np.arange(h, dtype=float)
@@ -315,17 +318,16 @@ def _fill_strata(rng: np.random.Generator, out: np.ndarray, start: int, n: int,
 class ChunkStream:
     """The stream of one chunk of `estimate_passes`, the entries from start
     on of a column of n: every draw goes to the chunk's Generator, and a
-    kernel may draw its uniforms stratified over the column, through
-    strata() where each of its values is a smooth function of one uniform,
-    through replicates() where it is a step function of it. rows records
-    how the chunk was drawn, for its reduction."""
+    kernel may draw its uniforms stratified over the column through
+    stratified(), which picks R rows to a stratum and applies the one
+    floor: a column shorter than 2R draws i.i.d. rows records how the chunk
+    was drawn, for its reduction."""
 
     def __init__(self, generator: np.random.Generator, start: int, n: int) -> None:
         self.generator = generator
         self.start = start
         self.n = n
         self.rows = None  # 2 or REPLICATES where the chunk was drawn stratified
-        self.spread = None
 
     def __getattr__(self, name):
         # kept on the stream, so that a sampler drawing step by step (bdg's
@@ -334,24 +336,17 @@ class ChunkStream:
         setattr(self, name, value)
         return value
 
-    def strata(self, out: np.ndarray, spread: float) -> float:
-        """_fill_strata(out), two to a stratum, over the chunk's window of the
-        column; spread is the width of an interval that holds every value
-        the sampler returns from them, which bounds the variance of a column
-        of one value."""
-        self.rows, self.spread = 2, spread
-        return _fill_strata(self.generator, out, self.start, self.n)
-
-    def replicates(self, out: np.ndarray) -> float:
-        """_fill_strata(out) at REPLICATES rows, the chunk's window of
-        REPLICATES independent one-per-stratum replicates of the column; a
-        column shorter than 2 REPLICATES, which would leave a replicate one
-        stratum, gets i.i.d. uniforms, at scale 1."""
-        if self.n < 2 * REPLICATES:
+    def stratified(self, out: np.ndarray, step: bool) -> float:
+        """_fill_strata(out) over the chunk's window of the column at R rows:
+        pairs, R = 2, for a kernel whose values are each a smooth function
+        of one uniform, R = REPLICATES one-per-stratum replicates for a step
+        function of it; i.i.d. uniforms, at scale 1, below the floor."""
+        rows = REPLICATES if step else 2
+        if self.n < 2 * rows:
             self.generator.random(out=out)
             return 1.0
-        self.rows = REPLICATES
-        return _fill_strata(self.generator, out, self.start, self.n, REPLICATES)
+        self.rows = rows
+        return _fill_strata(self.generator, out, self.start, self.n, rows)
 
 
 def _map_chunks(passes, seed: int, threads: int = 1) -> list[list]:
@@ -433,13 +428,10 @@ def _reduce_strata(values: np.ndarray, stream: ChunkStream) -> _Strata:
     the chunk have squared deviations M2, adds 3 M2/((t - 1) m^2), all of
     it in the chunk holding two or three of its values. Variance =
     (S + 1.5 M2)/m^2 for a chunk ending in all three, S/(4 H^2) for H = m/2
-    pairs. A column of one value gets spread^2/4, the largest variance of a
-    value within an interval of width spread."""
+    pairs."""
     m = values.size
     mean = float(values.mean())
-    if stream.n == 1:
-        return _Strata(1, mean, 0.25 * stream.spread**2)
-    h, t = _strata_window(stream.start, m, stream.n)
+    h, t = _strata_window(stream.start, m, stream.n, 2)
     diff = values[:h]
     diff -= values[h : 2 * h]
     diff *= diff
@@ -577,10 +569,11 @@ def estimate_passes(passes, seed: int, threads: int = 1) -> list[tuple[Estimate,
     exactly the estimates that `estimate_pair` alone would give it. A
     float component is the exact mean of its column (`_exact_mean`),
     reported with half-width 0, not reduced. Each chunk's sampler is
-    offered strata over the whole column of the pass (ChunkStream): pairs,
-    which it takes where each of its values is a smooth function of one
-    uniform, or replicates, where it is a step function of it; such a
-    chunk's arrays reduce as stratified or replicated."""
+    offered strata over the whole column of the pass (ChunkStream): pairs
+    where each of its values is a smooth function of one uniform,
+    replicates where it is a step function of it, and i.i.d. draws on a
+    column shorter than two strata; such a chunk's arrays reduce as
+    stratified or replicated."""
 
     def reducer(paired_sampler):
         def work(rng, m, start, n):

@@ -21,7 +21,7 @@ from lenglart.cli import (
     main,
     resolve_config,
 )
-from lenglart.oracles import full_extremal_sup_moment, gtilde_sup_moment
+from lenglart.oracles import PointMassLaw, full_extremal_sup_moment, gtilde_sup_moment
 
 
 def run(argv, capsys):
@@ -208,11 +208,14 @@ class TestUsageErrors:
         suite = tmp_path / "s.jsonl"
         suite.write_text(json.dumps({"generator": BERNOULLI, "p": 0.5, "constant": "monotone",
                                      "n_samples": 1}) + "\n")
+        # nor is one continuous draw stratified: a replicate needs two strata
         for argv in (["verify", "--suite", str(suite), "--seed", "5"],
-                     ["bdg", "--kind", "fixed", "--samples", "1", "--step", "0.5"]):
+                     ["bdg", "--kind", "fixed", "--samples", "1", "--step", "0.5"],
+                     ["sharpness", "--samples", "1"], ["monotone-sharpness", "--samples", "1"]):
             code, out, err = run(argv, capsys)
             assert code == EXIT_USAGE and out == "", argv
             assert "one i.i.d. value has no standard error" in err, argv
+            assert "Traceback" not in err, argv
 
     @pytest.mark.parametrize(("entry", "message"), [
         ({"generator": {"kind": "compensated_bernoulli", "jump": "bernoulli", "Q": 0.3,
@@ -709,6 +712,28 @@ class TestSubcommands:
             code, out, err = run(["identities", "--law", "pareto", "--p", "0.9"], capsys)
         assert code == EXIT_PASS, out
         assert err == ""
+
+    @pytest.mark.parametrize(("value", "code"), [(1e16, EXIT_PASS), (1e300, EXIT_STAT_FAIL)])
+    def test_identities_point_law_scale(self, capsys, value, code):
+        # past 1 the bound is relative: at 1e16 the three values 1e8, 1e8 and
+        # 99999999.99999999 agree to 1.5e-16, while at 1e300 the truncated-mean
+        # evaluation is 50 % off (its integrand underflows)
+        assert run(["identities", "--law", "point", "--point-value", str(value)],
+                   capsys)[0] == code
+
+    @pytest.mark.parametrize("value", [1.0, 1e16])
+    def test_identities_twin_with_a_moved_moment_fails(self, capsys, monkeypatch, value):
+        # the point law with its direct moment 1e-6 (relative) too high, at
+        # moments 1 and 1e8
+        class Moved(PointMassLaw):
+            def p_moment_direct(self, p):
+                return super().p_moment_direct(p) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(cli, "moment_identity_law",
+                            lambda name, point_value: Moved(point_value))
+        code, out, _ = run(["identities", "--law", "point", "--point-value", str(value)],
+                           capsys)
+        assert code == EXIT_STAT_FAIL and "FAIL" in out
 
     def test_sharpness_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "r.json"

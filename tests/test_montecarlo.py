@@ -349,15 +349,17 @@ class TestPassScheduler:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_iid_value_is_refused(self, threads):
         # one i.i.d. value has no standard error: a half-width of 0 would
-        # give a verdict on it no slack. A float column stays exact, and a
-        # stratified column of one value keeps its spread bound
+        # give a verdict on it no slack. One draw of the continuous kernel is
+        # i.i.d. too, as a replicate needs two strata; a float column stays
+        # exact
+        sharp = sharpness_sup_sampler(ExtremalParams(p=0.5, n=10))
         for draw in (lambda: estimate_pair(self.paired, 1, 5, threads),
+                     lambda: estimate_pair(sharp, 1, 5, threads),
                      lambda: estimate_from_values(np.array([2.0]), PLAIN)):
             with pytest.raises(ValueError, match="one i.i.d. value has no standard error"):
                 draw()
-        supx, den = estimate_pair(sharpness_sup_sampler(ExtremalParams(p=0.5, n=10)), 1, 5,
-                                  threads)
-        assert supx.halfwidth == 0.0 and den.halfwidth > 0.0
+        (exact,) = estimate_pair(lambda rng, m: (2.0,), 1, 5, threads)
+        assert (exact.value, exact.halfwidth) == (2.0, 0.0)
 
 
 class TestRatio:
@@ -462,7 +464,7 @@ class TestStreamLayout:
     lies in a domain the run draws from (index // DOMAIN_STRIDE: 0 for the
     chunks, 1 for the battery pilot, 2 for dump-paths, 4 for the BDG bias
     checks), no stream is asked for twice, and the output is the same at 1,
-    2 and 3 threads. A JSON output names stream layout 5."""
+    2 and 3 threads. A JSON output names stream layout 6."""
 
     SEED = 7
     # neither CHUNK nor REPLICATES divides it
@@ -523,7 +525,7 @@ class TestStreamLayout:
         text = out.getvalue()
         payload, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
         del payload["timestamp"], payload["config"]["threads"]
-        assert payload["stream_layout"] == 5
+        assert payload["stream_layout"] == 6
         return json.dumps(payload, sort_keys=True)
 
     @pytest.mark.parametrize("name", RUNS)
@@ -712,7 +714,7 @@ class TestStratifiedDraws:
 
     # (start, m, n): whole columns, then windows of longer ones, among them
     # the stratum of three split 2 + 1 at a last chunk of one value
-    WINDOWS = [(0, m, m) for m in (1, 2, 3, 4, 5, 8, 9, CHUNK, CHUNK + 3)] + [
+    WINDOWS = [(0, m, m) for m in (4, 5, 8, 9, CHUNK, CHUNK + 3)] + [
         (CHUNK, CHUNK, 3 * CHUNK), (2 * CHUNK, 6, 2 * CHUNK + 6), (2 * CHUNK, 5, 2 * CHUNK + 5),
         (0, CHUNK, CHUNK + 1), (CHUNK, 1, CHUNK + 1), (4, 4, 11), (8, 3, 11)]
 
@@ -733,10 +735,7 @@ class TestStratifiedDraws:
     def test_fill_puts_each_entry_in_its_stratum(self, start, m, n):
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             out = np.empty(m)
-            scale = montecarlo._fill_strata(GridRng(np.full(m, u)), out, start, n)
-            if n == 1:
-                assert (scale, out[0]) == (1.0, u)
-                continue
+            scale = montecarlo._fill_strata(GridRng(np.full(m, u)), out, start, n, 2)
             assert scale == 2.0 / n
             low, width = self.strata_of(start, m, n)
             np.testing.assert_allclose(out, low + u * width, rtol=1e-14, atol=1e-15)
@@ -746,7 +745,7 @@ class TestStratifiedDraws:
                 ChunkStream(GridRng(np.full(m, u)), start, n), m)
             assert np.all(np.isfinite(g))
 
-    @pytest.mark.parametrize("n", [2, 7, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 5, 3 * CHUNK])
+    @pytest.mark.parametrize("n", [4, 7, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 5, 3 * CHUNK])
     def test_chunks_tile_the_column(self, n):
         # every pair stratum of the column gets two entries, and an odd n's
         # stratum of three its three, across all chunks
@@ -754,7 +753,7 @@ class TestStratifiedDraws:
         for start in range(0, n, CHUNK):
             m = min(CHUNK, n - start)
             out = np.empty(m)
-            v = out * montecarlo._fill_strata(GridRng(np.full(m, 0.5)), out, start, n)
+            v = out * montecarlo._fill_strata(GridRng(np.full(m, 0.5)), out, start, n, 2)
             np.add.at(counts, np.floor(v * n / 2).astype(int), 1)
         expected = np.full(n // 2, 2)
         if n % 2:
@@ -765,13 +764,19 @@ class TestStratifiedDraws:
     @pytest.mark.parametrize(("start", "m", "n"), [(1, 2, 8), (0, 3, 8), (2, 3, 9)])
     def test_fill_refuses_windows_that_split_a_pair(self, start, m, n):
         with pytest.raises(ValueError, match="even entry"):
-            montecarlo._fill_strata(chunk_rng(0, 0), np.empty(m), start, n)
+            montecarlo._fill_strata(chunk_rng(0, 0), np.empty(m), start, n, 2)
+
+    @pytest.mark.parametrize(("n", "rows"), [(1, 2), (2, 2), (3, 2), (1, montecarlo.REPLICATES),
+                                             (2 * montecarlo.REPLICATES - 1,
+                                              montecarlo.REPLICATES)])
+    def test_fill_refuses_columns_of_fewer_than_two_strata(self, n, rows):
+        # ChunkStream.stratified draws such columns i.i.d. before they get here
+        with pytest.raises(ValueError, match="fewer than two strata"):
+            montecarlo._fill_strata(chunk_rng(0, 0), np.empty(n), 0, n, rows)
 
     @staticmethod
     def window(start, n):
-        stream = ChunkStream(None, start, n)
-        stream.spread = 10.0
-        return stream
+        return ChunkStream(None, start, n)
 
     def test_reduce_strata_formula(self):
         # pairs (1, 3) and (2, 2.5) at entries k and k + 2, then a triple
@@ -793,9 +798,6 @@ class TestStratifiedDraws:
         split = montecarlo._reduce_strata(values[:6].copy(), self.window(0, 7))
         assert split.variance == pytest.approx((pairs + 1.5 * 3.0**2) / 36, rel=1e-14)
         assert montecarlo._reduce_strata(np.array([4.0]), self.window(6, 7)).variance == 0.0
-        # a column of one value: the largest variance of a value in an
-        # interval of width 10
-        assert montecarlo._reduce_strata(np.array([4.0]), self.window(0, 1)).variance == 25.0
 
     def test_chunks_merge_by_their_shares_of_the_column(self):
         parts = [montecarlo._Strata(4, 1.0, 0.5), montecarlo._Strata(2, 3.0, 2.0)]
@@ -828,16 +830,6 @@ class TestStratifiedDraws:
         (den,) = estimate_pair(self.g_column(sampler), 10**6, 0)
         assert den.halfwidth > 10.0 * 2.0**-48 * den.value
 
-    def test_spread_bounds_the_values(self):
-        # the n = 1 rule reads the kernel's spread, which must hold every value
-        for p, n in ((0.01, 10), (0.5, 10), (0.99, 1), (0.25, 1000)):
-            sampler = sharpness_sup_sampler(ExtremalParams(p, n))
-            stream = ChunkStream(chunk_rng(0, 0), 0, 2)
-            sampler(stream, 2)
-            v = np.linspace(0.0, 1.0 - 2.0**-53, 1 << 14)
-            _, g = sampler(GridRng(v), v.size)
-            assert np.ptp(g) <= stream.spread, (p, n)
-
     def test_only_the_plain_mean_at_r_equal_p_draws_strata(self):
         # the continuous kernel at r != p is bit for bit the i.i.d. reduction
         # of sample_values (the discrete kernel draws replicates:
@@ -854,10 +846,10 @@ class TestStratifiedDraws:
 
     def test_chunk_stream_forwards_draws(self):
         stream = ChunkStream(chunk_rng(4, 0), 0, 5)
-        assert stream.spread is None
+        assert stream.rows is None
         np.testing.assert_array_equal(stream.random(5), chunk_rng(4, 0).random(5))
 
-    @pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 5, 10**6])
+    @pytest.mark.parametrize("n", [3, 4, 5, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 5, 10**6])
     def test_remainder_chunks_are_thread_invariant(self, n):
         outputs = set()
         for threads in (1, 2, 3):
@@ -941,7 +933,7 @@ class TestStratifiedDraws:
         def twin(rng, m):
             block = np.empty((2, m))
             s, rest = block
-            scale = extremal._fill_uniforms(rng, s, 1.0)
+            scale = extremal._fill_uniforms(rng, s, False)
             g = extremal._continuous_minus_phi(s, rest, p, p, c_u * scale)
             g *= weight
             rest *= slope
@@ -956,9 +948,9 @@ class TestStratifiedDraws:
         # vanish, and with them the half-width
         fill = montecarlo._fill_strata
 
-        def one_per_stratum(rng, out, start, n):
-            scale = fill(rng, out, start, n)
-            h, _ = montecarlo._strata_window(start, out.size, n)
+        def one_per_stratum(rng, out, start, n, rows):
+            scale = fill(rng, out, start, n, rows)
+            h, _ = montecarlo._strata_window(start, out.size, n, rows)
             out[h : 2 * h] = out[:h]
             return scale
 
@@ -972,8 +964,8 @@ class TestReplicatedDraws:
     REPLICATES replicated Latin columns of the whole column, each chunk
     filling its window of them (montecarlo._fill_strata at R rows); its
     chunks reduce to their replicates' sums, which add up in chunk order to
-    R replicate means, read by the t_(R-1) quantile. Columns shorter than 2R
-    and every sample_values draw stay i.i.d."""
+    R replicate means, read by the t_(R-1) quantile. Columns shorter than two
+    strata of either kernel, and every sample_values draw, stay i.i.d."""
 
     R = montecarlo.REPLICATES
     PARAMS = ExtremalParams(p=0.5, n=10)
@@ -992,7 +984,7 @@ class TestReplicatedDraws:
         """(v, replicate, weight, drawn) of every entry of a replicated
         column of n on seed's chunk streams: v, its replicate and its weight
         rebuilt from the streams' uniforms, and the v that
-        ChunkStream.replicates draws. The column's last stratum holds its
+        ChunkStream.stratified draws for a step kernel. The column's last stratum holds its
         last R + e entries, e = n % R, the first R of them one per replicate
         at weight (R + e)/R and the other e unused (replicate -1); a chunk's
         other entries lie h to a row, row i replicate i's, entry k of each
@@ -1005,7 +997,7 @@ class TestReplicatedDraws:
             m = min(CHUNK, n - start)
             u = chunk_rng(seed, j).random(m)
             out = np.empty(m)
-            scale = ChunkStream(chunk_rng(seed, j), start, n).replicates(out)
+            scale = ChunkStream(chunk_rng(seed, j), start, n).stratified(out, True)
             drawn.append(out * scale)
             regular = max(0, min(start + m, last) - start)
             h = regular // R
@@ -1037,7 +1029,7 @@ class TestReplicatedDraws:
         # from the rebuilt column's replicate means
         def square(rng, m):
             out = np.empty(m)
-            out *= rng.replicates(out)
+            out *= rng.stratified(out, True)
             return (out * out,)
 
         v, rep, weight, _ = self.column(n, seed=2)
@@ -1090,10 +1082,13 @@ class TestReplicatedDraws:
         estimate_pair(sampler, 2 * CHUNK + 5, 0)
         assert seen == [rows] * 3
 
-    @pytest.mark.parametrize("n", [2, 5, 2 * R - 1])
-    def test_short_columns_stay_iid(self, n):
-        # bit for bit the i.i.d. reduction of sample_values
-        sampler = discrete_sup_sampler(self.PARAMS, 4)
+    @pytest.mark.parametrize(("name", "n"), [("continuous", 2), ("continuous", 3),
+                                             ("discrete", 2), ("discrete", 5),
+                                             ("discrete", 2 * R - 1)])
+    def test_short_columns_stay_iid(self, name, n):
+        # a column shorter than two strata, 4 draws for pairs and 2R for
+        # replicates, is bit for bit the i.i.d. reduction of sample_values
+        sampler, _ = self.KERNELS[name]
         _, g = sample_values(sampler, n, 4)
         assert estimate_pair(sampler, n, 4)[1] == estimate_from_values(g, PLAIN)
 
@@ -1138,7 +1133,7 @@ class TestReplicatedDraws:
         # means agree, and the half-width falls to the rounding floor
         fill = montecarlo._fill_strata
 
-        def one_stream(rng, out, start, n, rows=2):
+        def one_stream(rng, out, start, n, rows):
             scale = fill(rng, out, start, n, rows)
             h, _ = montecarlo._strata_window(start, out.size, n, rows)
             out[h : rows * h] = np.tile(out[:h], rows - 1)
