@@ -9,7 +9,8 @@ each subcommand its runner and its settings. The parser and the --config
 file both follow those tables, so a flag or config key that the run does not
 read, or a config value that its flag could not produce, is a usage error.
 
-Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error or an unwritable --output.
+Exit codes: 0 = pass, 1 = statistical failure, 2 = usage error, an unwritable
+--output, or an oracle whose quadrature did not converge.
 Every JSON output names its subcommand, and its config block holds the
 run's settings, apart from an unset --output: the block is a --config file
 for the subcommand that reproduces the run. Reruns with the same config and
@@ -460,7 +461,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in vars(cfg).items():
             _FLAGS[key].check_range(value)
         return runner(args.subcommand, cfg)
-    except (OSError, ValueError) as exc:  # OSError: an --output it cannot write
+    # OSError: an --output it cannot write; ArithmeticError: an oracle that did not converge
+    except (OSError, ValueError, ArithmeticError) as exc:
         return _usage_error(str(exc))
 
 

@@ -529,7 +529,8 @@ class TestGolden:
             1.250064028787647, 0.001995136659824181)
         assert (r.validation.value, r.validation.halfwidth) == (
             1.2522157827590843, 0.0018556774414138987)
-        assert r.bias_relative_change == 0.0008763601428486582
+        # against the tanh-sinh oracle value of E[sup|B|]
+        assert r.bias_relative_change == 0.0008763601428514904
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hitting(self, threads):

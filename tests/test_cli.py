@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lenglart import cli, montecarlo, verifier
+from lenglart import cli, montecarlo, oracles, verifier
 from lenglart.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -713,18 +713,40 @@ class TestSubcommands:
         assert code == EXIT_PASS, out
         assert err == ""
 
-    @pytest.mark.parametrize(("value", "code"), [(1e16, EXIT_PASS), (1e300, EXIT_STAT_FAIL)])
-    def test_identities_point_law_scale(self, capsys, value, code):
+    @pytest.mark.parametrize("value", [1e16, 1e300])
+    def test_identities_point_law_scale(self, capsys, value):
         # past 1 the bound is relative: at 1e16 the three values 1e8, 1e8 and
-        # 99999999.99999999 agree to 1.5e-16, while at 1e300 the truncated-mean
-        # evaluation is 50 % off (its integrand underflows)
+        # 99999999.99999999 agree to 1.5e-16; at 1e300 the truncated-mean
+        # integrand is E[Z ^ u] / u, at most 1, with no u^(p-2) to underflow
         assert run(["identities", "--law", "point", "--point-value", str(value)],
-                   capsys)[0] == code
+                   capsys)[0] == EXIT_PASS
 
-    @pytest.mark.parametrize("value", [1.0, 1e16])
+    @pytest.mark.parametrize("p", ["1e-9", "1e-6", "1e-4", "0.999999"])
+    @pytest.mark.parametrize("law", ["uniform", "exp", "point", "pareto"])
+    def test_identities_pass_at_extreme_p(self, capsys, law, p):
+        # near p = 0 the integrands change only where v = u^p is within
+        # about p of 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["identities", "--law", law, "--p", p], capsys)
+        assert code == EXIT_PASS, out
+        assert err == ""
+
+    def test_oracle_that_does_not_converge_is_a_usage_error(self, capsys, monkeypatch):
+        def diverges(f, lo, hi):
+            raise ArithmeticError(f"tanh-sinh quadrature did not converge on [{lo!r}, {hi!r}]")
+
+        monkeypatch.setattr(oracles, "_tanh_sinh", diverges)
+        for argv in (["identities"], ["bdg", "--kind", "fixed", "--samples", "1000"]):
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: tanh-sinh quadrature did not converge")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [1.0, 1e16, 1e300])
     def test_identities_twin_with_a_moved_moment_fails(self, capsys, monkeypatch, value):
         # the point law with its direct moment 1e-6 (relative) too high, at
-        # moments 1 and 1e8
+        # moments 1, 1e8 and 1e150
         class Moved(PointMassLaw):
             def p_moment_direct(self, p):
                 return super().p_moment_direct(p) * (1.0 + 1e-6)
@@ -1165,8 +1187,9 @@ class TestParserReuse:
         assert outputs() == reused
 
 
-# the headline subcommands at their defaults, then dump-paths and a small
-# fixed-time bdg run; prints the exit codes and the scipy modules loaded
+# the headline subcommands at their defaults, then dump-paths, a small
+# fixed-time bdg run and identities for each law; prints the exit codes and
+# the scipy modules loaded
 HEADLINE_RUNS = """
 import contextlib, io, os, sys, tempfile
 from lenglart.cli import build_parser, main
@@ -1176,6 +1199,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     with tempfile.TemporaryDirectory() as tmp:
         codes.append(main(["dump-paths", "--output", os.path.join(tmp, "paths.csv")]))
     codes.append(main(["bdg", "--kind", "fixed", "--samples", "1000", "--step", "0.02"]))
+    codes += [main(["identities", "--law", law]) for law in ("uniform", "exp", "point", "pareto")]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -1207,7 +1231,7 @@ class TestImportCost:
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", HEADLINE_RUNS], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stdout
+        assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []", done.stdout
 
 
 # one CLI run in a fresh interpreter (build_parser alone when no argument is
@@ -1237,8 +1261,7 @@ class TestDeferredImports:
         ([], DEFERRED),
         (["sharpness", "--samples", "1000"], DEFERRED),
         (["monotone-sharpness", "--samples", "1000"], DEFERRED),
-        # its quadrature imports scipy, which imports what it needs
-        (["identities"], ("lenglart.verifier", "lenglart.bdg")),
+        (["identities"], DEFERRED),
         (["verify", "--suite", "s.jsonl"], ("lenglart.bdg", "concurrent.futures", "csv", "scipy")),
         (["bdg", "--kind", "fixed", "--samples", "1000", "--step", "0.02"],
          ("lenglart.verifier", "concurrent.futures", "csv", "scipy")),

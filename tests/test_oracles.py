@@ -26,6 +26,7 @@ from lenglart.oracles import (
     TruncatedParetoLaw,
     UniformLaw,
     _reflection_series,
+    _tanh_sinh,
     _theta_series,
     check_moment_identities,
     constant,
@@ -307,6 +308,26 @@ class TestSupAbsBmLaw:
             sup_abs_bm_moment(1.0, T=0.0)
 
 
+class TestTanhSinh:
+    def test_smooth_integrand(self):
+        assert _tanh_sinh(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert _tanh_sinh(lambda x: 1.0 / x, 1.0, 60.0) == pytest.approx(math.log(60.0), rel=1e-15)
+
+    @pytest.mark.parametrize("step_at", [0.3, 0.5, 0.61])
+    def test_step_in_mid_interval_raises(self, step_at):
+        # the two rules weigh the step's neighbourhood differently
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _tanh_sinh(lambda x: (x < step_at).astype(float), 0.0, 1.0)
+
+    def test_sup_abs_bm_moment_passes_the_two_rule_check(self):
+        # _tanh_sinh raises inside sup_abs_bm_moment if its check fails;
+        # the adaptive-quadrature test above checks the values at four q
+        q = np.linspace(0.0, 4.0, 201)[1:]
+        norms = [sup_abs_bm_moment(x) ** (1.0 / x) for x in q]
+        # Lyapunov: the q-norm E[S^q]^(1/q) does not decrease in q
+        assert all(a <= b * (1.0 + 1e-14) for a, b in zip(norms, norms[1:]))
+
+
 class TestMomentIdentities:
     def test_uniform_value(self):
         report = check_moment_identities(UniformLaw(), 0.5)
@@ -315,11 +336,13 @@ class TestMomentIdentities:
         assert report.max_discrepancy < 1e-8
 
     def test_exp_matches_gamma_function(self):
-        # independent closed form: E[Z^p] = Gamma(1+p) for Z ~ Exp(1)
-        for p in (0.3, 0.5, 0.7):
+        # E[Z^p] = Gamma(1+p) for Z ~ Exp(1) is the direct value; both
+        # integrals must meet it
+        for p in (1e-6, 0.3, 0.5, 0.7, 0.999999):
             report = check_moment_identities(ExpLaw(), p)
-            assert report.direct == pytest.approx(math.gamma(1.0 + p), abs=1e-8)
-            assert report.max_discrepancy < 1e-8
+            assert report.direct == math.gamma(1.0 + p)
+            for v in (report.via_tail_integral, report.via_truncated_mean):
+                assert v == pytest.approx(math.gamma(1.0 + p), rel=1e-13)
 
     def test_point_mass_exact(self):
         report = check_moment_identities(PointMassLaw(2.5), 0.5)
