@@ -277,8 +277,8 @@ def _run_identities(sub: str, cfg: SimpleNamespace) -> int:
     result = {**report.to_json(), "pass": ok}
     return _emit(sub, cfg, result,
                  f"identities: law={cfg.law}, p={cfg.p}, values="
-                 f"({report.direct:.8f}, {report.via_tail_integral:.8f}, "
-                 f"{report.via_truncated_mean:.8f}), max discrepancy="
+                 f"({report.direct:.10g}, {report.via_tail_integral:.10g}, "
+                 f"{report.via_truncated_mean:.10g}), max discrepancy="
                  f"{report.max_discrepancy:.2e}, {'PASS' if ok else 'FAIL'}")
 
 

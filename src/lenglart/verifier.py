@@ -10,7 +10,8 @@ takes built generators; cli.generator_from_config reads the suite format.
 A generator's read_index(rule, g_row) is the grid index at which a stopping
 rule reads every path, known before any draw (None where tau depends on the
 path): stopped_sup_sampler, which a freeze draws its sups through, and the
-stopping battery, which draws one column per index, both key on it.
+stopping battery, which draws one column per index (the Pratelli check at a
+PowerF below 1 through stopped_sup_sampler as well), both key on it.
 """
 
 from __future__ import annotations
@@ -164,20 +165,36 @@ class _Generator:
         None where tau depends on the path."""
         raise NotImplementedError
 
-    def stopped_sup_sampler(self, rule, r: float):
+    def stopped_sup_sampler(self, rule, r: float, **stop):
         """sup_sampler(r) of the pair stopped by rule, (X_tau, G_tau), which
-        a freeze at rule draws: exact zeros where read_index on g_row is 0,
-        sampler_at(k, r) where it is k, and else per_path_sampler."""
-        k = self.read_index(rule, self.g_row)
+        a freeze at rule draws; with stop's g_divisor, which only a
+        generator with exact_compensator takes (as stopped_batch), of
+        (X_tau, (G / g_divisor)_tau). Exact zeros where read_index on
+        g_row / g_divisor is 0, sampler_at(k, r) where it is k, its g side
+        times g_divisor^-r, and else per_path_sampler."""
+        g_divisor = stop.get("g_divisor", 1.0)
+        k = self.read_index(rule, self.g_row / g_divisor)
         if k is None:
-            return self.per_path_sampler(rule, r)
-        return zero_moments if k == 0 else self.sampler_at(k, r)
+            return self.per_path_sampler(rule, r, **stop)
+        if k == 0:
+            return zero_moments
+        sampler = self.sampler_at(k, r)
+        if g_divisor == 1.0:
+            return sampler
+        scale = g_divisor ** -r
 
-    def per_path_sampler(self, rule, r: float):
-        """stopped_sup_sampler(rule, r) at any rule: the r-th powers of
-        stopped_batch([rule]), path by path."""
+        def scaled(rng, m):
+            x, g = sampler(rng, m)
+            g *= scale  # in place on an array, which is the caller's
+            return x, g
+
+        return scaled
+
+    def per_path_sampler(self, rule, r: float, **stop):
+        """stopped_sup_sampler(rule, r, **stop) at any rule: the r-th powers
+        of stopped_batch([rule], **stop), path by path."""
         def sampler(rng, m):
-            [(x_tau, g_tau)] = self.stopped_batch([rule], rng, m)
+            [(x_tau, g_tau)] = self.stopped_batch([rule], rng, m, **stop)
             x_tau **= r
             g_tau **= r
             return x_tau, g_tau
@@ -666,30 +683,61 @@ def default_tau_battery(gen: _Generator, seed: int) -> list:
             + [HittingRule(side, float(level)) for side, level in levels if level > 0])
 
 
-def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int, **stop) -> list:
-    """Estimates of the column pair columns(x_tau, g_tau) at every rule of
-    default_tau_battery(gen, seed), all rules evaluated on the same paths.
-    Each estimation chunk is gen.stopped_batch(rules, rng, m, **stop): only
-    check_pratelli passes a stop, g_divisor=c. Rules with one read index
-    (gen.read_index on g_row / g_divisor) stop equal columns, as do equal
-    rules read path by path (None), so only the first of them is drawn, and
-    its estimates go to each of them. columns may overwrite the stopped arrays, the rows of one
-    allocation and no other: freed, the block stays on glibc's heap for the
-    next chunk, while an array per column is page-faulted in again in every
-    chunk. Returns (rule, (a, b)) pairs, one per rule, in battery order."""
+def _battery_pass(gen: _Generator, columns, n_samples: int, seed: int,
+                  r: float | None = None, **stop) -> list:
+    """Estimates of a column pair at every rule of default_tau_battery(gen,
+    seed), all rules evaluated on the same chunk streams. Rules with one
+    read index (gen.read_index on g_row / g_divisor) stop equal columns, as
+    do equal rules read path by path (None), so only the first of them is
+    drawn, and its estimates go to each of them.
+
+    A rule read path by path, and without an exponent r every rule, reduces
+    columns(x_tau, g_tau) of one gen.stopped_batch(rules, rng, m, **stop)
+    per chunk: only check_pratelli passes a stop, g_divisor=c. columns may
+    overwrite the stopped arrays, the rows of one allocation and no other:
+    freed, the block stays on glibc's heap for the next chunk, while an
+    array per column is page-faulted in again in every chunk.
+
+    With r (check_pratelli with a PowerF of exponent r < 1), a rule with a
+    read index reduces the pair that gen.stopped_sup_sampler(rule, r,
+    **stop) draws from the chunk's one stream, after the stopped batch:
+    exact zeros at index 0, else the freeze's sampler_at(k, r), an exact x
+    moment and, on a single-jump pair, the weighted g kernel. Their array
+    columns are copied into the rows of one further allocation, so that
+    each sampler's own block is freed before the next one draws: with the
+    six kernel blocks of the extremal battery alive at once, glibc returned
+    them to the operating system after every chunk, about 3 000 page faults
+    per op at 2^17 draws (ru_minflt, 2-core x86_64). A chunk's array
+    columns share one reduction (montecarlo.ChunkStream.rows): on a
+    single-jump pair every rule has a read index, and every column is the
+    kernel's, stratified at r = p and i.i.d. otherwise; on the walks every
+    column is i.i.d.
+
+    Returns (rule, (a, b)) pairs, one per rule, in battery order."""
     rules = default_tau_battery(gen, seed)
     g_row = gen.g_row / stop.get("g_divisor", 1.0)
     keys = [rule if (k := gen.read_index(rule, g_row)) is None else k for rule in rules]
-    distinct = list(dict.fromkeys(keys))
-    drawn = [rules[keys.index(key)] for key in distinct]
+    drawn = {key: rules[keys.index(key)] for key in keys}  # the first rule of each key
+    by_path = [key for key in drawn if r is None or not isinstance(key, int)]
+    at_index = [key for key in drawn if key not in by_path]
+    path_rules = [drawn[key] for key in by_path]
+    samplers = [gen.stopped_sup_sampler(drawn[key], r, **stop) for key in at_index]
 
     def paired(rng, m):
-        return tuple(col for x_tau, g_tau in gen.stopped_batch(drawn, rng, m, **stop)
-                     for col in columns(x_tau, g_tau))
+        stopped = gen.stopped_batch(path_rules, rng, m, **stop) if path_rules else []
+        cols = [col for x_tau, g_tau in stopped for col in columns(x_tau, g_tau)]
+        rows = iter(np.empty((2 * len(samplers), m)))
+        for sampler in samplers:
+            for col, row in zip(sampler(rng, m), rows):
+                if not isinstance(col, float):
+                    np.copyto(row, col)
+                    col = row
+                cols.append(col)
+        return tuple(cols)
 
     estimates = estimate_pair(paired, n_samples, seed)
-    pairs = list(zip(estimates[0::2], estimates[1::2]))
-    return [(rule, pairs[distinct.index(key)]) for rule, key in zip(rules, keys)]
+    pairs = dict(zip(by_path + at_index, zip(estimates[0::2], estimates[1::2])))
+    return [(rule, pairs[key]) for rule, key in zip(rules, keys)]
 
 
 def check_pratelli(
@@ -704,8 +752,15 @@ def check_pratelli(
     The generator must carry an exact compensator (exact_compensator), so
     that scaling g by 1/c realizes the hypothesis E[Y_tau] <= c E[(G/c)_tau];
     only such a generator's stopped_batch takes the g_divisor c, and the
-    others are refused before any draw. Returns the report of the binding
-    (worst-margin) stopping time.
+    others are refused before any draw. With F = PowerF(r), r < 1, the two
+    sides are the r-th sup moments of the pair stopped at each rule, so a
+    rule with a read index k (on g / c) reads the pair that a freeze there
+    draws (_battery_pass): on the extremal pair the monotone pair on
+    [0, t_k], E[X_tau^r] exact and the weighted g kernel times c^-r, in
+    stratified pairs at r = p and i.i.d. otherwise; on a walk the walk of k
+    steps. PowerF(1), which the kernels refuse, PiecewiseLinearF and the
+    walks' rules on x at a positive level read F of the stopped arrays.
+    Returns the report of the binding (worst-margin) stopping time.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, not {c!r}")
@@ -716,9 +771,11 @@ def check_pratelli(
     # their constructors check the concavity and F(0) = 0 the inequality needs
     if not isinstance(F, (PowerF, PiecewiseLinearF)):
         raise ValueError(f"F must be a PowerF or a PiecewiseLinearF, not {F!r}")
-    # in the stopped arrays, PiecewiseLinearF with two scratch columns per call
+    # PowerF(1), which the kernels refuse, and PiecewiseLinearF write F into
+    # the stopped arrays, the latter with two scratch columns per call
+    r = F.p if isinstance(F, PowerF) and F.p < 1.0 else None
     battery = _battery_pass(gen, lambda x, g: (F(x, out=x), F(g, out=g)), n_samples,
-                            seed, g_divisor=c)
+                            seed, r, g_divisor=c)
     reports = [
         VerifierReport(lhs=lhs, rhs_constant=1.0 + c, rhs=rhs, constant_kind=None,
                        label=f"{gen.name}:pratelli:{rule.label()}")

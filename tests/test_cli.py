@@ -717,9 +717,14 @@ class TestSubcommands:
     def test_identities_point_law_scale(self, capsys, value):
         # past 1 the bound is relative: at 1e16 the three values 1e8, 1e8 and
         # 99999999.99999999 agree to 1.5e-16; at 1e300 the truncated-mean
-        # integrand is E[Z ^ u] / u, at most 1, with no u^(p-2) to underflow
-        assert run(["identities", "--law", "point", "--point-value", str(value)],
-                   capsys)[0] == EXIT_PASS
+        # integrand is E[Z ^ u] / u, at most 1, with no u^(p-2) to underflow.
+        # The summary line prints each value to 10 significant digits, at
+        # every scale
+        code, out, _ = run(["identities", "--law", "point", "--point-value", str(value)],
+                           capsys)
+        assert code == EXIT_PASS
+        summary = out.splitlines()[-1]
+        assert summary.startswith("identities:") and len(summary) < 200, summary
 
     @pytest.mark.parametrize("p", ["1e-9", "1e-6", "1e-4", "0.999999"])
     @pytest.mark.parametrize("law", ["uniform", "exp", "point", "pareto"])

@@ -41,6 +41,7 @@ from lenglart.verifier import (
     JumpLaw,
     PowerF,
     check_pratelli,
+    default_tau_battery,
     domination_audit,
     enumerate_jump_sup_moments,
 )
@@ -143,6 +144,11 @@ API_CALLS.update({
     )
 })
 
+# the Pratelli reports on the extremal pair whose sides come from the kernel
+# at the binding rule's grid time t_k, on g / c: the key's c
+API_DRAWN_SIDES = {"check_pratelli extremal:p=0.5:n=10": 0.5,
+                   "check_pratelli:c=3 extremal:p=0.5:n=10": 3.0}
+
 
 def stable_json(argv: str, threads: int) -> dict:
     out = io.StringIO()
@@ -215,6 +221,20 @@ def test_drawn_side_covers_its_oracle(corpus, key):
     for part in path.split("."):
         node = node[int(part)] if part.isdigit() else node[part]
     assert abs(node["value"] - exact()) <= 3.0 * node["halfwidth"], (node, exact())
+
+
+@pytest.mark.parametrize("key", API_DRAWN_SIDES)
+def test_api_drawn_side_covers_its_oracle(api_corpus, key):
+    # lhs is t_k exactly, and the drawn rhs lies within 3 half-widths of
+    # c^-p times the compensator moment at t_k
+    c, report = API_DRAWN_SIDES[key], api_corpus[key]
+    gen = API_GENERATORS["extremal:p=0.5:n=10"]
+    rule = next(rule for rule in default_tau_battery(gen, 0)
+                if report["label"] == f"extremal:pratelli:{rule.label()}")
+    t = gen.read_index(rule, gen.g_row / c) * 2.0**-gen.level_N
+    assert report["lhs"] == {**report["lhs"], "value": t, "halfwidth": 0.0}
+    rhs, exact = report["rhs"], c**-0.5 * gtilde_sup_moment(0.5, t)
+    assert abs(rhs["value"] - exact) <= 3.0 * rhs["halfwidth"], (rhs, exact)
 
 
 @pytest.mark.parametrize("argv", DUMPS)

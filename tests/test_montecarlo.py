@@ -500,6 +500,10 @@ class TestStreamLayout:
         "check_pratelli": ({0, 1}, lambda: check_pratelli(
             TestStreamLayout.GEN, PowerF(0.5), 0.5, TestStreamLayout.SAMPLES,
             TestStreamLayout.SEED)),
+        # every rule read from the kernel at its index, on the chunk's one stream
+        "check_pratelli-extremal": ({0, 1}, lambda: check_pratelli(
+            ExtremalGenerator(ExtremalParams(p=0.5, n=10)), PowerF(0.5), 0.5,
+            TestStreamLayout.SAMPLES, TestStreamLayout.SEED)),
     }
 
     @staticmethod

@@ -31,7 +31,7 @@ from lenglart.montecarlo import (
     estimate_from_values,
     estimate_pair,
 )
-from lenglart.oracles import ConstantKind, constant
+from lenglart.oracles import ConstantKind, constant, gtilde_sup_moment
 from lenglart.verifier import (
     CompensatedBernoulliGenerator,
     DiscreteExtremalGenerator,
@@ -87,17 +87,43 @@ def dense_stopped_batch(gen, rules, rng, size: int, g_divisor: float = 1.0) -> l
     return [dense_stopped(rule, x, g) for rule in rules]
 
 
+def scaled_g(sampler, factor: float):
+    """sampler with its g side times factor."""
+    def scaled(rng, m):
+        x, g = sampler(rng, m)
+        return x, g * factor
+
+    return scaled
+
+
 @dataclass(frozen=True)
 class ScaledCompensatorGenerator(CompensatedBernoulliGenerator):
-    """The compensated walk with its compensator scaled by scale, stopped by
-    the walk's closed form at g_divisor / scale: below scale 1,
-    E[X_tau] = E[G_tau] / scale > E[G_tau], so the domination hypothesis
-    fails and a checker must say so."""
+    """The compensated walk with its compensator scaled by scale: the g row
+    that stopped_batch and read_index read, and the sup G of the walk of k
+    steps that sampler_at draws. Below scale 1, E[X_tau] = E[G_tau] / scale
+    > E[G_tau], so the domination hypothesis fails and a checker must say
+    so."""
 
     scale: float = 1.0
 
-    def stopped_batch(self, rules, rng, size, g_divisor=1.0):
-        return super().stopped_batch(rules, rng, size, g_divisor / self.scale)
+    @property
+    def g_row(self):
+        return super().g_row * self.scale
+
+    def sampler_at(self, k, r):
+        return scaled_g(super().sampler_at(k, r), self.scale**r)
+
+
+@dataclass(frozen=True)
+class ScaledKernelGenerator(ExtremalGenerator):
+    """The extremal pair with each g value that sampler_at draws scaled by
+    factor: below factor 1 the kernel route of check_pratelli reads a
+    compensator moment factor times the pair's, so the check must fail."""
+
+    factor: float = 1.0
+
+    def sampler_at(self, k, r):
+        return scaled_g(super().sampler_at(k, r), self.factor)
 
 
 @dataclass(frozen=True)
@@ -128,8 +154,8 @@ class CountingGenerator(CompensatedBernoulliGenerator):
 
 
 # unscaled, each checker passes with a wide margin (audit: max z 0.05;
-# Pratelli: margin +246 combined half-widths); scaled, it must fail (audit:
-# an excess of 64 stderr at g x 0.8; Pratelli: margin -192 at g x 0.1)
+# Pratelli: margin +245 combined half-widths); scaled, it must fail (audit:
+# an excess of 64 stderr at g x 0.8; Pratelli: margin -195 at g x 0.1)
 FALSIFIED_WALK = dict(jump=JumpLaw("bernoulli", q=0.3), steps=12)
 
 
@@ -952,6 +978,24 @@ class TestPratelli:
         report = check_pratelli(gen, PowerF(0.5), c=1.0, n_samples=20_000, seed=0)
         assert report.passed is passed, report.to_json()
 
+    @pytest.mark.parametrize(("factor", "passed"), [(1.0, True), (0.05, False)])
+    def test_fails_when_the_kernel_g_is_scaled(self, factor, passed):
+        # every rule of the extremal battery reads the kernel at its index
+        gen = ScaledKernelGenerator(ExtremalParams(p=0.5, n=10), factor=factor)
+        report = check_pratelli(gen, PowerF(0.5), c=0.5, n_samples=20_000, seed=0)
+        assert report.passed is passed, report.to_json()
+
+    def test_power_one_runs_on_the_stopped_route(self, monkeypatch):
+        # the kernels refuse r = 1, so F(x) = x reads the stopped pairs
+        def refused(self, k, r):
+            raise AssertionError("PowerF(1.0) drew through sampler_at")
+
+        monkeypatch.setattr(verifier._SingleJumpGenerator, "sampler_at", refused)
+        gen = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
+        report = check_pratelli(gen, PowerF(1.0), c=0.5, n_samples=20_000, seed=0)
+        assert report.passed, report.to_json()
+        assert report.lhs.halfwidth > 0
+
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     def test_c_must_be_positive_and_finite(self, c):
         gen = CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.4), steps=10)
@@ -1029,6 +1073,49 @@ class TestPratelli:
             check_pratelli(gen, F, c=1.0, n_samples=1000)
 
 
+class TestPratelliKernelRoute:
+    """check_pratelli with a PowerF of exponent r < 1 reads each rule of the
+    extremal pair's battery at its read index k, on g / c, from the monotone
+    pair on [0, t_k]: x exact, and the weighted g kernel times c^-r,
+    stratified at r = p and i.i.d. otherwise."""
+
+    GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
+
+    def battery(self, r, c):
+        """(t_k, lhs, rhs) at every rule of the check's battery. No rule of
+        a single-jump pair is read path by path, so no columns are formed
+        from stopped arrays."""
+        gen = self.GEN
+        pairs = verifier._battery_pass(gen, None, 1 << 17, 0, r, g_divisor=c)
+        h = 2.0**-verifier._GRID_LEVEL
+        return [(gen.read_index(rule, gen.g_row / c) * h, lhs, rhs)
+                for rule, (lhs, rhs) in pairs]
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    @pytest.mark.parametrize("r", [0.5, 0.75])
+    def test_lhs_is_the_exact_x_moment(self, r, c):
+        # int_0^t e^((r/p - 1) z) dz: t at r = p, expm1(a t)/a otherwise
+        a = r / 0.5 - 1.0
+        for t, lhs, _ in self.battery(r, c):
+            assert lhs.value == (t if a == 0.0 else math.expm1(a * t) / a)
+            assert lhs.halfwidth == 0.0
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_rhs_covers_the_compensator_moment(self, c):
+        for t, _, rhs in self.battery(0.5, c):
+            exact = c**-0.5 * gtilde_sup_moment(0.5, t)
+            # stratified pairs: about 2.5e-10 relative at 2^17 draws
+            assert 0 < rhs.halfwidth < 1e-8 * exact
+            assert abs(rhs.value - exact) <= 3 * rhs.halfwidth, (t, rhs, exact)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_rhs_covers_quadrature_off_the_cusp(self, c):
+        # at r != p the kernel draws i.i.d.
+        for t, _, rhs in self.battery(0.75, c):
+            exact = c**-0.75 * g_moment(0.75, 0.5, t)
+            assert abs(rhs.value - exact) <= 3 * rhs.halfwidth, (t, rhs, exact)
+
+
 class TestDominationAudit:
     @pytest.mark.parametrize(
         "cfg",
@@ -1076,8 +1163,12 @@ class TestStreamedReportsMatchConcatenated:
     streams, the pilot on its own domain), and check_inequality's on
     hatx_of again when the freeze began to draw through the monotone
     discrete pair's sampler, once more when check_inequality came to draw
-    by the plain mean alone, and once more when the discrete kernel came to
-    draw replicated Latin columns (stream layout 5)."""
+    by the plain mean alone, once more when the discrete kernel came to
+    draw replicated Latin columns (stream layout 5), and check_pratelli's
+    when a PowerF below 1 came to read each rule with a read index from the
+    freeze's sampler there (an exact x moment; on the extremal pair the
+    stratified g kernel, on the walk a binomial x column and an exact
+    sup G)."""
 
     GEN = ExtremalGenerator(ExtremalParams(p=0.5, n=10))
     N = 3 * 2**15 + 17
@@ -1129,11 +1220,11 @@ class TestStreamedReportsMatchConcatenated:
         assert abs(report.rhs.value - discrete_rhs(0.5, 5, 4)) <= 3 * report.rhs.halfwidth
 
     @pytest.mark.parametrize("gen, n, seed, expected", [
-        (GEN, N, 5, ("extremal:pratelli:hit[g>=1.608]", 0.49709677875120645,
-                     0.002012807846603884, 1.0870199202410125, 0.0011023100102027128)),
+        (GEN, N, 5, ("extremal:pratelli:hit[g>=1.608]", 0.5, 0.0, 1.085038502360116,
+                     4.168562538706541e-10)),
         (CompensatedBernoulliGenerator(jump=JumpLaw("bernoulli", q=0.3), steps=12),
-         40_000, 2, ("compensated_bernoulli:pratelli:fixed[1]", 0.29855,
-                     0.0022881386162027363, 0.7745966692414832, 0.0)),
+         40_000, 2, ("compensated_bernoulli:pratelli:fixed[1]", 0.30095,
+                     0.0022933837288432986, 0.7745966692414834, 0.0)),
     ])
     def test_check_pratelli(self, gen, n, seed, expected):
         label, lhs, lhs_hw, rhs, rhs_hw = expected
@@ -1142,8 +1233,7 @@ class TestStreamedReportsMatchConcatenated:
         assert report.lhs.value == pytest.approx(lhs, rel=1e-12)
         assert report.lhs.halfwidth == pytest.approx(lhs_hw, rel=1e-12)
         assert report.rhs.value == pytest.approx(rhs, rel=1e-12)
-        # a constant column: its half-width is 0 up to rounding of the mean
-        assert report.rhs.halfwidth == pytest.approx(rhs_hw, rel=1e-12, abs=1e-12 * rhs)
+        assert report.rhs.halfwidth == pytest.approx(rhs_hw, rel=1e-12)
 
 
 def battery_rules(gen, seed):
@@ -1174,10 +1264,11 @@ class TestBatteryColumnPair:
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
     @pytest.mark.parametrize(("check", "g_divisor"), [
         (lambda gen: domination_audit(gen, n_samples=CHUNK, seed=3), 1.0),
-        (lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK, seed=3), 0.5),
+        (lambda gen: check_pratelli(gen, PowerF(1.0), 0.5, n_samples=CHUNK, seed=3), 0.5),
     ], ids=["audit", "pratelli"])
     def test_no_block_besides_the_stopped_rows(self, gen, check, g_divisor):
-        # every column is reduced in the rows stopped_batch returned
+        # every column is reduced in the rows stopped_batch returned (the
+        # Pratelli check at PowerF(1.0), which the kernels refuse)
         rules = battery_rules(gen, 3)
         stopped = self.traced_peak(
             lambda: gen.stopped_batch(rules, chunk_rng(3, 0), CHUNK, g_divisor))
@@ -1211,8 +1302,8 @@ class TestBatteryColumnPair:
     @pytest.mark.parametrize(("gen", "check", "columns"), [
         (GENERATORS[0], audit, 6),
         (DiscreteExtremalGenerator(ExtremalParams(p=0.5, n=10), level_N=4), audit, 6),
-        (GENERATORS[0],
-         lambda gen: check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK + 5, seed=3), 6),
+        (GENERATORS[0],  # on the stopped route: the kernels refuse PowerF(1.0)
+         lambda gen: check_pratelli(gen, PowerF(1.0), 0.5, n_samples=CHUNK + 5, seed=3), 6),
         (GENERATORS[1], audit, 8),
         (HatXGenerator(GENERATORS[1], FixedIndexRule(6)), audit, 3),
         (HatXGenerator(GENERATORS[1], HittingRule("g", 2.0)), audit, 6),
@@ -1238,6 +1329,32 @@ class TestBatteryColumnPair:
         drawn.clear()
         assert check(gen).to_json() == merged
         assert drawn[1] == len(battery_rules(gen, 3)) == 9
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
+    def test_kernel_route_draws_each_index_once(self, monkeypatch, gen):
+        # at PowerF(0.5) each read index is drawn through one sampler_at, and
+        # only the rules read path by path (the walk's on x) are stopped, in
+        # one stopped_batch per chunk after the pilot's
+        rules = battery_rules(gen, 3)
+        keys = [gen.read_index(rule, gen.g_row / 0.5) for rule in rules]
+        by_path = list(dict.fromkeys(rule for rule, k in zip(rules, keys) if k is None))
+        at, stopped = [], []
+        sampler_at, stopped_batch = type(gen).sampler_at, type(gen).stopped_batch
+
+        def counting_at(self, k, r):
+            at.append(k)
+            return sampler_at(self, k, r)
+
+        def counting_stopped(self, rules, *args, **kwargs):
+            stopped.append(list(rules))
+            return stopped_batch(self, rules, *args, **kwargs)
+
+        monkeypatch.setattr(type(gen), "sampler_at", counting_at)
+        monkeypatch.setattr(type(gen), "stopped_batch", counting_stopped)
+        check_pratelli(gen, PowerF(0.5), 0.5, n_samples=CHUNK + 5, seed=3)
+        assert sorted(at) == sorted({k for k in keys if k is not None})
+        assert stopped[1:] == ([by_path] * 2 if by_path else [])
+        assert len(by_path) == (3 if gen is self.GENERATORS[1] else 0)
 
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda gen: gen.name)
     def test_audit_reduces_x_and_x_minus_g(self, gen):
